@@ -104,11 +104,11 @@ func run() error {
 	}
 
 	// 4. Pull co-existing security reports and their IoCs.
-	reps := mg.ReportsByPackage[best.id]
+	reps := mg.ReportsByPackage(best.id)
 	if len(reps) == 0 {
 		// Fall back to any front's reports.
 		for _, frontID := range mg.G.Neighbors(best.id, graph.Dependency) {
-			if rs := mg.ReportsByPackage[frontID]; len(rs) > 0 {
+			if rs := mg.ReportsByPackage(frontID); len(rs) > 0 {
 				reps = rs
 				break
 			}

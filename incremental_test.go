@@ -506,6 +506,42 @@ func BenchmarkIncremental_AppendGrowth(b *testing.B) {
 	}
 }
 
+// BenchmarkIncremental_PublishGrowth measures the whole write path of one
+// epoch publish — Ingest of the fixed ≈1% delta plus the Engine.View that
+// publishes it — at 1×/4×/10× corpus sizes. Each iteration restores the
+// warmed engine and takes one untimed View first, so the timed Ingest pays
+// the copy-on-write of every shard, page and adjacency list it touches, as
+// it does in a serving pipeline that publishes after every batch. Near
+// flat (CI-gated ≤3× at 10×; the shard-table copies keep it above 1) means
+// a publish no longer copies the corpus; a View that copies the corpus
+// lands near the corpus ratio instead.
+func BenchmarkIncremental_PublishGrowth(b *testing.B) {
+	for _, size := range []struct {
+		name   string
+		prefix int
+	}{{"1x", 100}, {"4x", 400}, {"10x", 998}} {
+		b.Run("size="+size.name, func(b *testing.B) {
+			st := growthSetup(b, size.prefix)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng, err := core.RestoreEngine(bytes.NewReader(st.snap))
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.View()
+				runtime.GC()
+				b.StartTimer()
+				if _, err := eng.Ingest(st.delta); err != nil {
+					b.Fatal(err)
+				}
+				eng.View()
+			}
+			b.ReportMetric(float64(len(st.delta.Entries)), "delta_entries")
+		})
+	}
+}
+
 // --- Report-append growth benchmark (ISSUE 5 acceptance) ---
 //
 // The scoped co-existing re-join claim is that a wanted-package arrival

@@ -129,7 +129,7 @@ func TableXI(mg *core.MalGraph, minSize int) []GroupRow {
 		// Path 1: report content.
 		labelSet := make(map[string]bool)
 		for _, id := range members {
-			for _, rep := range mg.ReportsByPackage[id] {
+			for _, rep := range mg.ReportsByPackage(id) {
 				for _, b := range reports.ExtractBehaviors(rep.Body) {
 					labelSet[b] = true
 				}

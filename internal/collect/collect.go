@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"malgraph/internal/ecosys"
+	"malgraph/internal/graph/cow"
 	"malgraph/internal/registry"
 	"malgraph/internal/sources"
 )
@@ -88,7 +89,7 @@ type Result struct {
 	PerSource   map[sources.ID]SourceStats
 	CollectedAt time.Time
 
-	byKey map[string]*Entry
+	byKey cow.Map[*Entry]
 	// statsByKey records each entry's contribution to PerSource, so the
 	// dataset can be replayed as batches (see feed.go) whose per-batch
 	// accounting sums back to the whole, and so an incremental resolve
@@ -114,7 +115,6 @@ func NewResult(at time.Time) *Result {
 	return &Result{
 		PerSource:   make(map[sources.ID]SourceStats),
 		CollectedAt: at,
-		byKey:       make(map[string]*Entry),
 	}
 }
 
@@ -192,7 +192,7 @@ func Run(set *sources.Set, fleet registry.View, at time.Time) (*Result, error) {
 		}
 
 		res.Entries = append(res.Entries, entry)
-		res.byKey[key] = entry
+		res.byKey.Set(key, entry)
 
 		// Step 4: per-source accounting. A package is locally unavailable
 		// for source i when i's own channel (artifact) and the mirrors both
@@ -227,37 +227,34 @@ func Run(set *sources.Set, fleet registry.View, at time.Time) (*Result, error) {
 
 // Entry returns the dataset entry for a coordinate.
 func (r *Result) Entry(coord ecosys.Coord) (*Entry, bool) {
-	e, ok := r.byKey[coord.Key()]
-	return e, ok
+	return r.byKey.Get(coord.Key())
 }
 
 // EntryByKey returns the dataset entry for a coordinate key — the lookup the
 // segmented checkpoint uses to resolve dirty keys back to live entries.
 func (r *Result) EntryByKey(key string) (*Entry, bool) {
-	e, ok := r.byKey[key]
-	return e, ok
+	return r.byKey.Get(key)
 }
 
 // View returns a read-only snapshot of the dataset for concurrent readers.
-// The entry slice, lookup index and per-source aggregates are copied;
-// *Entry values are shared — Upsert never mutates a stored entry in place
-// (changed entries are replaced with fresh merged copies), so shared
-// pointers stay consistent however far the original advances. The view
-// carries no per-entry accounting (statsByKey): it serves analyses and
-// queries, not feeds or upserts.
+// The entry slice and per-source aggregates are copied and the lookup index
+// is cloned copy-on-write in O(1) (cow.Map.Clone — so View needs the same
+// exclusive access as a write; the next write to the index copies its
+// shard table once); *Entry values are shared — Upsert never
+// mutates a stored entry in place (changed entries are replaced with fresh
+// merged copies), so shared pointers stay consistent however far the
+// original advances. The view carries no per-entry accounting
+// (statsByKey): it serves analyses and queries, not feeds or upserts.
 func (r *Result) View() *Result {
 	v := &Result{
 		Entries:     make([]*Entry, len(r.Entries)),
 		PerSource:   make(map[sources.ID]SourceStats, len(r.PerSource)),
 		CollectedAt: r.CollectedAt,
-		byKey:       make(map[string]*Entry, len(r.byKey)),
+		byKey:       r.byKey.Clone(),
 	}
 	copy(v.Entries, r.Entries)
 	for id, st := range r.PerSource {
 		v.PerSource[id] = st
-	}
-	for k, e := range r.byKey {
-		v.byKey[k] = e
 	}
 	return v
 }

@@ -247,9 +247,9 @@ func (r *Result) UpsertBatch(entries []*Entry) []UpsertResult {
 			continue
 		}
 		key := e.Coord.Key()
-		cur, ok := r.byKey[key]
+		cur, ok := r.byKey.Get(key)
 		if !ok {
-			r.byKey[key] = e
+			r.byKey.Set(key, e)
 			if pendingIdx == nil {
 				pendingIdx = make(map[string]int)
 			}
@@ -263,7 +263,7 @@ func (r *Result) UpsertBatch(entries []*Entry) []UpsertResult {
 		next, changed := mergeEntry(cur, e)
 		if changed {
 			res.Entry, res.Changed = next, true
-			r.byKey[key] = next
+			r.byKey.Set(key, next)
 			if pi, isPending := pendingIdx[key]; isPending {
 				pending[pi] = next
 			} else {

@@ -101,7 +101,6 @@ func AssembleResult(h ResultHeader, entries []DecodedEntry) (*Result, error) {
 	res := &Result{
 		CollectedAt: h.CollectedAt,
 		PerSource:   make(map[sources.ID]SourceStats, len(h.PerSource)),
-		byKey:       make(map[string]*Entry, len(entries)),
 	}
 	for raw, st := range h.PerSource {
 		var id int
@@ -122,7 +121,7 @@ func AssembleResult(h ResultHeader, entries []DecodedEntry) (*Result, error) {
 			res.statsByKey[e.Coord.Key()] = *de.Stat
 		}
 		res.Entries = append(res.Entries, e)
-		res.byKey[e.Coord.Key()] = e
+		res.byKey.Set(e.Coord.Key(), e)
 	}
 	sort.Slice(res.Entries, func(i, j int) bool {
 		return res.Entries[i].Coord.Key() < res.Entries[j].Coord.Key()

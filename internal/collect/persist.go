@@ -110,7 +110,6 @@ func ReadJSON(rd io.Reader) (*Result, error) {
 	res := &Result{
 		CollectedAt: p.CollectedAt,
 		PerSource:   make(map[sources.ID]SourceStats, len(p.PerSource)),
-		byKey:       make(map[string]*Entry, len(p.Entries)),
 	}
 	for raw, st := range p.PerSource {
 		var id int
@@ -140,7 +139,7 @@ func ReadJSON(rd io.Reader) (*Result, error) {
 			res.statsByKey[e.Coord.Key()] = *pe.Stats
 		}
 		res.Entries = append(res.Entries, e)
-		res.byKey[e.Coord.Key()] = e
+		res.byKey.Set(e.Coord.Key(), e)
 	}
 	sort.Slice(res.Entries, func(i, j int) bool {
 		return res.Entries[i].Coord.Key() < res.Entries[j].Coord.Key()
@@ -159,7 +158,7 @@ func (r *Result) Supplement(other *Result) int {
 		if o.Artifact == nil {
 			continue
 		}
-		e, ok := r.byKey[o.Coord.Key()]
+		e, ok := r.byKey.Get(o.Coord.Key())
 		if !ok || e.Artifact != nil {
 			continue
 		}

@@ -112,7 +112,7 @@ func TestSupplement(t *testing.T) {
 
 	// A community member had archived pkg-c: build a donor dataset carrying
 	// its artifact.
-	donor := &Result{byKey: map[string]*Entry{}}
+	donor := &Result{}
 	c := art("pkg-c")
 	donorEntry := &Entry{Coord: c.Coord, Artifact: c, Availability: FromSource}
 	donor.Entries = append(donor.Entries, donorEntry)

@@ -22,10 +22,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"malgraph/internal/collect"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
+	"malgraph/internal/graph/cow"
 	"malgraph/internal/reports"
 	"malgraph/internal/sources"
 	"malgraph/internal/textsim"
@@ -65,10 +67,21 @@ type MalGraph struct {
 	// SimilarClusters are the surviving similarity clusters per §III-B,
 	// keyed by ecosystem.
 	SimilarClusters map[ecosys.Ecosystem][]textsim.Cluster
-	// ReportsByPackage indexes reports by canonical node ID.
-	ReportsByPackage map[string][]*reports.Report
 
-	entryByID map[string]*collect.Entry
+	// reportsByPkg indexes reports by canonical node ID (see
+	// ReportsByPackage). Lists are replaced, never written in place, so
+	// views share them.
+	reportsByPkg cow.Map[[]*reports.Report]
+	// subgraphs memoizes PackageSubgraphs on an immutable view (set by
+	// Engine.View); nil on a live graph, which computes them directly.
+	subgraphs *subgraphMemo
+}
+
+// subgraphMemo holds each edge type's package components of two or more
+// members, computed at most once per view.
+type subgraphMemo struct {
+	once  [graph.Coexisting + 1]sync.Once
+	comps [graph.Coexisting + 1][][]string
 }
 
 // Build constructs MALGRAPH from a collected dataset and a report corpus —
@@ -156,9 +169,29 @@ func uniqueStrings(in []string) []string {
 }
 
 // PackageSubgraphs returns the connected components over one edge type,
-// restricted to canonical package nodes, with at least minSize members.
+// restricted to canonical package nodes, with at least minSize (≥1)
+// members, largest first (ties by smallest member). On a view the
+// components of two or more members are computed once per edge type and
+// shared: callers must not modify the returned member slices.
 func (mg *MalGraph) PackageSubgraphs(t graph.EdgeType, minSize int) [][]string {
-	comps := mg.G.ComponentsMin(1, t)
+	memo := mg.subgraphs
+	if memo == nil || minSize < 2 || t < graph.Duplicated || t > graph.Coexisting {
+		return packageComponents(mg.G, t, minSize)
+	}
+	memo.once[t].Do(func() { memo.comps[t] = packageComponents(mg.G, t, 2) })
+	// Filtering keeps the size-descending order.
+	var out [][]string
+	for _, pkgs := range memo.comps[t] {
+		if len(pkgs) >= minSize {
+			out = append(out, pkgs)
+		}
+	}
+	return out
+}
+
+func packageComponents(g *graph.Graph, t graph.EdgeType, minSize int) [][]string {
+	minSize = max(minSize, 1)
+	comps := g.ComponentsMin(1, t)
 	var out [][]string
 	for _, comp := range comps {
 		var pkgs []string
@@ -199,8 +232,15 @@ func (mg *MalGraph) DuplicateGroups() [][]string {
 	return out
 }
 
-// EntryByNodeID resolves a canonical node ID back to its dataset entry.
+// EntryByNodeID resolves a canonical node ID back to its dataset entry (a
+// canonical node ID is its coordinate key).
 func (mg *MalGraph) EntryByNodeID(nodeID string) (*collect.Entry, bool) {
-	e, ok := mg.entryByID[nodeID]
-	return e, ok
+	return mg.Dataset.EntryByKey(nodeID)
+}
+
+// ReportsByPackage returns the reports naming the canonical node ID, in
+// URL order. The slice is shared and must not be modified.
+func (mg *MalGraph) ReportsByPackage(nodeID string) []*reports.Report {
+	lst, _ := mg.reportsByPkg.Get(nodeID)
+	return lst
 }

@@ -185,7 +185,7 @@ func TestCoexistingEdgesMergeReports(t *testing.T) {
 		t.Fatal("report-only package must not be added to the graph")
 	}
 	// Report index populated.
-	if got := len(mg.ReportsByPackage["PyPI/alpha-two@1.0.0"]); got != 2 {
+	if got := len(mg.ReportsByPackage("PyPI/alpha-two@1.0.0")); got != 2 {
 		t.Fatalf("alpha-two report count = %d", got)
 	}
 }

@@ -54,6 +54,7 @@ import (
 	"malgraph/internal/depscan"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
+	"malgraph/internal/graph/cow"
 	"malgraph/internal/parallel"
 	"malgraph/internal/reports"
 	"malgraph/internal/sources"
@@ -330,11 +331,9 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{
 		cfg: cfg,
 		mg: &MalGraph{
-			G:                graph.New(),
-			Dataset:          collect.NewResult(time.Time{}),
-			SimilarClusters:  make(map[ecosys.Ecosystem][]textsim.Cluster),
-			ReportsByPackage: make(map[string][]*reports.Report),
-			entryByID:        make(map[string]*collect.Entry),
+			G:               graph.New(),
+			Dataset:         collect.NewResult(time.Time{}),
+			SimilarClusters: make(map[ecosys.Ecosystem][]textsim.Cluster),
 		},
 		embedder:    textsim.NewEmbedder(cfg.Embed),
 		scanner:     depscan.NewScanner(),
@@ -370,35 +369,33 @@ func (e *Engine) Reports() []*reports.Report { return e.mg.Reports }
 
 // View returns an immutable snapshot of the engine's read state — the
 // MalGraph an epoch-published read path serves from while Ingest keeps
-// writing. Containers are copied (graph via graph.Clone, dataset via
-// collect.Result.View, the report slice and index maps by value); leaves
-// are shared where the writer provably never mutates them in place:
-// dataset entries (Upsert replaces changed entries), reports (first crawl
-// wins), per-ecosystem cluster slices (re-clustering replaces the flat
-// list wholesale) and per-package report lists (indexReportForPackage
-// copy-inserts). Cost is O(corpus) pointer copies, paid once per publish
-// by the writer.
+// writing. Containers are cloned copy-on-write (the graph via graph.Clone,
+// the dataset's key index via collect.Result.View, the per-package report
+// index via cow.Map.Clone): the next Ingest copies the shards, pages and
+// lists it touches, plus each written cow.Map's shard table once (one
+// 32-byte header per 4–8 keys) and the graph's page-pointer table. Leaves are shared where the
+// writer provably never mutates them in place: dataset entries (Upsert
+// replaces changed entries), reports (first crawl wins), per-ecosystem
+// cluster slices (re-clustering replaces the flat list wholesale) and
+// per-package report lists (indexReportForPackage copy-inserts). What
+// still grows with the corpus is those table copies and two pointer-slice
+// copies — the dataset's Entries and the report corpus — paid once per
+// publish by the writer.
 func (e *Engine) View() *MalGraph {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	mg := e.mg
 	v := &MalGraph{
-		G:                mg.G.Clone(),
-		Dataset:          mg.Dataset.View(),
-		Reports:          make([]*reports.Report, len(mg.Reports)),
-		SimilarClusters:  make(map[ecosys.Ecosystem][]textsim.Cluster, len(mg.SimilarClusters)),
-		ReportsByPackage: make(map[string][]*reports.Report, len(mg.ReportsByPackage)),
-		entryByID:        make(map[string]*collect.Entry, len(mg.entryByID)),
+		G:               mg.G.Clone(),
+		Dataset:         mg.Dataset.View(),
+		Reports:         make([]*reports.Report, len(mg.Reports)),
+		SimilarClusters: make(map[ecosys.Ecosystem][]textsim.Cluster, len(mg.SimilarClusters)),
+		reportsByPkg:    mg.reportsByPkg.Clone(),
+		subgraphs:       &subgraphMemo{},
 	}
 	copy(v.Reports, mg.Reports)
 	for eco, cs := range mg.SimilarClusters {
 		v.SimilarClusters[eco] = cs
-	}
-	for id, lst := range mg.ReportsByPackage {
-		v.ReportsByPackage[id] = lst
-	}
-	for id, en := range mg.entryByID {
-		v.entryByID[id] = en
 	}
 	return v
 }
@@ -492,7 +489,6 @@ func (e *Engine) mergeEntries(entries []*collect.Entry, st *IngestStats) []entry
 		if ch.newArtifact {
 			st.NewArtifacts++
 		}
-		e.mg.entryByID[NodeID(merged.Coord)] = merged
 		if e.track != nil {
 			e.track.entries[merged.Coord.Key()] = true
 		}
@@ -1133,7 +1129,7 @@ func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []e
 		// The wholesale wipe is signalled by CoexistingRebuilt, not counted
 		// in CoexistingEdgesReplaced (which tracks surgical replacements).
 		e.mg.G.RemoveEdgesWhere(graph.Coexisting, func(graph.Edge) bool { return true })
-		e.mg.ReportsByPackage = make(map[string][]*reports.Report, len(e.mg.ReportsByPackage))
+		e.mg.reportsByPkg = cow.Map[[]*reports.Report]{}
 		e.coexOwner = make(map[string]string, len(e.coexOwner))
 		if e.track != nil {
 			e.track.rebasePairs()
@@ -1231,7 +1227,7 @@ func (e *Engine) presentMembers(rep *reports.Report) []string {
 // fresh slice instead of shifting in place: published views (Engine.View)
 // share these lists, so their backing arrays must never be rewritten.
 func (e *Engine) indexReportForPackage(id string, rep *reports.Report) {
-	lst := e.mg.ReportsByPackage[id]
+	lst := e.mg.ReportsByPackage(id)
 	i := sort.Search(len(lst), func(i int) bool { return lst[i].URL >= rep.URL })
 	if i < len(lst) && lst[i].URL == rep.URL {
 		return
@@ -1240,7 +1236,7 @@ func (e *Engine) indexReportForPackage(id string, rep *reports.Report) {
 	next = append(next, lst[:i]...)
 	next = append(next, rep)
 	next = append(next, lst[i:]...)
-	e.mg.ReportsByPackage[id] = next
+	e.mg.reportsByPkg.Set(id, next)
 }
 
 // addPosting inserts url into the coordinate's URL-sorted posting list, if

@@ -106,11 +106,11 @@ func assertEngineMatchesBuild(t *testing.T, eng *Engine, want *MalGraph, label s
 	if !reflect.DeepEqual(got.DuplicateGroups(), want.DuplicateGroups()) {
 		t.Errorf("%s: duplicate groups differ", label)
 	}
-	if g, w := len(got.ReportsByPackage), len(want.ReportsByPackage); g != w {
-		t.Errorf("%s: reports-by-package size = %d, want %d", label, g, w)
+	if g, w := got.reportsByPkg.Keys(), want.reportsByPkg.Keys(); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: report index keys differ: got %d keys, want %d", label, len(g), len(w))
 	}
-	for id, wantReps := range want.ReportsByPackage {
-		gotReps := got.ReportsByPackage[id]
+	for _, id := range want.reportsByPkg.Keys() {
+		wantReps, gotReps := want.ReportsByPackage(id), got.ReportsByPackage(id)
 		if len(gotReps) != len(wantReps) {
 			t.Errorf("%s: reports for %s = %d, want %d", label, id, len(gotReps), len(wantReps))
 			continue

@@ -240,7 +240,6 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *engineSnapshot) 
 		id := NodeID(en.Coord)
 		sh.byName[name] = append(sh.byName[name], id)
 		sh.corpus[name] = true
-		e.mg.entryByID[id] = en
 	}
 	// The wire format carries one flat import map; split it back into the
 	// per-ecosystem shards (node IDs resolve their ecosystem via the dataset)
@@ -252,7 +251,7 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *engineSnapshot) 
 	}
 	sort.Strings(fronts)
 	for _, front := range fronts {
-		en, ok := e.mg.entryByID[front]
+		en, ok := e.mg.EntryByNodeID(front)
 		if !ok {
 			return nil, fmt.Errorf("restore: import cache references unknown node %s", front)
 		}
@@ -277,7 +276,9 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *engineSnapshot) 
 			}
 			seen[id] = true
 			if _, ok := e.mg.G.Node(id); ok {
-				e.mg.ReportsByPackage[id] = append(e.mg.ReportsByPackage[id], rep)
+				// In-place append is safe here: no view of the engine
+				// being restored exists yet.
+				e.mg.reportsByPkg.Set(id, append(e.mg.ReportsByPackage(id), rep))
 			}
 		}
 	}

@@ -83,6 +83,12 @@ func New(fetcher Fetcher, search SearchEngine, cfg Config) *Crawler {
 
 // Crawl walks the web from the seed URLs. Context cancellation stops the
 // crawl early with the pages collected so far.
+//
+// Fetches run concurrently, but their results are committed — relevance
+// filter, link enqueueing, search expansion — strictly in dispatch order
+// through a reorder buffer. The frontier is FIFO and only commits append
+// to it, so the sequence of fetched URLs, and therefore the result, equals
+// a one-worker crawl's whatever order the fetches finish in.
 func (c *Crawler) Crawl(ctx context.Context, seeds []string) Result {
 	type fetchOut struct {
 		page *webworld.Page
@@ -98,6 +104,10 @@ func (c *Crawler) Crawl(ctx context.Context, seeds []string) Result {
 		skipped  int
 		errCount int
 		searched = make(map[string]bool)
+		// done holds finished fetches by dispatch index until every
+		// earlier dispatch has committed; next is the index to commit.
+		done = make(map[int]fetchOut)
+		next int
 	)
 	enqueue := func(urls ...string) {
 		for _, u := range urls {
@@ -105,6 +115,24 @@ func (c *Crawler) Crawl(ctx context.Context, seeds []string) Result {
 				visited[u] = true
 				frontier = append(frontier, u)
 			}
+		}
+	}
+	commit := func(out fetchOut) {
+		if out.err != nil {
+			errCount++
+			return
+		}
+		if !c.Relevant(out.page) {
+			skipped++
+			return
+		}
+		relevant = append(relevant, out.page)
+		enqueue(out.page.Links...)
+		// Search expansion: use the report title to find similar
+		// coverage elsewhere (§III-D step 2), bounded by SearchDepth.
+		if len(relevant) <= c.cfg.SearchDepth && !searched[out.page.Title] {
+			searched[out.page.Title] = true
+			enqueue(c.search.Search(out.page.Title, c.cfg.SearchLimit)...)
 		}
 	}
 	mu.Lock()
@@ -129,6 +157,7 @@ func (c *Crawler) Crawl(ctx context.Context, seeds []string) Result {
 		}
 		url := frontier[0]
 		frontier = frontier[1:]
+		idx := fetched
 		fetched++
 		mu.Unlock()
 
@@ -139,31 +168,24 @@ func (c *Crawler) Crawl(ctx context.Context, seeds []string) Result {
 		case sem <- struct{}{}:
 		}
 		wg.Add(1)
-		go func(url string) {
+		go func(url string, idx int) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			page, err := c.fetcher.Fetch(url)
-			out := fetchOut{page: page, err: err}
 
 			mu.Lock()
 			defer mu.Unlock()
-			if out.err != nil {
-				errCount++
-				return
+			done[idx] = fetchOut{page: page, err: err}
+			for {
+				out, ok := done[next]
+				if !ok {
+					return
+				}
+				delete(done, next)
+				next++
+				commit(out)
 			}
-			if !c.Relevant(out.page) {
-				skipped++
-				return
-			}
-			relevant = append(relevant, out.page)
-			enqueue(out.page.Links...)
-			// Search expansion: use the report title to find similar
-			// coverage elsewhere (§III-D step 2), bounded by SearchDepth.
-			if len(relevant) <= c.cfg.SearchDepth && !searched[out.page.Title] {
-				searched[out.page.Title] = true
-				enqueue(c.search.Search(out.page.Title, c.cfg.SearchLimit)...)
-			}
-		}(url)
+		}(url, idx)
 	}
 	wg.Wait()
 	return c.result(relevant, fetched, skipped, errCount)

@@ -3,6 +3,8 @@ package crawler
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"reflect"
 	"testing"
 	"time"
 
@@ -174,5 +176,80 @@ func TestRelevanceFilter(t *testing.T) {
 	}
 	if !c.Relevant(&webworld.Page{Title: "malicious package", Body: "in the npm registry"}) {
 		t.Fatal("relevant page rejected")
+	}
+}
+
+// jitterFetcher delays every fetch by a pseudo-random amount derived from
+// the URL and a per-run seed, so concurrent fetches finish in a different
+// order on every run.
+type jitterFetcher struct {
+	inner Fetcher
+	seed  uint64
+}
+
+func (j jitterFetcher) Fetch(url string) (*webworld.Page, error) {
+	h := fnv.New64a()
+	h.Write([]byte(url))
+	time.Sleep(time.Duration(xrand.New(h.Sum64()^j.seed).Intn(300)) * time.Microsecond)
+	return j.inner.Fetch(url)
+}
+
+// titleSearch returns, for a title, exactly the URLs registered under it.
+type titleSearch map[string][]string
+
+func (ts titleSearch) Search(query string, limit int) []string { return ts[query] }
+
+// TestCrawlDeterministicAcrossWorkers: a hub page links to many reports,
+// and each report's title finds one more report only through search, but
+// only the first SearchDepth relevant pages may search. Which hidden reports
+// are reached therefore depends on the order pages are committed in. A
+// four-worker crawl whose fetches finish in a different order on every run
+// must equal the one-worker crawl exactly: fetched, skipped and error
+// counts and the relevant page set.
+func TestCrawlDeterministicAcrossWorkers(t *testing.T) {
+	w := webworld.New()
+	search := titleSearch{}
+	add := func(p *webworld.Page) {
+		t.Helper()
+		if err := w.AddPage(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var links []string
+	for i := 0; i < 24; i++ {
+		url, title := fmt.Sprintf("https://vendor.example/r/%d", i), fmt.Sprintf("Malicious package report %d", i)
+		add(&webworld.Page{URL: url, Site: "vendor.example", Title: title, Body: reportBody, IsReport: true})
+		hidden := fmt.Sprintf("https://other.example/a/%d", i)
+		add(&webworld.Page{URL: hidden, Site: "other.example", Title: "Follow-up " + title, Body: reportBody, IsReport: true})
+		search[title] = []string{hidden}
+		links = append(links, url)
+	}
+	links = append(links, "https://vendor.example/dead")
+	add(&webworld.Page{URL: "https://vendor.example/", Site: "vendor.example", Title: "Malicious package index", Body: reportBody, IsReport: true, Links: links})
+
+	crawl := func(workers int, seed uint64) Result {
+		c := New(jitterFetcher{inner: w, seed: seed}, search, Config{Workers: workers, SearchDepth: 6})
+		return c.Crawl(context.Background(), []string{"https://vendor.example/"})
+	}
+	urls := func(r Result) []string {
+		out := make([]string, len(r.Relevant))
+		for i, p := range r.Relevant {
+			out[i] = p.URL
+		}
+		return out
+	}
+	want := crawl(1, 0)
+	if want.Errors != 1 || len(want.Relevant) != 1+24+5 {
+		t.Fatalf("one-worker crawl: %d relevant, %d errors; want 30 and 1", len(want.Relevant), want.Errors)
+	}
+	for run := uint64(1); run <= 8; run++ {
+		got := crawl(4, run)
+		if got.Fetched != want.Fetched || got.Skipped != want.Skipped || got.Errors != want.Errors {
+			t.Fatalf("run %d: fetched/skipped/errors = %d/%d/%d, one worker %d/%d/%d",
+				run, got.Fetched, got.Skipped, got.Errors, want.Fetched, want.Skipped, want.Errors)
+		}
+		if !reflect.DeepEqual(urls(got), urls(want)) {
+			t.Fatalf("run %d: relevant pages differ from the one-worker crawl", run)
+		}
 	}
 }

@@ -3,7 +3,7 @@
 // (§III); this package is the embedded, stdlib-only substitute: typed nodes
 // and edges with attribute maps, adjacency indexes, connected-component and
 // subgraph queries, and JSON persistence. All operations are safe for
-// concurrent use.
+// concurrent use, and Clone shares the corpus copy-on-write (see Graph).
 package graph
 
 import (
@@ -11,9 +11,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
+
+	"malgraph/internal/graph/cow"
 )
 
 // EdgeType classifies a relationship between two packages (§III).
@@ -86,50 +90,136 @@ var ErrNodeNotFound = errors.New("graph: node not found")
 var ErrDuplicateNode = errors.New("graph: duplicate node id")
 
 // Graph is a concurrent-safe labelled property graph.
+//
+// Every container is copy-on-write so that Clone shares the corpus instead
+// of copying it: the node map, the per-type adjacency maps and the edge dedup set are
+// cow.Maps; the edge list is a table of fixed-size pages. Values reachable
+// from a container are immutable once a Clone may share them: SetAttr swaps
+// in a new *Node, adjacency lists and pages are written in place only by
+// the graph whose generation stamped them, and edge attribute maps are
+// copied once at AddEdge and never written again.
 type Graph struct {
-	mu    sync.RWMutex
-	nodes map[string]*Node // guarded by mu
-	// adjacency[type][nodeID] = edge indexes into edges; guarded by mu
-	adjacency map[EdgeType]map[string][]int
-	edges     []Edge          // guarded by mu
-	edgeSeen  map[string]bool // dedup key type|min|max (undirected) or type|from|to (directed); guarded by mu
+	mu sync.RWMutex
+	// gen stamps the pages and adjacency lists this graph may write in
+	// place; Clone gives both sides fresh generations. guarded by mu.
+	gen   uint64
+	nodes cow.Map[*Node] // guarded by mu
+	// adjacency[type] maps a node ID to the slots of its edges of that
+	// type, in slot order. guarded by mu.
+	adjacency [numTypes]cow.Map[adjList]
+	// pages hold the edge slots in insertion order; nEdges slots are in
+	// use, tombstones included. Clone copies only the page pointers.
+	// guarded by mu.
+	pages  []*edgePage
+	nEdges int
+	// edgeSeen holds the dedup key of every live edge: type|min|max
+	// (undirected) or type|from|to (directed). guarded by mu.
+	edgeSeen cow.Map[struct{}]
 	// countByType is maintained on insert so EdgeCount stays O(1) — the
 	// analyses poll per-type counts concurrently and must not scan the
 	// edge list under the read lock each time. guarded by mu.
-	countByType map[EdgeType]int
-	// dead counts tombstoned slots in edges (Type == 0) left behind by
+	countByType [numTypes]int
+	// dead counts tombstoned slots (Type == 0) left behind by
 	// RemoveEdgesIncident, which surgically unlinks edges without the O(E)
 	// adjacency rebuild a compaction costs. Tombstones are reclaimed by the
-	// next RemoveEdgesWhere or when they exceed half the slice. guarded by mu.
+	// next RemoveEdgesWhere or when they exceed half the slots. guarded by mu.
 	dead int
 	// journal records mutations for delta checkpoints once EnableJournal is
 	// called; nil means recording is off. guarded by mu.
 	journal []Op
 }
 
+// numTypes sizes the per-type arrays, which are indexed by EdgeType.
+const numTypes = int(Coexisting) + 1
+
+func validType(t EdgeType) bool { return t >= Duplicated && t <= Coexisting }
+
+const (
+	pageShift = 9
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// edgePage is one fixed-size run of edge slots.
+type edgePage struct {
+	gen   uint64
+	slots [pageSize]Edge
+}
+
+// adjList is one node's edge slots of one type. The slots array is
+// appended to in place only by the graph whose generation is gen.
+type adjList struct {
+	gen   uint64
+	slots []int
+}
+
+var generations atomic.Uint64
+
+func nextGen() uint64 { return generations.Add(1) }
+
 // New returns an empty graph.
-func New() *Graph {
-	g := &Graph{
-		nodes:       make(map[string]*Node),
-		adjacency:   make(map[EdgeType]map[string][]int),
-		edgeSeen:    make(map[string]bool),
-		countByType: make(map[EdgeType]int, len(EdgeTypes())),
+func New() *Graph { return &Graph{gen: nextGen()} }
+
+// edge returns slot i for reading.
+func (g *Graph) edge(i int) *Edge { return &g.pages[i>>pageShift].slots[i&pageMask] }
+
+// edgeForWriteLocked returns slot i for writing, copying its page first if
+// a clone may share it.
+func (g *Graph) edgeForWriteLocked(i int) *Edge {
+	p := g.pages[i>>pageShift]
+	if p.gen != g.gen {
+		cp := new(edgePage)
+		*cp = *p
+		cp.gen = g.gen
+		g.pages[i>>pageShift] = cp
+		p = cp
 	}
-	for _, t := range EdgeTypes() {
-		g.adjacency[t] = make(map[string][]int)
+	return &p.slots[i&pageMask]
+}
+
+// appendEdgeLocked stores e in the next free slot and returns its index.
+func (g *Graph) appendEdgeLocked(e Edge) int {
+	i := g.nEdges
+	if i>>pageShift == len(g.pages) {
+		g.pages = append(g.pages, &edgePage{gen: g.gen})
 	}
-	return g
+	*g.edgeForWriteLocked(i) = e
+	g.nEdges++
+	return i
+}
+
+// adj returns id's type-t edge slots (nil when none).
+func (g *Graph) adj(t EdgeType, id string) []int {
+	if !validType(t) {
+		return nil
+	}
+	if l, ok := g.adjacency[t].Get(id); ok {
+		return l.slots
+	}
+	return nil
+}
+
+// linkLocked appends slot to id's type-t adjacency list: in place when
+// this graph owns the list, otherwise into a fresh copy.
+func (g *Graph) linkLocked(t EdgeType, id string, slot int) {
+	l := g.adjacency[t].Slot(id)
+	if l.gen != g.gen {
+		// Full slice expression: append must not write into an array a
+		// clone may share.
+		l.slots = l.slots[:len(l.slots):len(l.slots)]
+		l.gen = g.gen
+	}
+	l.slots = append(l.slots, slot)
 }
 
 // AddNode inserts a node. Attribute maps are copied at the boundary.
 func (g *Graph) AddNode(id string, attrs Attrs) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.nodes[id]; ok {
+	n := &Node{ID: id, Attrs: attrs.clone()}
+	if !g.nodes.Insert(id, n) {
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, id)
 	}
-	n := &Node{ID: id, Attrs: attrs.clone()}
-	g.nodes[id] = n
 	g.recordLocked(Op{Kind: "node", ID: id, Attrs: n.Attrs})
 	return nil
 }
@@ -138,21 +228,20 @@ func (g *Graph) AddNode(id string, attrs Attrs) error {
 func (g *Graph) Node(id string) (Node, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
+	n, ok := g.nodes.Get(id)
 	if !ok {
 		return Node{}, false
 	}
 	return Node{ID: n.ID, Attrs: n.Attrs.clone()}, true
 }
 
-// SetAttr sets one attribute on an existing node. The attribute map is
-// replaced, not mutated in place (copy-on-write): a Clone taken before the
-// call shares the old map and keeps observing the old value, so read-only
-// views stay consistent without deep-copying every node's attributes.
+// SetAttr sets one attribute on an existing node. The node is replaced,
+// not mutated in place (copy-on-write): a Clone taken before the call
+// shares the old node and keeps observing the old value.
 func (g *Graph) SetAttr(id, key, value string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n, ok := g.nodes[id]
+	n, ok := g.nodes.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNodeNotFound, id)
 	}
@@ -161,7 +250,7 @@ func (g *Graph) SetAttr(id, key, value string) error {
 		next[k] = v
 	}
 	next[key] = value
-	n.Attrs = next
+	g.nodes.Set(id, &Node{ID: id, Attrs: next})
 	g.recordLocked(Op{Kind: "attr", ID: id, Key: key, Value: value})
 	return nil
 }
@@ -170,7 +259,7 @@ func (g *Graph) SetAttr(id, key, value string) error {
 func (g *Graph) NodeCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.nodes)
+	return g.nodes.Len()
 }
 
 // EdgeCount returns the total number of edges, or the count for one type if
@@ -180,13 +269,13 @@ func (g *Graph) EdgeCount(types ...EdgeType) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if len(types) == 0 {
-		return len(g.edges) - g.dead
+		return g.nEdges - g.dead
 	}
 	n := 0
 	seen := 0
 	for _, t := range types {
 		// Guard against the same type listed twice: count each type once.
-		if seen&(1<<uint(t)) != 0 {
+		if !validType(t) || seen&(1<<uint(t)) != 0 {
 			continue
 		}
 		seen |= 1 << uint(t)
@@ -211,37 +300,38 @@ func edgeKey(t EdgeType, from, to string) string {
 	return b.String()
 }
 
-// AddEdge inserts a typed edge between existing nodes. Self-loops are
-// rejected; duplicate (type, endpoints) insertions are idempotent no-ops.
+// AddEdge inserts a typed edge between existing nodes. Self-loops and
+// unknown edge types are rejected; duplicate (type, endpoints) insertions
+// are idempotent no-ops.
 func (g *Graph) AddEdge(from, to string, t EdgeType, attrs Attrs) error {
 	if from == to {
 		return fmt.Errorf("graph: self-loop on %s", from)
 	}
+	if !validType(t) {
+		return fmt.Errorf("graph: unknown edge type %d", int(t))
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.nodes[from]; !ok {
+	if _, ok := g.nodes.Get(from); !ok {
 		return fmt.Errorf("%w: %s", ErrNodeNotFound, from)
 	}
-	if _, ok := g.nodes[to]; !ok {
+	if _, ok := g.nodes.Get(to); !ok {
 		return fmt.Errorf("%w: %s", ErrNodeNotFound, to)
 	}
-	key := edgeKey(t, from, to)
-	if g.edgeSeen[key] {
+	if !g.edgeSeen.Insert(edgeKey(t, from, to), struct{}{}) {
 		return nil
 	}
-	g.edgeSeen[key] = true
-	idx := len(g.edges)
 	e := Edge{From: from, To: to, Type: t, Attrs: attrs.clone()}
-	g.edges = append(g.edges, e)
-	g.adjacency[t][from] = append(g.adjacency[t][from], idx)
-	g.adjacency[t][to] = append(g.adjacency[t][to], idx)
+	idx := g.appendEdgeLocked(e)
+	g.linkLocked(t, from, idx)
+	g.linkLocked(t, to, idx)
 	g.countByType[t]++
 	g.recordLocked(Op{Kind: "edge", From: from, To: to, Type: t, Attrs: e.Attrs})
 	return nil
 }
 
 // RemoveEdgesWhere deletes every edge of type t for which pred holds and
-// returns how many were removed. The edge slice is compacted and all
+// returns how many were removed. The edge slots are compacted and all
 // adjacency indexes are rebuilt, so the surviving edges keep their relative
 // insertion order — the operation is deterministic for a deterministic pred.
 // It exists for incremental maintenance: a derived edge family (one
@@ -250,27 +340,25 @@ func (g *Graph) AddEdge(from, to string, t EdgeType, attrs Attrs) error {
 func (g *Graph) RemoveEdgesWhere(t EdgeType, pred func(Edge) bool) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	kept := g.edges[:0]
-	removed, reclaimed := 0, 0
-	for _, e := range g.edges {
+	removed := 0
+	compacted := g.compactLocked(func(e *Edge) bool {
 		if e.Type == 0 {
-			reclaimed++ // tombstone left by RemoveEdgesIncident
-			continue
+			return true // tombstone left by RemoveEdgesIncident
 		}
-		if e.Type == t && pred(e) {
-			delete(g.edgeSeen, edgeKey(e.Type, e.From, e.To))
-			g.recordLocked(Op{Kind: "deledge", From: e.From, To: e.To, Type: e.Type})
-			removed++
-			continue
+		if e.Type != t || !pred(*e) {
+			return false
 		}
-		kept = append(kept, e)
-	}
-	if removed == 0 && reclaimed == 0 {
-		g.edges = kept
+		g.edgeSeen.Delete(edgeKey(e.Type, e.From, e.To))
+		g.recordLocked(Op{Kind: "deledge", From: e.From, To: e.To, Type: e.Type})
+		removed++
+		return true
+	})
+	if !compacted {
 		return 0
 	}
-	g.countByType[t] -= removed
-	g.rebuildLocked(kept, len(g.edges))
+	if validType(t) {
+		g.countByType[t] -= removed
+	}
 	return removed
 }
 
@@ -289,16 +377,16 @@ func (g *Graph) RemoveEdgesIncident(t EdgeType, nodes []string) int {
 	removed := 0
 	touched := make(map[string]bool, len(nodes))
 	for _, id := range nodes {
-		for _, idx := range g.adjacency[t][id] {
-			e := &g.edges[idx]
+		for _, idx := range g.adj(t, id) {
+			e := g.edge(idx)
 			if e.Type != t {
 				continue // tombstoned already via an earlier node of this call
 			}
-			delete(g.edgeSeen, edgeKey(t, e.From, e.To))
+			g.edgeSeen.Delete(edgeKey(t, e.From, e.To))
 			g.recordLocked(Op{Kind: "deledge", From: e.From, To: e.To, Type: t})
 			touched[e.From] = true
 			touched[e.To] = true
-			*e = Edge{}
+			*g.edgeForWriteLocked(idx) = Edge{}
 			removed++
 		}
 	}
@@ -318,20 +406,21 @@ func (g *Graph) RemoveEdgesIncident(t EdgeType, nodes []string) int {
 }
 
 // filterAdjacencyLocked drops tombstoned slots from the given nodes' type-t
-// adjacency lists, deleting lists that empty out. Callers hold g.mu.
+// adjacency lists, deleting lists that empty out. The filtered list is a
+// fresh one: the old list may be shared with a clone. Callers hold g.mu.
 func (g *Graph) filterAdjacencyLocked(t EdgeType, ids []string) {
 	for _, id := range ids {
-		lst := g.adjacency[t][id]
-		live := lst[:0]
+		lst := g.adj(t, id)
+		var live []int
 		for _, idx := range lst {
-			if g.edges[idx].Type == t {
+			if g.edge(idx).Type == t {
 				live = append(live, idx)
 			}
 		}
 		if len(live) == 0 {
-			delete(g.adjacency[t], id)
-		} else {
-			g.adjacency[t][id] = live
+			g.adjacency[t].Delete(id)
+		} else if len(live) < len(lst) {
+			g.adjacency[t].Set(id, adjList{gen: g.gen, slots: live})
 		}
 	}
 }
@@ -340,16 +429,54 @@ func (g *Graph) filterAdjacencyLocked(t EdgeType, ids []string) {
 // edges (past a floor that keeps small graphs from compacting constantly).
 // Callers hold g.mu.
 func (g *Graph) maybeCompactLocked() {
-	if g.dead <= 1024 || g.dead*2 <= len(g.edges) {
+	if g.dead <= 1024 || g.dead*2 <= g.nEdges {
 		return
 	}
-	kept := g.edges[:0]
-	for _, e := range g.edges {
-		if e.Type != 0 {
-			kept = append(kept, e)
+	g.compactLocked(func(e *Edge) bool { return e.Type == 0 })
+}
+
+// compactLocked drops every slot for which drop holds, shifting the
+// survivors down in order, and rebuilds the adjacency indexes if anything
+// was dropped (which it reports). Pages are written through
+// edgeForWriteLocked, so pages shared with a clone are copied, never
+// rewritten. Callers hold g.mu.
+func (g *Graph) compactLocked(drop func(*Edge) bool) bool {
+	w := 0
+	for r := 0; r < g.nEdges; r++ {
+		e := g.edge(r)
+		if drop(e) {
+			continue
+		}
+		if w != r {
+			*g.edgeForWriteLocked(w) = *e
+		}
+		w++
+	}
+	if w == g.nEdges {
+		return false
+	}
+	// Release the vacated tail: whole pages are dropped, and the last kept
+	// page is cleared past w when this graph owns it (a shared page's tail
+	// is never read and is overwritten by the next append's copy).
+	keep := (w + pageMask) >> pageShift
+	if w&pageMask != 0 {
+		if p := g.pages[keep-1]; p.gen == g.gen {
+			clear(p.slots[w&pageMask:])
 		}
 	}
-	g.rebuildLocked(kept, len(g.edges))
+	clear(g.pages[keep:])
+	g.pages = g.pages[:keep]
+	g.nEdges = w
+	g.dead = 0
+	for t := range g.adjacency {
+		g.adjacency[t] = cow.Map[adjList]{}
+	}
+	for idx := 0; idx < g.nEdges; idx++ {
+		e := g.edge(idx)
+		g.linkLocked(e.Type, e.From, idx)
+		g.linkLocked(e.Type, e.To, idx)
+	}
+	return true
 }
 
 // RemoveEdge deletes the single edge of type t joining from and to (either
@@ -362,19 +489,17 @@ func (g *Graph) maybeCompactLocked() {
 func (g *Graph) RemoveEdge(from, to string, t EdgeType) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	key := edgeKey(t, from, to)
-	if !g.edgeSeen[key] {
+	if !g.edgeSeen.Delete(edgeKey(t, from, to)) {
 		return false
 	}
-	delete(g.edgeSeen, key)
 	g.recordLocked(Op{Kind: "deledge", From: from, To: to, Type: t})
-	for _, idx := range g.adjacency[t][from] {
-		e := &g.edges[idx]
+	for _, idx := range g.adj(t, from) {
+		e := g.edge(idx)
 		if e.Type != t {
 			continue
 		}
 		if (e.From == from && e.To == to) || (t != Dependency && e.From == to && e.To == from) {
-			*e = Edge{}
+			*g.edgeForWriteLocked(idx) = Edge{}
 			break
 		}
 	}
@@ -385,32 +510,13 @@ func (g *Graph) RemoveEdge(from, to string, t EdgeType) bool {
 	return true
 }
 
-// rebuildLocked installs the compacted edge slice (sharing g.edges' backing
-// array, prevLen its previous length) and rebuilds every adjacency index.
-func (g *Graph) rebuildLocked(kept []Edge, prevLen int) {
-	// Zero the tail so dropped Edge values (attr maps, strings) are not
-	// pinned by the backing array.
-	tail := g.edges[len(kept):prevLen]
-	for i := range tail {
-		tail[i] = Edge{}
-	}
-	g.edges = kept
-	g.dead = 0
-	for _, et := range EdgeTypes() {
-		g.adjacency[et] = make(map[string][]int)
-	}
-	for idx, e := range g.edges {
-		g.adjacency[e.Type][e.From] = append(g.adjacency[e.Type][e.From], idx)
-		g.adjacency[e.Type][e.To] = append(g.adjacency[e.Type][e.To], idx)
-	}
-}
-
 // HasEdge reports whether an edge of type t joins the two nodes (in either
 // direction for undirected types; exactly from→to for Dependency).
 func (g *Graph) HasEdge(from, to string, t EdgeType) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.edgeSeen[edgeKey(t, from, to)]
+	_, ok := g.edgeSeen.Get(edgeKey(t, from, to))
+	return ok
 }
 
 // Neighbors returns the IDs adjacent to id via edges of type t, sorted.
@@ -418,8 +524,8 @@ func (g *Graph) Neighbors(id string, t EdgeType) []string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var out []string
-	for _, idx := range g.adjacency[t][id] {
-		e := g.edges[idx]
+	for _, idx := range g.adj(t, id) {
+		e := g.edge(idx)
 		if e.From == id {
 			out = append(out, e.To)
 		} else {
@@ -436,8 +542,8 @@ func (g *Graph) OutNeighbors(id string, t EdgeType) []string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var out []string
-	for _, idx := range g.adjacency[t][id] {
-		if e := g.edges[idx]; e.From == id {
+	for _, idx := range g.adj(t, id) {
+		if e := g.edge(idx); e.From == id {
 			out = append(out, e.To)
 		}
 	}
@@ -451,8 +557,8 @@ func (g *Graph) InDegree(id string, t EdgeType) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	n := 0
-	for _, idx := range g.adjacency[t][id] {
-		if g.edges[idx].To == id {
+	for _, idx := range g.adj(t, id) {
+		if g.edge(idx).To == id {
 			n++
 		}
 	}
@@ -463,35 +569,38 @@ func (g *Graph) InDegree(id string, t EdgeType) int {
 func (g *Graph) Edges(types ...EdgeType) []Edge {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	want := typeMask(types)
 	var out []Edge
-	for _, e := range g.edges {
-		if e.Type == 0 {
-			continue // tombstoned slot
+	for i := 0; i < g.nEdges; i++ {
+		e := g.edge(i)
+		if e.Type == 0 || want&(1<<uint(e.Type)) == 0 {
+			continue // tombstoned slot or unwanted type
 		}
-		if len(types) == 0 {
-			out = append(out, Edge{From: e.From, To: e.To, Type: e.Type, Attrs: e.Attrs.clone()})
-			continue
-		}
-		for _, t := range types {
-			if e.Type == t {
-				out = append(out, Edge{From: e.From, To: e.To, Type: e.Type, Attrs: e.Attrs.clone()})
-				break
-			}
-		}
+		out = append(out, Edge{From: e.From, To: e.To, Type: e.Type, Attrs: e.Attrs.clone()})
 	}
 	return out
+}
+
+// typeMask returns the bit set of the given edge types (all types when none
+// are given).
+func typeMask(types []EdgeType) int {
+	if len(types) == 0 {
+		types = EdgeTypes()
+	}
+	mask := 0
+	for _, t := range types {
+		if validType(t) {
+			mask |= 1 << uint(t)
+		}
+	}
+	return mask
 }
 
 // NodeIDs returns all node IDs, sorted.
 func (g *Graph) NodeIDs() []string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return g.nodes.Keys()
 }
 
 // NodesWhere returns sorted IDs of nodes for which pred holds.
@@ -499,12 +608,12 @@ func (g *Graph) NodesWhere(pred func(Node) bool) []string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var out []string
-	for _, n := range g.nodes {
+	for _, id := range g.nodes.Keys() {
+		n, _ := g.nodes.Get(id)
 		if pred(Node{ID: n.ID, Attrs: n.Attrs}) {
-			out = append(out, n.ID)
+			out = append(out, id)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -512,53 +621,57 @@ func (g *Graph) NodesWhere(pred func(Node) bool) []string {
 // types (all types when none given). Each component is sorted; components are
 // ordered by their smallest member. This is the paper's subgraph operation:
 // "if two nodes have an edge e(u,v), we put them into the same subgraph".
+//
+// Unions run over the edge slots in insertion order and members are
+// gathered in sorted node order, so no step depends on map iteration order.
 func (g *Graph) Components(types ...EdgeType) [][]string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if len(types) == 0 {
-		types = EdgeTypes()
-	}
-	parent := make(map[string]string, len(g.nodes))
-	var find func(string) string
-	find = func(x string) string {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for id := range g.nodes {
-		parent[id] = id
-	}
-	for _, t := range types {
-		for nodeID, idxs := range g.adjacency[t] {
-			for _, idx := range idxs {
-				e := g.edges[idx]
-				if e.From == nodeID { // visit each edge once
-					//malgraph:nondeterm-ok union-find parent choice varies with merge order; components are canonicalised by the sorts below
-					union(e.From, e.To)
-				}
+	want := typeMask(types)
+	// Union-find over edge endpoints only: a node absent from parent is a
+	// singleton root.
+	parent := make(map[string]string)
+	find := func(x string) string {
+		for {
+			p, ok := parent[x]
+			if !ok || p == x {
+				return x
 			}
+			gp := parent[p]
+			parent[x] = gp
+			x = gp
 		}
 	}
-	groups := make(map[string][]string)
-	for id := range g.nodes {
+	for i := 0; i < g.nEdges; i++ {
+		e := g.edge(i)
+		if e.Type == 0 || want&(1<<uint(e.Type)) == 0 {
+			continue
+		}
+		ra, rb := find(e.From), find(e.To)
+		if ra == rb {
+			continue
+		}
+		if _, ok := parent[rb]; !ok {
+			parent[rb] = rb
+		}
+		parent[ra] = rb
+	}
+	ids := g.nodes.Keys()
+	out := make([][]string, 0, len(ids)-len(parent)/2)
+	at := make(map[string]int) // component root → index in out
+	for _, id := range ids {
+		if _, linked := parent[id]; !linked {
+			out = append(out, []string{id})
+			continue
+		}
 		root := find(id)
-		//malgraph:nondeterm-ok each node lands in exactly one component; member order is canonicalised by sort.Strings below
-		groups[root] = append(groups[root], id)
+		if i, ok := at[root]; ok {
+			out[i] = append(out[i], id)
+			continue
+		}
+		at[root] = len(out)
+		out = append(out, []string{id})
 	}
-	out := make([][]string, 0, len(groups))
-	for _, members := range groups {
-		sort.Strings(members)
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
@@ -576,43 +689,30 @@ func (g *Graph) ComponentsMin(minSize int, types ...EdgeType) [][]string {
 }
 
 // Clone returns an independent copy of the graph — the immutable view the
-// epoch-publishing read path serves from. Containers (node map, adjacency
-// index, edge slice, dedup set) are copied so later mutations of the
-// original never reach the clone; immutable leaves are shared: node
-// attribute maps (SetAttr replaces rather than mutates — see SetAttr) and
-// edge attribute maps (copied once at AddEdge and never written again).
-// Cost is O(V+E) pointer-level copies, paid by the writer at publish time
-// so that readers pay nothing.
+// epoch-publishing read path serves from. It costs one pointer per 512-edge
+// page: the clone shares every container with the original, both sides get
+// fresh generations, and whichever side writes next copies the shard, page
+// or adjacency list it touches first. Later writes to either graph
+// therefore never reach the other. The next write pays for what its batch
+// touches plus, once per written cow.Map, a copy of that map's shard table
+// (one 32-byte header per 4–8 keys) — far below a copy of the corpus, but
+// still linear in it.
 func (g *Graph) Clone() *Graph {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	c := &Graph{
-		nodes:       make(map[string]*Node, len(g.nodes)),
-		adjacency:   make(map[EdgeType]map[string][]int, len(g.adjacency)),
-		edgeSeen:    make(map[string]bool, len(g.edgeSeen)),
-		countByType: make(map[EdgeType]int, len(g.countByType)),
+		gen:         nextGen(),
+		nodes:       g.nodes.Clone(),
+		pages:       slices.Clone(g.pages),
+		nEdges:      g.nEdges,
+		edgeSeen:    g.edgeSeen.Clone(),
+		countByType: g.countByType,
 		dead:        g.dead,
 	}
-	for id, n := range g.nodes {
-		c.nodes[id] = &Node{ID: n.ID, Attrs: n.Attrs}
+	for t := range g.adjacency {
+		c.adjacency[t] = g.adjacency[t].Clone()
 	}
-	c.edges = make([]Edge, len(g.edges))
-	copy(c.edges, g.edges)
-	for t, adj := range g.adjacency {
-		m := make(map[string][]int, len(adj))
-		for id, lst := range adj {
-			cp := make([]int, len(lst))
-			copy(cp, lst)
-			m[id] = cp
-		}
-		c.adjacency[t] = m
-	}
-	for k := range g.edgeSeen {
-		c.edgeSeen[k] = true
-	}
-	for t, n := range g.countByType {
-		c.countByType[t] = n
-	}
+	g.gen = nextGen()
 	return c
 }
 
@@ -625,17 +725,17 @@ type persisted struct {
 // WriteJSON serialises the graph deterministically (nodes sorted by ID).
 func (g *Graph) WriteJSON(w io.Writer) error {
 	g.mu.RLock()
-	p := persisted{Edges: make([]Edge, 0, len(g.edges)-g.dead)}
-	for _, e := range g.edges {
-		if e.Type != 0 { // skip tombstoned slots
-			p.Edges = append(p.Edges, e)
+	p := persisted{Edges: make([]Edge, 0, g.nEdges-g.dead)}
+	for i := 0; i < g.nEdges; i++ {
+		if e := g.edge(i); e.Type != 0 { // skip tombstoned slots
+			p.Edges = append(p.Edges, *e)
 		}
 	}
-	for _, n := range g.nodes {
+	for _, id := range g.nodes.Keys() {
+		n, _ := g.nodes.Get(id)
 		p.Nodes = append(p.Nodes, Node{ID: n.ID, Attrs: n.Attrs.clone()})
 	}
 	g.mu.RUnlock()
-	sort.Slice(p.Nodes, func(i, j int) bool { return p.Nodes[i].ID < p.Nodes[j].ID })
 	enc := json.NewEncoder(w)
 	return enc.Encode(p)
 }

@@ -39,6 +39,12 @@
 #                           content-addressed store at 1×/4×/10× corpus) with
 #                           the checkpoint_growth_ratio (10×/1× ns): segmented
 #                           checkpoints must cost O(delta), not O(corpus) —
+#                           BenchmarkIncremental_PublishGrowth records (the
+#                           same delta's Ingest plus the Engine.View that
+#                           publishes it, after an untimed View so the write
+#                           pays copy-on-write, at 1×/4×/10× corpus) with the
+#                           publish_growth_10x_vs_1x ratio: an epoch publish must
+#                           not copy the corpus (CI gates ≤ 3×) —
 #                           and BenchmarkIncremental_JournaledAppend (the same
 #                           append with a fsync'd WAL record in the measured
 #                           op) with the journaled/in-memory overhead ratio:
@@ -72,7 +78,7 @@ SERVE_TIME="${BENCH_SERVE_TIME:-1x}"
 
 {
   MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
-      -bench 'BenchmarkTable6_ClusteringStage$|BenchmarkPipeline_EndToEnd$|BenchmarkIncremental_FullRebuild$|BenchmarkIncremental_AppendGrowth$|BenchmarkIncremental_ReportAppendGrowth$|BenchmarkIncremental_CheckpointGrowth$' \
+      -bench 'BenchmarkTable6_ClusteringStage$|BenchmarkPipeline_EndToEnd$|BenchmarkIncremental_FullRebuild$|BenchmarkIncremental_AppendGrowth$|BenchmarkIncremental_ReportAppendGrowth$|BenchmarkIncremental_CheckpointGrowth$|BenchmarkIncremental_PublishGrowth$' \
       -benchmem -benchtime "$TIME" .
   MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
       -bench 'BenchmarkIncremental_Append$|BenchmarkIncremental_JournaledAppend$' \
@@ -120,6 +126,9 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
     if (name == "BenchmarkIncremental_CheckpointGrowth/size=1x")  { c1_ns = ns;  c1_rec = record(name) }
     if (name == "BenchmarkIncremental_CheckpointGrowth/size=4x")  { c4_ns = ns;  c4_rec = record(name) }
     if (name == "BenchmarkIncremental_CheckpointGrowth/size=10x") { c10_ns = ns; c10_rec = record(name) }
+    if (name == "BenchmarkIncremental_PublishGrowth/size=1x")  { p1_ns = ns;  p1_rec = record(name) }
+    if (name == "BenchmarkIncremental_PublishGrowth/size=4x")  { p4_ns = ns;  p4_rec = record(name) }
+    if (name == "BenchmarkIncremental_PublishGrowth/size=10x") { p10_ns = ns; p10_rec = record(name) }
     if (name == "BenchmarkServe_ReadsDuringIngest") {
       serve_rec = record(name)
       for (i = 3; i < NF; i += 2) {
@@ -154,6 +163,10 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
       if (c1_ns != "" && c10_ns != "") {
         line = line sprintf(",\"checkpoint_growth_ratio\":%.2f,\"checkpoint_growth\":{\"x1\":%s,\"x4\":%s,\"x10\":%s}",
                             c10_ns / c1_ns, c1_rec, c4_rec, c10_rec)
+      }
+      if (p1_ns != "" && p10_ns != "") {
+        line = line sprintf(",\"publish_growth_10x_vs_1x\":%.2f,\"publish_growth\":{\"x1\":%s,\"x4\":%s,\"x10\":%s}",
+                            p10_ns / p1_ns, p1_rec, p4_rec, p10_rec)
       }
       if (wal_ns != "" && wal_component_ns != "" && wal_min_ns != "" && wal_ns > wal_component_ns) {
         # Overhead ratio from one run: the journaled op minus its timed WAL
