@@ -2,6 +2,7 @@ package malgraph
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -237,23 +238,30 @@ func BatchFeed(ds *collect.Result, reportCorpus []*reports.Report, k int) []core
 	return out
 }
 
-// Append ingests one batch into the engine and invalidates exactly the
+// Append ingests one raw batch into the engine and invalidates exactly the
 // Results blocks the batch touched. The next Analyze recomputes those blocks
 // and serves the rest from cache. The ingest itself is LSH-scoped: only the
 // similarity partitions containing the batch's new artifacts re-cluster (see
 // core.IngestStats' recluster-scope accounting), so append cost tracks the
-// delta, not the corpus.
+// delta, not the corpus. A raw batch has no journal record kind, so on a
+// pipeline with a journal attached Append refuses and changes nothing —
+// journaled ingest goes through AppendPending or AppendExternal.
 func (p *Pipeline) Append(b core.Batch) (core.IngestStats, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st, err := p.appendLocked(b)
+	if p.journal != nil {
+		return core.IngestStats{}, errors.New("malgraph: append: a raw batch cannot be journaled; use AppendPending or AppendExternal")
+	}
+	st, err := p.ingestLocked(b)
 	if err == nil {
 		p.publishLocked()
 	}
 	return st, err
 }
 
-func (p *Pipeline) appendLocked(b core.Batch) (core.IngestStats, error) {
+// ingestLocked applies b to the engine, refreshes the pipeline's views and
+// folds the invalidated Results blocks into p.dirty.
+func (p *Pipeline) ingestLocked(b core.Batch) (core.IngestStats, error) {
 	st, err := p.Engine.Ingest(b)
 	if err != nil {
 		return st, fmt.Errorf("malgraph: append: %w", err)
@@ -292,75 +300,21 @@ func (p *Pipeline) SetExternalView(v registry.View) {
 func (p *Pipeline) AppendExternal(obs []collect.Observation, reps []*reports.Report) (core.IngestStats, uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st, err := p.appendExternalLocked(obs, reps, true)
+	st, err := p.applyLocked(record{kind: recExternal, ext: externalRecord{Observations: obs, Reports: reps}}, 0)
 	if err == nil {
 		p.publishLocked()
 	}
 	return st, p.lastSeq, err
 }
 
-// appendExternalLocked resolves and ingests one external delivery. With
-// journal set, the raw wire shapes are WAL-journaled after validation
-// succeeds and before the engine applies them — an acknowledged append is
-// durable; a journal failure aborts with nothing applied, and lastSeq
-// commits only once the apply succeeds (a journaled-but-unapplied record
-// must stay above the next snapshot's stamp so replay re-applies it).
-// Replay passes journal=false: the record is already on disk and
-// ReplayJournal advances lastSeq itself.
-func (p *Pipeline) appendExternalLocked(obs []collect.Observation, reps []*reports.Report, journal bool) (core.IngestStats, error) {
-	if p.resolver == nil {
-		view := p.view
-		if view == nil {
-			view = p.World.Fleet
-		}
-		p.resolver = collect.NewResolver(view, p.World.Config.CollectAt)
-	}
-	b, err := p.resolver.Resolve(obs, p.Engine.Dataset())
-	if err != nil {
-		return core.IngestStats{}, fmt.Errorf("malgraph: resolve observations: %w", err)
-	}
-	var seq uint64
-	if journal {
-		if seq, err = p.journalLocked(recExternal, externalRecord{Observations: obs, Reports: reps}); err != nil {
-			return core.IngestStats{}, err
-		}
-	}
-	st, err := p.appendLocked(core.Batch{
-		Entries:   b.Entries,
-		PerSource: b.PerSource,
-		Stats:     b.Stats,
-		Reports:   reps,
-		At:        b.At,
-	})
-	if err != nil {
-		return st, err
-	}
-	if journal {
-		p.lastSeq = seq
-	}
-	return st, nil
-}
-
 // AppendNext ingests the next pending feed batch; ok=false when the feed is
 // exhausted.
-func (p *Pipeline) AppendNext() (st core.IngestStats, ok bool, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fed >= len(p.feed) {
-		return core.IngestStats{}, false, nil
+func (p *Pipeline) AppendNext() (core.IngestStats, bool, error) {
+	stats, _, ok, err := p.AppendPending(1, true)
+	if len(stats) == 0 {
+		return core.IngestStats{}, ok, err
 	}
-	seq, err := p.journalLocked(recFeed, feedRecord{Index: p.fed})
-	if err != nil {
-		return core.IngestStats{}, false, err
-	}
-	b := p.feed[p.fed]
-	p.fed++
-	if st, err = p.appendLocked(b); err != nil {
-		return st, true, err
-	}
-	p.lastSeq = seq
-	p.publishLocked()
-	return st, true, nil
+	return stats[0], ok, err
 }
 
 // AppendPending ingests up to n pending feed batches under one lock
@@ -392,17 +346,10 @@ func (p *Pipeline) AppendPending(n int, exact bool) (stats []core.IngestStats, s
 		n = pending
 	}
 	for i := 0; i < n; i++ {
-		recSeq, err := p.journalLocked(recFeed, feedRecord{Index: p.fed})
+		st, err := p.applyLocked(record{kind: recFeed, feed: feedRecord{Index: p.fed}}, 0)
 		if err != nil {
 			return stats, p.lastSeq, true, err
 		}
-		b := p.feed[p.fed]
-		p.fed++
-		st, err := p.appendLocked(b)
-		if err != nil {
-			return stats, p.lastSeq, true, err
-		}
-		p.lastSeq = recSeq
 		stats = append(stats, st)
 	}
 	return stats, p.lastSeq, true, nil

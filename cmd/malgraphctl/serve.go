@@ -35,7 +35,6 @@ import (
 	"malgraph/internal/collect"
 	"malgraph/internal/core"
 	"malgraph/internal/ecosys"
-	"malgraph/internal/faultinject"
 	"malgraph/internal/graph"
 	"malgraph/internal/registry"
 	"malgraph/internal/reports"
@@ -96,6 +95,10 @@ type server struct {
 	// late writes on kept-alive connections are refused while in-flight
 	// requests finish.
 	draining atomic.Bool
+	// preApply, when set, runs in every mutating handler just before the
+	// pipeline apply, with the admission slot held — tests park a request
+	// there or panic it mid-flight.
+	preApply atomic.Pointer[func()]
 }
 
 func newServer(p *malgraph.Pipeline, snapshotPath string) *server {
@@ -182,6 +185,13 @@ func (s *server) guard(mutating bool, h http.HandlerFunc) http.HandlerFunc {
 			r = r.WithContext(ctx)
 		}
 		h(w, r)
+	}
+}
+
+// beforeApply runs the preApply hook, if one is set.
+func (s *server) beforeApply() {
+	if fn := s.preApply.Load(); fn != nil {
+		(*fn)()
 	}
 }
 
@@ -612,7 +622,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		n, exact = v, true
 	}
-	faultinject.Fire("serve.ingest.preApply")
+	s.beforeApply()
 	// AppendPending claims the batches atomically, so an explicit ?n=K
 	// either ingests exactly K or conflicts — even against concurrent
 	// ingesters. seq is the last applied batch's own durable sequence,
@@ -667,7 +677,7 @@ func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), fmt.Errorf("decode observations: %w", err))
 		return
 	}
-	faultinject.Fire("serve.observations.preApply")
+	s.beforeApply()
 	st, seq, err := s.p.AppendExternal(req.Observations, nil)
 	if err != nil {
 		switch {
@@ -707,7 +717,7 @@ func (s *server) handleReports(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), fmt.Errorf("decode reports: %w", err))
 		return
 	}
-	faultinject.Fire("serve.reports.preApply")
+	s.beforeApply()
 	accepted := make([]*reports.Report, 0, len(req.Reports))
 	skipped := 0
 	for _, rep := range req.Reports {

@@ -45,12 +45,12 @@ func postRaw(t *testing.T, url, body string, r io.Reader) (int, map[string]any, 
 	return resp.StatusCode, out, resp.Header.Get("Retry-After")
 }
 
-// hookOnce registers a faultinject hook for the test and unregisters it at
+// hookOnce installs fn as s's pre-apply hook for the test and clears it at
 // cleanup.
-func hookOnce(t *testing.T, name string, fn func()) {
+func hookOnce(t *testing.T, s *server, fn func()) {
 	t.Helper()
-	faultinject.SetHook(name, fn)
-	t.Cleanup(func() { faultinject.SetHook(name, nil) })
+	s.preApply.Store(&fn)
+	t.Cleanup(func() { s.preApply.Store(nil) })
 }
 
 func TestAdmissionShedsWritesServesReads(t *testing.T) {
@@ -69,7 +69,7 @@ func TestAdmissionShedsWritesServesReads(t *testing.T) {
 	// Unpark the holder even if an assertion below fails first — a parked
 	// handler would deadlock the httptest server's cleanup Close.
 	t.Cleanup(releaseAll)
-	hookOnce(t, "serve.ingest.preApply", func() {
+	hookOnce(t, s, func() {
 		once.Do(func() { close(entered) })
 		<-release
 	})
@@ -127,7 +127,7 @@ func TestServePanicPoisonsReadiness(t *testing.T) {
 	// Publish an epoch with content: post-poison reads must keep serving it.
 	postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
 
-	hookOnce(t, "serve.observations.preApply", func() { panic("chaos: injected mutator panic") })
+	hookOnce(t, s, func() { panic("chaos: injected mutator panic") })
 	status, body, _ := postRaw(t, ts.URL+"/api/v1/observations", `{"observations":[]}`, nil)
 	if status != http.StatusInternalServerError {
 		t.Fatalf("panicking mutator: status %d, want 500 (body %v)", status, body)
@@ -139,7 +139,7 @@ func TestServePanicPoisonsReadiness(t *testing.T) {
 	if ready["status"] != "poisoned" || !strings.Contains(ready["reason"].(string), "injected mutator panic") {
 		t.Fatalf("post-poison readyz: %v", ready)
 	}
-	faultinject.SetHook("serve.observations.preApply", nil)
+	s.preApply.Store(nil)
 	if status, _, _ := postRaw(t, ts.URL+"/api/v1/ingest", "", nil); status != http.StatusServiceUnavailable {
 		t.Fatalf("write on poisoned pipeline: status %d, want 503", status)
 	}
@@ -153,15 +153,16 @@ func TestServePanicPoisonsReadiness(t *testing.T) {
 
 	// A read-path panic is contained per request and does NOT poison.
 	s2, ts2 := newTestServer(t, 3, "")
-	hookOnce(t, "serve.results.read", func() {})
-	resp, err := http.Get(ts2.URL + "/api/v1/stats")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("read after no-op hook: %v %v", err, resp)
+	read := s2.guard(false, func(http.ResponseWriter, *http.Request) { panic("chaos: injected read panic") })
+	rec := httptest.NewRecorder()
+	read(rec, httptest.NewRequest(http.MethodGet, "/api/v1/stats", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking read: status %d, want 500", rec.Code)
 	}
-	resp.Body.Close()
 	if s2.poisonedReason() != "" {
 		t.Fatal("read path poisoned the pipeline")
 	}
+	postJSON(t, ts2.URL+"/api/v1/ingest", http.StatusOK)
 }
 
 func TestServeDrainingRefusesWrites(t *testing.T) {
@@ -258,7 +259,7 @@ func TestServeSIGTERMMidIngestLosesNothing(t *testing.T) {
 	var once, releaseOnce sync.Once
 	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
 	t.Cleanup(releaseAll) // never leave the drain waiting on a parked handler
-	hookOnce(t, "serve.ingest.preApply", func() {
+	hookOnce(t, s1, func() {
 		once.Do(func() { close(entered) })
 		<-release
 	})

@@ -16,6 +16,12 @@ package malgraph
 //	            feed. The feed is re-derived from the run configuration on
 //	            restart, so only the position is journaled.
 //
+// One funnel, applyLocked, applies both kinds in one fixed order — resolve,
+// journal, feed-cursor advance, engine apply plus dirty-block merge,
+// sequence commit — for live ingest (AppendPending, AppendExternal) and
+// for ReplayJournal alike, so the ordering contract lives in one place.
+// The funnel never publishes; each public mutator publishes once on exit.
+//
 // Sequence gating makes replay exactly-once on top of at-least-once
 // delivery: a snapshot carries the last applied sequence (engine
 // AppliedSeq, snapshot v4), and records at or below it are skipped. This
@@ -29,6 +35,7 @@ import (
 	"io"
 
 	"malgraph/internal/collect"
+	"malgraph/internal/core"
 	"malgraph/internal/reports"
 	"malgraph/internal/wal"
 )
@@ -49,6 +56,80 @@ type externalRecord struct {
 // feedRecord journals one simulated-feed ingest by position.
 type feedRecord struct {
 	Index int `json:"index"`
+}
+
+// record is one journalable ingest, the unit applyLocked applies. kind is
+// the WAL record kind and selects the payload: feed for recFeed, ext for
+// recExternal.
+type record struct {
+	kind string
+	feed feedRecord
+	ext  externalRecord
+}
+
+// decodeRecord parses a journaled WAL record back into the record the live
+// ingest journaled.
+func decodeRecord(wr wal.Record) (rec record, err error) {
+	rec.kind = wr.Kind
+	switch wr.Kind {
+	case recFeed:
+		err = json.Unmarshal(wr.Payload, &rec.feed)
+	case recExternal:
+		err = json.Unmarshal(wr.Payload, &rec.ext)
+	default:
+		return rec, fmt.Errorf("unknown record kind %q", wr.Kind)
+	}
+	if err != nil {
+		return rec, fmt.Errorf("decode %s record: %w", wr.Kind, err)
+	}
+	return rec, nil
+}
+
+// applyLocked is the mutation funnel. It resolves rec into an engine batch
+// (a feed position or a resolver run over raw observations), journals it
+// when live (replaySeq 0; a replayed record is already on disk under
+// replaySeq), advances the feed cursor, applies the batch and merges its
+// dirty blocks, and only then commits lastSeq — a journaled-but-unapplied
+// record keeps its burned sequence above the next snapshot's stamp, so
+// replay re-applies it instead of skipping it. A resolve or journal failure
+// applies nothing. It never publishes. Caller holds p.mu.
+func (p *Pipeline) applyLocked(rec record, replaySeq uint64) (core.IngestStats, error) {
+	var b core.Batch
+	var payload any
+	switch rec.kind {
+	case recFeed:
+		b, payload = p.feed[rec.feed.Index], rec.feed
+	case recExternal:
+		if p.resolver == nil {
+			view := p.view
+			if view == nil {
+				view = p.World.Fleet
+			}
+			p.resolver = collect.NewResolver(view, p.World.Config.CollectAt)
+		}
+		rb, err := p.resolver.Resolve(rec.ext.Observations, p.Engine.Dataset())
+		if err != nil {
+			return core.IngestStats{}, fmt.Errorf("malgraph: resolve observations: %w", err)
+		}
+		b = core.Batch{Entries: rb.Entries, PerSource: rb.PerSource, Stats: rb.Stats, Reports: rec.ext.Reports, At: rb.At}
+		payload = rec.ext
+	}
+	seq := replaySeq
+	if seq == 0 {
+		var err error
+		if seq, err = p.journalLocked(rec.kind, payload); err != nil {
+			return core.IngestStats{}, err
+		}
+	}
+	if rec.kind == recFeed {
+		p.fed = max(p.fed, rec.feed.Index+1)
+	}
+	st, err := p.ingestLocked(b)
+	if err != nil {
+		return st, err
+	}
+	p.lastSeq = seq
+	return st, nil
 }
 
 // AttachJournal makes every future accepted ingest journal-before-apply
@@ -121,52 +202,33 @@ func (p *Pipeline) Checkpoint(persist func(snapshot func(io.Writer) error) error
 // the snapshot's AppliedSeq stamp). Feed records always advance the feed
 // position — a snapshotted feed batch is in the engine but the in-memory
 // cursor restarts at zero — and records above the stamp are re-applied
-// through the same code paths as live ingest, without re-journaling.
-// Returns the number of records re-applied.
+// through the same funnel as live ingest, without re-journaling. Returns
+// the number of records re-applied.
 func (p *Pipeline) ReplayJournal(l *wal.Log) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	applied := 0
 	restored := p.lastSeq
-	err := l.Replay(0, func(rec wal.Record) error {
-		switch rec.Kind {
-		case recFeed:
-			var fr feedRecord
-			if err := json.Unmarshal(rec.Payload, &fr); err != nil {
-				return fmt.Errorf("malgraph: replay seq %d: decode feed record: %w", rec.Seq, err)
-			}
-			if fr.Index < 0 || fr.Index >= len(p.feed) {
-				return fmt.Errorf("malgraph: replay seq %d: feed index %d outside feed of %d batches (was the serve configuration changed?)",
-					rec.Seq, fr.Index, len(p.feed))
-			}
-			if fr.Index+1 > p.fed {
-				p.fed = fr.Index + 1
-			}
-			if rec.Seq > restored {
-				if _, err := p.appendLocked(p.feed[fr.Index]); err != nil {
-					return fmt.Errorf("malgraph: replay seq %d: %w", rec.Seq, err)
-				}
-			}
-		case recExternal:
-			if rec.Seq <= restored {
-				return nil
-			}
-			var er externalRecord
-			if err := json.Unmarshal(rec.Payload, &er); err != nil {
-				return fmt.Errorf("malgraph: replay seq %d: decode external record: %w", rec.Seq, err)
-			}
-			if _, err := p.appendExternalLocked(er.Observations, er.Reports, false); err != nil {
-				return fmt.Errorf("malgraph: replay seq %d: %w", rec.Seq, err)
-			}
-		default:
-			return fmt.Errorf("malgraph: replay seq %d: unknown record kind %q", rec.Seq, rec.Kind)
+	err := l.Replay(0, func(wr wal.Record) error {
+		if wr.Kind == recExternal && wr.Seq <= restored {
+			return nil
 		}
-		if rec.Seq > restored {
-			applied++
+		rec, err := decodeRecord(wr)
+		if err != nil {
+			return fmt.Errorf("malgraph: replay seq %d: %w", wr.Seq, err)
 		}
-		if rec.Seq > p.lastSeq {
-			p.lastSeq = rec.Seq
+		if rec.kind == recFeed && (rec.feed.Index < 0 || rec.feed.Index >= len(p.feed)) {
+			return fmt.Errorf("malgraph: replay seq %d: feed index %d outside feed of %d batches (was the serve configuration changed?)",
+				wr.Seq, rec.feed.Index, len(p.feed))
 		}
+		if wr.Seq <= restored {
+			p.fed = max(p.fed, rec.feed.Index+1)
+			return nil
+		}
+		if _, err := p.applyLocked(rec, wr.Seq); err != nil {
+			return fmt.Errorf("malgraph: replay seq %d: %w", wr.Seq, err)
+		}
+		applied++
 		return nil
 	})
 	if err != nil {

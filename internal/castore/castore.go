@@ -448,9 +448,13 @@ func closeAll(files []*os.File) {
 // Compact merges every live segment into one new segment carrying only
 // the blobs in live, then unlinks the old segments. At most one
 // compaction runs at a time; a concurrent call returns immediately with
-// compacted=false. Appends may proceed concurrently — the merged segment
-// covers exactly the segments captured at entry, and segments appended
-// later are untouched.
+// compacted=false. live must cover every key appended before the call:
+// a blob whose Append completes after the caller computed live but before
+// Compact captures its segment list is swept as dead, so the caller must
+// keep new keys from being appended between the two. Appends and Fetches
+// may run concurrently with the sweep itself — the merged segment covers
+// exactly the segments captured at entry, and segments appended later are
+// untouched.
 //
 // Crash safety: the merged segment is published atomically before any old
 // segment is unlinked, so every crash point leaves all live blobs

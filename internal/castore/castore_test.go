@@ -340,6 +340,11 @@ func TestCompactCrashPointsKeepLiveBlobsReachable(t *testing.T) {
 // TestConcurrentAppendFetchCompact hammers the three public mutations from
 // concurrent goroutines; run under -race this checks the locking story, and
 // the final sweep checks no committed blob was lost to a compaction race.
+// The schedule honours Compact's contract that live covers every key
+// appended before the call: writers declare a key under gate's read lock
+// before their (unlocked) Append, and the compactor holds the write lock
+// from computing live until Compact returns — Appends and Fetches still run
+// concurrently with the sweep itself.
 func TestConcurrentAppendFetchCompact(t *testing.T) {
 	st, err := Open(t.TempDir(), nil)
 	if err != nil {
@@ -348,11 +353,13 @@ func TestConcurrentAppendFetchCompact(t *testing.T) {
 	const writers, perWriter = 4, 16
 	var mu sync.Mutex
 	committed := make(map[string]string) // key → data, guarded by mu
+	declared := make(map[string]bool)    // keys about to be appended, guarded by mu
+	var gate sync.RWMutex
 	liveSet := func() map[string]bool {
 		mu.Lock()
 		defer mu.Unlock()
-		live := make(map[string]bool, len(committed))
-		for k := range committed {
+		live := make(map[string]bool, len(declared))
+		for k := range declared {
 			live[k] = true
 		}
 		return live
@@ -364,6 +371,11 @@ func TestConcurrentAppendFetchCompact(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				b := blobOf(fmt.Sprintf("writer-%d-blob-%d", w, i))
+				gate.RLock()
+				mu.Lock()
+				declared[b.Key] = true
+				mu.Unlock()
+				gate.RUnlock()
 				if _, err := st.Append([]Blob{b}); err != nil {
 					t.Errorf("Append: %v", err)
 					return
@@ -389,7 +401,10 @@ func TestConcurrentAppendFetchCompact(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			if _, err := st.Compact(liveSet()); err != nil {
+			gate.Lock()
+			_, err := st.Compact(liveSet())
+			gate.Unlock()
+			if err != nil {
 				t.Errorf("Compact: %v", err)
 				return
 			}

@@ -1,12 +1,11 @@
 // Package faultinject provides scriptable failpoints for the durability
 // and chaos tests: a wal.FS wrapper that can fail (or tear) the Nth write
 // and fail the Nth fsync, an http.RoundTripper that can fail the next N
-// requests with either a transport error or a chosen status code, named
-// code hooks the serve handlers fire so tests can stall or panic a request
-// mid-flight, and a SlowReader that models a stalled slow-loris client
-// body. The crash-matrix, retry and overload suites drive these to prove
-// recovery, backoff and containment behaviour without touching real
-// hardware fault paths.
+// requests with either a transport error or a chosen status code, and a
+// SlowReader that models a stalled slow-loris client body. The
+// crash-matrix, retry and overload suites drive these to prove recovery,
+// backoff and containment behaviour without touching real hardware fault
+// paths.
 package faultinject
 
 import (
@@ -224,31 +223,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 var _ http.RoundTripper = (*Transport)(nil)
-
-// Named hooks: production code calls Fire(name) at interesting points
-// (e.g. serve's mutating handlers between admission and engine apply);
-// tests register a function there — block on a channel to hold a request
-// in flight, or panic to exercise containment. With nothing registered
-// Fire is a single lock-free map load, cheap enough to leave compiled in.
-var hooks sync.Map // name → func()
-
-// SetHook registers fn to run at every Fire(name); nil unregisters. The
-// previous registration (if any) is replaced.
-func SetHook(name string, fn func()) {
-	if fn == nil {
-		hooks.Delete(name)
-		return
-	}
-	hooks.Store(name, fn)
-}
-
-// Fire runs the hook registered under name, if any. Panics the hook
-// raises propagate to the caller — that is the point.
-func Fire(name string) {
-	if fn, ok := hooks.Load(name); ok {
-		fn.(func())()
-	}
-}
 
 // SlowReader wraps r so every Read returns at most chunk bytes and sleeps
 // delay first — a scriptable slow-loris client: the request body arrives,

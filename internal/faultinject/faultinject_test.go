@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"time"
 	"testing"
+	"time"
 
 	"malgraph/internal/wal"
 )
@@ -148,36 +148,6 @@ func TestTransportStatusInjection(t *testing.T) {
 	if tr.Attempts() != 2 {
 		t.Fatalf("matched attempts = %d, want 2", tr.Attempts())
 	}
-}
-
-// TestHooksFireAndClear pins the named-hook contract: unset hooks are
-// no-ops, a registered hook runs on every Fire, panics propagate, and nil
-// unregisters.
-func TestHooksFireAndClear(t *testing.T) {
-	Fire("chaos.test.unset") // must not panic
-
-	calls := 0
-	SetHook("chaos.test.count", func() { calls++ })
-	Fire("chaos.test.count")
-	Fire("chaos.test.count")
-	if calls != 2 {
-		t.Fatalf("hook ran %d times, want 2", calls)
-	}
-	SetHook("chaos.test.count", nil)
-	Fire("chaos.test.count")
-	if calls != 2 {
-		t.Fatalf("cleared hook still ran (%d calls)", calls)
-	}
-
-	SetHook("chaos.test.panic", func() { panic("boom") })
-	defer SetHook("chaos.test.panic", nil)
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want the hook's panic", r)
-		}
-	}()
-	Fire("chaos.test.panic")
-	t.Fatal("hook panic did not propagate")
 }
 
 // TestSlowReaderPacesDelivery verifies the slow-loris body model: content
