@@ -46,6 +46,7 @@ import (
 	"malgraph/internal/admission"
 	"malgraph/internal/castore"
 	"malgraph/internal/collect"
+	"malgraph/internal/core"
 	"malgraph/internal/registry"
 	"malgraph/internal/wal"
 )
@@ -264,6 +265,25 @@ type serveFlags struct {
 // (fails while poisoned, draining, or on a broken journal) next to the
 // /healthz liveness probe.
 func cmdServe(cfg malgraph.Config, sf serveFlags) error {
+	var store *castore.Store
+	if sf.storeDir != "" {
+		if sf.snapshotPath == "" {
+			return fmt.Errorf("serve -store requires -snapshot (the store holds chunks; the snapshot file is the manifest that references them)")
+		}
+		var err error
+		store, err = castore.Open(sf.storeDir, nil)
+		if err != nil {
+			return fmt.Errorf("serve -store: %w", err)
+		}
+		fmt.Printf("chunk store at %s: %d blob(s) in %d segment(s)\n",
+			sf.storeDir, store.Len(), store.SegmentCount())
+	}
+	// The restore needs only the snapshot and the store, so it runs while
+	// the world builds.
+	var finishRestart func(*malgraph.Pipeline) (bool, error)
+	if sf.snapshotPath != "" {
+		finishRestart = startWarmRestart(sf.snapshotPath, store)
+	}
 	p, err := malgraph.NewStreamingPipeline(context.Background(), cfg, sf.batches)
 	if err != nil {
 		return err
@@ -283,41 +303,16 @@ func cmdServe(cfg malgraph.Config, sf serveFlags) error {
 		p.SetExternalView(rf)
 		fmt.Printf("external-observation recovery via remote fleet: %v\n", rf.Endpoints())
 	}
-	var store *castore.Store
-	if sf.storeDir != "" {
-		if sf.snapshotPath == "" {
-			return fmt.Errorf("serve -store requires -snapshot (the store holds chunks; the snapshot file is the manifest that references them)")
-		}
-		store, err = castore.Open(sf.storeDir, nil)
+	if finishRestart != nil {
+		warm, err := finishRestart(p)
 		if err != nil {
-			return fmt.Errorf("serve -store: %w", err)
+			return fmt.Errorf("warm restart from %s: %w", sf.snapshotPath, err)
 		}
-		fmt.Printf("chunk store at %s: %d blob(s) in %d segment(s)\n",
-			sf.storeDir, store.Len(), store.SegmentCount())
-	}
-	if sf.snapshotPath != "" {
-		f, err := os.Open(sf.snapshotPath)
-		switch {
-		case err == nil:
-			var restoreErr error
-			if store != nil {
-				restoreErr = p.RestoreEngineWithStore(f, store)
-			} else {
-				restoreErr = p.RestoreEngine(f)
-			}
-			f.Close()
-			if restoreErr != nil {
-				return fmt.Errorf("warm restart from %s: %w", sf.snapshotPath, restoreErr)
-			}
+		if warm {
 			fmt.Printf("warm restart: %d packages, %d edges from %s (seq %d)\n",
 				len(p.Dataset.Entries), p.Graph.G.EdgeCount(), sf.snapshotPath, p.LastSeq())
-		case os.IsNotExist(err):
-			if store != nil {
-				p.AttachStore(store)
-			}
+		} else {
 			fmt.Printf("cold start: no snapshot at %s yet\n", sf.snapshotPath)
-		default:
-			return fmt.Errorf("warm restart from %s: %w", sf.snapshotPath, err)
 		}
 	}
 	var journal *wal.Log
@@ -372,4 +367,49 @@ func cmdServe(cfg malgraph.Config, sf serveFlags) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return lc.Run(ctx, ln)
+}
+
+// startWarmRestart opens the snapshot at path and restores its engine —
+// through store when one is configured — on its own goroutine, so the
+// restore overlaps the world build. The returned finish waits for it and
+// adopts the engine into p; on a cold start (no snapshot yet) it attaches
+// store instead, so the first checkpoint writes into it. finish reports
+// whether the start was warm.
+func startWarmRestart(path string, store *castore.Store) (finish func(p *malgraph.Pipeline) (warm bool, err error)) {
+	var eng *core.Engine
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f, openErr := os.Open(path)
+		if openErr != nil {
+			if !os.IsNotExist(openErr) {
+				err = openErr
+			}
+			return
+		}
+		defer f.Close()
+		if store != nil {
+			eng, err = core.RestoreEngineWithStore(f, store)
+		} else {
+			eng, err = core.RestoreEngine(f)
+		}
+		if err != nil {
+			err = fmt.Errorf("malgraph: restore: %w", err)
+		}
+	}()
+	return func(p *malgraph.Pipeline) (bool, error) {
+		<-done
+		switch {
+		case err != nil:
+			return false, err
+		case eng != nil:
+			p.AdoptEngine(eng)
+			return true, nil
+		}
+		if store != nil {
+			p.AttachStore(store)
+		}
+		return false, nil
+	}
 }

@@ -404,6 +404,9 @@ func (s *server) compactStore() error {
 	for _, g := range gens {
 		paths = append(paths, archiveName(s.snapshotPath, g))
 	}
+	// One read session across the manifests: their dataset chunks share
+	// segments, and each segment decodes once.
+	sess := s.store.Session()
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
@@ -412,7 +415,7 @@ func (s *server) compactStore() error {
 			}
 			return err
 		}
-		refs, err := core.CollectManifestRefs(f, s.store)
+		refs, err := core.CollectManifestRefs(f, sess)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("manifest %s: %w", path, err)
@@ -996,8 +999,16 @@ func readSnapshotBundle(r io.Reader, dir string) ([]byte, error) {
 	if hdr.Format != bundleFormat {
 		return nil, fmt.Errorf("bundle format %q, want %q", hdr.Format, bundleFormat)
 	}
-	manifest := make([]byte, hdr.ManifestSize)
-	if _, err := io.ReadFull(br, manifest); err != nil {
+	// The header's size is untrusted: read through a bounded reader, so a
+	// size larger than the stream fails at EOF instead of allocating it.
+	if hdr.ManifestSize < 0 {
+		return nil, fmt.Errorf("bundle manifest: negative size %d", hdr.ManifestSize)
+	}
+	manifest, err := io.ReadAll(io.LimitReader(br, int64(hdr.ManifestSize)))
+	if err == nil && len(manifest) != hdr.ManifestSize {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("bundle manifest: %w", err)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -1008,7 +1019,7 @@ func readSnapshotBundle(r io.Reader, dir string) ([]byte, error) {
 		if err := readLine(&fr); err != nil {
 			return nil, fmt.Errorf("bundle frame %d: %w", i, err)
 		}
-		if fr.Name != filepath.Base(fr.Name) || !strings.HasPrefix(fr.Name, "seg-") {
+		if _, ok := castore.ParseSegmentName(fr.Name); !ok {
 			return nil, fmt.Errorf("bundle frame %d: suspicious segment name %q", i, fr.Name)
 		}
 		crc := crc32.NewIEEE()

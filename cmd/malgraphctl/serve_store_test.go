@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -26,24 +27,18 @@ import (
 )
 
 // recoverStorePipeline performs cmdServe's segmented startup sequence:
-// open the store, restore the manifest through it if published (or attach
-// cold), replay the journal suffix, attach. Caller closes the journal.
+// restore the manifest through the store if published while the world
+// builds, adopt it (or attach the store cold), replay the journal suffix,
+// attach. Caller closes the journal.
 func recoverStorePipeline(t *testing.T, batches int, snapshotPath, walDir string, store *castore.Store) (*malgraph.Pipeline, *wal.Log) {
 	t.Helper()
+	finishRestart := startWarmRestart(snapshotPath, store)
 	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := os.Open(snapshotPath); err == nil {
-		restoreErr := p.RestoreEngineWithStore(f, store)
-		f.Close()
-		if restoreErr != nil {
-			t.Fatalf("restore %s: %v", snapshotPath, restoreErr)
-		}
-	} else if os.IsNotExist(err) {
-		p.AttachStore(store)
-	} else {
-		t.Fatal(err)
+	if _, err := finishRestart(p); err != nil {
+		t.Fatalf("restore %s: %v", snapshotPath, err)
 	}
 	j, err := wal.Open(walDir, nil)
 	if err != nil {
@@ -448,5 +443,39 @@ func TestServeCompactionCrashKeepsManifestsRestorable(t *testing.T) {
 		if err := restorable(path); err != nil {
 			t.Fatalf("after compaction, %s does not restore: %v", path, err)
 		}
+	}
+}
+
+// TestReadSnapshotBundleRejectsLyingHeader: the bundle header and frames
+// are untrusted input. A negative manifest size, or one larger than the
+// stream, must fail with an error — never panic or allocate the claimed
+// size — and a frame naming anything but a canonical segment file must be
+// refused before a byte is written.
+func TestReadSnapshotBundleRejectsLyingHeader(t *testing.T) {
+	manifest := `{"version":5}` + "\n"
+	header := func(size int) string {
+		return fmt.Sprintf(`{"format":%q,"manifestSize":%d,"segments":1}`+"\n", bundleFormat, size)
+	}
+	frame := func(name string) string {
+		return fmt.Sprintf(`{"name":%q,"size":2}`+"\n{}"+`{"crc32":"00000000"}`+"\n", name)
+	}
+	cases := []struct{ name, stream, want string }{
+		{"negative-size", header(-1) + manifest, "negative size"},
+		{"oversized", header(1<<40) + manifest, "unexpected EOF"},
+		{"stray-copy-name", header(len(manifest)) + manifest + frame("seg-00000001.json.bak"), "suspicious segment name"},
+		{"short-name", header(len(manifest)) + manifest + frame("seg-1.json"), "suspicious segment name"},
+		{"path-traversal", header(len(manifest)) + manifest + frame("../seg-00000001.json"), "suspicious segment name"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "clone")
+			_, err := readSnapshotBundle(strings.NewReader(tc.stream), dir)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("readSnapshotBundle error = %v, want one mentioning %q", err, tc.want)
+			}
+			if names, _ := os.ReadDir(dir); len(names) != 0 {
+				t.Fatalf("refused bundle left files behind: %v", names)
+			}
+		})
 	}
 }

@@ -22,22 +22,17 @@ import (
 )
 
 // recoverPipeline performs cmdServe's startup sequence: snapshot restore if
-// the file exists, journal replay, attach. Returns the pipeline and its
-// journal (caller closes).
+// the file exists (overlapping the world build), journal replay, attach.
+// Returns the pipeline and its journal (caller closes).
 func recoverPipeline(t *testing.T, batches int, snapshotPath, walDir string) (*malgraph.Pipeline, *wal.Log) {
 	t.Helper()
+	finishRestart := startWarmRestart(snapshotPath, nil)
 	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := os.Open(snapshotPath); err == nil {
-		restoreErr := p.RestoreEngine(f)
-		f.Close()
-		if restoreErr != nil {
-			t.Fatalf("restore %s: %v", snapshotPath, restoreErr)
-		}
-	} else if !os.IsNotExist(err) {
-		t.Fatal(err)
+	if _, err := finishRestart(p); err != nil {
+		t.Fatalf("restore %s: %v", snapshotPath, err)
 	}
 	j, err := wal.Open(walDir, nil)
 	if err != nil {

@@ -33,6 +33,7 @@ import (
 	"strings"
 	"sync"
 
+	"malgraph/internal/parallel"
 	"malgraph/internal/wal"
 )
 
@@ -56,6 +57,16 @@ const (
 	segPattern = "seg-%08d.json"
 	tempPrefix = ".castore-"
 )
+
+// ParseSegmentName returns the id of a segment file name. It accepts only
+// the exact canonical spelling, so a stray copy such as
+// seg-00000001.json.bak or seg-1.json is never mistaken for segment 1.
+func ParseSegmentName(name string) (id int, ok bool) {
+	if n, err := fmt.Sscanf(name, segPattern, &id); n != 1 || err != nil {
+		return 0, false
+	}
+	return id, id > 0 && fmt.Sprintf(segPattern, id) == name
+}
 
 // segment is the on-disk JSON shape. Hashes is serialized first so Open
 // can stop decoding after the index; Blobs carries the blob bodies in the
@@ -113,8 +124,8 @@ func Open(dir string, fs wal.FS) (*Store, error) {
 			os.Remove(filepath.Join(dir, name))
 			continue
 		}
-		var id int
-		if n, err := fmt.Sscanf(name, segPattern, &id); n != 1 || err != nil {
+		id, ok := ParseSegmentName(name)
+		if !ok {
 			continue
 		}
 		hashes, err := st.readIndex(filepath.Join(dir, name))
@@ -306,93 +317,163 @@ func (st *Store) writeSegment(id int, seg *segment) (err error) {
 
 // Fetch resolves content keys to blob bytes, decoding only the segments
 // that contain at least one requested blob. Every returned blob is
-// re-verified against its key. Unknown keys are an error.
+// re-verified against its key. Unknown keys are an error. It is a
+// Session of one call: a burst of related fetches should share a Session
+// so each segment decodes once.
 func (st *Store) Fetch(hashes []string) (map[string]json.RawMessage, error) {
-	out := make(map[string]json.RawMessage, len(hashes))
+	return st.Session().Fetch(hashes)
+}
+
+// Session is a read session over the store. Its Fetch decodes each segment
+// at most once for the session's lifetime and serves later requests for
+// blobs of a decoded segment from memory, even after a compaction unlinked
+// the file. A session pins every segment it decoded, so it is meant for
+// one burst of related reads (a restore, one compaction's ref collection)
+// and then dropped. A Session is not safe for concurrent use.
+type Session struct {
+	st      *Store
+	decoded map[int]bool
+	blobs   map[string]sessionBlob
+}
+
+// sessionBlob is a decoded, not yet verified blob and the segment it came
+// from (named in verification errors).
+type sessionBlob struct {
+	seg  int
+	data json.RawMessage
+}
+
+// Session starts a read session over the store.
+func (st *Store) Session() *Session {
+	return &Session{st: st, decoded: make(map[int]bool), blobs: make(map[string]sessionBlob)}
+}
+
+// Fetch resolves content keys to blob bytes. Blobs of segments the session
+// already decoded come from memory; the other segments the request needs
+// are read and decoded in parallel. Every returned blob is re-verified
+// against its key. Unknown keys are an error.
+func (s *Session) Fetch(hashes []string) (map[string]json.RawMessage, error) {
 	// A concurrent compaction can unlink a segment between the index
 	// lookup and the file open; the blobs then live in the merged segment
 	// the updated index points at, so re-resolve and retry. Two rounds
 	// always suffice — only one compaction runs at a time, and the merged
 	// segment is published before the old ones are unlinked.
 	for attempt := 0; ; attempt++ {
-		st.mu.Lock()
-		want := make(map[string]bool, len(hashes))
-		segsNeeded := make(map[int]bool)
-		for _, h := range hashes {
-			if want[h] || out[h] != nil {
-				continue
-			}
-			id, ok := st.known[h]
-			if !ok {
-				st.mu.Unlock()
-				return nil, fmt.Errorf("castore: unknown blob %s", h)
-			}
-			want[h] = true
-			segsNeeded[id] = true
+		ids, err := s.undecoded(hashes)
+		if err != nil {
+			return nil, err
 		}
-		st.mu.Unlock()
-		if len(want) == 0 {
-			return out, nil
+		vanished, err := s.decode(ids)
+		if err != nil {
+			return nil, err
 		}
-
-		ids := make([]int, 0, len(segsNeeded))
-		for id := range segsNeeded {
-			ids = append(ids, id)
+		if !vanished {
+			return s.collect(hashes)
 		}
-		sort.Ints(ids)
-		retry := false
-		for _, id := range ids {
-			err := st.fetchFromSegment(id, want, out)
-			if errors.Is(err, os.ErrNotExist) {
-				retry = true
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		missing := false
-		for h := range want {
-			if _, ok := out[h]; !ok {
-				missing = true
-			}
-		}
-		if !missing {
-			return out, nil
-		}
-		if !retry || attempt >= 3 {
-			return nil, fmt.Errorf("castore: indexed blob missing from its segment")
+		if attempt >= 3 {
+			return nil, errBlobMissing
 		}
 	}
 }
 
-func (st *Store) fetchFromSegment(id int, want map[string]bool, out map[string]json.RawMessage) error {
-	path := filepath.Join(st.dir, fmt.Sprintf(segPattern, id))
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return err
+var errBlobMissing = errors.New("castore: indexed blob missing from its segment")
+
+// undecoded returns, ascending, the segments the index places requested
+// blobs in that the session has not decoded yet.
+func (s *Session) undecoded(hashes []string) ([]int, error) {
+	st := s.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var ids []int
+	for _, h := range hashes {
+		if _, ok := s.blobs[h]; ok {
+			continue
 		}
-		return fmt.Errorf("castore: %w", err)
+		id, ok := st.known[h]
+		if !ok {
+			return nil, fmt.Errorf("castore: unknown blob %s", h)
+		}
+		if !s.decoded[id] && !containsInt(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	return ids, nil
+}
+
+// decode reads and decodes the given segments in parallel and merges their
+// blobs into the session, lowest id first (first mention wins). vanished
+// reports a segment unlinked since the index lookup; other errors are
+// returned for the lowest failing id.
+func (s *Session) decode(ids []int) (vanished bool, err error) {
+	type result struct {
+		seg *segment
+		err error
+	}
+	res := parallel.Map(len(ids), func(i int) result {
+		seg, err := s.st.readSegment(ids[i])
+		return result{seg, err}
+	})
+	for i, r := range res {
+		if errors.Is(r.err, os.ErrNotExist) {
+			vanished = true
+			continue
+		}
+		if r.err != nil {
+			return false, r.err
+		}
+		for _, b := range r.seg.Blobs {
+			if _, ok := s.blobs[b.Key]; len(b.Data) > 0 && !ok {
+				s.blobs[b.Key] = sessionBlob{seg: ids[i], data: b.Data}
+			}
+		}
+		s.decoded[ids[i]] = true
+	}
+	return vanished, nil
+}
+
+// collect verifies the requested blobs against their keys, in parallel,
+// and returns them.
+func (s *Session) collect(hashes []string) (map[string]json.RawMessage, error) {
+	out := make(map[string]json.RawMessage, len(hashes))
+	want := make([]string, 0, len(hashes))
+	for _, h := range hashes {
+		if _, dup := out[h]; dup {
+			continue
+		}
+		b, ok := s.blobs[h]
+		if !ok {
+			return nil, errBlobMissing
+		}
+		out[h] = b.data
+		want = append(want, h)
+	}
+	err := parallel.ForEachErr(len(want), func(i int) error {
+		b := s.blobs[want[i]]
+		if got := KeyOf(b.data); got != want[i] {
+			return fmt.Errorf("castore: segment %d: blob %s content hashes to %s", b.seg, want[i], got)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readSegment decodes one whole segment file. A segment unlinked by a
+// concurrent compaction yields an error wrapping os.ErrNotExist.
+func (st *Store) readSegment(id int) (*segment, error) {
+	f, err := os.Open(filepath.Join(st.dir, fmt.Sprintf(segPattern, id)))
+	if err != nil {
+		return nil, fmt.Errorf("castore: %w", err)
 	}
 	defer f.Close()
 	var seg segment
 	if err := json.NewDecoder(f).Decode(&seg); err != nil {
-		return fmt.Errorf("castore: segment %d: %w", id, err)
+		return nil, fmt.Errorf("castore: segment %d: %w", id, err)
 	}
-	for _, b := range seg.Blobs {
-		if len(b.Data) == 0 || !want[b.Key] {
-			continue
-		}
-		if _, ok := out[b.Key]; ok {
-			continue
-		}
-		if got := KeyOf(b.Data); got != b.Key {
-			return fmt.Errorf("castore: segment %d: blob %s content hashes to %s", id, b.Key, got)
-		}
-		out[b.Key] = b.Data
-	}
-	return nil
+	return &seg, nil
 }
 
 // SegmentFile names one live segment for streaming: its file name (within
@@ -485,16 +566,9 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 	merged := segment{}
 	kept := make(map[string]bool)
 	for _, oid := range oldIDs {
-		path := filepath.Join(st.dir, fmt.Sprintf(segPattern, oid))
-		f, err := os.Open(path)
+		seg, err := st.readSegment(oid)
 		if err != nil {
-			return false, fmt.Errorf("castore: %w", err)
-		}
-		var seg segment
-		err = json.NewDecoder(f).Decode(&seg)
-		f.Close()
-		if err != nil {
-			return false, fmt.Errorf("castore: segment %d: %w", oid, err)
+			return false, err
 		}
 		for _, b := range seg.Blobs {
 			if len(b.Data) == 0 || kept[b.Key] {

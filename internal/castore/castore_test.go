@@ -476,3 +476,141 @@ func TestSegmentIDsNeverReused(t *testing.T) {
 		t.Fatalf("temp file left behind: %s", names[0].Name())
 	}
 }
+
+// TestParseSegmentNameIsStrict pins the segment-name rule Open and the
+// snapshot bundle reader share: only the canonical spelling names a
+// segment, so stray copies and hand-made names are never read as one.
+func TestParseSegmentNameIsStrict(t *testing.T) {
+	for name, want := range map[string]int{
+		"seg-00000001.json": 1,
+		"seg-12345678.json": 12345678,
+	} {
+		if id, ok := ParseSegmentName(name); !ok || id != want {
+			t.Errorf("ParseSegmentName(%q) = %d, %v; want %d, true", name, id, ok, want)
+		}
+	}
+	for _, name := range []string{
+		"seg-00000001.json.bak", "seg-00000001.jsonx", "seg-1.json",
+		"seg-00000000.json", "seg--0000001.json", "seg-0000001x.json",
+		".castore-seg-00000001.json", "../seg-00000001.json", "seg-00000001",
+	} {
+		if id, ok := ParseSegmentName(name); ok {
+			t.Errorf("ParseSegmentName(%q) accepted it as segment %d", name, id)
+		}
+	}
+}
+
+// TestOpenIgnoresStraySegmentCopies: a stray copy of a segment under a
+// near-miss name must neither register the segment twice (the bundle would
+// stream it twice, compaction list it twice) nor, on its own, index blobs
+// that Fetch cannot open.
+func TestOpenIgnoresStraySegmentCopies(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Blob{blobOf("one"), blobOf("two")}
+	if _, err := st.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, "seg-00000001.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strays := []string{"seg-00000001.json.bak", "seg-00000001.jsonx", "seg-1.json"}
+	for _, name := range strays {
+		if err := os.WriteFile(filepath.Join(dir, name), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.SegmentCount() != 1 || re.Len() != 2 {
+		t.Fatalf("reopen with stray copies: SegmentCount=%d Len=%d, want 1 and 2", re.SegmentCount(), re.Len())
+	}
+	fetchAll(t, re, batch)
+	files, metas, err := re.OpenSegments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeAll(files)
+	if len(metas) != 1 || metas[0].Name != "seg-00000001.json" {
+		t.Fatalf("OpenSegments = %+v, want only seg-00000001.json", metas)
+	}
+
+	// Only the stray copies: nothing is indexed.
+	if err := os.Remove(filepath.Join(dir, "seg-00000001.json")); err != nil {
+		t.Fatal(err)
+	}
+	re, err = Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.SegmentCount() != 0 || re.Len() != 0 {
+		t.Fatalf("stray copies alone: SegmentCount=%d Len=%d, want 0 and 0", re.SegmentCount(), re.Len())
+	}
+}
+
+// TestSessionFetchDecodesOnceAndVerifies: a session serves every blob of a
+// segment it has decoded from memory — even once the file is gone — while
+// a plain Fetch re-reads the file; and a blob tampered on disk fails its
+// content-hash check through a fresh session.
+func TestSessionFetchDecodesOnceAndVerifies(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := blobOf("alpha"), blobOf("beta")
+	if _, err := st.Append([]Blob{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	sess := st.Session()
+	got, err := sess.Fetch([]string{a.Key})
+	if err != nil || string(got[a.Key]) != string(a.Data) {
+		t.Fatalf("session Fetch(a) = %s, %v", got[a.Key], err)
+	}
+	path := filepath.Join(dir, "seg-00000001.json")
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err = sess.Fetch([]string{b.Key, a.Key})
+	if err != nil {
+		t.Fatalf("session Fetch after unlink: %v", err)
+	}
+	if string(got[a.Key]) != string(a.Data) || string(got[b.Key]) != string(b.Data) {
+		t.Fatalf("session Fetch after unlink returned %q / %q", got[a.Key], got[b.Key])
+	}
+	if _, err := st.Fetch([]string{b.Key}); err == nil {
+		t.Fatal("plain Fetch succeeded with the segment file gone")
+	}
+	if _, err := sess.Fetch([]string{KeyOf([]byte(`"ghost"`))}); err == nil ||
+		!strings.Contains(err.Error(), "unknown blob") {
+		t.Fatalf("session Fetch of an unknown key: %v", err)
+	}
+
+	// Tamper with b's bytes on disk (same length, so the index prefix and
+	// JSON shape stay valid): a fresh session must refuse it.
+	tampered := strings.Replace(string(seg), `"data":"beta"`, `"data":"bets"`, 1)
+	if tampered == string(seg) {
+		t.Fatalf("segment does not carry b's bytes as expected: %s", seg)
+	}
+	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Session().Fetch([]string{b.Key}); err == nil ||
+		!strings.Contains(err.Error(), "content hashes to") {
+		t.Fatalf("fresh session Fetch of a tampered blob: %v", err)
+	}
+	// The untampered neighbour in the same segment still verifies.
+	if got, err := st.Session().Fetch([]string{a.Key}); err != nil || string(got[a.Key]) != string(a.Data) {
+		t.Fatalf("fresh session Fetch(a) next to a tampered blob = %s, %v", got[a.Key], err)
+	}
+}

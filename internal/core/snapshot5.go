@@ -30,6 +30,7 @@ import (
 	"malgraph/internal/collect"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
+	"malgraph/internal/parallel"
 	"malgraph/internal/reports"
 	"malgraph/internal/textsim"
 )
@@ -471,173 +472,148 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 			man.Version, minSnapshotVersion, snapshotVersionSegmented)
 	}
 
+	// One read session for the whole restore: the chunk fetch here and the
+	// artifact fetch in the dataset section decode each segment once.
+	sess := st.Session()
 	var allRefs []string
 	for _, name := range sectionNames {
 		allRefs = append(allRefs, man.Sections[name]...)
 	}
-	chunkData, err := st.Fetch(allRefs)
+	chunkData, err := sess.Fetch(allRefs)
 	if err != nil {
 		return nil, fmt.Errorf("restore: fetch chunks: %w", err)
 	}
-	logged := make(map[string]int, len(sectionNames))
-	replayKV := func(section string) (map[string]json.RawMessage, error) {
-		state := make(map[string]json.RawMessage)
-		for _, ref := range man.Sections[section] {
-			var ch kvChunk
-			if err := json.Unmarshal(chunkData[ref], &ch); err != nil {
-				return nil, fmt.Errorf("restore %s chunk %s: %w", section, ref, err)
-			}
-			for k, v := range ch.Set {
-				state[k] = v
-			}
-			for _, k := range ch.Del {
-				delete(state, k)
-			}
-			logged[section] += len(ch.Set) + len(ch.Del)
-		}
-		return state, nil
-	}
 
-	// Graph: replay the chunk log (a re-base resets, ops apply on top).
-	g := graph.New()
-	for _, ref := range man.Sections[sectionGraph] {
-		var gc graphChunk
-		if err := json.Unmarshal(chunkData[ref], &gc); err != nil {
-			return nil, fmt.Errorf("restore graph chunk %s: %w", ref, err)
-		}
-		if len(gc.Reset) > 0 {
-			g, err = graph.ReadJSON(bytes.NewReader(gc.Reset))
+	// The sections are independent, so they decode concurrently, each into
+	// its own variables and its own logged count. parallel.Do reports the
+	// first error in argument order, so a damaged manifest fails in the
+	// same section under any GOMAXPROCS.
+	var (
+		g                               *graph.Graph
+		ds                              *collect.Result
+		decoded                         []collect.DecodedEntry
+		reps                            []*reports.Report
+		items                           map[string][]snapshotItem
+		imports                         map[string][]string
+		partitions                      map[string]map[string][]textsim.Cluster
+		pairOwners                      map[string]string
+		gLogged, dsLogged, repLogged    int
+		itLogged, impLogged, partLogged int
+		poLogged                        int
+	)
+	replay := func(section string) (map[string]json.RawMessage, int, error) {
+		return replayKV(section, man.Sections[section], chunkData)
+	}
+	err = parallel.Do(
+		func() (err error) {
+			g, gLogged, err = restoreGraphChain(man.Sections[sectionGraph], chunkData)
+			return err
+		},
+		func() error {
+			entState, n, err := replay(sectionDataset)
 			if err != nil {
-				return nil, fmt.Errorf("restore graph reset %s: %w", ref, err)
+				return err
 			}
-			logged[sectionGraph] = g.NodeCount() + g.EdgeCount()
-		}
-		if len(gc.Ops) > 0 {
-			if err := g.Apply(gc.Ops); err != nil {
-				return nil, fmt.Errorf("restore graph ops %s: %w", ref, err)
+			dsLogged = n
+			decoded, err = restoreEntries(entState, sess)
+			if err != nil {
+				return err
 			}
-			logged[sectionGraph] += len(gc.Ops)
-		}
-	}
+			ds, err = collect.AssembleResult(man.Header, decoded)
+			if err != nil {
+				return fmt.Errorf("restore dataset: %w", err)
+			}
+			return nil
+		},
+		func() error {
+			repState, n, err := replay(sectionReports)
+			if err != nil {
+				return err
+			}
+			repLogged = n
+			reps = make([]*reports.Report, 0, len(repState))
+			for _, raw := range repState {
+				var rep reports.Report
+				if err := json.Unmarshal(raw, &rep); err != nil {
+					return fmt.Errorf("restore report: %w", err)
+				}
+				reps = append(reps, &rep)
+			}
+			sort.Slice(reps, func(i, j int) bool { return reps[i].URL < reps[j].URL })
+			return nil
+		},
+		func() error {
+			itState, n, err := replay(sectionItems)
+			if err != nil {
+				return err
+			}
+			itLogged = n
+			items, err = restoreItems(itState)
+			return err
+		},
+		func() error {
+			impState, n, err := replay(sectionImports)
+			if err != nil {
+				return err
+			}
+			impLogged = n
+			imports = make(map[string][]string, len(impState))
+			for front, raw := range impState {
+				var deps []string
+				if err := json.Unmarshal(raw, &deps); err != nil {
+					return fmt.Errorf("restore imports %s: %w", front, err)
+				}
+				imports[front] = deps
+			}
 
-	// Dataset: replay entry records, then resolve and attach artifact blobs.
-	entState, err := replayKV(sectionDataset)
+			partState, n, err := replay(sectionPartitions)
+			if err != nil {
+				return err
+			}
+			partLogged = n
+			partitions = make(map[string]map[string][]textsim.Cluster)
+			for _, k := range sortedRawKeys(partState) {
+				eco, inner, ok := splitEcoKey(k)
+				if !ok {
+					return fmt.Errorf("restore: malformed partition key %q", k)
+				}
+				var cs []textsim.Cluster
+				if err := json.Unmarshal(partState[k], &cs); err != nil {
+					return fmt.Errorf("restore partition %s: %w", k, err)
+				}
+				if partitions[eco] == nil {
+					partitions[eco] = make(map[string][]textsim.Cluster)
+				}
+				partitions[eco][inner] = cs
+			}
+
+			poState, n, err := replay(sectionPairOwners)
+			if err != nil {
+				return err
+			}
+			poLogged = n
+			pairOwners = make(map[string]string, len(poState))
+			for pk, raw := range poState {
+				var url string
+				if err := json.Unmarshal(raw, &url); err != nil {
+					return fmt.Errorf("restore pair owner %s: %w", pk, err)
+				}
+				pairOwners[pk] = url
+			}
+			return nil
+		},
+	)
 	if err != nil {
 		return nil, err
 	}
-	entKeys := make([]string, 0, len(entState))
-	for k := range entState {
-		entKeys = append(entKeys, k)
-	}
-	sort.Strings(entKeys)
-	decoded := make([]collect.DecodedEntry, 0, len(entKeys))
-	var wantArts []string
-	for _, k := range entKeys {
-		de, err := collect.DecodeEntry(entState[k])
-		if err != nil {
-			return nil, fmt.Errorf("restore entry %s: %w", k, err)
-		}
-		if de.BlobRef != "" && de.Entry.Artifact == nil {
-			wantArts = append(wantArts, de.BlobRef)
-		}
-		decoded = append(decoded, de)
-	}
-	artData, err := st.Fetch(wantArts)
-	if err != nil {
-		return nil, fmt.Errorf("restore: fetch artifacts: %w", err)
-	}
-	for i := range decoded {
-		ref := decoded[i].BlobRef
-		if ref == "" || decoded[i].Entry.Artifact != nil {
-			continue
-		}
-		var art ecosys.Artifact
-		if err := json.Unmarshal(artData[ref], &art); err != nil {
-			return nil, fmt.Errorf("restore artifact %s: %w", ref, err)
-		}
-		decoded[i].Entry.Artifact = &art
-	}
-	ds, err := collect.AssembleResult(man.Header, decoded)
-	if err != nil {
-		return nil, fmt.Errorf("restore dataset: %w", err)
-	}
-
-	// Reports, items, imports, partitions, pair ownership.
-	repState, err := replayKV(sectionReports)
-	if err != nil {
-		return nil, err
-	}
-	reps := make([]*reports.Report, 0, len(repState))
-	for _, raw := range repState {
-		var rep reports.Report
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return nil, fmt.Errorf("restore report: %w", err)
-		}
-		reps = append(reps, &rep)
-	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i].URL < reps[j].URL })
-
-	itState, err := replayKV(sectionItems)
-	if err != nil {
-		return nil, err
-	}
-	items := make(map[string][]snapshotItem)
-	for _, k := range sortedRawKeys(itState) {
-		eco, _, ok := splitEcoKey(k)
-		if !ok {
-			return nil, fmt.Errorf("restore: malformed item key %q", k)
-		}
-		var it snapshotItem
-		if err := json.Unmarshal(itState[k], &it); err != nil {
-			return nil, fmt.Errorf("restore item %s: %w", k, err)
-		}
-		items[eco] = append(items[eco], it)
-	}
-
-	impState, err := replayKV(sectionImports)
-	if err != nil {
-		return nil, err
-	}
-	imports := make(map[string][]string, len(impState))
-	for front, raw := range impState {
-		var deps []string
-		if err := json.Unmarshal(raw, &deps); err != nil {
-			return nil, fmt.Errorf("restore imports %s: %w", front, err)
-		}
-		imports[front] = deps
-	}
-
-	partState, err := replayKV(sectionPartitions)
-	if err != nil {
-		return nil, err
-	}
-	partitions := make(map[string]map[string][]textsim.Cluster)
-	for _, k := range sortedRawKeys(partState) {
-		eco, inner, ok := splitEcoKey(k)
-		if !ok {
-			return nil, fmt.Errorf("restore: malformed partition key %q", k)
-		}
-		var cs []textsim.Cluster
-		if err := json.Unmarshal(partState[k], &cs); err != nil {
-			return nil, fmt.Errorf("restore partition %s: %w", k, err)
-		}
-		if partitions[eco] == nil {
-			partitions[eco] = make(map[string][]textsim.Cluster)
-		}
-		partitions[eco][inner] = cs
-	}
-
-	poState, err := replayKV(sectionPairOwners)
-	if err != nil {
-		return nil, err
-	}
-	pairOwners := make(map[string]string, len(poState))
-	for pk, raw := range poState {
-		var url string
-		if err := json.Unmarshal(raw, &url); err != nil {
-			return nil, fmt.Errorf("restore pair owner %s: %w", pk, err)
-		}
-		pairOwners[pk] = url
+	logged := map[string]int{
+		sectionGraph:      gLogged,
+		sectionDataset:    dsLogged,
+		sectionReports:    repLogged,
+		sectionItems:      itLogged,
+		sectionImports:    impLogged,
+		sectionPartitions: partLogged,
+		sectionPairOwners: poLogged,
 	}
 
 	e, err := restoreFromParts(ds, g, &engineSnapshot{
@@ -675,13 +651,138 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	return e, nil
 }
 
+// replayKV folds one keyed section's chunk log into its final key state
+// and returns it with the number of set/delete records the log holds.
+func replayKV(section string, refs []string, chunkData map[string]json.RawMessage) (map[string]json.RawMessage, int, error) {
+	state := make(map[string]json.RawMessage)
+	logged := 0
+	for _, ref := range refs {
+		var ch kvChunk
+		if err := json.Unmarshal(chunkData[ref], &ch); err != nil {
+			return nil, 0, fmt.Errorf("restore %s chunk %s: %w", section, ref, err)
+		}
+		for k, v := range ch.Set {
+			state[k] = v
+		}
+		for _, k := range ch.Del {
+			delete(state, k)
+		}
+		logged += len(ch.Set) + len(ch.Del)
+	}
+	return state, logged, nil
+}
+
+// restoreGraphChain replays the graph's chunk log (a re-base resets, ops
+// apply on top) and returns the graph with its logged count.
+func restoreGraphChain(refs []string, chunkData map[string]json.RawMessage) (*graph.Graph, int, error) {
+	g := graph.New()
+	logged := 0
+	for _, ref := range refs {
+		var gc graphChunk
+		if err := json.Unmarshal(chunkData[ref], &gc); err != nil {
+			return nil, 0, fmt.Errorf("restore graph chunk %s: %w", ref, err)
+		}
+		if len(gc.Reset) > 0 {
+			var err error
+			g, err = graph.ReadJSON(bytes.NewReader(gc.Reset))
+			if err != nil {
+				return nil, 0, fmt.Errorf("restore graph reset %s: %w", ref, err)
+			}
+			logged = g.NodeCount() + g.EdgeCount()
+		}
+		if len(gc.Ops) > 0 {
+			if err := g.Apply(gc.Ops); err != nil {
+				return nil, 0, fmt.Errorf("restore graph ops %s: %w", ref, err)
+			}
+			logged += len(gc.Ops)
+		}
+	}
+	return g, logged, nil
+}
+
+// restoreEntries decodes the dataset's entry records in key order and
+// attaches their artifact blobs, fetched through sess. Records and
+// artifacts decode in parallel; the first error in key order wins.
+func restoreEntries(entState map[string]json.RawMessage, sess *castore.Session) ([]collect.DecodedEntry, error) {
+	keys := sortedRawKeys(entState)
+	decoded := make([]collect.DecodedEntry, len(keys))
+	err := parallel.ForEachErr(len(keys), func(i int) (err error) {
+		decoded[i], err = collect.DecodeEntry(entState[keys[i]])
+		if err != nil {
+			return fmt.Errorf("restore entry %s: %w", keys[i], err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var wantArts []string
+	for _, de := range decoded {
+		if de.BlobRef != "" && de.Entry.Artifact == nil {
+			wantArts = append(wantArts, de.BlobRef)
+		}
+	}
+	artData, err := sess.Fetch(wantArts)
+	if err != nil {
+		return nil, fmt.Errorf("restore: fetch artifacts: %w", err)
+	}
+	err = parallel.ForEachErr(len(decoded), func(i int) error {
+		ref := decoded[i].BlobRef
+		if ref == "" || decoded[i].Entry.Artifact != nil {
+			return nil
+		}
+		var art ecosys.Artifact
+		if err := json.Unmarshal(artData[ref], &art); err != nil {
+			return fmt.Errorf("restore artifact %s: %w", ref, err)
+		}
+		decoded[i].Entry.Artifact = &art
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return decoded, nil
+}
+
+// restoreItems decodes the clustering items in key order, in parallel, and
+// groups them per ecosystem.
+func restoreItems(itState map[string]json.RawMessage) (map[string][]snapshotItem, error) {
+	keys := sortedRawKeys(itState)
+	its := make([]snapshotItem, len(keys))
+	err := parallel.ForEachErr(len(keys), func(i int) error {
+		if _, _, ok := splitEcoKey(keys[i]); !ok {
+			return fmt.Errorf("restore: malformed item key %q", keys[i])
+		}
+		if err := json.Unmarshal(itState[keys[i]], &its[i]); err != nil {
+			return fmt.Errorf("restore item %s: %w", keys[i], err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	items := make(map[string][]snapshotItem)
+	for i, k := range keys {
+		eco, _, _ := splitEcoKey(k)
+		items[eco] = append(items[eco], its[i])
+	}
+	return items, nil
+}
+
+// BlobFetcher resolves content keys to verified blob bytes: a
+// *castore.Store, or a *castore.Session shared across several calls.
+type BlobFetcher interface {
+	Fetch(hashes []string) (map[string]json.RawMessage, error)
+}
+
 // CollectManifestRefs returns every blob a serialized snapshot references:
 // the manifest's section chunks plus the artifact blobs its dataset chunks
 // point at. Compaction unions this over every retained snapshot so archived
 // manifests stay restorable. Monolithic (pre-v5) snapshots reference
-// nothing. st resolves the dataset chunks (their entry records carry the
-// artifact refs).
-func CollectManifestRefs(r io.Reader, st *castore.Store) (map[string]bool, error) {
+// nothing. src resolves the dataset chunks (their entry records carry the
+// artifact refs): a castore.Session shared across the manifests of one
+// compaction decodes each segment once.
+func CollectManifestRefs(r io.Reader, src BlobFetcher) (map[string]bool, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("manifest refs: %w", err)
@@ -699,7 +800,7 @@ func CollectManifestRefs(r io.Reader, st *castore.Store) (map[string]bool, error
 			live[ref] = true
 		}
 	}
-	dsData, err := st.Fetch(man.Sections[sectionDataset])
+	dsData, err := src.Fetch(man.Sections[sectionDataset])
 	if err != nil {
 		return nil, fmt.Errorf("manifest refs: fetch dataset chunks: %w", err)
 	}

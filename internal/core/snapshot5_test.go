@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"io"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -318,5 +319,158 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 	}
 	if err := eng.Snapshot(io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// monolithicBytes renders an engine's state as a v4 monolithic snapshot,
+// even when a store is attached, so restores can be compared byte for byte.
+func monolithicBytes(t *testing.T, e *Engine) []byte {
+	t.Helper()
+	e.mu.Lock()
+	st := e.store
+	e.store = nil
+	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		e.store = st
+		e.mu.Unlock()
+	}()
+	var buf bytes.Buffer
+	if err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restoreAt restores a manifest with GOMAXPROCS set to procs.
+func restoreAt(procs int, manifest []byte, st *castore.Store) (*Engine, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return RestoreEngineWithStore(bytes.NewReader(manifest), st)
+}
+
+// TestSegmentedRestoreParallelMatchesSequential: the restore decodes its
+// sections concurrently, so it must reproduce the same engine at any
+// GOMAXPROCS — the same v4 snapshot bytes as the live engine, the same
+// chunk logs — and a damaged manifest must fail with the same error, the
+// first in section order, however the section decodes interleave.
+func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
+	ds, reps := miniDataset(t)
+	store := openTestStore(t)
+	eng := NewEngine(DefaultConfig())
+	eng.AttachStore(store)
+	// One entry per batch, a checkpoint after each: every section's chain
+	// is a re-base followed by deltas.
+	var manifest bytes.Buffer
+	for i, en := range ds.Entries {
+		b := Batch{Entries: ds.Entries[i : i+1], At: ds.CollectedAt}
+		if i < len(reps) {
+			b.Reports = reps[i : i+1]
+		}
+		if i == len(ds.Entries)-1 {
+			b.Reports = reps
+		}
+		if _, err := eng.Ingest(b); err != nil {
+			t.Fatalf("ingest %s: %v", en.Coord.Key(), err)
+		}
+		manifest.Reset()
+		if err := eng.Snapshot(&manifest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var man manifestSnapshot
+	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
+		t.Fatal(err)
+	}
+
+	// Make sure the chains exercise deletes: append a set and a delete of
+	// the same throwaway partition key to the partition chain. The net
+	// state is unchanged, but only an in-order replay gets there.
+	bogus := ecoKey("PyPI", "restore-test-bogus")
+	setChunk, _ := json.Marshal(kvChunk{Set: map[string]json.RawMessage{bogus: json.RawMessage(`[]`)}})
+	delChunk, _ := json.Marshal(kvChunk{Del: []string{bogus}})
+	badChunk := []byte(`"not a chunk"`)
+	blobs := []castore.Blob{
+		{Key: castore.KeyOf(setChunk), Data: setChunk},
+		{Key: castore.KeyOf(delChunk), Data: delChunk},
+		{Key: castore.KeyOf(badChunk), Data: badChunk},
+	}
+	if _, err := store.Append(blobs); err != nil {
+		t.Fatal(err)
+	}
+	man.Sections[sectionPartitions] = append(man.Sections[sectionPartitions], blobs[0].Key, blobs[1].Key)
+	encode := func(m manifestSnapshot) []byte {
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	good := encode(man)
+
+	for _, name := range sectionNames {
+		if len(man.Sections[name]) < 2 {
+			t.Fatalf("section %s chain has %d chunk(s), want a re-base plus deltas", name, len(man.Sections[name]))
+		}
+	}
+	want := monolithicBytes(t, eng)
+	var first *Engine
+	for _, procs := range []int{1, 8} {
+		got, err := restoreAt(procs, good, store)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if !bytes.Equal(monolithicBytes(t, got), want) {
+			t.Fatalf("GOMAXPROCS=%d: restored v4 snapshot bytes differ from the live engine's", procs)
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		for _, name := range sectionNames {
+			a, b := first.logs[name], got.logs[name]
+			if a.logged != b.logged || !reflect.DeepEqual(a.refs, b.refs) || a.rebase != b.rebase {
+				t.Errorf("section %s log: GOMAXPROCS=1 %+v, GOMAXPROCS=8 %+v", name, *a, *b)
+			}
+		}
+	}
+
+	// Damaged manifests: one corrupted chunk, then two in different
+	// sections — the error must be the first in section order, identical
+	// under both settings.
+	corrupt := func(sections ...string) []byte {
+		m := man
+		m.Sections = make(map[string][]string, len(man.Sections))
+		for name, refs := range man.Sections {
+			m.Sections[name] = append([]string(nil), refs...)
+		}
+		for _, name := range sections {
+			refs := m.Sections[name]
+			refs[len(refs)-1] = blobs[2].Key
+		}
+		return encode(m)
+	}
+	for _, tc := range []struct {
+		sections []string
+		want     string
+	}{
+		{[]string{sectionItems}, "restore items chunk"},
+		{[]string{sectionPairOwners, sectionReports, sectionGraph}, "restore graph chunk"},
+		{[]string{sectionPairOwners, sectionItems}, "restore items chunk"},
+	} {
+		bad := corrupt(tc.sections...)
+		var errs []string
+		for _, procs := range []int{1, 8} {
+			_, err := restoreAt(procs, bad, store)
+			if err == nil {
+				t.Fatalf("%v corrupted: GOMAXPROCS=%d restore succeeded", tc.sections, procs)
+			}
+			errs = append(errs, err.Error())
+		}
+		if errs[0] != errs[1] {
+			t.Errorf("%v corrupted: error differs by GOMAXPROCS:\n 1: %s\n 8: %s", tc.sections, errs[0], errs[1])
+		}
+		if !strings.Contains(errs[0], tc.want) {
+			t.Errorf("%v corrupted: error %q does not mention %q", tc.sections, errs[0], tc.want)
+		}
 	}
 }

@@ -94,14 +94,21 @@ func NumChunks(n, chunk int) int {
 	return (n + chunk - 1) / chunk
 }
 
-// Do runs every task concurrently and returns the first error in argument
-// order (not completion order), keeping error reporting deterministic.
-func Do(tasks ...func() error) error {
-	errs := Map(len(tasks), func(i int) error { return tasks[i]() })
+// ForEachErr runs fn(i) for every i in [0, n) like ForEach and returns the
+// first non-nil error in index order (not completion order), keeping error
+// reporting deterministic. Every iteration runs, even after one fails.
+func ForEachErr(n int, fn func(i int) error) error {
+	errs := Map(n, fn)
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Do runs every task concurrently and returns the first error in argument
+// order (not completion order), keeping error reporting deterministic.
+func Do(tasks ...func() error) error {
+	return ForEachErr(len(tasks), func(i int) error { return tasks[i]() })
 }

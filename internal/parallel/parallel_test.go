@@ -147,6 +147,24 @@ func TestDoAllTasksRunDespiteError(t *testing.T) {
 	}
 }
 
+func TestForEachErrFirstInIndexOrder(t *testing.T) {
+	for _, procs := range []int{1, 8} {
+		withProcs(t, procs, func() {
+			var ran atomic.Int32
+			err := ForEachErr(100, func(i int) error {
+				ran.Add(1)
+				if i == 3 || i == 97 {
+					return fmt.Errorf("index %d", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "index 3" || ran.Load() != 100 {
+				t.Fatalf("GOMAXPROCS=%d: err = %v after %d iterations, want index 3 after 100", procs, err, ran.Load())
+			}
+		})
+	}
+}
+
 func TestDoNoTasks(t *testing.T) {
 	if err := Do(); err != nil {
 		t.Fatalf("empty Do = %v", err)

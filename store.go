@@ -55,3 +55,12 @@ func (p *Pipeline) RestoreEngineWithStore(r io.Reader, st *castore.Store) error 
 	p.adoptEngineLocked(eng)
 	return nil
 }
+
+// AdoptEngine swaps in an engine restored outside the pipeline — serve
+// restores its snapshot while the world builds — and republishes exactly
+// as RestoreEngine does after its own restore.
+func (p *Pipeline) AdoptEngine(eng *core.Engine) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.adoptEngineLocked(eng)
+}
