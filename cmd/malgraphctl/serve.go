@@ -942,7 +942,7 @@ func (s *server) handleSnapshotBundle(w http.ResponseWriter) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	files, metas, err := s.store.OpenSegments()
+	files, err := s.store.OpenSegments()
 	s.checkpointMu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -961,12 +961,12 @@ func (s *server) handleSnapshotBundle(w http.ResponseWriter) {
 	if _, err := w.Write(manifest); err != nil {
 		return
 	}
-	for i, f := range files {
+	for _, f := range files {
 		info, err := f.Stat()
 		if err != nil {
 			panic(http.ErrAbortHandler) // headers sent; cut the connection
 		}
-		if err := enc.Encode(bundleFrame{Name: metas[i].Name, Size: info.Size()}); err != nil {
+		if err := enc.Encode(bundleFrame{Name: filepath.Base(f.Name()), Size: info.Size()}); err != nil {
 			return
 		}
 		crc := crc32.NewIEEE()

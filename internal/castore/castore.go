@@ -5,10 +5,15 @@
 // writes dedupe for free, and every read re-verifies the bytes against the
 // key.
 //
-// On-disk layout is one directory of JSON segment files, seg-00000001.json
-// upward. A segment is written once — temp file, fsync, rename, directory
-// fsync, the same crash discipline as the serve checkpoint's
-// writeFileAtomic — and never modified afterwards. A crash mid-write
+// On-disk layout is one directory of segment files, seg-00000001.json
+// upward. The .json suffix is historical: a segment is a binary frame —
+// magic, blob count, a fixed-width index of (raw SHA-256 key, length)
+// pairs, then the bodies back to back (segment.go) — and only segments
+// written by older versions are JSON: still read, never written, and
+// rewritten into the binary layout by the next Compact. A segment is
+// written once — temp file, fsync, rename, directory fsync, the same crash
+// discipline as the serve checkpoint's writeFileAtomic — and never
+// modified afterwards. A crash mid-write
 // leaves only a .castore-* temp file, which Open deletes; a crash
 // mid-compaction leaves either the old segments, or the merged segment
 // plus some not-yet-unlinked old ones, and because blobs are
@@ -16,8 +21,8 @@
 // segment that mentions a hash and ignores re-mentions.
 //
 // Each segment leads with its hash index ahead of the blob bodies, so
-// Open recovers the full hash→segment index by decoding only the index
-// prefix of each file — opening a large store does not decode artifact
+// Open recovers the full hash→segment index by reading only the index
+// prefix of each file — opening a large store does not read artifact
 // bodies.
 package castore
 
@@ -51,8 +56,9 @@ type Blob struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// segment file names are seg-%08d.json; temp files carry the tempPrefix
-// and are garbage from an interrupted write, removed at Open.
+// segment file names are seg-%08d.json (the suffix predates the binary
+// layout); temp files carry the tempPrefix and are garbage from an
+// interrupted write, removed at Open.
 const (
 	segPattern = "seg-%08d.json"
 	tempPrefix = ".castore-"
@@ -66,14 +72,6 @@ func ParseSegmentName(name string) (id int, ok bool) {
 		return 0, false
 	}
 	return id, id > 0 && fmt.Sprintf(segPattern, id) == name
-}
-
-// segment is the on-disk JSON shape. Hashes is serialized first so Open
-// can stop decoding after the index; Blobs carries the blob bodies in the
-// same order.
-type segment struct {
-	Hashes []string `json:"hashes"`
-	Blobs  []Blob   `json:"blobs"`
 }
 
 // Store is a content-addressed artifact store over one directory of
@@ -97,7 +95,7 @@ type Store struct {
 }
 
 // Open creates dir if needed, removes interrupted-write temp files, and
-// indexes every segment by decoding only its hash-index prefix. A nil fs
+// indexes every segment by reading only its hash-index prefix. A nil fs
 // uses the real filesystem.
 func Open(dir string, fs wal.FS) (*Store, error) {
 	if fs == nil {
@@ -128,7 +126,7 @@ func Open(dir string, fs wal.FS) (*Store, error) {
 		if !ok {
 			continue
 		}
-		hashes, err := st.readIndex(filepath.Join(dir, name))
+		hashes, err := readIndex(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("castore: segment %s: %w", name, err)
 		}
@@ -149,41 +147,18 @@ func Open(dir string, fs wal.FS) (*Store, error) {
 	return st, nil
 }
 
-// readIndex decodes just the "hashes" index prefix of a segment file.
-func (st *Store) readIndex(path string) ([]string, error) {
+// readIndex reads the blob keys of a segment file from its index prefix.
+func readIndex(path string) ([]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	// Walk: { "hashes" : [ ... ] — then stop without decoding blobs.
-	if err := expectDelim(dec, '{'); err != nil {
-		return nil, err
-	}
-	tok, err := dec.Token()
+	info, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	if key, ok := tok.(string); !ok || key != "hashes" {
-		return nil, fmt.Errorf("malformed segment: expected hashes index, got %v", tok)
-	}
-	var hashes []string
-	if err := dec.Decode(&hashes); err != nil {
-		return nil, err
-	}
-	return hashes, nil
-}
-
-func expectDelim(dec *json.Decoder, want json.Delim) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != want {
-		return fmt.Errorf("malformed segment: expected %q, got %v", want, tok)
-	}
-	return nil
+	return decodeIndex(f, info.Size())
 }
 
 // Dir returns the store's directory.
@@ -243,7 +218,7 @@ func (st *Store) Append(blobs []Blob) (int, error) {
 		}
 	}
 	st.mu.Lock()
-	seg := segment{}
+	var seg []Blob
 	inSeg := make(map[string]bool, len(blobs))
 	for _, b := range blobs {
 		h := b.Key
@@ -254,10 +229,9 @@ func (st *Store) Append(blobs []Blob) (int, error) {
 			continue
 		}
 		inSeg[h] = true
-		seg.Hashes = append(seg.Hashes, h)
-		seg.Blobs = append(seg.Blobs, b)
+		seg = append(seg, b)
 	}
-	if len(seg.Hashes) == 0 {
+	if len(seg) == 0 {
 		st.mu.Unlock()
 		return 0, nil
 	}
@@ -265,24 +239,24 @@ func (st *Store) Append(blobs []Blob) (int, error) {
 	st.nextSeg++
 	st.mu.Unlock()
 
-	if err := st.writeSegment(id, &seg); err != nil {
+	if err := st.writeSegment(id, seg); err != nil {
 		return 0, err
 	}
 
 	st.mu.Lock()
 	st.segs = append(st.segs, id)
 	sort.Ints(st.segs)
-	for _, h := range seg.Hashes {
-		if _, ok := st.known[h]; !ok {
-			st.known[h] = id
+	for _, b := range seg {
+		if _, ok := st.known[b.Key]; !ok {
+			st.known[b.Key] = id
 		}
 	}
 	st.mu.Unlock()
-	return len(seg.Hashes), nil
+	return len(seg), nil
 }
 
-// writeSegment writes one segment file with full crash discipline.
-func (st *Store) writeSegment(id int, seg *segment) (err error) {
+// writeSegment writes one binary segment file with full crash discipline.
+func (st *Store) writeSegment(id int, blobs []Blob) (err error) {
 	name := fmt.Sprintf(segPattern, id)
 	tmp := filepath.Join(st.dir, tempPrefix+name)
 	final := filepath.Join(st.dir, name)
@@ -296,8 +270,7 @@ func (st *Store) writeSegment(id int, seg *segment) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	enc := json.NewEncoder(f)
-	if err = enc.Encode(seg); err != nil {
+	if err = encodeSegment(f, blobs); err != nil {
 		return fmt.Errorf("castore: encode segment: %w", err)
 	}
 	if err = f.Sync(); err != nil {
@@ -315,7 +288,7 @@ func (st *Store) writeSegment(id int, seg *segment) (err error) {
 	return nil
 }
 
-// Fetch resolves content keys to blob bytes, decoding only the segments
+// Fetch resolves content keys to blob bytes, reading only the segments
 // that contain at least one requested blob. Every returned blob is
 // re-verified against its key. Unknown keys are an error. It is a
 // Session of one call: a burst of related fetches should share a Session
@@ -407,12 +380,12 @@ func (s *Session) undecoded(hashes []string) ([]int, error) {
 // returned for the lowest failing id.
 func (s *Session) decode(ids []int) (vanished bool, err error) {
 	type result struct {
-		seg *segment
-		err error
+		blobs []Blob
+		err   error
 	}
 	res := parallel.Map(len(ids), func(i int) result {
-		seg, err := s.st.readSegment(ids[i])
-		return result{seg, err}
+		blobs, err := s.st.readSegment(ids[i])
+		return result{blobs, err}
 	})
 	for i, r := range res {
 		if errors.Is(r.err, os.ErrNotExist) {
@@ -422,7 +395,7 @@ func (s *Session) decode(ids []int) (vanished bool, err error) {
 		if r.err != nil {
 			return false, r.err
 		}
-		for _, b := range r.seg.Blobs {
+		for _, b := range r.blobs {
 			if _, ok := s.blobs[b.Key]; len(b.Data) > 0 && !ok {
 				s.blobs[b.Key] = sessionBlob{seg: ids[i], data: b.Data}
 			}
@@ -461,63 +434,47 @@ func (s *Session) collect(hashes []string) (map[string]json.RawMessage, error) {
 	return out, nil
 }
 
-// readSegment decodes one whole segment file. A segment unlinked by a
-// concurrent compaction yields an error wrapping os.ErrNotExist.
-func (st *Store) readSegment(id int) (*segment, error) {
-	f, err := os.Open(filepath.Join(st.dir, fmt.Sprintf(segPattern, id)))
+// readSegment reads one whole segment file with a single sized read and
+// decodes it; binary blobs are sub-slices of that one buffer. A segment
+// unlinked by a concurrent compaction yields an error wrapping
+// os.ErrNotExist.
+func (st *Store) readSegment(id int) ([]Blob, error) {
+	data, err := os.ReadFile(filepath.Join(st.dir, fmt.Sprintf(segPattern, id)))
 	if err != nil {
 		return nil, fmt.Errorf("castore: %w", err)
 	}
-	defer f.Close()
-	var seg segment
-	if err := json.NewDecoder(f).Decode(&seg); err != nil {
+	blobs, err := decodeSegment(data)
+	if err != nil {
 		return nil, fmt.Errorf("castore: segment %d: %w", id, err)
 	}
-	return &seg, nil
+	return blobs, nil
 }
 
-// SegmentFile names one live segment for streaming: its file name (within
-// the store directory) and the blob hashes it carries.
-type SegmentFile struct {
-	Name   string
-	Hashes []string
-}
-
-// OpenSegments opens every live segment for reading and returns the open
-// files alongside the set of hashes they cover. The files stay readable
+// OpenSegments opens every live segment for reading, in id order; a
+// file's segment name is filepath.Base(f.Name()). The files stay readable
 // even if a concurrent compaction unlinks them (POSIX semantics), so a
 // streaming reader gets a consistent snapshot of the store without
-// blocking writers. The caller closes the files.
-func (st *Store) OpenSegments() ([]*os.File, []SegmentFile, error) {
+// blocking writers. A segment compacted away before its open is skipped:
+// its blobs live on in the merged segment, which a fresh call returns.
+// The caller closes the files.
+func (st *Store) OpenSegments() ([]*os.File, error) {
 	st.mu.Lock()
 	ids := append([]int(nil), st.segs...)
 	st.mu.Unlock()
 
 	var files []*os.File
-	var metas []SegmentFile
 	for _, id := range ids {
-		name := fmt.Sprintf(segPattern, id)
-		f, err := os.Open(filepath.Join(st.dir, name))
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				// Compacted away between snapshot of ids and open; its blobs
-				// live on in the merged segment, which a fresh OpenSegments
-				// would return. Callers treat covered-hash sets as advisory.
-				continue
-			}
-			closeAll(files)
-			return nil, nil, fmt.Errorf("castore: %w", err)
+		f, err := os.Open(filepath.Join(st.dir, fmt.Sprintf(segPattern, id)))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
 		}
-		hashes, err := st.readIndex(filepath.Join(st.dir, name))
 		if err != nil {
-			f.Close()
 			closeAll(files)
-			return nil, nil, fmt.Errorf("castore: segment %s: %w", name, err)
+			return nil, fmt.Errorf("castore: %w", err)
 		}
 		files = append(files, f)
-		metas = append(metas, SegmentFile{Name: name, Hashes: hashes})
 	}
-	return files, metas, nil
+	return files, nil
 }
 
 func closeAll(files []*os.File) {
@@ -563,14 +520,15 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 	}
 
 	// Gather the retained blobs from the old segments, first mention wins.
-	merged := segment{}
+	// Legacy JSON segments are rewritten into the binary layout here.
+	var merged []Blob
 	kept := make(map[string]bool)
 	for _, oid := range oldIDs {
-		seg, err := st.readSegment(oid)
+		blobs, err := st.readSegment(oid)
 		if err != nil {
 			return false, err
 		}
-		for _, b := range seg.Blobs {
+		for _, b := range blobs {
 			if len(b.Data) == 0 || kept[b.Key] {
 				continue
 			}
@@ -578,8 +536,7 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 				continue
 			}
 			kept[b.Key] = true
-			merged.Hashes = append(merged.Hashes, b.Key)
-			merged.Blobs = append(merged.Blobs, b)
+			merged = append(merged, b)
 		}
 	}
 
@@ -610,11 +567,11 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 		st.mu.Unlock()
 	}
 
-	if len(merged.Hashes) == 0 {
+	if len(merged) == 0 {
 		// Nothing retained: just drop the old segments.
 		replace(nil)
 	} else {
-		if err := st.writeSegment(id, &merged); err != nil {
+		if err := st.writeSegment(id, merged); err != nil {
 			return false, err
 		}
 		replace([]int{id})

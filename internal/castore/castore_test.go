@@ -7,6 +7,7 @@ package castore
 // duplicate segments a crash left behind.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -265,16 +266,11 @@ func TestCompactCrashPointsKeepLiveBlobsReachable(t *testing.T) {
 		}
 		// Write the merged segment by hand, as if the compaction crashed
 		// after publishing it but before unlinking seg 1 and 2.
-		merged := segment{}
-		for _, b := range blobs {
-			merged.Hashes = append(merged.Hashes, b.Key)
-			merged.Blobs = append(merged.Blobs, b)
-		}
-		enc, err := json.Marshal(&merged)
-		if err != nil {
+		var merged bytes.Buffer
+		if err := encodeSegment(&merged, blobs); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(segPattern, 3)), enc, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(segPattern, 3)), merged.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		re, err := Open(dir, nil)
@@ -532,13 +528,13 @@ func TestOpenIgnoresStraySegmentCopies(t *testing.T) {
 		t.Fatalf("reopen with stray copies: SegmentCount=%d Len=%d, want 1 and 2", re.SegmentCount(), re.Len())
 	}
 	fetchAll(t, re, batch)
-	files, metas, err := re.OpenSegments()
+	files, err := re.OpenSegments()
 	if err != nil {
 		t.Fatal(err)
 	}
 	closeAll(files)
-	if len(metas) != 1 || metas[0].Name != "seg-00000001.json" {
-		t.Fatalf("OpenSegments = %+v, want only seg-00000001.json", metas)
+	if len(files) != 1 || filepath.Base(files[0].Name()) != "seg-00000001.json" {
+		t.Fatalf("OpenSegments opened %d files, want only seg-00000001.json", len(files))
 	}
 
 	// Only the stray copies: nothing is indexed.
@@ -596,9 +592,9 @@ func TestSessionFetchDecodesOnceAndVerifies(t *testing.T) {
 		t.Fatalf("session Fetch of an unknown key: %v", err)
 	}
 
-	// Tamper with b's bytes on disk (same length, so the index prefix and
-	// JSON shape stay valid): a fresh session must refuse it.
-	tampered := strings.Replace(string(seg), `"data":"beta"`, `"data":"bets"`, 1)
+	// Tamper with b's body on disk (same length, so the index prefix and
+	// framing stay valid): a fresh session must refuse it.
+	tampered := strings.Replace(string(seg), `"beta"`, `"bets"`, 1)
 	if tampered == string(seg) {
 		t.Fatalf("segment does not carry b's bytes as expected: %s", seg)
 	}

@@ -59,11 +59,11 @@ type kvChunk struct {
 }
 
 // graphChunk is one step of the graph log: either a full re-base (Reset
-// carries graph.WriteJSON output) or the journaled operations since the
-// previous chunk.
+// is the whole graph, encoded in place) or the journaled operations since
+// the previous chunk.
 type graphChunk struct {
-	Reset json.RawMessage `json:"reset,omitempty"`
-	Ops   []graph.Op      `json:"ops,omitempty"`
+	Reset *graph.Persisted `json:"reset,omitempty"`
+	Ops   []graph.Op       `json:"ops,omitempty"`
 }
 
 // ecoKey joins an ecosystem name and an inner key for sections whose keys
@@ -166,11 +166,7 @@ func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
 	journalDrop := len(ops)
 	liveGraph := e.mg.G.NodeCount() + e.mg.G.EdgeCount()
 	if e.logs[sectionGraph].rebaseDue(liveGraph) {
-		var buf bytes.Buffer
-		if err := e.mg.G.WriteJSON(&buf); err != nil {
-			return fmt.Errorf("snapshot graph: %w", err)
-		}
-		data, err := json.Marshal(graphChunk{Reset: buf.Bytes()})
+		data, err := json.Marshal(graphChunk{Reset: e.mg.G.Persist()})
 		if err != nil {
 			return fmt.Errorf("snapshot graph chunk: %w", err)
 		}
@@ -682,9 +678,9 @@ func restoreGraphChain(refs []string, chunkData map[string]json.RawMessage) (*gr
 		if err := json.Unmarshal(chunkData[ref], &gc); err != nil {
 			return nil, 0, fmt.Errorf("restore graph chunk %s: %w", ref, err)
 		}
-		if len(gc.Reset) > 0 {
+		if gc.Reset != nil {
 			var err error
-			g, err = graph.ReadJSON(bytes.NewReader(gc.Reset))
+			g, err = gc.Reset.Build()
 			if err != nil {
 				return nil, 0, fmt.Errorf("restore graph reset %s: %w", ref, err)
 			}

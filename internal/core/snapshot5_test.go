@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -19,6 +21,7 @@ import (
 
 	"malgraph/internal/castore"
 	"malgraph/internal/collect"
+	"malgraph/internal/graph"
 )
 
 // engineStateBytes serialises the observable engine state deterministically:
@@ -472,5 +475,169 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 		if !strings.Contains(errs[0], tc.want) {
 			t.Errorf("%v corrupted: error %q does not mention %q", tc.sections, errs[0], tc.want)
 		}
+	}
+}
+
+// legacyGraphChunk is the graph chunk shape written before the re-base was
+// encoded in place: graph.WriteJSON output nested as a raw JSON value.
+type legacyGraphChunk struct {
+	Reset json.RawMessage `json:"reset,omitempty"`
+	Ops   []graph.Op      `json:"ops,omitempty"`
+}
+
+// legacyRebaseChunk renders g's re-base chunk the way older checkpoints did.
+func legacyRebaseChunk(t *testing.T, g *graph.Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(legacyGraphChunk{Reset: buf.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestGraphRebaseChunkBytesUnchanged pins the graph re-base chunk to the
+// bytes the nested WriteJSON encoding produced, so a given graph state keeps
+// its chunk key: checkpoints written before and after the in-place encoding
+// dedupe against each other in the store.
+func TestGraphRebaseChunkBytesUnchanged(t *testing.T) {
+	// The engine path: the first checkpoint re-bases the graph section.
+	ds, reps := miniDataset(t)
+	store := openTestStore(t)
+	eng := NewEngine(DefaultConfig())
+	eng.AttachStore(store)
+	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
+		t.Fatal(err)
+	}
+	var manifest bytes.Buffer
+	if err := eng.Snapshot(&manifest); err != nil {
+		t.Fatal(err)
+	}
+	var man manifestSnapshot
+	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
+		t.Fatal(err)
+	}
+	refs := man.Sections[sectionGraph]
+	if len(refs) != 1 {
+		t.Fatalf("graph section after the first checkpoint has %d chunks, want one re-base", len(refs))
+	}
+	got, err := store.Fetch(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := legacyRebaseChunk(t, eng.Graph().G); !bytes.Equal(got[refs[0]], want) {
+		t.Fatalf("re-base chunk bytes changed:\n got %.200s\nwant %.200s", got[refs[0]], want)
+	}
+
+	// Strings the encoder escapes (HTML-significant runes, control bytes,
+	// U+2028, invalid UTF-8), an attribute-free node and an empty graph,
+	// against golden bytes of the nested encoding.
+	g := graph.New()
+	for _, id := range []string{"a<b>&c", "line\nbreak\x01", "bad\xffutf8", "plain"} {
+		attrs := graph.Attrs{"note": id + "\u2028"}
+		if id == "plain" {
+			attrs = nil
+		}
+		if err := g.AddNode(id, attrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.AddEdge("a<b>&c", "plain", graph.Dependency, graph.Attrs{"why": "<script>"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge("bad\xffutf8", "plain", graph.Similar, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		want string
+	}{
+		{"escapes", g, `{"reset":{"nodes":[{"id":"a\u003cb\u003e\u0026c","attrs":{"note":"a\u003cb\u003e\u0026c\u2028"}},` +
+			`{"id":"bad\ufffdutf8","attrs":{"note":"bad\ufffdutf8\u2028"}},{"id":"line\nbreak\u0001","attrs":{"note":"line\nbreak\u0001\u2028"}},` +
+			`{"id":"plain"}],"edges":[{"from":"a\u003cb\u003e\u0026c","to":"plain","type":3,"attrs":{"why":"\u003cscript\u003e"}},` +
+			`{"from":"bad\ufffdutf8","to":"plain","type":2}]}}`},
+		{"empty", graph.New(), `{"reset":{"nodes":null,"edges":[]}}`},
+	} {
+		got, err := json.Marshal(graphChunk{Reset: tc.g.Persist()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: re-base chunk bytes changed:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSegmentedRestoreFromLegacyJSONSegment: a v5 manifest whose chunks and
+// artifacts sit in a JSON segment written by an older store restores to the
+// same v4 snapshot bytes as the live engine.
+func TestSegmentedRestoreFromLegacyJSONSegment(t *testing.T) {
+	ds, reps := miniDataset(t)
+	store := openTestStore(t)
+	eng := NewEngine(DefaultConfig())
+	eng.AttachStore(store)
+	half := len(ds.Entries) / 2
+	var manifest bytes.Buffer
+	for _, b := range []Batch{
+		{Entries: ds.Entries[:half], Reports: reps[:1], At: ds.CollectedAt},
+		{Entries: ds.Entries[half:], Reports: reps[1:], At: ds.CollectedAt},
+	} {
+		if _, err := eng.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+		manifest.Reset()
+		if err := eng.Snapshot(&manifest); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Re-home every blob the manifest needs into one JSON segment, encoded
+	// exactly as the JSON segment writer did.
+	live, err := CollectManifestRefs(bytes.NewReader(manifest.Bytes()), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(live))
+	for k := range live {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	data, err := store.Fetch(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg struct {
+		Hashes []string       `json:"hashes"`
+		Blobs  []castore.Blob `json:"blobs"`
+	}
+	for _, k := range keys {
+		seg.Hashes = append(seg.Hashes, k)
+		seg.Blobs = append(seg.Blobs, castore.Blob{Key: k, Data: data[k]})
+	}
+	raw, err := json.Marshal(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := castore.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Len() != len(keys) {
+		t.Fatalf("legacy store indexed %d blobs, want %d", legacy.Len(), len(keys))
+	}
+	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(monolithicBytes(t, restored), monolithicBytes(t, eng)) {
+		t.Fatal("restore from a JSON segment differs from the live engine's v4 snapshot bytes")
 	}
 }

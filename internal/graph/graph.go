@@ -716,16 +716,23 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// persisted is the JSON wire format.
-type persisted struct {
+// Persisted is the graph's serialised form: WriteJSON encodes it, ReadJSON
+// decodes it, and a caller that embeds a graph in a larger JSON document
+// can marshal and unmarshal it in place instead of nesting WriteJSON
+// output. Nodes are sorted by ID; edges keep insertion order, tombstones
+// dropped.
+type Persisted struct {
 	Nodes []Node `json:"nodes"`
 	Edges []Edge `json:"edges"`
 }
 
-// WriteJSON serialises the graph deterministically (nodes sorted by ID).
-func (g *Graph) WriteJSON(w io.Writer) error {
+// Persist captures the graph's current state. The result shares the
+// graph's attribute maps, which are immutable once installed (see Graph);
+// callers must not modify them.
+func (g *Graph) Persist() *Persisted {
 	g.mu.RLock()
-	p := persisted{Edges: make([]Edge, 0, g.nEdges-g.dead)}
+	defer g.mu.RUnlock()
+	p := &Persisted{Edges: make([]Edge, 0, g.nEdges-g.dead)}
 	for i := 0; i < g.nEdges; i++ {
 		if e := g.edge(i); e.Type != 0 { // skip tombstoned slots
 			p.Edges = append(p.Edges, *e)
@@ -733,19 +740,13 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	}
 	for _, id := range g.nodes.Keys() {
 		n, _ := g.nodes.Get(id)
-		p.Nodes = append(p.Nodes, Node{ID: n.ID, Attrs: n.Attrs.clone()})
+		p.Nodes = append(p.Nodes, *n)
 	}
-	g.mu.RUnlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(p)
+	return p
 }
 
-// ReadJSON deserialises a graph previously written with WriteJSON.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	var p persisted
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("graph decode: %w", err)
-	}
+// Build reconstructs the graph p describes.
+func (p *Persisted) Build() (*Graph, error) {
 	g := New()
 	for _, n := range p.Nodes {
 		if err := g.AddNode(n.ID, n.Attrs); err != nil {
@@ -758,4 +759,18 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// WriteJSON serialises the graph deterministically (nodes sorted by ID).
+func (g *Graph) WriteJSON(w io.Writer) error {
+	return json.NewEncoder(w).Encode(g.Persist())
+}
+
+// ReadJSON deserialises a graph previously written with WriteJSON.
+func ReadJSON(r io.Reader) (*Graph, error) {
+	var p Persisted
+	if err := json.NewDecoder(r).Decode(&p); err != nil {
+		return nil, fmt.Errorf("graph decode: %w", err)
+	}
+	return p.Build()
 }
