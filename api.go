@@ -403,28 +403,21 @@ func (p *Pipeline) snapshotEngineLocked(w io.Writer) error {
 	return p.Engine.Snapshot(w)
 }
 
-// RestoreEngine swaps in an engine checkpoint (core.RestoreEngine) — the
-// warm-restart path: embeddings, cluster state and scan caches come back
-// with the graph, so serving resumes without an O(corpus) rebuild. The feed
-// cursor restores from the snapshot's stamp (pre-v4 snapshots carry none and
-// restart it at zero; re-draining already-ingested batches is an idempotent
-// no-op), and journal replay advances it further from any feed records past
-// the checkpoint.
-func (p *Pipeline) RestoreEngine(r io.Reader) error {
+// AdoptEngine swaps in an engine restored outside the pipeline —
+// core.RestoreEngine for a v3/v4 snapshot, core.RestoreEngineWithStore for
+// a v5 manifest (or a v3/v4 snapshot being upgraded into a store) — and
+// republishes it: embeddings, cluster state and scan caches come back with
+// the graph, so serving resumes without an O(corpus) rebuild. The journal
+// sequence restores from the snapshot's AppliedSeq stamp, and the feed
+// cursor from its FeedPos stamp (pre-v4 snapshots carry none and restart it
+// at zero; so does a stamp past the end of a feed re-partitioned since —
+// re-draining already-ingested batches is an idempotent no-op); journal
+// replay advances both further from any records past the checkpoint. An
+// attached journal's sequence is raised to the stamp, and the adopted
+// state publishes as a fully dirty epoch.
+func (p *Pipeline) AdoptEngine(eng *core.Engine) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	eng, err := core.RestoreEngine(r)
-	if err != nil {
-		return fmt.Errorf("malgraph: restore: %w", err)
-	}
-	p.adoptEngineLocked(eng)
-	return nil
-}
-
-// adoptEngineLocked swaps the restored engine in and republishes: views,
-// sequence stamp, feed cursor, journal floor and a full-dirty epoch. Caller
-// holds p.mu.
-func (p *Pipeline) adoptEngineLocked(eng *core.Engine) {
 	p.Engine = eng
 	p.Dataset = eng.Dataset()
 	p.Reports = eng.Reports()

@@ -6,7 +6,7 @@ package malgraph
 // query surface (the exact work GET /api/v1/stats and /api/v1/node do)
 // twice — against an idle pipeline and while a pusher goroutine keeps the
 // ingest mutex hot (streaming feed batches and cycling full snapshot
-// restores, the longest lock hold the serve surface has). Before the epoch
+// restores, each decoded off the lock and adopted under it). Before the epoch
 // redesign these reads queued behind p.mu and the under-ingest p99 tracked
 // batch apply time (tens of ms); with lock-free epoch loads it must stay
 // within the same order of magnitude as idle.
@@ -95,13 +95,15 @@ func BenchmarkServe_ReadsDuringIngest(b *testing.B) {
 					b.Error(err)
 					return
 				} else if !ok {
-					// Feed drained: restore the warm checkpoint — the longest
-					// single p.mu hold the serve surface has (full snapshot
-					// decode + engine swap) — and re-drain.
-					if err := p.RestoreEngine(bytes.NewReader(snap.Bytes())); err != nil {
+					// Feed drained: restore the warm checkpoint (full
+					// snapshot decode, then the engine swap and publish
+					// under p.mu) and re-drain.
+					eng, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()))
+					if err != nil {
 						b.Error(err)
 						return
 					}
+					p.AdoptEngine(eng)
 				}
 			}
 		}()

@@ -7,7 +7,7 @@
 //	malgraphctl graph   [-scale 0.05] [-seed N] [-out graph.json]
 //	malgraphctl crawl   [-scale 0.05] [-seed N]
 //	malgraphctl serve   [-scale 0.05] [-seed N] [-addr :8080] [-batches 10] [-snapshot state.json]
-//	                    [-store dir] [-snapshot-retain 2]
+//	                    [-store state.json.store] [-snapshot-retain 2]
 //	                    [-wal dir] [-checkpoint-bytes N] [-pprof localhost:6060]
 //	                    [-remote-root URL[,URL...]] [-remote-mirror URL[,URL...]]
 //	                    [-max-inflight 64] [-admission-wait 1s] [-max-body-bytes N]
@@ -21,7 +21,8 @@
 // serve runs the streaming MALGRAPH service — batch ingest, externally
 // POSTed observations/reports, graph queries and incrementally recomputed
 // results over HTTP, alongside the simulated PyPI root registry and its
-// mirrors (warm-restartable via -snapshot; -remote-root/-remote-mirror
+// mirrors (warm-restartable via -snapshot, which checkpoints as a manifest
+// over a content-addressed chunk store; -remote-root/-remote-mirror
 // route artifact recovery for external observations through live registry
 // endpoints instead of the in-process fleet); push is the loader client,
 // POSTing raw observations (from -file, or the simulated world) to a serve
@@ -74,8 +75,8 @@ func run(args []string) error {
 	maxPages := fs.Int("maxpages", 0, "crawl page budget (0 = library default)")
 	batches := fs.Int("batches", 10, "ingest batches the feed is partitioned into (serve/push)")
 	snapshot := fs.String("snapshot", "", "engine snapshot file for warm restarts (serve only)")
-	storeDir := fs.String("store", "", "content-addressed chunk store directory: checkpoints become a small manifest at -snapshot plus delta segments here, so checkpoint cost tracks the ingest delta (serve only; requires -snapshot)")
-	snapshotRetain := fs.Int("snapshot-retain", 2, "how many snapshots to keep: the live one plus N-1 archives, pruned after each checkpoint (serve only; needs -store)")
+	storeDir := fs.String("store", "", "content-addressed chunk store directory holding the delta segments the -snapshot manifest references (serve only; requires -snapshot; default <snapshot>.store)")
+	snapshotRetain := fs.Int("snapshot-retain", 2, "how many snapshots to keep: the live one plus N-1 archives, pruned after each checkpoint (serve only)")
 	walDir := fs.String("wal", "", "write-ahead journal directory: accepted ingests are journaled before apply and replayed on restart (serve only)")
 	checkpointBytes := fs.Int64("checkpoint-bytes", 4<<20, "auto-checkpoint once this many journal bytes accumulate (serve only; needs -wal and -snapshot; 0 disables)")
 	from := fs.Int("from", 1, "first batch to push, 1-based — resume an interrupted push from its last acknowledged batch (push only)")
@@ -238,17 +239,19 @@ type serveFlags struct {
 // into ingest batches, with ingest/query/results over HTTP (see serve.go),
 // the external observations/reports inlet, plus the simulated PyPI registry
 // endpoints. With -snapshot, existing engine state warm-restarts the server
-// and POST /api/v1/snapshot checkpoints it again. With -wal, every accepted
+// and POST /api/v1/snapshot checkpoints it again. Every checkpoint is a
+// small v5 manifest at the -snapshot path over content-addressed delta
+// segments in the -store directory (default <snapshot>.store), so a
+// checkpoint writes O(ingest delta) instead of re-serialising the corpus; a
+// v3/v4 file an earlier serve wrote restores as-is and is upgraded in place
+// by the first checkpoint. The last -snapshot-retain manifests are kept
+// (pruned after each checkpoint), a background sweep compacts the store
+// once it accretes enough segments, and GET /api/v1/snapshot streams
+// manifest + segments with per-segment CRCs. With -wal, every accepted
 // ingest is journaled (fsync'd) before the engine applies it, the journal
 // suffix past the snapshot replays on startup, and -checkpoint-bytes bounds
 // how much journal accumulates before an automatic checkpoint+truncate —
-// recovery is always last snapshot + WAL suffix. With -store (PR 10), the
-// snapshot file becomes a small manifest over content-addressed delta
-// segments in the store directory: checkpoints write O(ingest delta)
-// instead of re-serialising the corpus, the last -snapshot-retain
-// manifests are kept (pruned after each checkpoint), a background sweep
-// compacts the store once it accretes enough segments, and GET
-// /api/v1/snapshot streams manifest + segments with per-segment CRCs. With -remote-root /
+// recovery is always last snapshot + WAL suffix. With -remote-root /
 // -remote-mirror, artifact recovery for externally POSTed observations goes
 // through a registry.RemoteFleet against those live base URLs instead of
 // the in-process fleet. With -pprof, net/http/pprof is exposed on a side
@@ -265,10 +268,14 @@ type serveFlags struct {
 // (fails while poisoned, draining, or on a broken journal) next to the
 // /healthz liveness probe.
 func cmdServe(cfg malgraph.Config, sf serveFlags) error {
+	if sf.snapshotPath == "" && sf.storeDir != "" {
+		return fmt.Errorf("serve -store requires -snapshot (the store holds chunks; the snapshot file is the manifest that references them)")
+	}
 	var store *castore.Store
-	if sf.storeDir != "" {
-		if sf.snapshotPath == "" {
-			return fmt.Errorf("serve -store requires -snapshot (the store holds chunks; the snapshot file is the manifest that references them)")
+	var finishRestart func(*malgraph.Pipeline) (bool, error)
+	if sf.snapshotPath != "" {
+		if sf.storeDir == "" {
+			sf.storeDir = defaultStoreDir(sf.snapshotPath)
 		}
 		var err error
 		store, err = castore.Open(sf.storeDir, nil)
@@ -277,11 +284,8 @@ func cmdServe(cfg malgraph.Config, sf serveFlags) error {
 		}
 		fmt.Printf("chunk store at %s: %d blob(s) in %d segment(s)\n",
 			sf.storeDir, store.Len(), store.SegmentCount())
-	}
-	// The restore needs only the snapshot and the store, so it runs while
-	// the world builds.
-	var finishRestart func(*malgraph.Pipeline) (bool, error)
-	if sf.snapshotPath != "" {
+		// The restore needs only the snapshot and the store, so it runs
+		// while the world builds.
 		finishRestart = startWarmRestart(sf.snapshotPath, store)
 	}
 	p, err := malgraph.NewStreamingPipeline(context.Background(), cfg, sf.batches)
@@ -329,10 +333,9 @@ func cmdServe(cfg malgraph.Config, sf serveFlags) error {
 		fmt.Printf("journal at %s: replayed %d record(s) past the snapshot (seq %d)\n",
 			sf.walDir, replayed, p.LastSeq())
 	}
-	srv := newServer(p, sf.snapshotPath)
+	srv := newServer(p, sf.snapshotPath, store)
 	srv.wal = journal
 	srv.checkpointBytes = sf.checkpointBytes
-	srv.store = store
 	if sf.snapshotRetain > 0 {
 		srv.snapshotRetain = sf.snapshotRetain
 	}
@@ -369,12 +372,18 @@ func cmdServe(cfg malgraph.Config, sf serveFlags) error {
 	return lc.Run(ctx, ln)
 }
 
-// startWarmRestart opens the snapshot at path and restores its engine —
-// through store when one is configured — on its own goroutine, so the
-// restore overlaps the world build. The returned finish waits for it and
-// adopts the engine into p; on a cold start (no snapshot yet) it attaches
-// store instead, so the first checkpoint writes into it. finish reports
-// whether the start was warm.
+// defaultStoreDir is the chunk store serve uses for snapshotPath when
+// -store is not given. Its name never parses as a snapshot archive
+// generation, so retention leaves it alone.
+func defaultStoreDir(snapshotPath string) string { return snapshotPath + ".store" }
+
+// startWarmRestart opens the snapshot at path and restores its engine
+// through store on its own goroutine, so the restore overlaps the world
+// build. The returned finish waits for it and adopts the engine into p; on
+// a cold start (no snapshot yet) it attaches store instead, so the first
+// checkpoint writes into it. finish reports whether the start was warm. A
+// snapshot that exists but does not restore — a manifest whose chunks are
+// not in store among them — is an error, never a cold start.
 func startWarmRestart(path string, store *castore.Store) (finish func(p *malgraph.Pipeline) (warm bool, err error)) {
 	var eng *core.Engine
 	var err error
@@ -389,13 +398,8 @@ func startWarmRestart(path string, store *castore.Store) (finish func(p *malgrap
 			return
 		}
 		defer f.Close()
-		if store != nil {
-			eng, err = core.RestoreEngineWithStore(f, store)
-		} else {
-			eng, err = core.RestoreEngine(f)
-		}
-		if err != nil {
-			err = fmt.Errorf("malgraph: restore: %w", err)
+		if eng, err = core.RestoreEngineWithStore(f, store); err != nil {
+			err = fmt.Errorf("malgraph: restore against store %s: %w", store.Dir(), err)
 		}
 	}()
 	return func(p *malgraph.Pipeline) (bool, error) {
@@ -407,9 +411,7 @@ func startWarmRestart(path string, store *castore.Store) (finish func(p *malgrap
 			p.AdoptEngine(eng)
 			return true, nil
 		}
-		if store != nil {
-			p.AttachStore(store)
-		}
+		p.AttachStore(store)
 		return false, nil
 	}
 }

@@ -58,3 +58,10 @@ func TestDatasetExport(t *testing.T) {
 		t.Fatal("public export leaked artifacts")
 	}
 }
+
+func TestServeStoreRequiresSnapshot(t *testing.T) {
+	err := run([]string{"serve", "-store", filepath.Join(t.TempDir(), "store")})
+	if err == nil || !strings.Contains(err.Error(), "requires -snapshot") {
+		t.Fatalf("serve -store without -snapshot: error = %v", err)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -161,53 +160,6 @@ func TestReportsEndpoint(t *testing.T) {
 	}
 	if got := len(s.p.Reports); got != before+1 {
 		t.Fatalf("report corpus %d, want %d", got, before+1)
-	}
-}
-
-// TestSnapshotGetFailureReturnsErrorStatus verifies the buffered snapshot
-// path: a mid-stream snapshot failure must yield a clean 500 JSON error,
-// never a 200 with a truncated snapshot body.
-func TestSnapshotGetFailureReturnsErrorStatus(t *testing.T) {
-	s, ts := newTestServer(t, 1, "")
-	boom := errors.New("snapshot backend failed")
-	s.snapshot = func(w io.Writer) error {
-		// Write a partial snapshot before failing — the pre-fix handler
-		// would have streamed these bytes under a 200 status.
-		_, _ = io.WriteString(w, `{"version":1,"dataset":`)
-		return boom
-	}
-	resp, err := http.Get(ts.URL + "/api/v1/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", resp.StatusCode)
-	}
-	var out map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("error body is not clean JSON: %v", err)
-	}
-	if !strings.Contains(out["error"], boom.Error()) {
-		t.Fatalf("error body = %v", out)
-	}
-
-	// Healthy path: the complete snapshot restores cleanly.
-	s.snapshot = s.p.SnapshotEngine
-	resp2, err := http.Get(ts.URL + "/api/v1/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK || resp2.ContentLength <= 0 {
-		t.Fatalf("healthy snapshot: status %d, length %d", resp2.StatusCode, resp2.ContentLength)
-	}
-	p2, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.RestoreEngine(resp2.Body); err != nil {
-		t.Fatalf("restore from GET snapshot: %v", err)
 	}
 }
 

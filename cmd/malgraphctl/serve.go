@@ -5,13 +5,12 @@ package main
 // timeline is partitioned into ingest batches, and an HTTP API drives the
 // streaming engine — ingest the next batch, query the graph, read the
 // (incrementally recomputed) Results — alongside the simulated PyPI registry
-// and mirror endpoints the earlier serve mode exposed. A snapshot file gives
-// warm restarts: engine state (graph + embeddings + scan caches) reloads
-// without an O(corpus) rebuild.
+// and mirror endpoints the earlier serve mode exposed. A snapshot manifest
+// over a content-addressed chunk store gives warm restarts: engine state
+// (graph + embeddings + scan caches) reloads without an O(corpus) rebuild.
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -45,11 +44,6 @@ import (
 type server struct {
 	p            *malgraph.Pipeline
 	snapshotPath string
-	// snapshot produces an engine checkpoint for GET /api/v1/snapshot;
-	// indirected so tests can exercise the mid-stream failure path.
-	// Checkpoints to disk go through Pipeline.Checkpoint instead, which
-	// holds the ingest lock across snapshot + journal truncation.
-	snapshot func(io.Writer) error
 	// wal is the attached write-ahead journal (nil without -wal). With a
 	// snapshot path configured, the server auto-checkpoints once
 	// checkpointBytes have been journaled since the last checkpoint, then
@@ -58,8 +52,8 @@ type server struct {
 	checkpointBytes int64
 	checkpointMu    sync.Mutex
 
-	// store is the content-addressed chunk store behind segmented (v5)
-	// checkpoints (nil without -store). With it set, the snapshot file is a
+	// store is the content-addressed chunk store behind the segmented (v5)
+	// checkpoints, set exactly when snapshotPath is: the snapshot file is a
 	// small manifest, checkpoints write only the ingest delta, GET
 	// /api/v1/snapshot streams manifest + segments, and checkpoints retain
 	// the last snapshotRetain manifests (the archives keep their chunks
@@ -101,13 +95,13 @@ type server struct {
 	preApply atomic.Pointer[func()]
 }
 
-func newServer(p *malgraph.Pipeline, snapshotPath string) *server {
-	// GET /api/v1/snapshot serves through the epoch cache: the first GET
-	// per epoch snapshots the engine, later GETs reuse the bytes lock-free.
+// newServer wraps p. store is the chunk store p checkpoints into; it must
+// be non-nil whenever snapshotPath is set.
+func newServer(p *malgraph.Pipeline, snapshotPath string, store *castore.Store) *server {
 	// The default admission gate and body cap mirror production serve
 	// defaults so every test runs with the armor on.
 	return &server{
-		p: p, snapshotPath: snapshotPath, snapshot: p.SnapshotCached,
+		p: p, snapshotPath: snapshotPath, store: store,
 		adm:            admission.New(admission.Config{MaxInflight: 64, MaxWait: time.Second}),
 		maxBodyBytes:   32 << 20,
 		snapshotRetain: 2,
@@ -376,7 +370,7 @@ const compactSegmentThreshold = 8
 // computation could reference a blob the sweep already declared dead
 // (Append dedupes against the index before the sweep unlinks it).
 func (s *server) maybeCompact() {
-	if s.store == nil || s.store.SegmentCount() < compactSegmentThreshold {
+	if s.store.SegmentCount() < compactSegmentThreshold {
 		return
 	}
 	s.compactWG.Add(1)
@@ -842,39 +836,21 @@ func (s *server) handleNode(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSnapshot checkpoints the engine: GET serves the snapshot; POST
-// writes it to the configured -snapshot path for the next warm restart.
+// handleSnapshot checkpoints the engine: GET streams the last checkpoint
+// as a snapshot bundle; POST writes a new one to the configured -snapshot
+// path for the next warm restart. Both need -snapshot.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	if s.snapshotPath == "" {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("no -snapshot path configured"))
+		return
+	}
 	switch r.Method {
 	case http.MethodGet:
-		if s.store != nil {
-			// Segmented mode: stream the last checkpointed manifest plus
-			// the store's segment files. GET must never run the engine's
-			// segmented Snapshot itself — that path mutates (commits chunk
-			// logs, drops the graph journal) and belongs to Checkpoint.
-			s.handleSnapshotBundle(w)
-			return
-		}
-		// Buffer before writing: streaming SnapshotEngine straight into
-		// the response would commit a 200 status on the first byte, and a
-		// mid-stream error would then append a JSON error object to a
-		// half-written snapshot — which RestoreEngine fails on with a
-		// confusing decode error far from the cause. Buffering gives the
-		// client either a complete snapshot or a proper error status.
-		var buf bytes.Buffer
-		if err := s.snapshot(&buf); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-		w.WriteHeader(http.StatusOK)
-		_, _ = buf.WriteTo(w)
+		// GET must never run the engine's segmented Snapshot itself — that
+		// path mutates (commits chunk logs, drops the graph journal) and
+		// belongs to Checkpoint.
+		s.handleSnapshotBundle(w)
 	case http.MethodPost:
-		if s.snapshotPath == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("no -snapshot path configured"))
-			return
-		}
 		// Durable write-then-rename (fsync file + dir), and with a journal
 		// attached the checkpoint also truncates it — an explicit POST is
 		// the same operation as an auto-checkpoint.
@@ -891,14 +867,14 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// The snapshot bundle is the segmented-mode GET /api/v1/snapshot wire
-// format: a JSON header line naming the format, the manifest size and the
-// segment count; the raw manifest bytes; then, per segment, a JSON frame
-// line ({name, size}), the segment's raw bytes streamed straight from
-// disk, and a JSON trailer line carrying the CRC-32 (IEEE) of those bytes.
-// Everything is line-framed (the manifest and every segment file are
-// single JSON lines themselves) and nothing is buffered whole: memory
-// stays O(1) in store size on both ends.
+// The snapshot bundle is the GET /api/v1/snapshot wire format: a JSON
+// header line naming the format, the manifest size and the segment count;
+// the raw manifest bytes; then, per segment, a JSON frame line ({name,
+// size}), the segment's raw bytes streamed straight from disk, and a JSON
+// trailer line carrying the CRC-32 (IEEE) of those bytes. Only the header,
+// frame and trailer lines are line-framed; the manifest and segment bodies
+// are length-prefixed by them. Nothing is buffered whole: memory stays
+// O(1) in store size on both ends.
 const bundleFormat = "malgraph-snapshot-bundle/1"
 
 type bundleHeader struct {
@@ -982,8 +958,18 @@ func (s *server) handleSnapshotBundle(w http.ResponseWriter) {
 // readSnapshotBundle consumes a snapshot bundle stream, verifying every
 // segment's size and CRC, writes the segment files into dir (created if
 // needed — a directory castore.Open accepts as-is) and returns the
-// manifest bytes to hand to RestoreEngineWithStore.
-func readSnapshotBundle(r io.Reader, dir string) ([]byte, error) {
+// manifest bytes to hand to core.RestoreEngineWithStore. On any error it
+// removes every file it wrote, so a refused bundle never leaves unverified
+// bytes behind for a later castore.Open to index.
+func readSnapshotBundle(r io.Reader, dir string) (manifest []byte, err error) {
+	written := make(map[string]bool)
+	defer func() {
+		if err != nil {
+			for name := range written {
+				os.Remove(filepath.Join(dir, name))
+			}
+		}
+	}()
 	br := bufio.NewReader(r)
 	readLine := func(v any) error {
 		line, err := br.ReadBytes('\n')
@@ -999,12 +985,15 @@ func readSnapshotBundle(r io.Reader, dir string) ([]byte, error) {
 	if hdr.Format != bundleFormat {
 		return nil, fmt.Errorf("bundle format %q, want %q", hdr.Format, bundleFormat)
 	}
-	// The header's size is untrusted: read through a bounded reader, so a
+	// The header's sizes are untrusted: read through a bounded reader, so a
 	// size larger than the stream fails at EOF instead of allocating it.
 	if hdr.ManifestSize < 0 {
 		return nil, fmt.Errorf("bundle manifest: negative size %d", hdr.ManifestSize)
 	}
-	manifest, err := io.ReadAll(io.LimitReader(br, int64(hdr.ManifestSize)))
+	if hdr.Segments < 0 {
+		return nil, fmt.Errorf("bundle header: negative segment count %d", hdr.Segments)
+	}
+	manifest, err = io.ReadAll(io.LimitReader(br, int64(hdr.ManifestSize)))
 	if err == nil && len(manifest) != hdr.ManifestSize {
 		err = io.ErrUnexpectedEOF
 	}
@@ -1022,11 +1011,15 @@ func readSnapshotBundle(r io.Reader, dir string) ([]byte, error) {
 		if _, ok := castore.ParseSegmentName(fr.Name); !ok {
 			return nil, fmt.Errorf("bundle frame %d: suspicious segment name %q", i, fr.Name)
 		}
+		if written[fr.Name] {
+			return nil, fmt.Errorf("bundle frame %d: repeated segment name %q", i, fr.Name)
+		}
 		crc := crc32.NewIEEE()
 		f, err := os.Create(filepath.Join(dir, fr.Name))
 		if err != nil {
 			return nil, err
 		}
+		written[fr.Name] = true
 		n, err := io.Copy(io.MultiWriter(f, crc), io.LimitReader(br, fr.Size))
 		if cerr := f.Close(); err == nil {
 			err = cerr

@@ -195,7 +195,7 @@ func TestServeStalledBodyBoundedByReadTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewUnstartedServer(newServer(p, "").handler())
+	ts := httptest.NewUnstartedServer(newServer(p, "", nil).handler())
 	ts.Config.ReadTimeout = 150 * time.Millisecond
 	ts.Start()
 	t.Cleanup(ts.Close)
@@ -234,7 +234,7 @@ func TestServeSIGTERMMidIngestLosesNothing(t *testing.T) {
 	// Generation 1: journaled server on a real listener behind the full
 	// lifecycle, exactly as cmdServe wires it.
 	p1, j1 := recoverPipeline(t, 4, snapshotPath, walDir)
-	s1 := newServer(p1, snapshotPath)
+	s1 := newServer(p1, snapshotPath, p1.Store())
 	s1.wal = j1
 	s1.checkpointBytes = 1 << 30 // only the shutdown checkpoint may run
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

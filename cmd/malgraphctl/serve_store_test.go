@@ -1,16 +1,20 @@
 package main
 
-// Serve-level segmented checkpoints (ISSUE 10): the -store recovery
-// sequence — restore manifest against the content store, replay the journal
-// suffix, attach — must carry state across restarts exactly like the
-// monolithic path; the snapshot bundle GET must round-trip into a fresh
-// store; retention must keep the configured number of manifests; and a kill
-// mid-segment-write or mid-compaction must never lose a checkpoint.
+// Serve-level segmented checkpoints: the recovery sequence — restore the
+// manifest against the content store, replay the journal suffix, attach —
+// must carry state across restarts; a v4 file an earlier serve wrote must
+// upgrade in place; the snapshot bundle GET must round-trip into a fresh
+// store, and its reader must refuse hostile bundles without leaving files
+// behind; retention must keep the configured number of manifests; and a
+// kill mid-segment-write or mid-compaction must never lose a checkpoint.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,37 +23,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"malgraph"
 	"malgraph/internal/castore"
+	"malgraph/internal/core"
 	"malgraph/internal/faultinject"
 	"malgraph/internal/wal"
 )
-
-// recoverStorePipeline performs cmdServe's segmented startup sequence:
-// restore the manifest through the store if published while the world
-// builds, adopt it (or attach the store cold), replay the journal suffix,
-// attach. Caller closes the journal.
-func recoverStorePipeline(t *testing.T, batches int, snapshotPath, walDir string, store *castore.Store) (*malgraph.Pipeline, *wal.Log) {
-	t.Helper()
-	finishRestart := startWarmRestart(snapshotPath, store)
-	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := finishRestart(p); err != nil {
-		t.Fatalf("restore %s: %v", snapshotPath, err)
-	}
-	j, err := wal.Open(walDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.ReplayJournal(j); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	p.AttachJournal(j)
-	return p, j
-}
 
 // TestServeStoreRecoveryAcrossRestarts is the segmented mirror of
 // TestServeWALRecoveryAcrossRestarts: generation 1 crashes with journal
@@ -64,16 +45,10 @@ func TestServeStoreRecoveryAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
 	snapshotPath := filepath.Join(dir, "state.json")
 	walDir := filepath.Join(dir, "wal")
-	storeDir := filepath.Join(dir, "store")
 
 	// Generation 1: store attached cold, journaled, no checkpoint taken.
-	store1, err := castore.Open(storeDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s1, ts1 := newTestServer(t, 4, snapshotPath)
-	s1.p.AttachStore(store1)
-	s1.store = store1
+	store1 := s1.store
 	j1, err := wal.Open(walDir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -95,19 +70,15 @@ func TestServeStoreRecoveryAcrossRestarts(t *testing.T) {
 
 	// Generation 2: journal-only recovery, then an auto-checkpoint writes
 	// the first (full re-base) manifest into the store.
-	store2, err := castore.Open(storeDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, j2 := recoverStorePipeline(t, 4, snapshotPath, walDir, store2)
+	p2, j2 := recoverPipeline(t, 4, snapshotPath, walDir)
+	store2 := p2.Store()
 	if p2.LastSeq() != 2 {
 		t.Fatalf("recovered seq %d, want 2", p2.LastSeq())
 	}
 	if got := p2.Stats(); !reflect.DeepEqual(got, stats1) {
 		t.Fatalf("recovered stats %+v\nwant %+v", got, stats1)
 	}
-	s2 := newServer(p2, snapshotPath)
-	s2.store = store2
+	s2 := newServer(p2, snapshotPath, store2)
 	s2.wal = j2
 	s2.checkpointBytes = 1 // checkpoint after every journaled byte
 	ts2 := httptest.NewServer(s2.handler())
@@ -150,11 +121,7 @@ func TestServeStoreRecoveryAcrossRestarts(t *testing.T) {
 	// Generation 3: manifest + store only (journal empty). The feed is
 	// drained already (4 batches, all ingested); state must match an
 	// uninterrupted drain.
-	store3, err := castore.Open(storeDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3, j3 := recoverStorePipeline(t, 4, snapshotPath, walDir, store3)
+	p3, j3 := recoverPipeline(t, 4, snapshotPath, walDir)
 	defer j3.Close()
 	if p3.LastSeq() != 4 {
 		t.Fatalf("manifest-only recovery seq %d, want 4", p3.LastSeq())
@@ -179,6 +146,113 @@ func TestServeStoreRecoveryAcrossRestarts(t *testing.T) {
 	}
 }
 
+// TestServeUpgradesV4SnapshotInPlace: a monolithic v4 file, as serve wrote
+// it before every checkpoint went through a store, warm-starts through the
+// default <snapshot>.store; the first checkpoint rewrites the file as a v5
+// manifest over that store, and the next restart restores to the same
+// state as the live pipeline.
+func TestServeUpgradesV4SnapshotInPlace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline build")
+	}
+	snapshotPath := filepath.Join(t.TempDir(), "state.json")
+	p1 := newTestPipeline(t, 4)
+	for i := 0; i < 2; i++ {
+		if _, _, err := p1.AppendNext(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var v4 bytes.Buffer
+	if err := p1.SnapshotEngine(&v4); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(v4.Bytes(), []byte(`"version":4`)) {
+		t.Fatalf("store-less SnapshotEngine wrote a non-v4 snapshot: %.80s", v4.Bytes())
+	}
+	if err := os.WriteFile(snapshotPath, v4.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store := openStore(t, defaultStoreDir(snapshotPath), nil)
+	finishRestart := startWarmRestart(snapshotPath, store)
+	p2 := newTestPipeline(t, 4)
+	if warm, err := finishRestart(p2); err != nil || !warm {
+		t.Fatalf("restart from the v4 file: warm=%v err=%v", warm, err)
+	}
+	if got, want := p2.Stats(), p1.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("v4 warm start stats %+v\nwant %+v", got, want)
+	}
+
+	s2, ts2 := startTestServer(t, newServer(p2, snapshotPath, store))
+	postJSON(t, ts2.URL+"/api/v1/ingest", http.StatusOK)
+	postJSON(t, ts2.URL+"/api/v1/snapshot", http.StatusOK)
+	manifest, err := os.ReadFile(snapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(manifest, []byte(`"version":5`)) {
+		t.Fatalf("first checkpoint after the upgrade wrote a non-v5 snapshot: %.80s", manifest)
+	}
+	if store.Len() == 0 {
+		t.Fatal("upgrade checkpoint wrote no blobs to the default store")
+	}
+	// The v4 file is archived as generation 1; the store directory next to
+	// it (state.json.store) is no archive generation.
+	if gens, err := s2.archiveGens(); err != nil || !reflect.DeepEqual(gens, []int{1}) {
+		t.Fatalf("archive generations = %v (err %v), want [1]", gens, err)
+	}
+
+	p3 := warmRestart(t, 4, snapshotPath)
+	if !bytes.Equal(v4Oracle(t, p3), v4Oracle(t, p2)) {
+		t.Fatal("restart from the upgraded manifest differs from the live pipeline's v4 snapshot bytes")
+	}
+}
+
+// v4Oracle renders p's engine as monolithic v4 snapshot bytes, the
+// equivalence oracle. It detaches p's store (a store-less engine snapshots
+// as v4), so call it only once p is done checkpointing.
+func v4Oracle(t *testing.T, p *malgraph.Pipeline) []byte {
+	t.Helper()
+	p.AttachStore(nil)
+	var buf bytes.Buffer
+	if err := p.SnapshotEngine(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestServeRestartRefusesManifestWithoutItsChunks: a v5 manifest written
+// with -store A, restarted with the default store instead, must fail with
+// an error naming the store it looked in — never cold-start over it.
+func TestServeRestartRefusesManifestWithoutItsChunks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline build")
+	}
+	dir := t.TempDir()
+	snapshotPath := filepath.Join(dir, "state.json")
+	p := newTestPipeline(t, 2)
+	p.AttachStore(openStore(t, filepath.Join(dir, "a"), nil))
+	if _, _, err := p.AppendNext(); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(snapshotPath, p.SnapshotEngine); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"serve", "-scale", "0.02", "-batches", "2", "-snapshot", snapshotPath, "-addr", "127.0.0.1:0"})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), defaultStoreDir(snapshotPath)) {
+			t.Fatalf("serve error = %v, want one naming %s", err, defaultStoreDir(snapshotPath))
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("serve started instead of refusing a manifest whose chunks are missing")
+	}
+}
+
 // TestServeSnapshotRetention drives checkpoints past the retention budget
 // and checks the archive window slides: the newest retain-1 archives stay,
 // older ones are pruned.
@@ -188,20 +262,15 @@ func TestServeSnapshotRetention(t *testing.T) {
 	}
 	dir := t.TempDir()
 	snapshotPath := filepath.Join(dir, "state.json")
-	store, err := castore.Open(filepath.Join(dir, "store"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, ts := newTestServer(t, 4, snapshotPath)
-	s.p.AttachStore(store)
-	s.store = store
 	s.snapshotRetain = 2
 	for i := 0; i < 4; i++ {
 		postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
 		postJSON(t, ts.URL+"/api/v1/snapshot", http.StatusOK)
 	}
 	// 4 checkpoints with retain=2: live manifest + exactly the newest
-	// archive (generation 3) survive.
+	// archive (generation 3) survive. The default store directory
+	// (state.json.store) sits next to them and is no archive generation.
 	gens, err := s.archiveGens()
 	if err != nil {
 		t.Fatal(err)
@@ -218,11 +287,7 @@ func TestServeSnapshotRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.RestoreEngineWithStore(f, store); err != nil {
+	if _, err := core.RestoreEngineWithStore(f, s.store); err != nil {
 		t.Fatalf("archived manifest does not restore: %v", err)
 	}
 }
@@ -236,13 +301,7 @@ func TestServeSnapshotBundleRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 	snapshotPath := filepath.Join(dir, "state.json")
-	store, err := castore.Open(filepath.Join(dir, "store"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, ts := newTestServer(t, 4, snapshotPath)
-	s.p.AttachStore(store)
-	s.store = store
 	// Two checkpointed ingests so the bundle carries a multi-segment store;
 	// the GET runs with no explicit checkpoint after the last ingest — it
 	// must serve the last published manifest, not a fresh mutation.
@@ -272,16 +331,15 @@ func TestServeSnapshotBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cloneStore.Len() != store.Len() {
-		t.Fatalf("cloned store has %d blobs, server store %d", cloneStore.Len(), store.Len())
+	if cloneStore.Len() != s.store.Len() {
+		t.Fatalf("cloned store has %d blobs, server store %d", cloneStore.Len(), s.store.Len())
 	}
-	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, 4)
+	eng, err := core.RestoreEngineWithStore(bytes.NewReader(manifest), cloneStore)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.RestoreEngineWithStore(bytes.NewReader(manifest), cloneStore); err != nil {
 		t.Fatalf("restore from bundle: %v", err)
 	}
+	p := newTestPipeline(t, 4)
+	p.AdoptEngine(eng)
 	if got := p.Stats(); !reflect.DeepEqual(got, wantStats) {
 		t.Fatalf("bundle-restored stats %+v\nwant %+v", got, wantStats)
 	}
@@ -312,15 +370,8 @@ func TestServeCheckpointCrashMidSegmentWrite(t *testing.T) {
 	dir := t.TempDir()
 	snapshotPath := filepath.Join(dir, "state.json")
 	walDir := filepath.Join(dir, "wal")
-	storeDir := filepath.Join(dir, "store")
 	fi := faultinject.NewFS(nil) // store-only faults; the journal uses the real fs
-	store, err := castore.Open(storeDir, fi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, 4, snapshotPath)
-	s.p.AttachStore(store)
-	s.store = store
+	s, ts := newStoreTestServer(t, 4, snapshotPath, openStore(t, defaultStoreDir(snapshotPath), fi))
 	j, err := wal.Open(walDir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -358,11 +409,7 @@ func TestServeCheckpointCrashMidSegmentWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := castore.Open(storeDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, j2 := recoverStorePipeline(t, 4, snapshotPath, walDir, store2)
+	p2, j2 := recoverPipeline(t, 4, snapshotPath, walDir)
 	defer j2.Close()
 	if got := p2.Stats(); !reflect.DeepEqual(got, stats) {
 		t.Fatalf("recovered stats %+v\nwant %+v", got, stats)
@@ -379,15 +426,10 @@ func TestServeCompactionCrashKeepsManifestsRestorable(t *testing.T) {
 	}
 	dir := t.TempDir()
 	snapshotPath := filepath.Join(dir, "state.json")
-	storeDir := filepath.Join(dir, "store")
+	storeDir := defaultStoreDir(snapshotPath)
 	fi := faultinject.NewFS(nil)
-	store, err := castore.Open(storeDir, fi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, 4, snapshotPath)
-	s.p.AttachStore(store)
-	s.store = store
+	store := openStore(t, storeDir, fi)
+	s, ts := newStoreTestServer(t, 4, snapshotPath, store)
 
 	// Build up a multi-segment store: checkpoint after every ingest.
 	for i := 0; i < 4; i++ {
@@ -408,17 +450,14 @@ func TestServeCompactionCrashKeepsManifestsRestorable(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, 4)
-		if err != nil {
-			return err
-		}
-		return p.RestoreEngineWithStore(f, reopened)
+		_, err = core.RestoreEngineWithStore(f, reopened)
+		return err
 	}
 
 	// The sweep dies at the merged segment's fsync — all old segments stay.
 	fi.FailSync(1)
 	s.checkpointMu.Lock()
-	err = s.compactStore()
+	err := s.compactStore()
 	s.checkpointMu.Unlock()
 	if err == nil {
 		t.Fatal("compaction succeeded despite injected failure")
@@ -446,27 +485,43 @@ func TestServeCompactionCrashKeepsManifestsRestorable(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotBundleRejectsLyingHeader: the bundle header and frames
-// are untrusted input. A negative manifest size, or one larger than the
-// stream, must fail with an error — never panic or allocate the claimed
-// size — and a frame naming anything but a canonical segment file must be
-// refused before a byte is written.
-func TestReadSnapshotBundleRejectsLyingHeader(t *testing.T) {
+// hostileBundles are bundle streams readSnapshotBundle must refuse, each
+// with a fragment of the error it must give.
+func hostileBundles() []struct{ name, stream, want string } {
 	manifest := `{"version":5}` + "\n"
-	header := func(size int) string {
-		return fmt.Sprintf(`{"format":%q,"manifestSize":%d,"segments":1}`+"\n", bundleFormat, size)
+	header := func(size, segments int) string {
+		return fmt.Sprintf(`{"format":%q,"manifestSize":%d,"segments":%d}`+"\n", bundleFormat, size, segments)
 	}
-	frame := func(name string) string {
-		return fmt.Sprintf(`{"name":%q,"size":2}`+"\n{}"+`{"crc32":"00000000"}`+"\n", name)
+	segment := func(name, body, crc string) string {
+		return fmt.Sprintf(`{"name":%q,"size":%d}`+"\n%s"+`{"crc32":%q}`+"\n", name, len(body), body, crc)
 	}
-	cases := []struct{ name, stream, want string }{
-		{"negative-size", header(-1) + manifest, "negative size"},
-		{"oversized", header(1<<40) + manifest, "unexpected EOF"},
-		{"stray-copy-name", header(len(manifest)) + manifest + frame("seg-00000001.json.bak"), "suspicious segment name"},
-		{"short-name", header(len(manifest)) + manifest + frame("seg-1.json"), "suspicious segment name"},
-		{"path-traversal", header(len(manifest)) + manifest + frame("../seg-00000001.json"), "suspicious segment name"},
+	good := func(name string) string {
+		return segment(name, "{}", fmt.Sprintf("%08x", crc32.ChecksumIEEE([]byte("{}"))))
 	}
-	for _, tc := range cases {
+	lead := header(len(manifest), 1) + manifest
+	return []struct{ name, stream, want string }{
+		{"negative-size", header(-1, 1) + manifest, "negative size"},
+		{"negative-segments", header(len(manifest), -1) + manifest, "negative segment count"},
+		{"oversized", header(1<<40, 1) + manifest, "unexpected EOF"},
+		{"stray-copy-name", lead + good("seg-00000001.json.bak"), "suspicious segment name"},
+		{"short-name", lead + good("seg-1.json"), "suspicious segment name"},
+		{"path-traversal", lead + good("../seg-00000001.json"), "suspicious segment name"},
+		{"repeated-name", header(len(manifest), 2) + manifest + good("seg-00000001.json") + good("seg-00000001.json"), "repeated segment name"},
+		{"crc-mismatch", lead + segment("seg-00000001.json", "{}", "00000000"), "crc"},
+		{"truncated-body", lead + `{"name":"seg-00000001.json","size":10}` + "\n{}", "truncated at 2 of 10 bytes"},
+		{"second-segment-truncated", header(len(manifest), 2) + manifest + good("seg-00000001.json") + `{"name":"seg-00000002.json","size":10}` + "\n{}", "truncated"},
+	}
+}
+
+// TestReadSnapshotBundleRejectsLyingHeader: the bundle header and frames
+// are untrusted input. A negative manifest size or segment count, or a
+// size larger than the stream, must fail with an error — never panic or
+// allocate the claimed size. A frame naming anything but a canonical
+// segment file, or a segment this bundle already wrote, must be refused,
+// and so must a body that is short or fails its CRC. A refused bundle
+// leaves no file behind, not even the verified segments before the bad one.
+func TestReadSnapshotBundleRejectsLyingHeader(t *testing.T) {
+	for _, tc := range hostileBundles() {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "clone")
 			_, err := readSnapshotBundle(strings.NewReader(tc.stream), dir)
@@ -478,4 +533,76 @@ func TestReadSnapshotBundleRejectsLyingHeader(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadSnapshotBundle feeds arbitrary bytes to the bundle reader. It
+// must never panic; a refused bundle leaves the directory empty; an
+// accepted one leaves exactly the header's count of canonically named
+// segment files, each the size its frame declared. Seeds (the hostile
+// table plus a real two-segment bundle) live in testdata/fuzz.
+func FuzzReadSnapshotBundle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		_, err := readSnapshotBundle(bytes.NewReader(data), dir)
+		files, rerr := os.ReadDir(dir)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if len(files) != 0 {
+				t.Fatalf("refused bundle (%v) left %d file(s) behind", err, len(files))
+			}
+			return
+		}
+		segments, sizes := bundleFrameSizes(t, data)
+		if len(files) != segments {
+			t.Fatalf("accepted bundle wrote %d file(s), header declares %d segment(s)", len(files), segments)
+		}
+		for _, de := range files {
+			if _, ok := castore.ParseSegmentName(de.Name()); !ok {
+				t.Fatalf("accepted bundle wrote non-segment file %q", de.Name())
+			}
+			info, err := de.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, ok := sizes[de.Name()]; !ok || info.Size() != want {
+				t.Fatalf("segment %s holds %d bytes, its frame declared %d (framed: %v)", de.Name(), info.Size(), want, ok)
+			}
+		}
+	})
+}
+
+// bundleFrameSizes walks the framing of a bundle readSnapshotBundle
+// accepted: the header's segment count and each frame's declared size by
+// segment name.
+func bundleFrameSizes(t *testing.T, data []byte) (int, map[string]int64) {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(data))
+	readLine := func(v any) {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("accepted bundle: %v", err)
+		}
+		if err := json.Unmarshal(line, v); err != nil {
+			t.Fatalf("accepted bundle: %v", err)
+		}
+	}
+	skip := func(n int64) {
+		if _, err := br.Discard(int(n)); err != nil {
+			t.Fatalf("accepted bundle: %v", err)
+		}
+	}
+	var hdr bundleHeader
+	readLine(&hdr)
+	skip(int64(hdr.ManifestSize))
+	sizes := make(map[string]int64, hdr.Segments)
+	for i := 0; i < hdr.Segments; i++ {
+		var fr bundleFrame
+		readLine(&fr)
+		skip(fr.Size)
+		readLine(&bundleTrailer{})
+		sizes[fr.Name] = fr.Size
+	}
+	return hdr.Segments, sizes
 }

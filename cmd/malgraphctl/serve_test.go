@@ -11,18 +11,53 @@ import (
 	"testing"
 
 	"malgraph"
+	"malgraph/internal/castore"
+	"malgraph/internal/wal"
 )
 
+// newTestServer serves a fresh 0.02-scale streaming pipeline. With a
+// snapshotPath it checkpoints into a chunk store at the default
+// <snapshot>.store, as cmdServe does.
 func newTestServer(t *testing.T, batches int, snapshotPath string) (*server, *httptest.Server) {
+	t.Helper()
+	if snapshotPath != "" {
+		return newStoreTestServer(t, batches, snapshotPath, openStore(t, defaultStoreDir(snapshotPath), nil))
+	}
+	return startTestServer(t, newServer(newTestPipeline(t, batches), "", nil))
+}
+
+// newStoreTestServer serves a fresh streaming pipeline that checkpoints to
+// snapshotPath through store.
+func newStoreTestServer(t *testing.T, batches int, snapshotPath string, store *castore.Store) (*server, *httptest.Server) {
+	t.Helper()
+	p := newTestPipeline(t, batches)
+	p.AttachStore(store)
+	return startTestServer(t, newServer(p, snapshotPath, store))
+}
+
+func newTestPipeline(t *testing.T, batches int) *malgraph.Pipeline {
 	t.Helper()
 	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(p, snapshotPath)
+	return p
+}
+
+func startTestServer(t *testing.T, s *server) (*server, *httptest.Server) {
+	t.Helper()
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+func openStore(t *testing.T, dir string, fs wal.FS) *castore.Store {
+	t.Helper()
+	st, err := castore.Open(dir, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
@@ -105,6 +140,9 @@ func TestServeIngestQueryResults(t *testing.T) {
 	postJSON(t, ts.URL+"/api/v1/ingest?n=1", http.StatusConflict)
 	// GET is not allowed.
 	getJSON(t, ts.URL+"/api/v1/ingest", http.StatusMethodNotAllowed)
+	// Without -snapshot there is no checkpoint to read or write.
+	getJSON(t, ts.URL+"/api/v1/snapshot", http.StatusBadRequest)
+	postJSON(t, ts.URL+"/api/v1/snapshot", http.StatusBadRequest)
 
 	// Stats now show the full corpus; results render all tables.
 	stats = getJSON(t, ts.URL+"/api/v1/stats", http.StatusOK)
@@ -139,6 +177,19 @@ func TestServeIngestQueryResults(t *testing.T) {
 	}
 }
 
+// warmRestart performs cmdServe's startup restore: the snapshot at
+// snapshotPath restores through the default store while the world builds,
+// then the pipeline adopts it (or attaches the store cold).
+func warmRestart(t *testing.T, batches int, snapshotPath string) *malgraph.Pipeline {
+	t.Helper()
+	finishRestart := startWarmRestart(snapshotPath, openStore(t, defaultStoreDir(snapshotPath), nil))
+	p := newTestPipeline(t, batches)
+	if _, err := finishRestart(p); err != nil {
+		t.Fatalf("restore %s: %v", snapshotPath, err)
+	}
+	return p
+}
+
 // firstCanonicalNode returns a node ID guaranteed to exist in any 0.02-scale
 // world (the world is a pure function of seed+scale, so a separate pipeline
 // sees the same corpus the server ingested).
@@ -171,18 +222,7 @@ func TestServeSnapshotWarmRestart(t *testing.T) {
 	wantEdges := s.p.Graph.G.EdgeCount()
 
 	// Warm restart: fresh pipeline, restore, drain the remaining feed.
-	p2, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.RestoreEngine(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	p2 := warmRestart(t, 2, snapPath)
 	if p2.Graph.G.NodeCount() != wantNodes || p2.Graph.G.EdgeCount() != wantEdges {
 		t.Fatalf("restored graph %d/%d nodes/edges, want %d/%d",
 			p2.Graph.G.NodeCount(), p2.Graph.G.EdgeCount(), wantNodes, wantEdges)

@@ -21,19 +21,13 @@ import (
 	"malgraph/internal/wal"
 )
 
-// recoverPipeline performs cmdServe's startup sequence: snapshot restore if
-// the file exists (overlapping the world build), journal replay, attach.
-// Returns the pipeline and its journal (caller closes).
+// recoverPipeline performs cmdServe's startup sequence: snapshot restore
+// through the default store if the file exists (overlapping the world
+// build), journal replay, attach. Returns the pipeline and its journal
+// (caller closes).
 func recoverPipeline(t *testing.T, batches int, snapshotPath, walDir string) (*malgraph.Pipeline, *wal.Log) {
 	t.Helper()
-	finishRestart := startWarmRestart(snapshotPath, nil)
-	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := finishRestart(p); err != nil {
-		t.Fatalf("restore %s: %v", snapshotPath, err)
-	}
+	p := warmRestart(t, batches, snapshotPath)
 	j, err := wal.Open(walDir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +82,7 @@ func TestServeWALRecoveryAcrossRestarts(t *testing.T) {
 	if got := p2.Stats(); !reflect.DeepEqual(got, stats1) {
 		t.Fatalf("recovered stats %+v\nwant %+v", got, stats1)
 	}
-	s2 := newServer(p2, snapshotPath)
+	s2 := newServer(p2, snapshotPath, p2.Store())
 	s2.wal = j2
 	s2.checkpointBytes = 1 // checkpoint after every journaled byte
 	ts2 := httptest.NewServer(s2.handler())

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"malgraph/internal/collect"
+	"malgraph/internal/core"
 	"malgraph/internal/reports"
 	"malgraph/internal/wal"
 	"malgraph/internal/xrand"
@@ -35,6 +36,17 @@ func journalBytes(t *testing.T, dir string) []byte {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// adoptSnapshot restores a v3/v4 snapshot and adopts the engine into p,
+// the way a warm restart does.
+func adoptSnapshot(t *testing.T, p *Pipeline, r io.Reader) {
+	t.Helper()
+	eng, err := core.RestoreEngine(r)
+	if err != nil {
+		t.Fatalf("restore snapshot: %v", err)
+	}
+	p.AdoptEngine(eng)
 }
 
 // decoupledObservations round-trips observations through JSON — the same
@@ -171,9 +183,7 @@ func TestCrashRecoveryMatrixMatchesUninterrupted(t *testing.T) {
 			}
 		}
 		if snapSeq > 0 {
-			if err := p.RestoreEngine(bytes.NewReader(snaps[snapSeq])); err != nil {
-				t.Fatalf("restore snapshot@%d: %v", snapSeq, err)
-			}
+			adoptSnapshot(t, p, bytes.NewReader(snaps[snapSeq]))
 			if p.LastSeq() != snapSeq {
 				t.Fatalf("restored seq %d, want %d", p.LastSeq(), snapSeq)
 			}
@@ -404,9 +414,7 @@ func TestCheckpointConcurrentWithIngestLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap, err := os.ReadFile(snapPath); err == nil {
-		if err := p2.RestoreEngine(bytes.NewReader(snap)); err != nil {
-			t.Fatalf("restore checkpoint: %v", err)
-		}
+		adoptSnapshot(t, p2, bytes.NewReader(snap))
 	} else if !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
@@ -483,9 +491,7 @@ func TestSnapshotStampExcludesJournaledButUnappliedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.RestoreEngine(&snap); err != nil {
-		t.Fatal(err)
-	}
+	adoptSnapshot(t, p2, &snap)
 	j2, err := wal.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -24,10 +24,10 @@ package malgraph
 //
 // Sequence gating makes replay exactly-once on top of at-least-once
 // delivery: a snapshot carries the last applied sequence (engine
-// AppliedSeq, snapshot v4), and records at or below it are skipped. This
-// also makes journal truncation after a checkpoint safe without any
-// atomicity between the two files — a stale record that survives a lost
-// truncate replays as a no-op.
+// AppliedSeq, stamped since snapshot v4), and records at or below it are
+// skipped. This also makes journal truncation after a checkpoint safe
+// without any atomicity between the two files — a stale record that
+// survives a lost truncate replays as a no-op.
 
 import (
 	"encoding/json"
@@ -179,9 +179,11 @@ func (p *Pipeline) journalLocked(kind string, v any) (uint64, error) {
 // under the pipeline lock: no concurrent ingest can journal a record
 // between the snapshot's AppliedSeq stamp and the truncation, so the
 // truncate never destroys an acknowledged record the snapshot does not
-// contain. persist receives the engine snapshot writer and is responsible
-// for making the bytes durable (serve wraps it in an fsync'd atomic file
-// replace); the journal is truncated only after persist returns success.
+// contain. persist receives the engine snapshot writer — a v5 manifest
+// over the attached store, or a monolithic v4 snapshot when none is
+// attached — and is responsible for making the bytes durable (serve wraps
+// it in an fsync'd atomic file replace); the journal is truncated only
+// after persist returns success.
 // Returns the sequence the snapshot was stamped with.
 func (p *Pipeline) Checkpoint(persist func(snapshot func(io.Writer) error) error) (uint64, error) {
 	p.mu.Lock()

@@ -4,10 +4,10 @@ package malgraph
 // ingest, restore, journal replay) ends by publishing an immutable Epoch —
 // a consistent batch-boundary view of the corpus (graph clone, dataset
 // view, precomputed shape stats, durable sequence) — through an
-// atomic.Pointer. Readers (Analyze, Stats, Node, the serve query handlers,
-// snapshot serving) load the current epoch lock-free: the query path never
-// touches the ingest mutex, so reads do not stall behind a slow batch and
-// a long analysis never stalls the loader.
+// atomic.Pointer. Readers (Analyze, Stats, Node, the serve query handlers)
+// load the current epoch lock-free: the query path never touches the
+// ingest mutex, so reads do not stall behind a slow batch and a long
+// analysis never stalls the loader.
 //
 // Results stay incremental across epochs the way they were incremental
 // under the old single-lock cache: each epoch carries the last *computed*
@@ -18,10 +18,8 @@ package malgraph
 // 304 Not-Modified without re-serializing anything.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -75,15 +73,6 @@ type Epoch struct {
 	// clean-epoch chain (same resultsID ⇒ same *jsonCache), so unchanged
 	// results are marshaled at most once however many epochs reuse them.
 	json *jsonCache
-
-	// Snapshot serving: the first GET in an epoch pays one engine snapshot
-	// (under the ingest lock, at whatever batch boundary the engine has
-	// reached by then); later GETs in the same epoch serve the bytes
-	// lock-free.
-	p         *Pipeline
-	snapOnce  sync.Once
-	snapBytes []byte
-	snapErr   error
 }
 
 type jsonCache struct {
@@ -170,28 +159,6 @@ func (p *Pipeline) CurrentEpoch() *Epoch {
 	return p.epoch.Load()
 }
 
-// SnapshotCached writes an engine checkpoint, serving the current epoch's
-// cached bytes when it has them: the first request per epoch snapshots the
-// engine (under the ingest lock), every later request in the same epoch is
-// lock-free. The bytes are always a complete batch-boundary checkpoint at
-// least as new as the epoch.
-func (p *Pipeline) SnapshotCached(w io.Writer) error {
-	ep := p.CurrentEpoch()
-	ep.snapOnce.Do(func() {
-		var buf bytes.Buffer
-		if err := p.SnapshotEngine(&buf); err != nil {
-			ep.snapErr = err
-			return
-		}
-		ep.snapBytes = buf.Bytes()
-	})
-	if ep.snapErr != nil {
-		return ep.snapErr
-	}
-	_, err := w.Write(ep.snapBytes)
-	return err
-}
-
 // publishLocked cuts a new epoch from the pipeline's current state and
 // stores it. Callers hold p.mu. Each public mutator publishes exactly once
 // on exit — a multi-batch drain clones the graph once, not per batch.
@@ -206,7 +173,6 @@ func (p *Pipeline) publishLocked() {
 		cfg:     p.Config,
 		world:   p.World,
 		crawl:   p.Crawl,
-		p:       p,
 	}
 	ep.stats = shapeStats(ep.graph, ep.pending)
 	dirt := p.dirty

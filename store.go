@@ -1,10 +1,12 @@
 package malgraph
 
 // Segmented checkpoints: with a content-addressed store attached, the
-// pipeline's engine checkpoints as a small manifest (written wherever the
-// snapshot used to go — same atomic-rename and WAL-truncation contracts)
-// plus delta chunks in the store, so checkpoint cost tracks the ingest
-// delta instead of the corpus. See internal/castore and core snapshot v5.
+// pipeline's engine checkpoints as a small manifest (same atomic-rename and
+// WAL-truncation contracts as any Checkpoint) plus delta chunks in the
+// store, so checkpoint cost tracks the ingest delta instead of the corpus.
+// Serve always attaches one; a library pipeline without a store still
+// checkpoints as a monolithic v4 snapshot. See internal/castore and core
+// snapshot v5.
 
 import (
 	"fmt"
@@ -40,27 +42,15 @@ func (p *Pipeline) LiveRefs() map[string]bool {
 	return p.Engine.LiveRefs()
 }
 
-// RestoreEngineWithStore is RestoreEngine for store-backed checkpoints: a
-// v5 manifest resolves its chunk references against st, and a monolithic
-// v3/v4 snapshot restores as before and then has the store attached (the
-// upgrade path — its first checkpoint re-bases everything into the store).
-// Either way the pipeline keeps checkpointing segmentedly afterwards.
+// RestoreEngineWithStore restores a snapshot stream through st
+// (core.RestoreEngineWithStore) and adopts the engine with AdoptEngine.
+// servebench's layer replay, a separate module, times this call; code in
+// this module restores with core and adopts directly.
 func (p *Pipeline) RestoreEngineWithStore(r io.Reader, st *castore.Store) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	eng, err := core.RestoreEngineWithStore(r, st)
 	if err != nil {
 		return fmt.Errorf("malgraph: restore: %w", err)
 	}
-	p.adoptEngineLocked(eng)
+	p.AdoptEngine(eng)
 	return nil
-}
-
-// AdoptEngine swaps in an engine restored outside the pipeline — serve
-// restores its snapshot while the world builds — and republishes exactly
-// as RestoreEngine does after its own restore.
-func (p *Pipeline) AdoptEngine(eng *core.Engine) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.adoptEngineLocked(eng)
 }
