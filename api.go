@@ -387,10 +387,11 @@ func (p *Pipeline) Node(id string) (graph.Node, map[string][]string, bool) {
 	return p.CurrentEpoch().Node(id)
 }
 
-// SnapshotEngine checkpoints the engine (graph, dataset, caches) to w. The
-// snapshot is stamped with the last journaled ingest sequence the engine
-// reflects, so WAL recovery replays only the suffix the checkpoint does not
-// already contain.
+// SnapshotEngine checkpoints the engine (graph, dataset, caches) as a v5
+// manifest to w over the attached store, without truncating the journal.
+// The snapshot is stamped with the last journaled ingest sequence the
+// engine reflects, so WAL recovery replays only the suffix the checkpoint
+// does not already contain.
 func (p *Pipeline) SnapshotEngine(w io.Writer) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -403,10 +404,9 @@ func (p *Pipeline) snapshotEngineLocked(w io.Writer) error {
 	return p.Engine.Snapshot(w)
 }
 
-// AdoptEngine swaps in an engine restored outside the pipeline —
-// core.RestoreEngine for a v3/v4 snapshot, core.RestoreEngineWithStore for
-// a v5 manifest (or a v3/v4 snapshot being upgraded into a store) — and
-// republishes it: embeddings, cluster state and scan caches come back with
+// AdoptEngine swaps in an engine restored outside the pipeline by
+// core.RestoreEngineWithStore (a v5 manifest, or a v3/v4 snapshot being
+// upgraded into a store) and republishes it: embeddings, cluster state and scan caches come back with
 // the graph, so serving resumes without an O(corpus) rebuild. The journal
 // sequence restores from the snapshot's AppliedSeq stamp, and the feed
 // cursor from its FeedPos stamp (pre-v4 snapshots carry none and restart it

@@ -70,6 +70,8 @@ func BenchmarkServe_ReadsDuringIngest(b *testing.B) {
 			b.Fatalf("warm append %d: ok=%v err=%v", i, ok, err)
 		}
 	}
+	store := openStore(b, b.TempDir())
+	p.AttachStore(store)
 	var snap bytes.Buffer
 	if err := p.SnapshotEngine(&snap); err != nil {
 		b.Fatal(err)
@@ -95,10 +97,10 @@ func BenchmarkServe_ReadsDuringIngest(b *testing.B) {
 					b.Error(err)
 					return
 				} else if !ok {
-					// Feed drained: restore the warm checkpoint (full
-					// snapshot decode, then the engine swap and publish
+					// Feed drained: restore the warm checkpoint (manifest
+					// and chunk decode, then the engine swap and publish
 					// under p.mu) and re-drain.
-					eng, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()))
+					eng, err := core.RestoreEngineWithStore(bytes.NewReader(snap.Bytes()), store)
 					if err != nil {
 						b.Error(err)
 						return

@@ -3,7 +3,7 @@ package main
 // Serve-level segmented checkpoints: the recovery sequence — restore the
 // manifest against the content store, replay the journal suffix, attach —
 // must carry state across restarts; a v4 file an earlier serve wrote must
-// upgrade in place; the snapshot bundle GET must round-trip into a fresh
+// upgrade in place to the same engine digest; the snapshot bundle GET must round-trip into a fresh
 // store, and its reader must refuse hostile bundles without leaving files
 // behind; retention must keep the configured number of manifests; and a
 // kill mid-segment-write or mid-compaction must never lose a checkpoint.
@@ -147,29 +147,27 @@ func TestServeStoreRecoveryAcrossRestarts(t *testing.T) {
 }
 
 // TestServeUpgradesV4SnapshotInPlace: a monolithic v4 file, as serve wrote
-// it before every checkpoint went through a store, warm-starts through the
-// default <snapshot>.store; the first checkpoint rewrites the file as a v5
-// manifest over that store, and the next restart restores to the same
-// state as the live pipeline.
+// it before every checkpoint went through a store (the core package's
+// upgrade fixture), warm-starts through the default <snapshot>.store; the
+// first checkpoint rewrites the file as a v5 manifest over that store, and
+// the next restart restores to the live pipeline's digest.
 func TestServeUpgradesV4SnapshotInPlace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline build")
 	}
-	snapshotPath := filepath.Join(t.TempDir(), "state.json")
-	p1 := newTestPipeline(t, 4)
-	for i := 0; i < 2; i++ {
-		if _, _, err := p1.AppendNext(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var v4 bytes.Buffer
-	if err := p1.SnapshotEngine(&v4); err != nil {
+	v4, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", "snapshot-v4.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(v4.Bytes(), []byte(`"version":4`)) {
-		t.Fatalf("store-less SnapshotEngine wrote a non-v4 snapshot: %.80s", v4.Bytes())
+	if !bytes.HasPrefix(v4, []byte(`{"version":4,`)) {
+		t.Fatalf("fixture is not a v4 snapshot: %.80s", v4)
 	}
-	if err := os.WriteFile(snapshotPath, v4.Bytes(), 0o644); err != nil {
+	snapshotPath := filepath.Join(t.TempDir(), "state.json")
+	if err := os.WriteFile(snapshotPath, v4, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := core.RestoreEngineWithStore(bytes.NewReader(v4), openStore(t, t.TempDir(), nil))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -179,9 +177,7 @@ func TestServeUpgradesV4SnapshotInPlace(t *testing.T) {
 	if warm, err := finishRestart(p2); err != nil || !warm {
 		t.Fatalf("restart from the v4 file: warm=%v err=%v", warm, err)
 	}
-	if got, want := p2.Stats(), p1.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("v4 warm start stats %+v\nwant %+v", got, want)
-	}
+	assertSameDigest(t, p2.Engine, fixture, "v4 warm start")
 
 	s2, ts2 := startTestServer(t, newServer(p2, snapshotPath, store))
 	postJSON(t, ts2.URL+"/api/v1/ingest", http.StatusOK)
@@ -203,22 +199,29 @@ func TestServeUpgradesV4SnapshotInPlace(t *testing.T) {
 	}
 
 	p3 := warmRestart(t, 4, snapshotPath)
-	if !bytes.Equal(v4Oracle(t, p3), v4Oracle(t, p2)) {
-		t.Fatal("restart from the upgraded manifest differs from the live pipeline's v4 snapshot bytes")
-	}
+	assertSameDigest(t, p3.Engine, p2.Engine, "restart from the upgraded manifest")
 }
 
-// v4Oracle renders p's engine as monolithic v4 snapshot bytes, the
-// equivalence oracle. It detaches p's store (a store-less engine snapshots
-// as v4), so call it only once p is done checkpointing.
-func v4Oracle(t *testing.T, p *malgraph.Pipeline) []byte {
+// assertSameDigest requires got's engine state to equal want's in every
+// digest section, naming the sections that differ.
+func assertSameDigest(t *testing.T, got, want *core.Engine, label string) {
 	t.Helper()
-	p.AttachStore(nil)
-	var buf bytes.Buffer
-	if err := p.SnapshotEngine(&buf); err != nil {
+	gd, err := got.Digest()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	wd, err := want.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gd, wd) {
+		for name, sum := range wd {
+			if gd[name] != sum {
+				t.Errorf("%s: digest section %s differs", label, name)
+			}
+		}
+		t.FailNow()
+	}
 }
 
 // TestServeRestartRefusesManifestWithoutItsChunks: a v5 manifest written

@@ -17,9 +17,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"malgraph/internal/castore"
 	"malgraph/internal/collect"
 	"malgraph/internal/core"
 	"malgraph/internal/reports"
@@ -38,15 +40,25 @@ func journalBytes(t *testing.T, dir string) []byte {
 	return raw
 }
 
-// adoptSnapshot restores a v3/v4 snapshot and adopts the engine into p,
-// the way a warm restart does.
-func adoptSnapshot(t *testing.T, p *Pipeline, r io.Reader) {
+// adoptSnapshot restores a checkpoint manifest against its content store
+// and adopts the engine into p, the way a warm restart does.
+func adoptSnapshot(t *testing.T, p *Pipeline, r io.Reader, st *castore.Store) {
 	t.Helper()
-	eng, err := core.RestoreEngine(r)
+	eng, err := core.RestoreEngineWithStore(r, st)
 	if err != nil {
 		t.Fatalf("restore snapshot: %v", err)
 	}
 	p.AdoptEngine(eng)
+}
+
+// openStore opens (or reopens) the content store in dir.
+func openStore(t testing.TB, dir string) *castore.Store {
+	t.Helper()
+	st, err := castore.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // decoupledObservations round-trips observations through JSON — the same
@@ -123,6 +135,8 @@ func TestCrashRecoveryMatrixMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	pRef.AttachJournal(jRef)
+	refStore := openStore(t, filepath.Join(refDir, "store"))
+	pRef.AttachStore(refStore)
 
 	obs := decoupledObservations(t, collect.ObservationsFromSources(pRef.World.Sources))
 	_, reportCorpus := pRef.Source()
@@ -183,7 +197,7 @@ func TestCrashRecoveryMatrixMatchesUninterrupted(t *testing.T) {
 			}
 		}
 		if snapSeq > 0 {
-			adoptSnapshot(t, p, bytes.NewReader(snaps[snapSeq]))
+			adoptSnapshot(t, p, bytes.NewReader(snaps[snapSeq]), refStore)
 			if p.LastSeq() != snapSeq {
 				t.Fatalf("restored seq %d, want %d", p.LastSeq(), snapSeq)
 			}
@@ -338,6 +352,7 @@ func TestCheckpointConcurrentWithIngestLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1.AttachJournal(j1)
+	p1.AttachStore(openStore(t, filepath.Join(dir, "store")))
 
 	obs := decoupledObservations(t, collect.ObservationsFromSources(p1.World.Sources))
 	_, reportCorpus := p1.Source()
@@ -414,7 +429,7 @@ func TestCheckpointConcurrentWithIngestLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap, err := os.ReadFile(snapPath); err == nil {
-		adoptSnapshot(t, p2, bytes.NewReader(snap))
+		adoptSnapshot(t, p2, bytes.NewReader(snap), openStore(t, filepath.Join(dir, "store")))
 	} else if !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
@@ -455,6 +470,8 @@ func TestSnapshotStampExcludesJournaledButUnappliedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1.AttachJournal(j1)
+	store := openStore(t, filepath.Join(t.TempDir(), "store"))
+	p1.AttachStore(store)
 
 	// Batch 1 lands normally.
 	if _, ok, err := p1.AppendNext(); err != nil || !ok {
@@ -491,7 +508,7 @@ func TestSnapshotStampExcludesJournaledButUnappliedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adoptSnapshot(t, p2, &snap)
+	adoptSnapshot(t, p2, &snap, store)
 	j2, err := wal.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -522,4 +539,49 @@ func TestSnapshotStampExcludesJournaledButUnappliedRecord(t *testing.T) {
 		}
 	}
 	assertEdgeSetsEqual(t, p2.Graph, ref.Graph, "journaled-but-unapplied replay")
+}
+
+// TestCheckpointWithoutStoreKeepsJournal: nothing writes the monolithic
+// format any more, so a library pipeline without a content store cannot
+// checkpoint. Checkpoint must fail before it truncates the journal, or the
+// acknowledged records would be lost with no snapshot holding them.
+func TestCheckpointWithoutStoreKeepsJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline build")
+	}
+	p, err := NewStreamingPipeline(context.Background(), Config{Scale: 0.02}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := wal.Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	p.AttachJournal(j)
+	if _, ok, err := p.AppendNext(); err != nil || !ok {
+		t.Fatalf("feed batch: ok=%v err=%v", ok, err)
+	}
+	size := j.Size()
+	if size == 0 {
+		t.Fatal("journal empty after an acknowledged batch")
+	}
+	persisted := 0
+	_, err = p.Checkpoint(func(snapshot func(io.Writer) error) error {
+		var buf bytes.Buffer
+		if err := snapshot(&buf); err != nil {
+			return err
+		}
+		persisted = buf.Len()
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "AttachStore") {
+		t.Fatalf("store-less Checkpoint error = %v, want one naming AttachStore", err)
+	}
+	if persisted != 0 {
+		t.Fatalf("store-less Checkpoint persisted %d bytes", persisted)
+	}
+	if got := j.Size(); got != size {
+		t.Fatalf("journal size %d after the failed checkpoint, want %d", got, size)
+	}
 }

@@ -180,10 +180,10 @@ func (p *Pipeline) journalLocked(kind string, v any) (uint64, error) {
 // between the snapshot's AppliedSeq stamp and the truncation, so the
 // truncate never destroys an acknowledged record the snapshot does not
 // contain. persist receives the engine snapshot writer — a v5 manifest
-// over the attached store, or a monolithic v4 snapshot when none is
-// attached — and is responsible for making the bytes durable (serve wraps
-// it in an fsync'd atomic file replace); the journal is truncated only
-// after persist returns success.
+// over the attached store (AttachStore; without one it errors) — and is
+// responsible for making the bytes durable (serve wraps it in an fsync'd
+// atomic file replace); the journal is truncated only after persist
+// returns success.
 // Returns the sequence the snapshot was stamped with.
 func (p *Pipeline) Checkpoint(persist func(snapshot func(io.Writer) error) error) (uint64, error) {
 	p.mu.Lock()

@@ -21,7 +21,7 @@ var t0 = time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
 //   - dep: "pygrata" core + "loglib-modules" front importing it
 //   - dup: one package reported by two sources
 //   - loner: a singleton
-func miniDataset(t *testing.T) (*collect.Result, []*reports.Report) {
+func miniDataset(t testing.TB) (*collect.Result, []*reports.Report) {
 	t.Helper()
 	rng := xrand.New(42)
 	var entries []*collect.Entry

@@ -1,0 +1,168 @@
+package core
+
+// Contracts under test for Engine.Digest, the equivalence oracle: each
+// section's digest moves exactly when that section's state does, and the
+// one restore entry point never panics on hostile bytes.
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"sort"
+	"testing"
+
+	"malgraph/internal/castore"
+	"malgraph/internal/ecosys"
+	"malgraph/internal/graph"
+)
+
+// TestDigestNamesChangedSection drops one piece of state per section from a
+// copy of the same engine and requires the digest diff to be exactly that
+// section.
+func TestDigestNamesChangedSection(t *testing.T) {
+	ds, reps := miniDataset(t)
+	fresh := func() *Engine {
+		e := NewEngine(DefaultConfig())
+		if _, err := e.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	base := digestOf(t, fresh())
+	wantNames := []string{"config", "dataset", "graph", "imports", "items", "pairOwners", "partitions", "posting", "reports", "stamps"}
+	names := make([]string, 0, len(base))
+	for name := range base {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if !reflect.DeepEqual(names, wantNames) {
+		t.Fatalf("digest sections = %v, want %v", names, wantNames)
+	}
+	if again := digestOf(t, fresh()); !reflect.DeepEqual(again, base) {
+		t.Fatalf("digest of an identical engine differs in %v", digestDiff(again, base))
+	}
+
+	for _, tc := range []struct {
+		section string
+		mutate  func(t *testing.T, e *Engine)
+	}{
+		{"graph", func(t *testing.T, e *Engine) {
+			for _, ed := range e.mg.G.Edges() {
+				if len(ed.Attrs) == 0 {
+					continue
+				}
+				keys := make([]string, 0, len(ed.Attrs))
+				attrs := make(graph.Attrs, len(ed.Attrs))
+				for k, v := range ed.Attrs {
+					keys = append(keys, k)
+					attrs[k] = v
+				}
+				sort.Strings(keys)
+				delete(attrs, keys[0])
+				if !e.mg.G.RemoveEdge(ed.From, ed.To, ed.Type) {
+					t.Fatalf("edge %s-%s vanished", ed.From, ed.To)
+				}
+				if err := e.mg.G.AddEdge(ed.From, ed.To, ed.Type, attrs); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			t.Fatal("no edge carries attrs")
+		}},
+		{"pairOwners", func(t *testing.T, e *Engine) {
+			delete(e.coexOwner, firstKey(t, e.coexOwner))
+		}},
+		{"items", func(t *testing.T, e *Engine) {
+			var ecos []ecosys.Ecosystem
+			for eco, sh := range e.shards {
+				if len(sh.items) > 0 {
+					ecos = append(ecos, eco)
+				}
+			}
+			if len(ecos) == 0 {
+				t.Fatal("no shard holds items")
+			}
+			sort.Slice(ecos, func(i, j int) bool { return ecos[i] < ecos[j] })
+			sh := e.shards[ecos[0]]
+			sh.items = sh.items[1:]
+		}},
+		{"posting", func(t *testing.T, e *Engine) {
+			delete(e.posting, firstKey(t, e.posting))
+		}},
+		{"stamps", func(t *testing.T, e *Engine) {
+			e.SetFeedPos(e.FeedPos() + 1)
+		}},
+	} {
+		e := fresh()
+		tc.mutate(t, e)
+		if diff := digestDiff(digestOf(t, e), base); !reflect.DeepEqual(diff, []string{tc.section}) {
+			t.Errorf("dropping %s state changed digest sections %v, want [%s]", tc.section, diff, tc.section)
+		}
+	}
+}
+
+// firstKey returns m's smallest key.
+func firstKey[V any](t *testing.T, m map[string]V) string {
+	t.Helper()
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	if len(keys) == 0 {
+		t.Fatal("empty map")
+	}
+	sort.Strings(keys)
+	return keys[0]
+}
+
+// FuzzRestoreEngineWithStore feeds arbitrary snapshot bytes to the one
+// restore entry point, against a store holding a real three-checkpoint
+// chain: no input panics, and an engine the restore accepts has a digest.
+// Seeds: the v4 fixture, its v3 variant, the chain's manifests and a
+// manifest naming a chunk the store does not hold.
+func FuzzRestoreEngineWithStore(f *testing.F) {
+	v4, v3 := readV4Fixture(f)
+	f.Add(v4)
+	f.Add(v3)
+
+	ds, reps := miniDataset(f)
+	store := openTestStore(f)
+	eng := NewEngine(DefaultConfig())
+	eng.AttachStore(store)
+	third := len(ds.Entries) / 3
+	var manifest bytes.Buffer
+	for i, hi := range []int{third, 2 * third, len(ds.Entries)} {
+		b := Batch{Entries: ds.Entries[i*third : hi], At: ds.CollectedAt}
+		if i < len(reps) {
+			b.Reports = reps[i : i+1]
+		}
+		if _, err := eng.Ingest(b); err != nil {
+			f.Fatal(err)
+		}
+		manifest.Reset()
+		if err := eng.Snapshot(&manifest); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(manifest.Bytes()))
+	}
+	var man manifestSnapshot
+	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
+		f.Fatal(err)
+	}
+	man.Sections[sectionGraph] = append(man.Sections[sectionGraph], castore.KeyOf([]byte("not in the store")))
+	unknown, err := json.Marshal(man)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(unknown)
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		e, err := RestoreEngineWithStore(bytes.NewReader(raw), store)
+		if err != nil {
+			return
+		}
+		if _, err := e.Digest(); err != nil {
+			t.Fatalf("restored engine has no digest: %v", err)
+		}
+	})
+}

@@ -251,16 +251,16 @@ type Engine struct {
 	// coexOwner records, per co-existing edge (pair key, endpoints sorted),
 	// the URL of the report that owns its attrs: the URL-smallest report
 	// covering the pair, i.e. the first writer of a one-shot build's
-	// URL-ordered join. All three are persisted in snapshots (v3), so a
+	// URL-ordered join. All three are persisted in checkpoints, so a
 	// restored engine's first wanted-package ingest is scoped too.
 	reportByURL map[string]*reports.Report // guarded by mu
 	posting     map[string][]string        // guarded by mu
 	coexOwner   map[string]string          // guarded by mu
 
 	// appliedSeq is the durable ingest sequence stamp: the WAL sequence of
-	// the last journaled batch applied to this engine. Snapshots carry it
-	// (v4) so recovery replays only the journal suffix the checkpoint does
-	// not already contain. The engine itself never bumps it — the pipeline
+	// the last journaled batch applied to this engine. Checkpoints carry it
+	// so recovery replays only the journal suffix the checkpoint does not
+	// already contain. The engine itself never bumps it — the pipeline
 	// that owns the journal does, via SetAppliedSeq before Snapshot.
 	// guarded by mu.
 	appliedSeq uint64
@@ -271,10 +271,9 @@ type Engine struct {
 	// re-report every batch as pending. guarded by mu.
 	feedPos int
 
-	// Segmented persistence (snapshot v5). When a content store is attached,
-	// Snapshot writes a small manifest plus delta chunks into the store —
-	// O(changes since the last checkpoint) — instead of re-serialising the
-	// corpus; without one, Snapshot keeps emitting the monolithic v4 stream.
+	// Segmented persistence (snapshot v5). Snapshot writes a small manifest
+	// plus delta chunks into the attached content store — O(changes since
+	// the last checkpoint); without a store the engine cannot checkpoint.
 	store *castore.Store // guarded by mu
 	// track records the dirty keys of every delta-logged section since the
 	// last checkpoint; non-nil exactly when store is. guarded by mu.

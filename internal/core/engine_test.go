@@ -219,18 +219,12 @@ func TestEngineSnapshotRestore(t *testing.T) {
 	if _, err := eng.Ingest(first); err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := eng.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreEngine(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := roundTrip(t, eng)
 	// The restored engine must already match the snapshotted one.
 	if a, b := graphSig(t, eng.Graph()), graphSig(t, restored.Graph()); a != b {
 		t.Fatal("restored graph differs from snapshotted graph")
 	}
+	assertSameDigest(t, restored, eng, "restored")
 	// A warm-restarted server replays the whole feed: the first batch must
 	// no-op (including its accounting), the second completes the corpus.
 	for _, b := range []Batch{first, second} {
@@ -320,14 +314,7 @@ func TestEngineRestoreReclustersSamePartitions(t *testing.T) {
 	if _, err := live.Ingest(warm); err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := live.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreEngine(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := roundTrip(t, live)
 
 	// The rebuilt LSH index must expose identical partitions per ecosystem.
 	for eco, sh := range live.shards {
@@ -645,7 +632,7 @@ func TestCoexistingFullRebuildFallback(t *testing.T) {
 }
 
 // TestEngineRestoreRejoinsSameScope is the ISSUE 5 restore-parity contract:
-// after RestoreEngine, ingesting a wanted package must re-join the same
+// after a restore, ingesting a wanted package must re-join the same
 // scope — same ReportsRejoined, same edge delta, same repairs — as the
 // engine that never snapshotted, with no O(reports) first ingest.
 func TestEngineRestoreRejoinsSameScope(t *testing.T) {
@@ -656,14 +643,7 @@ func TestEngineRestoreRejoinsSameScope(t *testing.T) {
 	if _, err := live.Ingest(Batch{Entries: rest, Reports: reps, At: ds.CollectedAt}); err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := live.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreEngine(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := roundTrip(t, live)
 	if !reflect.DeepEqual(restored.posting, live.posting) {
 		t.Fatal("restored posting lists differ")
 	}
@@ -692,5 +672,57 @@ func TestEngineRestoreRejoinsSameScope(t *testing.T) {
 	}
 	if a, b := graphSig(t, live.Graph()), graphSig(t, restored.Graph()); a != b {
 		t.Fatal("post-delta graphs differ")
+	}
+}
+
+// roundTrip checkpoints e into a fresh content store and restores the
+// manifest against it: the only way an engine's state leaves the process.
+func roundTrip(t *testing.T, e *Engine) *Engine {
+	t.Helper()
+	store := openTestStore(t)
+	e.AttachStore(store)
+	var manifest bytes.Buffer
+	if err := e.Snapshot(&manifest); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+func digestOf(t *testing.T, e *Engine) map[string]string {
+	t.Helper()
+	d, err := e.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// digestDiff returns the sorted names of the sections whose digests differ.
+func digestDiff(a, b map[string]string) []string {
+	var diff []string
+	for name, sum := range a {
+		if b[name] != sum {
+			diff = append(diff, name)
+		}
+	}
+	for name := range b {
+		if _, ok := a[name]; !ok {
+			diff = append(diff, name)
+		}
+	}
+	sort.Strings(diff)
+	return diff
+}
+
+// assertSameDigest requires got and want to have equal state in every
+// digest section, naming the sections that differ.
+func assertSameDigest(t *testing.T, got, want *Engine, label string) {
+	t.Helper()
+	if diff := digestDiff(digestOf(t, got), digestOf(t, want)); len(diff) > 0 {
+		t.Errorf("%s: digest sections differ: %v", label, diff)
 	}
 }

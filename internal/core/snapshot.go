@@ -1,13 +1,16 @@
 package core
 
-// Engine snapshot/restore wires the existing JSON persistence (graph,
-// dataset) into the streaming architecture: a serve-mode process can
-// checkpoint its engine and warm-restart without re-embedding, re-scanning
-// or re-clustering anything — the expensive per-artifact products and the
-// cluster state ride along with the graph.
+// Engine state in its monolithic v3/v4 form: the decoder an earlier serve's
+// snapshot files upgrade through, the shared restore tail of both formats,
+// and Digest, which hashes each section as v4 encoded it. Checkpoints are
+// written only as v5 manifests over a content store (snapshot5.go); the
+// expensive per-artifact products and the cluster state ride along with the
+// graph, so a restore re-embeds, re-scans and re-clusters nothing.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,7 +36,7 @@ import (
 // whole journal, which the idempotent ingest absorbs).
 const snapshotVersion = 4
 
-// minSnapshotVersion is the oldest format RestoreEngine still accepts.
+// minSnapshotVersion is the oldest format restoreEngine still accepts.
 const minSnapshotVersion = 3
 
 // snapshotItem carries a cached clustering item. SimHash fingerprints are
@@ -76,48 +79,23 @@ type engineSnapshot struct {
 	FeedPos    int    `json:"feedPos,omitempty"`
 }
 
-// Snapshot serialises the engine's full state: merged dataset (with
-// artifacts), report corpus, graph, per-ecosystem cluster state and the
-// cached per-artifact products. With a content store attached (AttachStore)
-// the call writes a segmented v5 manifest instead — the delta chunks go to
-// the store, the manifest to w — at O(changes since the last checkpoint);
-// without one it emits the monolithic v4 stream unchanged.
-func (e *Engine) Snapshot(w io.Writer) error {
+// Digest returns a hex SHA-256 per section of the engine's state: config,
+// stamps (AppliedSeq, FeedPos), dataset, graph, reports, items, partitions,
+// imports, posting and pairOwners. Each section hashes the JSON the v4
+// format carried for it, so digests are equal exactly when the states are,
+// and a mismatch names its section. It needs no store.
+func (e *Engine) Digest() (map[string]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.store != nil {
-		return e.snapshotSegmentedLocked(w)
-	}
-	var ds, g bytes.Buffer
-	if err := e.mg.Dataset.WriteJSON(&ds, collect.ExportFull); err != nil {
-		return fmt.Errorf("snapshot dataset: %w", err)
-	}
-	if err := e.mg.G.WriteJSON(&g); err != nil {
-		return fmt.Errorf("snapshot graph: %w", err)
-	}
-	snap := engineSnapshot{
-		Version:    snapshotVersion,
-		AppliedSeq: e.appliedSeq,
-		FeedPos:    e.feedPos,
-		Config:     e.cfg,
-		Dataset:    ds.Bytes(),
-		Reports:    e.mg.Reports,
-		Graph:      g.Bytes(),
-		Partitions: make(map[string]map[string][]textsim.Cluster, len(e.shards)),
-		Items:      make(map[string][]snapshotItem, len(e.shards)),
-		Imports:    make(map[string][]string),
-		Posting:    e.posting,
-		PairOwners: e.coexOwner,
-	}
-	// The wire format predates the shard split and stays unchanged: the
-	// per-shard import caches merge into one flat map (node IDs are globally
-	// unique), and each shard contributes its partition cache and item slice
-	// under its ecosystem name. Shards with items but no clusters still get
-	// their (possibly empty) partition map carried, so a restored engine's
-	// partition cache mirrors the live one exactly.
+	partitions := make(map[string]map[string][]textsim.Cluster, len(e.shards))
+	items := make(map[string][]snapshotItem, len(e.shards))
+	imports := make(map[string][]string)
+	// The v4 layout predates the shard split: the import caches merge into
+	// one flat map, and a shard with items or clusters contributes its
+	// (possibly empty) partition map and item slice under its ecosystem.
 	for eco, sh := range e.shards {
 		if len(sh.items) > 0 || len(sh.clustersByPart) > 0 {
-			snap.Partitions[eco.String()] = sh.clustersByPart
+			partitions[eco.String()] = sh.clustersByPart
 			out := make([]snapshotItem, 0, len(sh.items))
 			for _, it := range sh.items {
 				out = append(out, snapshotItem{
@@ -126,36 +104,58 @@ func (e *Engine) Snapshot(w io.Writer) error {
 					Hash:   strconv.FormatUint(it.Hash, 16),
 				})
 			}
-			snap.Items[eco.String()] = out
+			items[eco.String()] = out
 		}
 		for front, deps := range sh.importsOf {
 			//malgraph:nondeterm-ok shard import maps are disjoint (node IDs embed the ecosystem), so merge order cannot collide
-			snap.Imports[front] = deps
+			imports[front] = deps
 		}
 	}
-	return json.NewEncoder(w).Encode(&snap)
+	encode := func(v any) func(io.Writer) error {
+		return func(w io.Writer) error { return json.NewEncoder(w).Encode(v) }
+	}
+	sections := []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"config", encode(e.cfg)},
+		{"stamps", encode(struct {
+			AppliedSeq uint64 `json:"appliedSeq,omitempty"`
+			FeedPos    int    `json:"feedPos,omitempty"`
+		}{e.appliedSeq, e.feedPos})},
+		{sectionDataset, func(w io.Writer) error { return e.mg.Dataset.WriteJSON(w, collect.ExportFull) }},
+		{sectionGraph, e.mg.G.WriteJSON},
+		{sectionReports, encode(e.mg.Reports)},
+		{sectionItems, encode(items)},
+		{sectionPartitions, encode(partitions)},
+		{sectionImports, encode(imports)},
+		{"posting", encode(e.posting)},
+		{sectionPairOwners, encode(e.coexOwner)},
+	}
+	out := make(map[string]string, len(sections))
+	for _, s := range sections {
+		h := sha256.New()
+		if err := s.write(h); err != nil {
+			return nil, fmt.Errorf("digest %s: %w", s.name, err)
+		}
+		out[s.name] = hex.EncodeToString(h.Sum(nil))
+	}
+	return out, nil
 }
 
-// RestoreEngine reconstructs an engine from a Snapshot stream. The restored
-// engine continues ingesting exactly where the snapshotted one stopped: all
-// caches and indexes are rebuilt, so the next batch costs the same as it
-// would have without the restart.
-func RestoreEngine(r io.Reader) (*Engine, error) {
+// restoreEngine decodes a monolithic snapshot of at most snapshotVersion,
+// the format serve wrote before checkpoints went through a content store.
+// RestoreEngineWithStore falls back to it and attaches the store, so the
+// first checkpoint after an upgrade re-bases every section. All caches and
+// indexes are rebuilt: the next batch costs the same as without a restart.
+func restoreEngine(buf []byte) (*Engine, error) {
 	var snap engineSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+	if err := json.Unmarshal(buf, &snap); err != nil {
 		return nil, fmt.Errorf("restore decode: %w", err)
-	}
-	if snap.Version == snapshotVersionSegmented {
-		return nil, fmt.Errorf("restore: snapshot version %d is a segmented manifest; restore it with its content store (RestoreEngineWithStore / -store)",
-			snap.Version)
 	}
 	if snap.Version < minSnapshotVersion {
 		return nil, fmt.Errorf("restore: snapshot version %d predates the minimum supported version %d",
 			snap.Version, minSnapshotVersion)
-	}
-	if snap.Version > snapshotVersion {
-		return nil, fmt.Errorf("restore: snapshot version %d, want %d..%d",
-			snap.Version, minSnapshotVersion, snapshotVersion)
 	}
 	ds, err := collect.ReadJSON(bytes.NewReader(snap.Dataset))
 	if err != nil {

@@ -1,9 +1,9 @@
 package core
 
-// Snapshot v5: segmented delta checkpoints. A store-attached engine splits
-// persistence into a small manifest (written to the caller's stream exactly
-// like a monolithic snapshot, so the atomic-rename and WAL-truncation
-// contracts upstream are untouched) and content-addressed chunks in a
+// Snapshot v5: segmented delta checkpoints, the only format an engine
+// writes. A store-attached engine splits persistence into a small manifest
+// (written to the caller's stream, which owns the atomic-rename and
+// WAL-truncation contracts) and content-addressed chunks in a
 // castore.Store. Each persisted section — dataset entries, graph, clustering
 // items, import caches, partition caches, reports, pair ownership — is a
 // log of chunks: a chunk either re-bases the section (full re-encode) or
@@ -18,8 +18,8 @@ package core
 // leaves only unreferenced blobs, which compaction collects.
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -90,9 +90,16 @@ type pendingChunk struct {
 	rebase  bool
 }
 
-// snapshotSegmentedLocked writes a v5 checkpoint: delta chunks and new
-// artifact blobs into the store, the manifest to w. Caller holds e.mu.
-func (e *Engine) snapshotSegmentedLocked(w io.Writer) error {
+// Snapshot writes a v5 checkpoint, the only format an engine writes: delta
+// chunks and new artifact blobs into the attached store, the manifest to w,
+// at O(changes since the last checkpoint). Without a store (AttachStore) it
+// errors.
+func (e *Engine) Snapshot(w io.Writer) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.store == nil {
+		return errors.New("snapshot: no content store attached (AttachStore)")
+	}
 	var blobs []castore.Blob
 	var chunks []pendingChunk
 	newArtRefs := make(map[string]artifactRef)
@@ -435,33 +442,28 @@ func sortedRawKeys(m map[string]json.RawMessage) []string {
 }
 
 // RestoreEngineWithStore reconstructs an engine from a snapshot stream
-// backed by a content store. A v5 manifest resolves its chunk references
-// against st; a monolithic v3/v4 stream restores as before and then has the
-// store attached, so the first checkpoint after an upgrade re-bases every
-// section into the store. Either way the returned engine checkpoints
-// segmentedly from then on.
+// backed by a content store; it is the one restore entry point. A v5
+// manifest resolves its chunk references against st; a monolithic v3/v4
+// stream an earlier serve wrote restores and then has the store attached,
+// so the first checkpoint after an upgrade re-bases every section into the
+// store. Either way the returned engine checkpoints segmentedly.
 func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("restore read: %w", err)
 	}
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(buf, &probe); err != nil {
+	// A v3/v4 file decodes as a manifest too: the keys they share agree in type.
+	var man manifestSnapshot
+	if err := json.Unmarshal(buf, &man); err != nil {
 		return nil, fmt.Errorf("restore decode: %w", err)
 	}
-	if probe.Version < snapshotVersionSegmented {
-		e, err := RestoreEngine(bytes.NewReader(buf))
+	if man.Version <= snapshotVersion {
+		e, err := restoreEngine(buf)
 		if err != nil {
 			return nil, err
 		}
 		e.AttachStore(st)
 		return e, nil
-	}
-	var man manifestSnapshot
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("restore manifest decode: %w", err)
 	}
 	if man.Version != snapshotVersionSegmented {
 		return nil, fmt.Errorf("restore: snapshot version %d, want %d..%d",
@@ -613,7 +615,6 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	}
 
 	e, err := restoreFromParts(ds, g, &engineSnapshot{
-		Version:    snapshotVersion,
 		Config:     man.Config,
 		Reports:    reps,
 		Partitions: partitions,

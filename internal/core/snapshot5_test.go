@@ -1,11 +1,12 @@
 package core
 
 // Contracts under test for segmented (v5) checkpoints: a chain of delta
-// checkpoints restores to exactly the state a monolithic snapshot would
-// have captured; a monolithic v3/v4 snapshot restores into a store-backed
-// engine byte-equivalently to the plain path (the upgrade road); version
-// errors are explicit about what the reader needed; and compaction driven
-// by CollectManifestRefs never strands a restorable manifest.
+// checkpoints restores to the live engine's digest in every section; a
+// monolithic v3/v4 snapshot an earlier serve wrote restores into a
+// store-backed engine with the digest of the engine that wrote it (the
+// upgrade road); version errors are explicit about what the reader needed;
+// compaction driven by CollectManifestRefs never strands a restorable
+// manifest; and arbitrary manifest bytes never panic the restore.
 
 import (
 	"bytes"
@@ -20,31 +21,10 @@ import (
 	"testing"
 
 	"malgraph/internal/castore"
-	"malgraph/internal/collect"
 	"malgraph/internal/graph"
 )
 
-// engineStateBytes serialises the observable engine state deterministically:
-// the full dataset export, the graph, and the report corpus. Two engines
-// with equal state bytes are interchangeable for every read path.
-func engineStateBytes(t *testing.T, e *Engine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := e.Dataset().WriteJSON(&buf, collect.ExportFull); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Graph().G.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	reps := e.Reports()
-	sort.Slice(reps, func(i, j int) bool { return reps[i].URL < reps[j].URL })
-	if err := json.NewEncoder(&buf).Encode(reps); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func openTestStore(t *testing.T) *castore.Store {
+func openTestStore(t testing.TB) *castore.Store {
 	t.Helper()
 	st, err := castore.Open(t.TempDir(), nil)
 	if err != nil {
@@ -63,9 +43,7 @@ func assertRestoredMatches(t *testing.T, restored, live *Engine, label string) {
 	if a, b := graphSig(t, live.Graph()), graphSig(t, restored.Graph()); a != b {
 		t.Errorf("%s: graph signature differs from the live engine", label)
 	}
-	if a, b := engineStateBytes(t, live), engineStateBytes(t, restored); !bytes.Equal(a, b) {
-		t.Errorf("%s: state bytes differ from the live engine", label)
-	}
+	assertSameDigest(t, restored, live, label)
 	norm := func(e *Engine) map[string][]string {
 		out := make(map[string][]string)
 		for eco, cs := range e.Graph().SimilarClusters {
@@ -147,71 +125,109 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 	assertRestoredMatches(t, again, restored, "restored-twice")
 }
 
-// TestMonolithicRestoresIntoSegmentedEngine is the upgrade road: a v4
-// monolithic snapshot restores through RestoreEngineWithStore
-// byte-equivalently to the plain RestoreEngine path, and the store-backed
-// engine then finishes the corpus and checkpoints segmentedly.
+// v4Fixture is a monolithic v4 snapshot as an earlier serve wrote it: the
+// engine after fixtureBatches' first batch.
+const v4Fixture = "testdata/snapshot-v4.json"
+
+// fixtureBatches splits miniDataset in two; the first batch is the state
+// v4Fixture holds.
+func fixtureBatches(t testing.TB) (first, second Batch) {
+	t.Helper()
+	ds, reps := miniDataset(t)
+	half := len(ds.Entries) / 2
+	first = Batch{Entries: ds.Entries[:half], PerSource: ds.BatchOf(ds.Entries[:half]).PerSource, Reports: reps[:1], At: ds.CollectedAt}
+	second = Batch{Entries: ds.Entries[half:], PerSource: ds.BatchOf(ds.Entries[half:]).PerSource, Reports: reps[1:]}
+	return first, second
+}
+
+// readV4Fixture returns the v4 fixture and its "version":3 variant (the
+// same state; v3 only lacks the sequence stamps, which are zero here).
+func readV4Fixture(t testing.TB) (v4, v3 []byte) {
+	t.Helper()
+	v4, err := os.ReadFile(v4Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 = bytes.Replace(v4, []byte(`{"version":4,`), []byte(`{"version":3,`), 1)
+	if bytes.Equal(v3, v4) {
+		t.Fatalf("%s does not start with a version-4 header", v4Fixture)
+	}
+	return v4, v3
+}
+
+// TestMonolithicRestoresIntoSegmentedEngine is the upgrade road: the v4
+// fixture and its v3 variant restore through RestoreEngineWithStore to the
+// digest of a live engine that ingested the same batch; the first
+// checkpoint writes a v5 manifest that restores to that digest again, and
+// the upgraded engine finishes the corpus to match Build.
 func TestMonolithicRestoresIntoSegmentedEngine(t *testing.T) {
 	ds, reps := miniDataset(t)
 	want, err := Build(ds, reps, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := len(ds.Entries) / 2
-	eng := NewEngine(DefaultConfig())
-	if _, err := eng.Ingest(Batch{Entries: ds.Entries[:half], Reports: reps[:1], At: ds.CollectedAt}); err != nil {
+	first, second := fixtureBatches(t)
+	live := NewEngine(DefaultConfig())
+	if _, err := live.Ingest(first); err != nil {
 		t.Fatal(err)
 	}
-	var mono bytes.Buffer
-	if err := eng.Snapshot(&mono); err != nil { // no store attached: v4 monolithic
-		t.Fatal(err)
-	}
+	v4, v3 := readV4Fixture(t)
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{{"v4", v4}, {"v3", v3}} {
+		store := openTestStore(t)
+		upgraded, err := RestoreEngineWithStore(bytes.NewReader(tc.raw), store)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if upgraded.Store() != store {
+			t.Fatalf("%s: store not attached after monolithic restore", tc.name)
+		}
+		assertSameDigest(t, upgraded, live, tc.name+" fixture")
 
-	plain, err := RestoreEngine(bytes.NewReader(mono.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := openTestStore(t)
-	segmented, err := RestoreEngineWithStore(bytes.NewReader(mono.Bytes()), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := engineStateBytes(t, plain), engineStateBytes(t, segmented); !bytes.Equal(a, b) {
-		t.Fatal("v4 restored through the store differs from the plain restore")
-	}
-	if segmented.Store() != store {
-		t.Fatal("store not attached after monolithic restore")
-	}
+		// The first checkpoint after the upgrade re-bases everything into
+		// the store as a v5 manifest that restores to the same state.
+		var manifest bytes.Buffer
+		if err := upgraded.Snapshot(&manifest); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(manifest.Bytes(), []byte(`"version":5`)) {
+			t.Fatalf("%s: upgrade checkpoint wrote a non-v5 snapshot: %.80s", tc.name, manifest.Bytes())
+		}
+		if store.Len() == 0 {
+			t.Fatalf("%s: upgrade checkpoint wrote no blobs to the store", tc.name)
+		}
+		restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameDigest(t, restored, live, tc.name+" upgraded manifest")
 
-	// First checkpoint after the upgrade re-bases everything into the store;
-	// a fresh restore from it matches the finished corpus.
-	if _, err := segmented.Ingest(Batch{Entries: ds.Entries[half:], Reports: reps[1:]}); err != nil {
-		t.Fatal(err)
+		// The upgraded engine finishes the corpus by real ingest, so it
+		// must match Build; the restore of its next manifest must match it.
+		if _, err := upgraded.Ingest(second); err != nil {
+			t.Fatal(err)
+		}
+		manifest.Reset()
+		if err := upgraded.Snapshot(&manifest); err != nil {
+			t.Fatal(err)
+		}
+		assertEngineMatchesBuild(t, upgraded, want, tc.name+" upgraded-live")
+		restored, err = RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRestoredMatches(t, restored, upgraded, tc.name+" upgraded-restored")
 	}
-	var manifest bytes.Buffer
-	if err := segmented.Snapshot(&manifest); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() == 0 {
-		t.Fatal("upgrade checkpoint wrote no blobs to the store")
-	}
-	// The live upgraded engine finished the corpus by real ingest, so it
-	// must match Build; the restore of its manifest must match it.
-	assertEngineMatchesBuild(t, segmented, want, "upgraded-live")
-	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRestoredMatches(t, restored, segmented, "upgraded-restored")
 }
 
-// TestRestoreVersionErrors pins the two refusal messages: a pre-v3 snapshot
-// names the minimum supported version, and a v5 manifest fed to the
-// monolithic reader points at RestoreEngineWithStore / -store.
+// TestRestoreVersionErrors pins the pre-v3 refusal: the monolithic decoder
+// and RestoreEngineWithStore both name the minimum supported version.
 func TestRestoreVersionErrors(t *testing.T) {
-	_, err := RestoreEngine(strings.NewReader(`{"version":2}`))
+	_, err := restoreEngine([]byte(`{"version":2}`))
 	if err == nil {
-		t.Fatal("RestoreEngine accepted a version-2 snapshot")
+		t.Fatal("restoreEngine accepted a version-2 snapshot")
 	}
 	for _, want := range []string{"version 2", "minimum supported version 3"} {
 		if !strings.Contains(err.Error(), want) {
@@ -223,28 +239,6 @@ func TestRestoreVersionErrors(t *testing.T) {
 	if _, err := RestoreEngineWithStore(strings.NewReader(`{"version":2}`), openTestStore(t)); err == nil ||
 		!strings.Contains(err.Error(), "minimum supported version") {
 		t.Errorf("RestoreEngineWithStore pre-v3 error = %v", err)
-	}
-
-	// A real manifest through the wrong reader.
-	ds, reps := miniDataset(t)
-	store := openTestStore(t)
-	eng := NewEngine(DefaultConfig())
-	eng.AttachStore(store)
-	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
-		t.Fatal(err)
-	}
-	var manifest bytes.Buffer
-	if err := eng.Snapshot(&manifest); err != nil {
-		t.Fatal(err)
-	}
-	_, err = RestoreEngine(bytes.NewReader(manifest.Bytes()))
-	if err == nil {
-		t.Fatal("RestoreEngine accepted a v5 manifest")
-	}
-	for _, want := range []string{"segmented manifest", "RestoreEngineWithStore", "-store"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("v5 error %q does not mention %q", err, want)
-		}
 	}
 }
 
@@ -325,26 +319,6 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 	}
 }
 
-// monolithicBytes renders an engine's state as a v4 monolithic snapshot,
-// even when a store is attached, so restores can be compared byte for byte.
-func monolithicBytes(t *testing.T, e *Engine) []byte {
-	t.Helper()
-	e.mu.Lock()
-	st := e.store
-	e.store = nil
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.store = st
-		e.mu.Unlock()
-	}()
-	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // restoreAt restores a manifest with GOMAXPROCS set to procs.
 func restoreAt(procs int, manifest []byte, st *castore.Store) (*Engine, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -353,8 +327,7 @@ func restoreAt(procs int, manifest []byte, st *castore.Store) (*Engine, error) {
 
 // TestSegmentedRestoreParallelMatchesSequential: the restore decodes its
 // sections concurrently, so it must reproduce the same engine at any
-// GOMAXPROCS — the same v4 snapshot bytes as the live engine, the same
-// chunk logs — and a damaged manifest must fail with the same error, the
+// GOMAXPROCS — the same digest as the live engine, the same chunk logs — and a damaged manifest must fail with the same error, the
 // first in section order, however the section decodes interleave.
 func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 	ds, reps := miniDataset(t)
@@ -415,15 +388,14 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("section %s chain has %d chunk(s), want a re-base plus deltas", name, len(man.Sections[name]))
 		}
 	}
-	want := monolithicBytes(t, eng)
 	var first *Engine
 	for _, procs := range []int{1, 8} {
 		got, err := restoreAt(procs, good, store)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if !bytes.Equal(monolithicBytes(t, got), want) {
-			t.Fatalf("GOMAXPROCS=%d: restored v4 snapshot bytes differ from the live engine's", procs)
+		if diff := digestDiff(digestOf(t, got), digestOf(t, eng)); len(diff) > 0 {
+			t.Fatalf("GOMAXPROCS=%d: restored digest sections %v differ from the live engine's", procs, diff)
 		}
 		if first == nil {
 			first = got
@@ -574,7 +546,7 @@ func TestGraphRebaseChunkBytesUnchanged(t *testing.T) {
 
 // TestSegmentedRestoreFromLegacyJSONSegment: a v5 manifest whose chunks and
 // artifacts sit in a JSON segment written by an older store restores to the
-// same v4 snapshot bytes as the live engine.
+// live engine's digest.
 func TestSegmentedRestoreFromLegacyJSONSegment(t *testing.T) {
 	ds, reps := miniDataset(t)
 	store := openTestStore(t)
@@ -637,7 +609,5 @@ func TestSegmentedRestoreFromLegacyJSONSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(monolithicBytes(t, restored), monolithicBytes(t, eng)) {
-		t.Fatal("restore from a JSON segment differs from the live engine's v4 snapshot bytes")
-	}
+	assertSameDigest(t, restored, eng, "legacy JSON segment")
 }

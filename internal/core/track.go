@@ -3,8 +3,8 @@ package core
 // Segmented-checkpoint dirty tracking. A store-attached engine records
 // which keys of each persisted section changed since the last checkpoint so
 // Snapshot can write O(delta) chunks instead of re-serialising the corpus.
-// Tracking is off (and free) for storeless engines: every hook is behind an
-// `e.track != nil` check and Snapshot keeps its monolithic v4 format.
+// Tracking is off (and free) for storeless engines, which cannot checkpoint:
+// every hook is behind an `e.track != nil` check.
 
 import (
 	"malgraph/internal/castore"
@@ -125,11 +125,11 @@ type artifactRef struct {
 	key string
 }
 
-// AttachStore routes all future Snapshot calls through the segmented v5
-// path backed by st, and starts dirty tracking (including the graph's
-// operation journal). Every section starts in re-base mode, so the first
-// checkpoint after attaching writes the full state — correct both for a
-// cold engine and for one restored from a monolithic v4 snapshot.
+// AttachStore gives the engine the content store its Snapshot calls write
+// to, and starts dirty tracking (including the graph's operation journal).
+// Every section starts in re-base mode, so the first checkpoint after
+// attaching writes the full state — correct both for a cold engine and for
+// one upgraded from a monolithic v3/v4 snapshot.
 func (e *Engine) AttachStore(st *castore.Store) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -6,7 +6,8 @@ package malgraph
 // multi-worker setting and require the graphs to agree exactly: same nodes,
 // same per-type edge counts, same serialized bytes (which pins edge
 // insertion order, attributes and cluster labels), and same SimilarClusters
-// membership.
+// membership. The engine digest extends the check past the graph to every
+// persisted section: items, partitions, posting lists and pair owners.
 
 import (
 	"bytes"
@@ -59,6 +60,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	if !bytes.Equal(seqJSON.Bytes(), parJSON.Bytes()) {
 		t.Errorf("serialized graphs differ (%d vs %d bytes)", seqJSON.Len(), parJSON.Len())
 	}
+	assertSameEngineDigest(t, par, seq)
 
 	// SimilarClusters membership, per ecosystem, in order.
 	for _, eco := range []ecosys.Ecosystem{ecosys.NPM, ecosys.PyPI, ecosys.RubyGems} {
@@ -81,6 +83,28 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 						eco, i, j, sc[i].Members[j], pc[i].Members[j])
 				}
 			}
+		}
+	}
+}
+
+// assertSameEngineDigest requires par's engine to equal seq's in every
+// digest section, naming the sections that differ.
+func assertSameEngineDigest(t *testing.T, par, seq *Pipeline) {
+	t.Helper()
+	pd, err := par.Engine.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := seq.Engine.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pd) != len(sd) {
+		t.Fatalf("digest has %d sections in parallel, %d sequential", len(pd), len(sd))
+	}
+	for name, sum := range sd {
+		if pd[name] != sum {
+			t.Errorf("digest section %s differs between GOMAXPROCS=1 and 8", name)
 		}
 	}
 }
@@ -122,6 +146,7 @@ func TestParallelIncrementalBuildMatchesSequential(t *testing.T) {
 	if !bytes.Equal(seqJSON.Bytes(), parJSON.Bytes()) {
 		t.Errorf("incremental serialized graphs differ (%d vs %d bytes)", seqJSON.Len(), parJSON.Len())
 	}
+	assertSameEngineDigest(t, par, seq)
 }
 
 // TestParallelAnalyzeMatchesSequential runs the full Analyze stage (the

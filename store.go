@@ -1,12 +1,10 @@
 package malgraph
 
-// Segmented checkpoints: with a content-addressed store attached, the
-// pipeline's engine checkpoints as a small manifest (same atomic-rename and
-// WAL-truncation contracts as any Checkpoint) plus delta chunks in the
-// store, so checkpoint cost tracks the ingest delta instead of the corpus.
-// Serve always attaches one; a library pipeline without a store still
-// checkpoints as a monolithic v4 snapshot. See internal/castore and core
-// snapshot v5.
+// Segmented checkpoints: the pipeline's engine checkpoints as a small
+// manifest (Checkpoint's atomic-rename and WAL-truncation contracts) plus
+// delta chunks in a content-addressed store, so checkpoint cost tracks the
+// ingest delta instead of the corpus. A pipeline checkpoints only once a
+// store is attached. See internal/castore and core snapshot v5.
 
 import (
 	"fmt"
@@ -16,10 +14,10 @@ import (
 	"malgraph/internal/core"
 )
 
-// AttachStore routes every future engine checkpoint through the segmented
-// v5 path backed by st and starts delta tracking. Attach before the first
-// Checkpoint; the first checkpoint after attaching writes the full state
-// into the store (later ones write only what changed).
+// AttachStore gives the engine the content store every checkpoint writes
+// to and starts delta tracking; Checkpoint and SnapshotEngine fail without
+// one. The first checkpoint after attaching writes the full state into the
+// store (later ones write only what changed).
 func (p *Pipeline) AttachStore(st *castore.Store) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
