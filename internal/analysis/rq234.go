@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
 	"malgraph/internal/codegen"
@@ -216,14 +217,23 @@ func DependencyReuse(mg *core.MalGraph, minFronts int) (cores, fronts int) {
 // bodies* (the same extraction path a real pipeline runs), not by trusting
 // generator ground truth.
 func IoCs(reportCorpus []*reports.Report, topN int) IoCSummary {
-	merged := reports.IoCSet{}
+	// Collect every report's indicators, then sort and de-duplicate once:
+	// the same union a per-report Merge builds, without re-sorting the
+	// accumulated set for every report.
+	var merged reports.IoCSet
 	ipReportCount := make(map[string]int)
 	for _, r := range reportCorpus {
 		set := reports.ExtractIoCs(r.Body)
-		merged = merged.Merge(set)
+		merged.IPs = append(merged.IPs, set.IPs...)
+		merged.URLs = append(merged.URLs, set.URLs...)
+		merged.PowerShell = append(merged.PowerShell, set.PowerShell...)
 		for _, ip := range set.IPs {
 			ipReportCount[ip]++
 		}
+	}
+	for _, s := range []*[]string{&merged.IPs, &merged.URLs, &merged.PowerShell} {
+		slices.Sort(*s)
+		*s = slices.Compact(*s)
 	}
 	summary := IoCSummary{
 		UniqueURLs: len(merged.URLs),

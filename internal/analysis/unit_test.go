@@ -4,6 +4,8 @@ package analysis
 // end-to-end pipeline assertions in analysis_test.go.
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -164,6 +166,48 @@ func TestIoCsFixture(t *testing.T) {
 	}
 	if s.TopDomains[0].Domain != "bananasquad.ru" || s.TopDomains[0].Count != 2 {
 		t.Fatalf("top domain = %+v", s.TopDomains[0])
+	}
+}
+
+// TestIoCsMatchesPerReportMerge: the one-pass union equals folding every
+// report's set through IoCSet.Merge, on corpora whose per-report sets
+// overlap, repeat and arrive out of order.
+func TestIoCsMatchesPerReportMerge(t *testing.T) {
+	bodies := map[string]string{
+		"a":     "URL: https://bananasquad.ru/a\n  IP: 46.226.1.2\n  CMD: powershell -nop -w hidden\n",
+		"b":     "URL: hxxps://bananasquad[.]ru/a\n  URL: https://kekwltd.ru/x\n  IP: 46.226.1.2\n  IP: 10.0.0.9\n",
+		"c":     "URL: https://kekwltd.ru/x\n  URL: https://zeta.example/z\n  CMD: powershell -enc AAAA\n",
+		"empty": "nothing to see here",
+	}
+	for _, tc := range []struct {
+		name  string
+		order []string
+	}{
+		{"none", nil},
+		{"one", []string{"a"}},
+		{"overlap", []string{"a", "b", "c"}},
+		{"reversed", []string{"c", "b", "a"}},
+		{"repeats", []string{"b", "empty", "b", "a", "c", "a"}},
+		{"only-empty", []string{"empty", "empty"}},
+	} {
+		var corpus []*reports.Report
+		var want reports.IoCSet
+		for i, key := range tc.order {
+			corpus = append(corpus, &reports.Report{URL: fmt.Sprintf("u%d", i), Body: bodies[key]})
+			want = want.Merge(reports.ExtractIoCs(bodies[key]))
+		}
+		got := IoCs(corpus, 10)
+		if got.UniqueURLs != len(want.URLs) || got.UniqueIPs != len(want.IPs) || got.PowerShell != len(want.PowerShell) {
+			t.Errorf("%s: counts urls/ips/ps = %d/%d/%d, want %d/%d/%d", tc.name,
+				got.UniqueURLs, got.UniqueIPs, got.PowerShell, len(want.URLs), len(want.IPs), len(want.PowerShell))
+		}
+		var wantTop []DomainCount
+		for _, dc := range reports.TopDomains(want.URLs, 10) {
+			wantTop = append(wantTop, DomainCount{Domain: dc.Domain, Count: dc.Count})
+		}
+		if !reflect.DeepEqual(got.TopDomains, wantTop) {
+			t.Errorf("%s: top domains %+v, want %+v", tc.name, got.TopDomains, wantTop)
+		}
 	}
 }
 

@@ -12,6 +12,13 @@ package core
 // genuinely small inline state (config, posting lists, sequence stamps), so
 // checkpoint cost is O(changes since the last checkpoint), not O(corpus).
 //
+// Chunks, item values and artifact blobs are binary (chunkcodec.go), so a
+// restore decodes them by slicing; entry records, reports, imports,
+// partitions and pair owners keep JSON values inside the binary kv frame.
+// JSON chunks an earlier build wrote are read-only: they restore, binary
+// deltas append to their chains, and a section's next re-base drops them.
+// The manifest itself stays JSON and version 5.
+//
 // Durability ordering: the chunk segment is appended — and fsynced — before
 // a single manifest byte is written, so a manifest that gets published by
 // the caller's rename can always resolve its references; a crash in between
@@ -23,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"malgraph/internal/castore"
@@ -52,15 +58,18 @@ type manifestSnapshot struct {
 
 // kvChunk is one delta of a keyed section: Set writes (or overwrites) keys,
 // Del removes them. Chunks apply in manifest order; within one chunk the two
-// maps are disjoint by construction.
+// are disjoint by construction. Snapshot writes it as a binary kv frame
+// (encodeKVChunk); the JSON tags describe the legacy chunks that stay
+// readable.
 type kvChunk struct {
 	Set map[string]json.RawMessage `json:"set,omitempty"`
 	Del []string                   `json:"del,omitempty"`
 }
 
 // graphChunk is one step of the graph log: either a full re-base (Reset
-// is the whole graph, encoded in place) or the journaled operations since
-// the previous chunk.
+// is the whole graph) or the journaled operations since the previous
+// chunk. Snapshot writes it binary (encodeGraphChunk); the JSON tags
+// describe the legacy chunks that stay readable.
 type graphChunk struct {
 	Reset *graph.Persisted `json:"reset,omitempty"`
 	Ops   []graph.Op       `json:"ops,omitempty"`
@@ -113,11 +122,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 			}
 			return nil
 		}
-		sort.Strings(del)
-		data, err := json.Marshal(kvChunk{Set: set, Del: del})
-		if err != nil {
-			return fmt.Errorf("snapshot %s chunk: %w", section, err)
-		}
+		data := encodeKVChunk(kvChunk{Set: set, Del: del})
 		key := castore.KeyOf(data)
 		blobs = append(blobs, castore.Blob{Key: key, Data: data})
 		chunks = append(chunks, pendingChunk{section, key, len(set) + len(del), rebase})
@@ -148,10 +153,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 			if ref, ok := e.artifactRefs[key]; ok && ref.art == en.Artifact {
 				blobRef = ref.key
 			} else {
-				raw, err := json.Marshal(en.Artifact)
-				if err != nil {
-					return fmt.Errorf("snapshot artifact %s: %w", key, err)
-				}
+				raw := encodeArtifact(en.Artifact)
 				blobRef = castore.KeyOf(raw)
 				blobs = append(blobs, castore.Blob{Key: blobRef, Data: raw})
 				newArtRefs[key] = artifactRef{art: en.Artifact, key: blobRef}
@@ -173,7 +175,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	journalDrop := len(ops)
 	liveGraph := e.mg.G.NodeCount() + e.mg.G.EdgeCount()
 	if e.logs[sectionGraph].rebaseDue(liveGraph) {
-		data, err := json.Marshal(graphChunk{Reset: e.mg.G.Persist()})
+		data, err := encodeGraphChunk(graphChunk{Reset: e.mg.G.Persist()})
 		if err != nil {
 			return fmt.Errorf("snapshot graph chunk: %w", err)
 		}
@@ -181,7 +183,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		blobs = append(blobs, castore.Blob{Key: key, Data: data})
 		chunks = append(chunks, pendingChunk{sectionGraph, key, liveGraph, true})
 	} else if len(ops) > 0 {
-		data, err := json.Marshal(graphChunk{Ops: ops})
+		data, err := encodeGraphChunk(graphChunk{Ops: ops})
 		if err != nil {
 			return fmt.Errorf("snapshot graph chunk: %w", err)
 		}
@@ -205,13 +207,6 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		totalParts += len(sh.clustersByPart)
 	}
 
-	encodeItem := func(it textsim.Item) (json.RawMessage, error) {
-		return json.Marshal(snapshotItem{
-			ID:     it.ID,
-			Vector: it.Vector,
-			Hash:   strconv.FormatUint(it.Hash, 16),
-		})
-	}
 	itRebase := e.logs[sectionItems].rebaseDue(totalItems)
 	itSet := make(map[string]json.RawMessage)
 	impRebase := e.logs[sectionImports].rebaseDue(totalImports)
@@ -227,11 +222,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 			items = sh.items
 		}
 		for _, it := range items {
-			raw, err := encodeItem(it)
-			if err != nil {
-				return fmt.Errorf("snapshot item %s: %w", it.ID, err)
-			}
-			itSet[ecoKey(name, it.ID)] = raw
+			itSet[ecoKey(name, it.ID)] = encodeItem(it)
 		}
 		var fronts []string
 		if impRebase {
@@ -654,12 +645,18 @@ func replayKV(section string, refs []string, chunkData map[string]json.RawMessag
 	state := make(map[string]json.RawMessage)
 	logged := 0
 	for _, ref := range refs {
-		var ch kvChunk
-		if err := json.Unmarshal(chunkData[ref], &ch); err != nil {
+		ch, err := decodeKVChunk(chunkData[ref])
+		if err != nil {
 			return nil, 0, fmt.Errorf("restore %s chunk %s: %w", section, ref, err)
 		}
-		for k, v := range ch.Set {
-			state[k] = v
+		if len(state) == 0 && ch.Set != nil {
+			// While the state is empty (the chain's first chunk, usually a
+			// re-base), the chunk's freshly decoded map becomes the state.
+			state = ch.Set
+		} else {
+			for k, v := range ch.Set {
+				state[k] = v
+			}
 		}
 		for _, k := range ch.Del {
 			delete(state, k)
@@ -675,12 +672,11 @@ func restoreGraphChain(refs []string, chunkData map[string]json.RawMessage) (*gr
 	g := graph.New()
 	logged := 0
 	for _, ref := range refs {
-		var gc graphChunk
-		if err := json.Unmarshal(chunkData[ref], &gc); err != nil {
+		gc, err := decodeGraphChunk(chunkData[ref])
+		if err != nil {
 			return nil, 0, fmt.Errorf("restore graph chunk %s: %w", ref, err)
 		}
 		if gc.Reset != nil {
-			var err error
 			g, err = gc.Reset.Build()
 			if err != nil {
 				return nil, 0, fmt.Errorf("restore graph reset %s: %w", ref, err)
@@ -728,11 +724,14 @@ func restoreEntries(entState map[string]json.RawMessage, sess *castore.Session) 
 		if ref == "" || decoded[i].Entry.Artifact != nil {
 			return nil
 		}
-		var art ecosys.Artifact
-		if err := json.Unmarshal(artData[ref], &art); err != nil {
+		art, err := decodeArtifact(artData[ref])
+		if err != nil {
 			return fmt.Errorf("restore artifact %s: %w", ref, err)
 		}
-		decoded[i].Entry.Artifact = &art
+		// AssembleResult checks every artifact's hash on one goroutine;
+		// computing it here caches it, so the SHA-256 runs on the workers.
+		art.Hash()
+		decoded[i].Entry.Artifact = art
 		return nil
 	})
 	if err != nil {
@@ -750,9 +749,11 @@ func restoreItems(itState map[string]json.RawMessage) (map[string][]snapshotItem
 		if _, _, ok := splitEcoKey(keys[i]); !ok {
 			return fmt.Errorf("restore: malformed item key %q", keys[i])
 		}
-		if err := json.Unmarshal(itState[keys[i]], &its[i]); err != nil {
+		it, err := decodeItem(itState[keys[i]])
+		if err != nil {
 			return fmt.Errorf("restore item %s: %w", keys[i], err)
 		}
+		its[i] = it
 		return nil
 	})
 	if err != nil {
@@ -802,8 +803,8 @@ func CollectManifestRefs(r io.Reader, src BlobFetcher) (map[string]bool, error) 
 		return nil, fmt.Errorf("manifest refs: fetch dataset chunks: %w", err)
 	}
 	for _, ref := range man.Sections[sectionDataset] {
-		var ch kvChunk
-		if err := json.Unmarshal(dsData[ref], &ch); err != nil {
+		ch, err := decodeKVChunk(dsData[ref])
+		if err != nil {
 			return nil, fmt.Errorf("manifest refs: dataset chunk %s: %w", ref, err)
 		}
 		for k, raw := range ch.Set {

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"malgraph/internal/castore"
+	"malgraph/internal/collect"
 	"malgraph/internal/graph"
 )
 
@@ -362,8 +363,8 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 	// the same throwaway partition key to the partition chain. The net
 	// state is unchanged, but only an in-order replay gets there.
 	bogus := ecoKey("PyPI", "restore-test-bogus")
-	setChunk, _ := json.Marshal(kvChunk{Set: map[string]json.RawMessage{bogus: json.RawMessage(`[]`)}})
-	delChunk, _ := json.Marshal(kvChunk{Del: []string{bogus}})
+	setChunk := encodeKVChunk(kvChunk{Set: map[string]json.RawMessage{bogus: json.RawMessage(`[]`)}})
+	delChunk := encodeKVChunk(kvChunk{Del: []string{bogus}})
 	badChunk := []byte(`"not a chunk"`)
 	blobs := []castore.Blob{
 		{Key: castore.KeyOf(setChunk), Data: setChunk},
@@ -450,31 +451,27 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// legacyGraphChunk is the graph chunk shape written before the re-base was
-// encoded in place: graph.WriteJSON output nested as a raw JSON value.
-type legacyGraphChunk struct {
-	Reset json.RawMessage `json:"reset,omitempty"`
-	Ops   []graph.Op      `json:"ops,omitempty"`
-}
-
-// legacyRebaseChunk renders g's re-base chunk the way older checkpoints did.
-func legacyRebaseChunk(t *testing.T, g *graph.Graph) []byte {
+// viaJSON is g as a JSON round trip sees it, the view legacy chunks keep.
+func viaJSON(t *testing.T, g *graph.Graph) *graph.Persisted {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(legacyGraphChunk{Reset: buf.Bytes()})
+	raw, err := json.Marshal(g.Persist())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	var p graph.Persisted
+	if err := json.Unmarshal(raw, &p); err != nil {
+		t.Fatal(err)
+	}
+	return &p
 }
 
-// TestGraphRebaseChunkBytesUnchanged pins the graph re-base chunk to the
-// bytes the nested WriteJSON encoding produced, so a given graph state keeps
-// its chunk key: checkpoints written before and after the in-place encoding
-// dedupe against each other in the store.
+// TestGraphRebaseChunkBytesUnchanged pins the graph re-base chunk's bytes,
+// so a given graph state keeps its chunk key across builds: the engine's
+// first checkpoint writes its graph's binary encoding, and golden bytes pin
+// an escape-heavy graph and an empty one, which decode back to exactly
+// those graphs. The JSON chunks earlier builds wrote for the same graphs
+// stay inputs to the legacy decoder, which must rebuild what a JSON round
+// trip of the graph gives (JSON replaces invalid UTF-8; binary keeps it).
 func TestGraphRebaseChunkBytesUnchanged(t *testing.T) {
 	// The engine path: the first checkpoint re-bases the graph section.
 	ds, reps := miniDataset(t)
@@ -500,13 +497,17 @@ func TestGraphRebaseChunkBytesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := legacyRebaseChunk(t, eng.Graph().G); !bytes.Equal(got[refs[0]], want) {
-		t.Fatalf("re-base chunk bytes changed:\n got %.200s\nwant %.200s", got[refs[0]], want)
+	want, err := encodeGraphChunk(graphChunk{Reset: eng.Graph().G.Persist()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[refs[0]], want) {
+		t.Fatalf("re-base chunk is not the binary encoding of the graph:\n got %q\nwant %q", got[refs[0]], want)
 	}
 
-	// Strings the encoder escapes (HTML-significant runes, control bytes,
-	// U+2028, invalid UTF-8), an attribute-free node and an empty graph,
-	// against golden bytes of the nested encoding.
+	// Strings the JSON encoder escapes (HTML-significant runes, control
+	// bytes, U+2028, invalid UTF-8), an attribute-free node and an empty
+	// graph.
 	g := graph.New()
 	for _, id := range []string{"a<b>&c", "line\nbreak\x01", "bad\xffutf8", "plain"} {
 		attrs := graph.Attrs{"note": id + "\u2028"}
@@ -524,39 +525,162 @@ func TestGraphRebaseChunkBytesUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		want string
+		name   string
+		g      *graph.Graph
+		binary string
+		legacy string
 	}{
-		{"escapes", g, `{"reset":{"nodes":[{"id":"a\u003cb\u003e\u0026c","attrs":{"note":"a\u003cb\u003e\u0026c\u2028"}},` +
-			`{"id":"bad\ufffdutf8","attrs":{"note":"bad\ufffdutf8\u2028"}},{"id":"line\nbreak\u0001","attrs":{"note":"line\nbreak\u0001\u2028"}},` +
-			`{"id":"plain"}],"edges":[{"from":"a\u003cb\u003e\u0026c","to":"plain","type":3,"attrs":{"why":"\u003cscript\u003e"}},` +
-			`{"from":"bad\ufffdutf8","to":"plain","type":2}]}}`},
-		{"empty", graph.New(), `{"reset":{"nodes":null,"edges":[]}}`},
+		{"escapes", g,
+			// magic, re-base flag, 4 nodes (ID, attrs), 2 edges (from, to, type, attrs), 0 ops.
+			"\x00gr1\x01" + "\x04" +
+				"\x06a<b>&c\x01\x04note\ta<b>&c\u2028" + "\bbad\xffutf8\x01\x04note\vbad\xffutf8\u2028" +
+				"\vline\nbreak\x01\x01\x04note\x0eline\nbreak\x01\u2028" + "\x05plain\x00" + "\x02" +
+				"\x06a<b>&c\x05plain\x03\x01\x03why\b<script>" + "\bbad\xffutf8\x05plain\x02\x00" + "\x00",
+			`{"reset":{"nodes":[{"id":"a\u003cb\u003e\u0026c","attrs":{"note":"a\u003cb\u003e\u0026c\u2028"}},` +
+				`{"id":"bad\ufffdutf8","attrs":{"note":"bad\ufffdutf8\u2028"}},{"id":"line\nbreak\u0001","attrs":{"note":"line\nbreak\u0001\u2028"}},` +
+				`{"id":"plain"}],"edges":[{"from":"a\u003cb\u003e\u0026c","to":"plain","type":3,"attrs":{"why":"\u003cscript\u003e"}},` +
+				`{"from":"bad\ufffdutf8","to":"plain","type":2}]}}`},
+		{"empty", graph.New(), "\x00gr1\x01\x00\x00\x00", `{"reset":{"nodes":null,"edges":[]}}`},
 	} {
-		got, err := json.Marshal(graphChunk{Reset: tc.g.Persist()})
+		got, err := encodeGraphChunk(graphChunk{Reset: tc.g.Persist()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != tc.want {
-			t.Errorf("%s: re-base chunk bytes changed:\n got %s\nwant %s", tc.name, got, tc.want)
+		if string(got) != tc.binary {
+			t.Errorf("%s: re-base chunk bytes changed:\n got %q\nwant %q", tc.name, got, tc.binary)
+		}
+		for _, in := range []struct {
+			form, data string
+		}{{"binary", tc.binary}, {"legacy JSON", tc.legacy}} {
+			gc, err := decodeGraphChunk([]byte(in.data))
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, in.form, err)
+			}
+			if gc.Reset == nil || len(gc.Ops) != 0 {
+				t.Fatalf("%s %s: decoded %+v, want a re-base without ops", tc.name, in.form, gc)
+			}
+			rebuilt, err := gc.Reset.Build()
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, in.form, err)
+			}
+			want := tc.g.Persist()
+			if in.form != "binary" {
+				want = viaJSON(t, tc.g)
+			}
+			if got := rebuilt.Persist(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: rebuilt graph %+v, want %+v", tc.name, in.form, got, want)
+			}
 		}
 	}
 }
 
+// toLegacyJSON re-encodes every chunk and artifact a manifest references
+// the way stores were written before the binary chunk format — kv chunks,
+// graph chunks, item values and artifacts as JSON — and returns the
+// manifest over the re-keyed chunks with the blobs it needs, key-sorted.
+func toLegacyJSON(t *testing.T, manifest []byte, st *castore.Store) ([]byte, []castore.Blob) {
+	t.Helper()
+	var man manifestSnapshot
+	if err := json.Unmarshal(manifest, &man); err != nil {
+		t.Fatal(err)
+	}
+	sess := st.Session()
+	blobs := make(map[string][]byte)
+	put := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := castore.KeyOf(raw)
+		blobs[key] = raw
+		return key
+	}
+	for _, name := range sectionNames {
+		refs := man.Sections[name]
+		data, err := sess.Fetch(refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := make([]string, len(refs))
+		for i, ref := range refs {
+			if name == sectionGraph {
+				gc, err := decodeGraphChunk(data[ref])
+				if err != nil {
+					t.Fatal(err)
+				}
+				legacy[i] = put(gc)
+				continue
+			}
+			ch, err := decodeKVChunk(data[ref])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range sortedRawKeys(ch.Set) {
+				switch name {
+				case sectionItems:
+					it, err := decodeItem(ch.Set[k])
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw, err := json.Marshal(it)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ch.Set[k] = raw
+				case sectionDataset:
+					de, err := collect.DecodeEntry(ch.Set[k])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if de.BlobRef == "" {
+						continue
+					}
+					arts, err := sess.Fetch([]string{de.BlobRef})
+					if err != nil {
+						t.Fatal(err)
+					}
+					art, err := decodeArtifact(arts[de.BlobRef])
+					if err != nil {
+						t.Fatal(err)
+					}
+					ch.Set[k] = bytes.Replace(ch.Set[k], []byte(de.BlobRef), []byte(put(art)), 1)
+				}
+			}
+			legacy[i] = put(ch)
+		}
+		man.Sections[name] = legacy
+	}
+	raw, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(blobs))
+	for k := range blobs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]castore.Blob, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, castore.Blob{Key: k, Data: blobs[k]})
+	}
+	return raw, out
+}
+
 // TestSegmentedRestoreFromLegacyJSONSegment: a v5 manifest whose chunks and
-// artifacts sit in a JSON segment written by an older store restores to the
-// live engine's digest.
+// artifacts are JSON, sitting in a JSON segment written by an older store,
+// restores to the live engine's digest. The restored engine then appends
+// binary deltas to those JSON chains; the mixed chain restores to the live
+// digest too, before and after a compaction rewrites the store.
 func TestSegmentedRestoreFromLegacyJSONSegment(t *testing.T) {
 	ds, reps := miniDataset(t)
 	store := openTestStore(t)
 	eng := NewEngine(DefaultConfig())
 	eng.AttachStore(store)
-	half := len(ds.Entries) / 2
+	third := len(ds.Entries) / 3
 	var manifest bytes.Buffer
 	for _, b := range []Batch{
-		{Entries: ds.Entries[:half], Reports: reps[:1], At: ds.CollectedAt},
-		{Entries: ds.Entries[half:], Reports: reps[1:], At: ds.CollectedAt},
+		{Entries: ds.Entries[:third], Reports: reps[:1], At: ds.CollectedAt},
+		{Entries: ds.Entries[third : 2*third], Reports: reps[1:], At: ds.CollectedAt},
 	} {
 		if _, err := eng.Ingest(b); err != nil {
 			t.Fatal(err)
@@ -567,28 +691,16 @@ func TestSegmentedRestoreFromLegacyJSONSegment(t *testing.T) {
 		}
 	}
 
-	// Re-home every blob the manifest needs into one JSON segment, encoded
-	// exactly as the JSON segment writer did.
-	live, err := CollectManifestRefs(bytes.NewReader(manifest.Bytes()), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 0, len(live))
-	for k := range live {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	data, err := store.Fetch(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Write the JSON chain into one JSON segment, encoded exactly as the
+	// JSON segment writer did.
+	legacyManifest, blobs := toLegacyJSON(t, manifest.Bytes(), store)
 	var seg struct {
 		Hashes []string       `json:"hashes"`
 		Blobs  []castore.Blob `json:"blobs"`
 	}
-	for _, k := range keys {
-		seg.Hashes = append(seg.Hashes, k)
-		seg.Blobs = append(seg.Blobs, castore.Blob{Key: k, Data: data[k]})
+	for _, b := range blobs {
+		seg.Hashes = append(seg.Hashes, b.Key)
+		seg.Blobs = append(seg.Blobs, b)
 	}
 	raw, err := json.Marshal(seg)
 	if err != nil {
@@ -602,12 +714,57 @@ func TestSegmentedRestoreFromLegacyJSONSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Len() != len(keys) {
-		t.Fatalf("legacy store indexed %d blobs, want %d", legacy.Len(), len(keys))
+	if legacy.Len() != len(blobs) {
+		t.Fatalf("legacy store indexed %d blobs, want %d", legacy.Len(), len(blobs))
 	}
-	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), legacy)
+	restored, err := RestoreEngineWithStore(bytes.NewReader(legacyManifest), legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameDigest(t, restored, eng, "legacy JSON segment")
+
+	// One more batch on both engines: the restored one writes binary deltas
+	// onto its JSON chains.
+	last := Batch{Entries: ds.Entries[2*third:], At: ds.CollectedAt}
+	for _, e := range []*Engine{eng, restored} {
+		if _, err := e.Ingest(last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	manifest.Reset()
+	if err := restored.Snapshot(&manifest); err != nil {
+		t.Fatal(err)
+	}
+	var man manifestSnapshot
+	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{sectionGraph, sectionDataset, sectionItems} {
+		refs := man.Sections[name]
+		data, err := legacy.Fetch(refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(refs) < 2 || data[refs[0]][0] != '{' || data[refs[len(refs)-1]][0] != 0 {
+			t.Fatalf("section %s is not a JSON chain ending in a binary delta: %d chunks", name, len(refs))
+		}
+	}
+	mixed, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDigest(t, mixed, eng, "mixed JSON and binary chain")
+
+	live, err := CollectManifestRefs(bytes.NewReader(manifest.Bytes()), legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := legacy.Compact(live); err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), legacy)
+	if err != nil {
+		t.Fatalf("restore after compaction: %v", err)
+	}
+	assertSameDigest(t, compacted, eng, "mixed chain after compaction")
 }

@@ -97,7 +97,8 @@ var ErrDuplicateNode = errors.New("graph: duplicate node id")
 // from a container are immutable once a Clone may share them: SetAttr swaps
 // in a new *Node, adjacency lists and pages are written in place only by
 // the graph whose generation stamped them, and edge attribute maps are
-// copied once at AddEdge and never written again.
+// copied once at AddEdge (or handed over to Build or Apply) and never
+// written again.
 type Graph struct {
 	mu sync.RWMutex
 	// gen stamps the pages and adjacency lists this graph may write in
@@ -213,10 +214,14 @@ func (g *Graph) linkLocked(t EdgeType, id string, slot int) {
 }
 
 // AddNode inserts a node. Attribute maps are copied at the boundary.
-func (g *Graph) AddNode(id string, attrs Attrs) error {
+func (g *Graph) AddNode(id string, attrs Attrs) error { return g.addNode(id, attrs.clone()) }
+
+// addNode installs attrs as the new node's attribute map without a copy;
+// the caller hands it over.
+func (g *Graph) addNode(id string, attrs Attrs) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := &Node{ID: id, Attrs: attrs.clone()}
+	n := &Node{ID: id, Attrs: attrs}
 	if !g.nodes.Insert(id, n) {
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, id)
 	}
@@ -302,8 +307,14 @@ func edgeKey(t EdgeType, from, to string) string {
 
 // AddEdge inserts a typed edge between existing nodes. Self-loops and
 // unknown edge types are rejected; duplicate (type, endpoints) insertions
-// are idempotent no-ops.
+// are idempotent no-ops. Attribute maps are copied at the boundary.
 func (g *Graph) AddEdge(from, to string, t EdgeType, attrs Attrs) error {
+	return g.addEdge(from, to, t, attrs.clone())
+}
+
+// addEdge is AddEdge installing attrs without a copy; the caller hands the
+// map over.
+func (g *Graph) addEdge(from, to string, t EdgeType, attrs Attrs) error {
 	if from == to {
 		return fmt.Errorf("graph: self-loop on %s", from)
 	}
@@ -321,7 +332,7 @@ func (g *Graph) AddEdge(from, to string, t EdgeType, attrs Attrs) error {
 	if !g.edgeSeen.Insert(edgeKey(t, from, to), struct{}{}) {
 		return nil
 	}
-	e := Edge{From: from, To: to, Type: t, Attrs: attrs.clone()}
+	e := Edge{From: from, To: to, Type: t, Attrs: attrs}
 	idx := g.appendEdgeLocked(e)
 	g.linkLocked(t, from, idx)
 	g.linkLocked(t, to, idx)
@@ -745,16 +756,18 @@ func (g *Graph) Persist() *Persisted {
 	return p
 }
 
-// Build reconstructs the graph p describes.
+// Build reconstructs the graph p describes. It takes ownership of p's
+// attribute maps: the graph installs them without a copy, so the caller
+// must not modify them afterwards.
 func (p *Persisted) Build() (*Graph, error) {
 	g := New()
 	for _, n := range p.Nodes {
-		if err := g.AddNode(n.ID, n.Attrs); err != nil {
+		if err := g.addNode(n.ID, n.Attrs); err != nil {
 			return nil, err
 		}
 	}
 	for _, e := range p.Edges {
-		if err := g.AddEdge(e.From, e.To, e.Type, e.Attrs); err != nil {
+		if err := g.addEdge(e.From, e.To, e.Type, e.Attrs); err != nil {
 			return nil, err
 		}
 	}

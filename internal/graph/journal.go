@@ -78,12 +78,14 @@ func (g *Graph) recordLocked(op Op) {
 }
 
 // Apply replays journaled operations. Replaying onto the same base state the
-// journal was recorded against reconstructs the original graph.
+// journal was recorded against reconstructs the original graph. It takes
+// ownership of the ops' attribute maps: the graph installs them without a
+// copy, so the caller must not modify them afterwards.
 func (g *Graph) Apply(ops []Op) error {
 	for _, op := range ops {
 		switch op.Kind {
 		case "node":
-			if err := g.AddNode(op.ID, op.Attrs); err != nil {
+			if err := g.addNode(op.ID, op.Attrs); err != nil {
 				return err
 			}
 		case "attr":
@@ -91,7 +93,7 @@ func (g *Graph) Apply(ops []Op) error {
 				return err
 			}
 		case "edge":
-			if err := g.AddEdge(op.From, op.To, op.Type, op.Attrs); err != nil {
+			if err := g.addEdge(op.From, op.To, op.Type, op.Attrs); err != nil {
 				return err
 			}
 		case "deledge":
