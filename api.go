@@ -15,6 +15,7 @@ import (
 	"malgraph/internal/crawler"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
+	"malgraph/internal/parallel"
 	"malgraph/internal/registry"
 	"malgraph/internal/reports"
 	"malgraph/internal/wal"
@@ -188,13 +189,29 @@ func NewStreamingPipeline(ctx context.Context, cfg Config, batches int) (*Pipeli
 	if err != nil {
 		return nil, fmt.Errorf("malgraph: build world: %w", err)
 	}
-	ds, err := collect.Run(w.Sources, w.Fleet, w.Config.CollectAt)
+	// Collection reads the sources and the fleet, the crawl reads the web:
+	// the two share nothing, so they run side by side.
+	var (
+		ds           *collect.Result
+		crawlRes     crawler.Result
+		reportCorpus []*reports.Report
+	)
+	err = parallel.Do(
+		func() (err error) {
+			if ds, err = collect.Run(w.Sources, w.Fleet, w.Config.CollectAt); err != nil {
+				return fmt.Errorf("malgraph: collect: %w", err)
+			}
+			return nil
+		},
+		func() error {
+			crawlRes = crawler.New(w.Web, w.Web, crawler.Config{MaxPages: cfg.MaxPages}).Crawl(ctx, w.SeedURLs)
+			reportCorpus = reports.FromPages(crawlRes.Relevant, w.Config.CollectAt)
+			return nil
+		},
+	)
 	if err != nil {
-		return nil, fmt.Errorf("malgraph: collect: %w", err)
+		return nil, err
 	}
-	cr := crawler.New(w.Web, w.Web, crawler.Config{MaxPages: cfg.MaxPages})
-	crawlRes := cr.Crawl(ctx, w.SeedURLs)
-	reportCorpus := reports.FromPages(crawlRes.Relevant, w.Config.CollectAt)
 
 	eng := core.NewEngine(core.DefaultConfig())
 	p := &Pipeline{

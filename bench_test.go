@@ -69,6 +69,21 @@ func BenchmarkPipeline_EndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkPipeline_Startup times what every serve start pays before it
+// can adopt or ingest anything: the world build, the collection, the report
+// crawl and parse, and the 200-batch feed partition.
+func BenchmarkPipeline_Startup(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		p, err := NewStreamingPipeline(context.Background(), Config{Scale: benchScale()}, 200)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, corpus := p.Source()
+		b.ReportMetric(float64(len(ds.Entries)), "packages")
+		b.ReportMetric(float64(len(corpus)), "reports")
+	}
+}
+
 // --- T1: Table I — source and size of initial malicious packages. ---
 func BenchmarkTable1_SourceSizes(b *testing.B) {
 	p := pipelineForBench(b)

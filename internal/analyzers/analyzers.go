@@ -279,13 +279,23 @@ func dedupe(diags []Diagnostic) []Diagnostic {
 // DeterministicZone lists the module-relative package paths whose output
 // must be byte-identical under any GOMAXPROCS, batch partition or replay —
 // the packages maprange and nondeterm police. Everything the graph, the
-// clustering kernels, and the RQ analyses are computed from lives here.
+// clustering kernels, and the RQ analyses are computed from lives here, and
+// so does the simulated world they are computed over: the generator, the
+// report web, the sources and the seeded random streams.
 var DeterministicZone = []string{
 	"internal/core",
 	"internal/graph",
 	"internal/textsim",
 	"internal/analysis",
 	"internal/stats",
+	"internal/world",
+	"internal/attacker",
+	"internal/codegen",
+	"internal/webworld",
+	"internal/sources",
+	"internal/reports",
+	"internal/ecosys",
+	"internal/xrand",
 }
 
 // InDeterministicZone reports whether importPath (under modulePath) is one

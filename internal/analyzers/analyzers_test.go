@@ -37,6 +37,15 @@ func TestInDeterministicZone(t *testing.T) {
 		{"malgraph/internal/textsim", true},
 		{"malgraph/internal/analysis", true},
 		{"malgraph/internal/stats", true},
+		{"malgraph/internal/world", true},
+		{"malgraph/internal/attacker", true},
+		{"malgraph/internal/codegen", true},
+		{"malgraph/internal/webworld", true},
+		{"malgraph/internal/sources", true},
+		{"malgraph/internal/reports", true},
+		{"malgraph/internal/ecosys", true},
+		{"malgraph/internal/xrand", true},
+		{"malgraph/internal/registry", false}, // serves the world, computes nothing from it
 		{"malgraph/internal/corelike", false}, // prefix of a zone name is not the zone
 		{"malgraph/internal/wal", false},
 		{"malgraph/internal/analyzers", false},

@@ -15,14 +15,22 @@
 // The simulator releases every package into the root registry with a
 // detection/takedown time, and keeps a ground-truth ledger that calibration
 // tests compare pipeline output against.
+//
+// The campaign methods make every random draw, serially and in a fixed
+// order, and queue their releases; Render then builds the queued code bases
+// and artifacts across workers — each a pure function of its own derived
+// stream — and publishes the releases in queue order. The result does not
+// depend on the worker count.
 package attacker
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"malgraph/internal/codegen"
 	"malgraph/internal/ecosys"
+	"malgraph/internal/parallel"
 	"malgraph/internal/registry"
 	"malgraph/internal/xrand"
 )
@@ -53,7 +61,8 @@ func (k CampaignKind) String() string {
 	return fmt.Sprintf("CampaignKind(%d)", int(k))
 }
 
-// PackageRecord is the ground truth for one released malicious package.
+// PackageRecord is the ground truth for one released malicious package. Its
+// Artifact is nil until Simulator.Render has run.
 type PackageRecord struct {
 	Artifact   *ecosys.Artifact
 	ReleasedAt time.Time
@@ -111,6 +120,29 @@ type Simulator struct {
 	fleet  *registry.Fleet
 	forges map[ecosys.Ecosystem]*ecosys.NameForge
 	nextID int
+
+	// bases and releases are drawn but not yet rendered (see Render).
+	bases    []*pendingBase
+	releases []pendingRelease
+}
+
+// pendingBase is a code base whose derived stream is fixed but whose
+// vocabulary and filler are not yet rendered.
+type pendingBase struct {
+	id      string
+	eco     ecosys.Ecosystem
+	payload codegen.PayloadKind
+	rng     *xrand.RNG
+	cb      *codegen.CodeBase
+}
+
+// pendingRelease is a release whose record is drawn but whose artifact is
+// not yet rendered.
+type pendingRelease struct {
+	rec   *PackageRecord
+	base  *pendingBase
+	coord ecosys.Coord
+	opts  codegen.Options
 }
 
 // NewSimulator returns a simulator drawing from the given stream and
@@ -135,6 +167,45 @@ func (s *Simulator) forge(eco ecosys.Ecosystem) *ecosys.NameForge {
 func (s *Simulator) campaignID(kind CampaignKind, eco ecosys.Ecosystem) string {
 	s.nextID++
 	return fmt.Sprintf("%s-%s-%04d", kind, eco, s.nextID)
+}
+
+// codeBase queues a code base for rendering; rng must be derived for it
+// alone.
+func (s *Simulator) codeBase(id string, eco ecosys.Ecosystem, payload codegen.PayloadKind, rng *xrand.RNG) *pendingBase {
+	b := &pendingBase{id: id, eco: eco, payload: payload, rng: rng}
+	s.bases = append(s.bases, b)
+	return b
+}
+
+// release appends rec to the campaign and queues its artifact, coord
+// instantiated from base with opts, for rendering and publication.
+func (s *Simulator) release(c *Campaign, rec *PackageRecord, base *pendingBase, coord ecosys.Coord, opts codegen.Options) {
+	rec.CampaignID, rec.CodeBaseID = c.ID, base.id
+	c.Packages = append(c.Packages, rec)
+	s.releases = append(s.releases, pendingRelease{rec: rec, base: base, coord: coord, opts: opts})
+}
+
+// Render builds every queued code base and artifact across workers, then
+// publishes the queued releases to their root registries in the order the
+// campaign methods drew them. Until it runs, the queued records have no
+// Artifact and the registries do not hold them.
+func (s *Simulator) Render() error {
+	bases, releases := s.bases, s.releases
+	s.bases, s.releases = nil, nil
+	parallel.ForEach(len(bases), func(i int) {
+		b := bases[i]
+		b.cb = codegen.NewCodeBase(b.id, b.eco, b.payload, b.rng)
+	})
+	parallel.ForEach(len(releases), func(i int) {
+		r := releases[i]
+		r.rec.Artifact = r.base.cb.Instantiate(r.coord, r.opts)
+	})
+	for _, r := range releases {
+		if err := s.publish(r.rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // publish releases a record into the root registry and registers takedown.
@@ -184,7 +255,7 @@ func (m TakedownModel) draw(rng *xrand.RNG) time.Duration {
 	return d
 }
 
-// SimilarCampaign runs one repeated-attempt campaign and publishes every
+// SimilarCampaign draws one repeated-attempt campaign and queues every
 // release. The first release uses a fresh code base; each subsequent release
 // applies the changing operations drawn from cfg.Rates.
 func (s *Simulator) SimilarCampaign(cfg SimilarConfig) (*Campaign, error) {
@@ -193,13 +264,13 @@ func (s *Simulator) SimilarCampaign(cfg SimilarConfig) (*Campaign, error) {
 	}
 	rng := s.rng.Derive("similar/" + cfg.Start.String() + cfg.Eco.String() + fmt.Sprint(s.nextID))
 	c := &Campaign{ID: s.campaignID(KindSimilarCode, cfg.Eco), Kind: KindSimilarCode, Eco: cfg.Eco, Payload: cfg.Payload}
-	cb := codegen.NewCodeBase(c.ID+"/cb", cfg.Eco, cfg.Payload, rng.Derive("cb"))
+	cb := s.codeBase(c.ID+"/cb", cfg.Eco, cfg.Payload, rng.Derive("cb"))
 
 	name := s.nextName(cfg.Eco, cfg.SquatNames)
 	version := ecosys.Version(rng)
 	desc := description(rng)
 	deps := initialDeps(cfg.Eco, rng)
-	ioc := cb.IoC
+	var ioc *codegen.IoC // nil: the code base's own indicators
 
 	releaseTimes := spreadTimes(rng, cfg.Start, cfg.Active, cfg.Size)
 	for i := 0; i < cfg.Size; i++ {
@@ -217,27 +288,17 @@ func (s *Simulator) SimilarCampaign(cfg SimilarConfig) (*Campaign, error) {
 				deps = toggleDep(deps, cfg.Eco, rng)
 			}
 			if rng.Bool(cfg.Rates.Code) {
-				ioc = codegen.RandomIoC(rng.Derive(fmt.Sprintf("ioc%d", i)))
+				next := codegen.RandomIoC(rng.Derive(fmt.Sprintf("ioc%d", i)))
+				ioc = &next
 			}
 		}
-		coord := ecosys.Coord{Ecosystem: cfg.Eco, Name: name, Version: version}
-		art := cb.Instantiate(coord, codegen.Options{
+		rec := &PackageRecord{ReleasedAt: releaseTimes[i], Kind: KindSimilarCode}
+		rec.RemovedAt = rec.ReleasedAt.Add(cfg.Takedown.draw(rng))
+		s.release(c, rec, cb, ecosys.Coord{Ecosystem: cfg.Eco, Name: name, Version: version}, codegen.Options{
 			Description:  desc,
 			Dependencies: append([]string(nil), deps...),
-			IoCOverride:  &ioc,
+			IoCOverride:  ioc,
 		})
-		rec := &PackageRecord{
-			Artifact:   art,
-			ReleasedAt: releaseTimes[i],
-			CampaignID: c.ID,
-			Kind:       KindSimilarCode,
-			CodeBaseID: cb.ID,
-		}
-		rec.RemovedAt = rec.ReleasedAt.Add(cfg.Takedown.draw(rng))
-		if err := s.publish(rec); err != nil {
-			return nil, err
-		}
-		c.Packages = append(c.Packages, rec)
 	}
 	return c, nil
 }
@@ -263,7 +324,7 @@ type DepHiddenConfig struct {
 	Bridges int
 }
 
-// DependentHiddenCampaign publishes the hidden dependency packages first,
+// DependentHiddenCampaign queues the hidden dependency packages first,
 // then their fronts (Fig. 5 steps 1–3).
 func (s *Simulator) DependentHiddenCampaign(cfg DepHiddenConfig) (*Campaign, error) {
 	if len(cfg.Specs) == 0 {
@@ -286,29 +347,20 @@ func (s *Simulator) DependentHiddenCampaign(cfg DepHiddenConfig) (*Campaign, err
 		if !s.forge(cfg.Eco).ClaimExact(spec.Name) {
 			return nil, fmt.Errorf("attacker: dependency name %q already taken", spec.Name)
 		}
-		cb := codegen.NewCodeBase(c.ID+"/core/"+spec.Name, cfg.Eco, codegen.PayloadEnvExfil, rng.Derive("core"+spec.Name))
+		cb := s.codeBase(c.ID+"/core/"+spec.Name, cfg.Eco, codegen.PayloadEnvExfil, rng.Derive("core"+spec.Name))
 		coord := ecosys.Coord{Ecosystem: cfg.Eco, Name: spec.Name, Version: ecosys.Version(rng)}
-		rec := &PackageRecord{
-			Artifact:   cb.Instantiate(coord, codegen.Options{Description: description(rng)}),
-			ReleasedAt: times[ti],
-			CampaignID: c.ID,
-			Kind:       KindDependentHidden,
-			CodeBaseID: cb.ID,
-			IsDepCore:  true,
-		}
+		opts := codegen.Options{Description: description(rng)}
+		rec := &PackageRecord{ReleasedAt: times[ti], Kind: KindDependentHidden, IsDepCore: true}
 		ti++
 		rec.RemovedAt = rec.ReleasedAt.Add(cfg.Takedown.draw(rng) + 5*24*time.Hour)
-		if err := s.publish(rec); err != nil {
-			return nil, err
-		}
-		c.Packages = append(c.Packages, rec)
+		s.release(c, rec, cb, coord, opts)
 		c.DepCores = append(c.DepCores, spec.Name)
 		coreCoords = append(coreCoords, coord)
 	}
 
-	emitFront := func(depNames []string) error {
+	emitFront := func(depNames []string) {
 		payload := xrand.Pick(rng, codegen.AllPayloads())
-		cb := codegen.NewCodeBase(fmt.Sprintf("%s/front/%d", c.ID, ti), cfg.Eco, payload, rng.Derive(fmt.Sprint("front", ti)))
+		cb := s.codeBase(fmt.Sprintf("%s/front/%d", c.ID, ti), cfg.Eco, payload, rng.Derive(fmt.Sprint("front", ti)))
 		coord := ecosys.Coord{Ecosystem: cfg.Eco, Name: s.nextName(cfg.Eco, rng.Bool(0.5)), Version: ecosys.Version(rng)}
 		opts := codegen.Options{Description: description(rng)}
 		// Hide the dependency in the manifest, the source, or both —
@@ -322,27 +374,15 @@ func (s *Simulator) DependentHiddenCampaign(cfg DepHiddenConfig) (*Campaign, err
 			opts.Dependencies = depNames
 			opts.ImportDeps = depNames
 		}
-		rec := &PackageRecord{
-			Artifact:   cb.Instantiate(coord, opts),
-			ReleasedAt: times[ti],
-			CampaignID: c.ID,
-			Kind:       KindDependentHidden,
-			CodeBaseID: cb.ID,
-		}
+		rec := &PackageRecord{ReleasedAt: times[ti], Kind: KindDependentHidden}
 		ti++
 		rec.RemovedAt = rec.ReleasedAt.Add(cfg.Takedown.draw(rng))
-		if err := s.publish(rec); err != nil {
-			return err
-		}
-		c.Packages = append(c.Packages, rec)
-		return nil
+		s.release(c, rec, cb, coord, opts)
 	}
 
 	for si, spec := range cfg.Specs {
 		for f := 0; f < spec.Fronts; f++ {
-			if err := emitFront([]string{coreCoords[si].Name}); err != nil {
-				return nil, err
-			}
+			emitFront([]string{coreCoords[si].Name})
 		}
 	}
 	// Chain bridges: two fronts per consecutive core pair keep a multi-core
@@ -351,17 +391,13 @@ func (s *Simulator) DependentHiddenCampaign(cfg DepHiddenConfig) (*Campaign, err
 	// malicious packages"); redundancy survives takedown-induced losses.
 	for si := 1; si < len(coreCoords); si++ {
 		for dup := 0; dup < 2; dup++ {
-			if err := emitFront([]string{coreCoords[si-1].Name, coreCoords[si].Name}); err != nil {
-				return nil, err
-			}
+			emitFront([]string{coreCoords[si-1].Name, coreCoords[si].Name})
 		}
 	}
 	for b := 0; b < cfg.Bridges && len(coreCoords) >= 2; b++ {
 		i := rng.Intn(len(coreCoords))
 		j := (i + 1 + rng.Intn(len(coreCoords)-1)) % len(coreCoords)
-		if err := emitFront([]string{coreCoords[i].Name, coreCoords[j].Name}); err != nil {
-			return nil, err
-		}
+		emitFront([]string{coreCoords[i].Name, coreCoords[j].Name})
 	}
 	return c, nil
 }
@@ -376,58 +412,41 @@ type FloodConfig struct {
 }
 
 // FloodCampaign models the Feb-2023 PyPI registration flood: one code base,
-// thousands of fresh names, takedown within hours.
+// thousands of fresh names, takedown within hours. It queues the releases.
 func (s *Simulator) FloodCampaign(cfg FloodConfig) (*Campaign, error) {
 	if cfg.Size < 1 {
 		return nil, fmt.Errorf("attacker: flood size %d", cfg.Size)
 	}
 	rng := s.rng.Derive("flood/" + cfg.Start.String() + fmt.Sprint(s.nextID))
 	c := &Campaign{ID: s.campaignID(KindFlood, cfg.Eco), Kind: KindFlood, Eco: cfg.Eco, Payload: codegen.PayloadDropboxFetch}
-	cb := codegen.NewCodeBase(c.ID+"/cb", cfg.Eco, codegen.PayloadDropboxFetch, rng.Derive("cb"))
+	cb := s.codeBase(c.ID+"/cb", cfg.Eco, codegen.PayloadDropboxFetch, rng.Derive("cb"))
 	times := spreadTimes(rng, cfg.Start, cfg.Window, cfg.Size)
 	desc := description(rng)
 	for i := 0; i < cfg.Size; i++ {
 		coord := ecosys.Coord{Ecosystem: cfg.Eco, Name: s.forge(cfg.Eco).Fresh(), Version: "1.0.0"}
-		rec := &PackageRecord{
-			Artifact:   cb.Instantiate(coord, codegen.Options{Description: desc}),
-			ReleasedAt: times[i],
-			CampaignID: c.ID,
-			Kind:       KindFlood,
-			CodeBaseID: cb.ID,
-		}
+		rec := &PackageRecord{ReleasedAt: times[i], Kind: KindFlood}
 		rec.RemovedAt = rec.ReleasedAt.Add(cfg.Takedown.draw(rng))
-		if err := s.publish(rec); err != nil {
-			return nil, err
-		}
-		c.Packages = append(c.Packages, rec)
+		s.release(c, rec, cb, coord, codegen.Options{Description: desc})
 	}
 	return c, nil
 }
 
-// Singleton publishes one standalone malicious package with a unique code
+// Singleton queues one standalone malicious package with a unique code
 // base.
 func (s *Simulator) Singleton(eco ecosys.Ecosystem, at time.Time, takedown TakedownModel) (*Campaign, error) {
 	rng := s.rng.Derive("singleton/" + at.String() + eco.String() + fmt.Sprint(s.nextID))
 	c := &Campaign{ID: s.campaignID(KindSingleton, eco), Kind: KindSingleton, Eco: eco}
 	payload := xrand.Pick(rng, codegen.AllPayloads())
 	c.Payload = payload
-	cb := codegen.NewCodeBase(c.ID+"/cb", eco, payload, rng.Derive("cb"))
+	cb := s.codeBase(c.ID+"/cb", eco, payload, rng.Derive("cb"))
 	coord := ecosys.Coord{Ecosystem: eco, Name: s.nextName(eco, rng.Bool(0.6)), Version: ecosys.Version(rng)}
-	rec := &PackageRecord{
-		Artifact: cb.Instantiate(coord, codegen.Options{
-			Description:  description(rng),
-			Dependencies: initialDeps(eco, rng),
-		}),
-		ReleasedAt: at,
-		CampaignID: c.ID,
-		Kind:       KindSingleton,
-		CodeBaseID: cb.ID,
+	opts := codegen.Options{
+		Description:  description(rng),
+		Dependencies: initialDeps(eco, rng),
 	}
+	rec := &PackageRecord{ReleasedAt: at, Kind: KindSingleton}
 	rec.RemovedAt = at.Add(takedown.draw(rng))
-	if err := s.publish(rec); err != nil {
-		return nil, err
-	}
-	c.Packages = append(c.Packages, rec)
+	s.release(c, rec, cb, coord, opts)
 	return c, nil
 }
 
@@ -455,20 +474,12 @@ func spreadTimes(rng *xrand.RNG, start time.Time, active time.Duration, n int) [
 	for i := 0; i < n-2; i++ {
 		inner = append(inner, time.Duration(rng.Float64()*float64(active)))
 	}
-	sortDurations(inner)
+	slices.Sort(inner)
 	for _, d := range inner {
 		out = append(out, start.Add(d))
 	}
 	out = append(out, start.Add(active))
 	return out
-}
-
-func sortDurations(ds []time.Duration) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
 }
 
 // legitDeps are real, benign dependency names a similar-code campaign may

@@ -20,6 +20,14 @@ func newFixture() (*Simulator, *registry.Fleet) {
 	return NewSimulator(xrand.New(99), fleet), fleet
 }
 
+// render builds and publishes everything sim has queued.
+func render(t *testing.T, sim *Simulator) {
+	t.Helper()
+	if err := sim.Render(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSimilarCampaignShape(t *testing.T) {
 	sim, fleet := newFixture()
 	c, err := sim.SimilarCampaign(SimilarConfig{
@@ -34,6 +42,7 @@ func TestSimilarCampaignShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	render(t, sim)
 	if len(c.Packages) != 20 {
 		t.Fatalf("size = %d", len(c.Packages))
 	}
@@ -65,6 +74,7 @@ func TestSimilarCampaignCoordinatesUnique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	render(t, sim)
 	seen := map[string]bool{}
 	for _, p := range c.Packages {
 		key := p.Artifact.Coord.Key()
@@ -85,6 +95,7 @@ func TestSimilarCampaignOpMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	render(t, sim)
 	var cn, cv, cc int
 	for i := 1; i < len(c.Packages); i++ {
 		ops := codegen.DiffOps(c.Packages[i-1].Artifact, c.Packages[i].Artifact)
@@ -128,6 +139,7 @@ func TestDependentHiddenCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	render(t, sim)
 	// 2 cores + 15 fronts + 2 chain bridges (one core pair) + 2 extras.
 	if len(c.Packages) != 2+10+5+2+2 {
 		t.Fatalf("package count = %d", len(c.Packages))
@@ -197,6 +209,7 @@ func TestDependentHiddenNameClash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	render(t, sim)
 	if _, err := sim.DependentHiddenCampaign(DepHiddenConfig{
 		Eco: ecosys.PyPI, Specs: []DepSpec{{Name: "urllib", Fronts: 1}},
 		Start: start.AddDate(0, 1, 0), Active: 24 * time.Hour, Takedown: TakedownModel{MeanDays: 1},
@@ -215,6 +228,7 @@ func TestFloodCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	render(t, sim)
 	if len(c.Packages) != 300 {
 		t.Fatalf("flood size = %d", len(c.Packages))
 	}
@@ -238,6 +252,7 @@ func TestSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	render(t, sim)
 	if len(c.Packages) != 1 || c.Kind != KindSingleton {
 		t.Fatalf("singleton shape wrong: %+v", c)
 	}
@@ -287,10 +302,12 @@ func TestDeterministicCampaigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	render(t, simA)
 	b, err := simB.SimilarCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	render(t, simB)
 	for i := range a.Packages {
 		if a.Packages[i].Artifact.Hash() != b.Packages[i].Artifact.Hash() {
 			t.Fatalf("non-deterministic artifact at %d", i)

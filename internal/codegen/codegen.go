@@ -11,7 +11,9 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"malgraph/internal/ecosys"
 	"malgraph/internal/xrand"
@@ -115,6 +117,10 @@ type IoC struct {
 // a fixed identifier vocabulary, and benign filler. Packages instantiated
 // from the same CodeBase share ~99% of their tokens, which is what the
 // similarity stage must recover (§III-B).
+//
+// A code base renders its source files once per (IoC, import deps) and
+// shares them across every release that uses that pair, so Instantiate is
+// safe for concurrent use.
 type CodeBase struct {
 	ID       string
 	Eco      ecosys.Ecosystem
@@ -126,6 +132,22 @@ type CodeBase struct {
 	salt     []string // unique per-code-base tokens woven through every file
 	hook     bool     // whether NPM manifests declare a postinstall hook
 	docLinks int      // fake documentation URLs copied from benign boilerplate
+
+	mu      sync.Mutex
+	sources map[sourceKey]*renderedSources
+}
+
+// sourceKey is everything a code base's source files depend on.
+type sourceKey struct {
+	ext  string
+	ioc  IoC
+	deps string // import deps, NUL-joined
+}
+
+// renderedSources is one rendering of a code base's source files.
+type renderedSources struct {
+	once  sync.Once
+	files []ecosys.File
 }
 
 // Options configures a single artifact instantiation.
@@ -169,6 +191,7 @@ func NewCodeBase(id string, eco ecosys.Ecosystem, payload PayloadKind, rng *xran
 	// Attackers copy benign boilerplate: many campaigns ship fake
 	// documentation links, so URL counts overlap the benign distribution.
 	cb.docLinks = rng.Intn(3)
+	cb.sources = make(map[sourceKey]*renderedSources)
 	return cb
 }
 
@@ -184,7 +207,7 @@ func (cb *CodeBase) saltHeader(ext string) string {
 	b.WriteString(line)
 	b.WriteString(line)
 	for i := 0; i < cb.docLinks; i++ {
-		fmt.Fprintf(&b, "%s docs: https://github.com/org/%s#readme\n", marker, cb.salt[i%len(cb.salt)])
+		b.WriteString(marker + " docs: https://github.com/org/" + cb.salt[i%len(cb.salt)] + "#readme\n")
 	}
 	return b.String()
 }
@@ -211,11 +234,27 @@ func (cb *CodeBase) Instantiate(coord ecosys.Coord, opts Options) *ecosys.Artifa
 	if opts.IoCOverride != nil {
 		ioc = *opts.IoCOverride
 	}
-	var files []ecosys.File
-	files = append(files, cb.manifest(coord, opts))
-	files = append(files, ecosys.File{Path: "README.md", Content: readme(coord, opts.Description)})
-	files = append(files, cb.sourceFiles(coord, opts, ioc)...)
+	files := []ecosys.File{
+		cb.manifest(coord, opts),
+		{Path: "README.md", Content: readme(coord, opts.Description)},
+	}
+	files = append(files, cb.sourceFiles(coord.Ecosystem.SourceExt(), opts.ImportDeps, ioc)...)
 	return ecosys.NewArtifact(coord, opts.Description, files)
+}
+
+// sourceFiles returns the code base's source files for one (IoC, import
+// deps) pair, rendering them on first use.
+func (cb *CodeBase) sourceFiles(ext string, importDeps []string, ioc IoC) []ecosys.File {
+	key := sourceKey{ext: ext, ioc: ioc, deps: strings.Join(importDeps, "\x00")}
+	cb.mu.Lock()
+	r, ok := cb.sources[key]
+	if !ok {
+		r = &renderedSources{}
+		cb.sources[key] = r
+	}
+	cb.mu.Unlock()
+	r.once.Do(func() { r.files = cb.renderSources(ext, importDeps, ioc) })
+	return r.files
 }
 
 func (cb *CodeBase) manifest(coord ecosys.Coord, opts Options) ecosys.File {
@@ -259,20 +298,17 @@ func readme(coord ecosys.Coord, desc string) string {
 	return fmt.Sprintf("# %s\n\n%s\n\nInstall from %s.\nMIT License.\n", coord.Name, desc, coord.Ecosystem)
 }
 
-func (cb *CodeBase) sourceFiles(coord ecosys.Coord, opts Options, ioc IoC) []ecosys.File {
-	ext := coord.Ecosystem.SourceExt()
-	var main, helper strings.Builder
-
-	// Import section: benign-looking stdlib plus any dependent-hidden libs.
-	main.WriteString(cb.saltHeader(ext))
-	main.WriteString(importBlock(ext, opts.ImportDeps))
-	main.WriteString(cb.payloadCode(ext, ioc))
-	helper.WriteString(cb.saltHeader(ext))
+func (cb *CodeBase) renderSources(ext string, importDeps []string, ioc IoC) []ecosys.File {
+	header := cb.saltHeader(ext)
+	// Import section: benign-looking stdlib plus any dependent-hidden libs,
+	// then the payload; the fillers alternate between main and helper.
+	main := []string{header, importBlock(ext, importDeps), cb.payloadCode(ext, ioc)}
+	helper := []string{header}
 	for i, f := range cb.fillers {
 		if i%2 == 0 {
-			main.WriteString(f)
+			main = append(main, f)
 		} else {
-			helper.WriteString(f)
+			helper = append(helper, f)
 		}
 	}
 
@@ -283,12 +319,11 @@ func (cb *CodeBase) sourceFiles(coord ecosys.Coord, opts Options, ioc IoC) []eco
 	// Single-file vs main+helper layout varies per code base, as it does in
 	// the wild; file count is therefore not a class signal.
 	if len(cb.fillers) < 4 {
-		main.WriteString(helper.String())
-		return []ecosys.File{{Path: mainName, Content: main.String()}}
+		return []ecosys.File{{Path: mainName, Content: strings.Join(append(main, helper...), "")}}
 	}
 	return []ecosys.File{
-		{Path: mainName, Content: main.String()},
-		{Path: "lib/helper." + ext, Content: helper.String()},
+		{Path: mainName, Content: strings.Join(main, "")},
+		{Path: "lib/helper." + ext, Content: strings.Join(helper, "")},
 	}
 }
 
@@ -449,7 +484,7 @@ func randomIdent(rng *xrand.RNG) string {
 	for i := 0; i < n; i++ {
 		b.WriteString(xrand.Pick(rng, identSyllables))
 	}
-	b.WriteString(fmt.Sprint(rng.Intn(100)))
+	b.WriteString(strconv.Itoa(rng.Intn(100)))
 	return b.String()
 }
 
@@ -473,10 +508,12 @@ func fillerFunc(eco ecosys.Ecosystem, rng *xrand.RNG, salt string) string {
 	a, bIdent, c := randomIdent(rng), randomIdent(rng), randomIdent(rng)
 	switch eco.SourceExt() {
 	case "py":
-		return fmt.Sprintf("def %s(%s, %s=None):\n    \"\"\"%s helper.\"\"\"\n    %s = %s or []\n    %s = [x for x in %s if x]\n    return %s\n\n", name, a, bIdent, salt, bIdent, bIdent, c, a, c)
+		return "def " + name + "(" + a + ", " + bIdent + "=None):\n    \"\"\"" + salt + " helper.\"\"\"\n    " +
+			bIdent + " = " + bIdent + " or []\n    " + c + " = [x for x in " + a + " if x]\n    return " + c + "\n\n"
 	case "rb":
-		return fmt.Sprintf("def %s(%s) # %s\n  %s = %s.reject(&:nil?)\n  %s\nend\n\n", name, a, salt, c, a, c)
+		return "def " + name + "(" + a + ") # " + salt + "\n  " + c + " = " + a + ".reject(&:nil?)\n  " + c + "\nend\n\n"
 	default:
-		return fmt.Sprintf("function %s(%s, %s) { // %s\n  const %s = (%s || []).filter(Boolean);\n  return %s.concat(%s || []);\n}\n\n", name, a, bIdent, salt, c, a, c, bIdent)
+		return "function " + name + "(" + a + ", " + bIdent + ") { // " + salt + "\n  const " + c + " = (" + a +
+			" || []).filter(Boolean);\n  return " + c + ".concat(" + bIdent + " || []);\n}\n\n"
 	}
 }

@@ -112,13 +112,21 @@ func liveAt(rel *ecosys.Release, t time.Time) bool {
 
 // Fetch returns the artifact if the coordinate is live at time t.
 func (r *Registry) Fetch(coord ecosys.Coord, t time.Time) (*ecosys.Artifact, error) {
+	if art, ok := r.fetch(coord.Key(), t); ok {
+		return art, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, coord)
+}
+
+// fetch is Fetch by coordinate key, without an error on a miss.
+func (r *Registry) fetch(key string, t time.Time) (*ecosys.Artifact, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	rel, ok := r.releases[coord.Key()]
+	rel, ok := r.releases[key]
 	if !ok || !liveAt(rel, t) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, coord)
+		return nil, false
 	}
-	return r.artifacts[coord.Key()], nil
+	return r.artifacts[key], true
 }
 
 // Release returns the release record for a coordinate regardless of takedown
@@ -221,20 +229,34 @@ func (m *Mirror) LastSync(t time.Time) (time.Time, bool) {
 //   - Accumulate mode: present iff ANY sync in [epoch, t] fell inside the
 //     package's live window in the root.
 func (m *Mirror) Has(coord ecosys.Coord, t time.Time) bool {
+	_, ok := m.fetch(coord.Key(), t)
+	return ok
+}
+
+// fetch returns the artifact by coordinate key if the mirror holds it at
+// time t (see Has), without an error on a miss.
+func (m *Mirror) fetch(key string, t time.Time) (*ecosys.Artifact, bool) {
 	last, ok := m.LastSync(t)
 	if !ok {
-		return false
+		return nil, false
 	}
-	rel, ok := m.root.Release(coord)
+	r := m.root
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	rel, ok := r.releases[key]
 	if !ok {
-		return false
+		return nil, false
 	}
 	switch m.mode {
 	case SyncAccumulate:
-		return m.anySyncInWindow(rel, last)
+		ok = m.anySyncInWindow(*rel, last)
 	default:
-		return liveAt(&rel, last)
+		ok = liveAt(rel, last)
 	}
+	if !ok {
+		return nil, false
+	}
+	return r.artifacts[key], true
 }
 
 func (m *Mirror) anySyncInWindow(rel ecosys.Release, lastSync time.Time) bool {
@@ -261,14 +283,10 @@ func (m *Mirror) anySyncInWindow(rel ecosys.Release, lastSync time.Time) bool {
 
 // Fetch returns the artifact if the mirror holds the coordinate at time t.
 func (m *Mirror) Fetch(coord ecosys.Coord, t time.Time) (*ecosys.Artifact, error) {
-	if !m.Has(coord, t) {
-		return nil, fmt.Errorf("%w: %s (mirror %s)", ErrNotFound, coord, m.name)
+	if art, ok := m.fetch(coord.Key(), t); ok {
+		return art, nil
 	}
-	art, ok := m.root.Archive(coord)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s (mirror %s: root archive miss)", ErrNotFound, coord, m.name)
-	}
-	return art, nil
+	return nil, fmt.Errorf("%w: %s (mirror %s)", ErrNotFound, coord, m.name)
 }
 
 // Fleet groups the root registries and mirrors of a simulated world and
@@ -334,14 +352,18 @@ func (f *Fleet) Roots() []*Registry {
 // then fall back to each mirror in order. It returns the artifact and the
 // name of the registry that served it.
 func (f *Fleet) Recover(coord ecosys.Coord, t time.Time) (*ecosys.Artifact, string, error) {
-	if root, ok := f.Root(coord.Ecosystem); ok {
-		if art, err := root.Fetch(coord, t); err == nil {
-			return art, root.Name(), nil
+	key := coord.Key()
+	f.mu.RLock()
+	root, mirrors := f.roots[coord.Ecosystem], f.mirrors[coord.Ecosystem]
+	f.mu.RUnlock()
+	if root != nil {
+		if art, ok := root.fetch(key, t); ok {
+			return art, root.name, nil
 		}
 	}
-	for _, m := range f.Mirrors(coord.Ecosystem) {
-		if art, err := m.Fetch(coord, t); err == nil {
-			return art, m.Name(), nil
+	for _, m := range mirrors {
+		if art, ok := m.fetch(key, t); ok {
+			return art, m.name, nil
 		}
 	}
 	return nil, "", fmt.Errorf("%w: %s (root and all mirrors)", ErrNotFound, coord)

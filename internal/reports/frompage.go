@@ -3,6 +3,7 @@ package reports
 import (
 	"time"
 
+	"malgraph/internal/parallel"
 	"malgraph/internal/webworld"
 )
 
@@ -39,11 +40,15 @@ func FromPage(p *webworld.Page, fetchedAt time.Time) (*Report, bool) {
 }
 
 // FromPages converts a crawl result into a report corpus, dropping
-// non-report pages.
+// non-report pages. Pages parse in parallel; the corpus keeps page order.
 func FromPages(pages []*webworld.Page, fetchedAt time.Time) []*Report {
+	parsed := parallel.Map(len(pages), func(i int) *Report {
+		r, _ := FromPage(pages[i], fetchedAt)
+		return r
+	})
 	out := make([]*Report, 0, len(pages))
-	for _, p := range pages {
-		if r, ok := FromPage(p, fetchedAt); ok {
+	for _, r := range parsed {
+		if r != nil {
 			out = append(out, r)
 		}
 	}

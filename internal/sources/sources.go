@@ -145,11 +145,15 @@ func (s *Source) Size() int {
 func (s *Source) Records() []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Record, 0, len(s.records))
-	for _, r := range s.records {
-		out = append(out, r)
+	keys := make([]string, 0, len(s.records))
+	for key := range s.records {
+		keys = append(keys, key)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Coord.Key() < out[j].Coord.Key() })
+	sort.Strings(keys)
+	out := make([]Record, len(keys))
+	for i, key := range keys {
+		out[i] = s.records[key]
+	}
 	return out
 }
 

@@ -51,6 +51,9 @@ func Build(cfg Config) (*World, error) {
 	if err := w.buildCampaigns(sim, rng.Derive("campaigns")); err != nil {
 		return nil, fmt.Errorf("world campaigns: %w", err)
 	}
+	if err := sim.Render(); err != nil {
+		return nil, fmt.Errorf("world campaigns: %w", err)
+	}
 	for _, c := range w.Campaigns {
 		for _, rec := range c.Packages {
 			w.Records[rec.Artifact.Coord.Key()] = rec
@@ -112,9 +115,9 @@ func (w *World) buildFleet(rng *xrand.RNG) {
 			{"gem-sdut", registry.SyncSnapshot, date(2019, 1, 1), 12 * day},
 		},
 	}
-	for eco, list := range specs {
+	for _, eco := range ecosys.All() {
 		root, _ := w.Fleet.Root(eco)
-		for _, s := range list {
+		for _, s := range specs[eco] {
 			m, err := registry.NewMirror(s.name, root, s.mode, s.epoch, s.period)
 			if err != nil {
 				// Specs are compile-time constants; a bad one is a
@@ -131,20 +134,6 @@ func (w *World) buildFleet(rng *xrand.RNG) {
 func (w *World) Record(coord ecosys.Coord) (*attacker.PackageRecord, bool) {
 	rec, ok := w.Records[coord.Key()]
 	return rec, ok
-}
-
-// CampaignOf returns the campaign a coordinate belongs to.
-func (w *World) CampaignOf(coord ecosys.Coord) (*attacker.Campaign, bool) {
-	rec, ok := w.Records[coord.Key()]
-	if !ok {
-		return nil, false
-	}
-	for _, c := range w.Campaigns {
-		if c.ID == rec.CampaignID {
-			return c, true
-		}
-	}
-	return nil, false
 }
 
 // TotalPackages returns the number of released packages.

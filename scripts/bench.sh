@@ -21,6 +21,9 @@
 #                           runners still clear)
 #   BENCH_clustering.json   BenchmarkTable6_ClusteringStage (§III-B hot path)
 #   BENCH_pipeline.json     BenchmarkPipeline_EndToEnd (whole-corpus envelope)
+#                           and BenchmarkPipeline_Startup (what every serve
+#                           start pays: world build, collection, report crawl
+#                           and parse, 200-batch feed), one JSON record a line
 #   BENCH_incremental.json  BenchmarkIncremental_{Append,FullRebuild} plus the
 #                           append-vs-rebuild speedup (the streaming engine's
 #                           headline: a 1% delta must stay ≥10× cheaper),
@@ -78,7 +81,7 @@ SERVE_TIME="${BENCH_SERVE_TIME:-1x}"
 
 {
   MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
-      -bench 'BenchmarkTable6_ClusteringStage$|BenchmarkPipeline_EndToEnd$|BenchmarkIncremental_FullRebuild$|BenchmarkIncremental_AppendGrowth$|BenchmarkIncremental_ReportAppendGrowth$|BenchmarkIncremental_CheckpointGrowth$|BenchmarkIncremental_PublishGrowth$' \
+      -bench 'BenchmarkTable6_ClusteringStage$|BenchmarkPipeline_EndToEnd$|BenchmarkPipeline_Startup$|BenchmarkIncremental_FullRebuild$|BenchmarkIncremental_AppendGrowth$|BenchmarkIncremental_ReportAppendGrowth$|BenchmarkIncremental_CheckpointGrowth$|BenchmarkIncremental_PublishGrowth$' \
       -benchmem -benchtime "$TIME" .
   MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
       -bench 'BenchmarkIncremental_Append$|BenchmarkIncremental_JournaledAppend$' \
@@ -107,6 +110,7 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
     out = ""
     if (name == "BenchmarkTable6_ClusteringStage") out = dir "/BENCH_clustering.json"
     if (name == "BenchmarkPipeline_EndToEnd")      out = dir "/BENCH_pipeline.json"
+    if (name == "BenchmarkPipeline_Startup")       out = dir "/BENCH_pipeline.json"
     for (i = 3; i < NF; i += 2) if ($(i + 1) == "ns/op") ns = $i
     if (name == "BenchmarkIncremental_Append")          { append_ns = ns;  append_rec = record(name) }
     if (name == "BenchmarkIncremental_JournaledAppend") {
@@ -143,7 +147,9 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
     }
     if (out == "") next
     line = record(name)
-    print line > out
+    if (out in written) print line >> out
+    else print line > out
+    written[out] = 1
     close(out)
     print "wrote " out ": " line
   }
