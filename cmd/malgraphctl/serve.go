@@ -550,14 +550,13 @@ type batchOut struct {
 	DirtyEcoItems         int `json:"dirtyEcoItems,omitempty"`
 	// Report-join scope: reportsRejoined previously joined reports were
 	// re-joined (wanted-package arrivals, late reports), replacing
-	// coexistingEdgesReplaced edges surgically; coexistingScoped vs
-	// coexistingRebuilt distinguishes the scoped path from the full-rebuild
-	// fallback. duplicateReports counts re-delivered report URLs (dropped),
-	// duplicateReportConflicts how many of those had changed content.
+	// coexistingEdgesReplaced edges surgically; coexistingScoped reports
+	// that the scoped re-join ran. duplicateReports counts re-delivered
+	// report URLs (dropped), duplicateReportConflicts how many of those had
+	// changed content.
 	ReportsRejoined          int  `json:"reportsRejoined,omitempty"`
 	CoexistingEdgesReplaced  int  `json:"coexistingEdgesReplaced,omitempty"`
 	CoexistingScoped         bool `json:"coexistingScoped,omitempty"`
-	CoexistingRebuilt        bool `json:"coexistingRebuilt,omitempty"`
 	DuplicateReports         int  `json:"duplicateReports,omitempty"`
 	DuplicateReportConflicts int  `json:"duplicateReportConflicts,omitempty"`
 }
@@ -580,7 +579,6 @@ func statsOut(st core.IngestStats) batchOut {
 		ReportsRejoined:          st.ReportsRejoined,
 		CoexistingEdgesReplaced:  st.CoexistingEdgesReplaced,
 		CoexistingScoped:         st.CoexistingScoped,
-		CoexistingRebuilt:        st.CoexistingRebuilt,
 		DuplicateReports:         st.DuplicateReports,
 		DuplicateReportConflicts: st.DuplicateReportConflicts,
 	}

@@ -535,11 +535,6 @@ func BenchmarkIncremental_AppendGrowth(b *testing.B) {
 				b.ReportMetric(float64(is.PartitionsReclustered), "partitions_touched")
 				b.ReportMetric(float64(is.ArtifactsReclustered), "artifacts_reclustered")
 				b.ReportMetric(float64(is.DirtyEcoItems), "dirty_eco_items")
-				rebuilt := 0.0
-				if is.CoexistingRebuilt {
-					rebuilt = 1.0
-				}
-				b.ReportMetric(rebuilt, "coexisting_rebuilt")
 			}
 		})
 	}
@@ -586,8 +581,7 @@ func BenchmarkIncremental_PublishGrowth(b *testing.B) {
 // a 1× corpus. The entry corpus is held CONSTANT across sizes (the shared
 // 10× growth world minus the packages named by its first report) and only
 // the URL-ordered report prefix grows, so the ratio isolates exactly the
-// report-join term the posting-list index removes — before ISSUE 5 this
-// delta triggered a full RemoveEdgesWhere + O(total reports) re-derivation.
+// report-join term the posting-list index removes.
 
 // reportGrowthSetup warms an engine with the constant entry corpus plus a
 // tenths/10 report prefix, holding out the packages the first report names;
@@ -656,7 +650,7 @@ func BenchmarkIncremental_ReportAppendGrowth(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				if !is.CoexistingScoped && !is.CoexistingRebuilt {
+				if !is.CoexistingScoped {
 					b.Fatal("delta did not trigger a co-existing re-join")
 				}
 				b.StartTimer()
@@ -664,11 +658,6 @@ func BenchmarkIncremental_ReportAppendGrowth(b *testing.B) {
 				b.ReportMetric(float64(is.ReportsRejoined), "reports_rejoined")
 				b.ReportMetric(float64(is.CoexistingEdgesReplaced), "coexisting_edges_replaced")
 				b.ReportMetric(float64(len(eng.Reports())), "reports_total")
-				rebuilt := 0.0
-				if is.CoexistingRebuilt {
-					rebuilt = 1.0
-				}
-				b.ReportMetric(rebuilt, "coexisting_rebuilt")
 			}
 		})
 	}

@@ -281,7 +281,8 @@ func dedupe(diags []Diagnostic) []Diagnostic {
 // the packages maprange and nondeterm police. Everything the graph, the
 // clustering kernels, and the RQ analyses are computed from lives here, and
 // so does the simulated world they are computed over: the generator, the
-// report web, the sources and the seeded random streams.
+// report web, the sources, the collection that merges them and the seeded
+// random streams.
 var DeterministicZone = []string{
 	"internal/core",
 	"internal/graph",
@@ -296,6 +297,7 @@ var DeterministicZone = []string{
 	"internal/reports",
 	"internal/ecosys",
 	"internal/xrand",
+	"internal/collect",
 }
 
 // InDeterministicZone reports whether importPath (under modulePath) is one

@@ -45,6 +45,7 @@ func TestInDeterministicZone(t *testing.T) {
 		{"malgraph/internal/reports", true},
 		{"malgraph/internal/ecosys", true},
 		{"malgraph/internal/xrand", true},
+		{"malgraph/internal/collect", true},
 		{"malgraph/internal/registry", false}, // serves the world, computes nothing from it
 		{"malgraph/internal/corelike", false}, // prefix of a zone name is not the zone
 		{"malgraph/internal/wal", false},

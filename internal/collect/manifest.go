@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"malgraph/internal/sources"
 )
 
 // ResultHeader is the dataset-level state outside the entries: collection
@@ -98,17 +96,11 @@ func DecodeEntry(data []byte) (DecodedEntry, error) {
 // entries (artifacts already attached by the caller). Entries are verified
 // against their recorded hashes and indexed exactly as ReadJSON would.
 func AssembleResult(h ResultHeader, entries []DecodedEntry) (*Result, error) {
-	res := &Result{
-		CollectedAt: h.CollectedAt,
-		PerSource:   make(map[sources.ID]SourceStats, len(h.PerSource)),
+	perSource, err := decodePerSource(h.PerSource)
+	if err != nil {
+		return nil, fmt.Errorf("manifest decode: %w", err)
 	}
-	for raw, st := range h.PerSource {
-		var id int
-		if _, err := fmt.Sscanf(raw, "%d", &id); err != nil {
-			return nil, fmt.Errorf("manifest decode: bad source id %q", raw)
-		}
-		res.PerSource[sources.ID(id)] = st
-	}
+	res := &Result{CollectedAt: h.CollectedAt, PerSource: perSource}
 	for _, de := range entries {
 		e := de.Entry
 		if e.Artifact != nil && de.Hash != "" && e.Artifact.Hash() != de.Hash {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"malgraph/internal/ecosys"
@@ -107,17 +108,11 @@ func ReadJSON(rd io.Reader) (*Result, error) {
 	if err := json.NewDecoder(rd).Decode(&p); err != nil {
 		return nil, fmt.Errorf("dataset decode: %w", err)
 	}
-	res := &Result{
-		CollectedAt: p.CollectedAt,
-		PerSource:   make(map[sources.ID]SourceStats, len(p.PerSource)),
+	perSource, err := decodePerSource(p.PerSource)
+	if err != nil {
+		return nil, fmt.Errorf("dataset decode: %w", err)
 	}
-	for raw, st := range p.PerSource {
-		var id int
-		if _, err := fmt.Sscanf(raw, "%d", &id); err != nil {
-			return nil, fmt.Errorf("dataset decode: bad source id %q", raw)
-		}
-		res.PerSource[sources.ID(id)] = st
-	}
+	res := &Result{CollectedAt: p.CollectedAt, PerSource: perSource}
 	for _, pe := range p.Entries {
 		e := &Entry{
 			Coord:         pe.Coord,
@@ -168,4 +163,30 @@ func (r *Result) Supplement(other *Result) int {
 		upgraded++
 	}
 	return upgraded
+}
+
+// decodePerSource turns the persisted perSource map, keyed by decimal source
+// ID, back into per-source stats. A key must be the canonical decimal form
+// of a known source: "3x", "03", "+3" and unknown IDs are rejected. The
+// canonical form also makes keys and sources one-to-one, so no two keys can
+// land on the same source. Keys are walked sorted, so the same bad input
+// always fails on the same key.
+func decodePerSource(raw map[string]SourceStats) (map[sources.ID]SourceStats, error) {
+	keys := make([]string, 0, len(raw))
+	for k := range raw {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make(map[sources.ID]SourceStats, len(raw))
+	for _, k := range keys {
+		n, err := strconv.Atoi(k)
+		if err != nil || strconv.Itoa(n) != k {
+			return nil, fmt.Errorf("bad source id %q", k)
+		}
+		if _, known := sources.InfoFor(sources.ID(n)); !known {
+			return nil, fmt.Errorf("unknown source id %q", k)
+		}
+		out[sources.ID(n)] = raw[k]
+	}
+	return out, nil
 }

@@ -2,6 +2,7 @@ package collect
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -93,9 +94,53 @@ func TestReadJSONRejectsTamperedArtifact(t *testing.T) {
 	}
 }
 
+// badPerSource lists perSource objects whose keys are not the canonical
+// decimal ID of a known source — including two spellings of source 3 at once.
+var badPerSource = []string{
+	`{"3x":{}}`, `{"3 4":{}}`, `{"-2":{}}`, `{"+3":{}}`, `{"03":{}}`,
+	`{"0":{}}`, `{"99":{}}`, `{"":{}}`, `{"3":{},"03":{}}`,
+}
+
 func TestReadJSONBadInput(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("{nope")); err == nil {
 		t.Fatal("bad JSON must error")
+	}
+	doc := func(perSource string) string {
+		return `{"mode":"public","collectedAt":"2024-01-01T00:00:00Z","perSource":` + perSource + `,"entries":[]}`
+	}
+	res, err := ReadJSON(strings.NewReader(doc(`{"3":{"Total":2},"10":{"Total":1}}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PerSource[3].Total != 2 || res.PerSource[10].Total != 1 || len(res.PerSource) != 2 {
+		t.Fatalf("canonical perSource decoded as %v", res.PerSource)
+	}
+	for _, ps := range badPerSource {
+		if _, err := ReadJSON(strings.NewReader(doc(ps))); err == nil {
+			t.Errorf("perSource %s: ReadJSON accepted it", ps)
+		}
+	}
+}
+
+func TestAssembleResultBadSourceIDs(t *testing.T) {
+	header := func(perSource string) ResultHeader {
+		h := ResultHeader{}
+		if err := json.Unmarshal([]byte(perSource), &h.PerSource); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	res, err := AssembleResult(header(`{"3":{"Total":2}}`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PerSource[3].Total != 2 || len(res.PerSource) != 1 {
+		t.Fatalf("canonical perSource assembled as %v", res.PerSource)
+	}
+	for _, ps := range badPerSource {
+		if _, err := AssembleResult(header(ps), nil); err == nil {
+			t.Errorf("perSource %s: AssembleResult accepted it", ps)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"malgraph/internal/ecosys"
@@ -142,6 +143,11 @@ func (rv *Resolver) Resolve(obs []Observation, existing *Result) (Batch, error) 
 		}
 		if !validEcosystem(o.Coord.Ecosystem) || o.Coord.Name == "" || o.Coord.Version == "" {
 			return Batch{}, fmt.Errorf("%w: incomplete coordinate %q", ErrBadObservation, o.Coord.Key())
+		}
+		// Graph node IDs use '|' as a separator (record nodes, co-existing
+		// pair keys), so it may not appear inside a coordinate.
+		if strings.ContainsRune(o.Coord.Name, '|') || strings.ContainsRune(o.Coord.Version, '|') {
+			return Batch{}, fmt.Errorf("%w: '|' in coordinate %q", ErrBadObservation, o.Coord.Key())
 		}
 		if o.Artifact != nil && o.Artifact.Coord != o.Coord {
 			return Batch{}, fmt.Errorf("%w: artifact coordinate %s does not match %s",

@@ -153,6 +153,8 @@ func TestResolveRejectsBadObservations(t *testing.T) {
 		"no version":       {Source: sources.Snyk, Coord: ecosys.Coord{Ecosystem: ecosys.PyPI, Name: "x"}, ObservedAt: day(1)},
 		"bad ecosystem":    {Source: sources.Snyk, Coord: ecosys.Coord{Ecosystem: 0, Name: "x", Version: "1"}, ObservedAt: day(1)},
 		"foreign artifact": {Source: sources.Backstabber, Coord: coord, ObservedAt: day(1), Artifact: art("other")},
+		"pipe in name":     {Source: sources.Snyk, Coord: ecosys.Coord{Ecosystem: ecosys.PyPI, Name: "x|PyPI/foo", Version: "1"}, ObservedAt: day(1)},
+		"pipe in version":  {Source: sources.Snyk, Coord: ecosys.Coord{Ecosystem: ecosys.PyPI, Name: "x", Version: "1|2"}, ObservedAt: day(1)},
 	} {
 		if _, err := rv.Resolve([]Observation{obs}, ds); !errors.Is(err, ErrBadObservation) {
 			t.Errorf("%s: err = %v, want ErrBadObservation", name, err)

@@ -54,7 +54,6 @@ import (
 	"malgraph/internal/depscan"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
-	"malgraph/internal/graph/cow"
 	"malgraph/internal/parallel"
 	"malgraph/internal/reports"
 	"malgraph/internal/sources"
@@ -104,7 +103,7 @@ type IngestStats struct {
 	PartitionsReclustered int
 	ArtifactsReclustered  int
 	DirtyEcoItems         int
-	// Edge deltas by type (coexisting counts the net effect of a rebuild).
+	// Edge deltas by type, net of the edges a batch replaces.
 	DuplicatedDelta int
 	DependencyDelta int
 	SimilarDelta    int
@@ -115,13 +114,13 @@ type IngestStats struct {
 	// their groups); CoexistingEdgesReplaced counts edges surgically removed
 	// for re-derivation (first-writer ownership repairs plus hub-and-path
 	// group replacements). CoexistingScoped reports that the scoped re-join
-	// machinery ran; CoexistingRebuilt that the stage fell back to a full
-	// re-derivation (only when the scope would have covered most of the
-	// corpus — see applyCoexisting).
+	// machinery ran.
 	ReportsRejoined         int
 	CoexistingEdgesReplaced int
 	CoexistingScoped        bool
-	CoexistingRebuilt       bool
+	// CoexistingRebuilt is never set: the stage has no full-rebuild path
+	// any more. It stays only because the servebench harness reads it.
+	CoexistingRebuilt bool
 }
 
 // DatasetChanged reports whether the merged dataset differs from before the
@@ -138,7 +137,7 @@ func (s IngestStats) DependencyChanged() bool { return s.DependencyDelta != 0 }
 // CoexistingChanged reports whether co-existing edges or the report corpus
 // changed (RQ4 inputs).
 func (s IngestStats) CoexistingChanged() bool {
-	return s.CoexistingRebuilt || s.CoexistingScoped || s.NewReports > 0
+	return s.CoexistingScoped || s.NewReports > 0
 }
 
 // ecoShard is one ecosystem's slice of the engine state. The §III edge
@@ -535,15 +534,16 @@ func (e *Engine) applyNodes(changes []entryChange, st *IngestStats) error {
 			// and drop the entry's duplicated edges so the clique below
 			// re-derives them with the hash-confirmed match attr — what a
 			// one-shot build of the merged corpus would have produced.
-			for _, s := range en.Sources {
-				if err := e.mg.G.SetAttr(RecordNodeID(s, en.Coord), "hash", en.Artifact.Hash()); err != nil {
+			// Duplicated edges join only the records of one entry, so the
+			// edges incident to its records are exactly its clique.
+			recIDs := make([]string, len(en.Sources))
+			for i, s := range en.Sources {
+				recIDs[i] = RecordNodeID(s, en.Coord)
+				if err := e.mg.G.SetAttr(recIDs[i], "hash", en.Artifact.Hash()); err != nil {
 					return err
 				}
 			}
-			suffix := "|" + en.Coord.Key()
-			e.mg.G.RemoveEdgesWhere(graph.Duplicated, func(ed graph.Edge) bool {
-				return strings.HasSuffix(ed.From, suffix)
-			})
+			e.mg.G.RemoveEdgesIncident(graph.Duplicated, recIDs)
 		}
 		if len(en.Sources) >= 2 {
 			dupAttrs := graph.Attrs{"match": "name+version"}
@@ -980,29 +980,6 @@ func (f *flatClusters) flatten(parts map[string][]textsim.Cluster) []textsim.Clu
 	return f.list
 }
 
-// flattenClusters serialises a partition→clusters map into one deterministic
-// per-ecosystem list, ordered by canonical partition key.
-func flattenClusters(parts map[string][]textsim.Cluster) []textsim.Cluster {
-	keys := make([]string, 0, len(parts))
-	total := 0
-	for k, cs := range parts {
-		keys = append(keys, k)
-		total += len(cs)
-	}
-	sort.Strings(keys)
-	out := make([]textsim.Cluster, 0, total)
-	for _, k := range keys {
-		out = append(out, parts[k]...)
-	}
-	return out
-}
-
-// fullRejoinThreshold is the report-corpus size below which the full-rebuild
-// fallback never triggers: re-joining a handful of reports is cheap either
-// way, and small corpora (unit fixtures, early ingest) should exercise the
-// scoped machinery, not bypass it.
-const fullRejoinThreshold = 64
-
 // applyCoexisting merges new reports and maintains the §III-D report-join
 // stage through the incremental join index (posting lists + per-pair
 // first-writer ownership). Both former corpus-wide triggers are scoped now:
@@ -1021,11 +998,6 @@ const fullRejoinThreshold = 64
 //     (graph.RemoveEdgesIncident, O(group degree)) and every report
 //     overlapping those members re-joins — still scoped to the touched
 //     groups.
-//
-// A full re-derivation survives only as a fallback when the scoped join list
-// would cover more than half of a non-trivial corpus (> fullRejoinThreshold
-// reports) — one pass is cheaper than surgical replacement at that point —
-// and is reported via IngestStats.CoexistingRebuilt.
 func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []entryChange, st *IngestStats) error {
 	before := e.mg.G.EdgeCount(graph.Coexisting)
 
@@ -1118,30 +1090,6 @@ func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []e
 	joinList = append(joinList, tail...)
 	joinList = append(joinList, late...)
 	sortReportsByURL(joinList)
-
-	// Only re-joins and late arrivals count toward the fallback trigger:
-	// in-order tail reports can never repair ownership or drop edges, so a
-	// bulk in-order load stays on the O(new) append path however large.
-	if total := len(e.mg.Reports); total > fullRejoinThreshold && (len(rejoin)+len(late))*2 > total {
-		// Fallback: the scope covers most of the corpus — one full
-		// URL-ordered re-derivation is cheaper than surgical replacement.
-		// The wholesale wipe is signalled by CoexistingRebuilt, not counted
-		// in CoexistingEdgesReplaced (which tracks surgical replacements).
-		e.mg.G.RemoveEdgesWhere(graph.Coexisting, func(graph.Edge) bool { return true })
-		e.mg.reportsByPkg = cow.Map[[]*reports.Report]{}
-		e.coexOwner = make(map[string]string, len(e.coexOwner))
-		if e.track != nil {
-			e.track.rebasePairs()
-		}
-		for _, rep := range e.mg.Reports {
-			if err := e.joinReportLocked(rep, nil, st); err != nil {
-				return err
-			}
-		}
-		st.CoexistingRebuilt = true
-		st.CoexistingDelta = e.mg.G.EdgeCount(graph.Coexisting) - before
-		return nil
-	}
 
 	if len(hubMembers) > 0 {
 		// Drop the grown hub-and-path groups' edges and forget their pair

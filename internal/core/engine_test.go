@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"malgraph/internal/collect"
@@ -188,7 +189,7 @@ func TestEngineIngestStats(t *testing.T) {
 	}
 	// A fresh in-order corpus is the pure append path: no report needed a
 	// re-join and nothing was rebuilt, yet the stage still changed.
-	if st.CoexistingRebuilt || st.CoexistingScoped || st.ReportsRejoined != 0 || !st.CoexistingChanged() {
+	if st.CoexistingScoped || st.ReportsRejoined != 0 || !st.CoexistingChanged() {
 		t.Fatalf("coexisting scope on fresh ingest: %+v", st)
 	}
 	if !st.SimilarChanged() || !st.DependencyChanged() || !st.DatasetChanged() {
@@ -249,22 +250,25 @@ func TestEngineSnapshotRestore(t *testing.T) {
 }
 
 // TestEngineLateArtifactUpsert exercises the merge path: a package first
-// observed without an artifact gains one (plus a second source) later and
-// must join the similarity stage and the duplicated cliques.
+// observed by two sources without an artifact gains one (plus a third source)
+// later and must join the similarity stage, and its duplicated clique must be
+// re-derived hash-confirmed. A neighbour whose name ends in the package's own
+// key ("x|<eco>/<name>") keeps its edge: the re-derivation touches only the
+// package's records.
 func TestEngineLateArtifactUpsert(t *testing.T) {
 	ds, reps := miniDataset(t)
 	eng := NewEngine(DefaultConfig())
 
-	// Strip the artifact and second/third sources off the duplicated entry.
+	// Strip the artifact and third source off the duplicated entry.
 	var full *collect.Entry
-	stripped := make([]*collect.Entry, 0, len(ds.Entries))
+	stripped := make([]*collect.Entry, 0, len(ds.Entries)+1)
 	for _, e := range ds.Entries {
 		if e.Coord.Name == "acookie" {
 			full = e
 			bare := *e
 			bare.Artifact = nil
 			bare.Availability = collect.Missing
-			bare.Sources = e.Sources[:1]
+			bare.Sources = e.Sources[:2]
 			stripped = append(stripped, &bare)
 			continue
 		}
@@ -273,11 +277,19 @@ func TestEngineLateArtifactUpsert(t *testing.T) {
 	if full == nil {
 		t.Fatal("fixture missing acookie")
 	}
+	neighbour := &collect.Entry{
+		Coord:        full.Coord,
+		Availability: collect.Missing,
+		Sources:      full.Sources[:2],
+		ReleasedAt:   full.ReleasedAt,
+	}
+	neighbour.Coord.Name = "x|" + strings.TrimSuffix(full.Coord.Key(), "@"+full.Coord.Version)
+	stripped = append(stripped, neighbour)
 	if _, err := eng.Ingest(Batch{Entries: stripped, Reports: reps, At: ds.CollectedAt}); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Graph().G.EdgeCount(graph.Duplicated); got != 0 {
-		t.Fatalf("premature duplicated edges: %d", got)
+	if got := eng.Graph().G.EdgeCount(graph.Duplicated); got != 2 { // one name+version edge each
+		t.Fatalf("duplicated edges before the artifact = %d, want 2", got)
 	}
 
 	st, err := eng.Ingest(Batch{Entries: []*collect.Entry{full}})
@@ -287,8 +299,17 @@ func TestEngineLateArtifactUpsert(t *testing.T) {
 	if st.NewEntries != 0 || st.UpdatedEntries != 1 || st.NewArtifacts != 1 {
 		t.Fatalf("upsert stats: %+v", st)
 	}
-	if got := eng.Graph().G.EdgeCount(graph.Duplicated); got != 3 { // C(3,2)
-		t.Fatalf("duplicated edges after upsert = %d", got)
+	if got := eng.Graph().G.EdgeCount(graph.Duplicated); got != 4 { // C(3,2) + the neighbour's
+		t.Fatalf("duplicated edges after upsert = %d, want 4", got)
+	}
+	recs := make(map[string]bool, len(full.Sources))
+	for _, s := range full.Sources {
+		recs[RecordNodeID(s, full.Coord)] = true
+	}
+	for _, ed := range eng.Graph().G.Edges(graph.Duplicated) {
+		if recs[ed.From] && ed.Attrs["match"] != "name+version+hash" {
+			t.Fatalf("edge %s–%s not re-derived: %v", ed.From, ed.To, ed.Attrs)
+		}
 	}
 	merged, ok := eng.Graph().EntryByNodeID(NodeID(full.Coord))
 	if !ok || merged.Artifact == nil || len(merged.Sources) != 3 {
@@ -298,6 +319,16 @@ func TestEngineLateArtifactUpsert(t *testing.T) {
 	if n.Attrs["occ"] != "3" || n.Attrs["avail"] != collect.FromSource.String() {
 		t.Fatalf("node attrs not refreshed: %v", n.Attrs)
 	}
+	oneShot := &collect.Result{
+		Entries:     append(append([]*collect.Entry(nil), ds.Entries...), neighbour),
+		PerSource:   ds.PerSource,
+		CollectedAt: ds.CollectedAt,
+	}
+	want, err := Build(oneShot, reps, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEngineMatchesBuild(t, eng, want, "late artifact")
 }
 
 // TestEngineRestoreReclustersSamePartitions is the LSH persistence contract:
@@ -448,9 +479,6 @@ func TestCoexistingScopedWantedArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CoexistingRebuilt {
-		t.Fatalf("wanted-package arrival rebuilt the co-existing family: %+v", st)
-	}
 	if !st.CoexistingScoped || st.ReportsRejoined != 1 {
 		t.Fatalf("re-join not scoped to the naming report: %+v", st)
 	}
@@ -489,7 +517,7 @@ func TestCoexistingLateReportOwnershipRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CoexistingRebuilt || !st.CoexistingScoped {
+	if !st.CoexistingScoped {
 		t.Fatalf("late report should take the scoped path: %+v", st)
 	}
 	if st.CoexistingEdgesReplaced != 1 {
@@ -535,7 +563,7 @@ func TestCoexistingHubPathGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CoexistingRebuilt || !st.CoexistingScoped {
+	if !st.CoexistingScoped {
 		t.Fatalf("hub-path growth should stay scoped: %+v", st)
 	}
 	if st.ReportsRejoined != 2 {
@@ -590,14 +618,16 @@ func TestCoexistingDuplicateReports(t *testing.T) {
 	}
 }
 
-// TestCoexistingFullRebuildFallback: when one arrival would re-join most of
-// a non-trivial corpus, the stage falls back to a single full re-derivation
-// and says so.
-func TestCoexistingFullRebuildFallback(t *testing.T) {
+// TestCoexistingCorpusWideRejoinStaysScoped: one arrival that re-joins every
+// report of a non-trivial corpus still takes the scoped join — there is no
+// whole-corpus path — and lands on the one-shot build's state, which a
+// checkpoint restores exactly.
+func TestCoexistingCorpusWideRejoinStaysScoped(t *testing.T) {
 	ds, _ := miniDataset(t)
 	rest, held := holdOut(t, ds, "lonely")
+	const bulk = 72
 	var reps []*reports.Report
-	for i := 0; i < fullRejoinThreshold+8; i++ {
+	for i := 0; i < bulk; i++ {
 		reps = append(reps, &reports.Report{
 			URL:      fmt.Sprintf("https://bulk.example/r/%04d", i),
 			Site:     "bulk.example",
@@ -609,26 +639,25 @@ func TestCoexistingFullRebuildFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A bulk in-order load is pure append whatever its size: tail reports
-	// can never repair ownership, so they must not trip the fallback.
-	if warmStats.CoexistingRebuilt || warmStats.CoexistingScoped {
+	// A bulk in-order load is pure append whatever its size.
+	if warmStats.CoexistingScoped || warmStats.ReportsRejoined != 0 {
 		t.Fatalf("bulk in-order load left the append path: %+v", warmStats)
 	}
 	st, err := eng.Ingest(Batch{Entries: []*collect.Entry{held}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.CoexistingRebuilt || st.CoexistingScoped {
-		t.Fatalf("corpus-wide scope should fall back to a full rebuild: %+v", st)
-	}
-	if st.ReportsRejoined != len(reps) {
-		t.Fatalf("reports rejoined = %d, want %d", st.ReportsRejoined, len(reps))
+	if !st.CoexistingScoped || st.ReportsRejoined != bulk {
+		t.Fatalf("corpus-wide re-join = %+v, want scoped over all %d reports", st, bulk)
 	}
 	want, err := Build(ds, reps, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEngineMatchesBuild(t, eng, want, "rebuild-fallback")
+	assertEngineMatchesBuild(t, eng, want, "corpus-wide re-join")
+	if diff := digestDiff(digestOf(t, roundTrip(t, eng)), digestOf(t, eng)); len(diff) != 0 {
+		t.Fatalf("restored checkpoint differs from the live engine in %v", diff)
+	}
 }
 
 // TestEngineRestoreRejoinsSameScope is the ISSUE 5 restore-parity contract:
@@ -663,12 +692,8 @@ func TestEngineRestoreRejoinsSameScope(t *testing.T) {
 	if liveStats.ReportsRejoined != restoredStats.ReportsRejoined ||
 		liveStats.CoexistingDelta != restoredStats.CoexistingDelta ||
 		liveStats.CoexistingEdgesReplaced != restoredStats.CoexistingEdgesReplaced ||
-		liveStats.CoexistingScoped != restoredStats.CoexistingScoped ||
-		liveStats.CoexistingRebuilt != restoredStats.CoexistingRebuilt {
+		liveStats.CoexistingScoped != restoredStats.CoexistingScoped {
 		t.Fatalf("re-join scope differs:\n live     %+v\n restored %+v", liveStats, restoredStats)
-	}
-	if restoredStats.CoexistingRebuilt {
-		t.Fatalf("restored engine paid a full re-join: %+v", restoredStats)
 	}
 	if a, b := graphSig(t, live.Graph()), graphSig(t, restored.Graph()); a != b {
 		t.Fatal("post-delta graphs differ")

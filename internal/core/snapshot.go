@@ -230,7 +230,7 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *engineSnapshot) 
 		}
 		sh.clustersByPart = parts
 		//malgraph:nondeterm-ok eco is a bijective rename of the range key, so this writes each ecosystem exactly once
-		e.mg.SimilarClusters[eco] = flattenClusters(parts)
+		e.mg.SimilarClusters[eco] = sh.flat.flatten(parts)
 	}
 
 	// Rebuild the in-memory indexes from the merged dataset and caches.

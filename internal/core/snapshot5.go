@@ -309,9 +309,9 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		return err
 	}
 
-	// Pair ownership: per-key sets and deletes, or a full re-base after the
-	// co-existing fallback rebuilt the map wholesale.
-	poRebase := e.track.pairsRebase || e.logs[sectionPairOwners].rebaseDue(len(e.coexOwner))
+	// Pair ownership: per-key sets and deletes, or a full re-base once the
+	// chain outgrows the map.
+	poRebase := e.logs[sectionPairOwners].rebaseDue(len(e.coexOwner))
 	poSet := make(map[string]json.RawMessage)
 	var poDel []string
 	if poRebase {

@@ -22,10 +22,6 @@ type tracker struct {
 	// delPairs records coexOwner deletions (hub-and-path ownership drops);
 	// a later set supersedes the delete and vice versa.
 	delPairs map[string]bool
-	// pairsRebase is set when the co-existing fallback rebuilt the ownership
-	// map wholesale: the next checkpoint re-encodes the whole section and
-	// ignores the per-key dirt.
-	pairsRebase bool
 }
 
 func newTracker() *tracker {
@@ -47,14 +43,6 @@ func (t *tracker) pairDel(pk string) {
 	delete(t.pairs, pk)
 }
 
-// rebasePairs marks the ownership section for a full re-encode and drops the
-// now-moot per-key dirt (the rebuild will repopulate pairs from scratch).
-func (t *tracker) rebasePairs() {
-	t.pairsRebase = true
-	t.pairs = make(map[string]bool)
-	t.delPairs = make(map[string]bool)
-}
-
 // reset clears every dirty set after a successful checkpoint. The shard-side
 // dirt is cleared by the checkpoint walk itself.
 func (t *tracker) reset() {
@@ -62,7 +50,6 @@ func (t *tracker) reset() {
 	t.reports = make(map[string]bool)
 	t.pairs = make(map[string]bool)
 	t.delPairs = make(map[string]bool)
-	t.pairsRebase = false
 }
 
 // sectionLog is one section's durable chunk accounting: the ordered chunk
@@ -76,8 +63,7 @@ type sectionLog struct {
 	// re-base reclaims the space.
 	logged int
 	// rebase forces the next checkpoint to re-encode the section fully —
-	// set at attach time (the store knows nothing yet) and after structural
-	// invalidations like the co-existing fallback rebuild.
+	// set at attach time, when the store knows nothing yet.
 	rebase bool
 }
 

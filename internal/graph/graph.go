@@ -120,10 +120,10 @@ type Graph struct {
 	// analyses poll per-type counts concurrently and must not scan the
 	// edge list under the read lock each time. guarded by mu.
 	countByType [numTypes]int
-	// dead counts tombstoned slots (Type == 0) left behind by
-	// RemoveEdgesIncident, which surgically unlinks edges without the O(E)
-	// adjacency rebuild a compaction costs. Tombstones are reclaimed by the
-	// next RemoveEdgesWhere or when they exceed half the slots. guarded by mu.
+	// dead counts tombstoned slots (Type == 0) left behind by RemoveEdge and
+	// RemoveEdgesIncident, which surgically unlink edges without the O(E)
+	// adjacency rebuild a compaction costs. Tombstones are reclaimed once
+	// they exceed half the slots. guarded by mu.
 	dead int
 	// journal records mutations for delta checkpoints once EnableJournal is
 	// called; nil means recording is off. guarded by mu.
@@ -341,47 +341,16 @@ func (g *Graph) addEdge(from, to string, t EdgeType, attrs Attrs) error {
 	return nil
 }
 
-// RemoveEdgesWhere deletes every edge of type t for which pred holds and
-// returns how many were removed. The edge slots are compacted and all
-// adjacency indexes are rebuilt, so the surviving edges keep their relative
-// insertion order — the operation is deterministic for a deterministic pred.
-// It exists for incremental maintenance: a derived edge family (one
-// ecosystem's similar edges, the co-existing edges of a report corpus) can be
-// dropped wholesale and re-derived without reconstructing the graph.
-func (g *Graph) RemoveEdgesWhere(t EdgeType, pred func(Edge) bool) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	removed := 0
-	compacted := g.compactLocked(func(e *Edge) bool {
-		if e.Type == 0 {
-			return true // tombstone left by RemoveEdgesIncident
-		}
-		if e.Type != t || !pred(*e) {
-			return false
-		}
-		g.edgeSeen.Delete(edgeKey(e.Type, e.From, e.To))
-		g.recordLocked(Op{Kind: "deledge", From: e.From, To: e.To, Type: e.Type})
-		removed++
-		return true
-	})
-	if !compacted {
-		return 0
-	}
-	if validType(t) {
-		g.countByType[t] -= removed
-	}
-	return removed
-}
-
 // RemoveEdgesIncident deletes every edge of type t incident to any of the
-// given nodes and returns how many were removed. Unlike RemoveEdgesWhere it
-// costs O(Σ degree) of the touched nodes, not O(total edges): removed slots
-// are tombstoned in place (keeping every surviving edge index valid) and
-// only the touched nodes' adjacency lists are filtered. This is the
-// partition-scoped edge replacement the incremental engine leans on — a
-// dirty LSH partition's similar edges are dropped and re-derived without
-// paying a whole-graph adjacency rebuild. Tombstones are compacted away once
-// they outnumber live edges.
+// given nodes and returns how many were removed. It costs O(Σ degree) of the
+// touched nodes, not O(total edges): removed slots are tombstoned in place
+// (keeping every surviving edge index valid) and only the touched nodes'
+// adjacency lists are filtered. This is the scoped edge replacement the
+// incremental engine leans on — a dirty LSH partition's similar edges, a
+// grown hub-and-path group's co-existing edges or a late artifact's
+// duplicated clique are dropped and re-derived without paying a whole-graph
+// adjacency rebuild. Tombstones are compacted away once they outnumber live
+// edges.
 func (g *Graph) RemoveEdgesIncident(t EdgeType, nodes []string) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -443,19 +412,18 @@ func (g *Graph) maybeCompactLocked() {
 	if g.dead <= 1024 || g.dead*2 <= g.nEdges {
 		return
 	}
-	g.compactLocked(func(e *Edge) bool { return e.Type == 0 })
+	g.compactLocked()
 }
 
-// compactLocked drops every slot for which drop holds, shifting the
-// survivors down in order, and rebuilds the adjacency indexes if anything
-// was dropped (which it reports). Pages are written through
+// compactLocked drops every tombstoned slot, shifting the survivors down in
+// order, and rebuilds the adjacency indexes. Pages are written through
 // edgeForWriteLocked, so pages shared with a clone are copied, never
 // rewritten. Callers hold g.mu.
-func (g *Graph) compactLocked(drop func(*Edge) bool) bool {
+func (g *Graph) compactLocked() {
 	w := 0
 	for r := 0; r < g.nEdges; r++ {
 		e := g.edge(r)
-		if drop(e) {
+		if e.Type == 0 {
 			continue
 		}
 		if w != r {
@@ -463,16 +431,18 @@ func (g *Graph) compactLocked(drop func(*Edge) bool) bool {
 		}
 		w++
 	}
-	if w == g.nEdges {
-		return false
-	}
 	// Release the vacated tail: whole pages are dropped, and the last kept
 	// page is cleared past w when this graph owns it (a shared page's tail
-	// is never read and is overwritten by the next append's copy).
+	// is never read and is overwritten by the next append's copy). The
+	// clearing is a loop, not clear(), so that the race detector sees the
+	// writes: a clone may be reading a page this graph does not own.
 	keep := (w + pageMask) >> pageShift
 	if w&pageMask != 0 {
 		if p := g.pages[keep-1]; p.gen == g.gen {
-			clear(p.slots[w&pageMask:])
+			tail := p.slots[w&pageMask:]
+			for i := range tail {
+				tail[i] = Edge{}
+			}
 		}
 	}
 	clear(g.pages[keep:])
@@ -487,7 +457,6 @@ func (g *Graph) compactLocked(drop func(*Edge) bool) bool {
 		g.linkLocked(e.Type, e.From, idx)
 		g.linkLocked(e.Type, e.To, idx)
 	}
-	return true
 }
 
 // RemoveEdge deletes the single edge of type t joining from and to (either

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -331,66 +332,83 @@ func TestEdgeTypeString(t *testing.T) {
 	}
 }
 
-func TestRemoveEdgesWhere(t *testing.T) {
+// TestCompactionKeepsSurvivorOrder tombstones past the compaction floor
+// through both removal primitives and checks what a compaction must keep:
+// the survivors in their relative insertion order (Persist, and so every
+// snapshot digest, depends on it), other edge types untouched, adjacency
+// rebuilt to the survivors, and clean re-insertion at the end.
+func TestCompactionKeepsSurvivorOrder(t *testing.T) {
 	g := New()
-	for _, id := range []string{"a", "b", "c", "d"} {
-		if err := g.AddNode(id, nil); err != nil {
+	const n = 1200
+	ids := make([]string, n+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("v%04d", i)
+		if err := g.AddNode(ids[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = g.AddEdge("a", "b", Similar, Attrs{"cluster": "x"})
-	_ = g.AddEdge("b", "c", Similar, Attrs{"cluster": "x"})
-	_ = g.AddEdge("c", "d", Coexisting, nil)
-	_ = g.AddEdge("a", "d", Dependency, nil)
+	// A similar chain interleaved with co-existing and dependency edges.
+	for i := 0; i < n; i++ {
+		if err := g.AddEdge(ids[i], ids[i+1], Similar, Attrs{"i": fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 0 {
+			if err := g.AddEdge(ids[i], ids[n-1-i], Coexisting, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.AddEdge(ids[i+1], ids[i], Dependency, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := g.Edges()
 
-	// Predicate scoped to one endpoint prefix; Coexisting/Dependency untouched.
-	removed := g.RemoveEdgesWhere(Similar, func(e Edge) bool { return e.From == "a" || e.To == "a" })
-	if removed != 1 {
-		t.Fatalf("removed = %d", removed)
+	// One RemoveEdge tombstone, then a wide RemoveEdgesIncident that takes
+	// every similar edge of the odd-indexed nodes' neighbourhoods: more than
+	// the 1024-slot floor and more than half the slots, so it compacts.
+	if !g.RemoveEdge(ids[1], ids[0], Similar) {
+		t.Fatal("RemoveEdge missed the first chain edge")
 	}
-	if g.HasEdge("a", "b", Similar) {
-		t.Fatal("a-b similar edge survived removal")
+	var odd []string
+	for i := 3; i <= n; i += 2 {
+		odd = append(odd, ids[i])
 	}
-	if !g.HasEdge("b", "c", Similar) || !g.HasEdge("c", "d", Coexisting) || !g.HasEdge("a", "d", Dependency) {
-		t.Fatal("unrelated edges were removed")
+	if removed := g.RemoveEdgesIncident(Similar, odd); removed != n-2 {
+		t.Fatalf("removed = %d, want %d", removed, n-2)
+	}
+	if g.dead != 0 || g.nEdges != g.EdgeCount() {
+		t.Fatalf("no compaction: %d dead of %d slots", g.dead, g.nEdges)
+	}
+	var want []Edge
+	for _, e := range before {
+		if e.Type != Similar || e.From == ids[1] && e.To == ids[2] {
+			want = append(want, e)
+		}
+	}
+	if got := g.Edges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("survivors after compaction:\n got %v\nwant %v", got, want)
 	}
 	if got := g.EdgeCount(Similar); got != 1 {
-		t.Fatalf("similar count after removal = %d", got)
+		t.Fatalf("similar count = %d", got)
 	}
-	if got := g.EdgeCount(); got != 3 {
-		t.Fatalf("total count after removal = %d", got)
+	if nb := g.Neighbors(ids[2], Similar); len(nb) != 1 || nb[0] != ids[1] {
+		t.Fatalf("%s similar neighbors = %v", ids[2], nb)
 	}
-	// Adjacency must be rebuilt: neighbors reflect the surviving edges only.
-	if nb := g.Neighbors("a", Similar); len(nb) != 0 {
-		t.Fatalf("a similar neighbors = %v", nb)
+	if nb := g.Neighbors(ids[3], Similar); len(nb) != 0 {
+		t.Fatalf("%s similar neighbors = %v", ids[3], nb)
 	}
-	if nb := g.Neighbors("b", Similar); len(nb) != 1 || nb[0] != "c" {
-		t.Fatalf("b similar neighbors = %v", nb)
+	if nb := g.Neighbors(ids[0], Coexisting); len(nb) != 1 || nb[0] != ids[n-1] {
+		t.Fatalf("%s coexisting neighbors = %v", ids[0], nb)
 	}
-	// Removal must allow idempotent re-insertion.
-	if err := g.AddEdge("a", "b", Similar, Attrs{"cluster": "y"}); err != nil {
+	// Removed edges re-insert cleanly, after every survivor.
+	if err := g.AddEdge(ids[0], ids[1], Similar, Attrs{"i": "again"}); err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasEdge("b", "a", Similar) {
-		t.Fatal("re-added edge missing")
+	if got := g.Edges(); !reflect.DeepEqual(got[:len(want)], want) || got[len(want)].Attrs["i"] != "again" {
+		t.Fatal("re-inserted edge did not append after the survivors")
 	}
-	// Components over Similar: {a,b,c} chain again after re-insertion.
-	comps := g.ComponentsMin(2, Similar)
-	if len(comps) != 1 || len(comps[0]) != 3 {
-		t.Fatalf("components after re-add = %v", comps)
-	}
-}
-
-func TestRemoveEdgesWhereNoMatch(t *testing.T) {
-	g := New()
-	_ = g.AddNode("a", nil)
-	_ = g.AddNode("b", nil)
-	_ = g.AddEdge("a", "b", Similar, nil)
-	if removed := g.RemoveEdgesWhere(Similar, func(Edge) bool { return false }); removed != 0 {
-		t.Fatalf("removed = %d", removed)
-	}
-	if !g.HasEdge("a", "b", Similar) {
-		t.Fatal("edge lost on no-op removal")
+	if comps := g.ComponentsMin(2, Similar); len(comps) != 1 || len(comps[0]) != 3 {
+		t.Fatalf("similar components = %v", comps)
 	}
 }
 
@@ -453,16 +471,39 @@ func TestRemoveEdgesIncident(t *testing.T) {
 	if !g.HasEdge("b", "a", Similar) {
 		t.Fatal("re-added edge missing")
 	}
-	// A later RemoveEdgesWhere must reclaim tombstones without recounting
-	// them.
+	// Tombstones must be reclaimed without being recounted: pile filler
+	// edges past the compaction floor and remove them one by one, so a
+	// RemoveEdge compacts over this call's tombstones too.
 	if removed := g.RemoveEdgesIncident(Similar, []string{"d"}); removed != 1 {
 		t.Fatalf("second removal = %d", removed)
 	}
-	if removed := g.RemoveEdgesWhere(Coexisting, func(Edge) bool { return true }); removed != 1 {
-		t.Fatalf("coexisting removal = %d", removed)
+	const filler = 1100
+	for i := 0; i <= filler; i++ {
+		if err := g.AddNode(fmt.Sprintf("f%04d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < filler; i++ {
+		if err := g.AddEdge(fmt.Sprintf("f%04d", i), fmt.Sprintf("f%04d", i+1), Coexisting, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < filler; i++ {
+		if !g.RemoveEdge(fmt.Sprintf("f%04d", i+1), fmt.Sprintf("f%04d", i), Coexisting) {
+			t.Fatalf("filler edge %d missing", i)
+		}
+	}
+	if g.nEdges >= filler {
+		t.Fatalf("no compaction: %d dead of %d slots", g.dead, g.nEdges)
+	}
+	if !g.RemoveEdge("a", "d", Coexisting) {
+		t.Fatal("coexisting edge lost in compaction")
 	}
 	if got := g.EdgeCount(); got != 2 {
 		t.Fatalf("final total = %d", got)
+	}
+	if got := len(g.Edges()); got != 2 {
+		t.Fatalf("final Edges() = %d", got)
 	}
 }
 

@@ -34,8 +34,8 @@
 #                           — and BenchmarkIncremental_ReportAppendGrowth
 #                           records (fixed wanted-package delta at 1×/4×/10×
 #                           REPORT corpus) with the report-join scope metrics
-#                           (reports_rejoined, coexisting_edges_replaced,
-#                           coexisting_rebuilt) and their own 10×/1× ratio —
+#                           (reports_rejoined, coexisting_edges_replaced) and
+#                           their own 10×/1× ratio —
 #                           a wanted arrival must stay flat as reports accrue —
 #                           BenchmarkIncremental_CheckpointGrowth records (the
 #                           same ingested delta checkpointed through the
