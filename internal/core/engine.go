@@ -441,15 +441,14 @@ func (e *Engine) Ingest(b Batch) (IngestStats, error) {
 		// re-add its accounting.
 		e.mg.Dataset.AddSourceStats(b.PerSource)
 	}
-	if err := e.applyNodes(changes, &st); err != nil {
-		return st, fmt.Errorf("core ingest nodes: %w", err)
-	}
 	// Shard phase: the batch's per-ecosystem slices plan their dependency
 	// and similar updates in parallel (each shard owns its indexes and emits
-	// graph operations without touching the graph); the commit phase then
-	// applies every plan serially in sorted-ecosystem order, so the edge
-	// insertion sequence — and the serialized graph — is identical under any
-	// GOMAXPROCS.
+	// graph operations without touching the graph), while the node and
+	// duplicated-clique insertion — the only graph writer until then — runs
+	// beside them. The commit phase starts once both are done and applies
+	// every plan serially in sorted-ecosystem order, so the node and edge
+	// insertion sequence — and the serialized graph — is identical under
+	// any GOMAXPROCS.
 	if err := e.applyShardsLocked(changes, &st); err != nil {
 		return st, err
 	}
@@ -625,8 +624,11 @@ type shardPlan struct {
 	dirtyItems   int
 }
 
-// applyShards runs the batch's per-ecosystem slices through the parallel
-// shard phase and commits the resulting plans serially.
+// applyShardsLocked inserts the batch's nodes (applyNodes) beside the
+// parallel shard phase, which plans the per-ecosystem slices without
+// reading the graph, then commits the resulting plans serially once both
+// have finished. A failed node insertion leaves the shard indexes planned
+// and the graph half-written; either is a broken graph invariant.
 func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error {
 	byEco := make(map[ecosys.Ecosystem][]entryChange)
 	for _, ch := range changes {
@@ -648,13 +650,29 @@ func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error
 
 	// Shard phase: each ecosystem's slice plans in parallel. A shard only
 	// touches its own ecoShard state (no two goroutines share one), the
-	// now-read-only shards map and the read-only scanner/embedder, so the
-	// fan-out is race-free; per-shard work is itself deterministic
-	// (order-preserving inner maps, sorted partition keys, content-derived
-	// RNG streams), so the plans are byte-identical under any worker count.
-	plans := parallel.Map(len(ecos), func(i int) *shardPlan {
-		return e.planShardLocked(ecos[i], byEco[ecos[i]])
-	})
+	// now-read-only shards map and the read-only scanner/embedder, never
+	// the graph applyNodes writes beside it, so the fan-out is race-free;
+	// per-shard work is itself deterministic (order-preserving inner maps,
+	// sorted partition keys, content-derived RNG streams), so the plans are
+	// byte-identical under any worker count.
+	var plans []*shardPlan
+	err := parallel.Do(
+		func() error {
+			if err := e.applyNodes(changes, st); err != nil {
+				return fmt.Errorf("core ingest nodes: %w", err)
+			}
+			return nil
+		},
+		func() error {
+			plans = parallel.Map(len(ecos), func(i int) *shardPlan {
+				return e.planShardLocked(ecos[i], byEco[ecos[i]])
+			})
+			return nil
+		},
+	)
+	if err != nil {
+		return err
+	}
 
 	// Commit phase: serial, sorted-ecosystem order.
 	depBefore := e.mg.G.EdgeCount(graph.Dependency)
@@ -718,25 +736,8 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		err  error
 	}
 	scans := parallel.Map(len(newArts), func(i int) scanResult {
-		en := newArts[i].entry
-		manifest, err := e.scanner.FromManifest(en.Artifact)
-		if err != nil {
-			return scanResult{err: err}
-		}
-		imported := depscan.ExtractImports(en.Artifact)
-		seen := make(map[string]bool, len(manifest)+len(imported))
-		deps := make([]string, 0, len(manifest)+len(imported))
-		for _, list := range [][]string{manifest, imported} {
-			for _, d := range list {
-				if d == en.Coord.Name || seen[d] {
-					continue
-				}
-				seen[d] = true
-				deps = append(deps, d)
-			}
-		}
-		sort.Strings(deps)
-		return scanResult{deps: deps}
+		deps, err := e.scanner.Dependencies(newArts[i].entry.Artifact)
+		return scanResult{deps: deps, err: err}
 	})
 	for i, ch := range newArts {
 		if scans[i].err != nil {
