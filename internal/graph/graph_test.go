@@ -27,6 +27,19 @@ func TestAddNodeDuplicate(t *testing.T) {
 	}
 }
 
+func TestHasNode(t *testing.T) {
+	g := New()
+	mustAddNodes(t, g, "a")
+	if !g.HasNode("a") || g.HasNode("b") {
+		t.Fatalf("HasNode(a)=%v HasNode(b)=%v, want true false", g.HasNode("a"), g.HasNode("b"))
+	}
+	clone := g.Clone()
+	mustAddNodes(t, g, "b")
+	if !g.HasNode("b") || clone.HasNode("b") {
+		t.Fatal("a node added after Clone must be visible in the graph only")
+	}
+}
+
 func TestNodeCopySemantics(t *testing.T) {
 	g := New()
 	attrs := Attrs{"k": "v"}

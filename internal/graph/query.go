@@ -44,7 +44,7 @@ func (g *Graph) Match(filters ...NodeFilter) []string {
 // dependency subgraph as an undirected grouping.
 func (g *Graph) ShortestPath(from, to string, types ...EdgeType) []string {
 	if from == to {
-		if _, ok := g.Node(from); ok {
+		if g.HasNode(from) {
 			return []string{from}
 		}
 		return nil

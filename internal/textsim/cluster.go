@@ -304,7 +304,7 @@ func ClusterItemsScratch(items []Item, cfg ClusterConfig, rng *xrand.RNG, sc *Sc
 				if find(ids[i].idx) == find(ids[j].idx) {
 					continue
 				}
-				// Item vectors are L2-normalised (EmbedTokens invariant),
+				// Item vectors are L2-normalised (EmbedHashed invariant),
 				// so Dot is their cosine.
 				if Dot(items[ids[i].idx].Vector, items[ids[j].idx].Vector) >= cfg.Threshold {
 					union(ids[i].idx, ids[j].idx)
@@ -499,7 +499,7 @@ func centroidArena(a *floatArena, items []Item, members []int) []float64 {
 // below threshold are left unassigned (-1) — K-Means here acts as refinement
 // of an over-complete seeding rather than discovery from random starts, so k
 // equals len(seeds). Seeds and vectors must be L2-normalised (the
-// EmbedTokens invariant); assignment uses Dot as the cosine.
+// EmbedHashed invariant); assignment uses Dot as the cosine.
 func KMeans(vecs [][]float64, seeds [][]float64, iters int, threshold float64) []int {
 	return kmeansWith(nil, vecs, seeds, iters, threshold)
 }
@@ -691,7 +691,7 @@ func simplifiedSilhouetteWith(sc *Scratch, vecs [][]float64, assign []int, k int
 			if c < 0 || c >= k || counts[c] == 0 {
 				continue
 			}
-			// Centroids are L2-normalised above; vecs hold the EmbedTokens
+			// Centroids are L2-normalised above; vecs hold the EmbedHashed
 			// invariant, so Dot is their cosine.
 			a := 1 - Dot(vecs[i], cents[c*stride:(c+1)*stride])
 			b := 2.0

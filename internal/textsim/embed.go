@@ -47,12 +47,6 @@ func NewEmbedder(cfg EmbedConfig) *Embedder {
 // Config returns the effective configuration.
 func (e *Embedder) Config() EmbedConfig { return e.cfg }
 
-// EmbedSource embeds merged package source into an L2-normalised vector of
-// length Config().Dim().
-func (e *Embedder) EmbedSource(src string) []float64 {
-	return e.EmbedTokens(Tokenize(src))
-}
-
 // TrimZeroTail drops a vector's trailing zero dimensions. Packages shorter
 // than SnippetTokens×MaxSnippets leave their tail snippet slots at exactly
 // zero (the fixed-shape padding), so dot products against the trimmed vector
@@ -68,27 +62,36 @@ func TrimZeroTail(v []float64) []float64 {
 	return v[:n]
 }
 
-// EmbedTokens embeds a pre-tokenised stream. Only informative tokens
-// contribute (punctuation, one/two-character fragments and language keywords
-// carry no code-base identity and would otherwise dominate the vectors), and
-// term frequencies are sublinear (sqrt) so a token repeated hundreds of times
+// EmbedBuffer is one worker's reusable EmbedHashed scratch: the full-width
+// vector it accumulates into and the per-snippet hash keys it sorts. The zero
+// value is ready to use; a buffer must not be shared between goroutines.
+type EmbedBuffer struct {
+	vec  []float64
+	keys []uint64
+}
+
+// EmbedHashed embeds a HashSource stream. Only informative tokens contribute
+// (punctuation, one/two-character fragments and language keywords carry no
+// code-base identity and would otherwise dominate the vectors), and term
+// frequencies are sublinear (sqrt) so a token repeated hundreds of times
 // cannot swamp a snippet — both standard code-retrieval weightings that stand
 // in for the contextual weighting CodeBERT learns.
+//
+// The vector is accumulated at full width Config().Dim() in buf and
+// returned as an exact-length copy of its TrimZeroTail prefix, non-nil even
+// when no token is informative, so the caller's vector keeps no reference
+// to buf.
 //
 // Invariant: the returned vector is L2-normalised (or all-zero when no token
 // is informative), so downstream similarity code may use Dot in place of
 // Cosine without renormalising.
-func (e *Embedder) EmbedTokens(tokens []string) []float64 {
-	return e.EmbedHashed(HashTokens(tokens, nil))
-}
-
-// EmbedHashed embeds a stream already passed through HashTokens, the
-// allocation-lean path for callers that share one hashed stream between
-// embedding and SimHash fingerprinting. The output satisfies the same
-// L2-normalisation invariant as EmbedTokens.
-func (e *Embedder) EmbedHashed(hashed []TokenHash) []float64 {
-	vec := make([]float64, e.cfg.Dim())
-	scratch := make([]uint64, 0, min(len(hashed), e.cfg.SnippetTokens))
+func (e *Embedder) EmbedHashed(hashed []TokenHash, buf *EmbedBuffer) []float64 {
+	dim := e.cfg.Dim()
+	if cap(buf.vec) < dim {
+		buf.vec = make([]float64, dim)
+	}
+	vec := buf.vec[:dim]
+	clear(vec)
 	for lo := 0; lo < len(hashed); lo += e.cfg.SnippetTokens {
 		si := lo / e.cfg.SnippetTokens
 		if si >= e.cfg.MaxSnippets {
@@ -98,21 +101,22 @@ func (e *Embedder) EmbedHashed(hashed []TokenHash) []float64 {
 		}
 		base := si * e.cfg.SnippetDim
 		hi := min(lo+e.cfg.SnippetTokens, len(hashed))
-		scratch = scratch[:0]
+		keys := buf.keys[:0]
 		for _, th := range hashed[lo:hi] {
 			if !th.Skip {
-				scratch = append(scratch, th.Hash)
+				keys = append(keys, th.Hash)
 			}
 		}
+		buf.keys = keys
 		// Sorting fixes the floating-point accumulation order (map-based
 		// counting would add colliding dimensions in random order, making
 		// embeddings differ in the last bit between runs) and counts each
 		// distinct token as one run.
-		slices.Sort(scratch)
-		for s := 0; s < len(scratch); {
-			hv := scratch[s]
+		slices.Sort(keys)
+		for s := 0; s < len(keys); {
+			hv := keys[s]
 			n := s + 1
-			for n < len(scratch) && scratch[n] == hv {
+			for n < len(keys) && keys[n] == hv {
 				n++
 			}
 			idx := int(hv % uint64(e.cfg.SnippetDim))
@@ -125,7 +129,8 @@ func (e *Embedder) EmbedHashed(hashed []TokenHash) []float64 {
 		}
 	}
 	normalize(vec)
-	return vec
+	trimmed := TrimZeroTail(vec)
+	return append(make([]float64, 0, len(trimmed)), trimmed...)
 }
 
 // codeStopwords are language keywords and ubiquitous identifiers shared by
@@ -179,7 +184,7 @@ func normalize(v []float64) {
 }
 
 // Cosine returns the cosine similarity of two equal-length vectors,
-// dividing through both norms. Hot paths that hold the EmbedTokens
+// dividing through both norms. Hot paths that hold the EmbedHashed
 // L2-normalisation invariant (clustering, silhouette, K-Means) call Dot
 // directly and skip the two norm passes; Cosine remains the safe entry
 // point for vectors of unknown provenance.
@@ -198,35 +203,59 @@ func Cosine(a, b []float64) float64 {
 	return dot / math.Sqrt(na*nb)
 }
 
-// SimHash computes a 64-bit locality-sensitive fingerprint of the token
-// stream. Near-identical code bases produce fingerprints within a few bits
-// of each other, which the banded LSH in cluster.go exploits.
-func SimHash(tokens []string) uint64 {
-	return SimHashHashed(HashTokens(tokens, nil))
-}
-
-// SimHashHashed fingerprints a stream already passed through HashTokens,
-// sharing the normalize+hash pass with EmbedHashed. The per-bit update is
-// branchless (2·bit−1 ∈ {−1,+1}): hash bits are uniform, so a conditional
-// here mispredicts half the time on the hottest loop in fingerprinting.
+// SimHashHashed computes a 64-bit locality-sensitive fingerprint of a
+// HashSource stream: bit b is set when more informative tokens have hash bit
+// b set than clear. Near-identical code bases produce fingerprints within a
+// few bits of each other, which the banded LSH in cluster.go exploits.
+//
+// The bit counts are packed: lanes[j] holds eight byte-wide counters, one
+// per hash byte, of bit j of that byte, so one token costs eight shifted
+// masked adds instead of 64 per-bit updates. A byte counter overflows past
+// 255, so the lanes are flushed into the wide counts every 255 tokens.
 func SimHashHashed(hashed []TokenHash) uint64 {
-	var counts [64]int
+	const lowBits = 0x0101010101010101 // bit 0 of every byte
+	var ones [64]int
+	var lanes [8]uint64
+	total, pending := 0, 0
 	for _, th := range hashed {
 		if th.Skip {
 			continue
 		}
 		hv := th.Hash
-		for b := 0; b < 64; b++ {
-			counts[b] += int((hv>>uint(b))&1)*2 - 1
+		lanes[0] += hv & lowBits
+		lanes[1] += hv >> 1 & lowBits
+		lanes[2] += hv >> 2 & lowBits
+		lanes[3] += hv >> 3 & lowBits
+		lanes[4] += hv >> 4 & lowBits
+		lanes[5] += hv >> 5 & lowBits
+		lanes[6] += hv >> 6 & lowBits
+		lanes[7] += hv >> 7 & lowBits
+		total++
+		if pending++; pending == 255 {
+			flushLanes(&ones, &lanes)
+			pending = 0
 		}
 	}
+	flushLanes(&ones, &lanes)
 	var out uint64
-	for b := 0; b < 64; b++ {
-		if counts[b] > 0 {
-			out |= 1 << uint(b)
+	for b, n := range ones {
+		// ones − (total − ones) > 0: the majority vote of the ±1 updates.
+		if 2*n > total {
+			out |= 1 << b
 		}
 	}
 	return out
+}
+
+// flushLanes adds the byte counters of lanes into ones and zeroes them:
+// byte k of lanes[j] counts hash bit 8k+j.
+func flushLanes(ones *[64]int, lanes *[8]uint64) {
+	for j, lane := range lanes {
+		for k := 0; k < 8; k++ {
+			ones[8*k+j] += int(lane >> (8 * k) & 0xFF)
+		}
+	}
+	*lanes = [8]uint64{}
 }
 
 // Bands splits a SimHash into nBands band values for LSH bucketing. Two

@@ -3,9 +3,9 @@ package textsim
 import "unicode/utf8"
 
 // This file holds the allocation-free kernel of the §III-B pipeline: an
-// inline FNV-1a (hash/fnv heap-allocates a hasher per call), the shared
-// normalize→filter→hash token pass that EmbedHashed and SimHashHashed both
-// consume, and the Dot fast path for L2-normalised vectors.
+// inline FNV-1a (hash/fnv heap-allocates a hasher per call), the per-token
+// normalize→filter→hash step HashSource applies to every token, and the Dot
+// fast path for L2-normalised vectors.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -22,7 +22,7 @@ func fnv1a64(s string) uint64 {
 	return h
 }
 
-// TokenHash is one token after the shared normalize→filter→hash pass. Skip
+// TokenHash is one token after HashSource's normalize→filter→hash pass. Skip
 // marks tokens Informative rejects; their Hash is meaningless.
 type TokenHash struct {
 	Hash uint64
@@ -39,23 +39,6 @@ var stopwordByHash = func() map[uint64]string {
 	}
 	return m
 }()
-
-// HashTokens normalizes, filters and hashes a token stream in one pass,
-// returning one entry per input token so snippet boundaries computed over
-// the raw tokens apply unchanged to the hashed stream. Callers tokenize an
-// artifact once and feed the result to both EmbedHashed and SimHashHashed,
-// instead of lower-casing and hashing every token twice. dst is reused when
-// its capacity suffices.
-func HashTokens(tokens []string, dst []TokenHash) []TokenHash {
-	if cap(dst) < len(tokens) {
-		dst = make([]TokenHash, len(tokens))
-	}
-	dst = dst[:len(tokens)]
-	for i, t := range tokens {
-		dst[i] = hashToken(t)
-	}
-	return dst
-}
 
 // hashToken lower-cases, filters and hashes one token without allocating.
 // The ASCII fast path folds case inline; non-ASCII tokens take the exact
@@ -116,7 +99,7 @@ func equalFoldASCII(t, w string) bool {
 }
 
 // Dot returns the inner product of two equal-length vectors. For the
-// L2-normalised vectors Embedder.EmbedTokens produces (and the normalised
+// L2-normalised vectors Embedder.EmbedHashed produces (and the normalised
 // centroids derived from them) this equals Cosine at a third of the memory
 // traffic, which is why every clustering-stage comparison uses it. The
 // four-lane unrolling fixes the summation order, so results are bit-stable

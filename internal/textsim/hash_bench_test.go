@@ -2,38 +2,45 @@ package textsim
 
 import "testing"
 
-// Micro-benchmarks for the §III-B kernels. Run with -benchmem: the hashed
-// path exists precisely to take EmbedTokens/SimHash allocations from
-// hundreds per package (stdlib fnv hasher + ToLower per token, twice) to a
-// handful, and Dot to remove two thirds of Cosine's memory traffic.
+// Micro-benchmarks for the §III-B kernels. Run with -benchmem: the
+// production path is one HashSource pass into a recycled stream feeding
+// EmbedHashed (recycled EmbedBuffer, one exact-length vector allocated) and
+// SimHashHashed (no allocations), and Dot removes two thirds of Cosine's
+// memory traffic.
 
-var benchTokens = Tokenize(sampleSource(4000))
+var benchSource = sampleSource(4000)
 
 func BenchmarkEmbedTokens(b *testing.B) {
 	e := NewEmbedder(DefaultEmbedConfig())
+	hashed := HashSource(nil, benchSource)
+	var buf EmbedBuffer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = e.EmbedTokens(benchTokens)
+		_ = e.EmbedHashed(hashed, &buf)
 	}
 }
 
 func BenchmarkSimHash(b *testing.B) {
+	hashed := HashSource(nil, benchSource)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = SimHash(benchTokens)
+		_ = SimHashHashed(hashed)
 	}
 }
 
-// BenchmarkSharedHashedStream is the production path: one HashTokens pass
-// (into a recycled buffer) feeding both the embedding and the fingerprint.
+// BenchmarkSharedHashedStream is the production path per artifact: one
+// HashSource pass (into a recycled buffer) feeding both the embedding and
+// the fingerprint.
 func BenchmarkSharedHashedStream(b *testing.B) {
 	e := NewEmbedder(DefaultEmbedConfig())
-	var buf []TokenHash
+	var hashed []TokenHash
+	var buf EmbedBuffer
+	b.SetBytes(int64(len(benchSource)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = HashTokens(benchTokens, buf)
-		_ = e.EmbedHashed(buf)
-		_ = SimHashHashed(buf)
+		hashed = HashSource(hashed, benchSource)
+		_ = e.EmbedHashed(hashed, &buf)
+		_ = SimHashHashed(hashed)
 	}
 }
 

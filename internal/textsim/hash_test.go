@@ -4,7 +4,10 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
+
+	"malgraph/internal/xrand"
 )
 
 // refHash is the stdlib FNV-1a the inline implementation replaces.
@@ -22,8 +25,8 @@ func TestInlineFNVMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestHashTokensMatchesReference checks the shared pass against the
-// NormalizeToken+Informative+FNV composition it replaces, including ASCII
+// TestHashTokensMatchesReference checks the per-token hashToken step against
+// the NormalizeToken+Informative+FNV composition it replaces, including ASCII
 // case folding, stopwords, pure numbers, short tokens and non-ASCII input.
 func TestHashTokensMatchesReference(t *testing.T) {
 	tokens := []string{
@@ -35,50 +38,57 @@ func TestHashTokensMatchesReference(t *testing.T) {
 		"péché", "ÜBER", // non-ASCII slow path
 		"requests", "reqUests",
 	}
-	hashed := HashTokens(tokens, nil)
-	if len(hashed) != len(tokens) {
-		t.Fatalf("HashTokens length %d, want %d", len(hashed), len(tokens))
-	}
-	for i, tok := range tokens {
+	for _, tok := range tokens {
+		got := hashToken(tok)
 		norm := NormalizeToken(tok)
 		wantSkip := !Informative(norm)
-		if hashed[i].Skip != wantSkip {
-			t.Errorf("token %q: Skip = %v, want %v", tok, hashed[i].Skip, wantSkip)
+		if got.Skip != wantSkip {
+			t.Errorf("token %q: Skip = %v, want %v", tok, got.Skip, wantSkip)
 			continue
 		}
-		if !wantSkip && hashed[i].Hash != refHash(norm) {
-			t.Errorf("token %q: hash %#x, want %#x", tok, hashed[i].Hash, refHash(norm))
-		}
-	}
-	// Buffer reuse must not change results.
-	reused := HashTokens(tokens, hashed)
-	for i := range reused {
-		if reused[i] != hashed[i] {
-			t.Errorf("reused buffer diverges at %d", i)
+		if !wantSkip && got.Hash != refHash(norm) {
+			t.Errorf("token %q: hash %#x, want %#x", tok, got.Hash, refHash(norm))
 		}
 	}
 }
 
+// TestEmbedHashedMatchesEmbedTokens checks the production embedding of
+// HashSource streams against the trimmed full-width oracle (checkHashSource),
+// one EmbedBuffer reused across sources and configs.
 func TestEmbedHashedMatchesEmbedTokens(t *testing.T) {
-	src := sampleSource(2000)
-	tokens := Tokenize(src)
-	e := NewEmbedder(DefaultEmbedConfig())
-	direct := e.EmbedTokens(tokens)
-	viaHash := e.EmbedHashed(HashTokens(tokens, nil))
-	if len(direct) != len(viaHash) {
-		t.Fatalf("lengths differ: %d vs %d", len(direct), len(viaHash))
-	}
-	for i := range direct {
-		if direct[i] != viaHash[i] {
-			t.Fatalf("dim %d: %v vs %v", i, direct[i], viaHash[i])
-		}
+	var buf EmbedBuffer
+	for _, n := range []int{2000, 300, 0, 1500} {
+		checkHashSource(t, sampleSource(n), &buf)
 	}
 }
 
+// TestSimHashHashedMatchesSimHash checks the packed-lane SimHash against the
+// 64-step per-bit loop on streams that cross the 255-token lane flush.
 func TestSimHashHashedMatchesSimHash(t *testing.T) {
 	tokens := Tokenize(sampleSource(1500))
-	if got, want := SimHashHashed(HashTokens(tokens, nil)), SimHash(tokens); got != want {
+	if got, want := SimHashHashed(HashSource(nil, sampleSource(1500))), SimHash(tokens); got != want {
 		t.Fatalf("SimHashHashed %#x, SimHash %#x", got, want)
+	}
+	rng := xrand.New(5)
+	for _, n := range []int{0, 1, 254, 255, 256, 510, 511, 1000, 4000} {
+		hashed := make([]TokenHash, n)
+		for i := range hashed {
+			// Uniform hashes keep every bit near the majority threshold,
+			// ties included.
+			hashed[i] = TokenHash{Hash: rng.Uint64(), Skip: i%7 == 3}
+		}
+		if got, want := SimHashHashed(hashed), simHashRef(hashed); got != want {
+			t.Fatalf("%d tokens: SimHashHashed %#x, per-bit loop %#x", n, got, want)
+		}
+	}
+	// One hash repeated drives every set bit's byte counter to the 255 the
+	// lane flush must not pass.
+	same := make([]TokenHash, 1000)
+	for i := range same {
+		same[i] = TokenHash{Hash: 0xF0F0_0000_FFFF_8001}
+	}
+	if got, want := SimHashHashed(same), simHashRef(same); got != want {
+		t.Fatalf("repeated hash: SimHashHashed %#x, per-bit loop %#x", got, want)
 	}
 }
 
@@ -98,18 +108,15 @@ func TestDotEqualsCosineForNormalisedVectors(t *testing.T) {
 	}
 }
 
-func TestTokenizeAppendReusesBuffer(t *testing.T) {
-	src := sampleSource(300)
-	want := Tokenize(src)
-	buf := make([]string, 0, 4096)
-	got := TokenizeAppend(buf[:0], src)
-	if len(got) != len(want) {
-		t.Fatalf("token counts differ: %d vs %d", len(got), len(want))
+func TestHashSourceReusesBuffer(t *testing.T) {
+	want := HashSource(nil, sampleSource(300))
+	buf := HashSource(make([]TokenHash, 0, 4096), sampleSource(2000))
+	got := HashSource(buf, sampleSource(300))
+	if !slices.Equal(got, want) {
+		t.Fatalf("reused buffer: %d entries, fresh %d, streams differ", len(got), len(want))
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("token %d: %q vs %q", i, got[i], want[i])
-		}
+	if &got[0] != &buf[0] {
+		t.Fatal("HashSource reallocated a buffer large enough for the stream")
 	}
 }
 

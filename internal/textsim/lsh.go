@@ -141,7 +141,7 @@ func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
 			if x.find(m) == x.find(s) {
 				continue
 			}
-			// Vectors hold the EmbedTokens L2 invariant: Dot is cosine.
+			// Vectors hold the EmbedHashed L2 invariant: Dot is cosine.
 			if Dot(vec, x.vecs[m]) >= x.threshold {
 				x.union(s, m)
 			}

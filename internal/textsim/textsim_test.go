@@ -93,6 +93,9 @@ func TestEmbedEmptySource(t *testing.T) {
 			t.Fatal("empty source must embed to zero vector")
 		}
 	}
+	if v := e.EmbedHashed(HashSource(nil, ""), new(EmbedBuffer)); v == nil || len(v) != 0 {
+		t.Fatalf("empty source must embed to an empty, non-nil vector, got %v (nil %v)", v, v == nil)
+	}
 }
 
 func TestSameCodeSimilarEmbedding(t *testing.T) {

@@ -9,6 +9,10 @@
 // near-identical vectors (intra-group cosine ≈ 0.999) while unrelated code
 // maps far apart. A 64-bit SimHash plus banded LSH provides the candidate
 // pre-filter that makes corpus-scale clustering tractable.
+//
+// An artifact's source makes one byte pass: HashSource tokenizes and hashes
+// it into a []TokenHash without materialising token strings, and that one
+// stream feeds both EmbedHashed and SimHashHashed.
 package textsim
 
 import (
@@ -16,44 +20,73 @@ import (
 	"unicode"
 )
 
-// Tokenize splits source code into tokens: identifiers/keywords, number
-// literals, string-literal contents, and single punctuation runes. It is
-// language-agnostic across the .py/.js/.rb corpus.
-func Tokenize(src string) []string {
-	return TokenizeAppend(nil, src)
-}
+// Byte classes of the tokenizer. Every byte classifies as the rune of the
+// same value (so bytes ≥ 0x80 act as their Latin-1 runes: é is a letter,
+// NBSP a space), through the same unicode predicates a per-rune switch
+// would use.
+const (
+	clsPunct = iota // one single-byte token, always too short to count
+	clsSpace        // separates tokens, emits none
+	clsIdent        // starts an identifier: '_', '$' or a letter
+	clsDigit        // starts a number; continues an identifier
+	clsQuote        // opens a string literal: ", ' or `
+)
 
-// TokenizeAppend tokenizes src, appending to dst (which may be nil or a
-// recycled buffer with its length reset to 0). Hot loops that tokenize many
-// artifacts reuse one buffer per worker instead of growing a fresh []string
-// for every package.
-func TokenizeAppend(dst []string, src string) []string {
-	tokens := dst
-	if cap(tokens) == 0 {
-		tokens = make([]string, 0, len(src)/6)
-	}
-	i := 0
-	n := len(src)
-	for i < n {
-		c := rune(src[i])
+var byteClass = func() (t [256]uint8) {
+	for b := range t {
+		c := rune(b)
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case isIdentStart(c):
-			j := i + 1
-			for j < n && isIdentPart(rune(src[j])) {
-				j++
-			}
-			tokens = append(tokens, src[i:j])
-			i = j
-		case unicode.IsDigit(c):
-			j := i + 1
-			for j < n && (unicode.IsDigit(rune(src[j])) || src[j] == '.') {
-				j++
-			}
-			tokens = append(tokens, src[i:j])
-			i = j
 		case c == '"' || c == '\'' || c == '`':
+			t[b] = clsQuote
+		case c == '_' || c == '$' || unicode.IsLetter(c):
+			t[b] = clsIdent
+		case unicode.IsDigit(c):
+			t[b] = clsDigit
+		case unicode.IsSpace(c):
+			t[b] = clsSpace
+		}
+	}
+	return t
+}()
+
+// literalChunk splits long string-literal contents into tokens of at most
+// this many bytes, so one giant blob does not dominate a snippet.
+const literalChunk = 16
+
+// HashSource tokenizes src and passes every token through hashToken in one
+// byte pass, appending one TokenHash per token to dst[:0]. The tokens are
+// identifiers/keywords, number literals, string-literal contents (URLs, IPs
+// and base64 blobs are the very things CC operations change, split into
+// literalChunk pieces) and single punctuation bytes; punctuation is always
+// shorter than a hashed token may be, so it lands as a Skip entry without
+// being sliced out. Skip entries keep the stream one entry per token, so the
+// snippet windows of EmbedHashed count punctuation like any token.
+// Language-agnostic across the .py/.js/.rb corpus.
+func HashSource(dst []TokenHash, src string) []TokenHash {
+	dst = dst[:0]
+	n := len(src)
+	for i := 0; i < n; {
+		switch byteClass[src[i]] {
+		case clsSpace:
+			i++
+		case clsPunct:
+			dst = append(dst, TokenHash{Skip: true})
+			i++
+		case clsIdent:
+			j := i + 1
+			for j < n && (byteClass[src[j]] == clsIdent || byteClass[src[j]] == clsDigit) {
+				j++
+			}
+			dst = append(dst, hashToken(src[i:j]))
+			i = j
+		case clsDigit:
+			j := i + 1
+			for j < n && (byteClass[src[j]] == clsDigit || src[j] == '.') {
+				j++
+			}
+			dst = append(dst, hashToken(src[i:j]))
+			i = j
+		case clsQuote:
 			quote := src[i]
 			j := i + 1
 			for j < n && src[j] != quote {
@@ -62,71 +95,16 @@ func TokenizeAppend(dst []string, src string) []string {
 				}
 				j++
 			}
-			inner := src[i+1 : min(j, n)]
-			// String contents matter (URLs, IPs, base64 blobs are the very
-			// things CC operations change) but long blobs are split so one
-			// giant literal does not dominate the snippet.
-			for _, part := range splitLongLiteral(inner) {
-				tokens = append(tokens, part)
+			for lit := src[i+1 : min(j, n)]; lit != ""; {
+				k := min(len(lit), literalChunk)
+				dst = append(dst, hashToken(lit[:k]))
+				lit = lit[k:]
 			}
 			i = j + 1
-		default:
-			if !unicode.IsSpace(c) {
-				tokens = append(tokens, string(c))
-			}
-			i++
 		}
 	}
-	return tokens
-}
-
-func splitLongLiteral(s string) []string {
-	const chunk = 16
-	if len(s) <= chunk {
-		if s == "" {
-			return nil
-		}
-		return []string{s}
-	}
-	out := make([]string, 0, len(s)/chunk+1)
-	for len(s) > chunk {
-		out = append(out, s[:chunk])
-		s = s[chunk:]
-	}
-	if s != "" {
-		out = append(out, s)
-	}
-	return out
-}
-
-func isIdentStart(c rune) bool {
-	return c == '_' || c == '$' || unicode.IsLetter(c)
-}
-
-func isIdentPart(c rune) bool {
-	return isIdentStart(c) || unicode.IsDigit(c)
-}
-
-// Snippets splits tokens into consecutive windows of size tokensPer
-// (paper: 512 tokens per CodeBERT snippet). The final partial window is kept.
-func Snippets(tokens []string, tokensPer int) [][]string {
-	if tokensPer <= 0 || len(tokens) == 0 {
-		return nil
-	}
-	out := make([][]string, 0, len(tokens)/tokensPer+1)
-	for start := 0; start < len(tokens); start += tokensPer {
-		end := min(start+tokensPer, len(tokens))
-		out = append(out, tokens[start:end])
-	}
-	return out
+	return dst
 }
 
 // NormalizeToken lower-cases and trims a token for hashing.
 func NormalizeToken(t string) string { return strings.ToLower(t) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
