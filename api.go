@@ -422,16 +422,15 @@ func (p *Pipeline) snapshotEngineLocked(w io.Writer) error {
 }
 
 // AdoptEngine swaps in an engine restored outside the pipeline by
-// core.RestoreEngineWithStore (a v5 manifest, or a v3/v4 snapshot being
-// upgraded into a store) and republishes it: embeddings, cluster state and scan caches come back with
-// the graph, so serving resumes without an O(corpus) rebuild. The journal
-// sequence restores from the snapshot's AppliedSeq stamp, and the feed
-// cursor from its FeedPos stamp (pre-v4 snapshots carry none and restart it
-// at zero; so does a stamp past the end of a feed re-partitioned since —
-// re-draining already-ingested batches is an idempotent no-op); journal
-// replay advances both further from any records past the checkpoint. An
-// attached journal's sequence is raised to the stamp, and the adopted
-// state publishes as a fully dirty epoch.
+// core.RestoreEngineWithStore from a v5 manifest and republishes it:
+// embeddings, cluster state and scan caches come back with the graph, so
+// serving resumes without an O(corpus) rebuild. The journal sequence
+// restores from the manifest's AppliedSeq stamp, and the feed cursor from
+// its FeedPos stamp (a stamp past the end of a feed re-partitioned since
+// restarts it at zero — re-draining already-ingested batches is an
+// idempotent no-op); journal replay advances both further from any records
+// past the checkpoint. An attached journal's sequence is raised to the
+// stamp, and the adopted state publishes as a fully dirty epoch.
 func (p *Pipeline) AdoptEngine(eng *core.Engine) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

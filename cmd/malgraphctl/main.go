@@ -243,8 +243,8 @@ type serveFlags struct {
 // small v5 manifest at the -snapshot path over content-addressed delta
 // segments in the -store directory (default <snapshot>.store), so a
 // checkpoint writes O(ingest delta) instead of re-serialising the corpus; a
-// v3/v4 file an earlier serve wrote restores into that store and is
-// upgraded in place by the first checkpoint. The last -snapshot-retain manifests are kept
+// monolithic v3/v4 file an earlier serve wrote is refused, naming commit
+// 3e24565, the last that reads it. The last -snapshot-retain manifests are kept
 // (pruned after each checkpoint), a background sweep compacts the store
 // once it accretes enough segments, and GET /api/v1/snapshot streams
 // manifest + segments with per-segment CRCs. With -wal, every accepted

@@ -3,7 +3,8 @@ package main
 // Serve-level segmented checkpoints: the recovery sequence — restore the
 // manifest against the content store, replay the journal suffix, attach —
 // must carry state across restarts; a v4 file an earlier serve wrote must
-// upgrade in place to the same engine digest; the snapshot bundle GET must round-trip into a fresh
+// be refused without touching it, its archives or the store; the snapshot
+// bundle GET must round-trip into a fresh
 // store, and its reader must refuse hostile bundles without leaving files
 // behind; retention must keep the configured number of manifests; and a
 // kill mid-segment-write or mid-compaction must never lose a checkpoint.
@@ -146,82 +147,64 @@ func TestServeStoreRecoveryAcrossRestarts(t *testing.T) {
 	}
 }
 
-// TestServeUpgradesV4SnapshotInPlace: a monolithic v4 file, as serve wrote
-// it before every checkpoint went through a store (the core package's
-// upgrade fixture), warm-starts through the default <snapshot>.store; the
-// first checkpoint rewrites the file as a v5 manifest over that store, and
-// the next restart restores to the live pipeline's digest.
-func TestServeUpgradesV4SnapshotInPlace(t *testing.T) {
+// TestServeRefusesV4Snapshot: serve started on a monolithic v4 file, as an
+// earlier serve wrote it, fails naming the format and the last commit that
+// reads it. The file's bytes, its archive generations and the store
+// directory next to it are left exactly as they were.
+func TestServeRefusesV4Snapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline build")
 	}
-	v4, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", "snapshot-v4.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(v4, []byte(`{"version":4,`)) {
-		t.Fatalf("fixture is not a v4 snapshot: %.80s", v4)
-	}
-	snapshotPath := filepath.Join(t.TempDir(), "state.json")
+	dir := t.TempDir()
+	snapshotPath := filepath.Join(dir, "state.json")
+	v4 := []byte(`{"version":4,"config":{},"dataset":{"mode":"full","entries":[]},"reports":[],` +
+		`"graph":{"nodes":[],"edges":[]},"partitions":{},"items":{},"imports":{},"posting":{},"pairOwners":{},"appliedSeq":1}` + "\n")
 	if err := os.WriteFile(snapshotPath, v4, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fixture, err := core.RestoreEngineWithStore(bytes.NewReader(v4), openStore(t, t.TempDir(), nil))
-	if err != nil {
+	if err := os.WriteFile(snapshotPath+".1", bytes.Replace(v4, []byte(`"appliedSeq":1`), nil, 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	store := openStore(t, defaultStoreDir(snapshotPath), nil)
-	finishRestart := startWarmRestart(snapshotPath, store)
-	p2 := newTestPipeline(t, 4)
-	if warm, err := finishRestart(p2); err != nil || !warm {
-		t.Fatalf("restart from the v4 file: warm=%v err=%v", warm, err)
-	}
-	assertSameDigest(t, p2.Engine, fixture, "v4 warm start")
-
-	s2, ts2 := startTestServer(t, newServer(p2, snapshotPath, store))
-	postJSON(t, ts2.URL+"/api/v1/ingest", http.StatusOK)
-	postJSON(t, ts2.URL+"/api/v1/snapshot", http.StatusOK)
-	manifest, err := os.ReadFile(snapshotPath)
-	if err != nil {
+	blob := []byte("an earlier chunk")
+	if _, err := openStore(t, defaultStoreDir(snapshotPath), nil).Append([]castore.Blob{{Key: castore.KeyOf(blob), Data: blob}}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(manifest, []byte(`"version":5`)) {
-		t.Fatalf("first checkpoint after the upgrade wrote a non-v5 snapshot: %.80s", manifest)
-	}
-	if store.Len() == 0 {
-		t.Fatal("upgrade checkpoint wrote no blobs to the default store")
-	}
-	// The v4 file is archived as generation 1; the store directory next to
-	// it (state.json.store) is no archive generation.
-	if gens, err := s2.archiveGens(); err != nil || !reflect.DeepEqual(gens, []int{1}) {
-		t.Fatalf("archive generations = %v (err %v), want [1]", gens, err)
-	}
+	before := dirContents(t, dir)
 
-	p3 := warmRestart(t, 4, snapshotPath)
-	assertSameDigest(t, p3.Engine, p2.Engine, "restart from the upgraded manifest")
+	err := run([]string{"serve", "-scale", "0.02", "-batches", "2", "-snapshot", snapshotPath, "-addr", "127.0.0.1:0"})
+	if err == nil {
+		t.Fatal("serve started from a v4 snapshot")
+	}
+	for _, want := range []string{snapshotPath, "monolithic v4", "3e24565"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("serve error %q does not mention %q", err, want)
+		}
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused start changed the snapshot directory: %d files before, %d after", len(before), len(after))
+	}
 }
 
-// assertSameDigest requires got's engine state to equal want's in every
-// digest section, naming the sections that differ.
-func assertSameDigest(t *testing.T, got, want *core.Engine, label string) {
+// dirContents maps every file under root, by relative path, to its bytes.
+func dirContents(t *testing.T, root string) map[string]string {
 	t.Helper()
-	gd, err := got.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wd, err := want.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gd, wd) {
-		for name, sum := range wd {
-			if gd[name] != sum {
-				t.Errorf("%s: digest section %s differs", label, name)
-			}
+	out := make(map[string]string)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		t.FailNow()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 // TestServeRestartRefusesManifestWithoutItsChunks: a v5 manifest written

@@ -1,5 +1,5 @@
 // Package castore is a content-addressed blob store persisted as immutable
-// append-only segment files. A blob is an opaque JSON value — an artifact's
+// append-only segment files. A blob is opaque bytes — an artifact's
 // serialised content, a manifest section chunk — keyed by the SHA-256 of
 // its bytes (KeyOf), so a blob's key commits to its content: duplicate
 // writes dedupe for free, and every read re-verifies the bytes against the
@@ -8,9 +8,8 @@
 // On-disk layout is one directory of segment files, seg-00000001.json
 // upward. The .json suffix is historical: a segment is a binary frame —
 // magic, blob count, a fixed-width index of (raw SHA-256 key, length)
-// pairs, then the bodies back to back (segment.go) — and only segments
-// written by older versions are JSON: still read, never written, and
-// rewritten into the binary layout by the next Compact. A segment is
+// pairs, then the bodies back to back (segment.go). Open refuses a
+// directory holding a JSON segment from an older version. A segment is
 // written once — temp file, fsync, rename, directory fsync, the same crash
 // discipline as the serve checkpoint's writeFileAtomic — and never
 // modified afterwards. A crash mid-write
@@ -29,7 +28,6 @@ package castore
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -52,8 +50,8 @@ func KeyOf(data []byte) string {
 // Blob pairs a content key with its bytes. Key must equal KeyOf(Data);
 // Append rejects mismatches rather than store an unverifiable blob.
 type Blob struct {
-	Key  string          `json:"key"`
-	Data json.RawMessage `json:"data"`
+	Key  string
+	Data []byte
 }
 
 // segment file names are seg-%08d.json (the suffix predates the binary
@@ -293,7 +291,7 @@ func (st *Store) writeSegment(id int, blobs []Blob) (err error) {
 // re-verified against its key. Unknown keys are an error. It is a
 // Session of one call: a burst of related fetches should share a Session
 // so each segment decodes once.
-func (st *Store) Fetch(hashes []string) (map[string]json.RawMessage, error) {
+func (st *Store) Fetch(hashes []string) (map[string][]byte, error) {
 	return st.Session().Fetch(hashes)
 }
 
@@ -313,7 +311,7 @@ type Session struct {
 // from (named in verification errors).
 type sessionBlob struct {
 	seg  int
-	data json.RawMessage
+	data []byte
 }
 
 // Session starts a read session over the store.
@@ -325,7 +323,7 @@ func (st *Store) Session() *Session {
 // already decoded come from memory; the other segments the request needs
 // are read and decoded in parallel. Every returned blob is re-verified
 // against its key. Unknown keys are an error.
-func (s *Session) Fetch(hashes []string) (map[string]json.RawMessage, error) {
+func (s *Session) Fetch(hashes []string) (map[string][]byte, error) {
 	// A concurrent compaction can unlink a segment between the index
 	// lookup and the file open; the blobs then live in the merged segment
 	// the updated index points at, so re-resolve and retry. Two rounds
@@ -396,7 +394,7 @@ func (s *Session) decode(ids []int) (vanished bool, err error) {
 			return false, r.err
 		}
 		for _, b := range r.blobs {
-			if _, ok := s.blobs[b.Key]; len(b.Data) > 0 && !ok {
+			if _, ok := s.blobs[b.Key]; !ok {
 				s.blobs[b.Key] = sessionBlob{seg: ids[i], data: b.Data}
 			}
 		}
@@ -407,8 +405,8 @@ func (s *Session) decode(ids []int) (vanished bool, err error) {
 
 // collect verifies the requested blobs against their keys, in parallel,
 // and returns them.
-func (s *Session) collect(hashes []string) (map[string]json.RawMessage, error) {
-	out := make(map[string]json.RawMessage, len(hashes))
+func (s *Session) collect(hashes []string) (map[string][]byte, error) {
+	out := make(map[string][]byte, len(hashes))
 	want := make([]string, 0, len(hashes))
 	for _, h := range hashes {
 		if _, dup := out[h]; dup {
@@ -520,7 +518,6 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 	}
 
 	// Gather the retained blobs from the old segments, first mention wins.
-	// Legacy JSON segments are rewritten into the binary layout here.
 	var merged []Blob
 	kept := make(map[string]bool)
 	for _, oid := range oldIDs {
@@ -529,7 +526,7 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 			return false, err
 		}
 		for _, b := range blobs {
-			if len(b.Data) == 0 || kept[b.Key] {
+			if kept[b.Key] {
 				continue
 			}
 			if live != nil && !live[b.Key] {

@@ -8,11 +8,11 @@ package castore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +20,9 @@ import (
 	"malgraph/internal/faultinject"
 )
 
-// blobOf builds a valid Blob from a short string (stored as a JSON string).
+// blobOf builds a valid Blob from a short string (stored quoted).
 func blobOf(s string) Blob {
-	data, _ := json.Marshal(s)
+	data := []byte(strconv.Quote(s))
 	return Blob{Key: KeyOf(data), Data: data}
 }
 
@@ -209,7 +209,8 @@ func TestCompactMergesAndDropsDeadBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := []Blob{blobOf("live-1"), blobOf("live-2"), blobOf("live-3")}
+	// An empty blob is a blob like any other: it fetches and survives.
+	live := []Blob{blobOf("live-1"), blobOf("live-2"), blobOf("live-3"), {Key: KeyOf(nil), Data: []byte{}}}
 	dead := []Blob{blobOf("dead-1"), blobOf("dead-2")}
 	for _, b := range append(append([]Blob(nil), live...), dead...) {
 		if _, err := st.Append([]Blob{b}); err != nil { // one segment per blob

@@ -10,18 +10,14 @@ package castore
 // reads a whole file with one sized read and hands its blobs out as
 // sub-slices of that buffer — no per-blob decode or copy.
 //
-// Segments written before the binary frame are one JSON object,
-// {"hashes":[…],"blobs":[{"key":…,"data":…},…]}. They are still read (a
-// file whose first byte is '{' is one), never written: the next Compact
-// rewrites their live blobs into a binary segment.
+// This is the only layout read. A JSON segment from before the binary
+// frame (a file whose first byte is '{') is refused with errLegacySegment.
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,15 +30,9 @@ const (
 	entrySize  = sha256.Size + 4   // raw key | u32 length
 )
 
-// legacySegment is the read-only JSON layout. Hashes precedes Blobs so the
-// index decodes without the bodies.
-type legacySegment struct {
-	Hashes []string `json:"hashes"`
-	Blobs  []Blob   `json:"blobs"`
-}
-
-// isLegacy reports whether a segment file starting with prefix is JSON.
-func isLegacy(prefix []byte) bool { return len(prefix) > 0 && prefix[0] == '{' }
+// errLegacySegment refuses a JSON segment, the layout before the binary
+// frame.
+var errLegacySegment = errors.New("a legacy JSON segment: this build reads only binary segments; the last commit that reads JSON segments is 3e24565")
 
 // encodeSegment streams blobs to w as one binary segment. Keys must be
 // hex SHA-256 digests (Append has verified them against the bodies).
@@ -77,8 +67,12 @@ func encodeSegment(w io.Writer, blobs []Blob) error {
 }
 
 // parseHeader checks a binary segment header and bounds its blob count by
-// the size of the file: every index entry must fit before EOF.
+// the size of the file: every index entry must fit before EOF. A header
+// that opens with '{' is a JSON segment.
 func parseHeader(head []byte, size int64) (int, error) {
+	if len(head) > 0 && head[0] == '{' {
+		return 0, errLegacySegment
+	}
 	if len(head) < headerSize {
 		return 0, fmt.Errorf("truncated segment header: %d bytes", len(head))
 	}
@@ -123,13 +117,11 @@ func parseIndex(idx []byte, size int64) ([]segEntry, error) {
 func decodeIndex(r io.Reader, size int64) ([]string, error) {
 	head := make([]byte, headerSize)
 	n, err := io.ReadFull(r, head)
-	if isLegacy(head[:n]) {
-		return decodeLegacyIndex(io.MultiReader(bytes.NewReader(head[:n]), r))
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
 		return nil, fmt.Errorf("segment header: %w", err)
 	}
-	count, err := parseHeader(head, size)
+	// parseHeader refuses a short header, naming a JSON segment as one.
+	count, err := parseHeader(head[:n], size)
 	if err != nil {
 		return nil, err
 	}
@@ -152,13 +144,6 @@ func decodeIndex(r io.Reader, size int64) ([]string, error) {
 // binary segment's blobs are sub-slices of data, capped so an append
 // cannot spill into a neighbour.
 func decodeSegment(data []byte) ([]Blob, error) {
-	if isLegacy(data) {
-		var seg legacySegment
-		if err := json.Unmarshal(data, &seg); err != nil {
-			return nil, err
-		}
-		return seg.Blobs, nil
-	}
 	count, err := parseHeader(data, int64(len(data)))
 	if err != nil {
 		return nil, err
@@ -175,27 +160,4 @@ func decodeSegment(data []byte) ([]Blob, error) {
 		off = end
 	}
 	return blobs, nil
-}
-
-// decodeLegacyIndex decodes just the "hashes" prefix of a JSON segment.
-func decodeLegacyIndex(r io.Reader) ([]string, error) {
-	dec := json.NewDecoder(r)
-	// Walk: { "hashes" : [ ... ] — then stop without decoding blobs.
-	if tok, err := dec.Token(); err != nil {
-		return nil, err
-	} else if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return nil, fmt.Errorf("malformed segment: expected '{', got %v", tok)
-	}
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, err
-	}
-	if key, ok := tok.(string); !ok || key != "hashes" {
-		return nil, fmt.Errorf("malformed segment: expected hashes index, got %v", tok)
-	}
-	var hashes []string
-	if err := dec.Decode(&hashes); err != nil {
-		return nil, err
-	}
-	return hashes, nil
 }

@@ -3,16 +3,18 @@ package castore
 // Contracts under test for the segment format: a binary segment decodes
 // the same through the index path (Open) and the body path (Session.Fetch),
 // hostile bytes fail both with an error and never a panic, every accepted
-// blob is a slice of the file itself, and JSON segments written by older
-// stores stay readable until Compact rewrites them into the binary layout.
+// blob is a slice of the file itself, and a JSON segment written by an
+// older store is refused by both paths, naming the last commit that reads
+// one.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -27,19 +29,16 @@ func encodeBytes(t testing.TB, blobs []Blob) []byte {
 	return buf.Bytes()
 }
 
-// legacyBytes renders blobs as a JSON segment, exactly as the JSON segment
-// writer encoded it.
-func legacyBytes(t testing.TB, blobs []Blob) []byte {
-	t.Helper()
-	seg := legacySegment{Blobs: blobs}
+// legacyBytes renders blobs as a JSON segment, byte for byte as the JSON
+// segment writer encoded it: {"hashes":[…],"blobs":[{"key":…,"data":…},…]},
+// each blob's data inlined as the JSON value it held.
+func legacyBytes(blobs []Blob) []byte {
+	var hashes, bodies []string
 	for _, b := range blobs {
-		seg.Hashes = append(seg.Hashes, b.Key)
+		hashes = append(hashes, strconv.Quote(b.Key))
+		bodies = append(bodies, `{"key":`+strconv.Quote(b.Key)+`,"data":`+string(b.Data)+`}`)
 	}
-	data, err := json.Marshal(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return []byte(`{"hashes":[` + strings.Join(hashes, ",") + `],"blobs":[` + strings.Join(bodies, ",") + `]}`)
 }
 
 // hostileSegment is one malformed segment file.
@@ -106,104 +105,71 @@ func TestHostileSegmentBytesFailCleanly(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONSegmentReadAndCompacted: a store holding a JSON segment from
-// an older writer plus a binary one opens, fetches and verifies both, and
-// Compact leaves one binary segment carrying every live blob.
-func TestLegacyJSONSegmentReadAndCompacted(t *testing.T) {
-	dir := t.TempDir()
+// TestOpenRefusesLegacyJSONSegment: Open refuses a store directory holding
+// a JSON segment, naming the file and the last commit that reads one, and
+// leaves the directory as it was. A session over a store whose binary
+// segment was replaced by a JSON one refuses it the same way.
+func TestOpenRefusesLegacyJSONSegment(t *testing.T) {
 	old := []Blob{blobOf("legacy-1"), blobOf("legacy-2")}
-	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.json"), legacyBytes(t, old), 0o644); err != nil {
-		t.Fatal(err)
+	for _, data := range [][]byte{legacyBytes(old), []byte("{}")} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "seg-00000001.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir, nil)
+		if !errors.Is(err, errLegacySegment) {
+			t.Fatalf("Open over a JSON segment: %v", err)
+		}
+		for _, want := range []string{"seg-00000001.json", "legacy JSON segment", "3e24565"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Open error %q does not mention %q", err, want)
+			}
+		}
+		names, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || len(names) != 1 || !bytes.Equal(got, data) {
+			t.Fatalf("refused Open changed the store directory: %d files, %v", len(names), err)
+		}
 	}
+
+	dir := t.TempDir()
 	st, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := blobOf("binary-1")
-	if n, err := st.Append([]Blob{fresh, old[0]}); err != nil || n != 1 {
-		t.Fatalf("Append next to a legacy segment = %d, %v; want 1 new blob", n, err)
-	}
-	all := append(append([]Blob(nil), old...), fresh)
-	if st.Len() != 3 || st.SegmentCount() != 2 {
-		t.Fatalf("mixed store: Len=%d SegmentCount=%d, want 3 and 2", st.Len(), st.SegmentCount())
-	}
-	fetchAll(t, st, all)
-	re, err := Open(dir, nil)
-	if err != nil {
+	if _, err := st.Append(old); err != nil {
 		t.Fatal(err)
 	}
-	fetchAll(t, re, all)
-
-	// A tampered legacy blob still fails its content-hash check.
-	legacyPath := filepath.Join(dir, "seg-00000001.json")
-	raw, err := os.ReadFile(legacyPath)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.json"), legacyBytes(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tampered := bytes.Replace(raw, []byte(`"legacy-2"`), []byte(`"legacy-X"`), 1)
-	if err := os.WriteFile(legacyPath, tampered, 0o644); err != nil {
-		t.Fatal(err)
+	if _, err := st.Session().Fetch([]string{old[0].Key}); !errors.Is(err, errLegacySegment) {
+		t.Fatalf("Session.Fetch from a JSON segment: %v", err)
 	}
-	if _, err := re.Session().Fetch([]string{old[1].Key}); err == nil {
-		t.Fatal("a tampered legacy blob verified")
-	}
-	if err := os.WriteFile(legacyPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	live := map[string]bool{}
-	for _, b := range all {
-		live[b.Key] = true
-	}
-	if compacted, err := re.Compact(live); err != nil || !compacted {
-		t.Fatalf("Compact = %v, %v", compacted, err)
-	}
-	if re.SegmentCount() != 1 || re.Len() != 3 {
-		t.Fatalf("after compact: SegmentCount=%d Len=%d, want 1 and 3", re.SegmentCount(), re.Len())
-	}
-	fetchAll(t, re, all)
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 {
-		t.Fatalf("compacted store holds %d files, want 1", len(names))
-	}
-	merged, err := os.ReadFile(filepath.Join(dir, names[0].Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(merged, []byte(segMagic)) {
-		t.Fatalf("compacted segment %s is not binary: %.40q", names[0].Name(), merged)
-	}
-	again, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetchAll(t, again, all)
 }
 
 // FuzzReadSegment feeds arbitrary bytes to both segment decoders. Neither
-// may panic; a binary segment must be accepted by both or by neither, with
-// the same keys; and every accepted blob must be the file's own bytes at
-// its framed offset — never memory outside the file.
+// may panic; a '{'-led file (a JSON segment) must be refused by both as
+// one; any other file must be accepted by both or by neither, with the
+// same keys; and every accepted blob must be the file's own bytes at its
+// framed offset — never memory outside the file.
 func FuzzReadSegment(f *testing.F) {
 	two := []Blob{blobOf("alpha"), blobOf("beta")}
 	valid := encodeBytes(f, two)
 	f.Add(valid)
-	f.Add(legacyBytes(f, two))
+	f.Add(legacyBytes(two))
 	for _, tc := range hostileSegments(valid) {
 		f.Add(tc.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blobs, err := decodeSegment(data)
 		keys, ierr := decodeIndex(bytes.NewReader(data), int64(len(data)))
-		if isLegacy(data) {
-			// JSON segments carry copies of their blobs' raw bytes.
-			for _, b := range blobs {
-				if !bytes.Contains(data, b.Data) {
-					t.Fatalf("legacy blob %s is not in the file", b.Key)
-				}
+		if len(data) > 0 && data[0] == '{' {
+			if !errors.Is(err, errLegacySegment) || !errors.Is(ierr, errLegacySegment) {
+				t.Fatalf("JSON segment: body path err = %v, index path err = %v; want both refused", err, ierr)
 			}
 			return
 		}

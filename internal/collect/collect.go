@@ -96,8 +96,8 @@ type Result struct {
 	// (see resolve.go) can apply exact accounting deltas when a later
 	// batch extends an entry. Populated by Run, maintained by
 	// ApplyEntryStat, and persisted with the dataset; nil for datasets
-	// assembled by hand or loaded from legacy JSON (Feed then falls back
-	// to the availability-derived approximation).
+	// assembled by hand (Feed then falls back to the availability-derived
+	// approximation).
 	statsByKey map[string]EntryStat
 }
 

@@ -128,7 +128,7 @@ func (r *Result) BatchOf(entries []*Entry) Batch {
 
 // EntryStatFor returns the recorded per-source accounting for a coordinate
 // key. recorded=false when the dataset carries no per-entry stats for it
-// (hand-built datasets or legacy JSON); callers then fall back to the
+// (hand-built datasets); callers then fall back to the
 // availability-derived approximation BatchOf uses.
 func (r *Result) EntryStatFor(key string) (EntryStat, bool) {
 	if r.statsByKey == nil {

@@ -94,7 +94,7 @@ func DecodeEntry(data []byte) (DecodedEntry, error) {
 
 // AssembleResult rebuilds a dataset from a manifest header and decoded
 // entries (artifacts already attached by the caller). Entries are verified
-// against their recorded hashes and indexed exactly as ReadJSON would.
+// against their recorded hashes, then sorted and indexed by coordinate key.
 func AssembleResult(h ResultHeader, entries []DecodedEntry) (*Result, error) {
 	perSource, err := decodePerSource(h.PerSource)
 	if err != nil {

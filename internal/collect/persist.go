@@ -43,8 +43,9 @@ type persistedEntry struct {
 	Blob string `json:"blob,omitempty"`
 	// Stats preserves the entry's exact per-source accounting so a restored
 	// dataset (engine warm restart) keeps applying correct accounting
-	// deltas when later batches extend the entry. Absent in legacy exports;
-	// readers fall back to the availability approximation.
+	// deltas when later batches extend the entry. Absent for a hand-built
+	// dataset's entries; readers fall back to the availability
+	// approximation.
 	Stats *EntryStat `json:"stats,omitempty"`
 }
 
@@ -98,48 +99,6 @@ func (r *Result) WriteJSON(w io.Writer, mode ExportMode) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(p)
-}
-
-// ReadJSON restores a dataset written with WriteJSON. Public-mode datasets
-// come back with nil artifacts but intact accounting; hash fields let
-// a later artifact supplement be verified against the original collection.
-func ReadJSON(rd io.Reader) (*Result, error) {
-	var p persistedResult
-	if err := json.NewDecoder(rd).Decode(&p); err != nil {
-		return nil, fmt.Errorf("dataset decode: %w", err)
-	}
-	perSource, err := decodePerSource(p.PerSource)
-	if err != nil {
-		return nil, fmt.Errorf("dataset decode: %w", err)
-	}
-	res := &Result{CollectedAt: p.CollectedAt, PerSource: perSource}
-	for _, pe := range p.Entries {
-		e := &Entry{
-			Coord:         pe.Coord,
-			Availability:  pe.Availability,
-			RecoveredFrom: pe.RecoveredFrom,
-			Sources:       pe.Sources,
-			ObservedAt:    pe.ObservedAt,
-			ReleasedAt:    pe.ReleasedAt,
-			RemovedAt:     pe.RemovedAt,
-			Artifact:      pe.Artifact,
-		}
-		if pe.Artifact != nil && pe.Hash != "" && pe.Artifact.Hash() != pe.Hash {
-			return nil, fmt.Errorf("dataset decode: artifact hash mismatch for %s", pe.Coord)
-		}
-		if pe.Stats != nil {
-			if res.statsByKey == nil {
-				res.statsByKey = make(map[string]EntryStat, len(p.Entries))
-			}
-			res.statsByKey[e.Coord.Key()] = *pe.Stats
-		}
-		res.Entries = append(res.Entries, e)
-		res.byKey.Set(e.Coord.Key(), e)
-	}
-	sort.Slice(res.Entries, func(i, j int) bool {
-		return res.Entries[i].Coord.Key() < res.Entries[j].Coord.Key()
-	})
-	return res, nil
 }
 
 // Supplement merges artifacts from another dataset into entries that are

@@ -3,21 +3,61 @@ package collect
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+
+	"malgraph/internal/ecosys"
 )
 
+// viaManifest encodes res as a segmented checkpoint does — the header, and
+// one record per entry with a stand-in blob ref for its artifact — and
+// decodes it back, attaching attach(artifact) for each ref as the restore
+// attaches the fetched blob.
+func viaManifest(t *testing.T, res *Result, attach func(*ecosys.Artifact) *ecosys.Artifact) (ResultHeader, []DecodedEntry) {
+	t.Helper()
+	raw, err := json.Marshal(res.EncodeHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h ResultHeader
+	if err := json.Unmarshal(raw, &h); err != nil {
+		t.Fatal(err)
+	}
+	var out []DecodedEntry
+	for _, e := range res.Entries {
+		ref := ""
+		if e.Artifact != nil {
+			ref = "blob-" + e.Coord.Key()
+		}
+		rec, err := res.EncodeEntry(e, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		de, err := DecodeEntry(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if de.BlobRef != ref || de.Entry.Artifact != nil {
+			t.Fatalf("entry %s: decoded blob ref %q (artifact inline: %v), want %q", e.Coord, de.BlobRef, de.Entry.Artifact != nil, ref)
+		}
+		if ref != "" {
+			de.Entry.Artifact = attach(e.Artifact)
+		}
+		out = append(out, de)
+	}
+	return h, out
+}
+
+// TestDatasetRoundTripFull: a dataset encoded entry by entry and assembled
+// back keeps every entry, artifact, per-source total and per-entry stat.
 func TestDatasetRoundTripFull(t *testing.T) {
 	set, fleet := fixture(t)
 	res, err := Run(set, fleet, day(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf, ExportFull); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
+	back, err := AssembleResult(viaManifest(t, res, func(a *ecosys.Artifact) *ecosys.Artifact { return a }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +69,9 @@ func TestDatasetRoundTripFull(t *testing.T) {
 	}
 	for i, e := range res.Entries {
 		b := back.Entries[i]
-		if e.Coord != b.Coord || e.Availability != b.Availability {
-			t.Fatalf("entry %d mismatch", i)
+		if e.Coord != b.Coord || e.Availability != b.Availability || e.RecoveredFrom != b.RecoveredFrom ||
+			!reflect.DeepEqual(e.Sources, b.Sources) || !e.ObservedAt.Equal(b.ObservedAt) {
+			t.Fatalf("entry %d mismatch: %+v vs %+v", i, b, e)
 		}
 		if (e.Artifact == nil) != (b.Artifact == nil) {
 			t.Fatalf("entry %d artifact presence mismatch", i)
@@ -38,11 +79,19 @@ func TestDatasetRoundTripFull(t *testing.T) {
 		if e.Artifact != nil && e.Artifact.Hash() != b.Artifact.Hash() {
 			t.Fatalf("entry %d artifact corrupted", i)
 		}
-	}
-	for id, st := range res.PerSource {
-		if back.PerSource[id] != st {
-			t.Fatalf("per-source stats mismatch for %v", id)
+		want, _ := res.EntryStatFor(e.Coord.Key())
+		if got, _ := back.EntryStatFor(e.Coord.Key()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("entry %d stat %+v, want %+v", i, got, want)
 		}
+		if got, ok := back.Entry(e.Coord); !ok || got != b {
+			t.Fatalf("entry %d is not indexed by its coordinate", i)
+		}
+	}
+	if !reflect.DeepEqual(back.PerSource, res.PerSource) {
+		t.Fatalf("per-source stats %v, want %v", back.PerSource, res.PerSource)
+	}
+	if _, err := DecodeEntry([]byte("{nope")); err == nil {
+		t.Fatal("DecodeEntry accepted a malformed record")
 	}
 }
 
@@ -63,34 +112,43 @@ func TestDatasetPublicOmitsArtifacts(t *testing.T) {
 	if !strings.Contains(raw, "\"hash\"") {
 		t.Fatal("public export must keep hashes for later verification")
 	}
-	back, err := ReadJSON(&buf)
+	// Accounting survives even without artifacts.
+	var p persistedResult
+	if err := json.Unmarshal(buf.Bytes(), &p); err != nil {
+		t.Fatal(err)
+	}
+	perSource, err := decodePerSource(p.PerSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range back.Entries {
-		if e.Artifact != nil {
-			t.Fatal("artifacts materialised from public export")
-		}
-	}
-	// Accounting survives even without artifacts.
-	if back.TotalMR() != res.TotalMR() {
-		t.Fatalf("public export changed accounting")
+	if len(p.Entries) != len(res.Entries) || !reflect.DeepEqual(perSource, res.PerSource) {
+		t.Fatalf("public export carries %d entries and per-source %v, want %d and %v",
+			len(p.Entries), perSource, len(res.Entries), res.PerSource)
 	}
 }
 
-func TestReadJSONRejectsTamperedArtifact(t *testing.T) {
+// TestAssembleResultRejectsTamperedArtifact: an artifact whose content no
+// longer hashes to its entry's recorded hash is refused.
+func TestAssembleResultRejectsTamperedArtifact(t *testing.T) {
 	set, fleet := fixture(t)
 	res, err := Run(set, fleet, day(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf, ExportFull); err != nil {
-		t.Fatal(err)
+	tampered := 0
+	h, entries := viaManifest(t, res, func(a *ecosys.Artifact) *ecosys.Artifact {
+		files := append([]ecosys.File(nil), a.Files...)
+		for i := range files {
+			files[i].Content = strings.Replace(files[i].Content, "import os", "import evil", 1)
+		}
+		tampered++
+		return ecosys.NewArtifact(a.Coord, a.Description, files)
+	})
+	if tampered == 0 {
+		t.Fatal("fixture carries no artifact")
 	}
-	tampered := strings.Replace(buf.String(), "import os", "import evil", 1)
-	if _, err := ReadJSON(strings.NewReader(tampered)); err == nil {
-		t.Fatal("tampered artifact must fail hash verification")
+	if _, err := AssembleResult(h, entries); err == nil || !strings.Contains(err.Error(), "artifact hash mismatch") {
+		t.Fatalf("tampered artifact: AssembleResult error %v, want a hash mismatch", err)
 	}
 }
 
@@ -99,27 +157,6 @@ func TestReadJSONRejectsTamperedArtifact(t *testing.T) {
 var badPerSource = []string{
 	`{"3x":{}}`, `{"3 4":{}}`, `{"-2":{}}`, `{"+3":{}}`, `{"03":{}}`,
 	`{"0":{}}`, `{"99":{}}`, `{"":{}}`, `{"3":{},"03":{}}`,
-}
-
-func TestReadJSONBadInput(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{nope")); err == nil {
-		t.Fatal("bad JSON must error")
-	}
-	doc := func(perSource string) string {
-		return `{"mode":"public","collectedAt":"2024-01-01T00:00:00Z","perSource":` + perSource + `,"entries":[]}`
-	}
-	res, err := ReadJSON(strings.NewReader(doc(`{"3":{"Total":2},"10":{"Total":1}}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerSource[3].Total != 2 || res.PerSource[10].Total != 1 || len(res.PerSource) != 2 {
-		t.Fatalf("canonical perSource decoded as %v", res.PerSource)
-	}
-	for _, ps := range badPerSource {
-		if _, err := ReadJSON(strings.NewReader(doc(ps))); err == nil {
-			t.Errorf("perSource %s: ReadJSON accepted it", ps)
-		}
-	}
 }
 
 func TestAssembleResultBadSourceIDs(t *testing.T) {

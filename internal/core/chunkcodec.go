@@ -14,21 +14,19 @@ package core
 //
 // Keys and attribute names are strictly increasing, so equal state encodes
 // to equal bytes (and the same content key), and a decoder accepts exactly
-// the bytes its encoder writes. A blob without the magic (or tag) is a
-// legacy JSON chunk from before the binary format; it stays readable and
-// nothing writes it any more. The decoders bound every count by the bytes
-// that remain before allocating, check every length, reject trailing bytes
-// and never panic: castore verifies each blob's SHA-256, but a store
+// the bytes its encoder writes. A blob without the magic (or tag) is
+// refused; one that opens with '{' is a JSON chunk from before the binary
+// format, and the error says so. The decoders bound every count by the
+// bytes that remain before allocating, check every length, reject trailing
+// bytes and never panic: castore verifies each blob's SHA-256, but a store
 // directory is still input.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
@@ -42,9 +40,22 @@ const (
 	kvMagic       = "\x00kv1"
 	graphMagic    = "\x00gr1"
 	artifactMagic = "\x00ar1"
-	// itemTag opens an item value; a legacy JSON item opens with '{'.
+	// itemTag opens an item value; a JSON item opens with '{'.
 	itemTag byte = 1
 )
+
+// lastLegacyReader is the last commit that reads the encodings a restore
+// now refuses: monolithic v3/v4 snapshots and JSON chunks.
+const lastLegacyReader = "3e24565"
+
+// errNoMagic refuses a blob of the given kind that lacks its magic or tag.
+func errNoMagic(kind string, data []byte) error {
+	if len(data) > 0 && data[0] == '{' {
+		return fmt.Errorf("%s: a legacy JSON chunk; this build reads only binary chunks, and the last commit that reads JSON chunks is %s",
+			kind, lastLegacyReader)
+	}
+	return fmt.Errorf("%s: missing magic", kind)
+}
 
 // Graph op kinds on the wire.
 const (
@@ -359,18 +370,16 @@ func (r *chunkReader) done(kind string) error {
 	return nil
 }
 
-// decodeKVChunk decodes a keyed-section chunk: a kv frame, whose values
-// are capped sub-slices of data, or a legacy JSON chunk.
+// decodeKVChunk decodes a kv frame; the values are capped sub-slices of
+// data.
 func decodeKVChunk(data []byte) (kvChunk, error) {
 	if !bytes.HasPrefix(data, []byte(kvMagic)) {
-		var ch kvChunk
-		err := json.Unmarshal(data, &ch)
-		return ch, err
+		return kvChunk{}, errNoMagic("kv frame", data)
 	}
 	r := &chunkReader{buf: data, off: len(kvMagic)}
 	var ch kvChunk
 	if n := r.count(2); n > 0 {
-		ch.Set = make(map[string]json.RawMessage, n)
+		ch.Set = make(map[string][]byte, n)
 		prev := ""
 		for i := 0; i < n && r.err == nil; i++ {
 			k := r.after(r.str(), prev, i == 0, "key")
@@ -389,12 +398,10 @@ func decodeKVChunk(data []byte) (kvChunk, error) {
 	return ch, r.done("kv frame")
 }
 
-// decodeGraphChunk decodes a graph chunk, binary or legacy JSON.
+// decodeGraphChunk decodes a graph chunk.
 func decodeGraphChunk(data []byte) (graphChunk, error) {
 	if !bytes.HasPrefix(data, []byte(graphMagic)) {
-		var gc graphChunk
-		err := json.Unmarshal(data, &gc)
-		return gc, err
+		return graphChunk{}, errNoMagic("graph chunk", data)
 	}
 	r := &chunkReader{buf: data, off: len(graphMagic), names: make(map[string]string)}
 	var gc graphChunk
@@ -440,33 +447,27 @@ func decodeGraphChunk(data []byte) (graphChunk, error) {
 	return gc, r.done("graph chunk")
 }
 
-// decodeItem decodes a clustering item value, binary or legacy JSON.
-func decodeItem(data []byte) (snapshotItem, error) {
+// decodeItem decodes a clustering item value.
+func decodeItem(data []byte) (textsim.Item, error) {
 	if len(data) == 0 || data[0] != itemTag {
-		var it snapshotItem
-		err := json.Unmarshal(data, &it)
-		return it, err
+		return textsim.Item{}, errNoMagic("item", data)
 	}
 	r := &chunkReader{buf: data, off: 1}
-	it := snapshotItem{ID: r.str()}
+	it := textsim.Item{ID: r.str()}
 	if dim, isNil := r.nilable(8); !isNil {
 		it.Vector = make([]float64, dim)
 		for i := range it.Vector {
 			it.Vector[i] = math.Float64frombits(r.u64())
 		}
 	}
-	it.Hash = strconv.FormatUint(r.u64(), 16)
+	it.Hash = r.u64()
 	return it, r.done("item")
 }
 
-// decodeArtifact decodes an artifact blob, binary or legacy JSON.
+// decodeArtifact decodes an artifact blob.
 func decodeArtifact(data []byte) (*ecosys.Artifact, error) {
 	if !bytes.HasPrefix(data, []byte(artifactMagic)) {
-		var a ecosys.Artifact
-		if err := json.Unmarshal(data, &a); err != nil {
-			return nil, err
-		}
-		return &a, nil
+		return nil, errNoMagic("artifact", data)
 	}
 	r := &chunkReader{buf: data, off: len(artifactMagic)}
 	a := &ecosys.Artifact{

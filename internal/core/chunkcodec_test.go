@@ -3,16 +3,15 @@ package core
 // Contracts under test for the binary chunk codec: every blob kind round
 // trips, hostile bytes (truncation, counts the input cannot hold, trailing
 // bytes, unsorted keys, over-long varints, unknown kinds) are refused with
-// an error rather than a panic or an allocation. Legacy JSON decoding is
-// covered by the restore tests in snapshot5_test.go.
+// an error rather than a panic or an allocation, and a blob without its
+// magic is refused too — as a legacy JSON chunk, naming the last commit
+// that reads one, when it opens with '{'.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"reflect"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -23,7 +22,7 @@ import (
 
 func TestChunkCodecRoundTrip(t *testing.T) {
 	kv := kvChunk{
-		Set: map[string]json.RawMessage{"b": json.RawMessage(`{"x":1}`), "a": json.RawMessage(`"v"`), "": {}},
+		Set: map[string][]byte{"b": []byte(`{"x":1}`), "a": []byte(`"v"`), "": {}},
 		Del: []string{"z", "c"},
 	}
 	got, err := decodeKVChunk(encodeKVChunk(kv))
@@ -31,7 +30,7 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Del comes back sorted; an empty value comes back as an empty slice.
-	if want := (kvChunk{Set: map[string]json.RawMessage{"b": kv.Set["b"], "a": kv.Set["a"], "": {}}, Del: []string{"c", "z"}}); !reflect.DeepEqual(got, want) {
+	if want := (kvChunk{Set: map[string][]byte{"b": kv.Set["b"], "a": kv.Set["a"], "": {}}, Del: []string{"c", "z"}}); !reflect.DeepEqual(got, want) {
 		t.Errorf("kv frame: got %+v, want %+v", got, want)
 	}
 
@@ -66,9 +65,8 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := snapshotItem{ID: it.ID, Vector: it.Vector, Hash: strconv.FormatUint(it.Hash, 16)}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("item: got %+v, want %+v", got, want)
+		if !reflect.DeepEqual(got, it) {
+			t.Errorf("item: got %+v, want %+v", got, it)
 		}
 	}
 
@@ -87,13 +85,17 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChunkCodecRejectsHostileBytes: every malformed binary blob is refused
-// with an error naming what is wrong.
+// jsonChunk is how a decoder refuses a JSON chunk: naming it, and the last
+// commit that reads one.
+const jsonChunk = "a legacy JSON chunk; this build reads only binary chunks, and the last commit that reads JSON chunks is 3e24565"
+
+// TestChunkCodecRejectsHostileBytes: every malformed blob is refused with
+// an error naming what is wrong.
 func TestChunkCodecRejectsHostileBytes(t *testing.T) {
 	uv := func(prefix string, v uint64) string { return string(binary.AppendUvarint([]byte(prefix), v)) }
 	item := string(encodeItem(textsim.Item{ID: "x", Vector: []float64{1}, Hash: 2}))
 	art := string(encodeArtifact(&ecosys.Artifact{Coord: ecosys.Coord{Name: "n"}, Files: []ecosys.File{{Path: "p"}}}))
-	kv := string(encodeKVChunk(kvChunk{Set: map[string]json.RawMessage{"a": json.RawMessage("1")}}))
+	kv := string(encodeKVChunk(kvChunk{Set: map[string][]byte{"a": []byte("1")}}))
 	for _, tc := range []struct {
 		name, data, want string
 		decode           func([]byte) error
@@ -118,6 +120,16 @@ func TestChunkCodecRejectsHostileBytes(t *testing.T) {
 		{"artifact oversized files", uv(artifactMagic+"\x00\x00\x00\x00", 1<<35), "exceeds", decodeArtifactErr},
 		{"artifact over-long varint", artifactMagic + "\x80\x00\x00\x00\x00\x00", "bad varint", decodeArtifactErr},
 		{"artifact trailing byte", art + "x", "trailing", decodeArtifactErr},
+		{"kv no magic", "kv1", "kv frame: missing magic", decodeKVErr},
+		{"graph empty", "", "graph chunk: missing magic", decodeGraphErr},
+		{"item bad tag", "\x02\x01x", "item: missing magic", decodeItemErr},
+		{"artifact no magic", "\x00ar2", "artifact: missing magic", decodeArtifactErr},
+		// JSON chunks of each kind, as builds before the binary format wrote them.
+		{"kv JSON", `{"set":{"a":1},"del":["b"]}`, "kv frame: " + jsonChunk, decodeKVErr},
+		{"graph JSON re-base", `{"reset":{"nodes":null,"edges":[]}}`, "graph chunk: " + jsonChunk, decodeGraphErr},
+		{"graph JSON ops", `{"ops":[{"kind":"node","id":"n"}]}`, "graph chunk: " + jsonChunk, decodeGraphErr},
+		{"item JSON", `{"id":"x","vector":[1],"hash":"2"}`, "item: " + jsonChunk, decodeItemErr},
+		{"artifact JSON", `{"Coord":{"Ecosystem":1,"Name":"x","Version":"1"},"Files":null}`, "artifact: " + jsonChunk, decodeArtifactErr},
 	} {
 		err := tc.decode([]byte(tc.data))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -133,10 +145,11 @@ func decodeItemErr(b []byte) error     { _, err := decodeItem(b); return err }
 func decodeArtifactErr(b []byte) error { _, err := decodeArtifact(b); return err }
 
 // FuzzDecodeChunk feeds arbitrary bytes to the four blob decoders (kv
-// frame, graph chunk, item value, artifact). None may panic. On the binary
-// path a decode allocates in proportion to its input — a count larger than
-// the bytes left is refused before any make — and an accepted blob
-// re-encodes to exactly its bytes. Seeds in testdata/fuzz/FuzzDecodeChunk:
+// frame, graph chunk, item value, artifact). None may panic, and a blob
+// without its kind's magic (or tag) must be refused. Otherwise a decode
+// allocates in proportion to its input — a count larger than the bytes
+// left is refused before any make — and an accepted blob re-encodes to
+// exactly its bytes. Seeds in testdata/fuzz/FuzzDecodeChunk:
 // one real chunk of each kind from a miniDataset checkpoint, plus
 // truncated, oversized-count and trailing-byte variants.
 func FuzzDecodeChunk(f *testing.F) {
@@ -156,10 +169,7 @@ func FuzzDecodeChunk(f *testing.F) {
 			}},
 			{"item", len(data) > 0 && data[0] == itemTag, func() (func() ([]byte, error), error) {
 				it, err := decodeItem(data)
-				return func() ([]byte, error) {
-					h, err := strconv.ParseUint(it.Hash, 16, 64)
-					return encodeItem(textsim.Item{ID: it.ID, Vector: it.Vector, Hash: h}), err
-				}, err
+				return func() ([]byte, error) { return encodeItem(it), nil }, err
 			}},
 			{"artifact", bytes.HasPrefix(data, []byte(artifactMagic)), func() (func() ([]byte, error), error) {
 				a, err := decodeArtifact(data)
@@ -167,7 +177,9 @@ func FuzzDecodeChunk(f *testing.F) {
 			}},
 		} {
 			if !d.binary {
-				d.decode() // legacy JSON: must not panic
+				if _, err := d.decode(); err == nil {
+					t.Fatalf("%s: accepted a blob without its magic: %.64q", d.name, data)
+				}
 				continue
 			}
 			var before, after runtime.MemStats

@@ -117,13 +117,14 @@ func firstKey[V any](t *testing.T, m map[string]V) string {
 
 // FuzzRestoreEngineWithStore feeds arbitrary snapshot bytes to the one
 // restore entry point, against a store holding a real three-checkpoint
-// chain: no input panics, and an engine the restore accepts has a digest.
-// Seeds: the v4 fixture, its v3 variant, the chain's manifests and a
-// manifest naming a chunk the store does not hold.
+// chain: no input panics, an input the restore accepts is a v5 manifest,
+// and the engine it gives has a digest. Seeds: v2, v3 and v4 snapshot
+// headers (each refused), the chain's manifests and a manifest naming a
+// chunk the store does not hold.
 func FuzzRestoreEngineWithStore(f *testing.F) {
-	v4, v3 := readV4Fixture(f)
-	f.Add(v4)
-	f.Add(v3)
+	for v := 2; v <= 4; v++ {
+		f.Add([]byte(monolithicHeaders[v]))
+	}
 
 	ds, reps := miniDataset(f)
 	store := openTestStore(f)
@@ -160,6 +161,12 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 		e, err := RestoreEngineWithStore(bytes.NewReader(raw), store)
 		if err != nil {
 			return
+		}
+		var head struct {
+			Version int `json:"version"`
+		}
+		if err := json.Unmarshal(raw, &head); err != nil || head.Version != snapshotVersionSegmented {
+			t.Fatalf("restore accepted a non-v5 snapshot (version %d, %v): %.80q", head.Version, err, raw)
 		}
 		if _, err := e.Digest(); err != nil {
 			t.Fatalf("restored engine has no digest: %v", err)

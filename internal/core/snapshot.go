@@ -1,14 +1,13 @@
 package core
 
-// Engine state in its monolithic v3/v4 form: the decoder an earlier serve's
-// snapshot files upgrade through, the shared restore tail of both formats,
-// and Digest, which hashes each section as v4 encoded it. Checkpoints are
-// written only as v5 manifests over a content store (snapshot5.go); the
-// expensive per-artifact products and the cluster state ride along with the
-// graph, so a restore re-embeds, re-scans and re-clusters nothing.
+// Engine.Digest, which hashes each state section in the JSON shape the
+// monolithic v4 snapshot gave it, and restoreFromParts, the tail of the v5
+// restore (snapshot5.go) that rebuilds an engine's caches and indexes from
+// its decoded sections. The expensive per-artifact products and the
+// cluster state ride along with the graph, so a restore re-embeds,
+// re-scans and re-clusters nothing.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -24,59 +23,43 @@ import (
 	"malgraph/internal/textsim"
 )
 
-// snapshotVersion guards the wire format. Version 2 replaced the flat
-// per-ecosystem cluster lists with per-LSH-partition cluster maps, so a
-// warm-restarted engine re-clusters exactly the partitions the unrestored
-// one would have. Version 3 added the co-existing join index (per-coordinate
-// report posting lists and per-pair edge ownership), so a restored engine's
-// first wanted-package ingest is report-scoped instead of an O(reports)
-// re-derivation. Version 4 added the durable ingest sequence stamp
-// (AppliedSeq) that lets WAL recovery skip journal records the checkpoint
-// already contains; version 3 snapshots still restore (stamp 0 replays the
-// whole journal, which the idempotent ingest absorbs).
-const snapshotVersion = 4
-
-// minSnapshotVersion is the oldest format restoreEngine still accepts.
-const minSnapshotVersion = 3
-
-// snapshotItem carries a cached clustering item. SimHash fingerprints are
-// full 64-bit values, so Hash travels as hex — JSON numbers lose integer
-// precision past 2^53.
+// snapshotItem is a clustering item as Digest hashes it. SimHash
+// fingerprints are full 64-bit values, so Hash is hex — JSON numbers lose
+// integer precision past 2^53.
 type snapshotItem struct {
 	ID     string    `json:"id"`
 	Vector []float64 `json:"vector"`
 	Hash   string    `json:"hash"`
 }
 
-type engineSnapshot struct {
-	Version int               `json:"version"`
-	Config  Config            `json:"config"`
-	Dataset json.RawMessage   `json:"dataset"` // collect full export
-	Reports []*reports.Report `json:"reports"`
-	Graph   json.RawMessage   `json:"graph"` // graph.WriteJSON output
+// restoreParts is an engine's state as the restore decodes it, apart from
+// the dataset and the graph.
+type restoreParts struct {
+	Config  Config
+	Reports []*reports.Report
 	// Partitions carries each ecosystem's clusters keyed by LSH partition
 	// (canonical key = smallest member node ID); the flat SimilarClusters
 	// lists are re-derived by flattening in key order. The LSH index itself
-	// is not serialised: partition membership is content-derived, so it is
-	// rebuilt exactly from Items on restore.
-	Partitions map[string]map[string][]textsim.Cluster `json:"partitions"`
-	Items      map[string][]snapshotItem               `json:"items"`
-	Imports    map[string][]string                     `json:"imports"`
-	// Posting and PairOwners persist the co-existing join index: coordinate
+	// is not persisted: partition membership is content-derived, so it is
+	// rebuilt exactly from Items.
+	Partitions map[string]map[string][]textsim.Cluster
+	Items      map[string][]textsim.Item
+	Imports    map[string][]string
+	// Posting and PairOwners are the co-existing join index: coordinate
 	// key → URL-sorted report posting list (including coordinates not yet
 	// observed — exactly the state a wanted-package arrival re-joins from)
 	// and pair key → owning report URL (the URL-smallest cover whose attrs
 	// the edge carries). Ownership cannot be reconstructed without replaying
-	// the whole URL-ordered join, so it rides along instead.
-	Posting    map[string][]string `json:"posting"`
-	PairOwners map[string]string   `json:"pairOwners"`
+	// the whole URL-ordered join, so it is persisted instead.
+	Posting    map[string][]string
+	PairOwners map[string]string
 	// AppliedSeq is the last durable ingest sequence applied before the
-	// snapshot was taken: WAL records with Seq ≤ AppliedSeq are already in
-	// this snapshot and must be skipped on replay. FeedPos is the feed
-	// cursor at the same instant — journal truncation at a checkpoint
-	// discards the feed records that would otherwise re-derive it.
-	AppliedSeq uint64 `json:"appliedSeq,omitempty"`
-	FeedPos    int    `json:"feedPos,omitempty"`
+	// checkpoint: WAL records with Seq ≤ AppliedSeq are already in it and
+	// are skipped on replay. FeedPos is the feed cursor at the same instant
+	// — journal truncation at a checkpoint discards the feed records that
+	// would otherwise re-derive it.
+	AppliedSeq uint64
+	FeedPos    int
 }
 
 // Digest returns a hex SHA-256 per section of the engine's state: config,
@@ -143,36 +126,10 @@ func (e *Engine) Digest() (map[string]string, error) {
 	return out, nil
 }
 
-// restoreEngine decodes a monolithic snapshot of at most snapshotVersion,
-// the format serve wrote before checkpoints went through a content store.
-// RestoreEngineWithStore falls back to it and attaches the store, so the
-// first checkpoint after an upgrade re-bases every section. All caches and
-// indexes are rebuilt: the next batch costs the same as without a restart.
-func restoreEngine(buf []byte) (*Engine, error) {
-	var snap engineSnapshot
-	if err := json.Unmarshal(buf, &snap); err != nil {
-		return nil, fmt.Errorf("restore decode: %w", err)
-	}
-	if snap.Version < minSnapshotVersion {
-		return nil, fmt.Errorf("restore: snapshot version %d predates the minimum supported version %d",
-			snap.Version, minSnapshotVersion)
-	}
-	ds, err := collect.ReadJSON(bytes.NewReader(snap.Dataset))
-	if err != nil {
-		return nil, fmt.Errorf("restore dataset: %w", err)
-	}
-	g, err := graph.ReadJSON(bytes.NewReader(snap.Graph))
-	if err != nil {
-		return nil, fmt.Errorf("restore graph: %w", err)
-	}
-	return restoreFromParts(ds, g, &snap)
-}
-
-// restoreFromParts rebuilds an engine from decoded snapshot components —
-// the shared tail of the monolithic (v3/v4) and segmented (v5) restore
-// paths. snap supplies everything except the dataset and graph, which the
-// two formats decode differently.
-func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *engineSnapshot) (*Engine, error) {
+// restoreFromParts rebuilds an engine from its decoded dataset, graph and
+// the other sections in snap. All caches and indexes are rebuilt: the next
+// batch costs the same as without a restart.
+func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*Engine, error) {
 	e := NewEngine(snap.Config)
 	e.appliedSeq = snap.AppliedSeq
 	e.feedPos = snap.FeedPos
@@ -193,14 +150,7 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *engineSnapshot) 
 		sh := e.shardLocked(eco)
 		// Headroom keeps the first post-restore inserts from recopying the
 		// whole ID-sorted slice (insertItem shifts in place within capacity).
-		restored := make([]textsim.Item, 0, len(items)+len(items)/8+16)
-		for _, it := range items {
-			hash, err := strconv.ParseUint(it.Hash, 16, 64)
-			if err != nil {
-				return nil, fmt.Errorf("restore: bad fingerprint for %s: %w", it.ID, err)
-			}
-			restored = append(restored, textsim.Item{ID: it.ID, Vector: it.Vector, Hash: hash})
-		}
+		restored := append(make([]textsim.Item, 0, len(items)+len(items)/8+16), items...)
 		sort.Slice(restored, func(i, j int) bool { return restored[i].ID < restored[j].ID })
 		sh.items = restored
 		// Rebuild the LSH partition index from the cached fingerprints —
@@ -241,7 +191,7 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *engineSnapshot) 
 		sh.byName[name] = append(sh.byName[name], id)
 		sh.corpus[name] = true
 	}
-	// The wire format carries one flat import map; split it back into the
+	// The imports section is one flat map; split it back into the
 	// per-ecosystem shards (node IDs resolve their ecosystem via the dataset)
 	// and rebuild each reverse import index in sorted front order so future
 	// edge insertions stay deterministic.

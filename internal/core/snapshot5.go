@@ -15,9 +15,10 @@ package core
 // Chunks, item values and artifact blobs are binary (chunkcodec.go), so a
 // restore decodes them by slicing; entry records, reports, imports,
 // partitions and pair owners keep JSON values inside the binary kv frame.
-// JSON chunks an earlier build wrote are read-only: they restore, binary
-// deltas append to their chains, and a section's next re-base drops them.
-// The manifest itself stays JSON and version 5.
+// The manifest itself stays JSON and version 5. A restore reads nothing
+// else: a monolithic v3/v4 snapshot and a JSON chunk from an earlier build
+// are refused with an error naming commit 3e24565, the last that reads
+// them.
 //
 // Durability ordering: the chunk segment is appended — and fsynced — before
 // a single manifest byte is written, so a manifest that gets published by
@@ -59,20 +60,18 @@ type manifestSnapshot struct {
 // kvChunk is one delta of a keyed section: Set writes (or overwrites) keys,
 // Del removes them. Chunks apply in manifest order; within one chunk the two
 // are disjoint by construction. Snapshot writes it as a binary kv frame
-// (encodeKVChunk); the JSON tags describe the legacy chunks that stay
-// readable.
+// (encodeKVChunk).
 type kvChunk struct {
-	Set map[string]json.RawMessage `json:"set,omitempty"`
-	Del []string                   `json:"del,omitempty"`
+	Set map[string][]byte
+	Del []string
 }
 
 // graphChunk is one step of the graph log: either a full re-base (Reset
 // is the whole graph) or the journaled operations since the previous
-// chunk. Snapshot writes it binary (encodeGraphChunk); the JSON tags
-// describe the legacy chunks that stay readable.
+// chunk. Snapshot writes it binary (encodeGraphChunk).
 type graphChunk struct {
-	Reset *graph.Persisted `json:"reset,omitempty"`
-	Ops   []graph.Op       `json:"ops,omitempty"`
+	Reset *graph.Persisted
+	Ops   []graph.Op
 }
 
 // ecoKey joins an ecosystem name and an inner key for sections whose keys
@@ -113,7 +112,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	var chunks []pendingChunk
 	newArtRefs := make(map[string]artifactRef)
 
-	addKV := func(section string, set map[string]json.RawMessage, del []string, rebase bool) error {
+	addKV := func(section string, set map[string][]byte, del []string, rebase bool) error {
 		if len(set) == 0 && len(del) == 0 {
 			if rebase {
 				// The section re-based to empty: the manifest must drop the
@@ -142,7 +141,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	} else {
 		dsKeys = sortedKeySet(e.track.entries)
 	}
-	dsSet := make(map[string]json.RawMessage, len(dsKeys))
+	dsSet := make(map[string][]byte, len(dsKeys))
 	for _, key := range dsKeys {
 		en, ok := ds.EntryByKey(key)
 		if !ok {
@@ -208,11 +207,11 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	}
 
 	itRebase := e.logs[sectionItems].rebaseDue(totalItems)
-	itSet := make(map[string]json.RawMessage)
+	itSet := make(map[string][]byte)
 	impRebase := e.logs[sectionImports].rebaseDue(totalImports)
-	impSet := make(map[string]json.RawMessage)
+	impSet := make(map[string][]byte)
 	partRebase := e.logs[sectionPartitions].rebaseDue(totalParts)
-	partSet := make(map[string]json.RawMessage)
+	partSet := make(map[string][]byte)
 	var partDel []string
 	for _, eco := range ecos {
 		sh := e.shards[eco]
@@ -293,7 +292,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	} else {
 		repURLs = sortedKeySet(e.track.reports)
 	}
-	repSet := make(map[string]json.RawMessage, len(repURLs))
+	repSet := make(map[string][]byte, len(repURLs))
 	for _, url := range repURLs {
 		rep := e.reportByURL[url]
 		if rep == nil {
@@ -312,7 +311,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	// Pair ownership: per-key sets and deletes, or a full re-base once the
 	// chain outgrows the map.
 	poRebase := e.logs[sectionPairOwners].rebaseDue(len(e.coexOwner))
-	poSet := make(map[string]json.RawMessage)
+	poSet := make(map[string][]byte)
 	var poDel []string
 	if poRebase {
 		for pk, url := range e.coexOwner {
@@ -423,7 +422,7 @@ func sortedKeySet(m map[string]bool) []string {
 // sortedRawKeys returns a replayed chunk-state's keys sorted, so restore
 // loops that group entries into per-ecosystem containers visit them in a
 // deterministic order.
-func sortedRawKeys(m map[string]json.RawMessage) []string {
+func sortedRawKeys(m map[string][]byte) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -432,12 +431,11 @@ func sortedRawKeys(m map[string]json.RawMessage) []string {
 	return out
 }
 
-// RestoreEngineWithStore reconstructs an engine from a snapshot stream
-// backed by a content store; it is the one restore entry point. A v5
-// manifest resolves its chunk references against st; a monolithic v3/v4
-// stream an earlier serve wrote restores and then has the store attached,
-// so the first checkpoint after an upgrade re-bases every section into the
-// store. Either way the returned engine checkpoints segmentedly.
+// RestoreEngineWithStore reconstructs an engine from a v5 manifest whose
+// chunk references resolve against st; it is the one restore entry point.
+// The returned engine has st attached and appends its next checkpoint's
+// deltas to the manifest's chunk chains. A monolithic v3/v4 snapshot is
+// refused, naming the last commit that reads it.
 func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
@@ -448,17 +446,13 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	if err := json.Unmarshal(buf, &man); err != nil {
 		return nil, fmt.Errorf("restore decode: %w", err)
 	}
-	if man.Version <= snapshotVersion {
-		e, err := restoreEngine(buf)
-		if err != nil {
-			return nil, err
-		}
-		e.AttachStore(st)
-		return e, nil
-	}
-	if man.Version != snapshotVersionSegmented {
-		return nil, fmt.Errorf("restore: snapshot version %d, want %d..%d",
-			man.Version, minSnapshotVersion, snapshotVersionSegmented)
+	switch man.Version {
+	case snapshotVersionSegmented:
+	case 3, 4:
+		return nil, fmt.Errorf("restore: a monolithic v%d snapshot; this build reads only v%d manifests, and the last commit that reads v3/v4 is %s",
+			man.Version, snapshotVersionSegmented, lastLegacyReader)
+	default:
+		return nil, fmt.Errorf("restore: snapshot version %d, want %d", man.Version, snapshotVersionSegmented)
 	}
 
 	// One read session for the whole restore: the chunk fetch here and the
@@ -482,7 +476,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		ds                              *collect.Result
 		decoded                         []collect.DecodedEntry
 		reps                            []*reports.Report
-		items                           map[string][]snapshotItem
+		items                           map[string][]textsim.Item
 		imports                         map[string][]string
 		partitions                      map[string]map[string][]textsim.Cluster
 		pairOwners                      map[string]string
@@ -490,7 +484,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		itLogged, impLogged, partLogged int
 		poLogged                        int
 	)
-	replay := func(section string) (map[string]json.RawMessage, int, error) {
+	replay := func(section string) (map[string][]byte, int, error) {
 		return replayKV(section, man.Sections[section], chunkData)
 	}
 	err = parallel.Do(
@@ -605,7 +599,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		sectionPairOwners: poLogged,
 	}
 
-	e, err := restoreFromParts(ds, g, &engineSnapshot{
+	e, err := restoreFromParts(ds, g, &restoreParts{
 		Config:     man.Config,
 		Reports:    reps,
 		Partitions: partitions,
@@ -641,8 +635,8 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 
 // replayKV folds one keyed section's chunk log into its final key state
 // and returns it with the number of set/delete records the log holds.
-func replayKV(section string, refs []string, chunkData map[string]json.RawMessage) (map[string]json.RawMessage, int, error) {
-	state := make(map[string]json.RawMessage)
+func replayKV(section string, refs []string, chunkData map[string][]byte) (map[string][]byte, int, error) {
+	state := make(map[string][]byte)
 	logged := 0
 	for _, ref := range refs {
 		ch, err := decodeKVChunk(chunkData[ref])
@@ -668,7 +662,7 @@ func replayKV(section string, refs []string, chunkData map[string]json.RawMessag
 
 // restoreGraphChain replays the graph's chunk log (a re-base resets, ops
 // apply on top) and returns the graph with its logged count.
-func restoreGraphChain(refs []string, chunkData map[string]json.RawMessage) (*graph.Graph, int, error) {
+func restoreGraphChain(refs []string, chunkData map[string][]byte) (*graph.Graph, int, error) {
 	g := graph.New()
 	logged := 0
 	for _, ref := range refs {
@@ -696,7 +690,7 @@ func restoreGraphChain(refs []string, chunkData map[string]json.RawMessage) (*gr
 // restoreEntries decodes the dataset's entry records in key order and
 // attaches their artifact blobs, fetched through sess. Records and
 // artifacts decode in parallel; the first error in key order wins.
-func restoreEntries(entState map[string]json.RawMessage, sess *castore.Session) ([]collect.DecodedEntry, error) {
+func restoreEntries(entState map[string][]byte, sess *castore.Session) ([]collect.DecodedEntry, error) {
 	keys := sortedRawKeys(entState)
 	decoded := make([]collect.DecodedEntry, len(keys))
 	err := parallel.ForEachErr(len(keys), func(i int) (err error) {
@@ -742,9 +736,9 @@ func restoreEntries(entState map[string]json.RawMessage, sess *castore.Session) 
 
 // restoreItems decodes the clustering items in key order, in parallel, and
 // groups them per ecosystem.
-func restoreItems(itState map[string]json.RawMessage) (map[string][]snapshotItem, error) {
+func restoreItems(itState map[string][]byte) (map[string][]textsim.Item, error) {
 	keys := sortedRawKeys(itState)
-	its := make([]snapshotItem, len(keys))
+	its := make([]textsim.Item, len(keys))
 	err := parallel.ForEachErr(len(keys), func(i int) error {
 		if _, _, ok := splitEcoKey(keys[i]); !ok {
 			return fmt.Errorf("restore: malformed item key %q", keys[i])
@@ -759,7 +753,7 @@ func restoreItems(itState map[string]json.RawMessage) (map[string][]snapshotItem
 	if err != nil {
 		return nil, err
 	}
-	items := make(map[string][]snapshotItem)
+	items := make(map[string][]textsim.Item)
 	for i, k := range keys {
 		eco, _, _ := splitEcoKey(k)
 		items[eco] = append(items[eco], its[i])
@@ -770,14 +764,15 @@ func restoreItems(itState map[string]json.RawMessage) (map[string][]snapshotItem
 // BlobFetcher resolves content keys to verified blob bytes: a
 // *castore.Store, or a *castore.Session shared across several calls.
 type BlobFetcher interface {
-	Fetch(hashes []string) (map[string]json.RawMessage, error)
+	Fetch(hashes []string) (map[string][]byte, error)
 }
 
 // CollectManifestRefs returns every blob a serialized snapshot references:
 // the manifest's section chunks plus the artifact blobs its dataset chunks
 // point at. Compaction unions this over every retained snapshot so archived
-// manifests stay restorable. Monolithic (pre-v5) snapshots reference
-// nothing. src resolves the dataset chunks (their entry records carry the
+// manifests stay restorable. A file of another version references no blob,
+// so it yields none rather than an error: an archived v4 generation must
+// not stall compaction. src resolves the dataset chunks (their entry records carry the
 // artifact refs): a castore.Session shared across the manifests of one
 // compaction decodes each segment once.
 func CollectManifestRefs(r io.Reader, src BlobFetcher) (map[string]bool, error) {

@@ -2,18 +2,17 @@ package core
 
 // Contracts under test for segmented (v5) checkpoints: a chain of delta
 // checkpoints restores to the live engine's digest in every section; a
-// monolithic v3/v4 snapshot an earlier serve wrote restores into a
-// store-backed engine with the digest of the engine that wrote it (the
-// upgrade road); version errors are explicit about what the reader needed;
+// monolithic v3/v4 snapshot and a JSON chunk of each kind are refused,
+// naming the last commit that reads them, and the store is left as it
+// was; version errors are explicit about what the reader needed;
 // compaction driven by CollectManifestRefs never strands a restorable
 // manifest; and arbitrary manifest bytes never panic the restore.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -126,120 +125,64 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 	assertRestoredMatches(t, again, restored, "restored-twice")
 }
 
-// v4Fixture is a monolithic v4 snapshot as an earlier serve wrote it: the
-// engine after fixtureBatches' first batch.
-const v4Fixture = "testdata/snapshot-v4.json"
-
-// fixtureBatches splits miniDataset in two; the first batch is the state
-// v4Fixture holds.
-func fixtureBatches(t testing.TB) (first, second Batch) {
-	t.Helper()
-	ds, reps := miniDataset(t)
-	half := len(ds.Entries) / 2
-	first = Batch{Entries: ds.Entries[:half], PerSource: ds.BatchOf(ds.Entries[:half]).PerSource, Reports: reps[:1], At: ds.CollectedAt}
-	second = Batch{Entries: ds.Entries[half:], PerSource: ds.BatchOf(ds.Entries[half:]).PerSource, Reports: reps[1:]}
-	return first, second
+// monolithicHeaders are snapshot files in the formats serve wrote before
+// v5 manifests, by version: v2 (long unreadable), and v3 and v4 with the
+// top-level keys they carried.
+var monolithicHeaders = map[int]string{
+	2: `{"version":2}`,
+	3: `{"version":3,"config":{},"dataset":{"mode":"full","entries":[]},"reports":[],"graph":{"nodes":[],"edges":[]},` +
+		`"partitions":{},"items":{},"imports":{},"posting":{},"pairOwners":{}}`,
+	4: `{"version":4,"config":{},"dataset":{"mode":"full","entries":[]},"reports":[],"graph":{"nodes":[],"edges":[]},` +
+		`"partitions":{},"items":{},"imports":{},"posting":{},"pairOwners":{},"appliedSeq":3,"feedPos":2}`,
 }
 
-// readV4Fixture returns the v4 fixture and its "version":3 variant (the
-// same state; v3 only lacks the sequence stamps, which are zero here).
-func readV4Fixture(t testing.TB) (v4, v3 []byte) {
-	t.Helper()
-	v4, err := os.ReadFile(v4Fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3 = bytes.Replace(v4, []byte(`{"version":4,`), []byte(`{"version":3,`), 1)
-	if bytes.Equal(v3, v4) {
-		t.Fatalf("%s does not start with a version-4 header", v4Fixture)
-	}
-	return v4, v3
-}
-
-// TestMonolithicRestoresIntoSegmentedEngine is the upgrade road: the v4
-// fixture and its v3 variant restore through RestoreEngineWithStore to the
-// digest of a live engine that ingested the same batch; the first
-// checkpoint writes a v5 manifest that restores to that digest again, and
-// the upgraded engine finishes the corpus to match Build.
-func TestMonolithicRestoresIntoSegmentedEngine(t *testing.T) {
-	ds, reps := miniDataset(t)
-	want, err := Build(ds, reps, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, second := fixtureBatches(t)
-	live := NewEngine(DefaultConfig())
-	if _, err := live.Ingest(first); err != nil {
-		t.Fatal(err)
-	}
-	v4, v3 := readV4Fixture(t)
-	for _, tc := range []struct {
-		name string
-		raw  []byte
-	}{{"v4", v4}, {"v3", v3}} {
-		store := openTestStore(t)
-		upgraded, err := RestoreEngineWithStore(bytes.NewReader(tc.raw), store)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if upgraded.Store() != store {
-			t.Fatalf("%s: store not attached after monolithic restore", tc.name)
-		}
-		assertSameDigest(t, upgraded, live, tc.name+" fixture")
-
-		// The first checkpoint after the upgrade re-bases everything into
-		// the store as a v5 manifest that restores to the same state.
-		var manifest bytes.Buffer
-		if err := upgraded.Snapshot(&manifest); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(manifest.Bytes(), []byte(`"version":5`)) {
-			t.Fatalf("%s: upgrade checkpoint wrote a non-v5 snapshot: %.80s", tc.name, manifest.Bytes())
-		}
-		if store.Len() == 0 {
-			t.Fatalf("%s: upgrade checkpoint wrote no blobs to the store", tc.name)
-		}
-		restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameDigest(t, restored, live, tc.name+" upgraded manifest")
-
-		// The upgraded engine finishes the corpus by real ingest, so it
-		// must match Build; the restore of its next manifest must match it.
-		if _, err := upgraded.Ingest(second); err != nil {
-			t.Fatal(err)
-		}
-		manifest.Reset()
-		if err := upgraded.Snapshot(&manifest); err != nil {
-			t.Fatal(err)
-		}
-		assertEngineMatchesBuild(t, upgraded, want, tc.name+" upgraded-live")
-		restored, err = RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertRestoredMatches(t, restored, upgraded, tc.name+" upgraded-restored")
-	}
-}
-
-// TestRestoreVersionErrors pins the pre-v3 refusal: the monolithic decoder
-// and RestoreEngineWithStore both name the minimum supported version.
+// TestRestoreVersionErrors: RestoreEngineWithStore reads only v5
+// manifests; a snapshot of any version it has never read names the one it
+// wants, and leaves the store as it found it.
 func TestRestoreVersionErrors(t *testing.T) {
-	_, err := restoreEngine([]byte(`{"version":2}`))
-	if err == nil {
-		t.Fatal("restoreEngine accepted a version-2 snapshot")
+	for _, tc := range []struct {
+		raw  string
+		want string
+	}{
+		{monolithicHeaders[2], "snapshot version 2, want 5"},
+		{`{"version":6}`, "snapshot version 6, want 5"},
+		{`{}`, "snapshot version 0, want 5"},
+	} {
+		assertRestoreRefused(t, tc.raw, tc.want)
 	}
-	for _, want := range []string{"version 2", "minimum supported version 3"} {
+}
+
+// TestMonolithicSnapshotRefused: a monolithic v3/v4 snapshot is refused as
+// one, naming the last commit that reads it. The refused file leaves the
+// store empty, and CollectManifestRefs reads no refs from it, so
+// compaction is never stalled by an archived one.
+func TestMonolithicSnapshotRefused(t *testing.T) {
+	for _, version := range []int{3, 4} {
+		assertRestoreRefused(t, monolithicHeaders[version], fmt.Sprintf("monolithic v%d", version), "3e24565")
+	}
+}
+
+// assertRestoreRefused requires RestoreEngineWithStore to refuse raw with
+// an error naming every want, to write nothing to the store, and
+// CollectManifestRefs to read no refs from raw.
+func assertRestoreRefused(t *testing.T, raw string, wants ...string) {
+	t.Helper()
+	store := openTestStore(t)
+	_, err := RestoreEngineWithStore(strings.NewReader(raw), store)
+	if err == nil {
+		t.Fatalf("%.40s: restore accepted it", raw)
+	}
+	for _, want := range wants {
 		if !strings.Contains(err.Error(), want) {
-			t.Errorf("pre-v3 error %q does not mention %q", err, want)
+			t.Errorf("%.40s: error %q does not mention %q", raw, err, want)
 		}
 	}
-	// RestoreEngineWithStore shares the floor (it routes old versions to the
-	// monolithic reader).
-	if _, err := RestoreEngineWithStore(strings.NewReader(`{"version":2}`), openTestStore(t)); err == nil ||
-		!strings.Contains(err.Error(), "minimum supported version") {
-		t.Errorf("RestoreEngineWithStore pre-v3 error = %v", err)
+	if store.Len() != 0 || store.SegmentCount() != 0 {
+		t.Errorf("%.40s: refused restore wrote to the store", raw)
+	}
+	refs, err := CollectManifestRefs(strings.NewReader(raw), store)
+	if err != nil || len(refs) != 0 {
+		t.Errorf("%.40s: CollectManifestRefs = %v, %v; want no refs", raw, refs, err)
 	}
 }
 
@@ -363,7 +306,7 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 	// the same throwaway partition key to the partition chain. The net
 	// state is unchanged, but only an in-order replay gets there.
 	bogus := ecoKey("PyPI", "restore-test-bogus")
-	setChunk := encodeKVChunk(kvChunk{Set: map[string]json.RawMessage{bogus: json.RawMessage(`[]`)}})
+	setChunk := encodeKVChunk(kvChunk{Set: map[string][]byte{bogus: []byte(`[]`)}})
 	delChunk := encodeKVChunk(kvChunk{Del: []string{bogus}})
 	badChunk := []byte(`"not a chunk"`)
 	blobs := []castore.Blob{
@@ -451,27 +394,11 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// viaJSON is g as a JSON round trip sees it, the view legacy chunks keep.
-func viaJSON(t *testing.T, g *graph.Graph) *graph.Persisted {
-	t.Helper()
-	raw, err := json.Marshal(g.Persist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p graph.Persisted
-	if err := json.Unmarshal(raw, &p); err != nil {
-		t.Fatal(err)
-	}
-	return &p
-}
-
 // TestGraphRebaseChunkBytesUnchanged pins the graph re-base chunk's bytes,
 // so a given graph state keeps its chunk key across builds: the engine's
 // first checkpoint writes its graph's binary encoding, and golden bytes pin
 // an escape-heavy graph and an empty one, which decode back to exactly
-// those graphs. The JSON chunks earlier builds wrote for the same graphs
-// stay inputs to the legacy decoder, which must rebuild what a JSON round
-// trip of the graph gives (JSON replaces invalid UTF-8; binary keeps it).
+// those graphs (binary keeps even invalid UTF-8).
 func TestGraphRebaseChunkBytesUnchanged(t *testing.T) {
 	// The engine path: the first checkpoint re-bases the graph section.
 	ds, reps := miniDataset(t)
@@ -528,19 +455,14 @@ func TestGraphRebaseChunkBytesUnchanged(t *testing.T) {
 		name   string
 		g      *graph.Graph
 		binary string
-		legacy string
 	}{
 		{"escapes", g,
 			// magic, re-base flag, 4 nodes (ID, attrs), 2 edges (from, to, type, attrs), 0 ops.
 			"\x00gr1\x01" + "\x04" +
 				"\x06a<b>&c\x01\x04note\ta<b>&c\u2028" + "\bbad\xffutf8\x01\x04note\vbad\xffutf8\u2028" +
 				"\vline\nbreak\x01\x01\x04note\x0eline\nbreak\x01\u2028" + "\x05plain\x00" + "\x02" +
-				"\x06a<b>&c\x05plain\x03\x01\x03why\b<script>" + "\bbad\xffutf8\x05plain\x02\x00" + "\x00",
-			`{"reset":{"nodes":[{"id":"a\u003cb\u003e\u0026c","attrs":{"note":"a\u003cb\u003e\u0026c\u2028"}},` +
-				`{"id":"bad\ufffdutf8","attrs":{"note":"bad\ufffdutf8\u2028"}},{"id":"line\nbreak\u0001","attrs":{"note":"line\nbreak\u0001\u2028"}},` +
-				`{"id":"plain"}],"edges":[{"from":"a\u003cb\u003e\u0026c","to":"plain","type":3,"attrs":{"why":"\u003cscript\u003e"}},` +
-				`{"from":"bad\ufffdutf8","to":"plain","type":2}]}}`},
-		{"empty", graph.New(), "\x00gr1\x01\x00\x00\x00", `{"reset":{"nodes":null,"edges":[]}}`},
+				"\x06a<b>&c\x05plain\x03\x01\x03why\b<script>" + "\bbad\xffutf8\x05plain\x02\x00" + "\x00"},
+		{"empty", graph.New(), "\x00gr1\x01\x00\x00\x00"},
 	} {
 		got, err := encodeGraphChunk(graphChunk{Reset: tc.g.Persist()})
 		if err != nil {
@@ -549,129 +471,29 @@ func TestGraphRebaseChunkBytesUnchanged(t *testing.T) {
 		if string(got) != tc.binary {
 			t.Errorf("%s: re-base chunk bytes changed:\n got %q\nwant %q", tc.name, got, tc.binary)
 		}
-		for _, in := range []struct {
-			form, data string
-		}{{"binary", tc.binary}, {"legacy JSON", tc.legacy}} {
-			gc, err := decodeGraphChunk([]byte(in.data))
-			if err != nil {
-				t.Fatalf("%s %s: %v", tc.name, in.form, err)
-			}
-			if gc.Reset == nil || len(gc.Ops) != 0 {
-				t.Fatalf("%s %s: decoded %+v, want a re-base without ops", tc.name, in.form, gc)
-			}
-			rebuilt, err := gc.Reset.Build()
-			if err != nil {
-				t.Fatalf("%s %s: %v", tc.name, in.form, err)
-			}
-			want := tc.g.Persist()
-			if in.form != "binary" {
-				want = viaJSON(t, tc.g)
-			}
-			if got := rebuilt.Persist(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %s: rebuilt graph %+v, want %+v", tc.name, in.form, got, want)
-			}
+		gc, err := decodeGraphChunk(got)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if gc.Reset == nil || len(gc.Ops) != 0 {
+			t.Fatalf("%s: decoded %+v, want a re-base without ops", tc.name, gc)
+		}
+		rebuilt, err := gc.Reset.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, want := rebuilt.Persist(), tc.g.Persist(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rebuilt graph %+v, want %+v", tc.name, got, want)
 		}
 	}
 }
 
-// toLegacyJSON re-encodes every chunk and artifact a manifest references
-// the way stores were written before the binary chunk format — kv chunks,
-// graph chunks, item values and artifacts as JSON — and returns the
-// manifest over the re-keyed chunks with the blobs it needs, key-sorted.
-func toLegacyJSON(t *testing.T, manifest []byte, st *castore.Store) ([]byte, []castore.Blob) {
-	t.Helper()
-	var man manifestSnapshot
-	if err := json.Unmarshal(manifest, &man); err != nil {
-		t.Fatal(err)
-	}
-	sess := st.Session()
-	blobs := make(map[string][]byte)
-	put := func(v any) string {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := castore.KeyOf(raw)
-		blobs[key] = raw
-		return key
-	}
-	for _, name := range sectionNames {
-		refs := man.Sections[name]
-		data, err := sess.Fetch(refs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy := make([]string, len(refs))
-		for i, ref := range refs {
-			if name == sectionGraph {
-				gc, err := decodeGraphChunk(data[ref])
-				if err != nil {
-					t.Fatal(err)
-				}
-				legacy[i] = put(gc)
-				continue
-			}
-			ch, err := decodeKVChunk(data[ref])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range sortedRawKeys(ch.Set) {
-				switch name {
-				case sectionItems:
-					it, err := decodeItem(ch.Set[k])
-					if err != nil {
-						t.Fatal(err)
-					}
-					raw, err := json.Marshal(it)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ch.Set[k] = raw
-				case sectionDataset:
-					de, err := collect.DecodeEntry(ch.Set[k])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if de.BlobRef == "" {
-						continue
-					}
-					arts, err := sess.Fetch([]string{de.BlobRef})
-					if err != nil {
-						t.Fatal(err)
-					}
-					art, err := decodeArtifact(arts[de.BlobRef])
-					if err != nil {
-						t.Fatal(err)
-					}
-					ch.Set[k] = bytes.Replace(ch.Set[k], []byte(de.BlobRef), []byte(put(art)), 1)
-				}
-			}
-			legacy[i] = put(ch)
-		}
-		man.Sections[name] = legacy
-	}
-	raw, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 0, len(blobs))
-	for k := range blobs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]castore.Blob, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, castore.Blob{Key: k, Data: blobs[k]})
-	}
-	return raw, out
-}
-
-// TestSegmentedRestoreFromLegacyJSONSegment: a v5 manifest whose chunks and
-// artifacts are JSON, sitting in a JSON segment written by an older store,
-// restores to the live engine's digest. The restored engine then appends
-// binary deltas to those JSON chains; the mixed chain restores to the live
-// digest too, before and after a compaction rewrites the store.
-func TestSegmentedRestoreFromLegacyJSONSegment(t *testing.T) {
+// TestSegmentedRestoreRefusesJSONChunks: a v5 manifest whose chain holds a
+// JSON chunk of any of the four kinds — a kv frame, a graph chunk, an item
+// value inside a kv frame, an artifact an entry record points at — fails
+// to restore, naming the section, the chunk and the last commit that reads
+// JSON chunks, while the same chain without it restores to the live digest.
+func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 	ds, reps := miniDataset(t)
 	store := openTestStore(t)
 	eng := NewEngine(DefaultConfig())
@@ -680,7 +502,7 @@ func TestSegmentedRestoreFromLegacyJSONSegment(t *testing.T) {
 	var manifest bytes.Buffer
 	for _, b := range []Batch{
 		{Entries: ds.Entries[:third], Reports: reps[:1], At: ds.CollectedAt},
-		{Entries: ds.Entries[third : 2*third], Reports: reps[1:], At: ds.CollectedAt},
+		{Entries: ds.Entries[third:], Reports: reps[1:], At: ds.CollectedAt},
 	} {
 		if _, err := eng.Ingest(b); err != nil {
 			t.Fatal(err)
@@ -690,81 +512,79 @@ func TestSegmentedRestoreFromLegacyJSONSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Write the JSON chain into one JSON segment, encoded exactly as the
-	// JSON segment writer did.
-	legacyManifest, blobs := toLegacyJSON(t, manifest.Bytes(), store)
-	var seg struct {
-		Hashes []string       `json:"hashes"`
-		Blobs  []castore.Blob `json:"blobs"`
-	}
-	for _, b := range blobs {
-		seg.Hashes = append(seg.Hashes, b.Key)
-		seg.Blobs = append(seg.Blobs, b)
-	}
-	raw, err := json.Marshal(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := castore.Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Len() != len(blobs) {
-		t.Fatalf("legacy store indexed %d blobs, want %d", legacy.Len(), len(blobs))
-	}
-	restored, err := RestoreEngineWithStore(bytes.NewReader(legacyManifest), legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDigest(t, restored, eng, "legacy JSON segment")
-
-	// One more batch on both engines: the restored one writes binary deltas
-	// onto its JSON chains.
-	last := Batch{Entries: ds.Entries[2*third:], At: ds.CollectedAt}
-	for _, e := range []*Engine{eng, restored} {
-		if _, err := e.Ingest(last); err != nil {
-			t.Fatal(err)
-		}
-	}
-	manifest.Reset()
-	if err := restored.Snapshot(&manifest); err != nil {
-		t.Fatal(err)
-	}
 	var man manifestSnapshot
 	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{sectionGraph, sectionDataset, sectionItems} {
-		refs := man.Sections[name]
-		data, err := legacy.Fetch(refs)
+	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDigest(t, restored, eng, "binary chain")
+
+	// An entry record with an artifact, re-pointed at a JSON artifact blob.
+	dsRefs := man.Sections[sectionDataset]
+	data, err := store.Fetch(dsRefs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := decodeKVChunk(data[dsRefs[0]])
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonArt := []byte(`{"Coord":{"Ecosystem":1,"Name":"x","Version":"1"},"Files":null}`)
+	var entryKey string
+	var entry []byte
+	for _, k := range sortedRawKeys(ch.Set) {
+		de, err := collect.DecodeEntry(ch.Set[k])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(refs) < 2 || data[refs[0]][0] != '{' || data[refs[len(refs)-1]][0] != 0 {
-			t.Fatalf("section %s is not a JSON chain ending in a binary delta: %d chunks", name, len(refs))
+		if de.BlobRef != "" {
+			entryKey, entry = k, bytes.Replace(ch.Set[k], []byte(de.BlobRef), []byte(castore.KeyOf(jsonArt)), 1)
+			break
 		}
 	}
-	mixed, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), legacy)
-	if err != nil {
-		t.Fatal(err)
+	if entry == nil {
+		t.Fatal("no dataset entry carries an artifact")
 	}
-	assertSameDigest(t, mixed, eng, "mixed JSON and binary chain")
 
-	live, err := CollectManifestRefs(bytes.NewReader(manifest.Bytes()), legacy)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		section string
+		chunk   []byte
+		extra   []byte // a blob the chunk references
+		want    string
+	}{
+		{sectionReports, []byte(`{"set":{"https://r":{}}}`), nil, "restore reports chunk"},
+		{sectionGraph, []byte(`{"reset":{"nodes":null,"edges":[]}}`), nil, "restore graph chunk"},
+		{sectionItems, encodeKVChunk(kvChunk{Set: map[string][]byte{ecoKey("PyPI", "x"): []byte(`{"id":"x","vector":[1],"hash":"2"}`)}}), nil, "restore item"},
+		{sectionDataset, encodeKVChunk(kvChunk{Set: map[string][]byte{entryKey: entry}}), jsonArt, "restore artifact"},
+	} {
+		blobs := []castore.Blob{{Key: castore.KeyOf(tc.chunk), Data: tc.chunk}}
+		if tc.extra != nil {
+			blobs = append(blobs, castore.Blob{Key: castore.KeyOf(tc.extra), Data: tc.extra})
+		}
+		if _, err := store.Append(blobs); err != nil {
+			t.Fatal(err)
+		}
+		m := man
+		m.Sections = make(map[string][]string, len(man.Sections))
+		for name, refs := range man.Sections {
+			m.Sections[name] = append([]string(nil), refs...)
+		}
+		m.Sections[tc.section] = append(m.Sections[tc.section], blobs[0].Key)
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RestoreEngineWithStore(bytes.NewReader(raw), store)
+		if err == nil {
+			t.Fatalf("%s: restored a chain holding a JSON chunk", tc.section)
+		}
+		for _, want := range []string{tc.want, "legacy JSON chunk", "3e24565"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", tc.section, err, want)
+			}
+		}
 	}
-	if _, err := legacy.Compact(live); err != nil {
-		t.Fatal(err)
-	}
-	compacted, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), legacy)
-	if err != nil {
-		t.Fatalf("restore after compaction: %v", err)
-	}
-	assertSameDigest(t, compacted, eng, "mixed chain after compaction")
 }

@@ -114,8 +114,8 @@ type artifactRef struct {
 // AttachStore gives the engine the content store its Snapshot calls write
 // to, and starts dirty tracking (including the graph's operation journal).
 // Every section starts in re-base mode, so the first checkpoint after
-// attaching writes the full state — correct both for a cold engine and for
-// one upgraded from a monolithic v3/v4 snapshot.
+// attaching writes the full state. (RestoreEngineWithStore attaches its
+// store with the manifest's chunk logs instead.)
 func (e *Engine) AttachStore(st *castore.Store) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -27,7 +27,7 @@ func deepCopy(t *testing.T, g *Graph) *Graph {
 	if err := g.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c, err := ReadJSON(&buf)
+	c, err := readJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -705,10 +705,10 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Persisted is the graph's serialised form: WriteJSON encodes it, ReadJSON
-// decodes it, and a caller that embeds a graph in a larger JSON document
-// can marshal and unmarshal it in place instead of nesting WriteJSON
-// output. Nodes are sorted by ID; edges keep insertion order, tombstones
+// Persisted is the graph's serialised form: WriteJSON encodes it, Build
+// turns it back into a graph, and a caller that embeds a graph in a larger
+// JSON document can marshal and unmarshal it in place instead of nesting
+// WriteJSON output. Nodes are sorted by ID; edges keep insertion order, tombstones
 // dropped.
 type Persisted struct {
 	Nodes []Node `json:"nodes"`
@@ -755,13 +755,4 @@ func (p *Persisted) Build() (*Graph, error) {
 // WriteJSON serialises the graph deterministically (nodes sorted by ID).
 func (g *Graph) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(g.Persist())
-}
-
-// ReadJSON deserialises a graph previously written with WriteJSON.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	var p Persisted
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("graph decode: %w", err)
-	}
-	return p.Build()
 }
