@@ -4,8 +4,9 @@ package malgraph
 // that alters what the engine builds — a dependency scanner that drops an
 // import, a commit that reorders node insertion — passes them as long as it
 // is deterministic. TestBuildGoldenDigest pins the built state itself: one
-// SHA-256 over every Engine.Digest section after the one-shot drain (one
-// feed batch, the serve cold-start shape) and after the 200-batch feed.
+// SHA-256 over every Engine.Digest section, one value after the one-shot
+// drain (one feed batch, the serve cold-start shape) and after the
+// 200-batch feed.
 
 import (
 	"context"
@@ -17,14 +18,13 @@ import (
 	"testing"
 )
 
-// buildGolden maps a feed size to the engine digest its full drain yields
-// at seed 1, scale 0.05. A change to either value means the built MALGRAPH
+// buildGolden is the engine digest the full drain yields at seed 1, scale
+// 0.05, after the one-shot drain and after the 200-batch feed alike: the
+// graph section hashes the graph as a set, so the two feeds' different edge
+// insertion orders do not show. A change to it means the built MALGRAPH
 // (dataset, graph, reports, clustering items and partitions, import cache
 // or co-existing index) changed.
-var buildGolden = map[int]string{
-	1:   "2c712dc8e50cd33812476ae416206d9311645bd13be2e0b3b3f5fc4c09d1087d",
-	200: "9aa215ac51bd80bd86c6a4cbe7153e1a89d2bc996f334cfe2368228b88ff40c2",
-}
+const buildGolden = "8d809e8f6a856d581b1d053d5ff92677123ac138231f9fe2dd9f41f2f825cfc9"
 
 // engineDigest folds p's per-section engine digest into one hex SHA-256,
 // sections in name order.
@@ -61,8 +61,8 @@ func TestBuildGoldenDigest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d batches, GOMAXPROCS=%d: %v", batches, procs, err)
 			}
-			if got := engineDigest(t, p); got != buildGolden[batches] {
-				t.Errorf("%d batches, GOMAXPROCS=%d: engine digest %s, want %s", batches, procs, got, buildGolden[batches])
+			if got := engineDigest(t, p); got != buildGolden {
+				t.Errorf("%d batches, GOMAXPROCS=%d: engine digest %s, want %s", batches, procs, got, buildGolden)
 			}
 		}
 	}

@@ -4,8 +4,8 @@ package malgraph
 // be bit-identical to the engine that never died. The crash matrix kills the
 // pipeline at every journal record boundary (plus torn half-record tails),
 // recovers a fresh pipeline from the surviving bytes, re-delivers the rest
-// of the script, and requires the exact per-type edge sets and Results of
-// the uninterrupted reference run. A second suite replays a shuffled
+// of the script, and requires the state (every Engine.Digest section but
+// stamps) and Results of the uninterrupted reference run. A second suite replays a shuffled
 // external delivery from the journal alone and requires one-shot equality —
 // the PR 2/3 equivalence contract extended across process death.
 
@@ -112,8 +112,8 @@ func deliveryScript(p *Pipeline, obs []collect.Observation, reps []*reports.Repo
 // torn mid-record offsets), recovered from the latest snapshot at or below
 // the kill point plus the surviving journal bytes, and driven through the
 // remainder of the delivery script. Every recovery must land on the
-// reference run's exact edge sets; clean-boundary kills must also match its
-// full Results.
+// reference run's state; clean-boundary kills must also match its full
+// Results.
 func TestCrashRecoveryMatrixMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline build")
@@ -229,7 +229,7 @@ func TestCrashRecoveryMatrixMatchesUninterrupted(t *testing.T) {
 		if p.LastSeq() != uint64(records) {
 			t.Fatalf("final seq %d, want %d", p.LastSeq(), records)
 		}
-		assertEdgeSetsEqual(t, p.Graph, pRef.Graph, fmt.Sprintf("kill@%d", durable))
+		assertSameState(t, p.Engine, pRef.Engine, fmt.Sprintf("kill@%d", durable))
 		if cut == sizes[durable] { // clean boundary: pin full Results too
 			got, err := p.Analyze()
 			if err != nil {
@@ -324,7 +324,7 @@ func TestJournaledShuffledReplayMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEdgeSetsEqual(t, p2.Graph, p1.Graph, "journal replay")
+	assertSameState(t, p2.Engine, p1.Engine, "journal replay")
 	assertResultsEqual(t, got, want, "journal replay vs one-shot")
 }
 
@@ -444,7 +444,7 @@ func TestCheckpointConcurrentWithIngestLosesNothing(t *testing.T) {
 	if p2.LastSeq() != finalSeq {
 		t.Fatalf("recovered seq %d, want %d — a checkpoint destroyed an acknowledged record", p2.LastSeq(), finalSeq)
 	}
-	assertEdgeSetsEqual(t, p2.Graph, p1.Graph, "checkpoint-under-ingest recovery")
+	assertSameState(t, p2.Engine, p1.Engine, "checkpoint-under-ingest recovery")
 }
 
 // TestSnapshotStampExcludesJournaledButUnappliedRecord pins the lastSeq
@@ -538,7 +538,7 @@ func TestSnapshotStampExcludesJournaledButUnappliedRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	assertEdgeSetsEqual(t, p2.Graph, ref.Graph, "journaled-but-unapplied replay")
+	assertSameState(t, p2.Engine, ref.Engine, "journaled-but-unapplied replay")
 }
 
 // TestCheckpointWithoutStoreKeepsJournal: nothing writes the monolithic

@@ -18,10 +18,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"malgraph/internal/collect"
 	"malgraph/internal/core"
 	"malgraph/internal/graph"
-	"malgraph/internal/xrand"
 )
 
 // probeView is a recorded node query at one batch boundary.
@@ -51,32 +49,17 @@ func (ref *epochReference) record(p *Pipeline) {
 	ref.probes[ep.ID()] = views
 }
 
-// shuffledBatches builds a streaming pipeline and a deterministic shuffled
+// shuffledPipeline builds a streaming pipeline and a deterministic shuffled
 // k-partition of its collected corpus. Two calls produce byte-identical
 // worlds and partitions, so a serial and a concurrent run replay the same
 // batch sequence.
-func shuffledBatches(t *testing.T, scale float64, k int) (*Pipeline, []core.Batch) {
+func shuffledPipeline(t *testing.T, scale float64, k int) (*Pipeline, []core.Batch) {
 	t.Helper()
 	p, err := NewStreamingPipeline(context.Background(), Config{Scale: scale}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, reportCorpus := p.Source()
-	entries := make([]*collect.Entry, len(ds.Entries))
-	copy(entries, ds.Entries)
-	rng := xrand.New(777)
-	for i := len(entries) - 1; i > 0; i-- {
-		j := int(rng.Uint64() % uint64(i+1))
-		entries[i], entries[j] = entries[j], entries[i]
-	}
-	var batches []core.Batch
-	for bi, cb := range collect.PartitionBatches(ds, entries, k) {
-		b := core.Batch{Entries: cb.Entries, PerSource: cb.PerSource, Stats: cb.Stats, At: cb.At}
-		lo, hi := bi*len(reportCorpus)/k, (bi+1)*len(reportCorpus)/k
-		b.Reports = reportCorpus[lo:hi]
-		batches = append(batches, b)
-	}
-	return p, batches
+	return p, shuffledBatches(p, k, 777)
 }
 
 func TestEpochReadsDuringShuffledIngest(t *testing.T) {
@@ -92,7 +75,7 @@ func TestEpochReadsDuringShuffledIngest(t *testing.T) {
 	// Serial reference run: replay the shuffled batches one by one and
 	// record every batch-boundary epoch (keyed by epoch ID — construction
 	// publishes 1, each append increments).
-	refP, batches := shuffledBatches(t, scale, k)
+	refP, batches := shuffledPipeline(t, scale, k)
 	ref := &epochReference{
 		stats:  make(map[uint64]PipelineStats),
 		probes: make(map[uint64]map[string]probeView),
@@ -100,7 +83,7 @@ func TestEpochReadsDuringShuffledIngest(t *testing.T) {
 	// Probe IDs: a deterministic spread of the final corpus, so some probes
 	// flip from absent to present mid-run and carry growing neighbor lists.
 	finalIDs := func() []string {
-		tmp, tb := shuffledBatches(t, scale, k)
+		tmp, tb := shuffledPipeline(t, scale, k)
 		for _, b := range tb {
 			if _, err := tmp.Append(b); err != nil {
 				t.Fatal(err)
@@ -126,7 +109,7 @@ func TestEpochReadsDuringShuffledIngest(t *testing.T) {
 
 	// Concurrent run: one writer streams the same batches while readers
 	// hammer the query surface.
-	p, batches2 := shuffledBatches(t, scale, k)
+	p, batches2 := shuffledPipeline(t, scale, k)
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	errc := make(chan error, readers)
@@ -204,5 +187,5 @@ func TestEpochReadsDuringShuffledIngest(t *testing.T) {
 	if !reflect.DeepEqual(finalGot.Stats(), finalWant.Stats()) {
 		t.Errorf("final stats differ:\n got %+v\nwant %+v", finalGot.Stats(), finalWant.Stats())
 	}
-	assertEdgeSetsEqual(t, p.Graph, refP.Graph, "epoch-race final")
+	assertSameState(t, p.Engine, refP.Engine, "epoch-race final")
 }

@@ -57,7 +57,7 @@ func TestExternalObservationsMatchOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertComponentsEqual(t, p.Graph, batch.Graph, fmt.Sprintf("external k=%d", k))
+			assertSameState(t, p.Engine, batch.Engine, fmt.Sprintf("external k=%d", k))
 			assertResultsEqual(t, got, want, fmt.Sprintf("external k=%d", k))
 		})
 	}

@@ -69,11 +69,19 @@ type DecodedEntry struct {
 
 // DecodeEntry parses one record written by EncodeEntry. The artifact is not
 // attached — the caller resolves BlobRef against the content store and sets
-// Entry.Artifact before AssembleResult verifies it.
+// Entry.Artifact before AssembleResult verifies it. A record EncodeEntry
+// cannot write is refused: one with an inline artifact, and one with an
+// artifact hash but no blob (its artifact would be lost without an error).
 func DecodeEntry(data []byte) (DecodedEntry, error) {
 	var pe persistedEntry
 	if err := json.Unmarshal(data, &pe); err != nil {
 		return DecodedEntry{}, fmt.Errorf("manifest entry decode: %w", err)
+	}
+	switch {
+	case pe.Artifact != nil:
+		return DecodedEntry{}, fmt.Errorf("manifest entry %s: inline artifact (a manifest entry references its artifact blob)", pe.Coord)
+	case pe.Hash != "" && pe.Blob == "":
+		return DecodedEntry{}, fmt.Errorf("manifest entry %s: artifact hash without a blob", pe.Coord)
 	}
 	return DecodedEntry{
 		Entry: &Entry{
@@ -84,7 +92,6 @@ func DecodeEntry(data []byte) (DecodedEntry, error) {
 			ObservedAt:    pe.ObservedAt,
 			ReleasedAt:    pe.ReleasedAt,
 			RemovedAt:     pe.RemovedAt,
-			Artifact:      pe.Artifact,
 		},
 		Stat:    pe.Stats,
 		BlobRef: pe.Blob,

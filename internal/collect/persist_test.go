@@ -95,6 +95,65 @@ func TestDatasetRoundTripFull(t *testing.T) {
 	}
 }
 
+// TestDecodeEntryRefusesForeignRecords: a manifest entry record that
+// EncodeEntry cannot write is refused, naming what is wrong with it.
+func TestDecodeEntryRefusesForeignRecords(t *testing.T) {
+	set, fleet := fixture(t)
+	res, err := Run(set, fleet, day(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withArt *Entry
+	for _, e := range res.Entries {
+		if e.Artifact != nil {
+			withArt = e
+			break
+		}
+	}
+	if withArt == nil {
+		t.Fatal("fixture has no entry with an artifact")
+	}
+	rec, err := res.EncodeEntry(withArt, "blob-ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeEntry(rec); err != nil {
+		t.Fatalf("DecodeEntry refused EncodeEntry's own record: %v", err)
+	}
+	art, err := json.Marshal(withArt.Artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(f func(map[string]json.RawMessage)) []byte {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(rec, &fields); err != nil {
+			t.Fatal(err)
+		}
+		f(fields)
+		out, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name, want string
+		rec        []byte
+	}{
+		{"inline artifact", "inline artifact", edit(func(m map[string]json.RawMessage) { m["artifact"] = art })},
+		{"inline artifact without blob", "inline artifact", edit(func(m map[string]json.RawMessage) {
+			m["artifact"] = art
+			delete(m, "blob")
+		})},
+		{"hash without blob", "artifact hash without a blob", edit(func(m map[string]json.RawMessage) { delete(m, "blob") })},
+	} {
+		_, err := DecodeEntry(tc.rec)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), withArt.Coord.String()) {
+			t.Errorf("%s: DecodeEntry error %v, want one naming %s and %q", tc.name, err, withArt.Coord, tc.want)
+		}
+	}
+}
+
 func TestDatasetPublicOmitsArtifacts(t *testing.T) {
 	set, fleet := fixture(t)
 	res, err := Run(set, fleet, day(30))

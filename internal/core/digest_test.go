@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -97,6 +98,72 @@ func TestDigestNamesChangedSection(t *testing.T) {
 		tc.mutate(t, e)
 		if diff := digestDiff(digestOf(t, e), base); !reflect.DeepEqual(diff, []string{tc.section}) {
 			t.Errorf("dropping %s state changed digest sections %v, want [%s]", tc.section, diff, tc.section)
+		}
+	}
+}
+
+// TestDigestGraphIsOrderFree: the graph section hashes the graph as a set.
+// The same edges inserted in reverse order, each undirected one with its
+// endpoints swapped, leave every section unchanged; a Dependency edge with
+// its direction flipped, or an edge with its attribute values changed,
+// changes the graph section and only it.
+func TestDigestGraphIsOrderFree(t *testing.T) {
+	ds, reps := miniDataset(t)
+	fresh := func() *Engine {
+		return reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt})
+	}
+	base := digestOf(t, fresh())
+	// first returns the index of the first edge pred holds for.
+	first := func(t *testing.T, edges []graph.Edge, pred func(graph.Edge) bool) int {
+		for i, ed := range edges {
+			if pred(ed) {
+				return i
+			}
+		}
+		t.Fatal("no edge matches")
+		return -1
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(t *testing.T, edges []graph.Edge)
+		want []string
+	}{
+		{"reversed and re-oriented", func(t *testing.T, edges []graph.Edge) {
+			slices.Reverse(edges)
+			swapped := 0
+			for i := range edges {
+				if edges[i].Type != graph.Dependency {
+					edges[i].From, edges[i].To = edges[i].To, edges[i].From
+					swapped++
+				}
+			}
+			if swapped == 0 || swapped == len(edges) {
+				t.Fatalf("%d of %d edges undirected, want both kinds", swapped, len(edges))
+			}
+		}, nil},
+		{"dependency flipped", func(t *testing.T, edges []graph.Edge) {
+			i := first(t, edges, func(ed graph.Edge) bool { return ed.Type == graph.Dependency })
+			edges[i].From, edges[i].To = edges[i].To, edges[i].From
+		}, []string{sectionGraph}},
+		{"attribute changed", func(t *testing.T, edges []graph.Edge) {
+			i := first(t, edges, func(ed graph.Edge) bool { return len(ed.Attrs) > 0 })
+			attrs := make(graph.Attrs, len(edges[i].Attrs))
+			for k, v := range edges[i].Attrs {
+				attrs[k] = v + "'"
+			}
+			edges[i].Attrs = attrs // Persist shares the graph's maps: replace, never write
+		}, []string{sectionGraph}},
+	} {
+		e := fresh()
+		p := e.mg.G.Persist()
+		tc.edit(t, p.Edges)
+		g, err := p.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		e.mg.G = g
+		if diff := digestDiff(digestOf(t, e), base); !reflect.DeepEqual(diff, tc.want) {
+			t.Errorf("%s: digest sections %v changed, want %v", tc.name, diff, tc.want)
 		}
 	}
 }

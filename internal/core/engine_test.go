@@ -15,51 +15,6 @@ import (
 	"malgraph/internal/xrand"
 )
 
-// graphSig summarises a graph as a partition-order-independent signature:
-// sorted node IDs and the sorted (type, endpoints, attr) edge set. Two
-// graphs with equal signatures have identical components and identical
-// analysis inputs, whatever order their edges were inserted in.
-func graphSig(t *testing.T, mg *MalGraph) string {
-	t.Helper()
-	var b bytes.Buffer
-	for _, id := range mg.G.NodeIDs() {
-		n, _ := mg.G.Node(id)
-		keys := make([]string, 0, len(n.Attrs))
-		for k := range n.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(&b, "N %s", id)
-		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%s", k, n.Attrs[k])
-		}
-		b.WriteByte('\n')
-	}
-	var lines []string
-	for _, e := range mg.G.Edges() {
-		from, to := e.From, e.To
-		if e.Type != graph.Dependency && from > to {
-			from, to = to, from
-		}
-		keys := make([]string, 0, len(e.Attrs))
-		for k := range e.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		line := fmt.Sprintf("E %d %s %s", e.Type, from, to)
-		for _, k := range keys {
-			line += " " + k + "=" + e.Attrs[k]
-		}
-		lines = append(lines, line)
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // ingestPartitioned shuffles the dataset with a seeded RNG, splits it into k
 // entry batches with reports interleaved round-robin, and ingests them.
 func ingestPartitioned(t *testing.T, ds *collect.Result, reps []*reports.Report, k int, shuffleSeed uint64) *Engine {
@@ -87,20 +42,26 @@ func ingestPartitioned(t *testing.T, ds *collect.Result, reps []*reports.Report,
 	return eng
 }
 
-func assertEngineMatchesBuild(t *testing.T, eng *Engine, want *MalGraph, label string) {
+// reference ingests b, a whole corpus, into a fresh engine: the one-shot
+// build a partitioned ingest of the same corpus must reproduce. b carries
+// the per-source accounting the partitioned batches carry, so the dataset
+// sections compare.
+func reference(t *testing.T, cfg Config, b Batch) *Engine {
 	t.Helper()
-	got := eng.Graph()
-	if gs, ws := graphSig(t, got), graphSig(t, want); gs != ws {
-		t.Errorf("%s: graph signature differs (got %d bytes, want %d bytes)", label, len(gs), len(ws))
+	eng := NewEngine(cfg)
+	if _, err := eng.Ingest(b); err != nil {
+		t.Fatal(err)
 	}
-	for _, et := range graph.EdgeTypes() {
-		if g, w := got.G.EdgeCount(et), want.G.EdgeCount(et); g != w {
-			t.Errorf("%s: %s edges = %d, want %d", label, et, g, w)
-		}
-		if g, w := got.PackageSubgraphs(et, 2), want.PackageSubgraphs(et, 2); !reflect.DeepEqual(g, w) {
-			t.Errorf("%s: %s subgraphs differ:\n got %v\nwant %v", label, et, g, w)
-		}
-	}
+	return eng
+}
+
+// assertEngineMatchesBuild requires eng to equal the one-shot reference in
+// every digest section, and the indexes derived from that state, which the
+// digest does not hash, to match too.
+func assertEngineMatchesBuild(t *testing.T, eng, ref *Engine, label string) {
+	t.Helper()
+	assertSameDigest(t, eng, ref, label)
+	got, want := eng.Graph(), ref.Graph()
 	if !reflect.DeepEqual(got.SimilarClusters, want.SimilarClusters) {
 		t.Errorf("%s: similar clusters differ", label)
 	}
@@ -126,13 +87,11 @@ func assertEngineMatchesBuild(t *testing.T, eng *Engine, want *MalGraph, label s
 
 // TestEngineBatchPartitionsMatchBuild is the core-level determinism
 // contract: any shuffled partition of the corpus, ingested batch by batch,
-// yields the same components, edge sets and clusters as a one-shot Build.
+// yields the same state (every digest section) and derived indexes as a
+// one-shot ingest.
 func TestEngineBatchPartitionsMatchBuild(t *testing.T) {
 	ds, reps := miniDataset(t)
-	want, err := Build(ds, reps, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt})
 	for _, k := range []int{1, 2, 3, 5} {
 		for shuffle := uint64(1); shuffle <= 3; shuffle++ {
 			eng := ingestPartitioned(t, ds, reps, k, shuffle)
@@ -149,7 +108,7 @@ func TestEngineIngestIdempotent(t *testing.T) {
 	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
 		t.Fatal(err)
 	}
-	before := graphSig(t, eng.Graph())
+	before := digestOf(t, eng)
 	beforeStats := fmt.Sprintf("%+v", eng.Dataset().PerSource)
 	// Replayed batches carry their accounting too (a warm-restarted server
 	// drains the same feed); nothing may double-count.
@@ -167,8 +126,8 @@ func TestEngineIngestIdempotent(t *testing.T) {
 	if st.SimilarChanged() || st.CoexistingChanged() || st.DependencyChanged() || st.DatasetChanged() {
 		t.Fatalf("re-ingest dirtied analyses: %+v", st)
 	}
-	if after := graphSig(t, eng.Graph()); after != before {
-		t.Fatal("re-ingest mutated the graph")
+	if diff := digestDiff(digestOf(t, eng), before); len(diff) > 0 {
+		t.Fatalf("re-ingest changed digest sections %v", diff)
 	}
 }
 
@@ -208,10 +167,7 @@ func TestEngineIngestStats(t *testing.T) {
 // and the one-shot Build.
 func TestEngineSnapshotRestore(t *testing.T) {
 	ds, reps := miniDataset(t)
-	want, err := Build(ds, reps, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, PerSource: ds.BatchOf(ds.Entries).PerSource, Reports: reps, At: ds.CollectedAt})
 
 	half := len(ds.Entries) / 2
 	first := Batch{Entries: ds.Entries[:half], PerSource: ds.BatchOf(ds.Entries[:half]).PerSource, Reports: reps[:1], At: ds.CollectedAt}
@@ -222,9 +178,6 @@ func TestEngineSnapshotRestore(t *testing.T) {
 	}
 	restored := roundTrip(t, eng)
 	// The restored engine must already match the snapshotted one.
-	if a, b := graphSig(t, eng.Graph()), graphSig(t, restored.Graph()); a != b {
-		t.Fatal("restored graph differs from snapshotted graph")
-	}
 	assertSameDigest(t, restored, eng, "restored")
 	// A warm-restarted server replays the whole feed: the first batch must
 	// no-op (including its accounting), the second completes the corpus.
@@ -319,15 +272,11 @@ func TestEngineLateArtifactUpsert(t *testing.T) {
 	if n.Attrs["occ"] != "3" || n.Attrs["avail"] != collect.FromSource.String() {
 		t.Fatalf("node attrs not refreshed: %v", n.Attrs)
 	}
-	oneShot := &collect.Result{
-		Entries:     append(append([]*collect.Entry(nil), ds.Entries...), neighbour),
-		PerSource:   ds.PerSource,
-		CollectedAt: ds.CollectedAt,
-	}
-	want, err := Build(oneShot, reps, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, DefaultConfig(), Batch{
+		Entries: append(append([]*collect.Entry(nil), ds.Entries...), neighbour),
+		Reports: reps,
+		At:      ds.CollectedAt,
+	})
 	assertEngineMatchesBuild(t, eng, want, "late artifact")
 }
 
@@ -387,9 +336,7 @@ func TestEngineRestoreReclustersSamePartitions(t *testing.T) {
 	if liveStats.SimilarDelta != restoredStats.SimilarDelta {
 		t.Fatalf("similar deltas differ: %d vs %d", liveStats.SimilarDelta, restoredStats.SimilarDelta)
 	}
-	if a, b := graphSig(t, live.Graph()), graphSig(t, restored.Graph()); a != b {
-		t.Fatal("post-delta graphs differ")
-	}
+	assertSameDigest(t, restored, live, "post-delta")
 	if !reflect.DeepEqual(live.Graph().SimilarClusters, restored.Graph().SimilarClusters) {
 		t.Fatal("post-delta clusters differ")
 	}
@@ -465,10 +412,7 @@ func coexAttrByPair(mg *MalGraph) map[string]string {
 // and still converges to the one-shot build bit for bit.
 func TestCoexistingScopedWantedArrival(t *testing.T) {
 	ds, reps := miniDataset(t)
-	want, err := Build(ds, reps, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt})
 	rest, held := holdOut(t, ds, "alpha-three") // named by report r/2 only
 
 	eng := NewEngine(DefaultConfig())
@@ -500,10 +444,7 @@ func TestCoexistingLateReportOwnershipRepair(t *testing.T) {
 	ra := &reports.Report{URL: "https://z.example/a", Site: "z.example", Packages: pkgs}
 	rb := &reports.Report{URL: "https://z.example/b", Site: "z.example", Packages: pkgs}
 
-	want, err := Build(ds, []*reports.Report{ra, rb}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: []*reports.Report{ra, rb}, At: ds.CollectedAt})
 
 	eng := NewEngine(DefaultConfig())
 	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: []*reports.Report{rb}, At: ds.CollectedAt}); err != nil {
@@ -550,10 +491,7 @@ func TestCoexistingHubPathGrowth(t *testing.T) {
 	side := &reports.Report{URL: "https://z.example/side", Site: "z.example", Packages: names[:2]}
 	reps := []*reports.Report{big, side}
 
-	want, err := Build(ds, reps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, cfg, Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt})
 	rest, held := holdOut(t, ds, "alpha-three")
 	eng := NewEngine(cfg)
 	if _, err := eng.Ingest(Batch{Entries: rest, Reports: reps, At: ds.CollectedAt}); err != nil {
@@ -584,7 +522,7 @@ func TestCoexistingDuplicateReports(t *testing.T) {
 	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
 		t.Fatal(err)
 	}
-	before := graphSig(t, eng.Graph())
+	before := digestOf(t, eng)
 
 	// Identical re-crawl: dropped, counted, no conflict, no state change.
 	same := *reps[0]
@@ -613,8 +551,8 @@ func TestCoexistingDuplicateReports(t *testing.T) {
 	if len(eng.Reports()) != len(reps) {
 		t.Fatalf("duplicate grew the corpus: %d reports", len(eng.Reports()))
 	}
-	if after := graphSig(t, eng.Graph()); after != before {
-		t.Fatal("duplicate report mutated the graph")
+	if diff := digestDiff(digestOf(t, eng), before); len(diff) > 0 {
+		t.Fatalf("duplicate report changed digest sections %v", diff)
 	}
 }
 
@@ -650,10 +588,7 @@ func TestCoexistingCorpusWideRejoinStaysScoped(t *testing.T) {
 	if !st.CoexistingScoped || st.ReportsRejoined != bulk {
 		t.Fatalf("corpus-wide re-join = %+v, want scoped over all %d reports", st, bulk)
 	}
-	want, err := Build(ds, reps, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt})
 	assertEngineMatchesBuild(t, eng, want, "corpus-wide re-join")
 	if diff := digestDiff(digestOf(t, roundTrip(t, eng)), digestOf(t, eng)); len(diff) != 0 {
 		t.Fatalf("restored checkpoint differs from the live engine in %v", diff)
@@ -695,9 +630,7 @@ func TestEngineRestoreRejoinsSameScope(t *testing.T) {
 		liveStats.CoexistingScoped != restoredStats.CoexistingScoped {
 		t.Fatalf("re-join scope differs:\n live     %+v\n restored %+v", liveStats, restoredStats)
 	}
-	if a, b := graphSig(t, live.Graph()), graphSig(t, restored.Graph()); a != b {
-		t.Fatal("post-delta graphs differ")
-	}
+	assertSameDigest(t, restored, live, "post-delta")
 }
 
 // roundTrip checkpoints e into a fresh content store and restores the

@@ -65,8 +65,10 @@ type restoreParts struct {
 // Digest returns a hex SHA-256 per section of the engine's state: config,
 // stamps (AppliedSeq, FeedPos), dataset, graph, reports, items, partitions,
 // imports, posting and pairOwners. Each section hashes the JSON the v4
-// format carried for it, so digests are equal exactly when the states are,
-// and a mismatch names its section. It needs no store.
+// format carried for it, except graph, which hashes the graph as a set
+// (graph.Graph.Canonical): edge insertion order differs between batch partitions
+// of one corpus and is not state. Digests are equal exactly when the states
+// are, and a mismatch names its section. It needs no store.
 func (e *Engine) Digest() (map[string]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -107,7 +109,7 @@ func (e *Engine) Digest() (map[string]string, error) {
 			FeedPos    int    `json:"feedPos,omitempty"`
 		}{e.appliedSeq, e.feedPos})},
 		{sectionDataset, func(w io.Writer) error { return e.mg.Dataset.WriteJSON(w, collect.ExportFull) }},
-		{sectionGraph, e.mg.G.WriteJSON},
+		{sectionGraph, encode(e.mg.G.Canonical())},
 		{sectionReports, encode(e.mg.Reports)},
 		{sectionItems, encode(items)},
 		{sectionPartitions, encode(partitions)},

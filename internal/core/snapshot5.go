@@ -625,7 +625,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		lg.rebase = false
 	}
 	for _, de := range decoded {
-		if de.BlobRef != "" && de.Entry.Artifact != nil {
+		if de.BlobRef != "" {
 			e.artifactRefs[de.Entry.Coord.Key()] = artifactRef{art: de.Entry.Artifact, key: de.BlobRef}
 		}
 	}
@@ -705,7 +705,7 @@ func restoreEntries(entState map[string][]byte, sess *castore.Session) ([]collec
 	}
 	var wantArts []string
 	for _, de := range decoded {
-		if de.BlobRef != "" && de.Entry.Artifact == nil {
+		if de.BlobRef != "" {
 			wantArts = append(wantArts, de.BlobRef)
 		}
 	}
@@ -715,7 +715,7 @@ func restoreEntries(entState map[string][]byte, sess *castore.Session) ([]collec
 	}
 	err = parallel.ForEachErr(len(decoded), func(i int) error {
 		ref := decoded[i].BlobRef
-		if ref == "" || decoded[i].Entry.Artifact != nil {
+		if ref == "" {
 			return nil
 		}
 		art, err := decodeArtifact(artData[ref])

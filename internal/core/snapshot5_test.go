@@ -40,9 +40,6 @@ func openTestStore(t testing.TB) *castore.Store {
 // nil, so clusters compare empty-normalized; everything else must be exact.
 func assertRestoredMatches(t *testing.T, restored, live *Engine, label string) {
 	t.Helper()
-	if a, b := graphSig(t, live.Graph()), graphSig(t, restored.Graph()); a != b {
-		t.Errorf("%s: graph signature differs from the live engine", label)
-	}
 	assertSameDigest(t, restored, live, label)
 	norm := func(e *Engine) map[string][]string {
 		out := make(map[string][]string)
@@ -69,10 +66,7 @@ func assertRestoredMatches(t *testing.T, restored, live *Engine, label string) {
 // restored engine ingests more, checkpoints again, and restores again.
 func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 	ds, reps := miniDataset(t)
-	want, err := Build(ds, reps, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt})
 	store := openTestStore(t)
 	eng := NewEngine(DefaultConfig())
 	eng.AttachStore(store)
@@ -192,10 +186,7 @@ func assertRestoreRefused(t *testing.T, raw string, wants ...string) {
 // liveness contract serve's background compaction relies on.
 func TestCompactionKeepsManifestRestorable(t *testing.T) {
 	ds, reps := miniDataset(t)
-	want, err := Build(ds, reps, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt})
 	store := openTestStore(t)
 	eng := NewEngine(DefaultConfig())
 	eng.AttachStore(store)
@@ -267,6 +258,64 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 func restoreAt(procs int, manifest []byte, st *castore.Store) (*Engine, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	return RestoreEngineWithStore(bytes.NewReader(manifest), st)
+}
+
+// TestRestoreIgnoresRetiredProbeCap: ClusterConfig.MaxBucketProbe, the
+// per-bucket LSH probe cap, is gone, but a manifest written while it
+// existed carries it in its config. Such a manifest must still restore,
+// to the live engine's state in every section but config.
+func TestRestoreIgnoresRetiredProbeCap(t *testing.T) {
+	ds, reps := miniDataset(t)
+	store := openTestStore(t)
+	live := NewEngine(DefaultConfig())
+	live.AttachStore(store)
+	if _, err := live.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
+		t.Fatal(err)
+	}
+	var manifest bytes.Buffer
+	if err := live.Snapshot(&manifest); err != nil {
+		t.Fatal(err)
+	}
+	// Put the field back into config.Cluster, where the old build wrote it.
+	var man, cfg map[string]json.RawMessage
+	var cluster map[string]any
+	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(man["config"], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(cfg["Cluster"], &cluster); err != nil {
+		t.Fatal(err)
+	}
+	cluster["MaxBucketProbe"] = 512
+	var err error
+	if cfg["Cluster"], err = json.Marshal(cluster); err != nil {
+		t.Fatal(err)
+	}
+	if man["config"], err = json.Marshal(cfg); err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old, []byte(`"MaxBucketProbe":512`)) {
+		t.Fatalf("edited manifest lacks the probe cap: %s", old)
+	}
+	restored, err := RestoreEngineWithStore(bytes.NewReader(old), store)
+	if err != nil {
+		t.Fatalf("restore of a manifest carrying MaxBucketProbe: %v", err)
+	}
+	var diff []string
+	for _, name := range digestDiff(digestOf(t, restored), digestOf(t, live)) {
+		if name != "config" {
+			diff = append(diff, name)
+		}
+	}
+	if len(diff) > 0 {
+		t.Fatalf("restored engine differs from the live one in %v", diff)
+	}
 }
 
 // TestSegmentedRestoreParallelMatchesSequential: the restore decodes its

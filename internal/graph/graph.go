@@ -7,6 +7,7 @@
 package graph
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -298,10 +299,18 @@ func (g *Graph) EdgeCount(types ...EdgeType) int {
 	return n
 }
 
-func edgeKey(t EdgeType, from, to string) string {
+// orient returns an edge's endpoints in the order its dedup key holds them:
+// sorted for the undirected types, as given for Dependency ("from depends
+// on to"). This is the one place that decides which types are undirected.
+func orient(t EdgeType, from, to string) (string, string) {
 	if t != Dependency && from > to {
-		from, to = to, from
+		return to, from
 	}
+	return from, to
+}
+
+func edgeKey(t EdgeType, from, to string) string {
+	from, to = orient(t, from, to)
 	// One allocation per key: this runs for every AddEdge/HasEdge call, and
 	// Sprintf boxing dominated graph-construction alloc profiles.
 	var b strings.Builder
@@ -750,6 +759,23 @@ func (p *Persisted) Build() (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// Canonical captures the graph as a set, independent of insertion order:
+// nodes sorted by ID, as Persist writes them, and edges oriented as their
+// dedup key orients them (see orient) and sorted by type, then endpoints.
+// The dedup set holds one edge per type and oriented endpoint pair, so the
+// order has no ties. Like Persist's, the result shares attribute maps.
+func (g *Graph) Canonical() *Persisted {
+	p := g.Persist()
+	for i := range p.Edges {
+		e := &p.Edges[i]
+		e.From, e.To = orient(e.Type, e.From, e.To)
+	}
+	slices.SortFunc(p.Edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.Type, b.Type), strings.Compare(a.From, b.From), strings.Compare(a.To, b.To))
+	})
+	return p
 }
 
 // WriteJSON serialises the graph deterministically (nodes sorted by ID).

@@ -31,38 +31,11 @@ type ClusterConfig struct {
 	// span band-connected components, so the incremental engine re-clusters
 	// one partition at a time under the same band count.
 	LSHBands int
-	// MaxBucketProbe caps how many co-bucketed items LSHIndex.Add verifies
-	// per band bucket (0 = DefaultMaxBucketProbe; negative = unlimited).
-	// Without a cap, a degenerate band bucket — thousands of near-identical
-	// fingerprints — makes every append pay O(bucket) dot products, the last
-	// corpus-linear term in the similar stage. Capped probing verifies
-	// against the bucket's ID-smallest members, which is deterministic for a
-	// given item set; batch-order determinism is exact while buckets stay at
-	// or under the cap, and past it two insertion orders may differ only in
-	// threshold-marginal partition merges.
-	MaxBucketProbe int
 }
-
-// DefaultMaxBucketProbe is the default per-bucket verification cap. It is
-// far above any healthy bucket load (verified partitions stay family-sized)
-// and exists to bound the degenerate case, not to tune recall.
-const DefaultMaxBucketProbe = 512
 
 // DefaultClusterConfig returns the paper's parameters.
 func DefaultClusterConfig() ClusterConfig {
 	return ClusterConfig{Threshold: 0.7, MinSilhouette: 0.3, MinSize: 2, KMeansIters: 8, LSHBands: 8}
-}
-
-// probeCap resolves MaxBucketProbe's zero/negative conventions.
-func (c ClusterConfig) probeCap() int {
-	switch {
-	case c.MaxBucketProbe < 0:
-		return 0 // explicit "unlimited"
-	case c.MaxBucketProbe == 0:
-		return DefaultMaxBucketProbe
-	default:
-		return c.MaxBucketProbe
-	}
 }
 
 // candidateParams resolves the (bands, threshold) pair defining the LSH

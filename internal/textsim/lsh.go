@@ -20,9 +20,12 @@ import "sort"
 //
 // Identity is content-derived throughout: a partition's canonical key is the
 // lexicographically smallest member ID, and membership depends only on the
-// (id, fingerprint, vector) set — never on insertion order. Adding the same
-// items in any order yields the same partitions with the same keys, which is
-// what lets batch-partitioned ingest reproduce a one-shot build exactly.
+// (id, fingerprint, vector) set — never on insertion order. Every pair of
+// co-bucketed items is verified when the later of the two arrives (unless it
+// is already connected), however large the bucket, so the partitions are the
+// components of the whole verified relation. Adding the same items in any
+// order yields the same partitions with the same keys, which is what lets
+// batch-partitioned ingest reproduce a one-shot build exactly.
 //
 // An LSHIndex is not safe for concurrent use; the engine serializes access
 // under its ingest lock and hands immutable member snapshots to workers.
@@ -38,13 +41,10 @@ type LSHIndex struct {
 	size    []int
 	minSlot []int
 	members [][]int
-	// buckets lists the member slots per band key in item-ID order; a new
-	// item verifies against each co-bucketed item — up to probeCap of them,
-	// smallest IDs first — and unions with the ones that clear the
-	// threshold. ID order (not insertion order) keeps the capped probe set
-	// canonical for a given bucket population.
-	buckets  map[uint64][]int
-	probeCap int // 0 = unlimited
+	// buckets lists the member slots per band key; a new item verifies
+	// against every co-bucketed item and unions with the ones that clear
+	// the threshold.
+	buckets map[uint64][]int
 	// retired collects canonical keys dethroned by merges since the last
 	// DrainRetired — the signal that their cached per-partition state now
 	// lives under a different (smaller) key.
@@ -64,7 +64,6 @@ func NewLSHIndex(cfg ClusterConfig) *LSHIndex {
 		slot:      make(map[string]int),
 		buckets:   make(map[uint64][]int),
 		retired:   make(map[string]bool),
-		probeCap:  cfg.probeCap(),
 	}
 }
 
@@ -109,8 +108,11 @@ func (x *LSHIndex) union(a, b int) {
 // Add indexes one item, verifying it against every item it shares a band
 // bucket with and merging its partition with each verified match. The vector
 // is retained by reference (items are immutable once ingested). Re-adding a
-// known ID is a no-op. Cost is O(bands · bucket load) dot products — the
-// candidate volume ClusterItems would verify for the same item.
+// known ID is a no-op. Cost is O(bands · bucket load) union-find lookups and
+// at most that many dot products — the candidate volume ClusterItems would
+// verify for the same item. A degenerate bucket of near-identical items costs
+// lookups rather than dot products: members already in the new item's
+// partition are skipped.
 func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
 	if _, ok := x.slot[id]; ok {
 		return
@@ -128,16 +130,7 @@ func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
 	// nibble).
 	for bi := 0; bi < x.bands; bi++ {
 		key := bandKey(hash, x.bands, bi)
-		bucket := x.buckets[key]
-		probe := bucket
-		if x.probeCap > 0 && len(probe) > x.probeCap {
-			// Degenerate bucket: verify only against the ID-smallest members.
-			// Every past member was probed against this same prefix when it
-			// arrived, so a family that clears the threshold still unions
-			// through the prefix; only threshold-marginal merges can be lost.
-			probe = probe[:x.probeCap]
-		}
-		for _, m := range probe {
+		for _, m := range x.buckets[key] {
 			if x.find(m) == x.find(s) {
 				continue
 			}
@@ -146,12 +139,7 @@ func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
 				x.union(s, m)
 			}
 		}
-		// Insert at the ID-sorted position so capped probing is canonical.
-		i := sort.Search(len(bucket), func(i int) bool { return x.ids[bucket[i]] >= id })
-		bucket = append(bucket, 0)
-		copy(bucket[i+1:], bucket[i:])
-		bucket[i] = s
-		x.buckets[key] = bucket
+		x.buckets[key] = append(x.buckets[key], s)
 	}
 }
 

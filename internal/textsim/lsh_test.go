@@ -100,8 +100,38 @@ func TestLSHIndexVerification(t *testing.T) {
 	}
 }
 
+// degenerateBucket returns more than 512 items sharing one fingerprint, so
+// every band of every item lands in the same bucket, with mutually
+// orthogonal vectors (no pair verifies), plus "tail", which verifies only
+// against the member with the largest ID.
+func degenerateBucket() []Item {
+	const n = 520
+	items := make([]Item, 0, n+1)
+	for i := 0; i < n; i++ {
+		vec := make([]float64, i+1) // the i-th unit vector, zero tail trimmed
+		vec[i] = 1
+		items = append(items, Item{ID: fmt.Sprintf("d%04d", i), Hash: 0xABCDABCDABCDABCD, Vector: vec})
+	}
+	last := items[n-1]
+	return append(items, Item{ID: "tail", Hash: last.Hash, Vector: last.Vector})
+}
+
+// partitionsOf adds items in order to a fresh index and returns its
+// partitions keyed by canonical key.
+func partitionsOf(items []Item) map[string][]string {
+	x := NewLSHIndex(ClusterConfig{LSHBands: 8, Threshold: 0.7})
+	addAll(x, items)
+	got := make(map[string][]string)
+	for _, key := range x.Partitions() {
+		got[key] = x.Members(key)
+	}
+	return got
+}
+
 // TestLSHIndexOrderIndependence is the content-derivation contract: any
-// insertion order yields identical partitions, canonical keys and members.
+// insertion order yields identical partitions, canonical keys and members —
+// also when a band bucket holds hundreds of items, each of which must still
+// be verified against every co-bucketed one.
 func TestLSHIndexOrderIndependence(t *testing.T) {
 	items := lshFixture()
 	var want map[string][]string
@@ -113,12 +143,7 @@ func TestLSHIndexOrderIndependence(t *testing.T) {
 			j := int(rng.Uint64() % uint64(i+1))
 			order[i], order[j] = order[j], order[i]
 		}
-		x := NewLSHIndex(ClusterConfig{LSHBands: 8, Threshold: 0.7})
-		addAll(x, order)
-		got := make(map[string][]string)
-		for _, key := range x.Partitions() {
-			got[key] = x.Members(key)
-		}
+		got := partitionsOf(order)
 		if want == nil {
 			want = got
 			continue
@@ -126,6 +151,24 @@ func TestLSHIndexOrderIndependence(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: partitions differ:\n got %v\nwant %v", trial, got, want)
 		}
+	}
+
+	// The largest-ID member and "tail" first, while the bucket is small,
+	// then the rest; and every member first, "tail" last, when the bucket
+	// is full. Both orders must join the pair.
+	deg := degenerateBucket()
+	n := len(deg)
+	early := partitionsOf(append([]Item{deg[n-2], deg[n-1]}, deg[:n-2]...))
+	late := partitionsOf(deg)
+	if !reflect.DeepEqual(late, early) {
+		t.Fatalf("degenerate bucket: %d partitions with tail added last, %d with it added early", len(late), len(early))
+	}
+	pair := []string{deg[n-2].ID, "tail"}
+	if got := late[pair[0]]; !reflect.DeepEqual(got, pair) {
+		t.Fatalf("degenerate bucket: members(%s) = %v, want %v", pair[0], got, pair)
+	}
+	if len(late) != n-1 {
+		t.Fatalf("degenerate bucket: %d partitions, want %d", len(late), n-1)
 	}
 }
 

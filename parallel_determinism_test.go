@@ -60,7 +60,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	if !bytes.Equal(seqJSON.Bytes(), parJSON.Bytes()) {
 		t.Errorf("serialized graphs differ (%d vs %d bytes)", seqJSON.Len(), parJSON.Len())
 	}
-	assertSameEngineDigest(t, par, seq)
+	assertSameState(t, par.Engine, seq.Engine, "GOMAXPROCS 8 vs 1")
 
 	// SimilarClusters membership, per ecosystem, in order.
 	for _, eco := range []ecosys.Ecosystem{ecosys.NPM, ecosys.PyPI, ecosys.RubyGems} {
@@ -83,28 +83,6 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 						eco, i, j, sc[i].Members[j], pc[i].Members[j])
 				}
 			}
-		}
-	}
-}
-
-// assertSameEngineDigest requires par's engine to equal seq's in every
-// digest section, naming the sections that differ.
-func assertSameEngineDigest(t *testing.T, par, seq *Pipeline) {
-	t.Helper()
-	pd, err := par.Engine.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := seq.Engine.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pd) != len(sd) {
-		t.Fatalf("digest has %d sections in parallel, %d sequential", len(pd), len(sd))
-	}
-	for name, sum := range sd {
-		if pd[name] != sum {
-			t.Errorf("digest section %s differs between GOMAXPROCS=1 and 8", name)
 		}
 	}
 }
@@ -146,7 +124,7 @@ func TestParallelIncrementalBuildMatchesSequential(t *testing.T) {
 	if !bytes.Equal(seqJSON.Bytes(), parJSON.Bytes()) {
 		t.Errorf("incremental serialized graphs differ (%d vs %d bytes)", seqJSON.Len(), parJSON.Len())
 	}
-	assertSameEngineDigest(t, par, seq)
+	assertSameState(t, par.Engine, seq.Engine, "GOMAXPROCS 8 vs 1")
 }
 
 // TestParallelAnalyzeMatchesSequential runs the full Analyze stage (the
