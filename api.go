@@ -307,7 +307,7 @@ func (p *Pipeline) SetExternalView(v registry.View) {
 // release-metadata lookup — and ingests the resulting batch together with
 // any externally published reports. Resolution is evaluated at the world's
 // collection instant, so the same observations delivered in any batch
-// partition yield Results bit-identical to a one-shot Build of the merged
+// partition yield Results bit-identical to a one-shot build of the merged
 // corpus. The returned sequence is this batch's own durable sequence
 // number (read under the same lock the append held, so concurrent pushers
 // each get the sequence of their batch, not a later one's). A transport

@@ -6,7 +6,8 @@ package malgraph
 // is deterministic. TestBuildGoldenDigest pins the built state itself: one
 // SHA-256 over every Engine.Digest section, one value after the one-shot
 // drain (one feed batch, the serve cold-start shape) and after the
-// 200-batch feed.
+// 200-batch feed. TestResultsGoldenDigest pins the Results the analyses
+// derive from that state, the same two ways.
 
 import (
 	"context"
@@ -66,4 +67,56 @@ func TestBuildGoldenDigest(t *testing.T) {
 			}
 		}
 	}
+}
+
+// resultsGolden is the SHA-256 of Epoch.ResultsJSON at seed 1, scale 0.05,
+// after the one-shot drain and after the 200-batch feed analysed after
+// every batch. The fed run recomputes only each epoch's dirty blocks and
+// reuses the rest, so a block that reuses a stale value shows here.
+const resultsGolden = "0fd907d3dec949cf42685c582a08dd9d747ec28ca0b2fce8c7d956e222e634bb"
+
+func TestResultsGoldenDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline builds; the fed run analyses 200 epochs")
+	}
+	for _, batches := range []int{1, 200} {
+		for _, procs := range []int{1, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			got, err := resultsDigest(batches)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%d batches, GOMAXPROCS=%d: %v", batches, procs, err)
+			}
+			if got != resultsGolden {
+				t.Errorf("%d batches, GOMAXPROCS=%d: results digest %s, want %s", batches, procs, got, resultsGolden)
+			}
+		}
+	}
+}
+
+// resultsDigest drains a feed of the given batch count, calling Analyze
+// after every batch, and hashes the drained epoch's ResultsJSON.
+func resultsDigest(batches int) (string, error) {
+	p, err := NewStreamingPipeline(context.Background(), Config{Seed: 1, Scale: 0.05}, batches)
+	if err != nil {
+		return "", err
+	}
+	for {
+		_, ok, err := p.AppendNext()
+		if err != nil {
+			return "", err
+		}
+		if !ok {
+			break
+		}
+		if _, err := p.Analyze(); err != nil {
+			return "", err
+		}
+	}
+	raw, err := p.CurrentEpoch().ResultsJSON()
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:]), nil
 }

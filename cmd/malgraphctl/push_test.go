@@ -2,7 +2,7 @@ package main
 
 // Tests for the external ingest path over real HTTP (ISSUE 3): the push
 // client driving a serve instance must land the server on the same Results
-// as draining the simulated feed and as a one-shot Build — the full
+// as draining the simulated feed and as a one-shot build — the full
 // scheduler → loader → engine round-trip, batch-partition independent.
 
 import (
@@ -22,7 +22,7 @@ import (
 )
 
 // TestPushExternalMatchesFeedAndOneShot delivers the same world three ways:
-// one-shot Build, serve-mode feed drain, and `malgraphctl push` POSTing raw
+// one-shot build, serve-mode feed drain, and `malgraphctl push` POSTing raw
 // observations + reports over httptest — and requires bit-equal Results.
 func TestPushExternalMatchesFeedAndOneShot(t *testing.T) {
 	if testing.Short() {

@@ -2,7 +2,7 @@ package malgraph
 
 // Tests for the external ingest path (ISSUE 3): raw observations resolved
 // through Pipeline.AppendExternal, in any batch partition, must yield
-// Results bit-identical to a one-shot Build of the same world — the same
+// Results bit-identical to a one-shot build of the same world — the same
 // determinism contract the feed replay satisfies, now starting from the raw
 // scheduler records an external publisher would POST instead of from
 // pre-resolved entries.

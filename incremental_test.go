@@ -2,7 +2,8 @@ package malgraph
 
 // Tests for the streaming ingest architecture's determinism contract
 // (ISSUE 2): ingesting the corpus in any batch partition must yield a graph
-// whose components and all RQ analyses are identical to a one-shot Build.
+// whose components and all RQ analyses are identical to a one-shot build
+// (the whole corpus ingested as one batch).
 
 import (
 	"bytes"
@@ -92,7 +93,7 @@ func assertSameState(t *testing.T, got, want *core.Engine, label string) {
 // TestIncrementalTenBatchesMatchesOneShot is the acceptance criterion:
 // Scale=0.05, the corpus ingested in 10 time-ordered batches via
 // Engine.Ingest, producing identical Results (all RQ tables) to a one-shot
-// core.Build.
+// build.
 func TestIncrementalTenBatchesMatchesOneShot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline build")
@@ -219,16 +220,13 @@ func incrementalBenchWorld(b *testing.B) (*collect.Result, []*reports.Report) {
 }
 
 // BenchmarkIncremental_FullRebuild is the baseline the streaming engine
-// competes against: a complete core.Build of the corpus, the cost every new
-// observation used to pay.
+// competes against: a complete one-batch build of the corpus, the cost
+// every new observation used to pay.
 func BenchmarkIncremental_FullRebuild(b *testing.B) {
 	ds, reportCorpus := incrementalBenchWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mg, err := core.Build(ds, reportCorpus, core.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		mg := ingestOneShot(b, ds, reportCorpus)
 		b.ReportMetric(float64(mg.G.EdgeCount()), "edges")
 	}
 }

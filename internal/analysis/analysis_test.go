@@ -45,11 +45,12 @@ func buildPipeline(t *testing.T) *pipeline {
 	if len(reportCorpus) == 0 {
 		t.Fatal("crawler found no reports")
 	}
-	mg, err := core.Build(ds, reportCorpus, core.DefaultConfig())
+	eng := core.NewEngine(core.DefaultConfig())
+	_, err = eng.Ingest(core.Batch{Entries: ds.Entries, PerSource: ds.PerSource, Reports: reportCorpus, At: ds.CollectedAt})
 	if err != nil {
 		t.Fatalf("core: %v", err)
 	}
-	built = &pipeline{world: w, dataset: ds, reports: reportCorpus, mg: mg}
+	built = &pipeline{world: w, dataset: ds, reports: reportCorpus, mg: eng.Graph()}
 	return built
 }
 

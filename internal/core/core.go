@@ -18,7 +18,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,26 +81,6 @@ type MalGraph struct {
 type subgraphMemo struct {
 	once  [graph.Coexisting + 1]sync.Once
 	comps [graph.Coexisting + 1][][]string
-}
-
-// Build constructs MALGRAPH from a collected dataset and a report corpus —
-// the one-shot (single-batch) case of the streaming Engine, kept as the
-// convenience entry point for batch pipelines and benchmarks.
-func Build(dataset *collect.Result, reportCorpus []*reports.Report, cfg Config) (*MalGraph, error) {
-	if dataset == nil {
-		return nil, fmt.Errorf("core: nil dataset")
-	}
-	eng := NewEngine(cfg)
-	_, err := eng.Ingest(Batch{
-		Entries:   dataset.Entries,
-		PerSource: dataset.PerSource,
-		Reports:   reportCorpus,
-		At:        dataset.CollectedAt,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core build: %w", err)
-	}
-	return eng.Graph(), nil
 }
 
 // NodeID returns the canonical node ID for a coordinate.

@@ -102,11 +102,7 @@ func miniDataset(t testing.TB) (*collect.Result, []*reports.Report) {
 func build(t *testing.T) *MalGraph {
 	t.Helper()
 	ds, reps := miniDataset(t)
-	mg, err := Build(ds, reps, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mg
+	return reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}).Graph()
 }
 
 func TestBuildNodeCounts(t *testing.T) {
@@ -194,10 +190,7 @@ func TestConnectGroupLargeUsesSparseTopology(t *testing.T) {
 	ds, reps := miniDataset(t)
 	cfg := DefaultConfig()
 	cfg.PairwiseLimit = 2 // force sparse mode for 3-member groups
-	mg, err := Build(ds, reps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mg := reference(t, cfg, Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}).Graph()
 	subs := mg.PackageSubgraphs(graph.Similar, 2)
 	if len(subs) != 2 || len(subs[0]) != 3 {
 		t.Fatalf("sparse topology changed components: %v", subs)
@@ -217,12 +210,6 @@ func TestEntryByNodeID(t *testing.T) {
 	}
 	if _, ok := mg.EntryByNodeID("nope"); ok {
 		t.Fatal("unknown ID resolved")
-	}
-}
-
-func TestBuildNilDataset(t *testing.T) {
-	if _, err := Build(nil, nil, DefaultConfig()); err == nil {
-		t.Fatal("nil dataset must error")
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
-// Engine is the streaming counterpart of Build: a long-lived MALGRAPH
-// instance that ingests (entries, reports) batches as registries and report
-// feeds publish them (§II-B is a continuous collection process; the one-shot
-// Build is the degenerate single-batch case). All four edge families are
+// Engine builds MALGRAPH as a long-lived instance that ingests (entries,
+// reports) batches as registries and report feeds publish them (§II-B is a
+// continuous collection process; a one-shot build is the degenerate
+// single-batch case). All four edge families are
 // maintained incrementally through persistent indexes:
 //
 //   - duplicated: per-entry record cliques, appended as sources accumulate.
@@ -32,13 +32,13 @@ package core
 //
 // Determinism contract: ingesting a corpus in any batch partition yields a
 // graph whose connected components, edge sets and all downstream analyses
-// are identical to a one-shot Build of the merged corpus. (Edge *insertion
+// are identical to a one-shot build of the merged corpus. (Edge *insertion
 // order* — and therefore serialized JSON byte order — may differ between
 // partitions; every analysis consumes components, counts or sorted views.)
 // The contract holds because every stage either derives a monotone edge set
 // (duplicated, dependency) or re-derives the affected family from merged
 // state that is itself partition-independent: items enter clustering sorted
-// by node ID and reports sorted by URL, exactly the order Build sees.
+// by node ID and reports sorted by URL, exactly the order one batch sees.
 
 import (
 	"fmt"
@@ -71,7 +71,7 @@ type Batch struct {
 	// accounting deltas per entry — correct under replay, under batches
 	// that extend already-known coordinates (the external ingest path),
 	// and under any feed/external mix. When nil (hand-assembled batches,
-	// one-shot Build), the PerSource aggregate is added verbatim whenever
+	// one-shot build), the PerSource aggregate is added verbatim whenever
 	// the batch changed the dataset.
 	Stats   map[string]collect.EntryStat
 	Reports []*reports.Report
@@ -161,7 +161,7 @@ type ecoShard struct {
 	importsOf map[string][]string
 
 	// items caches the §III-B per-artifact products, sorted by node ID (the
-	// order a one-shot Build clusters in).
+	// order a one-shot build clusters in).
 	items []textsim.Item
 	// flat caches the shard's flattened cluster list between ingests so a
 	// dirty batch re-copies only the suffix from the first changed partition
@@ -177,42 +177,6 @@ type ecoShard struct {
 	// canonical key; flattening the map in key order yields the ecosystem's
 	// cluster list exactly as a one-shot build derives it.
 	clustersByPart map[string][]textsim.Cluster
-
-	// Segmented-checkpoint dirty state, populated only while the engine has
-	// a content store attached (Engine.track non-nil). Each shard is owned
-	// by one goroutine during the parallel plan phase, so these need no
-	// locking beyond the engine mutex the commit phase already holds.
-	newItems     []textsim.Item
-	dirtyImports map[string]bool
-	dirtyParts   map[string]bool
-	delParts     map[string]bool
-}
-
-// markImportDirty records that front's import scan changed since the last
-// checkpoint. Only called while tracking is enabled.
-func (sh *ecoShard) markImportDirty(front string) {
-	if sh.dirtyImports == nil {
-		sh.dirtyImports = make(map[string]bool)
-	}
-	sh.dirtyImports[front] = true
-}
-
-// markPartSet records a partition cache write; a later delete supersedes it.
-func (sh *ecoShard) markPartSet(key string) {
-	if sh.dirtyParts == nil {
-		sh.dirtyParts = make(map[string]bool)
-	}
-	sh.dirtyParts[key] = true
-	delete(sh.delParts, key)
-}
-
-// markPartDel records a partition cache delete; a later write supersedes it.
-func (sh *ecoShard) markPartDel(key string) {
-	if sh.delParts == nil {
-		sh.delParts = make(map[string]bool)
-	}
-	sh.delParts[key] = true
-	delete(sh.dirtyParts, key)
 }
 
 func newEcoShard() *ecoShard {
@@ -274,13 +238,11 @@ type Engine struct {
 	// plus delta chunks into the attached content store — O(changes since
 	// the last checkpoint); without a store the engine cannot checkpoint.
 	store *castore.Store // guarded by mu
-	// track records the dirty keys of every delta-logged section since the
-	// last checkpoint; non-nil exactly when store is. guarded by mu.
-	track *tracker
-	// logs holds each section's durable chunk references (the manifest's
-	// pointer lists) plus the accounting the re-base policy reads.
-	// guarded by mu.
-	logs map[string]*sectionLog
+	// sections holds, indexed by sectionID, each delta-logged section's
+	// chunk log (the manifest's pointer lists plus the accounting the
+	// re-base policy reads) and the keys it changed since the last
+	// checkpoint; non-nil exactly when store is. guarded by mu.
+	sections []section
 	// artifactRefs caches, per coordinate key, the durable blob holding the
 	// entry's artifact — populated only after the blob's segment is fsynced,
 	// so a cached ref always resolves. guarded by mu.
@@ -321,7 +283,7 @@ func (e *Engine) FeedPos() int {
 }
 
 // NewEngine creates an empty engine. Zero-valued config falls back to the
-// paper's parameters, as Build does.
+// paper's parameters.
 func NewEngine(cfg Config) *Engine {
 	if cfg.PairwiseLimit <= 0 {
 		cfg = DefaultConfig()
@@ -486,8 +448,8 @@ func (e *Engine) mergeEntries(entries []*collect.Entry, st *IngestStats) []entry
 		if ch.newArtifact {
 			st.NewArtifacts++
 		}
-		if e.track != nil {
-			e.track.entries[merged.Coord.Key()] = true
+		if e.sections != nil {
+			e.sections[secDataset].dirty.set(merged.Coord.Key())
 		}
 		changes = append(changes, ch)
 	}
@@ -622,6 +584,13 @@ type shardPlan struct {
 	partitions   int
 	artifacts    int
 	dirtyItems   int
+
+	// The shard cache keys the plan wrote, which the commit marks for the
+	// next checkpoint: scanned fronts (imports), new item IDs and the
+	// partition keys set or deleted.
+	fronts []string
+	items  []string
+	parts  dirtyKeys
 }
 
 // applyShardsLocked inserts the batch's nodes (applyNodes) beside the
@@ -670,6 +639,13 @@ func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error
 			return nil
 		},
 	)
+	// Every plan changed its shard's caches, failed or not, so all of them
+	// are marked before an error returns.
+	if e.sections != nil {
+		for _, plan := range plans {
+			e.markPlanLocked(plan)
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -709,13 +685,29 @@ func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error
 	return nil
 }
 
+// markPlanLocked records the shard cache keys plan wrote in the items,
+// imports and partitions sections. Items and partitions are keyed per
+// ecosystem; import fronts are node IDs, which embed theirs.
+func (e *Engine) markPlanLocked(plan *shardPlan) {
+	eco := plan.eco.String()
+	for _, id := range plan.items {
+		e.sections[secItems].dirty.set(ecoKey(eco, id))
+	}
+	for _, front := range plan.fronts {
+		e.sections[secImports].dirty.set(front)
+	}
+	for key, set := range plan.parts {
+		e.sections[secPartitions].dirty[ecoKey(eco, key)] = set
+	}
+}
+
 // planShard runs one ecosystem's shard phase: grow the corpus dictionary,
 // scan and link dependencies (§III-C), embed and re-cluster the dirty LSH
 // partitions (§III-B) — mutating only the shard's own indexes and returning
 // the graph operations for the serial commit.
 func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *shardPlan {
 	sh := e.shardLocked(eco)
-	plan := &shardPlan{eco: eco}
+	plan := &shardPlan{eco: eco, parts: make(dirtyKeys)}
 
 	// Dependency 1: grow the corpus dictionary with every new entry
 	// (missing packages are legitimate dependency targets — names survive
@@ -746,9 +738,7 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		}
 		front := NodeID(ch.entry.Coord)
 		sh.importsOf[front] = scans[i].deps
-		if e.track != nil {
-			sh.markImportDirty(front)
-		}
+		plan.fronts = append(plan.fronts, front)
 		for _, dep := range scans[i].deps {
 			sh.importers[dep] = append(sh.importers[dep], front)
 			for _, target := range sh.byName[dep] {
@@ -775,7 +765,7 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 	}
 
 	// Similar: embed the new artifacts with the identical per-artifact
-	// pipeline to a one-shot Build — one HashSource pass per artifact, its
+	// pipeline to a one-shot build — one HashSource pass per artifact, its
 	// stream shared between embedding and fingerprint, buffers recycled per
 	// worker.
 	type scratch struct {
@@ -812,9 +802,7 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		sh.lsh.Add(it.ID, it.Hash, it.Vector)
 		dirty = append(dirty, it.ID)
 	}
-	if e.track != nil {
-		sh.newItems = append(sh.newItems, items...)
-	}
+	plan.items = dirty
 	if len(dirty) == 0 {
 		return plan
 	}
@@ -825,9 +813,7 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 	for _, retiredKey := range sh.lsh.DrainRetired() {
 		delete(sh.clustersByPart, retiredKey)
 		sh.flat.invalidate(retiredKey)
-		if e.track != nil {
-			sh.markPartDel(retiredKey)
-		}
+		plan.parts.del(retiredKey)
 	}
 	type partJob struct {
 		key   string
@@ -861,7 +847,7 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 	}
 	// Re-cluster dirty partitions concurrently. Each partition's items are
 	// sorted by node ID and its RNG stream is derived from its canonical key
-	// — both content-derived, so any batch order (and a one-shot Build)
+	// — both content-derived, so any batch order (and a one-shot build)
 	// computes identical clusters per partition.
 	clustersByJob := parallel.Map(len(jobs), func(i int) []textsim.Cluster {
 		sc, _ := e.clusterScratch.Get().(*textsim.Scratch)
@@ -878,14 +864,10 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		sh.flat.invalidate(job.key)
 		if len(clusters) == 0 {
 			delete(sh.clustersByPart, job.key)
-			if e.track != nil {
-				sh.markPartDel(job.key)
-			}
+			plan.parts.del(job.key)
 		} else {
 			sh.clustersByPart[job.key] = clusters
-			if e.track != nil {
-				sh.markPartSet(job.key)
-			}
+			plan.parts.set(job.key)
 		}
 		for ci, cluster := range clusters {
 			plan.groups = append(plan.groups, plannedGroup{
@@ -1041,8 +1023,8 @@ func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []e
 		}
 		e.reportByURL[rep.URL] = rep
 		fresh[rep.URL] = true
-		if e.track != nil {
-			e.track.reports[rep.URL] = true
+		if e.sections != nil {
+			e.sections[secReports].dirty.set(rep.URL)
 		}
 		for _, coord := range rep.Packages {
 			e.addPostingLocked(coord.Key(), rep.URL)
@@ -1100,8 +1082,8 @@ func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []e
 			for _, nb := range e.mg.G.Neighbors(id, graph.Coexisting) {
 				pk := coexPairKey(id, nb)
 				delete(e.coexOwner, pk)
-				if e.track != nil {
-					e.track.pairDel(pk)
+				if e.sections != nil {
+					e.sections[secPairOwners].dirty.del(pk)
 				}
 			}
 		}
@@ -1149,8 +1131,8 @@ func (e *Engine) joinReportLocked(rep *reports.Report, members []string, st *Ing
 			st.CoexistingEdgesReplaced++
 		}
 		e.coexOwner[pk] = rep.URL
-		if e.track != nil {
-			e.track.pairSet(pk)
+		if e.sections != nil {
+			e.sections[secPairOwners].dirty.set(pk)
 		}
 		return e.mg.G.AddEdge(a, b, graph.Coexisting, attrs)
 	})

@@ -164,7 +164,7 @@ func TestEngineIngestStats(t *testing.T) {
 
 // TestEngineSnapshotRestore checkpoints mid-stream, restores, finishes
 // ingesting, and requires the result to match both the uninterrupted engine
-// and the one-shot Build.
+// and the one-shot build.
 func TestEngineSnapshotRestore(t *testing.T) {
 	ds, reps := miniDataset(t)
 	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, PerSource: ds.BatchOf(ds.Entries).PerSource, Reports: reps, At: ds.CollectedAt})

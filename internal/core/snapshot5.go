@@ -7,10 +7,16 @@ package core
 // castore.Store. Each persisted section — dataset entries, graph, clustering
 // items, import caches, partition caches, reports, pair ownership — is a
 // log of chunks: a chunk either re-bases the section (full re-encode) or
-// applies a delta of key sets/deletes recorded by the engine's dirty
-// tracking. The manifest holds only the ordered chunk references plus the
-// genuinely small inline state (config, posting lists, sequence stamps), so
-// checkpoint cost is O(changes since the last checkpoint), not O(corpus).
+// applies a delta of the key sets/deletes the engine marked since the last
+// checkpoint (track.go). The manifest holds only the ordered chunk
+// references plus the genuinely small inline state (config, posting lists,
+// sequence stamps), so checkpoint cost is O(changes since the last
+// checkpoint), not O(corpus).
+//
+// Snapshot is one loop over the sections. The six keyed ones go through one
+// path, driven by kvSectionsLocked's table of live keys and value encoders;
+// the dataset's encoder also queues each new artifact blob. The graph's
+// chunk is its operation journal or a re-base.
 //
 // Chunks, item values and artifact blobs are binary (chunkcodec.go), so a
 // restore decodes them by slicing; entry records, reports, imports,
@@ -35,7 +41,6 @@ import (
 
 	"malgraph/internal/castore"
 	"malgraph/internal/collect"
-	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
 	"malgraph/internal/parallel"
 	"malgraph/internal/reports"
@@ -92,10 +97,241 @@ func splitEcoKey(key string) (eco, inner string, ok bool) {
 // manifest encodes, so a failed checkpoint leaves the dirty state intact
 // for the next attempt.
 type pendingChunk struct {
-	section string
+	section sectionID
 	key     string // "" for an empty re-base (clears the section's refs)
 	keys    int
 	rebase  bool
+}
+
+// checkpoint accumulates one Snapshot's output before anything is durable:
+// the segment's blobs in write order, the chunk each section gains, and the
+// artifact blobs the dataset's entry records newly reference.
+type checkpoint struct {
+	blobs      []castore.Blob
+	chunks     []pendingChunk
+	newArtRefs map[string]artifactRef
+}
+
+// addChunk queues data as section id's next chunk, holding keys records.
+func (cp *checkpoint) addChunk(id sectionID, data []byte, keys int, rebase bool) {
+	key := castore.KeyOf(data)
+	cp.blobs = append(cp.blobs, castore.Blob{Key: key, Data: data})
+	cp.chunks = append(cp.chunks, pendingChunk{id, key, keys, rebase})
+}
+
+// kvSection is how Snapshot reads one keyed section of the live state:
+// how many keys are live (the re-base policy's yardstick), every live key
+// in key order (what a re-base writes) and the encoded value of one live
+// key.
+type kvSection struct {
+	size  int
+	keys  func() []string
+	value func(key string) ([]byte, error)
+}
+
+// kvSectionsLocked returns the table of keyed sections, indexed by
+// sectionID; the graph's entry is zero, its chunk comes from the graph's
+// journal. The dataset's value encoder is the one with a side effect: it
+// queues an entry's artifact as a standalone blob into cp, ahead of the
+// chunk that references it, unless the blob is already durable.
+func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
+	var t [numSections]kvSection
+	shardOf := make(map[string]*ecoShard, len(e.shards))
+	for eco, sh := range e.shards {
+		shardOf[eco.String()] = sh
+		t[secItems].size += len(sh.items)
+		t[secImports].size += len(sh.importsOf)
+		t[secPartitions].size += len(sh.clustersByPart)
+	}
+	// shardKey resolves an ecoKey to its shard (nil if none) and inner key.
+	shardKey := func(key string) (*ecoShard, string) {
+		eco, inner, _ := splitEcoKey(key)
+		return shardOf[eco], inner
+	}
+	ds := e.mg.Dataset
+	t[secDataset] = kvSection{
+		size: len(ds.Entries),
+		keys: func() []string {
+			keys := make([]string, len(ds.Entries))
+			for i, en := range ds.Entries {
+				keys[i] = en.Coord.Key()
+			}
+			return keys
+		},
+		value: func(key string) ([]byte, error) {
+			en, ok := ds.EntryByKey(key)
+			if !ok {
+				return nil, errNotLive
+			}
+			blobRef := ""
+			if en.Artifact != nil {
+				if ref, ok := e.artifactRefs[key]; ok && ref.art == en.Artifact {
+					blobRef = ref.key
+				} else {
+					raw := encodeArtifact(en.Artifact)
+					blobRef = castore.KeyOf(raw)
+					cp.blobs = append(cp.blobs, castore.Blob{Key: blobRef, Data: raw})
+					cp.newArtRefs[key] = artifactRef{art: en.Artifact, key: blobRef}
+				}
+			}
+			return ds.EncodeEntry(en, blobRef)
+		},
+	}
+	t[secItems].keys = func() []string {
+		var keys []string
+		for eco, sh := range e.shards {
+			for _, it := range sh.items {
+				keys = append(keys, ecoKey(eco.String(), it.ID))
+			}
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	t[secItems].value = func(key string) ([]byte, error) {
+		if sh, id := shardKey(key); sh != nil {
+			if it, ok := sh.itemAt(id); ok {
+				return encodeItem(it), nil
+			}
+		}
+		return nil, errNotLive
+	}
+	t[secImports].keys = func() []string {
+		var keys []string
+		for _, sh := range e.shards {
+			for front := range sh.importsOf {
+				keys = append(keys, front)
+			}
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	// Import fronts are node IDs; the dataset resolves their ecosystem.
+	t[secImports].value = func(front string) ([]byte, error) {
+		if en, ok := e.mg.EntryByNodeID(front); ok {
+			if sh := e.shards[en.Coord.Ecosystem]; sh != nil {
+				if deps, ok := sh.importsOf[front]; ok {
+					return json.Marshal(deps)
+				}
+			}
+		}
+		return nil, errNotLive
+	}
+	t[secPartitions].keys = func() []string {
+		var keys []string
+		for eco, sh := range e.shards {
+			for key := range sh.clustersByPart {
+				keys = append(keys, ecoKey(eco.String(), key))
+			}
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	t[secPartitions].value = func(key string) ([]byte, error) {
+		if sh, inner := shardKey(key); sh != nil {
+			if cs, ok := sh.clustersByPart[inner]; ok {
+				return json.Marshal(cs)
+			}
+		}
+		return nil, errNotLive
+	}
+	t[secReports] = kvSection{
+		size: len(e.mg.Reports),
+		keys: func() []string {
+			keys := make([]string, len(e.mg.Reports))
+			for i, rep := range e.mg.Reports {
+				keys[i] = rep.URL
+			}
+			return keys
+		},
+		value: func(url string) ([]byte, error) {
+			if rep := e.reportByURL[url]; rep != nil {
+				return json.Marshal(rep)
+			}
+			return nil, errNotLive
+		},
+	}
+	t[secPairOwners] = kvSection{
+		size: len(e.coexOwner),
+		keys: func() []string {
+			keys := make([]string, 0, len(e.coexOwner))
+			for pk := range e.coexOwner {
+				keys = append(keys, pk)
+			}
+			sort.Strings(keys)
+			return keys
+		},
+		value: func(pk string) ([]byte, error) {
+			if url, ok := e.coexOwner[pk]; ok {
+				return json.Marshal(url)
+			}
+			return nil, errNotLive
+		},
+	}
+	return t
+}
+
+// errNotLive reports a dirty key that names no live state: the engine's
+// marks and its state disagree.
+var errNotLive = errors.New("dirty key not in the live state")
+
+// addKVChunk queues section id's chunk: every live key on a re-base, else
+// the keys marked since the last checkpoint — sets with their live values,
+// deletes by key — in key order, so the dataset's artifact blobs queue in
+// key order too.
+func (cp *checkpoint) addKVChunk(id sectionID, sec *section, kv kvSection) error {
+	rebase := sec.log.rebaseDue(kv.size)
+	var keys []string
+	if rebase {
+		keys = kv.keys()
+	} else {
+		keys = make([]string, 0, len(sec.dirty))
+		for key := range sec.dirty {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+	}
+	set := make(map[string][]byte, len(keys))
+	var del []string
+	for _, key := range keys {
+		if !rebase && !sec.dirty[key] {
+			del = append(del, key)
+			continue
+		}
+		raw, err := kv.value(key)
+		if err != nil {
+			return fmt.Errorf("snapshot %s %s: %w", sectionNames[id], key, err)
+		}
+		set[key] = raw
+	}
+	if len(set) == 0 && len(del) == 0 {
+		if rebase {
+			// The section re-based to empty: the manifest must drop the
+			// old refs even though there is no chunk to write.
+			cp.chunks = append(cp.chunks, pendingChunk{section: id, rebase: true})
+		}
+		return nil
+	}
+	cp.addChunk(id, encodeKVChunk(kvChunk{Set: set, Del: del}), len(set)+len(del), rebase)
+	return nil
+}
+
+// addGraphChunk queues the graph's chunk: the journaled operations ops, or
+// a full re-base when the log grew past the live node+edge count.
+func (cp *checkpoint) addGraphChunk(sec *section, g *graph.Graph, ops []graph.Op) error {
+	live := g.NodeCount() + g.EdgeCount()
+	rebase := sec.log.rebaseDue(live)
+	gc, keys := graphChunk{Ops: ops}, len(ops)
+	if rebase {
+		gc, keys = graphChunk{Reset: g.Persist()}, live
+	} else if len(ops) == 0 {
+		return nil
+	}
+	data, err := encodeGraphChunk(gc)
+	if err != nil {
+		return fmt.Errorf("snapshot graph chunk: %w", err)
+	}
+	cp.addChunk(secGraph, data, keys, rebase)
+	return nil
 }
 
 // Snapshot writes a v5 checkpoint, the only format an engine writes: delta
@@ -108,243 +344,24 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	if e.store == nil {
 		return errors.New("snapshot: no content store attached (AttachStore)")
 	}
-	var blobs []castore.Blob
-	var chunks []pendingChunk
-	newArtRefs := make(map[string]artifactRef)
-
-	addKV := func(section string, set map[string][]byte, del []string, rebase bool) error {
-		if len(set) == 0 && len(del) == 0 {
-			if rebase {
-				// The section re-based to empty: the manifest must drop the
-				// old refs even though there is no chunk to write.
-				chunks = append(chunks, pendingChunk{section: section, rebase: true})
-			}
-			return nil
-		}
-		data := encodeKVChunk(kvChunk{Set: set, Del: del})
-		key := castore.KeyOf(data)
-		blobs = append(blobs, castore.Blob{Key: key, Data: data})
-		chunks = append(chunks, pendingChunk{section, key, len(set) + len(del), rebase})
-		return nil
-	}
-
-	// Dataset: dirty coordinate keys re-encode their entries; artifacts go
-	// to the store as standalone blobs referenced from the entry records.
-	ds := e.mg.Dataset
-	dsRebase := e.logs[sectionDataset].rebaseDue(len(ds.Entries))
-	var dsKeys []string
-	if dsRebase {
-		dsKeys = make([]string, 0, len(ds.Entries))
-		for _, en := range ds.Entries {
-			dsKeys = append(dsKeys, en.Coord.Key())
-		}
-	} else {
-		dsKeys = sortedKeySet(e.track.entries)
-	}
-	dsSet := make(map[string][]byte, len(dsKeys))
-	for _, key := range dsKeys {
-		en, ok := ds.EntryByKey(key)
-		if !ok {
-			return fmt.Errorf("snapshot: dirty entry %s not in dataset", key)
-		}
-		blobRef := ""
-		if en.Artifact != nil {
-			if ref, ok := e.artifactRefs[key]; ok && ref.art == en.Artifact {
-				blobRef = ref.key
-			} else {
-				raw := encodeArtifact(en.Artifact)
-				blobRef = castore.KeyOf(raw)
-				blobs = append(blobs, castore.Blob{Key: blobRef, Data: raw})
-				newArtRefs[key] = artifactRef{art: en.Artifact, key: blobRef}
-			}
-		}
-		rec, err := ds.EncodeEntry(en, blobRef)
-		if err != nil {
-			return fmt.Errorf("snapshot entry %s: %w", key, err)
-		}
-		dsSet[key] = rec
-	}
-	if err := addKV(sectionDataset, dsSet, nil, dsRebase); err != nil {
-		return err
-	}
-
-	// Graph: journaled operations, or a full re-base when the log grew past
-	// the live node+edge count.
+	cp := &checkpoint{newArtRefs: make(map[string]artifactRef)}
+	kv := e.kvSectionsLocked(cp)
 	ops := e.mg.G.JournalOps()
-	journalDrop := len(ops)
-	liveGraph := e.mg.G.NodeCount() + e.mg.G.EdgeCount()
-	if e.logs[sectionGraph].rebaseDue(liveGraph) {
-		data, err := encodeGraphChunk(graphChunk{Reset: e.mg.G.Persist()})
-		if err != nil {
-			return fmt.Errorf("snapshot graph chunk: %w", err)
-		}
-		key := castore.KeyOf(data)
-		blobs = append(blobs, castore.Blob{Key: key, Data: data})
-		chunks = append(chunks, pendingChunk{sectionGraph, key, liveGraph, true})
-	} else if len(ops) > 0 {
-		data, err := encodeGraphChunk(graphChunk{Ops: ops})
-		if err != nil {
-			return fmt.Errorf("snapshot graph chunk: %w", err)
-		}
-		key := castore.KeyOf(data)
-		blobs = append(blobs, castore.Blob{Key: key, Data: data})
-		chunks = append(chunks, pendingChunk{sectionGraph, key, len(ops), false})
-	}
-
-	// Per-shard sections. Shards iterate in sorted-ecosystem order so chunk
-	// bytes are deterministic for a given state.
-	ecos := make([]ecosys.Ecosystem, 0, len(e.shards))
-	for eco := range e.shards {
-		ecos = append(ecos, eco)
-	}
-	sort.Slice(ecos, func(i, j int) bool { return ecos[i] < ecos[j] })
-
-	totalItems, totalImports, totalParts := 0, 0, 0
-	for _, sh := range e.shards {
-		totalItems += len(sh.items)
-		totalImports += len(sh.importsOf)
-		totalParts += len(sh.clustersByPart)
-	}
-
-	itRebase := e.logs[sectionItems].rebaseDue(totalItems)
-	itSet := make(map[string][]byte)
-	impRebase := e.logs[sectionImports].rebaseDue(totalImports)
-	impSet := make(map[string][]byte)
-	partRebase := e.logs[sectionPartitions].rebaseDue(totalParts)
-	partSet := make(map[string][]byte)
-	var partDel []string
-	for _, eco := range ecos {
-		sh := e.shards[eco]
-		name := eco.String()
-		items := sh.newItems
-		if itRebase {
-			items = sh.items
-		}
-		for _, it := range items {
-			itSet[ecoKey(name, it.ID)] = encodeItem(it)
-		}
-		var fronts []string
-		if impRebase {
-			fronts = make([]string, 0, len(sh.importsOf))
-			for front := range sh.importsOf {
-				fronts = append(fronts, front)
-			}
+	for id := range e.sections {
+		var err error
+		if sectionID(id) == secGraph {
+			err = cp.addGraphChunk(&e.sections[id], e.mg.G, ops)
 		} else {
-			fronts = make([]string, 0, len(sh.dirtyImports))
-			for front := range sh.dirtyImports {
-				fronts = append(fronts, front)
-			}
+			err = cp.addKVChunk(sectionID(id), &e.sections[id], kv[id])
 		}
-		sort.Strings(fronts)
-		for _, front := range fronts {
-			raw, err := json.Marshal(sh.importsOf[front])
-			if err != nil {
-				return fmt.Errorf("snapshot imports %s: %w", front, err)
-			}
-			impSet[front] = raw
-		}
-		var partKeys []string
-		if partRebase {
-			partKeys = make([]string, 0, len(sh.clustersByPart))
-			for key := range sh.clustersByPart {
-				partKeys = append(partKeys, key)
-			}
-		} else {
-			partKeys = make([]string, 0, len(sh.dirtyParts))
-			for key := range sh.dirtyParts {
-				partKeys = append(partKeys, key)
-			}
-			for key := range sh.delParts {
-				partDel = append(partDel, ecoKey(name, key))
-			}
-		}
-		sort.Strings(partKeys)
-		for _, key := range partKeys {
-			raw, err := json.Marshal(sh.clustersByPart[key])
-			if err != nil {
-				return fmt.Errorf("snapshot partition %s: %w", key, err)
-			}
-			partSet[ecoKey(name, key)] = raw
-		}
-	}
-	if err := addKV(sectionItems, itSet, nil, itRebase); err != nil {
-		return err
-	}
-	if err := addKV(sectionImports, impSet, nil, impRebase); err != nil {
-		return err
-	}
-	if partRebase {
-		partDel = nil
-	}
-	sort.Strings(partDel)
-	if err := addKV(sectionPartitions, partSet, partDel, partRebase); err != nil {
-		return err
-	}
-
-	// Reports: add-only by URL (the corpus keeps the first crawl).
-	repRebase := e.logs[sectionReports].rebaseDue(len(e.mg.Reports))
-	var repURLs []string
-	if repRebase {
-		repURLs = make([]string, 0, len(e.mg.Reports))
-		for _, rep := range e.mg.Reports {
-			repURLs = append(repURLs, rep.URL)
-		}
-	} else {
-		repURLs = sortedKeySet(e.track.reports)
-	}
-	repSet := make(map[string][]byte, len(repURLs))
-	for _, url := range repURLs {
-		rep := e.reportByURL[url]
-		if rep == nil {
-			return fmt.Errorf("snapshot: dirty report %s not in corpus", url)
-		}
-		raw, err := json.Marshal(rep)
 		if err != nil {
-			return fmt.Errorf("snapshot report %s: %w", url, err)
+			return err
 		}
-		repSet[url] = raw
-	}
-	if err := addKV(sectionReports, repSet, nil, repRebase); err != nil {
-		return err
-	}
-
-	// Pair ownership: per-key sets and deletes, or a full re-base once the
-	// chain outgrows the map.
-	poRebase := e.logs[sectionPairOwners].rebaseDue(len(e.coexOwner))
-	poSet := make(map[string][]byte)
-	var poDel []string
-	if poRebase {
-		for pk, url := range e.coexOwner {
-			raw, err := json.Marshal(url)
-			if err != nil {
-				return fmt.Errorf("snapshot pair owner %s: %w", pk, err)
-			}
-			poSet[pk] = raw
-		}
-	} else {
-		for pk := range e.track.pairs {
-			url, ok := e.coexOwner[pk]
-			if !ok {
-				return fmt.Errorf("snapshot: dirty pair %s not in ownership map", pk)
-			}
-			raw, err := json.Marshal(url)
-			if err != nil {
-				return fmt.Errorf("snapshot pair owner %s: %w", pk, err)
-			}
-			poSet[pk] = raw
-		}
-		for pk := range e.track.delPairs {
-			poDel = append(poDel, pk)
-		}
-	}
-	sort.Strings(poDel)
-	if err := addKV(sectionPairOwners, poSet, poDel, poRebase); err != nil {
-		return err
 	}
 
 	// Make the chunks and blobs durable before a single manifest byte:
 	// Append fsyncs the segment (and the directory) before returning.
-	if _, err := e.store.Append(blobs); err != nil {
+	if _, err := e.store.Append(cp.blobs); err != nil {
 		return fmt.Errorf("snapshot: append segment: %w", err)
 	}
 
@@ -352,37 +369,38 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	man := manifestSnapshot{
 		Version:    snapshotVersionSegmented,
 		Config:     e.cfg,
-		Header:     ds.EncodeHeader(),
+		Header:     e.mg.Dataset.EncodeHeader(),
 		Posting:    e.posting,
 		AppliedSeq: e.appliedSeq,
 		FeedPos:    e.feedPos,
-		Sections:   make(map[string][]string, len(sectionNames)),
+		Sections:   make(map[string][]string, numSections),
 	}
-	for _, name := range sectionNames {
-		man.Sections[name] = e.logs[name].refs
+	for id, name := range sectionNames {
+		man.Sections[name] = e.sections[id].log.refs
 	}
-	for _, pc := range chunks {
+	for _, pc := range cp.chunks {
+		name := sectionNames[pc.section]
 		if pc.rebase {
 			if pc.key == "" {
-				man.Sections[pc.section] = []string{}
+				man.Sections[name] = []string{}
 			} else {
-				man.Sections[pc.section] = []string{pc.key}
+				man.Sections[name] = []string{pc.key}
 			}
 			continue
 		}
-		cur := man.Sections[pc.section]
-		man.Sections[pc.section] = append(cur[:len(cur):len(cur)], pc.key)
+		cur := man.Sections[name]
+		man.Sections[name] = append(cur[:len(cur):len(cur)], pc.key)
 	}
 	if err := json.NewEncoder(w).Encode(&man); err != nil {
 		return fmt.Errorf("snapshot: manifest: %w", err)
 	}
 
 	// Commit: the segment is durable and the manifest encoded, so the logs
-	// advance and the dirty state resets. (If the caller's rename fails the
+	// advance and the dirty keys reset. (If the caller's rename fails the
 	// previous manifest stays published; its refs are a subset of ours plus
 	// chunks the next checkpoint will still reference — nothing is lost.)
-	for _, pc := range chunks {
-		lg := e.logs[pc.section]
+	for _, pc := range cp.chunks {
+		lg := &e.sections[pc.section].log
 		if pc.rebase {
 			lg.refs = nil
 			if pc.key != "" {
@@ -395,28 +413,14 @@ func (e *Engine) Snapshot(w io.Writer) error {
 			lg.logged += pc.keys
 		}
 	}
-	e.mg.G.DropJournalPrefix(journalDrop)
-	e.track.reset()
-	for _, sh := range e.shards {
-		sh.newItems = nil
-		sh.dirtyImports = nil
-		sh.dirtyParts = nil
-		sh.delParts = nil
+	e.mg.G.DropJournalPrefix(len(ops))
+	for id := range e.sections {
+		e.sections[id].dirty = make(dirtyKeys)
 	}
-	for k, ref := range newArtRefs {
+	for k, ref := range cp.newArtRefs {
 		e.artifactRefs[k] = ref
 	}
 	return nil
-}
-
-// sortedKeySet returns the map's keys sorted.
-func sortedKeySet(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // sortedRawKeys returns a replayed chunk-state's keys sorted, so restore
@@ -472,32 +476,32 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	// first error in argument order, so a damaged manifest fails in the
 	// same section under any GOMAXPROCS.
 	var (
-		g                               *graph.Graph
-		ds                              *collect.Result
-		decoded                         []collect.DecodedEntry
-		reps                            []*reports.Report
-		items                           map[string][]textsim.Item
-		imports                         map[string][]string
-		partitions                      map[string]map[string][]textsim.Cluster
-		pairOwners                      map[string]string
-		gLogged, dsLogged, repLogged    int
-		itLogged, impLogged, partLogged int
-		poLogged                        int
+		g          *graph.Graph
+		ds         *collect.Result
+		decoded    []collect.DecodedEntry
+		reps       []*reports.Report
+		items      map[string][]textsim.Item
+		imports    map[string][]string
+		partitions map[string]map[string][]textsim.Cluster
+		pairOwners map[string]string
+		logged     [numSections]int
 	)
-	replay := func(section string) (map[string][]byte, int, error) {
-		return replayKV(section, man.Sections[section], chunkData)
+	// replay folds section id's chunk log and records its logged count.
+	replay := func(id sectionID) (map[string][]byte, error) {
+		state, n, err := replayKV(sectionNames[id], man.Sections[sectionNames[id]], chunkData)
+		logged[id] = n
+		return state, err
 	}
 	err = parallel.Do(
 		func() (err error) {
-			g, gLogged, err = restoreGraphChain(man.Sections[sectionGraph], chunkData)
+			g, logged[secGraph], err = restoreGraphChain(man.Sections[sectionGraph], chunkData)
 			return err
 		},
 		func() error {
-			entState, n, err := replay(sectionDataset)
+			entState, err := replay(secDataset)
 			if err != nil {
 				return err
 			}
-			dsLogged = n
 			decoded, err = restoreEntries(entState, sess)
 			if err != nil {
 				return err
@@ -509,11 +513,10 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 			return nil
 		},
 		func() error {
-			repState, n, err := replay(sectionReports)
+			repState, err := replay(secReports)
 			if err != nil {
 				return err
 			}
-			repLogged = n
 			reps = make([]*reports.Report, 0, len(repState))
 			for _, raw := range repState {
 				var rep reports.Report
@@ -526,20 +529,18 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 			return nil
 		},
 		func() error {
-			itState, n, err := replay(sectionItems)
+			itState, err := replay(secItems)
 			if err != nil {
 				return err
 			}
-			itLogged = n
 			items, err = restoreItems(itState)
 			return err
 		},
 		func() error {
-			impState, n, err := replay(sectionImports)
+			impState, err := replay(secImports)
 			if err != nil {
 				return err
 			}
-			impLogged = n
 			imports = make(map[string][]string, len(impState))
 			for front, raw := range impState {
 				var deps []string
@@ -549,11 +550,10 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 				imports[front] = deps
 			}
 
-			partState, n, err := replay(sectionPartitions)
+			partState, err := replay(secPartitions)
 			if err != nil {
 				return err
 			}
-			partLogged = n
 			partitions = make(map[string]map[string][]textsim.Cluster)
 			for _, k := range sortedRawKeys(partState) {
 				eco, inner, ok := splitEcoKey(k)
@@ -570,11 +570,10 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 				partitions[eco][inner] = cs
 			}
 
-			poState, n, err := replay(sectionPairOwners)
+			poState, err := replay(secPairOwners)
 			if err != nil {
 				return err
 			}
-			poLogged = n
 			pairOwners = make(map[string]string, len(poState))
 			for pk, raw := range poState {
 				var url string
@@ -589,16 +588,6 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	logged := map[string]int{
-		sectionGraph:      gLogged,
-		sectionDataset:    dsLogged,
-		sectionReports:    repLogged,
-		sectionItems:      itLogged,
-		sectionImports:    impLogged,
-		sectionPartitions: partLogged,
-		sectionPairOwners: poLogged,
-	}
-
 	e, err := restoreFromParts(ds, g, &restoreParts{
 		Config:     man.Config,
 		Reports:    reps,
@@ -618,11 +607,11 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	// the restored engine keeps appending deltas to the same chunk chains.
 	e.mu.Lock()
 	e.attachStoreLocked(st)
-	for _, name := range sectionNames {
-		lg := e.logs[name]
-		lg.refs = append([]string(nil), man.Sections[name]...)
-		lg.logged = logged[name]
-		lg.rebase = false
+	for id, name := range sectionNames {
+		e.sections[id].log = sectionLog{
+			refs:   append([]string(nil), man.Sections[name]...),
+			logged: logged[id],
+		}
 	}
 	for _, de := range decoded {
 		if de.BlobRef != "" {

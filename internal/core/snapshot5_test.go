@@ -10,9 +10,13 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -21,7 +25,9 @@ import (
 
 	"malgraph/internal/castore"
 	"malgraph/internal/collect"
+	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
+	"malgraph/internal/reports"
 )
 
 func openTestStore(t testing.TB) *castore.Store {
@@ -62,7 +68,7 @@ func assertRestoredMatches(t *testing.T, restored, live *Engine, label string) {
 // TestSegmentedCheckpointChainMatchesBuild ingests the corpus in batches
 // with a checkpoint after every batch, restores from the final manifest
 // (whose sections are chains of delta chunks by then), and requires the
-// result to match the one-shot Build — then keeps the chain going: the
+// result to match the one-shot build — then keeps the chain going: the
 // restored engine ingests more, checkpoints again, and restores again.
 func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 	ds, reps := miniDataset(t)
@@ -93,7 +99,7 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 		lo = hi
 	}
 
-	// The live batch-ingested engine matches the one-shot Build (the core
+	// The live batch-ingested engine matches the one-shot build (the core
 	// determinism contract); the restored engine must match the live one.
 	assertEngineMatchesBuild(t, eng, want, "live-chain")
 	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
@@ -394,10 +400,10 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 			first = got
 			continue
 		}
-		for _, name := range sectionNames {
-			a, b := first.logs[name], got.logs[name]
+		for id, name := range sectionNames {
+			a, b := first.sections[id].log, got.sections[id].log
 			if a.logged != b.logged || !reflect.DeepEqual(a.refs, b.refs) || a.rebase != b.rebase {
-				t.Errorf("section %s log: GOMAXPROCS=1 %+v, GOMAXPROCS=8 %+v", name, *a, *b)
+				t.Errorf("section %s log: GOMAXPROCS=1 %+v, GOMAXPROCS=8 %+v", name, a, b)
 			}
 		}
 	}
@@ -635,5 +641,94 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 				t.Errorf("%s: error %q does not mention %q", tc.section, err, want)
 			}
 		}
+	}
+}
+
+// pairOwnerDeleteGolden is one SHA-256 over the manifests, in order, and
+// the segment files, in name order, of TestCoexistingHubPathGrowth's
+// fixture checkpointed after each of three steps.
+const pairOwnerDeleteGolden = "604315dae845c4d216612e471c5d06e9514cd800c840d40dfac9e7d3a2ba9cb4"
+
+// TestCheckpointGoldenBytesPairOwnerDeletes pins the checkpoint bytes of a
+// schedule whose hub-and-path growth drops pair owners, so a pairOwners
+// delta carries deletes, which the root package's feed-wide golden never
+// writes. The fixture is TestCoexistingHubPathGrowth's, with beta-two held
+// out to a third step: it lands inside the path between beta-one and
+// loglib-modules, a pair no other report covers.
+func TestCheckpointGoldenBytesPairOwnerDeletes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PairwiseLimit = 3
+	ds, _ := miniDataset(t)
+	var names []ecosys.Coord
+	var rest, third, second []*collect.Entry
+	for _, e := range ds.Entries {
+		if e.Coord.Ecosystem == ecosys.PyPI {
+			names = append(names, e.Coord)
+		}
+		switch e.Coord.Name {
+		case "alpha-three":
+			second = append(second, e)
+		case "beta-two":
+			third = append(third, e)
+		default:
+			rest = append(rest, e)
+		}
+	}
+	big := &reports.Report{URL: "https://z.example/big", Site: "z.example", Packages: names}
+	side := &reports.Report{URL: "https://z.example/side", Site: "z.example", Packages: names[:2]}
+	dir := t.TempDir()
+	st, err := castore.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(cfg)
+	eng.AttachStore(st)
+	h := sha256.New()
+	var man manifestSnapshot
+	for _, b := range []Batch{
+		{Entries: rest, Reports: []*reports.Report{big, side}, At: ds.CollectedAt},
+		{Entries: second},
+		{Entries: third},
+	} {
+		if _, err := eng.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := eng.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(buf.Bytes())
+		if err := json.Unmarshal(buf.Bytes(), &man); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refs := man.Sections[sectionPairOwners]
+	last, err := st.Fetch(refs[len(refs)-1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := decodeKVChunk(last[refs[len(refs)-1]])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refs) != 3 || len(ch.Del) == 0 {
+		t.Fatalf("pairOwners log %d chunk(s), last deletes %d owner(s): want a delta that deletes", len(refs), len(ch.Del))
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if _, ok := castore.ParseSegmentName(ent.Name()); !ok {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(raw)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pairOwnerDeleteGolden {
+		t.Errorf("checkpoint bytes digest %s, want %s", got, pairOwnerDeleteGolden)
 	}
 }

@@ -1,55 +1,31 @@
 package core
 
-// Segmented-checkpoint dirty tracking. A store-attached engine records
-// which keys of each persisted section changed since the last checkpoint so
-// Snapshot can write O(delta) chunks instead of re-serialising the corpus.
-// Tracking is off (and free) for storeless engines, which cannot checkpoint:
-// every hook is behind an `e.track != nil` check.
+// Segmented-checkpoint section state. A store-attached engine keeps, per
+// delta-logged section, the chunk log the manifest publishes and the keys
+// changed since the last checkpoint, so Snapshot writes O(delta) chunks
+// instead of re-serialising the corpus. Storeless engines, which cannot
+// checkpoint, hold no section state and record nothing.
 
 import (
 	"malgraph/internal/castore"
 	"malgraph/internal/ecosys"
 )
 
-// tracker accumulates the dirty keys of each delta-logged section between
-// checkpoints. All fields are guarded by Engine.mu (the shard-phase item,
-// import and partition dirt lives on each ecoShard, which its planning
-// goroutine owns exclusively).
-type tracker struct {
-	entries map[string]bool // dataset coordinate keys upserted or re-stated
-	reports map[string]bool // report URLs newly merged into the corpus
-	pairs   map[string]bool // coexOwner keys set since the last checkpoint
-	// delPairs records coexOwner deletions (hub-and-path ownership drops);
-	// a later set supersedes the delete and vice versa.
-	delPairs map[string]bool
-}
+// dirtyKeys records the keys of one section written since the last
+// checkpoint: true for a set, false for a delete. A later mark of a key
+// supersedes an earlier one, so a checkpoint writes each key's last state.
+type dirtyKeys map[string]bool
 
-func newTracker() *tracker {
-	return &tracker{
-		entries:  make(map[string]bool),
-		reports:  make(map[string]bool),
-		pairs:    make(map[string]bool),
-		delPairs: make(map[string]bool),
-	}
-}
+func (d dirtyKeys) set(key string) { d[key] = true }
+func (d dirtyKeys) del(key string) { d[key] = false }
 
-func (t *tracker) pairSet(pk string) {
-	t.pairs[pk] = true
-	delete(t.delPairs, pk)
-}
-
-func (t *tracker) pairDel(pk string) {
-	t.delPairs[pk] = true
-	delete(t.pairs, pk)
-}
-
-// reset clears every dirty set after a successful checkpoint. The shard-side
-// dirt is cleared by the checkpoint walk itself.
-func (t *tracker) reset() {
-	t.entries = make(map[string]bool)
-	t.reports = make(map[string]bool)
-	t.pairs = make(map[string]bool)
-	t.delPairs = make(map[string]bool)
+// section is one delta-logged section's checkpoint state: its durable chunk
+// log and the keys changed since the last checkpoint. The graph section
+// records its changes in the graph's operation journal instead, so its
+// dirty set stays empty.
+type section struct {
+	log   sectionLog
+	dirty dirtyKeys
 }
 
 // sectionLog is one section's durable chunk accounting: the ordered chunk
@@ -86,8 +62,22 @@ func (lg *sectionLog) rebaseDue(liveKeys int) bool {
 	return lg.logged > 4*floor
 }
 
-// sectionNames lists every delta-logged section in manifest order.
-var sectionNames = []string{
+// sectionID indexes the delta-logged sections, in manifest order.
+type sectionID int
+
+const (
+	secDataset sectionID = iota
+	secGraph
+	secItems
+	secImports
+	secPartitions
+	secReports
+	secPairOwners
+	numSections
+)
+
+// sectionNames are the sections' manifest keys, indexed by sectionID.
+var sectionNames = [numSections]string{
 	sectionDataset, sectionGraph, sectionItems, sectionImports,
 	sectionPartitions, sectionReports, sectionPairOwners,
 }
@@ -112,7 +102,7 @@ type artifactRef struct {
 }
 
 // AttachStore gives the engine the content store its Snapshot calls write
-// to, and starts dirty tracking (including the graph's operation journal).
+// to, and starts recording changed keys (and the graph's operation journal).
 // Every section starts in re-base mode, so the first checkpoint after
 // attaching writes the full state. (RestoreEngineWithStore attaches its
 // store with the manifest's chunk logs instead.)
@@ -124,10 +114,9 @@ func (e *Engine) AttachStore(st *castore.Store) {
 
 func (e *Engine) attachStoreLocked(st *castore.Store) {
 	e.store = st
-	e.track = newTracker()
-	e.logs = make(map[string]*sectionLog, len(sectionNames))
-	for _, name := range sectionNames {
-		e.logs[name] = &sectionLog{rebase: true}
+	e.sections = make([]section, numSections)
+	for id := range e.sections {
+		e.sections[id] = section{log: sectionLog{rebase: true}, dirty: make(dirtyKeys)}
 	}
 	e.artifactRefs = make(map[string]artifactRef)
 	e.mg.G.EnableJournal()
@@ -148,8 +137,8 @@ func (e *Engine) LiveRefs() map[string]bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	live := make(map[string]bool)
-	for _, lg := range e.logs {
-		for _, ref := range lg.refs {
+	for _, sec := range e.sections {
+		for _, ref := range sec.log.refs {
 			live[ref] = true
 		}
 	}

@@ -3,7 +3,7 @@
 // race, outputs do not), and chunked reductions use boundaries that depend
 // only on the input size — never on the worker count — so a computation run
 // under GOMAXPROCS=1 and GOMAXPROCS=N produces bit-identical results. That
-// invariant is what lets core.Build promise "parallel == sequential graph"
+// invariant is what lets core.Engine promise "parallel == sequential graph"
 // for a fixed seed.
 package parallel
 
