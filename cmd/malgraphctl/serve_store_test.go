@@ -526,14 +526,25 @@ func TestReadSnapshotBundleRejectsLyingHeader(t *testing.T) {
 // accepted one leaves exactly the header's count of canonically named
 // segment files, each the size its frame declared. Seeds (the hostile
 // table plus a real two-segment bundle) live in testdata/fuzz.
+//
+// A fuzz worker runs one input at a time, so each worker reads every input
+// into the one directory it made and empties it afterwards: a directory per
+// input would make the step time the filesystem rather than the reader.
 func FuzzReadSnapshotBundle(f *testing.F) {
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
 		_, err := readSnapshotBundle(bytes.NewReader(data), dir)
 		files, rerr := os.ReadDir(dir)
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
+		defer func() {
+			for _, de := range files {
+				if err := os.RemoveAll(filepath.Join(dir, de.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}()
 		if err != nil {
 			if len(files) != 0 {
 				t.Fatalf("refused bundle (%v) left %d file(s) behind", err, len(files))

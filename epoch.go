@@ -331,12 +331,18 @@ func computeResults(ep *Epoch) (*Results, error) {
 		r.CoexistSubgraphs = subgraphRows(analysis.SubgraphStatsFor(ep.graph, graph.Coexisting))
 		r.CoexistOps = opsRow(analysis.Operations(ep.graph, graph.Coexisting))
 		r.CoexistActive = activeRow(analysis.ActivePeriods(ep.graph, graph.Coexisting))
-		iocs := analysis.IoCs(reportCorpus, 10)
+		return nil
+	}
+
+	// RQ4's §V-D accounting and Fig. 14 read only the report corpus, so
+	// they run beside the co-existing subgraph work instead of after it.
+	iocs := func() error {
+		sum := analysis.IoCs(reportCorpus, 10)
 		r.IoCs = IoCRow{
-			UniqueURLs: iocs.UniqueURLs, UniqueIPs: iocs.UniqueIPs,
-			PowerShell: iocs.PowerShell, MaxSameIPReports: iocs.MaxSameIPReports,
+			UniqueURLs: sum.UniqueURLs, UniqueIPs: sum.UniqueIPs,
+			PowerShell: sum.PowerShell, MaxSameIPReports: sum.MaxSameIPReports,
 		}
-		for _, d := range iocs.TopDomains {
+		for _, d := range sum.TopDomains {
 			r.TopDomains = append(r.TopDomains, DomainRow{Domain: d.Domain, Count: d.Count})
 		}
 		return nil
@@ -360,7 +366,7 @@ func computeResults(ep *Epoch) (*Results, error) {
 	}
 
 	// Run only the invalidated blocks; serve the rest from the base.
-	tasks := make([]func() error, 0, 6)
+	tasks := make([]func() error, 0, 7)
 	for _, blk := range []struct {
 		dirty bool
 		run   func() error
@@ -381,8 +387,8 @@ func computeResults(ep *Epoch) (*Results, error) {
 		}},
 		{dirty.rq4, rq4, func(c *Results) {
 			r.CoexistSubgraphs, r.CoexistOps, r.CoexistActive = c.CoexistSubgraphs, c.CoexistOps, c.CoexistActive
-			r.IoCs, r.TopDomains = c.IoCs, c.TopDomains
 		}},
+		{dirty.rq4, iocs, func(c *Results) { r.IoCs, r.TopDomains = c.IoCs, c.TopDomains }},
 		{dirty.behaviors, behaviors, func(c *Results) { r.Behaviors = c.Behaviors }},
 		{dirty.validation, validation, func(c *Results) { r.Validation = c.Validation }},
 	} {

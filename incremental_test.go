@@ -359,6 +359,7 @@ type growthState struct {
 
 var (
 	growthMu   sync.Mutex
+	growthPipe *Pipeline
 	growthDS   *collect.Result
 	growthReps []*reports.Report
 	growthFeed []core.Batch
@@ -422,6 +423,7 @@ func growthWorldLocked(b *testing.B) {
 			growthDir, growthErr = os.MkdirTemp("", "malgraph-growth-")
 		}
 		if growthErr == nil {
+			growthPipe = p
 			growthDS, growthReps = p.Source()
 			growthFeed = BatchFeed(growthDS, growthReps, 1000)
 			growthCache = make(map[int]*growthState)
@@ -506,6 +508,42 @@ func BenchmarkIncremental_AppendGrowth(b *testing.B) {
 				b.ReportMetric(float64(is.ArtifactsReclustered), "artifacts_reclustered")
 				b.ReportMetric(float64(is.DirtyEcoItems), "dirty_eco_items")
 			}
+		})
+	}
+}
+
+// BenchmarkResults_DirtyEpochGrowth times the first Results after the fixed
+// ≈1% delta lands in a 1×/4×/10× corpus: each iteration restores the warmed
+// engine into the growth world's pipeline, computes its Results (the base
+// the delta dirties), appends the delta, and times the next Results, which
+// recomputes every block the delta dirtied. The blocks recompute over the
+// whole corpus, so the 10×/1× ratio in BENCH_incremental.json shows how far
+// Results is from O(delta); it has no CI gate yet.
+func BenchmarkResults_DirtyEpochGrowth(b *testing.B) {
+	for _, size := range []struct {
+		name   string
+		prefix int
+	}{{"1x", 100}, {"4x", 400}, {"10x", 998}} {
+		b.Run("size="+size.name, func(b *testing.B) {
+			st := growthSetup(b, size.prefix)
+			p := growthPipe
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p.AdoptEngine(st.restore(b))
+				if _, err := p.Analyze(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Append(st.delta); err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				b.StartTimer()
+				if _, err := p.Analyze(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(st.delta.Entries)), "delta_entries")
 		})
 	}
 }

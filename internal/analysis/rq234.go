@@ -9,6 +9,7 @@ import (
 	"malgraph/internal/core"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
+	"malgraph/internal/parallel"
 	"malgraph/internal/reports"
 	"malgraph/internal/stats"
 )
@@ -72,57 +73,96 @@ func subgraphEntries(mg *core.MalGraph, members []string) []*collect.Entry {
 // consecutive diff with the Table II operation vocabulary, and aggregate.
 // Transitions where either artifact is missing contribute only the CN/CV
 // decision (names and versions survive takedown; code does not).
+//
+// Subgraphs are counted in parallel and their integer counts summed in
+// subgraph order. Within one subgraph each member artifact's diff facts
+// (codegen.DiffFacts) are taken once and every transition compares two of
+// them.
 func Operations(mg *core.MalGraph, t graph.EdgeType) OpsDist {
-	var dist OpsDist
-	var nameVersionOps, cn int
-	var inspectable int // transitions where both artifacts are available
-	var changedLineSum, ccWithLines int
-	for _, members := range mg.PackageSubgraphs(t, 2) {
-		entries := subgraphEntries(mg, members)
-		for i := 1; i < len(entries); i++ {
-			prev, cur := entries[i-1], entries[i]
-			dist.Transitions++
-			if prev.Coord.Name != cur.Coord.Name {
-				cn++
-				nameVersionOps++
-			} else if prev.Coord.Version != cur.Coord.Version {
-				nameVersionOps++
-			}
-			if prev.Artifact == nil || cur.Artifact == nil {
-				continue // names/versions survive takedown; code does not
-			}
-			inspectable++
-			ops := codegen.DiffOps(prev.Artifact, cur.Artifact)
-			for _, op := range ops {
-				switch op {
-				case codegen.OpDescription:
-					dist.CD++
-				case codegen.OpDependency:
-					dist.CDep++
-				case codegen.OpCode:
-					dist.CC++
-					lines := codegen.ChangedLines(prev.Artifact.MergedSource(), cur.Artifact.MergedSource())
-					changedLineSum += lines
-					ccWithLines++
-				}
-			}
-		}
+	subs := mg.PackageSubgraphs(t, 2)
+	var c opsCount
+	for _, sc := range parallel.Map(len(subs), func(i int) opsCount {
+		return subgraphOps(subgraphEntries(mg, subs[i]))
+	}) {
+		c.add(sc)
 	}
-	if nameVersionOps > 0 {
-		dist.CN = float64(cn) / float64(nameVersionOps)
+	dist := OpsDist{Transitions: c.transitions}
+	if c.nameVersion > 0 {
+		dist.CN = float64(c.cn) / float64(c.nameVersion)
 		dist.CV = 1 - dist.CN
 	}
 	// CD/CDep/CC can only be observed on transitions with both artifacts
 	// present — the same restriction the paper's diff faces.
-	if inspectable > 0 {
-		dist.CD /= float64(inspectable)
-		dist.CDep /= float64(inspectable)
-		dist.CC /= float64(inspectable)
+	if c.inspectable > 0 {
+		dist.CD = float64(c.cd) / float64(c.inspectable)
+		dist.CDep = float64(c.cdep) / float64(c.inspectable)
+		dist.CC = float64(c.cc) / float64(c.inspectable)
 	}
-	if ccWithLines > 0 {
-		dist.AvgChangedLines = float64(changedLineSum) / float64(ccWithLines)
+	if c.cc > 0 {
+		dist.AvgChangedLines = float64(c.changedLines) / float64(c.cc)
 	}
 	return dist
+}
+
+// opsCount is one subgraph's share of an OpsDist, in whole counts.
+type opsCount struct {
+	transitions int
+	nameVersion int // transitions that change the name or the version
+	cn          int
+	inspectable int // transitions where both artifacts are available
+	cd, cdep    int
+	cc          int
+	// changedLines sums ChangedLines over the CC transitions.
+	changedLines int
+}
+
+func (c *opsCount) add(o opsCount) {
+	c.transitions += o.transitions
+	c.nameVersion += o.nameVersion
+	c.cn += o.cn
+	c.inspectable += o.inspectable
+	c.cd += o.cd
+	c.cdep += o.cdep
+	c.cc += o.cc
+	c.changedLines += o.changedLines
+}
+
+// subgraphOps counts the operations of one subgraph's time-ordered
+// releases.
+func subgraphOps(entries []*collect.Entry) opsCount {
+	var c opsCount
+	facts := make([]*codegen.DiffFacts, len(entries))
+	for i, e := range entries {
+		if e.Artifact != nil {
+			facts[i] = codegen.NewDiffFacts(e.Artifact)
+		}
+	}
+	for i := 1; i < len(entries); i++ {
+		prev, cur := entries[i-1], entries[i]
+		c.transitions++
+		if prev.Coord.Name != cur.Coord.Name {
+			c.cn++
+			c.nameVersion++
+		} else if prev.Coord.Version != cur.Coord.Version {
+			c.nameVersion++
+		}
+		if facts[i-1] == nil || facts[i] == nil {
+			continue // names/versions survive takedown; code does not
+		}
+		c.inspectable++
+		for _, op := range facts[i-1].Ops(facts[i]) {
+			switch op {
+			case codegen.OpDescription:
+				c.cd++
+			case codegen.OpDependency:
+				c.cdep++
+			case codegen.OpCode:
+				c.cc++
+				c.changedLines += facts[i-1].ChangedLines(facts[i])
+			}
+		}
+	}
+	return c
 }
 
 // ActivePeriods reproduces Figs. 10, 11 and 13: the CDF of T_active =
@@ -215,15 +255,17 @@ func DependencyReuse(mg *core.MalGraph, minFronts int) (cores, fronts int) {
 
 // IoCs reproduces the §V-D context accounting and Fig. 14 by *parsing report
 // bodies* (the same extraction path a real pipeline runs), not by trusting
-// generator ground truth.
+// generator ground truth. Reports are parsed in parallel; their indicators
+// are merged in report order.
 func IoCs(reportCorpus []*reports.Report, topN int) IoCSummary {
 	// Collect every report's indicators, then sort and de-duplicate once:
 	// the same union a per-report Merge builds, without re-sorting the
 	// accumulated set for every report.
 	var merged reports.IoCSet
 	ipReportCount := make(map[string]int)
-	for _, r := range reportCorpus {
-		set := reports.ExtractIoCs(r.Body)
+	for _, set := range parallel.Map(len(reportCorpus), func(i int) reports.IoCSet {
+		return reports.ExtractIoCs(reportCorpus[i].Body)
+	}) {
 		merged.IPs = append(merged.IPs, set.IPs...)
 		merged.URLs = append(merged.URLs, set.URLs...)
 		merged.PowerShell = append(merged.PowerShell, set.PowerShell...)

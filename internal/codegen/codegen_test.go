@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,6 +169,68 @@ func hasOp(ops []Op, want Op) bool {
 	return false
 }
 
+// ChangedLines is the string form of DiffFacts.ChangedLines: a multiset
+// diff of two sources' trimmed, non-empty lines, halved.
+func ChangedLines(a, b string) int {
+	countA := lineMultiset(a)
+	countB := lineMultiset(b)
+	diff := 0
+	for line, n := range countA {
+		if m := countB[line]; n > m {
+			diff += n - m
+		}
+	}
+	for line, n := range countB {
+		if m := countA[line]; n > m {
+			diff += n - m
+		}
+	}
+	return (diff + 1) / 2
+}
+
+func lineMultiset(s string) map[string]int {
+	out := make(map[string]int)
+	for _, line := range strings.Split(s, "\n") {
+		line = strings.TrimSpace(line)
+		if line != "" {
+			out[line]++
+		}
+	}
+	return out
+}
+
+// referenceDiffOps is the oracle of DiffFacts.Ops: it re-reads both
+// artifacts, compares their MergedSource strings and counts dependencies
+// in a map, the way DiffOps worked before the facts.
+func referenceDiffOps(a, b *ecosys.Artifact) []Op {
+	var ops []Op
+	if a.Coord.Name != b.Coord.Name {
+		ops = append(ops, OpName)
+	} else if a.Coord.Version != b.Coord.Version {
+		ops = append(ops, OpVersion)
+	}
+	if a.Description != b.Description {
+		ops = append(ops, OpDescription)
+	}
+	count := make(map[string]int)
+	for _, d := range ManifestDeps(a) {
+		count[d]++
+	}
+	for _, d := range ManifestDeps(b) {
+		count[d]--
+	}
+	for _, n := range count {
+		if n != 0 {
+			ops = append(ops, OpDependency)
+			break
+		}
+	}
+	if a.MergedSource() != b.MergedSource() {
+		ops = append(ops, OpCode)
+	}
+	return ops
+}
+
 func TestChangedLines(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -176,10 +240,102 @@ func TestChangedLines(t *testing.T) {
 		{"a\nb\nc", "a\nX\nc", 1},
 		{"a\nb", "a\nb\nc\nd", 1}, // two added lines ≈ 1 edit pair
 		{"", "x", 1},
+		{"a\na\nb", "a\nb\nb", 1}, // multiset: one a out, one b in
 	}
 	for _, tc := range cases {
 		if got := ChangedLines(tc.a, tc.b); got != tc.want {
 			t.Errorf("ChangedLines(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+		fa := NewDiffFacts(sourceArtifact(tc.a))
+		fb := NewDiffFacts(sourceArtifact(tc.b))
+		if got := fa.ChangedLines(fb); got != tc.want {
+			t.Errorf("DiffFacts.ChangedLines(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
+// sourceArtifact wraps one source file in a PyPI artifact.
+func sourceArtifact(files ...string) *ecosys.Artifact {
+	a := &ecosys.Artifact{Coord: testCoord(ecosys.PyPI)}
+	for i, content := range files {
+		a.Files = append(a.Files, ecosys.File{Path: fmt.Sprintf("f%d.py", i), Content: content})
+	}
+	return a
+}
+
+// TestDiffOpsRepeatedDependency pins the multiset comparison of manifest
+// dependencies: a requirements.txt that repeats a line differs from one
+// that lists two names, whichever release comes first.
+func TestDiffOpsRepeatedDependency(t *testing.T) {
+	withDeps := func(reqs string) *ecosys.Artifact {
+		a := sourceArtifact("import os\n")
+		a.Files = append(a.Files, ecosys.File{Path: "requirements.txt", Content: reqs})
+		return a
+	}
+	xy, xx := withDeps("x\ny\n"), withDeps("x\nx\n")
+	if !hasOp(DiffOps(xy, xx), OpDependency) || !hasOp(DiffOps(xx, xy), OpDependency) {
+		t.Fatalf("[x y] vs [x x]: forward %v, backward %v; both must change dependencies",
+			DiffOps(xy, xx), DiffOps(xx, xy))
+	}
+	if ops := DiffOps(xy, withDeps("y\nx\n")); hasOp(ops, OpDependency) {
+		t.Fatalf("reordered requirements diff as %v", ops)
+	}
+}
+
+// TestDiffFactsSourceStream checks that source equality follows the merged
+// stream, not the file split: the same bytes cut into different files are
+// the same MergedSource.
+func TestDiffFactsSourceStream(t *testing.T) {
+	cases := []struct{ a, b []string }{
+		{[]string{"a\nb"}, []string{"a", "b"}},
+		{[]string{"a\n"}, []string{"a", ""}},
+		{[]string{"ab"}, []string{"a", "b"}},
+		{[]string{""}, nil},
+		{[]string{"x"}, []string{"x"}},
+		{[]string{"x", "y"}, []string{"x", "z"}},
+		{nil, nil},
+	}
+	for _, tc := range cases {
+		a, b := sourceArtifact(tc.a...), sourceArtifact(tc.b...)
+		got, want := DiffOps(a, b), referenceDiffOps(a, b)
+		if !slices.Equal(got, want) {
+			t.Errorf("%q vs %q: DiffOps %v, reference %v", tc.a, tc.b, got, want)
+		}
+	}
+}
+
+// TestDiffFactsMatchReference compares DiffFacts with the reference on
+// every ordered pair of generated releases: code bases of every payload in
+// every big-3 ecosystem, with changed names, versions, descriptions,
+// dependency lists (repeats included) and IoCs.
+func TestDiffFactsMatchReference(t *testing.T) {
+	rng := xrand.New(11)
+	var arts []*ecosys.Artifact
+	for _, eco := range ecosys.Big3() {
+		cb := NewCodeBase("cb", eco, PayloadEnvExfil, rng.Derive(eco.String()))
+		alt := RandomIoC(rng.Derive("alt"))
+		for i, opt := range []Options{
+			{Description: "d"},
+			{Description: "d", Dependencies: []string{"urllib"}},
+			{Description: "e", Dependencies: []string{"urllib", "request"}},
+			{Description: "e", Dependencies: []string{"request", "urllib"}},
+			{Description: "e", Dependencies: []string{"urllib", "urllib"}},
+			{Description: "d", IoCOverride: &alt},
+		} {
+			coord := ecosys.Coord{Ecosystem: eco, Name: fmt.Sprintf("p%d", i%2), Version: fmt.Sprintf("1.%d", i%3)}
+			arts = append(arts, cb.Instantiate(coord, opt))
+		}
+	}
+	for _, a := range arts {
+		fa := NewDiffFacts(a)
+		for _, b := range arts {
+			fb := NewDiffFacts(b)
+			if got, want := fa.Ops(fb), referenceDiffOps(a, b); !slices.Equal(got, want) {
+				t.Fatalf("%v vs %v: Ops %v, reference %v", a.Coord, b.Coord, got, want)
+			}
+			if got, want := fa.ChangedLines(fb), ChangedLines(a.MergedSource(), b.MergedSource()); got != want {
+				t.Fatalf("%v vs %v: ChangedLines %d, reference %d", a.Coord, b.Coord, got, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"malgraph/internal/ecosys"
@@ -44,39 +45,128 @@ func AllOps() []Op { return []Op{OpName, OpVersion, OpDescription, OpDependency,
 // to 100 across CN+CV): a release either reuses the name with a new version
 // or takes a new name. CD, CDep and CC are independent flags.
 func DiffOps(a, b *ecosys.Artifact) []Op {
+	return NewDiffFacts(a).Ops(NewDiffFacts(b))
+}
+
+// DiffFacts is everything the operation diff reads of one artifact, taken
+// once so that a subgraph's transitions compare two records instead of
+// re-reading both artifacts' files per transition.
+type DiffFacts struct {
+	name, version, description string
+	// deps are the manifest dependency names, sorted: two artifacts change
+	// no dependency when the lists are equal as multisets.
+	deps []string
+	// source is the MergedSource stream in pieces, each source file's
+	// content followed by a "\n" piece, and sourceLen its byte length.
+	// Two artifacts have equal MergedSource exactly when the streams are
+	// equal; nothing is concatenated to find out.
+	source    []string
+	sourceLen int
+	// lines are the trimmed, non-empty lines of the source files, sorted.
+	// Files are joined by "\n" in MergedSource, so no line spans two files
+	// and these are exactly the merged source's lines.
+	lines []string
+}
+
+// NewDiffFacts takes an artifact's diff facts. The strings it keeps are
+// substrings of the artifact's files.
+func NewDiffFacts(a *ecosys.Artifact) *DiffFacts {
+	f := &DiffFacts{
+		name:        a.Coord.Name,
+		version:     a.Coord.Version,
+		description: a.Description,
+		deps:        ManifestDeps(a),
+	}
+	slices.Sort(f.deps)
+	for _, file := range a.Files {
+		if !ecosys.IsSourcePath(file.Path) {
+			continue
+		}
+		f.source = append(f.source, file.Content, "\n")
+		f.sourceLen += len(file.Content) + 1
+		for rest := file.Content; ; {
+			line, tail, more := strings.Cut(rest, "\n")
+			if line = strings.TrimSpace(line); line != "" {
+				f.lines = append(f.lines, line)
+			}
+			if !more {
+				break
+			}
+			rest = tail
+		}
+	}
+	slices.Sort(f.lines)
+	return f
+}
+
+// Ops classifies the operations from f's release to next's, with the
+// semantics DiffOps documents.
+func (f *DiffFacts) Ops(next *DiffFacts) []Op {
 	var ops []Op
-	if a.Coord.Name != b.Coord.Name {
+	if f.name != next.name {
 		ops = append(ops, OpName)
-	} else if a.Coord.Version != b.Coord.Version {
+	} else if f.version != next.version {
 		ops = append(ops, OpVersion)
 	}
-	if a.Description != b.Description {
+	if f.description != next.description {
 		ops = append(ops, OpDescription)
 	}
-	if !sameDeps(a, b) {
+	if !slices.Equal(f.deps, next.deps) {
 		ops = append(ops, OpDependency)
 	}
-	if a.MergedSource() != b.MergedSource() {
+	if !f.sameSource(next) {
 		ops = append(ops, OpCode)
 	}
 	return ops
 }
 
-func sameDeps(a, b *ecosys.Artifact) bool {
-	da, db := ManifestDeps(a), ManifestDeps(b)
-	if len(da) != len(db) {
+// sameSource reports whether two artifacts' MergedSource streams are equal,
+// walking both piece lists at once.
+func (f *DiffFacts) sameSource(o *DiffFacts) bool {
+	if f.sourceLen != o.sourceLen {
 		return false
 	}
-	set := make(map[string]bool, len(da))
-	for _, d := range da {
-		set[d] = true
-	}
-	for _, d := range db {
-		if !set[d] {
+	a, b := f.source, o.source
+	var x, y string
+	for {
+		for x == "" && len(a) > 0 {
+			x, a = a[0], a[1:]
+		}
+		for y == "" && len(b) > 0 {
+			y, b = b[0], b[1:]
+		}
+		if x == "" || y == "" {
+			return x == y
+		}
+		n := min(len(x), len(y))
+		if x[:n] != y[:n] {
 			return false
 		}
+		x, y = x[n:], y[n:]
 	}
-	return true
+}
+
+// ChangedLines counts how many source lines differ between f and next with
+// an LCS-free multiset diff: lines present in one side but not the other,
+// halved (a one-line edit counts as ~1, matching the paper's "average 0.88
+// lines changed" measurement style). It is one merge walk of the two sorted
+// line lists.
+func (f *DiffFacts) ChangedLines(next *DiffFacts) int {
+	a, b := f.lines, next.lines
+	common := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c == 0:
+			common++
+			i++
+			j++
+		case c < 0:
+			i++
+		default:
+			j++
+		}
+	}
+	return (len(a) + len(b) - 2*common + 1) / 2
 }
 
 // ManifestDeps extracts the declared dependency names from an artifact's
@@ -125,36 +215,4 @@ func ManifestDeps(a *ecosys.Artifact) []string {
 		}
 	}
 	return deps
-}
-
-// ChangedLines counts how many lines differ between two sources using an
-// LCS-free multiset diff: lines present in one side but not the other,
-// halved (a one-line edit counts as ~1, matching the paper's "average 0.88
-// lines changed" measurement style).
-func ChangedLines(a, b string) int {
-	countA := lineMultiset(a)
-	countB := lineMultiset(b)
-	diff := 0
-	for line, n := range countA {
-		if m := countB[line]; n > m {
-			diff += n - m
-		}
-	}
-	for line, n := range countB {
-		if m := countA[line]; n > m {
-			diff += n - m
-		}
-	}
-	return (diff + 1) / 2
-}
-
-func lineMultiset(s string) map[string]int {
-	out := make(map[string]int)
-	for _, line := range strings.Split(s, "\n") {
-		line = strings.TrimSpace(line)
-		if line != "" {
-			out[line]++
-		}
-	}
-	return out
 }

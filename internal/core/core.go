@@ -168,9 +168,12 @@ func (mg *MalGraph) PackageSubgraphs(t graph.EdgeType, minSize int) [][]string {
 	return out
 }
 
+// packageComponents asks the graph only for components of at least minSize
+// nodes: one with minSize packages has at least minSize nodes, so no
+// smaller component can qualify.
 func packageComponents(g *graph.Graph, t graph.EdgeType, minSize int) [][]string {
 	minSize = max(minSize, 1)
-	comps := g.ComponentsMin(1, t)
+	comps := g.ComponentsMin(minSize, t)
 	var out [][]string
 	for _, comp := range comps {
 		var pkgs []string

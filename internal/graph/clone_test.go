@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -60,7 +61,30 @@ func observe(t *testing.T, g *Graph, ids []string) string {
 		}
 	}
 	fmt.Fprintf(&b, "%v\n", g.Components())
+	checkComponentsMin(t, g)
 	return b.String()
+}
+
+// checkComponentsMin fails unless ComponentsMin, at every minimum size and
+// for every edge type and for all types at once, equals Components with the
+// smaller components filtered out.
+func checkComponentsMin(t *testing.T, g *Graph) {
+	t.Helper()
+	for _, types := range [][]EdgeType{nil, {Duplicated}, {Similar}, {Dependency}, {Coexisting}, {Similar, Coexisting}} {
+		all := g.Components(types...)
+		for _, minSize := range []int{0, 1, 2, 3, 5} {
+			var want [][]string
+			for _, c := range all {
+				if len(c) >= minSize {
+					want = append(want, c)
+				}
+			}
+			got := g.ComponentsMin(minSize, types...)
+			if !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+				t.Fatalf("ComponentsMin(%d, %v) = %v, filtered Components %v", minSize, types, got, want)
+			}
+		}
+	}
 }
 
 // The schedule's node universe, and how many of its IDs observe checks

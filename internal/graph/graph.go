@@ -619,69 +619,111 @@ func (g *Graph) NodesWhere(pred func(Node) bool) []string {
 // types (all types when none given). Each component is sorted; components are
 // ordered by their smallest member. This is the paper's subgraph operation:
 // "if two nodes have an edge e(u,v), we put them into the same subgraph".
-//
-// Unions run over the edge slots in insertion order and members are
-// gathered in sorted node order, so no step depends on map iteration order.
+// Every node with no such edge is a singleton component.
 func (g *Graph) Components(types ...EdgeType) [][]string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	want := typeMask(types)
-	// Union-find over edge endpoints only: a node absent from parent is a
-	// singleton root.
-	parent := make(map[string]string)
-	find := func(x string) string {
-		for {
-			p, ok := parent[x]
-			if !ok || p == x {
-				return x
-			}
-			gp := parent[p]
-			parent[x] = gp
-			x = gp
+	linked := g.linkedComponentsLocked(typeMask(types))
+	inLinked := make(map[string]struct{})
+	for _, c := range linked {
+		for _, id := range c {
+			inLinked[id] = struct{}{}
 		}
 	}
-	for i := 0; i < g.nEdges; i++ {
-		e := g.edge(i)
-		if e.Type == 0 || want&(1<<uint(e.Type)) == 0 {
-			continue
-		}
-		ra, rb := find(e.From), find(e.To)
-		if ra == rb {
-			continue
-		}
-		if _, ok := parent[rb]; !ok {
-			parent[rb] = rb
-		}
-		parent[ra] = rb
-	}
+	// Merge the linked components, keyed by their smallest member, into the
+	// sorted node list, whose other nodes are singletons.
 	ids := g.nodes.Keys()
-	out := make([][]string, 0, len(ids)-len(parent)/2)
-	at := make(map[string]int) // component root → index in out
+	out := make([][]string, 0, len(ids)-len(inLinked)+len(linked))
 	for _, id := range ids {
-		if _, linked := parent[id]; !linked {
+		if _, ok := inLinked[id]; !ok {
 			out = append(out, []string{id})
-			continue
+		} else if len(linked) > 0 && linked[0][0] == id {
+			out = append(out, linked[0])
+			linked = linked[1:]
 		}
-		root := find(id)
-		if i, ok := at[root]; ok {
-			out[i] = append(out[i], id)
-			continue
-		}
-		at[root] = len(out)
-		out = append(out, []string{id})
 	}
 	return out
 }
 
-// ComponentsMin returns components with at least minSize members — the
-// paper's subgraphs always require ≥2 nodes.
+// ComponentsMin returns the components with at least minSize members, in
+// Components order — the paper's subgraphs always require ≥2 nodes. With
+// minSize ≥ 2 it builds no singleton: only edge endpoints are unioned and
+// sorted, so its cost follows the wanted edges, not the node count.
 func (g *Graph) ComponentsMin(minSize int, types ...EdgeType) [][]string {
-	all := g.Components(types...)
+	var all [][]string
+	if minSize < 2 {
+		all = g.Components(types...)
+	} else {
+		g.mu.RLock()
+		all = g.linkedComponentsLocked(typeMask(types))
+		g.mu.RUnlock()
+	}
 	out := all[:0]
 	for _, c := range all {
 		if len(c) >= minSize {
 			out = append(out, c)
 		}
+	}
+	return out
+}
+
+// linkedComponentsLocked returns the components of two or more nodes that
+// the wanted edge types induce, each sorted, ordered by smallest member.
+// Unions run over the edge slots in insertion order on endpoint numbers,
+// and members are gathered in sorted ID order, so no step depends on map
+// iteration order. Callers hold g.mu.
+func (g *Graph) linkedComponentsLocked(want int) [][]string {
+	index := make(map[string]int32)
+	var ids []string
+	var parent []int32
+	number := func(id string) int32 {
+		i, ok := index[id]
+		if !ok {
+			i = int32(len(ids))
+			index[id] = i
+			ids = append(ids, id)
+			parent = append(parent, i)
+		}
+		return i
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for i := 0; i < g.nEdges; i++ {
+		e := g.edge(i)
+		if e.Type == 0 || want&(1<<uint(e.Type)) == 0 {
+			continue // tombstoned slot or unwanted type
+		}
+		if ra, rb := find(number(e.From)), find(number(e.To)); ra != rb {
+			parent[ra] = rb
+		}
+	}
+	order := make([]int32, len(ids))
+	size := make([]int32, len(ids))
+	for i := range order {
+		order[i] = int32(i)
+		size[find(int32(i))]++
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(ids[a], ids[b]) })
+	// One backing array holds every member; each component gets a
+	// capacity-capped window of it, opened at its smallest member.
+	backing := make([]string, 0, len(ids))
+	comp := make([]int32, len(ids)) // root → index in out, plus one
+	var out [][]string
+	for _, i := range order {
+		r := find(i)
+		if comp[r] == 0 {
+			n := len(backing)
+			backing = backing[:n+int(size[r])]
+			out = append(out, backing[n:n:n+int(size[r])])
+			comp[r] = int32(len(out))
+		}
+		c := comp[r] - 1
+		out[c] = append(out[c], ids[i])
 	}
 	return out
 }

@@ -173,7 +173,8 @@ func TestComponentsByType(t *testing.T) {
 }
 
 func TestComponentsPartition(t *testing.T) {
-	// Property: Components() is a partition of the node set.
+	// Property: Components() is a partition of the node set, and
+	// ComponentsMin its filter.
 	f := func(edgesRaw []uint16, nRaw uint8) bool {
 		n := int(nRaw%30) + 1
 		g := New()
@@ -192,6 +193,7 @@ func TestComponentsPartition(t *testing.T) {
 				return false
 			}
 		}
+		checkComponentsMin(t, g)
 		comps := g.Components(Similar)
 		seen := map[string]int{}
 		for _, c := range comps {

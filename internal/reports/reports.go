@@ -170,13 +170,8 @@ func Refang(indicator string) string {
 
 var (
 	pkgMentionRe = regexp.MustCompile("package `([\\w.@/-]+)` version `([\\w.-]+)` in the (\\w+) registry")
-	ipRe         = regexp.MustCompile(`\b(\d{1,3})\.(\d{1,3})\.(\d{1,3})[.\[\]]{1,3}(\d{1,3})\b`)
-	urlRe        = regexp.MustCompile(`h(?:xx|tt)ps?://[^\s"'<>\)]+`)
-	// A PowerShell IoC is a command line (powershell followed by flags),
-	// not merely prose mentioning PowerShell behaviour.
-	psRe        = regexp.MustCompile(`(?i)powershell\s+-[^\n]+`)
-	behaviorRe  = regexp.MustCompile(`Observed behaviours: ([^.\n]+)\.`)
-	publishedRe = regexp.MustCompile(`(?m)^Published: (\d{4}-\d{2}-\d{2})$`)
+	behaviorRe   = regexp.MustCompile(`Observed behaviours: ([^.\n]+)\.`)
+	publishedRe  = regexp.MustCompile(`(?m)^Published: (\d{4}-\d{2}-\d{2})$`)
 )
 
 // ExtractPublishedAt parses the publication dateline out of a report body.
@@ -235,24 +230,24 @@ func ecosystemByName(name string) ecosys.Ecosystem {
 }
 
 // ExtractIoCs parses the IoC indicators out of a report body, refanging
-// defanged forms and deduplicating.
+// defanged forms and deduplicating. The three indicator patterns are byte
+// scanners with the semantics of the regexps documented in ioc.go.
 func ExtractIoCs(body string) IoCSet {
 	var set IoCSet
-	for _, m := range ipRe.FindAllString(body, -1) {
-		ip := Refang(m)
-		if validIP(ip) {
+	scanIPs(body, func(m string) {
+		if ip := Refang(m); validIP(ip) {
 			set.IPs = append(set.IPs, ip)
 		}
-	}
-	for _, m := range urlRe.FindAllString(body, -1) {
+	})
+	scanURLs(body, func(m string) {
 		u := strings.TrimRight(Refang(m), ".,;")
 		if _, err := url.Parse(u); err == nil {
 			set.URLs = append(set.URLs, u)
 		}
-	}
-	for _, m := range psRe.FindAllString(body, -1) {
+	})
+	scanPowerShell(body, func(m string) {
 		set.PowerShell = append(set.PowerShell, strings.TrimSpace(m))
-	}
+	})
 	set.IPs = dedupe(set.IPs)
 	set.URLs = dedupe(set.URLs)
 	set.PowerShell = dedupe(set.PowerShell)

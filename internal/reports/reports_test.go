@@ -1,6 +1,10 @@
 package reports
 
 import (
+	"net/url"
+	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -218,4 +222,101 @@ func TestCategoryString(t *testing.T) {
 	if len(AllCategories()) != 6 {
 		t.Fatal("Table III has 6 categories")
 	}
+}
+
+// The regexps ExtractIoCs' scanners implement, kept as their oracle.
+var (
+	ipRe  = regexp.MustCompile(`\b(\d{1,3})\.(\d{1,3})\.(\d{1,3})[.\[\]]{1,3}(\d{1,3})\b`)
+	urlRe = regexp.MustCompile(`h(?:xx|tt)ps?://[^\s"'<>\)]+`)
+	psRe  = regexp.MustCompile(`(?i)powershell\s+-[^\n]+`)
+)
+
+// referenceExtractIoCs is ExtractIoCs over the regexps.
+func referenceExtractIoCs(body string) IoCSet {
+	var set IoCSet
+	for _, m := range ipRe.FindAllString(body, -1) {
+		if ip := Refang(m); validIP(ip) {
+			set.IPs = append(set.IPs, ip)
+		}
+	}
+	for _, m := range urlRe.FindAllString(body, -1) {
+		u := strings.TrimRight(Refang(m), ".,;")
+		if _, err := url.Parse(u); err == nil {
+			set.URLs = append(set.URLs, u)
+		}
+	}
+	for _, m := range psRe.FindAllString(body, -1) {
+		set.PowerShell = append(set.PowerShell, strings.TrimSpace(m))
+	}
+	set.IPs = dedupe(set.IPs)
+	set.URLs = dedupe(set.URLs)
+	set.PowerShell = dedupe(set.PowerShell)
+	return set
+}
+
+// scanAll collects a scanner's matches.
+func scanAll(scan func(string, func(string)), s string) []string {
+	var out []string
+	scan(s, func(m string) { out = append(out, m) })
+	return out
+}
+
+// checkIoCOracle fails unless every scanner reports exactly its regexp's
+// matches in body and ExtractIoCs agrees with the regexp extraction.
+func checkIoCOracle(tb testing.TB, body string) {
+	tb.Helper()
+	for _, p := range []struct {
+		name string
+		scan func(string, func(string))
+		re   *regexp.Regexp
+	}{
+		{"ip", scanIPs, ipRe},
+		{"url", scanURLs, urlRe},
+		{"powershell", scanPowerShell, psRe},
+	} {
+		if got, want := scanAll(p.scan, body), p.re.FindAllString(body, -1); !slices.Equal(got, want) {
+			tb.Fatalf("%s scanner on %q:\n got  %q\n want %q", p.name, body, got, want)
+		}
+	}
+	if got, want := ExtractIoCs(body), referenceExtractIoCs(body); !reflect.DeepEqual(got, want) {
+		tb.Fatalf("ExtractIoCs(%q) = %+v, reference %+v", body, got, want)
+	}
+}
+
+// CheckIoCOracle exports checkIoCOracle to the whole-world test, which
+// lives in package reports_test because the world imports this package.
+var CheckIoCOracle = checkIoCOracle
+
+func TestIoCScannersMatchRegexps(t *testing.T) {
+	rng := xrand.New(3)
+	bodies := []string{
+		"",
+		Render(rng, "t", time.Time{}, ecosys.PyPI, samplePkgs(), sampleIoCs(), nil),
+		"IP: 999.1.1.1 and version 1.2.3.4 of something, IP: 10.0.0[.]5",
+		"1.2.3[.]4 1.2.3]4 1[.]2.3.4 1.2.3.4567 1.2.3.4.5 a1.2.3.4 1.2.3.4_ 1.2.3.4é é1.2.3.4",
+		"1.2.3.[.]4 1.2.3....4 1.2.3[]]4 12.34.56.78:80 1234.5.6.7 1..2.3.4 255.255.255.255",
+		"hxxps://evil.example/x) http://a.b/c., https://x.y/z;\"q\" http:// hxxp://\thttps://p<q> hxxpss://no",
+		"httphttps://a.b https://a.bhttp://c.d http://a.b)https://c.d ftp://x https:/x hxxps[:]//x",
+		"PowerShell -enc SQBFAFgA\npowerſhell -x y\nPOWERSHELL\t\n -Command z\npowershell - \npowershell -\npowershell x -y",
+		"powershell  --\npowershell \n-\npowershell -\u212a\xff\npowerShell\r-w hidden",
+		"\xff\xfe1.2.3.4\xff http://\xff\xfe/a powershell -\xff\x00",
+	}
+	for _, body := range bodies {
+		checkIoCOracle(t, body)
+	}
+	for _, ioc := range []IoCSet{sampleIoCs(), {IPs: []string{"1.2.3.4"}, URLs: []string{"http://a.b/c.d"}}} {
+		for i := 0; i < 20; i++ {
+			checkIoCOracle(t, Render(rng.Derive("r"), "t", time.Time{}, ecosys.NPM, samplePkgs(), ioc, []string{"x"}))
+		}
+	}
+}
+
+// FuzzExtractIoCs checks the byte scanners against their regexps on
+// arbitrary bodies: the same matches per pattern, the same IoC set, no
+// panic. Seeds live in testdata/fuzz/FuzzExtractIoCs.
+func FuzzExtractIoCs(f *testing.F) {
+	f.Add("IP: 1.2.3.4\n  URL: hxxps://x[.]y/z\n  CMD: powershell -enc AAAA\n")
+	f.Fuzz(func(t *testing.T, body string) {
+		checkIoCOracle(t, body)
+	})
 }

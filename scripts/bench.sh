@@ -52,6 +52,11 @@
 #                           pays copy-on-write, at 1×/4×/10× corpus) with the
 #                           publish_growth_10x_vs_1x ratio: an epoch publish must
 #                           not copy the corpus (CI gates ≤ 3×) —
+#                           BenchmarkResults_DirtyEpochGrowth records (the
+#                           first Results after the same delta at 1×/4×/10×
+#                           corpus) with the results_growth_10x_vs_1x ratio:
+#                           Results still recomputes each dirty block over the
+#                           whole corpus, so the ratio is recorded, not gated —
 #                           and BenchmarkIncremental_JournaledAppend (the same
 #                           append with a fsync'd WAL record in the measured
 #                           op) with the journaled/in-memory overhead ratio:
@@ -93,7 +98,7 @@ MEDIAN_COUNT=5
       -bench 'BenchmarkTable6_ClusteringStage$|BenchmarkPipeline_EndToEnd$' \
       -benchmem -benchtime "$TIME" -count "$MEDIAN_COUNT" .
   MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
-      -bench 'BenchmarkPipeline_Startup$|BenchmarkIncremental_FullRebuild$|BenchmarkIncremental_AppendGrowth$|BenchmarkIncremental_ReportAppendGrowth$|BenchmarkIncremental_CheckpointGrowth$|BenchmarkIncremental_PublishGrowth$' \
+      -bench 'BenchmarkPipeline_Startup$|BenchmarkIncremental_FullRebuild$|BenchmarkIncremental_AppendGrowth$|BenchmarkIncremental_ReportAppendGrowth$|BenchmarkIncremental_CheckpointGrowth$|BenchmarkIncremental_PublishGrowth$|BenchmarkResults_DirtyEpochGrowth$' \
       -benchmem -benchtime "$TIME" .
   MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
       -bench 'BenchmarkIncremental_Append$|BenchmarkIncremental_JournaledAppend$' \
@@ -166,6 +171,9 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
     if (name == "BenchmarkIncremental_PublishGrowth/size=1x")  { p1_ns = ns;  p1_rec = record(name) }
     if (name == "BenchmarkIncremental_PublishGrowth/size=4x")  { p4_ns = ns;  p4_rec = record(name) }
     if (name == "BenchmarkIncremental_PublishGrowth/size=10x") { p10_ns = ns; p10_rec = record(name) }
+    if (name == "BenchmarkResults_DirtyEpochGrowth/size=1x")  { d1_ns = ns;  d1_rec = record(name) }
+    if (name == "BenchmarkResults_DirtyEpochGrowth/size=4x")  { d4_ns = ns;  d4_rec = record(name) }
+    if (name == "BenchmarkResults_DirtyEpochGrowth/size=10x") { d10_ns = ns; d10_rec = record(name) }
     if (name == "BenchmarkServe_ReadsDuringIngest") {
       serve_rec = record(name)
       for (i = 3; i < NF; i += 2) {
@@ -210,6 +218,10 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
       if (p1_ns != "" && p10_ns != "") {
         line = line sprintf(",\"publish_growth_10x_vs_1x\":%.2f,\"publish_growth\":{\"x1\":%s,\"x4\":%s,\"x10\":%s}",
                             p10_ns / p1_ns, p1_rec, p4_rec, p10_rec)
+      }
+      if (d1_ns != "" && d10_ns != "") {
+        line = line sprintf(",\"results_growth_10x_vs_1x\":%.2f,\"results_growth\":{\"x1\":%s,\"x4\":%s,\"x10\":%s}",
+                            d10_ns / d1_ns, d1_rec, d4_rec, d10_rec)
       }
       if (wal_ns != "" && wal_component_ns != "" && wal_min_ns != "" && wal_ns > wal_component_ns) {
         # Overhead ratio from one run: the journaled op minus its timed WAL
