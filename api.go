@@ -404,7 +404,7 @@ func (p *Pipeline) Node(id string) (graph.Node, map[string][]string, bool) {
 	return p.CurrentEpoch().Node(id)
 }
 
-// SnapshotEngine checkpoints the engine (graph, dataset, caches) as a v5
+// SnapshotEngine checkpoints the engine (graph, dataset, caches) as a
 // manifest to w over the attached store, without truncating the journal.
 // The snapshot is stamped with the last journaled ingest sequence the
 // engine reflects, so WAL recovery replays only the suffix the checkpoint
@@ -422,9 +422,10 @@ func (p *Pipeline) snapshotEngineLocked(w io.Writer) error {
 }
 
 // AdoptEngine swaps in an engine restored outside the pipeline by
-// core.RestoreEngineWithStore from a v5 manifest and republishes it:
-// embeddings, cluster state and scan caches come back with the graph, so
-// serving resumes without an O(corpus) rebuild. The journal sequence
+// core.RestoreEngineWithStore from a manifest and republishes it:
+// embeddings and cluster state come back with the graph and the restore
+// rebuilds the scan caches, so serving resumes without an O(corpus)
+// rebuild. The journal sequence
 // restores from the manifest's AppliedSeq stamp, and the feed cursor from
 // its FeedPos stamp (a stamp past the end of a feed re-partitioned since
 // restarts it at zero — re-draining already-ingested batches is an

@@ -19,11 +19,15 @@ import (
 	"malgraph/internal/castore"
 )
 
-// checkpointGolden is one SHA-256 over the 200 manifests a per-batch
-// checkpoint of the seed-1, scale-0.05, 200-batch feed writes, in order,
-// then over every segment file of its store in name order. The schedule
-// re-bases every section at least twice and writes partition deletes.
-const checkpointGolden = "e2392e1dad221a5c503aa28b8af865f6257296aa7a5835dbe917909931bd20e3"
+// The checkpoint goldens of the seed-1, scale-0.05, 200-batch feed
+// checkpointed after every batch: one SHA-256 over the 200 manifests, in
+// order, and one over every segment file of its store, in name order, so a
+// change shows which half it moved. The schedule re-bases every section at
+// least twice and writes partition deletes.
+const (
+	checkpointGoldenManifests = "42e9f27102ae1b84c1974a5c553b8b2d2e98cb3ba2d6c478097a9ff3bfba3865"
+	checkpointGoldenSegments  = "aee0096598fb5429857a484aad310391d38973254d190a9e3f1b760c604561ea"
+)
 
 func TestCheckpointGoldenBytes(t *testing.T) {
 	if testing.Short() {
@@ -31,48 +35,52 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	}
 	for _, procs := range []int{1, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		got, err := checkpointBytesDigest(t.TempDir())
+		manifests, segments, err := checkpointBytesDigest(t.TempDir())
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if got != checkpointGolden {
-			t.Errorf("GOMAXPROCS=%d: checkpoint bytes digest %s, want %s", procs, got, checkpointGolden)
+		if manifests != checkpointGoldenManifests {
+			t.Errorf("GOMAXPROCS=%d: manifests digest %s, want %s", procs, manifests, checkpointGoldenManifests)
+		}
+		if segments != checkpointGoldenSegments {
+			t.Errorf("GOMAXPROCS=%d: segments digest %s, want %s", procs, segments, checkpointGoldenSegments)
 		}
 	}
 }
 
 // checkpointBytesDigest drains the 200-batch feed into a pipeline with a
 // fresh store in dir, checkpointing after every batch, and hashes the
-// manifests in order and then the store's segment files in name order.
-func checkpointBytesDigest(dir string) (string, error) {
+// manifests in order and, apart, the store's segment files in name order.
+func checkpointBytesDigest(dir string) (manifests, segments string, err error) {
 	p, err := NewStreamingPipeline(context.Background(), Config{Seed: 1, Scale: 0.05}, 200)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	st, err := castore.Open(dir, nil)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	p.AttachStore(st)
 	h := sha256.New()
 	for {
 		_, ok, err := p.AppendNext()
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
 		if !ok {
 			break
 		}
 		var man bytes.Buffer
 		if err := p.SnapshotEngine(&man); err != nil {
-			return "", err
+			return "", "", err
 		}
 		h.Write(man.Bytes())
 	}
+	manifests = hex.EncodeToString(h.Sum(nil))
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	var names []string
 	for _, ent := range ents {
@@ -81,12 +89,13 @@ func checkpointBytesDigest(dir string) (string, error) {
 		}
 	}
 	sort.Strings(names)
+	h.Reset()
 	for _, name := range names {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
 		h.Write(raw)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return manifests, hex.EncodeToString(h.Sum(nil)), nil
 }

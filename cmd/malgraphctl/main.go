@@ -240,7 +240,7 @@ type serveFlags struct {
 // the external observations/reports inlet, plus the simulated PyPI registry
 // endpoints. With -snapshot, existing engine state warm-restarts the server
 // and POST /api/v1/snapshot checkpoints it again. Every checkpoint is a
-// small v5 manifest at the -snapshot path over content-addressed delta
+// small manifest at the -snapshot path over content-addressed delta
 // segments in the -store directory (default <snapshot>.store), so a
 // checkpoint writes O(ingest delta) instead of re-serialising the corpus; a
 // monolithic v3/v4 file an earlier serve wrote is refused, naming commit

@@ -52,7 +52,7 @@ type server struct {
 	checkpointBytes int64
 	checkpointMu    sync.Mutex
 
-	// store is the content-addressed chunk store behind the segmented (v5)
+	// store is the content-addressed chunk store behind the segmented
 	// checkpoints, set exactly when snapshotPath is: the snapshot file is a
 	// small manifest, checkpoints write only the ingest delta, GET
 	// /api/v1/snapshot streams manifest + segments, and checkpoints retain

@@ -36,7 +36,7 @@ import (
 // TestServeStoreRecoveryAcrossRestarts is the segmented mirror of
 // TestServeWALRecoveryAcrossRestarts: generation 1 crashes with journal
 // only, generation 2 recovers and auto-checkpoints through the store
-// (publishing a v5 manifest and truncating the journal), generation 3
+// (publishing a manifest and truncating the journal), generation 3
 // recovers from manifest + store alone and finishes the feed — matching an
 // uninterrupted drain.
 func TestServeStoreRecoveryAcrossRestarts(t *testing.T) {
@@ -89,8 +89,8 @@ func TestServeStoreRecoveryAcrossRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("auto-checkpoint did not publish the manifest: %v", err)
 	}
-	if !bytes.Contains(manifest1, []byte(`"version":5`)) {
-		t.Fatalf("store-backed checkpoint wrote a non-v5 snapshot: %.80s", manifest1)
+	if !bytes.Contains(manifest1, []byte(`"version":6`)) {
+		t.Fatalf("store-backed checkpoint wrote a non-v6 snapshot: %.80s", manifest1)
 	}
 	if store2.Len() == 0 {
 		t.Fatal("checkpoint appended no blobs to the store")

@@ -179,7 +179,7 @@ func (p *Pipeline) journalLocked(kind string, v any) (uint64, error) {
 // under the pipeline lock: no concurrent ingest can journal a record
 // between the snapshot's AppliedSeq stamp and the truncation, so the
 // truncate never destroys an acknowledged record the snapshot does not
-// contain. persist receives the engine snapshot writer — a v5 manifest
+// contain. persist receives the engine snapshot writer — a manifest
 // over the attached store (AttachStore; without one it errors) — and is
 // responsible for making the bytes durable (serve wraps it in an fsync'd
 // atomic file replace); the journal is truncated only after persist

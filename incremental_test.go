@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -722,8 +721,11 @@ func TestAnalyzeCacheMatchesFresh(t *testing.T) {
 // the corpus from the copy, ingests the delta — all outside the timer — and
 // times only the delta checkpoint. The copy matters: the store skips blobs
 // it already holds, so checkpointing the same delta twice into one store
-// would write nothing the second time. The CI gate compares the 10× and 1×
-// ns/op via checkpoint_growth_ratio in BENCH_incremental.json.
+// would write nothing the second time. The timed manifest goes to a
+// byte-counting writer and is reported as manifest_bytes. The CI gates
+// compare the 10× and 1× ns/op via checkpoint_growth_ratio and the 10× and
+// 1× manifest_bytes via manifest_growth_10x_vs_1x in BENCH_incremental.json:
+// a manifest that grows with the corpus carries state the store should.
 func BenchmarkIncremental_CheckpointGrowth(b *testing.B) {
 	for _, size := range []struct {
 		name   string
@@ -732,6 +734,7 @@ func BenchmarkIncremental_CheckpointGrowth(b *testing.B) {
 		b.Run("size="+size.name, func(b *testing.B) {
 			st := growthSetup(b, size.prefix)
 			dir := filepath.Join(b.TempDir(), "store")
+			var manifest byteCounter
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -746,17 +749,27 @@ func BenchmarkIncremental_CheckpointGrowth(b *testing.B) {
 				if _, err := eng.Ingest(st.delta); err != nil {
 					b.Fatal(err)
 				}
+				manifest = 0
 				runtime.GC()
 				b.StartTimer()
-				if err := eng.Snapshot(io.Discard); err != nil {
+				if err := eng.Snapshot(&manifest); err != nil {
 					b.Fatal(err)
 				}
 			}
 			// After the loop: ResetTimer clears extra metrics reported
 			// before it.
 			b.ReportMetric(float64(len(st.delta.Entries)), "delta_entries")
+			b.ReportMetric(float64(manifest), "manifest_bytes")
 		})
 	}
+}
+
+// byteCounter is an io.Writer that counts the bytes written to it.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 // copyDir copies the regular files of src into a new directory dst.

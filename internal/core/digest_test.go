@@ -184,10 +184,11 @@ func firstKey[V any](t *testing.T, m map[string]V) string {
 
 // FuzzRestoreEngineWithStore feeds arbitrary snapshot bytes to the one
 // restore entry point, against a store holding a real three-checkpoint
-// chain: no input panics, an input the restore accepts is a v5 manifest,
-// and the engine it gives has a digest. Seeds: v2, v3 and v4 snapshot
-// headers (each refused), the chain's manifests and a manifest naming a
-// chunk the store does not hold.
+// chain: no input panics, an input the restore accepts is a manifest of a
+// version readableManifest admits, and the engine it gives has a digest.
+// Seeds: v2, v3 and v4 snapshot headers (each refused), the chain's v6
+// manifests, a manifest naming a graph chunk the store does not hold, and
+// the last manifest rewritten as v5 (asV5Manifest).
 func FuzzRestoreEngineWithStore(f *testing.F) {
 	for v := 2; v <= 4; v++ {
 		f.Add([]byte(monolithicHeaders[v]))
@@ -223,6 +224,7 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(unknown)
+	f.Add(asV5Manifest(f, manifest.Bytes()))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e, err := RestoreEngineWithStore(bytes.NewReader(raw), store)
@@ -232,8 +234,8 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 		var head struct {
 			Version int `json:"version"`
 		}
-		if err := json.Unmarshal(raw, &head); err != nil || head.Version != snapshotVersionSegmented {
-			t.Fatalf("restore accepted a non-v5 snapshot (version %d, %v): %.80q", head.Version, err, raw)
+		if err := json.Unmarshal(raw, &head); err != nil || !readableManifest(head.Version) {
+			t.Fatalf("restore accepted an unreadable snapshot (version %d, %v): %.80q", head.Version, err, raw)
 		}
 		if _, err := e.Digest(); err != nil {
 			t.Fatalf("restored engine has no digest: %v", err)

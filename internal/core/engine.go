@@ -158,6 +158,7 @@ type ecoShard struct {
 	// already-scanned fronts importing it (self-name imports excluded).
 	importers map[string][]string
 	// importsOf caches each scanned artifact's manifest+source import names.
+	// Checkpoints do not persist it; a restore re-scans the artifacts.
 	importsOf map[string][]string
 
 	// items caches the §III-B per-artifact products, sorted by node ID (the
@@ -214,7 +215,8 @@ type Engine struct {
 	// coexOwner records, per co-existing edge (pair key, endpoints sorted),
 	// the URL of the report that owns its attrs: the URL-smallest report
 	// covering the pair, i.e. the first writer of a one-shot build's
-	// URL-ordered join. All three are persisted in checkpoints, so a
+	// URL-ordered join. Checkpoints persist the reports and coexOwner; a
+	// restore re-derives reportByURL and posting from the reports, so a
 	// restored engine's first wanted-package ingest is scoped too.
 	reportByURL map[string]*reports.Report // guarded by mu
 	posting     map[string][]string        // guarded by mu
@@ -234,7 +236,7 @@ type Engine struct {
 	// re-report every batch as pending. guarded by mu.
 	feedPos int
 
-	// Segmented persistence (snapshot v5). Snapshot writes a small manifest
+	// Segmented persistence (snapshot5.go). Snapshot writes a small manifest
 	// plus delta chunks into the attached content store — O(changes since
 	// the last checkpoint); without a store the engine cannot checkpoint.
 	store *castore.Store // guarded by mu
@@ -586,11 +588,9 @@ type shardPlan struct {
 	dirtyItems   int
 
 	// The shard cache keys the plan wrote, which the commit marks for the
-	// next checkpoint: scanned fronts (imports), new item IDs and the
-	// partition keys set or deleted.
-	fronts []string
-	items  []string
-	parts  dirtyKeys
+	// next checkpoint: new item IDs and the partition keys set or deleted.
+	items []string
+	parts dirtyKeys
 }
 
 // applyShardsLocked inserts the batch's nodes (applyNodes) beside the
@@ -685,16 +685,12 @@ func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error
 	return nil
 }
 
-// markPlanLocked records the shard cache keys plan wrote in the items,
-// imports and partitions sections. Items and partitions are keyed per
-// ecosystem; import fronts are node IDs, which embed theirs.
+// markPlanLocked records the shard cache keys plan wrote in the items and
+// partitions sections, both keyed per ecosystem.
 func (e *Engine) markPlanLocked(plan *shardPlan) {
 	eco := plan.eco.String()
 	for _, id := range plan.items {
 		e.sections[secItems].dirty.set(ecoKey(eco, id))
-	}
-	for _, front := range plan.fronts {
-		e.sections[secImports].dirty.set(front)
 	}
 	for key, set := range plan.parts {
 		e.sections[secPartitions].dirty[ecoKey(eco, key)] = set
@@ -738,7 +734,6 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		}
 		front := NodeID(ch.entry.Coord)
 		sh.importsOf[front] = scans[i].deps
-		plan.fronts = append(plan.fronts, front)
 		for _, dep := range scans[i].deps {
 			sh.importers[dep] = append(sh.importers[dep], front)
 			for _, target := range sh.byName[dep] {

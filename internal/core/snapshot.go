@@ -1,11 +1,12 @@
 package core
 
 // Engine.Digest, which hashes each state section in the JSON shape the
-// monolithic v4 snapshot gave it, and restoreFromParts, the tail of the v5
+// monolithic v4 snapshot gave it, and restoreFromParts, the tail of the
 // restore (snapshot5.go) that rebuilds an engine's caches and indexes from
-// its decoded sections. The expensive per-artifact products and the
-// cluster state ride along with the graph, so a restore re-embeds,
-// re-scans and re-clusters nothing.
+// its decoded sections. The embeddings and the cluster state ride along
+// with the graph, so a restore re-embeds and re-clusters nothing; it
+// re-scans the artifacts' imports and re-derives the posting lists, both
+// cheaper to rebuild than to persist.
 
 import (
 	"crypto/sha256"
@@ -19,6 +20,7 @@ import (
 	"malgraph/internal/collect"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
+	"malgraph/internal/parallel"
 	"malgraph/internal/reports"
 	"malgraph/internal/textsim"
 )
@@ -32,8 +34,9 @@ type snapshotItem struct {
 	Hash   string    `json:"hash"`
 }
 
-// restoreParts is an engine's state as the restore decodes it, apart from
-// the dataset and the graph.
+// restoreParts is the persisted state the restore decodes, apart from the
+// dataset and the graph. The import caches and the posting lists are not
+// in it: restoreFromParts derives them from the artifacts and the reports.
 type restoreParts struct {
 	Config  Config
 	Reports []*reports.Report
@@ -44,14 +47,10 @@ type restoreParts struct {
 	// rebuilt exactly from Items.
 	Partitions map[string]map[string][]textsim.Cluster
 	Items      map[string][]textsim.Item
-	Imports    map[string][]string
-	// Posting and PairOwners are the co-existing join index: coordinate
-	// key → URL-sorted report posting list (including coordinates not yet
-	// observed — exactly the state a wanted-package arrival re-joins from)
-	// and pair key → owning report URL (the URL-smallest cover whose attrs
-	// the edge carries). Ownership cannot be reconstructed without replaying
-	// the whole URL-ordered join, so it is persisted instead.
-	Posting    map[string][]string
+	// PairOwners maps a co-existing pair key to its owning report URL (the
+	// URL-smallest cover whose attrs the edge carries). Ownership cannot be
+	// reconstructed without replaying the whole URL-ordered join, so it is
+	// persisted.
 	PairOwners map[string]string
 	// AppliedSeq is the last durable ingest sequence applied before the
 	// checkpoint: WAL records with Seq ≤ AppliedSeq are already in it and
@@ -113,7 +112,7 @@ func (e *Engine) Digest() (map[string]string, error) {
 		{sectionReports, encode(e.mg.Reports)},
 		{sectionItems, encode(items)},
 		{sectionPartitions, encode(partitions)},
-		{sectionImports, encode(imports)},
+		{"imports", encode(imports)},
 		{"posting", encode(e.posting)},
 		{sectionPairOwners, encode(e.coexOwner)},
 	}
@@ -140,21 +139,29 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 	e.mg.Reports = snap.Reports
 	sort.Slice(e.mg.Reports, func(i, j int) bool { return e.mg.Reports[i].URL < e.mg.Reports[j].URL })
 
+	// Materialize the item-bearing shards before the fan-out, as
+	// applyShardsLocked does, in name order so an unknown ecosystem fails
+	// the same way every time.
 	ecoByName := make(map[string]ecosys.Ecosystem, len(ecosys.All()))
 	for _, eco := range ecosys.All() {
 		ecoByName[eco.String()] = eco
 	}
-	for name, items := range snap.Items {
+	itemEcos := sortedKeys(snap.Items)
+	itemShards := make([]*ecoShard, len(itemEcos))
+	for i, name := range itemEcos {
 		eco, ok := ecoByName[name]
 		if !ok {
 			return nil, fmt.Errorf("restore: unknown ecosystem %q in items", name)
 		}
-		sh := e.shardLocked(eco)
+		itemShards[i] = e.shardLocked(eco)
+	}
+	// Each shard's LSH rebuild writes only that shard.
+	parallel.ForEach(len(itemShards), func(i int) {
+		items := snap.Items[itemEcos[i]]
 		// Headroom keeps the first post-restore inserts from recopying the
 		// whole ID-sorted slice (insertItem shifts in place within capacity).
 		restored := append(make([]textsim.Item, 0, len(items)+len(items)/8+16), items...)
 		sort.Slice(restored, func(i, j int) bool { return restored[i].ID < restored[j].ID })
-		sh.items = restored
 		// Rebuild the LSH partition index from the cached fingerprints —
 		// partition membership and canonical keys are content-derived, so
 		// this reproduces the snapshotted engine's index exactly.
@@ -167,9 +174,10 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 		// post-restore ingest doesn't pay an O(corpus) stale-key sweep the
 		// uninterrupted engine never sees.
 		idx.DrainRetired()
-		sh.lsh = idx
-	}
-	for name, parts := range snap.Partitions {
+		itemShards[i].items, itemShards[i].lsh = restored, idx
+	})
+	for _, name := range sortedKeys(snap.Partitions) {
+		parts := snap.Partitions[name]
 		eco, ok := ecoByName[name]
 		if !ok {
 			return nil, fmt.Errorf("restore: unknown ecosystem %q in partitions", name)
@@ -181,47 +189,49 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 			}
 		}
 		sh.clustersByPart = parts
-		//malgraph:nondeterm-ok eco is a bijective rename of the range key, so this writes each ecosystem exactly once
 		e.mg.SimilarClusters[eco] = sh.flat.flatten(parts)
 	}
 
-	// Rebuild the in-memory indexes from the merged dataset and caches.
-	for _, en := range ds.Entries {
+	// Re-scan every artifact's imports, then rebuild the corpus dictionaries
+	// and the import indexes in key order — node-ID order, so future edge
+	// insertions stay deterministic.
+	deps := make([][]string, len(ds.Entries))
+	err := parallel.ForEachErr(len(ds.Entries), func(i int) (err error) {
+		if en := ds.Entries[i]; en.Artifact != nil {
+			if deps[i], err = e.scanner.Dependencies(en.Artifact); err != nil {
+				return fmt.Errorf("restore: dep scan %s: %w", en.Coord, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, en := range ds.Entries {
 		sh := e.shardLocked(en.Coord.Ecosystem)
 		name := en.Coord.Name
 		id := NodeID(en.Coord)
 		sh.byName[name] = append(sh.byName[name], id)
 		sh.corpus[name] = true
-	}
-	// The imports section is one flat map; split it back into the
-	// per-ecosystem shards (node IDs resolve their ecosystem via the dataset)
-	// and rebuild each reverse import index in sorted front order so future
-	// edge insertions stay deterministic.
-	fronts := make([]string, 0, len(snap.Imports))
-	for front := range snap.Imports {
-		fronts = append(fronts, front)
-	}
-	sort.Strings(fronts)
-	for _, front := range fronts {
-		en, ok := e.mg.EntryByNodeID(front)
-		if !ok {
-			return nil, fmt.Errorf("restore: import cache references unknown node %s", front)
+		if en.Artifact == nil {
+			continue
 		}
-		sh := e.shardLocked(en.Coord.Ecosystem)
-		sh.importsOf[front] = snap.Imports[front]
-		for _, dep := range snap.Imports[front] {
-			sh.importers[dep] = append(sh.importers[dep], front)
+		sh.importsOf[id] = deps[i]
+		for _, dep := range deps[i] {
+			sh.importers[dep] = append(sh.importers[dep], id)
 		}
 	}
-	// Rebuild the per-package report index from the URL-sorted corpus (the
-	// appends preserve global URL order) and restore the join index. The
-	// posting lists and pair ownership come from the snapshot verbatim — a
-	// restored engine's next wanted-package ingest re-joins exactly the
-	// scope the uninterrupted engine would, without an O(reports) pass.
+	// Rebuild the per-package report index and the posting lists from the
+	// URL-sorted corpus (the appends preserve global URL order). Posting
+	// lists cover every named coordinate, observed or not — exactly the
+	// state a wanted-package arrival re-joins from. Pair ownership comes
+	// from the snapshot verbatim, so a restored engine's next wanted-package
+	// ingest re-joins exactly the scope the uninterrupted engine would.
 	for _, rep := range e.mg.Reports {
 		e.reportByURL[rep.URL] = rep
 		seen := make(map[string]bool, len(rep.Packages))
 		for _, coord := range rep.Packages {
+			e.addPostingLocked(coord.Key(), rep.URL)
 			id := NodeID(coord)
 			if seen[id] {
 				continue
@@ -234,11 +244,18 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 			}
 		}
 	}
-	if snap.Posting != nil {
-		e.posting = snap.Posting
-	}
 	if snap.PairOwners != nil {
 		e.coexOwner = snap.PairOwners
 	}
 	return e, nil
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

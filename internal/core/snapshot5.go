@@ -1,30 +1,32 @@
 package core
 
-// Snapshot v5: segmented delta checkpoints, the only format an engine
-// writes. A store-attached engine splits persistence into a small manifest
-// (written to the caller's stream, which owns the atomic-rename and
-// WAL-truncation contracts) and content-addressed chunks in a
-// castore.Store. Each persisted section — dataset entries, graph, clustering
-// items, import caches, partition caches, reports, pair ownership — is a
-// log of chunks: a chunk either re-bases the section (full re-encode) or
-// applies a delta of the key sets/deletes the engine marked since the last
-// checkpoint (track.go). The manifest holds only the ordered chunk
-// references plus the genuinely small inline state (config, posting lists,
-// sequence stamps), so checkpoint cost is O(changes since the last
-// checkpoint), not O(corpus).
+// Segmented delta checkpoints, the only format an engine writes. A
+// store-attached engine splits persistence into a small manifest (written
+// to the caller's stream, which owns the atomic-rename and WAL-truncation
+// contracts) and content-addressed chunks in a castore.Store. Each
+// persisted section — dataset entries, graph, clustering items, partition
+// caches, reports, pair ownership — is a log of chunks: a chunk either
+// re-bases the section (full re-encode) or applies a delta of the key
+// sets/deletes the engine marked since the last checkpoint (track.go). The
+// manifest holds only the ordered chunk references plus the small inline
+// state (config, dataset header, sequence stamps), so checkpoint cost is
+// O(changes since the last checkpoint), not O(corpus). A checkpoint holds
+// only what cannot be derived: the posting lists and the import caches are
+// pure functions of the reports and the artifacts, and the restore rebuilds
+// them (restoreFromParts).
 //
-// Snapshot is one loop over the sections. The six keyed ones go through one
-// path, driven by kvSectionsLocked's table of live keys and value encoders;
-// the dataset's encoder also queues each new artifact blob. The graph's
-// chunk is its operation journal or a re-base.
+// Snapshot is one loop over the sections. The five keyed ones go through
+// one path, driven by kvSectionsLocked's table of live keys and value
+// encoders; the dataset's encoder also queues each new artifact blob. The
+// graph's chunk is its operation journal or a re-base.
 //
 // Chunks, item values and artifact blobs are binary (chunkcodec.go), so a
-// restore decodes them by slicing; entry records, reports, imports,
-// partitions and pair owners keep JSON values inside the binary kv frame.
-// The manifest itself stays JSON and version 5. A restore reads nothing
-// else: a monolithic v3/v4 snapshot and a JSON chunk from an earlier build
-// are refused with an error naming commit 3e24565, the last that reads
-// them.
+// restore decodes them by slicing; entry records, reports, partitions and
+// pair owners keep JSON values inside the binary kv frame. The manifest
+// itself stays JSON, version 6; a version 5 manifest still restores, its
+// posting map and imports chain ignored. A restore reads nothing else: a
+// monolithic v3/v4 snapshot and a JSON chunk from an earlier build are
+// refused with an error naming commit 3e24565, the last that reads them.
 //
 // Durability ordering: the chunk segment is appended — and fsynced — before
 // a single manifest byte is written, so a manifest that gets published by
@@ -47,16 +49,21 @@ import (
 	"malgraph/internal/textsim"
 )
 
-// snapshotVersionSegmented is the manifest format version.
-const snapshotVersionSegmented = 5
+// snapshotVersionSegmented is the manifest format version Snapshot writes.
+// Version 5 differs only in what a restore ignores: the posting map it
+// carried inline and its imports section.
+const snapshotVersionSegmented = 6
 
-// manifestSnapshot is the v5 wire format: inline small state plus, per
-// section, the ordered chunk references that reconstruct it.
+// readableManifest reports whether a manifest of version v restores: the
+// one predicate RestoreEngineWithStore and CollectManifestRefs share.
+func readableManifest(v int) bool { return v == 5 || v == snapshotVersionSegmented }
+
+// manifestSnapshot is the manifest wire format: inline small state plus,
+// per section, the ordered chunk references that reconstruct it.
 type manifestSnapshot struct {
 	Version    int                  `json:"version"`
 	Config     Config               `json:"config"`
 	Header     collect.ResultHeader `json:"datasetHeader"`
-	Posting    map[string][]string  `json:"posting"`
 	AppliedSeq uint64               `json:"appliedSeq,omitempty"`
 	FeedPos    int                  `json:"feedPos,omitempty"`
 	Sections   map[string][]string  `json:"sections"`
@@ -140,7 +147,6 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 	for eco, sh := range e.shards {
 		shardOf[eco.String()] = sh
 		t[secItems].size += len(sh.items)
-		t[secImports].size += len(sh.importsOf)
 		t[secPartitions].size += len(sh.clustersByPart)
 	}
 	// shardKey resolves an ecoKey to its shard (nil if none) and inner key.
@@ -191,27 +197,6 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 		if sh, id := shardKey(key); sh != nil {
 			if it, ok := sh.itemAt(id); ok {
 				return encodeItem(it), nil
-			}
-		}
-		return nil, errNotLive
-	}
-	t[secImports].keys = func() []string {
-		var keys []string
-		for _, sh := range e.shards {
-			for front := range sh.importsOf {
-				keys = append(keys, front)
-			}
-		}
-		sort.Strings(keys)
-		return keys
-	}
-	// Import fronts are node IDs; the dataset resolves their ecosystem.
-	t[secImports].value = func(front string) ([]byte, error) {
-		if en, ok := e.mg.EntryByNodeID(front); ok {
-			if sh := e.shards[en.Coord.Ecosystem]; sh != nil {
-				if deps, ok := sh.importsOf[front]; ok {
-					return json.Marshal(deps)
-				}
 			}
 		}
 		return nil, errNotLive
@@ -334,7 +319,7 @@ func (cp *checkpoint) addGraphChunk(sec *section, g *graph.Graph, ops []graph.Op
 	return nil
 }
 
-// Snapshot writes a v5 checkpoint, the only format an engine writes: delta
+// Snapshot writes a checkpoint, the only format an engine writes: delta
 // chunks and new artifact blobs into the attached store, the manifest to w,
 // at O(changes since the last checkpoint). Without a store (AttachStore) it
 // errors.
@@ -370,7 +355,6 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		Version:    snapshotVersionSegmented,
 		Config:     e.cfg,
 		Header:     e.mg.Dataset.EncodeHeader(),
-		Posting:    e.posting,
 		AppliedSeq: e.appliedSeq,
 		FeedPos:    e.feedPos,
 		Sections:   make(map[string][]string, numSections),
@@ -423,22 +407,10 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return nil
 }
 
-// sortedRawKeys returns a replayed chunk-state's keys sorted, so restore
-// loops that group entries into per-ecosystem containers visit them in a
-// deterministic order.
-func sortedRawKeys(m map[string][]byte) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RestoreEngineWithStore reconstructs an engine from a v5 manifest whose
-// chunk references resolve against st; it is the one restore entry point.
-// The returned engine has st attached and appends its next checkpoint's
-// deltas to the manifest's chunk chains. A monolithic v3/v4 snapshot is
+// RestoreEngineWithStore reconstructs an engine from a v5 or v6 manifest
+// whose chunk references resolve against st; it is the one restore entry
+// point. The returned engine has st attached and appends its next
+// checkpoint's deltas to the manifest's chunk chains. A monolithic v3/v4 snapshot is
 // refused, naming the last commit that reads it.
 func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	buf, err := io.ReadAll(r)
@@ -450,13 +422,13 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	if err := json.Unmarshal(buf, &man); err != nil {
 		return nil, fmt.Errorf("restore decode: %w", err)
 	}
-	switch man.Version {
-	case snapshotVersionSegmented:
-	case 3, 4:
-		return nil, fmt.Errorf("restore: a monolithic v%d snapshot; this build reads only v%d manifests, and the last commit that reads v3/v4 is %s",
+	switch {
+	case readableManifest(man.Version):
+	case man.Version == 3 || man.Version == 4:
+		return nil, fmt.Errorf("restore: a monolithic v%d snapshot; this build reads only v5/v%d manifests, and the last commit that reads v3/v4 is %s",
 			man.Version, snapshotVersionSegmented, lastLegacyReader)
 	default:
-		return nil, fmt.Errorf("restore: snapshot version %d, want %d", man.Version, snapshotVersionSegmented)
+		return nil, fmt.Errorf("restore: snapshot version %d, want 5 or %d", man.Version, snapshotVersionSegmented)
 	}
 
 	// One read session for the whole restore: the chunk fetch here and the
@@ -481,7 +453,6 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		decoded    []collect.DecodedEntry
 		reps       []*reports.Report
 		items      map[string][]textsim.Item
-		imports    map[string][]string
 		partitions map[string]map[string][]textsim.Cluster
 		pairOwners map[string]string
 		logged     [numSections]int
@@ -537,25 +508,12 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 			return err
 		},
 		func() error {
-			impState, err := replay(secImports)
-			if err != nil {
-				return err
-			}
-			imports = make(map[string][]string, len(impState))
-			for front, raw := range impState {
-				var deps []string
-				if err := json.Unmarshal(raw, &deps); err != nil {
-					return fmt.Errorf("restore imports %s: %w", front, err)
-				}
-				imports[front] = deps
-			}
-
 			partState, err := replay(secPartitions)
 			if err != nil {
 				return err
 			}
 			partitions = make(map[string]map[string][]textsim.Cluster)
-			for _, k := range sortedRawKeys(partState) {
+			for _, k := range sortedKeys(partState) {
 				eco, inner, ok := splitEcoKey(k)
 				if !ok {
 					return fmt.Errorf("restore: malformed partition key %q", k)
@@ -593,8 +551,6 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		Reports:    reps,
 		Partitions: partitions,
 		Items:      items,
-		Imports:    imports,
-		Posting:    man.Posting,
 		PairOwners: pairOwners,
 		AppliedSeq: man.AppliedSeq,
 		FeedPos:    man.FeedPos,
@@ -680,7 +636,7 @@ func restoreGraphChain(refs []string, chunkData map[string][]byte) (*graph.Graph
 // attaches their artifact blobs, fetched through sess. Records and
 // artifacts decode in parallel; the first error in key order wins.
 func restoreEntries(entState map[string][]byte, sess *castore.Session) ([]collect.DecodedEntry, error) {
-	keys := sortedRawKeys(entState)
+	keys := sortedKeys(entState)
 	decoded := make([]collect.DecodedEntry, len(keys))
 	err := parallel.ForEachErr(len(keys), func(i int) (err error) {
 		decoded[i], err = collect.DecodeEntry(entState[keys[i]])
@@ -726,7 +682,7 @@ func restoreEntries(entState map[string][]byte, sess *castore.Session) ([]collec
 // restoreItems decodes the clustering items in key order, in parallel, and
 // groups them per ecosystem.
 func restoreItems(itState map[string][]byte) (map[string][]textsim.Item, error) {
-	keys := sortedRawKeys(itState)
+	keys := sortedKeys(itState)
 	its := make([]textsim.Item, len(keys))
 	err := parallel.ForEachErr(len(keys), func(i int) error {
 		if _, _, ok := splitEcoKey(keys[i]); !ok {
@@ -759,11 +715,12 @@ type BlobFetcher interface {
 // CollectManifestRefs returns every blob a serialized snapshot references:
 // the manifest's section chunks plus the artifact blobs its dataset chunks
 // point at. Compaction unions this over every retained snapshot so archived
-// manifests stay restorable. A file of another version references no blob,
-// so it yields none rather than an error: an archived v4 generation must
-// not stall compaction. src resolves the dataset chunks (their entry records carry the
-// artifact refs): a castore.Session shared across the manifests of one
-// compaction decodes each segment once.
+// manifests stay restorable. A file of a version the restore does not read
+// references no blob, so it yields none rather than an error: an archived
+// v4 generation must not stall compaction. A v5 manifest's imports chain is
+// not live either: no restore reads it. src resolves the dataset chunks
+// (their entry records carry the artifact refs): a castore.Session shared
+// across the manifests of one compaction decodes each segment once.
 func CollectManifestRefs(r io.Reader, src BlobFetcher) (map[string]bool, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
@@ -774,7 +731,7 @@ func CollectManifestRefs(r io.Reader, src BlobFetcher) (map[string]bool, error) 
 		return nil, fmt.Errorf("manifest refs decode: %w", err)
 	}
 	live := make(map[string]bool)
-	if man.Version != snapshotVersionSegmented {
+	if !readableManifest(man.Version) {
 		return live, nil
 	}
 	for _, name := range sectionNames {

@@ -1,7 +1,8 @@
 package core
 
-// Contracts under test for segmented (v5) checkpoints: a chain of delta
-// checkpoints restores to the live engine's digest in every section; a
+// Contracts under test for segmented checkpoints: a chain of delta
+// checkpoints restores to the live engine's digest in every section; a v5
+// manifest restores with its posting map and imports chain ignored; a
 // monolithic v3/v4 snapshot and a JSON chunk of each kind are refused,
 // naming the last commit that reads them, and the store is left as it
 // was; version errors are explicit about what the reader needed;
@@ -126,7 +127,7 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 }
 
 // monolithicHeaders are snapshot files in the formats serve wrote before
-// v5 manifests, by version: v2 (long unreadable), and v3 and v4 with the
+// manifests, by version: v2 (long unreadable), and v3 and v4 with the
 // top-level keys they carried.
 var monolithicHeaders = map[int]string{
 	2: `{"version":2}`,
@@ -136,17 +137,17 @@ var monolithicHeaders = map[int]string{
 		`"partitions":{},"items":{},"imports":{},"posting":{},"pairOwners":{},"appliedSeq":3,"feedPos":2}`,
 }
 
-// TestRestoreVersionErrors: RestoreEngineWithStore reads only v5
-// manifests; a snapshot of any version it has never read names the one it
+// TestRestoreVersionErrors: RestoreEngineWithStore reads only v5 and v6
+// manifests; a snapshot of any version it has never read names the ones it
 // wants, and leaves the store as it found it.
 func TestRestoreVersionErrors(t *testing.T) {
 	for _, tc := range []struct {
 		raw  string
 		want string
 	}{
-		{monolithicHeaders[2], "snapshot version 2, want 5"},
-		{`{"version":6}`, "snapshot version 6, want 5"},
-		{`{}`, "snapshot version 0, want 5"},
+		{monolithicHeaders[2], "snapshot version 2, want 5 or 6"},
+		{`{"version":7}`, "snapshot version 7, want 5 or 6"},
+		{`{}`, "snapshot version 0, want 5 or 6"},
 	} {
 		assertRestoreRefused(t, tc.raw, tc.want)
 	}
@@ -321,6 +322,69 @@ func TestRestoreIgnoresRetiredProbeCap(t *testing.T) {
 	}
 	if len(diff) > 0 {
 		t.Fatalf("restored engine differs from the live one in %v", diff)
+	}
+}
+
+// asV5Manifest rewrites a manifest this build wrote as the version 5 that
+// persisted the posting lists and the import caches: a deliberately wrong
+// posting map and an imports chain whose one chunk the store does not hold.
+// A restore that read either would fail or differ from the live engine.
+func asV5Manifest(t testing.TB, manifest []byte) []byte {
+	t.Helper()
+	var man map[string]any
+	if err := json.Unmarshal(manifest, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["version"] = 5
+	man["posting"] = map[string][]string{"PyPI/not-a-package@0": {"https://wrong.example/report"}}
+	man["sections"].(map[string]any)["imports"] = []string{castore.KeyOf([]byte("imports chunk not in the store"))}
+	old, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return old
+}
+
+// TestRestoreUpgradesV5Manifest: a v5 manifest restores to the live
+// engine's digest in every section, its posting map and imports chain
+// ignored — the restore rebuilds both — and CollectManifestRefs gives it
+// the same live set as the v6 manifest it was rewritten from.
+func TestRestoreUpgradesV5Manifest(t *testing.T) {
+	ds, reps := miniDataset(t)
+	store := openTestStore(t)
+	live := NewEngine(DefaultConfig())
+	live.AttachStore(store)
+	half := len(ds.Entries) / 2
+	var manifest bytes.Buffer
+	for _, b := range []Batch{
+		{Entries: ds.Entries[:half], Reports: reps, At: ds.CollectedAt},
+		{Entries: ds.Entries[half:]},
+	} {
+		if _, err := live.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+		manifest.Reset()
+		if err := live.Snapshot(&manifest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := asV5Manifest(t, manifest.Bytes())
+	restored, err := RestoreEngineWithStore(bytes.NewReader(old), store)
+	if err != nil {
+		t.Fatalf("restore of a v5 manifest: %v", err)
+	}
+	assertRestoredMatches(t, restored, live, "restored-from-v5")
+
+	want, err := CollectManifestRefs(bytes.NewReader(manifest.Bytes()), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CollectManifestRefs(bytes.NewReader(old), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("CollectManifestRefs: v5 manifest %d refs, v6 original %d; want the same set", len(got), len(want))
 	}
 }
 
@@ -590,7 +654,7 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 	jsonArt := []byte(`{"Coord":{"Ecosystem":1,"Name":"x","Version":"1"},"Files":null}`)
 	var entryKey string
 	var entry []byte
-	for _, k := range sortedRawKeys(ch.Set) {
+	for _, k := range sortedKeys(ch.Set) {
 		de, err := collect.DecodeEntry(ch.Set[k])
 		if err != nil {
 			t.Fatal(err)
@@ -644,10 +708,13 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 	}
 }
 
-// pairOwnerDeleteGolden is one SHA-256 over the manifests, in order, and
-// the segment files, in name order, of TestCoexistingHubPathGrowth's
-// fixture checkpointed after each of three steps.
-const pairOwnerDeleteGolden = "604315dae845c4d216612e471c5d06e9514cd800c840d40dfac9e7d3a2ba9cb4"
+// The pair-owner-delete goldens of TestCoexistingHubPathGrowth's fixture
+// checkpointed after each of three steps: one SHA-256 over the manifests,
+// in order, and one over the segment files, in name order.
+const (
+	pairOwnerDeleteGoldenManifests = "c5f930007ed0eb6b993669a3e007fa76dbd3bd46a5b221cbc43a1485475f0bc8"
+	pairOwnerDeleteGoldenSegments  = "3b365e63e4d3464fab07d162b48a2173ad413b7b13bbadce3c88df3ac469dc43"
+)
 
 // TestCheckpointGoldenBytesPairOwnerDeletes pins the checkpoint bytes of a
 // schedule whose hub-and-path growth drops pair owners, so a pairOwners
@@ -714,10 +781,14 @@ func TestCheckpointGoldenBytesPairOwnerDeletes(t *testing.T) {
 	if len(refs) != 3 || len(ch.Del) == 0 {
 		t.Fatalf("pairOwners log %d chunk(s), last deletes %d owner(s): want a delta that deletes", len(refs), len(ch.Del))
 	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pairOwnerDeleteGoldenManifests {
+		t.Errorf("manifests digest %s, want %s", got, pairOwnerDeleteGoldenManifests)
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.Reset()
 	for _, ent := range ents {
 		if _, ok := castore.ParseSegmentName(ent.Name()); !ok {
 			continue
@@ -728,7 +799,7 @@ func TestCheckpointGoldenBytesPairOwnerDeletes(t *testing.T) {
 		}
 		h.Write(raw)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != pairOwnerDeleteGolden {
-		t.Errorf("checkpoint bytes digest %s, want %s", got, pairOwnerDeleteGolden)
+	if got := hex.EncodeToString(h.Sum(nil)); got != pairOwnerDeleteGoldenSegments {
+		t.Errorf("segments digest %s, want %s", got, pairOwnerDeleteGoldenSegments)
 	}
 }

@@ -69,7 +69,6 @@ const (
 	secDataset sectionID = iota
 	secGraph
 	secItems
-	secImports
 	secPartitions
 	secReports
 	secPairOwners
@@ -78,15 +77,14 @@ const (
 
 // sectionNames are the sections' manifest keys, indexed by sectionID.
 var sectionNames = [numSections]string{
-	sectionDataset, sectionGraph, sectionItems, sectionImports,
-	sectionPartitions, sectionReports, sectionPairOwners,
+	sectionDataset, sectionGraph, sectionItems, sectionPartitions,
+	sectionReports, sectionPairOwners,
 }
 
 const (
 	sectionDataset    = "dataset"
 	sectionGraph      = "graph"
 	sectionItems      = "items"
-	sectionImports    = "imports"
 	sectionPartitions = "partitions"
 	sectionReports    = "reports"
 	sectionPairOwners = "pairOwners"

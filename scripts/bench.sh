@@ -46,6 +46,9 @@
 #                           content-addressed store at 1×/4×/10× corpus) with
 #                           the checkpoint_growth_ratio (10×/1× ns): segmented
 #                           checkpoints must cost O(delta), not O(corpus) —
+#                           and the manifest_growth_10x_vs_1x ratio (10×/1×
+#                           manifest_bytes): the manifest must not carry
+#                           corpus-sized state (CI gates both ≤ 3×) —
 #                           BenchmarkIncremental_PublishGrowth records (the
 #                           same delta's Ingest plus the Engine.View that
 #                           publishes it, after an untimed View so the write
@@ -165,9 +168,11 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
     if (name == "BenchmarkIncremental_ReportAppendGrowth/size=1x")  { r1_ns = ns;  r1_rec = record(name) }
     if (name == "BenchmarkIncremental_ReportAppendGrowth/size=4x")  { r4_ns = ns;  r4_rec = record(name) }
     if (name == "BenchmarkIncremental_ReportAppendGrowth/size=10x") { r10_ns = ns; r10_rec = record(name) }
-    if (name == "BenchmarkIncremental_CheckpointGrowth/size=1x")  { c1_ns = ns;  c1_rec = record(name) }
+    mbytes = ""
+    for (i = 3; i < NF; i += 2) if ($(i + 1) == "manifest_bytes") mbytes = $i
+    if (name == "BenchmarkIncremental_CheckpointGrowth/size=1x")  { c1_ns = ns;  c1_rec = record(name); c1_mb = mbytes }
     if (name == "BenchmarkIncremental_CheckpointGrowth/size=4x")  { c4_ns = ns;  c4_rec = record(name) }
-    if (name == "BenchmarkIncremental_CheckpointGrowth/size=10x") { c10_ns = ns; c10_rec = record(name) }
+    if (name == "BenchmarkIncremental_CheckpointGrowth/size=10x") { c10_ns = ns; c10_rec = record(name); c10_mb = mbytes }
     if (name == "BenchmarkIncremental_PublishGrowth/size=1x")  { p1_ns = ns;  p1_rec = record(name) }
     if (name == "BenchmarkIncremental_PublishGrowth/size=4x")  { p4_ns = ns;  p4_rec = record(name) }
     if (name == "BenchmarkIncremental_PublishGrowth/size=10x") { p10_ns = ns; p10_rec = record(name) }
@@ -214,6 +219,9 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
       if (c1_ns != "" && c10_ns != "") {
         line = line sprintf(",\"checkpoint_growth_ratio\":%.2f,\"checkpoint_growth\":{\"x1\":%s,\"x4\":%s,\"x10\":%s}",
                             c10_ns / c1_ns, c1_rec, c4_rec, c10_rec)
+      }
+      if (c1_mb != "" && c10_mb != "") {
+        line = line sprintf(",\"manifest_growth_10x_vs_1x\":%.2f", c10_mb / c1_mb)
       }
       if (p1_ns != "" && p10_ns != "") {
         line = line sprintf(",\"publish_growth_10x_vs_1x\":%.2f,\"publish_growth\":{\"x1\":%s,\"x4\":%s,\"x10\":%s}",

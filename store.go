@@ -4,7 +4,7 @@ package malgraph
 // manifest (Checkpoint's atomic-rename and WAL-truncation contracts) plus
 // delta chunks in a content-addressed store, so checkpoint cost tracks the
 // ingest delta instead of the corpus. A pipeline checkpoints only once a
-// store is attached. See internal/castore and core snapshot v5.
+// store is attached. See internal/castore and core/snapshot5.go.
 
 import (
 	"fmt"
