@@ -399,7 +399,8 @@ func (p *Pipeline) Stats() PipelineStats {
 }
 
 // Node resolves one graph node and its sorted per-type neighbors against
-// the current epoch's graph view, lock-free.
+// the current epoch's graph view, lock-free. The node's Attrs is the map
+// the graph holds (see graph.Attrs) and must not be modified.
 func (p *Pipeline) Node(id string) (graph.Node, map[string][]string, bool) {
 	return p.CurrentEpoch().Node(id)
 }

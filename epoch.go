@@ -96,7 +96,8 @@ func (ep *Epoch) Stats() PipelineStats { return ep.stats }
 func (ep *Epoch) ETag() string { return fmt.Sprintf("W/\"epoch-%d\"", ep.resultsID) }
 
 // Node resolves one graph node and its sorted per-type neighbors against
-// the epoch's graph view.
+// the epoch's graph view. The node's Attrs is shared with the view and
+// must not be modified.
 func (ep *Epoch) Node(id string) (graph.Node, map[string][]string, bool) {
 	n, ok := ep.graph.G.Node(id)
 	if !ok {

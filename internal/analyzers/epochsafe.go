@@ -23,11 +23,21 @@ package analyzers
 // construction are not yet published), and locally built values
 // (`r := &Results{...}` may be filled in before it escapes). A reviewed
 // exception carries `//malgraph:epoch-ok <reason>`.
+//
+// Graph attribute maps are frozen too. internal/graph installs the map a
+// caller hands to AddNode or AddEdge without a copy and returns that map
+// from Node, Edges and Persist, so one map may back many edges and every
+// published view. Outside internal/graph the pass therefore flags map
+// writes, deletes, clears and maps.Copy/maps.DeleteFunc into the Attrs
+// field of a graph.Node, graph.Edge or graph.Op value, or into a local
+// alias of one. A graph.Attrs still being built (a local map literal not
+// yet handed over) is not such a value and may be filled in.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Epochsafe reports writes to epoch-frozen values outside constructor files.
@@ -46,6 +56,7 @@ var frozenTypeNames = map[string]bool{
 }
 
 func runEpochsafe(pass *Pass) {
+	inGraph := isGraphPackage(pass.Pkg)
 	for _, f := range pass.Files {
 		exempt := constructorExemptions(pass, f)
 		for _, decl := range f.Decls {
@@ -58,6 +69,8 @@ func runEpochsafe(pass *Pass) {
 				exempt: exempt,
 				fresh:  compositeLitVars(pass.Info, fd.Body),
 				frozen: make(map[*types.Var]string),
+				attrs:  make(map[*types.Var]string),
+				graph:  inGraph,
 			}
 			c.walk(fd.Body)
 		}
@@ -98,6 +111,54 @@ type epochCheck struct {
 	exempt map[string]bool
 	fresh  map[*types.Var]bool
 	frozen map[*types.Var]string // local aliases of frozen values
+	attrs  map[*types.Var]string // local aliases of installed graph attribute maps
+	graph  bool                  // the package is internal/graph itself
+}
+
+// graphAttrTypes are the internal/graph types whose Attrs field holds a map
+// the graph owns.
+var graphAttrTypes = map[string]bool{"Node": true, "Edge": true, "Op": true}
+
+// isGraphPackage reports whether pkg is internal/graph, the one package
+// that may write into installed attribute maps.
+func isGraphPackage(pkg *types.Package) bool {
+	if pkg == nil {
+		return false
+	}
+	p := pkg.Path()
+	return p == "internal/graph" || strings.HasSuffix(p, "/internal/graph")
+}
+
+// attrsDesc classifies the map operand of a write: non-empty when it is the
+// Attrs field of a graph.Node, graph.Edge or graph.Op value, or a local
+// alias of one, describing it for the finding.
+func (c *epochCheck) attrsDesc(e ast.Expr) string {
+	if c.graph {
+		return ""
+	}
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if v, ok := identObj(c.pass.Info, x).(*types.Var); ok {
+			return c.attrs[v]
+		}
+	case *ast.SelectorExpr:
+		if x.Sel.Name != "Attrs" {
+			return ""
+		}
+		tv, ok := c.pass.Info.Types[x.X]
+		if !ok {
+			return ""
+		}
+		if n := namedType(tv.Type); n != nil && graphAttrTypes[n.Obj().Name()] && isGraphPackage(n.Obj().Pkg()) {
+			return "the Attrs of a graph." + n.Obj().Name()
+		}
+	}
+	return ""
+}
+
+func (c *epochCheck) reportAttrs(pos token.Pos, action, desc string) {
+	c.pass.Reportf(pos, "%s %s — the graph owns installed attribute maps; build a new Attrs and call SetAttr or AddEdge instead, or waive with //malgraph:epoch-ok <reason>",
+		action, desc)
 }
 
 // frozenDesc classifies an access chain's root: non-empty when the chain is
@@ -182,6 +243,11 @@ func (c *epochCheck) checkAssign(s *ast.AssignStmt) {
 			} else if s.Tok == token.ASSIGN || s.Tok == token.DEFINE {
 				delete(c.frozen, v)
 			}
+			if desc := c.attrsDesc(s.Rhs[i]); desc != "" {
+				c.attrs[v] = desc
+			} else if s.Tok == token.ASSIGN || s.Tok == token.DEFINE {
+				delete(c.attrs, v)
+			}
 		}
 	}
 	// Then the write check: any non-identifier target (field, index, deref)
@@ -190,6 +256,11 @@ func (c *epochCheck) checkAssign(s *ast.AssignStmt) {
 		lhs = ast.Unparen(lhs)
 		if _, isIdent := lhs.(*ast.Ident); isIdent {
 			continue // rebinding a variable, not writing through it
+		}
+		if ix, ok := lhs.(*ast.IndexExpr); ok {
+			if desc := c.attrsDesc(ix.X); desc != "" {
+				c.reportAttrs(s.Pos(), "writes into", desc)
+			}
 		}
 		if desc := c.frozenDesc(lhs); desc != "" {
 			action := "writes to a field of"
@@ -209,6 +280,9 @@ func (c *epochCheck) checkCall(call *ast.CallExpr) {
 				if len(call.Args) >= 1 {
 					if desc := c.frozenDesc(call.Args[0]); desc != "" {
 						c.report(call.Pos(), id.Name+"s from a container reachable from", desc)
+					}
+					if desc := c.attrsDesc(call.Args[0]); desc != "" {
+						c.reportAttrs(call.Pos(), id.Name+"s from", desc)
 					}
 				}
 			case "append":
@@ -231,6 +305,13 @@ func (c *epochCheck) checkCall(call *ast.CallExpr) {
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
+		return
+	}
+	if fn, ok := identObj(c.pass.Info, sel.Sel).(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "maps" &&
+		(fn.Name() == "Copy" || fn.Name() == "DeleteFunc") && len(call.Args) >= 1 {
+		if desc := c.attrsDesc(call.Args[0]); desc != "" {
+			c.reportAttrs(call.Pos(), "calls maps."+fn.Name()+" into", desc)
+		}
 		return
 	}
 	if selInfo, found := c.pass.Info.Selections[sel]; !found || selInfo.Kind() != types.MethodVal {

@@ -407,17 +407,15 @@ func (e *Engine) Ingest(b Batch) (IngestStats, error) {
 	}
 	// Shard phase: the batch's per-ecosystem slices plan their dependency
 	// and similar updates in parallel (each shard owns its indexes and emits
-	// graph operations without touching the graph), while the node and
+	// graph operations without touching the graph), the §III-D co-existing
+	// join plans its edge operations the same way, and the node and
 	// duplicated-clique insertion — the only graph writer until then — runs
-	// beside them. The commit phase starts once both are done and applies
-	// every plan serially in sorted-ecosystem order, so the node and edge
-	// insertion sequence — and the serialized graph — is identical under
-	// any GOMAXPROCS.
-	if err := e.applyShardsLocked(changes, &st); err != nil {
+	// beside them. The commit phase starts once all are done and applies
+	// every plan serially, the shards in sorted-ecosystem order and the
+	// co-existing operations last, so the node and edge insertion sequence
+	// — and the serialized graph — is identical under any GOMAXPROCS.
+	if err := e.applyShardsLocked(changes, b.Reports, &st); err != nil {
 		return st, err
-	}
-	if err := e.applyCoexistingLocked(b.Reports, changes, &st); err != nil {
-		return st, fmt.Errorf("core ingest coexisting: %w", err)
 	}
 	return st, nil
 }
@@ -471,8 +469,19 @@ func (e *Engine) applyNodes(changes []entryChange, st *IngestStats) error {
 				return err
 			}
 		} else {
+			// One pass in key order over the attributes whose value changed,
+			// so equal states journal equal op sequences and an unchanged
+			// attribute costs no node copy.
+			cur, _ := e.mg.G.Node(id)
+			keys := make([]string, 0, len(attrs))
 			for k, v := range attrs {
-				if err := e.mg.G.SetAttr(id, k, v); err != nil {
+				if old, ok := cur.Attrs[k]; !ok || old != v {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				if err := e.mg.G.SetAttr(id, k, attrs[k]); err != nil {
 					return err
 				}
 			}
@@ -595,10 +604,11 @@ type shardPlan struct {
 
 // applyShardsLocked inserts the batch's nodes (applyNodes) beside the
 // parallel shard phase, which plans the per-ecosystem slices without
-// reading the graph, then commits the resulting plans serially once both
-// have finished. A failed node insertion leaves the shard indexes planned
+// reading the graph, and beside the co-existing plan (planCoexistingLocked),
+// then commits the resulting plans serially once all have finished. A
+// failed node insertion leaves the shard and report-join indexes planned
 // and the graph half-written; either is a broken graph invariant.
-func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error {
+func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.Report, st *IngestStats) error {
 	byEco := make(map[ecosys.Ecosystem][]entryChange)
 	for _, ch := range changes {
 		eco := ch.entry.Coord.Ecosystem
@@ -623,8 +633,13 @@ func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error
 	// the graph applyNodes writes beside it, so the fan-out is race-free;
 	// per-shard work is itself deterministic (order-preserving inner maps,
 	// sorted partition keys, content-derived RNG streams), so the plans are
-	// byte-identical under any worker count.
-	var plans []*shardPlan
+	// byte-identical under any worker count. The co-existing plan owns the
+	// report-join state (reports, posting lists, pair owners, the
+	// per-package report index), which no other leg touches.
+	var (
+		plans []*shardPlan
+		coex  *coexPlan
+	)
 	err := parallel.Do(
 		func() error {
 			if err := e.applyNodes(changes, st); err != nil {
@@ -636,6 +651,10 @@ func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error
 			plans = parallel.Map(len(ecos), func(i int) *shardPlan {
 				return e.planShardLocked(ecos[i], byEco[ecos[i]])
 			})
+			return nil
+		},
+		func() error {
+			coex = e.planCoexistingLocked(newReports, changes)
 			return nil
 		},
 	)
@@ -682,6 +701,9 @@ func (e *Engine) applyShardsLocked(changes []entryChange, st *IngestStats) error
 	}
 	st.DependencyDelta = e.mg.G.EdgeCount(graph.Dependency) - depBefore
 	st.SimilarDelta = e.mg.G.EdgeCount(graph.Similar) - simBefore
+	if err := e.commitCoexistingLocked(coex, st); err != nil {
+		return fmt.Errorf("core ingest coexisting: %w", err)
+	}
 	return nil
 }
 
@@ -760,10 +782,12 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 	}
 
 	// Similar: embed the new artifacts with the identical per-artifact
-	// pipeline to a one-shot build — one HashSource pass per artifact, its
-	// stream shared between embedding and fingerprint, buffers recycled per
+	// pipeline to a one-shot build — one HashSource pass per artifact over
+	// its merged source, its stream shared between embedding and
+	// fingerprint, the merged bytes and every other buffer recycled per
 	// worker.
 	type scratch struct {
+		merged []byte
 		hashed []textsim.TokenHash
 		embed  textsim.EmbedBuffer
 	}
@@ -775,7 +799,8 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 			sc = &scratch{}
 		}
 		defer pool.Put(sc)
-		sc.hashed = textsim.HashSource(sc.hashed, en.Artifact.MergedSource())
+		sc.merged = en.Artifact.AppendMergedSource(sc.merged[:0])
+		sc.hashed = textsim.HashSource(sc.hashed, sc.merged)
 		return textsim.Item{
 			ID: NodeID(en.Coord),
 			// The zero-tail-trimmed vector keeps the clustering kernels
@@ -959,9 +984,33 @@ func (f *flatClusters) flatten(parts map[string][]textsim.Cluster) []textsim.Clu
 	return f.list
 }
 
-// applyCoexisting merges new reports and maintains the §III-D report-join
-// stage through the incremental join index (posting lists + per-pair
-// first-writer ownership). Both former corpus-wide triggers are scoped now:
+// coexPlan is the §III-D co-existing join of one batch, planned with no
+// graph write: the report-join indexes are already updated, and the commit
+// replays the graph operations in the order a serial join issued them —
+// first one RemoveEdgesIncident over hubMembers, then each pair's repair
+// RemoveEdge and AddEdge in order — along with the stage's accounting.
+type coexPlan struct {
+	hubMembers []string
+	pairs      []coexPair
+
+	newReports, duplicates, conflicts int
+	rejoined, repairs                 int
+	scoped                            bool
+}
+
+// coexPair is one co-existing edge the commit inserts. repair marks a pair
+// a larger-URL report owned: its edge is removed first, then re-inserted
+// with this report's attrs. Every pair of one report shares its attrs map.
+type coexPair struct {
+	a, b   string
+	attrs  graph.Attrs
+	repair bool
+}
+
+// planCoexistingLocked merges new reports and maintains the §III-D
+// report-join stage through the incremental join index (posting lists +
+// per-pair first-writer ownership), emitting the graph operations for
+// commitCoexistingLocked. Both former corpus-wide triggers are scoped:
 //
 //   - A newly ingested package some report was waiting for re-joins exactly
 //     the reports in its posting list — their cliques gain the new member's
@@ -977,8 +1026,11 @@ func (f *flatClusters) flatten(parts map[string][]textsim.Cluster) []textsim.Clu
 //     (graph.RemoveEdgesIncident, O(group degree)) and every report
 //     overlapping those members re-joins — still scoped to the touched
 //     groups.
-func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []entryChange, st *IngestStats) error {
-	before := e.mg.G.EdgeCount(graph.Coexisting)
+//
+// It runs beside applyNodes, so a package counts as present when the
+// merged dataset holds it (presentMembers), never by asking the graph.
+func (e *Engine) planCoexistingLocked(newReports []*reports.Report, changes []entryChange) *coexPlan {
+	cp := &coexPlan{}
 
 	// Wanted-package trigger: previously joined reports whose member set
 	// grows this batch. Posting lists are read before the batch's own
@@ -1010,9 +1062,9 @@ func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []e
 			// The corpus keeps the first crawl of a URL; surface the drop —
 			// and whether the re-crawl's content differed — instead of
 			// losing it without a trace.
-			st.DuplicateReports++
+			cp.duplicates++
 			if !reportContentEqual(prev, rep) {
-				st.DuplicateReportConflicts++
+				cp.conflicts++
 			}
 			continue
 		}
@@ -1030,7 +1082,7 @@ func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []e
 			tail = append(tail, rep)
 		}
 	}
-	st.NewReports = len(tail) + len(late)
+	cp.newReports = len(tail) + len(late)
 	sortReportsByURL(tail)
 	sortReportsByURL(late)
 	e.mg.Reports = mergeReportCorpus(e.mg.Reports, late, tail)
@@ -1040,40 +1092,30 @@ func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []e
 	// list changes shape), so its members' edges must be replaced and every
 	// report naming any of those members re-joined. Member sets resolved
 	// here are memoized for the join pass below.
-	var hubMembers []string
 	membersOf := make(map[string][]string, len(rejoin))
 	for url := range rejoin {
 		m := e.presentMembers(e.reportByURL[url])
 		membersOf[url] = m
 		if len(m) > e.cfg.PairwiseLimit {
-			hubMembers = append(hubMembers, m...)
+			cp.hubMembers = append(cp.hubMembers, m...)
 		}
 	}
-	if len(hubMembers) > 0 {
-		sort.Strings(hubMembers)
-		hubMembers = uniqueStrings(hubMembers)
-		for _, id := range hubMembers {
+	if len(cp.hubMembers) > 0 {
+		sort.Strings(cp.hubMembers)
+		cp.hubMembers = uniqueStrings(cp.hubMembers)
+		for _, id := range cp.hubMembers {
 			for _, url := range e.posting[id] {
 				if !fresh[url] {
 					rejoin[url] = true
 				}
 			}
 		}
-	}
-
-	st.ReportsRejoined = len(rejoin)
-	joinList := make([]*reports.Report, 0, len(rejoin)+len(tail)+len(late))
-	for url := range rejoin {
-		joinList = append(joinList, e.reportByURL[url])
-	}
-	joinList = append(joinList, tail...)
-	joinList = append(joinList, late...)
-	sortReportsByURL(joinList)
-
-	if len(hubMembers) > 0 {
-		// Drop the grown hub-and-path groups' edges and forget their pair
-		// ownership; the URL-ordered re-join below re-derives both.
-		for _, id := range hubMembers {
+		// The grown groups' edges go first in the commit; forget their pair
+		// ownership now so the URL-ordered re-join below re-derives it.
+		// Reading the co-existing neighbors here, beside applyNodes, is
+		// deterministic: only this stage's commit writes co-existing edges,
+		// and a compaction triggered by applyNodes keeps every live edge.
+		for _, id := range cp.hubMembers {
 			for _, nb := range e.mg.G.Neighbors(id, graph.Coexisting) {
 				pk := coexPairKey(id, nb)
 				delete(e.coexOwner, pk)
@@ -1082,27 +1124,57 @@ func (e *Engine) applyCoexistingLocked(newReports []*reports.Report, changes []e
 				}
 			}
 		}
-		st.CoexistingEdgesReplaced += e.mg.G.RemoveEdgesIncident(graph.Coexisting, hubMembers)
 	}
+
+	cp.rejoined = len(rejoin)
+	joinList := make([]*reports.Report, 0, len(rejoin)+len(tail)+len(late))
+	for url := range rejoin {
+		joinList = append(joinList, e.reportByURL[url])
+	}
+	joinList = append(joinList, tail...)
+	joinList = append(joinList, late...)
+	sortReportsByURL(joinList)
 	for _, rep := range joinList {
-		if err := e.joinReportLocked(rep, membersOf[rep.URL], st); err != nil {
+		e.planJoinLocked(cp, rep, membersOf[rep.URL])
+	}
+	cp.scoped = cp.rejoined > 0 || len(late) > 0
+	return cp
+}
+
+// commitCoexistingLocked applies a co-existing plan's graph operations in
+// order and records the stage's accounting.
+func (e *Engine) commitCoexistingLocked(cp *coexPlan, st *IngestStats) error {
+	before := e.mg.G.EdgeCount(graph.Coexisting)
+	st.NewReports = cp.newReports
+	st.DuplicateReports = cp.duplicates
+	st.DuplicateReportConflicts = cp.conflicts
+	st.ReportsRejoined = cp.rejoined
+	st.CoexistingScoped = cp.scoped
+	st.CoexistingEdgesReplaced = cp.repairs
+	if len(cp.hubMembers) > 0 {
+		st.CoexistingEdgesReplaced += e.mg.G.RemoveEdgesIncident(graph.Coexisting, cp.hubMembers)
+	}
+	for _, p := range cp.pairs {
+		if p.repair {
+			e.mg.G.RemoveEdge(p.a, p.b, graph.Coexisting)
+		}
+		if err := e.mg.G.AddEdge(p.a, p.b, graph.Coexisting, p.attrs); err != nil {
 			return err
 		}
 	}
-	st.CoexistingScoped = st.ReportsRejoined > 0 || len(late) > 0
 	st.CoexistingDelta = e.mg.G.EdgeCount(graph.Coexisting) - before
 	return nil
 }
 
-// joinReport joins one report into the co-existing family: its present
+// planJoinLocked joins one report into the co-existing family: its present
 // members' ReportsByPackage lists gain the report (idempotently, at the
 // URL-sorted position) and the report claims every pair it emits and is the
 // URL-smallest cover of — repairing attrs a larger-URL report wrote first,
 // exactly the outcome of a one-shot build's URL-ordered join. Re-joining an
-// already joined report is a no-op beyond the pairs its grown member set
+// already joined report adds no pair beyond those its grown member set
 // added. members may carry a pre-resolved presentMembers result (nil
 // resolves it here).
-func (e *Engine) joinReportLocked(rep *reports.Report, members []string, st *IngestStats) error {
+func (e *Engine) planJoinLocked(cp *coexPlan, rep *reports.Report, members []string) {
 	if members == nil {
 		members = e.presentMembers(rep)
 	}
@@ -1110,36 +1182,41 @@ func (e *Engine) joinReportLocked(rep *reports.Report, members []string, st *Ing
 		e.indexReportForPackage(id, rep)
 	}
 	if len(members) < 2 {
-		return nil
+		return
 	}
 	attrs := graph.Attrs{"report": rep.URL}
-	return pairwise(members, e.cfg.PairwiseLimit, func(a, b string) error {
+	// emit never fails, so neither does pairwise.
+	_ = pairwise(members, e.cfg.PairwiseLimit, func(a, b string) error {
 		pk := coexPairKey(a, b)
-		if owner, ok := e.coexOwner[pk]; ok {
-			if owner <= rep.URL {
-				return nil
-			}
+		owner, owned := e.coexOwner[pk]
+		if owned && owner <= rep.URL {
+			return nil
+		}
+		if owned {
 			// First-writer ownership repair: this report's URL sorts below
 			// the current owner's, so one-shot joining would have written
 			// its attrs. Replace exactly this edge.
-			e.mg.G.RemoveEdge(a, b, graph.Coexisting)
-			st.CoexistingEdgesReplaced++
+			cp.repairs++
 		}
 		e.coexOwner[pk] = rep.URL
 		if e.sections != nil {
 			e.sections[secPairOwners].dirty.set(pk)
 		}
-		return e.mg.G.AddEdge(a, b, graph.Coexisting, attrs)
+		cp.pairs = append(cp.pairs, coexPair{a: a, b: b, attrs: attrs, repair: owned})
+		return nil
 	})
 }
 
 // presentMembers returns the sorted, deduplicated canonical node IDs of the
-// report's named packages currently present in the graph.
+// report's named packages present in the merged dataset. Every dataset
+// entry has its canonical node once the batch commits, so this is the set
+// the graph will hold; it does not read the graph, which applyNodes writes
+// while the co-existing plan runs.
 func (e *Engine) presentMembers(rep *reports.Report) []string {
 	members := make([]string, 0, len(rep.Packages))
 	for _, coord := range rep.Packages {
 		id := NodeID(coord)
-		if e.mg.G.HasNode(id) {
+		if _, ok := e.mg.Dataset.EntryByKey(id); ok {
 			members = append(members, id)
 		}
 	}

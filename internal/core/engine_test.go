@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -208,13 +209,15 @@ func TestEngineSnapshotRestore(t *testing.T) {
 // re-derived hash-confirmed. A neighbour whose name ends in the package's own
 // key ("x|<eco>/<name>") keeps its edge: the re-derivation touches only the
 // package's records.
-func TestEngineLateArtifactUpsert(t *testing.T) {
-	ds, reps := miniDataset(t)
-	eng := NewEngine(DefaultConfig())
-
+// lateArtifactFixture returns the mini corpus with the duplicated entry
+// stripped of its artifact and third source (stripped, plus a neighbour
+// whose coordinate key extends the entry's), and the full entry whose
+// upsert restores both.
+func lateArtifactFixture(t *testing.T) (ds *collect.Result, reps []*reports.Report, stripped []*collect.Entry, full, neighbour *collect.Entry) {
+	t.Helper()
+	ds, reps = miniDataset(t)
 	// Strip the artifact and third source off the duplicated entry.
-	var full *collect.Entry
-	stripped := make([]*collect.Entry, 0, len(ds.Entries)+1)
+	stripped = make([]*collect.Entry, 0, len(ds.Entries)+1)
 	for _, e := range ds.Entries {
 		if e.Coord.Name == "acookie" {
 			full = e
@@ -230,7 +233,7 @@ func TestEngineLateArtifactUpsert(t *testing.T) {
 	if full == nil {
 		t.Fatal("fixture missing acookie")
 	}
-	neighbour := &collect.Entry{
+	neighbour = &collect.Entry{
 		Coord:        full.Coord,
 		Availability: collect.Missing,
 		Sources:      full.Sources[:2],
@@ -238,6 +241,12 @@ func TestEngineLateArtifactUpsert(t *testing.T) {
 	}
 	neighbour.Coord.Name = "x|" + strings.TrimSuffix(full.Coord.Key(), "@"+full.Coord.Version)
 	stripped = append(stripped, neighbour)
+	return ds, reps, stripped, full, neighbour
+}
+
+func TestEngineLateArtifactUpsert(t *testing.T) {
+	ds, reps, stripped, full, neighbour := lateArtifactFixture(t)
+	eng := NewEngine(DefaultConfig())
 	if _, err := eng.Ingest(Batch{Entries: stripped, Reports: reps, At: ds.CollectedAt}); err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +287,51 @@ func TestEngineLateArtifactUpsert(t *testing.T) {
 		At:      ds.CollectedAt,
 	})
 	assertEngineMatchesBuild(t, eng, want, "late artifact")
+}
+
+// TestEngineUpsertJournalsChangedAttrsInOrder refreshes an updated entry's
+// canonical node 20 times over: every run must journal the same ops, and
+// the node's attr ops must name only the attributes whose value changed, in
+// key order, so equal states give equal graph-chunk bytes.
+func TestEngineUpsertJournalsChangedAttrsInOrder(t *testing.T) {
+	var first []graph.Op
+	for run := 0; run < 20; run++ {
+		ds, reps, stripped, full, _ := lateArtifactFixture(t)
+		eng := NewEngine(DefaultConfig())
+		if _, err := eng.Ingest(Batch{Entries: stripped, Reports: reps, At: ds.CollectedAt}); err != nil {
+			t.Fatal(err)
+		}
+		id := NodeID(full.Coord)
+		before, _ := eng.Graph().G.Node(id)
+		eng.Graph().G.EnableJournal()
+		if _, err := eng.Ingest(Batch{Entries: []*collect.Entry{full}}); err != nil {
+			t.Fatal(err)
+		}
+		ops := eng.Graph().G.JournalOps()
+		if run > 0 {
+			if !reflect.DeepEqual(ops, first) {
+				t.Fatalf("run %d journaled %+v, run 0 %+v", run, ops, first)
+			}
+			continue
+		}
+		first = ops
+		after, _ := eng.Graph().G.Node(id)
+		var changed, got []string
+		for k, v := range after.Attrs {
+			if old, ok := before.Attrs[k]; !ok || old != v {
+				changed = append(changed, k)
+			}
+		}
+		sort.Strings(changed)
+		for _, op := range ops {
+			if op.Kind == "attr" && op.ID == id {
+				got = append(got, op.Key)
+			}
+		}
+		if len(changed) == 0 || !slices.Equal(got, changed) {
+			t.Fatalf("attr ops on %s name %v, want the changed keys in order %v", id, got, changed)
+		}
+	}
 }
 
 // TestEngineRestoreReclustersSamePartitions is the LSH persistence contract:

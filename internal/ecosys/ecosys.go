@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -203,14 +204,28 @@ func (a *Artifact) Manifest() (File, bool) {
 }
 
 // MergedSource concatenates all source files in path order into one blob,
-// the representation the similarity pipeline embeds (§III-B step 2).
-func (a *Artifact) MergedSource() string {
-	var b strings.Builder
-	for _, f := range a.SourceFiles() {
-		b.WriteString(f.Content)
-		b.WriteByte('\n')
+// each followed by a newline: the representation the similarity pipeline
+// embeds (§III-B step 2).
+func (a *Artifact) MergedSource() string { return string(a.AppendMergedSource(nil)) }
+
+// AppendMergedSource appends the MergedSource blob to dst, growing it at
+// most once, and returns the extended slice, so a caller that only scans
+// the blob can assemble every artifact's into one reused buffer.
+func (a *Artifact) AppendMergedSource(dst []byte) []byte {
+	n := 0
+	for _, f := range a.Files {
+		if IsSourcePath(f.Path) {
+			n += len(f.Content) + 1
+		}
 	}
-	return b.String()
+	dst = slices.Grow(dst, n)
+	for _, f := range a.Files {
+		if IsSourcePath(f.Path) {
+			dst = append(dst, f.Content...)
+			dst = append(dst, '\n')
+		}
+	}
+	return dst
 }
 
 // Clone returns a deep copy whose files may be mutated independently.

@@ -175,6 +175,10 @@ func TestMergedSourceOrder(t *testing.T) {
 	if iMain == -1 || iSetup == -1 || iMain > iSetup {
 		t.Fatalf("merged source not in path order: %q", merged)
 	}
+	// The byte form appends the same blob, after whatever dst holds.
+	if got := a.AppendMergedSource([]byte("prefix")); string(got) != "prefix"+merged {
+		t.Fatalf("AppendMergedSource gives %q, want %q", got, "prefix"+merged)
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

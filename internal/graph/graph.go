@@ -52,19 +52,15 @@ func EdgeTypes() []EdgeType {
 	return []EdgeType{Duplicated, Similar, Dependency, Coexisting}
 }
 
-// Attrs is a string-keyed attribute map attached to nodes and edges.
+// Attrs is a string-keyed attribute map attached to nodes and edges. A map
+// handed to the graph belongs to it and is never written again: AddNode and
+// AddEdge install the caller's map, and Node, Edges and Persist return the
+// installed one, so one map may back many edges (a report's co-existing
+// clique shares one) and no attribute is copied on the way in or out.
+// Neither side may modify a map once it is installed; SetAttr swaps in a new
+// one instead. Outside this package the epochsafe pass of malgraphlint
+// flags writes into the Attrs of a Node, Edge or Op value.
 type Attrs map[string]string
-
-func (a Attrs) clone() Attrs {
-	if a == nil {
-		return nil
-	}
-	c := make(Attrs, len(a))
-	for k, v := range a {
-		c[k] = v
-	}
-	return c
-}
 
 // Node is a graph node. The paper's nodes carry seven attributes (ID, name,
 // version, source, hash, ecosystem, ...); those live in Attrs so the store
@@ -97,9 +93,8 @@ var ErrDuplicateNode = errors.New("graph: duplicate node id")
 // cow.Maps; the edge list is a table of fixed-size pages. Values reachable
 // from a container are immutable once a Clone may share them: SetAttr swaps
 // in a new *Node, adjacency lists and pages are written in place only by
-// the graph whose generation stamped them, and edge attribute maps are
-// copied once at AddEdge (or handed over to Build or Apply) and never
-// written again.
+// the graph whose generation stamped them, and attribute maps are owned by
+// the graph from AddNode or AddEdge on and never written again (see Attrs).
 type Graph struct {
 	mu sync.RWMutex
 	// gen stamps the pages and adjacency lists this graph may write in
@@ -214,12 +209,9 @@ func (g *Graph) linkLocked(t EdgeType, id string, slot int) {
 	l.slots = append(l.slots, slot)
 }
 
-// AddNode inserts a node. Attribute maps are copied at the boundary.
-func (g *Graph) AddNode(id string, attrs Attrs) error { return g.addNode(id, attrs.clone()) }
-
-// addNode installs attrs as the new node's attribute map without a copy;
-// the caller hands it over.
-func (g *Graph) addNode(id string, attrs Attrs) error {
+// AddNode inserts a node. It takes ownership of attrs: the map is installed
+// without a copy, and the caller must not modify it afterwards.
+func (g *Graph) AddNode(id string, attrs Attrs) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n := &Node{ID: id, Attrs: attrs}
@@ -230,7 +222,8 @@ func (g *Graph) addNode(id string, attrs Attrs) error {
 	return nil
 }
 
-// Node returns a copy of the node with the given ID.
+// Node returns the node with the given ID. Its Attrs is the installed map,
+// which the caller must not modify.
 func (g *Graph) Node(id string) (Node, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -238,11 +231,10 @@ func (g *Graph) Node(id string) (Node, bool) {
 	if !ok {
 		return Node{}, false
 	}
-	return Node{ID: n.ID, Attrs: n.Attrs.clone()}, true
+	return *n, true
 }
 
-// HasNode reports whether id is a node. Unlike Node it does not clone the
-// node's attributes, so existence checks cost one map lookup.
+// HasNode reports whether id is a node.
 func (g *Graph) HasNode(id string) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -250,9 +242,10 @@ func (g *Graph) HasNode(id string) bool {
 	return ok
 }
 
-// SetAttr sets one attribute on an existing node. The node is replaced,
-// not mutated in place (copy-on-write): a Clone taken before the call
-// shares the old node and keeps observing the old value.
+// SetAttr sets one attribute on an existing node. The node and its
+// attribute map are replaced, not mutated in place (copy-on-write): a Clone
+// taken before the call, and any caller holding the old map, keep observing
+// the old value.
 func (g *Graph) SetAttr(id, key, value string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -325,14 +318,9 @@ func edgeKey(t EdgeType, from, to string) string {
 
 // AddEdge inserts a typed edge between existing nodes. Self-loops and
 // unknown edge types are rejected; duplicate (type, endpoints) insertions
-// are idempotent no-ops. Attribute maps are copied at the boundary.
+// are idempotent no-ops. It takes ownership of attrs like AddNode; one map
+// may back any number of edges.
 func (g *Graph) AddEdge(from, to string, t EdgeType, attrs Attrs) error {
-	return g.addEdge(from, to, t, attrs.clone())
-}
-
-// addEdge is AddEdge installing attrs without a copy; the caller hands the
-// map over.
-func (g *Graph) addEdge(from, to string, t EdgeType, attrs Attrs) error {
 	if from == to {
 		return fmt.Errorf("graph: self-loop on %s", from)
 	}
@@ -563,7 +551,9 @@ func (g *Graph) InDegree(id string, t EdgeType) int {
 	return n
 }
 
-// Edges returns a copy of all edges, optionally filtered by type.
+// Edges returns all edges in insertion order, optionally filtered by type.
+// The slice is the caller's; each Attrs is the installed map, which the
+// caller must not modify.
 func (g *Graph) Edges(types ...EdgeType) []Edge {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -574,7 +564,7 @@ func (g *Graph) Edges(types ...EdgeType) []Edge {
 		if e.Type == 0 || want&(1<<uint(e.Type)) == 0 {
 			continue // tombstoned slot or unwanted type
 		}
-		out = append(out, Edge{From: e.From, To: e.To, Type: e.Type, Attrs: e.Attrs.clone()})
+		out = append(out, *e)
 	}
 	return out
 }
@@ -608,7 +598,7 @@ func (g *Graph) NodesWhere(pred func(Node) bool) []string {
 	var out []string
 	for _, id := range g.nodes.Keys() {
 		n, _ := g.nodes.Get(id)
-		if pred(Node{ID: n.ID, Attrs: n.Attrs}) {
+		if pred(*n) {
 			out = append(out, id)
 		}
 	}
@@ -767,7 +757,7 @@ type Persisted struct {
 }
 
 // Persist captures the graph's current state. The result shares the
-// graph's attribute maps, which are immutable once installed (see Graph);
+// graph's attribute maps, which are immutable once installed (see Attrs);
 // callers must not modify them.
 func (g *Graph) Persist() *Persisted {
 	g.mu.RLock()
@@ -791,12 +781,12 @@ func (g *Graph) Persist() *Persisted {
 func (p *Persisted) Build() (*Graph, error) {
 	g := New()
 	for _, n := range p.Nodes {
-		if err := g.addNode(n.ID, n.Attrs); err != nil {
+		if err := g.AddNode(n.ID, n.Attrs); err != nil {
 			return nil, err
 		}
 	}
 	for _, e := range p.Edges {
-		if err := g.addEdge(e.From, e.To, e.Type, e.Attrs); err != nil {
+		if err := g.AddEdge(e.From, e.To, e.Type, e.Attrs); err != nil {
 			return nil, err
 		}
 	}

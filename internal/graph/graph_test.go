@@ -52,19 +52,48 @@ func TestHasNode(t *testing.T) {
 	}
 }
 
-func TestNodeCopySemantics(t *testing.T) {
+// sameMap reports whether a and b are the same map, not merely equal ones.
+func sameMap(a, b Attrs) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+
+// TestAttrsOwnership pins the ownership contract of Attrs: the graph
+// installs the caller's map and hands the installed map back, and SetAttr
+// swaps in a new map, so a Clone taken before it keeps the old one.
+func TestAttrsOwnership(t *testing.T) {
 	g := New()
-	attrs := Attrs{"k": "v"}
-	mustAddNodesAttrs(t, g, "a", attrs)
-	attrs["k"] = "mutated-by-caller"
-	n, ok := g.Node("a")
-	if !ok || n.Attrs["k"] != "v" {
-		t.Fatalf("attrs not copied at boundary: %+v", n)
+	na, nb := Attrs{"k": "a"}, Attrs{"k": "b"}
+	mustAddNodesAttrs(t, g, "a", na)
+	mustAddNodesAttrs(t, g, "b", nb)
+	ea := Attrs{"report": "r"}
+	if err := g.AddEdge("a", "b", Coexisting, ea); err != nil {
+		t.Fatal(err)
 	}
-	n.Attrs["k"] = "mutated-by-reader"
-	n2, _ := g.Node("a")
-	if n2.Attrs["k"] != "v" {
-		t.Fatal("reader mutation leaked into store")
+	if n, ok := g.Node("a"); !ok || !sameMap(n.Attrs, na) {
+		t.Fatalf("Node(a) returned %v, not the installed map", n.Attrs)
+	}
+	if es := g.Edges(); len(es) != 1 || !sameMap(es[0].Attrs, ea) {
+		t.Fatalf("Edges returned %v, not the installed map", es)
+	}
+	p := g.Persist()
+	if len(p.Nodes) != 2 || !sameMap(p.Nodes[0].Attrs, na) || !sameMap(p.Nodes[1].Attrs, nb) {
+		t.Fatalf("Persist nodes %v do not share the installed maps", p.Nodes)
+	}
+	if len(p.Edges) != 1 || !sameMap(p.Edges[0].Attrs, ea) {
+		t.Fatalf("Persist edges %v do not share the installed map", p.Edges)
+	}
+
+	clone := g.Clone()
+	if err := g.SetAttr("a", "k", "a2"); err != nil {
+		t.Fatal(err)
+	}
+	n, _ := g.Node("a")
+	if sameMap(n.Attrs, na) || n.Attrs["k"] != "a2" {
+		t.Fatalf("SetAttr wrote %v in place or lost the value", n.Attrs)
+	}
+	if na["k"] != "a" {
+		t.Fatalf("SetAttr modified the installed map: %v", na)
+	}
+	if old, _ := clone.Node("a"); !sameMap(old.Attrs, na) {
+		t.Fatalf("the clone lost the old map: %v", old.Attrs)
 	}
 }
 

@@ -68,9 +68,9 @@ func (g *Graph) DropJournalPrefix(n int) {
 }
 
 // recordLocked appends an op if journaling is enabled. Callers hold g.mu.
-// Attrs maps recorded here are the same clones installed into the graph;
-// both sides treat them as immutable (SetAttr replaces rather than mutates),
-// so sharing is safe and costs no copy.
+// Attrs maps recorded here are the maps installed into the graph; both
+// sides treat them as immutable (SetAttr replaces rather than mutates), so
+// sharing is safe and costs no copy.
 func (g *Graph) recordLocked(op Op) {
 	if g.journal != nil {
 		g.journal = append(g.journal, op)
@@ -85,7 +85,7 @@ func (g *Graph) Apply(ops []Op) error {
 	for _, op := range ops {
 		switch op.Kind {
 		case "node":
-			if err := g.addNode(op.ID, op.Attrs); err != nil {
+			if err := g.AddNode(op.ID, op.Attrs); err != nil {
 				return err
 			}
 		case "attr":
@@ -93,7 +93,7 @@ func (g *Graph) Apply(ops []Op) error {
 				return err
 			}
 		case "edge":
-			if err := g.addEdge(op.From, op.To, op.Type, op.Attrs); err != nil {
+			if err := g.AddEdge(op.From, op.To, op.Type, op.Attrs); err != nil {
 				return err
 			}
 		case "deledge":

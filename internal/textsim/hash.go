@@ -43,7 +43,7 @@ var stopwordByHash = func() map[uint64]string {
 // hashToken lower-cases, filters and hashes one token without allocating.
 // The ASCII fast path folds case inline; non-ASCII tokens take the exact
 // NormalizeToken+Informative route.
-func hashToken(t string) TokenHash {
+func hashToken[S ~string | ~[]byte](t S) TokenHash {
 	if len(t) < 3 {
 		return TokenHash{Skip: true}
 	}
@@ -52,7 +52,7 @@ func hashToken(t string) TokenHash {
 	for i := 0; i < len(t); i++ {
 		c := t[i]
 		if c >= utf8.RuneSelf {
-			return hashTokenSlow(t)
+			return hashTokenSlow(string(t))
 		}
 		if c >= 'A' && c <= 'Z' {
 			c += 'a' - 'A'
@@ -82,7 +82,7 @@ func hashTokenSlow(t string) TokenHash {
 
 // equalFoldASCII reports whether lower-casing ASCII t yields w (w is already
 // lower-case).
-func equalFoldASCII(t, w string) bool {
+func equalFoldASCII[S ~string | ~[]byte](t S, w string) bool {
 	if len(t) != len(w) {
 		return false
 	}

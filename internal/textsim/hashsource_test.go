@@ -3,6 +3,7 @@ package textsim
 import (
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,8 +24,9 @@ var oracleConfigs = []EmbedConfig{
 // oracle on src: the same hashed stream as HashTokens(TokenizeAppend(src)),
 // the same SimHash as the 64-step per-bit loop, and, under every
 // oracleConfigs shape, exact-length embeddings bit-equal to the trimmed
-// full-width oracle with the same nil-ness. buf arrives dirty from earlier
-// embeddings.
+// full-width oracle with the same nil-ness. The byte-slice instantiation of
+// HashSource must give the string one's stream. buf arrives dirty from
+// earlier embeddings.
 func checkHashSource(t testing.TB, src string, buf *EmbedBuffer) {
 	t.Helper()
 	want := HashTokens(TokenizeAppend(nil, src), nil)
@@ -36,6 +38,9 @@ func checkHashSource(t testing.TB, src string, buf *EmbedBuffer) {
 		if got[i] != want[i] {
 			t.Fatalf("%q: entry %d is %+v, tokenizer %+v", clip(src), i, got[i], want[i])
 		}
+	}
+	if gb := HashSource(nil, []byte(src)); !slices.Equal(gb, got) {
+		t.Fatalf("%q: HashSource over bytes gives %d entries, over the string %d", clip(src), len(gb), len(got))
 	}
 	if g, w := SimHashHashed(got), simHashRef(want); g != w {
 		t.Fatalf("%q: SimHashHashed %#x, per-bit loop %#x", clip(src), g, w)

@@ -61,8 +61,9 @@ const literalChunk = 16
 // shorter than a hashed token may be, so it lands as a Skip entry without
 // being sliced out. Skip entries keep the stream one entry per token, so the
 // snippet windows of EmbedHashed count punctuation like any token.
-// Language-agnostic across the .py/.js/.rb corpus.
-func HashSource(dst []TokenHash, src string) []TokenHash {
+// Language-agnostic across the .py/.js/.rb corpus. src may be a string or a
+// byte slice: both run the one state machine, and neither is copied.
+func HashSource[S ~string | ~[]byte](dst []TokenHash, src S) []TokenHash {
 	dst = dst[:0]
 	n := len(src)
 	for i := 0; i < n; {
@@ -95,7 +96,7 @@ func HashSource(dst []TokenHash, src string) []TokenHash {
 				}
 				j++
 			}
-			for lit := src[i+1 : min(j, n)]; lit != ""; {
+			for lit := src[i+1 : min(j, n)]; len(lit) > 0; {
 				k := min(len(lit), literalChunk)
 				dst = append(dst, hashToken(lit[:k]))
 				lit = lit[k:]

@@ -44,11 +44,16 @@
 #                           BenchmarkIncremental_CheckpointGrowth records (the
 #                           same ingested delta checkpointed through the
 #                           content-addressed store at 1×/4×/10× corpus) with
-#                           the checkpoint_growth_ratio (10×/1× ns): segmented
+#                           the checkpoint_growth_ratio (10×/1× ns, each
+#                           size the fastest of GROWTH_COUNT runs, so a slow
+#                           first size cannot pull the ratio down): segmented
 #                           checkpoints must cost O(delta), not O(corpus) —
 #                           and the manifest_growth_10x_vs_1x ratio (10×/1×
 #                           manifest_bytes): the manifest must not carry
-#                           corpus-sized state (CI gates both ≤ 3×) —
+#                           corpus-sized state (CI gates both ≤ 3×) — plus
+#                           manifest_bytes_10x, the 10× manifest's absolute
+#                           size, which catches state that grows with the
+#                           reports the ratio cannot see (CI gates ≤ 16 KiB) —
 #                           BenchmarkIncremental_PublishGrowth records (the
 #                           same delta's Ingest plus the Engine.View that
 #                           publishes it, after an untimed View so the write
@@ -96,13 +101,21 @@ SERVE_TIME="${BENCH_SERVE_TIME:-1x}"
 # back-to-back runs, so they run 5 times and record the median run.
 MEDIAN_COUNT=5
 
+# The checkpoint growth sizes run this many times over and each size keeps
+# its fastest run: a single pass of 3-iteration means swung its gated ratio
+# from 0.24 to 0.89 between two runs of one tree.
+GROWTH_COUNT=3
+
 {
   MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
       -bench 'BenchmarkTable6_ClusteringStage$|BenchmarkPipeline_EndToEnd$' \
       -benchmem -benchtime "$TIME" -count "$MEDIAN_COUNT" .
   MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
-      -bench 'BenchmarkPipeline_Startup$|BenchmarkIncremental_FullRebuild$|BenchmarkIncremental_AppendGrowth$|BenchmarkIncremental_ReportAppendGrowth$|BenchmarkIncremental_CheckpointGrowth$|BenchmarkIncremental_PublishGrowth$|BenchmarkResults_DirtyEpochGrowth$' \
+      -bench 'BenchmarkPipeline_Startup$|BenchmarkIncremental_FullRebuild$|BenchmarkIncremental_AppendGrowth$|BenchmarkIncremental_ReportAppendGrowth$|BenchmarkIncremental_PublishGrowth$|BenchmarkResults_DirtyEpochGrowth$' \
       -benchmem -benchtime "$TIME" .
+  MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
+      -bench 'BenchmarkIncremental_CheckpointGrowth$' \
+      -benchmem -benchtime "$TIME" -count "$GROWTH_COUNT" .
   MALGRAPH_BENCH_SCALE="$SCALE" go test -run '^$' \
       -bench 'BenchmarkIncremental_Append$|BenchmarkIncremental_JournaledAppend$' \
       -benchmem -benchtime "$PAIR_TIME" .
@@ -170,9 +183,13 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
     if (name == "BenchmarkIncremental_ReportAppendGrowth/size=10x") { r10_ns = ns; r10_rec = record(name) }
     mbytes = ""
     for (i = 3; i < NF; i += 2) if ($(i + 1) == "manifest_bytes") mbytes = $i
-    if (name == "BenchmarkIncremental_CheckpointGrowth/size=1x")  { c1_ns = ns;  c1_rec = record(name); c1_mb = mbytes }
-    if (name == "BenchmarkIncremental_CheckpointGrowth/size=4x")  { c4_ns = ns;  c4_rec = record(name) }
-    if (name == "BenchmarkIncremental_CheckpointGrowth/size=10x") { c10_ns = ns; c10_rec = record(name); c10_mb = mbytes }
+    # Each checkpoint growth size keeps its fastest run.
+    if (name == "BenchmarkIncremental_CheckpointGrowth/size=1x" && (c1_ns == "" || ns + 0 < c1_ns + 0))
+      { c1_ns = ns;  c1_rec = record(name); c1_mb = mbytes }
+    if (name == "BenchmarkIncremental_CheckpointGrowth/size=4x" && (c4_ns == "" || ns + 0 < c4_ns + 0))
+      { c4_ns = ns;  c4_rec = record(name) }
+    if (name == "BenchmarkIncremental_CheckpointGrowth/size=10x" && (c10_ns == "" || ns + 0 < c10_ns + 0))
+      { c10_ns = ns; c10_rec = record(name); c10_mb = mbytes }
     if (name == "BenchmarkIncremental_PublishGrowth/size=1x")  { p1_ns = ns;  p1_rec = record(name) }
     if (name == "BenchmarkIncremental_PublishGrowth/size=4x")  { p4_ns = ns;  p4_rec = record(name) }
     if (name == "BenchmarkIncremental_PublishGrowth/size=10x") { p10_ns = ns; p10_rec = record(name) }
@@ -221,7 +238,7 @@ awk -v scale="$SCALE" -v stamp="$STAMP" -v dir="$OUT_DIR" '
                             c10_ns / c1_ns, c1_rec, c4_rec, c10_rec)
       }
       if (c1_mb != "" && c10_mb != "") {
-        line = line sprintf(",\"manifest_growth_10x_vs_1x\":%.2f", c10_mb / c1_mb)
+        line = line sprintf(",\"manifest_growth_10x_vs_1x\":%.2f,\"manifest_bytes_10x\":%s", c10_mb / c1_mb, c10_mb)
       }
       if (p1_ns != "" && p10_ns != "") {
         line = line sprintf(",\"publish_growth_10x_vs_1x\":%.2f,\"publish_growth\":{\"x1\":%s,\"x4\":%s,\"x10\":%s}",
