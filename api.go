@@ -232,25 +232,14 @@ func NewStreamingPipeline(ctx context.Context, cfg Config, batches int) (*Pipeli
 }
 
 // BatchFeed partitions a collected dataset and its report corpus into k
-// ingest batches: entries in timeline order (collect.NewFeed), reports in
-// contiguous URL-order slices.
+// ingest batches: entries in timeline order (collect.TimelineBatches), each
+// with its recorded accounting, and reports in contiguous URL-order slices.
 func BatchFeed(ds *collect.Result, reportCorpus []*reports.Report, k int) []core.Batch {
-	feed := collect.NewFeed(ds, k)
-	out := make([]core.Batch, 0, feed.Len())
-	n := feed.Len()
-	for i := 0; ; i++ {
-		cb, ok := feed.Next()
-		if !ok {
-			break
-		}
-		lo, hi := i*len(reportCorpus)/n, (i+1)*len(reportCorpus)/n
-		out = append(out, core.Batch{
-			Entries:   cb.Entries,
-			PerSource: cb.PerSource,
-			Stats:     cb.Stats,
-			Reports:   reportCorpus[lo:hi],
-			At:        cb.At,
-		})
+	batches := collect.TimelineBatches(ds, k)
+	out := make([]core.Batch, len(batches))
+	for i, cb := range batches {
+		lo, hi := i*len(reportCorpus)/len(batches), (i+1)*len(reportCorpus)/len(batches)
+		out[i] = core.Batch{Entries: cb.Entries, Stats: cb.Stats, Reports: reportCorpus[lo:hi], At: cb.At}
 	}
 	return out
 }

@@ -61,7 +61,7 @@ func pipelineForBench(b *testing.B) *Pipeline {
 func ingestOneShot(tb testing.TB, ds *collect.Result, reportCorpus []*reports.Report) *core.MalGraph {
 	tb.Helper()
 	eng := core.NewEngine(core.DefaultConfig())
-	_, err := eng.Ingest(core.Batch{Entries: ds.Entries, PerSource: ds.PerSource, Reports: reportCorpus, At: ds.CollectedAt})
+	_, err := eng.Ingest(core.Batch{Entries: ds.Entries, Stats: ds.BatchOf(ds.Entries).Stats, Reports: reportCorpus, At: ds.CollectedAt})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func (p *Pipeline) applyLocked(rec record, replaySeq uint64) (core.IngestStats, 
 		if err != nil {
 			return core.IngestStats{}, fmt.Errorf("malgraph: resolve observations: %w", err)
 		}
-		b = core.Batch{Entries: rb.Entries, PerSource: rb.PerSource, Stats: rb.Stats, Reports: rec.ext.Reports, At: rb.At}
+		b = core.Batch{Entries: rb.Entries, Stats: rb.Stats, Reports: rec.ext.Reports, At: rb.At}
 		payload = rec.ext
 	}
 	seq := replaySeq

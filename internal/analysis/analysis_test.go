@@ -46,7 +46,7 @@ func buildPipeline(t *testing.T) *pipeline {
 		t.Fatal("crawler found no reports")
 	}
 	eng := core.NewEngine(core.DefaultConfig())
-	_, err = eng.Ingest(core.Batch{Entries: ds.Entries, PerSource: ds.PerSource, Reports: reportCorpus, At: ds.CollectedAt})
+	_, err = eng.Ingest(core.Batch{Entries: ds.Entries, Stats: ds.BatchOf(ds.Entries).Stats, Reports: reportCorpus, At: ds.CollectedAt})
 	if err != nil {
 		t.Fatalf("core: %v", err)
 	}

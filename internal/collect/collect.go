@@ -7,9 +7,7 @@
 package collect
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"malgraph/internal/ecosys"
@@ -91,13 +89,13 @@ type Result struct {
 
 	byKey cow.Map[*Entry]
 	// statsByKey records each entry's contribution to PerSource, so the
-	// dataset can be replayed as batches (see feed.go) whose per-batch
+	// dataset can be replayed as batches (see feed.go) whose per-entry
 	// accounting sums back to the whole, and so an incremental resolve
 	// (see resolve.go) can apply exact accounting deltas when a later
 	// batch extends an entry. Populated by Run, maintained by
 	// ApplyEntryStat, and persisted with the dataset; nil for datasets
-	// assembled by hand (Feed then falls back to the availability-derived
-	// approximation).
+	// assembled by hand (BatchOf then falls back to the
+	// availability-derived approximation).
 	statsByKey map[string]EntryStat
 }
 
@@ -120,108 +118,26 @@ func NewResult(at time.Time) *Result {
 
 // Run executes the collection pipeline at the given instant against any
 // registry View — the in-process simulation fleet or a RemoteFleet speaking
-// HTTP to live registry servers.
+// HTTP to live registry servers. It is one Resolver pass over every source
+// record against an empty dataset: the batch's entries (key-sorted), their
+// per-entry accounting and its PerSource delta are the dataset. A registry
+// failure other than not-found aborts the run with ErrUnresolved rather
+// than being recorded as a takedown.
 func Run(set *sources.Set, fleet registry.View, at time.Time) (*Result, error) {
 	if set == nil || fleet == nil {
 		return nil, fmt.Errorf("collect: nil sources or fleet")
 	}
 	res := NewResult(at)
-	res.statsByKey = make(map[string]EntryStat)
-
-	// Step 1: merge all source records (duplicates collapse by coordinate).
-	type obs struct {
-		id  sources.ID
-		rec sources.Record
+	b, keys, err := NewResolver(fleet, at).resolve(observations(set), res)
+	if err != nil {
+		return nil, err
 	}
-	observations := make(map[string][]obs)
-	for _, src := range set.All() {
-		id := src.Info().ID
-		for _, rec := range src.Records() {
-			key := rec.Coord.Key()
-			observations[key] = append(observations[key], obs{id: id, rec: rec})
-		}
+	res.Entries = b.Entries
+	for i, e := range b.Entries {
+		res.byKey.Set(keys[i], e)
 	}
-
-	keys := make([]string, 0, len(observations))
-	for k := range observations {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	// Step 2+3: resolve artifacts source-first, then via mirrors.
-	for _, key := range keys {
-		obsList := observations[key]
-		entry := &Entry{Coord: obsList[0].rec.Coord}
-		for _, o := range obsList {
-			entry.Sources = append(entry.Sources, o.id)
-			if entry.ObservedAt.IsZero() || o.rec.ObservedAt.Before(entry.ObservedAt) {
-				entry.ObservedAt = o.rec.ObservedAt
-			}
-			if entry.Artifact == nil && o.rec.Artifact != nil {
-				entry.Artifact = o.rec.Artifact
-				entry.Availability = FromSource
-			}
-		}
-		sort.Slice(entry.Sources, func(i, j int) bool { return entry.Sources[i] < entry.Sources[j] })
-
-		mirrorArt, from, mirrorErr := fleet.Recover(entry.Coord, at)
-		// Only a definitive not-found — the registry answered and the
-		// package is gone — may be classified as a takedown. A transport
-		// failure (connection refused, HTTP 5xx from a RemoteFleet
-		// endpoint) says nothing about availability; recording it as
-		// Missing would silently inflate the paper's missing-rate and
-		// takedown statistics (Table III, Fig. 7), so it aborts the run.
-		if mirrorErr != nil && !errors.Is(mirrorErr, registry.ErrNotFound) {
-			return nil, fmt.Errorf("collect: recover %s: %w", entry.Coord, mirrorErr)
-		}
-		if entry.Artifact == nil {
-			if mirrorErr == nil {
-				entry.Artifact = mirrorArt
-				entry.Availability = FromMirror
-				entry.RecoveredFrom = from
-			} else {
-				entry.Availability = Missing
-			}
-		}
-
-		// Release metadata survives takedown and is queried for the Fig. 7
-		// timeline of missing packages.
-		if rel, ok := fleet.ReleaseInfo(entry.Coord); ok {
-			entry.ReleasedAt = rel.ReleasedAt
-			entry.RemovedAt = rel.RemovedAt
-		}
-
-		res.Entries = append(res.Entries, entry)
-		res.byKey.Set(key, entry)
-
-		// Step 4: per-source accounting. A package is locally unavailable
-		// for source i when i's own channel (artifact) and the mirrors both
-		// fail; it is globally missing when no source at all carried it and
-		// mirrors failed.
-		mirrorOK := mirrorErr == nil
-		anySourceCarried := false
-		for _, o := range obsList {
-			if o.rec.Artifact != nil {
-				anySourceCarried = true
-				break
-			}
-		}
-		var es EntryStat
-		for _, o := range obsList {
-			stats := res.PerSource[o.id]
-			stats.Total++
-			if o.rec.Artifact == nil && !mirrorOK {
-				stats.LocalUnavailable++
-				es.Local = append(es.Local, o.id)
-				if !anySourceCarried {
-					stats.GlobalMissing++
-					es.Global = true
-				}
-			}
-			res.PerSource[o.id] = stats
-		}
-		res.statsByKey[key] = es
-	}
+	res.PerSource = b.PerSource
+	res.statsByKey = b.Stats
 	return res, nil
 }
 
@@ -287,13 +203,4 @@ func (r *Result) TotalMR() float64 {
 		return 0
 	}
 	return float64(len(r.MissingEntries())) / float64(len(r.Entries))
-}
-
-// CountByEcosystem tallies entries per ecosystem.
-func (r *Result) CountByEcosystem() map[ecosys.Ecosystem]int {
-	out := make(map[ecosys.Ecosystem]int)
-	for _, e := range r.Entries {
-		out[e.Coord.Ecosystem]++
-	}
-	return out
 }

@@ -3,10 +3,10 @@ package collect
 // Batch replay turns a one-shot collection Result into the feed a long-lived
 // ingest service consumes: the paper's registries and report feeds publish new
 // malicious packages continuously (§II-B), so the streaming architecture
-// replays the simulated world's timeline as time-ordered entry batches whose
-// per-batch source accounting sums back to the whole. core.Engine ingests
-// these batches; the Upsert/AddSourceStats helpers below are the merge
-// primitives it uses to maintain its own incremental Result.
+// replays the simulated world's timeline as time-ordered entry batches, each
+// entry carrying the per-source accounting Run recorded for it. core.Engine
+// ingests these batches; the Upsert/AddTotals/ApplyEntryStat helpers below
+// are the merge primitives it uses to maintain its own incremental Result.
 
 import (
 	"sort"
@@ -15,15 +15,20 @@ import (
 	"malgraph/internal/sources"
 )
 
-// Batch is one feed installment: a slice of dataset entries plus the slice of
-// per-source accounting those entries contributed to the full collection.
+// Batch is one ingest installment of dataset entries, whether replayed from
+// a collected dataset (BatchOf, TimelineBatches) or resolved from raw
+// observations (Resolver.Resolve).
 type Batch struct {
-	Entries   []*Entry
+	Entries []*Entry
+	// PerSource is Resolve's aggregate accounting delta against the dataset
+	// it resolved against — against an empty dataset, the whole
+	// collection's PerSource, which is how Run uses it. BatchOf leaves it
+	// nil: consumers account per entry, from Stats.
 	PerSource map[sources.ID]SourceStats
 	// Stats carries each entry's absolute per-source accounting, keyed by
 	// coordinate. Consumers that merge batches incrementally (core.Engine)
-	// apply the delta against their recorded stat instead of trusting the
-	// PerSource aggregate, which keeps accounting exact even when the same
+	// add one Total per newly observed source and apply the delta against
+	// their recorded stat, which keeps accounting exact when the same
 	// coordinate is extended by several batches (the external ingest path)
 	// or a batch is replayed after a warm restart.
 	Stats map[string]EntryStat
@@ -32,16 +37,11 @@ type Batch struct {
 	At time.Time
 }
 
-// Feed iterates a dataset as consecutive batches.
-type Feed struct {
-	batches []Batch
-	next    int
-}
-
-// NewFeed partitions the dataset into k time-ordered batches (by earliest
-// observation, ties broken by coordinate key) of near-equal size. k is
-// clamped to [1, len(entries)]; an empty dataset yields a single empty batch.
-func NewFeed(r *Result, k int) *Feed {
+// TimelineBatches partitions the dataset into k time-ordered batches (by
+// earliest observation, ties broken by coordinate key) of near-equal size. k
+// is clamped to [1, len(entries)]; an empty dataset yields a single empty
+// batch.
+func TimelineBatches(r *Result, k int) []Batch {
 	ordered := make([]*Entry, len(r.Entries))
 	copy(ordered, r.Entries)
 	sort.Slice(ordered, func(i, j int) bool {
@@ -50,13 +50,13 @@ func NewFeed(r *Result, k int) *Feed {
 		}
 		return ordered[i].Coord.Key() < ordered[j].Coord.Key()
 	})
-	return &Feed{batches: PartitionBatches(r, ordered, k)}
+	return PartitionBatches(r, ordered, k)
 }
 
 // PartitionBatches splits an explicit entry ordering into k contiguous
-// batches with accounting sliced per batch. The ordering must be a
+// batches, each entry with its recorded accounting. The ordering must be a
 // permutation of r.Entries (the shuffle property tests exercise arbitrary
-// permutations; NewFeed supplies the timeline ordering).
+// permutations; TimelineBatches supplies the timeline ordering).
 func PartitionBatches(r *Result, ordered []*Entry, k int) []Batch {
 	if k < 1 {
 		k = 1
@@ -65,7 +65,7 @@ func PartitionBatches(r *Result, ordered []*Entry, k int) []Batch {
 		k = len(ordered)
 	}
 	if len(ordered) == 0 {
-		return []Batch{{PerSource: map[sources.ID]SourceStats{}, At: r.CollectedAt}}
+		return []Batch{{At: r.CollectedAt}}
 	}
 	out := make([]Batch, 0, k)
 	for i := 0; i < k; i++ {
@@ -75,53 +75,24 @@ func PartitionBatches(r *Result, ordered []*Entry, k int) []Batch {
 	return out
 }
 
-// Next returns the next batch, or ok=false when the feed is exhausted.
-func (f *Feed) Next() (Batch, bool) {
-	if f.next >= len(f.batches) {
-		return Batch{}, false
-	}
-	b := f.batches[f.next]
-	f.next++
-	return b, true
-}
-
-// Len returns the total number of batches in the feed.
-func (f *Feed) Len() int { return len(f.batches) }
-
-// Remaining returns how many batches Next has not yet returned.
-func (f *Feed) Remaining() int { return len(f.batches) - f.next }
-
-// BatchOf assembles the batch for a subset of this dataset's entries,
-// attributing exactly the per-source accounting those entries generated
-// during Run. For datasets without recorded per-entry stats (hand-built or
-// JSON-loaded), the accounting is approximated from each entry's final
-// availability: a Missing entry counts against every source that reported it.
+// BatchOf assembles the batch for a subset of this dataset's entries, each
+// with exactly the per-source accounting Run recorded for it. For datasets
+// without recorded per-entry stats (hand-built or JSON-loaded), the
+// accounting is approximated from each entry's final availability: a
+// Missing entry counts against every source that reported it.
 func (r *Result) BatchOf(entries []*Entry) Batch {
 	b := Batch{
-		Entries:   entries,
-		PerSource: make(map[sources.ID]SourceStats),
-		Stats:     make(map[string]EntryStat, len(entries)),
-		At:        r.CollectedAt,
+		Entries: entries,
+		Stats:   make(map[string]EntryStat, len(entries)),
+		At:      r.CollectedAt,
 	}
 	for _, e := range entries {
-		es, recorded := r.EntryStatFor(e.Coord.Key())
+		key := e.Coord.Key()
+		es, recorded := r.EntryStatFor(key)
 		if !recorded && e.Availability == Missing {
 			es = EntryStat{Local: e.Sources, Global: true}
 		}
-		b.Stats[e.Coord.Key()] = es
-		for _, id := range e.Sources {
-			st := b.PerSource[id]
-			st.Total++
-			b.PerSource[id] = st
-		}
-		for _, id := range es.Local {
-			st := b.PerSource[id]
-			st.LocalUnavailable++
-			if es.Global {
-				st.GlobalMissing++
-			}
-			b.PerSource[id] = st
-		}
+		b.Stats[key] = es
 	}
 	return b
 }
@@ -189,17 +160,6 @@ func (r *Result) AddTotals(ids []sources.ID) {
 		st := r.PerSource[id]
 		st.Total++
 		r.PerSource[id] = st
-	}
-}
-
-// AddSourceStats accumulates a batch's per-source accounting.
-func (r *Result) AddSourceStats(stats map[sources.ID]SourceStats) {
-	for id, st := range stats {
-		cur := r.PerSource[id]
-		cur.Total += st.Total
-		cur.LocalUnavailable += st.LocalUnavailable
-		cur.GlobalMissing += st.GlobalMissing
-		r.PerSource[id] = cur
 	}
 }
 

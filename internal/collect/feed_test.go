@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"reflect"
 	"testing"
 
 	"malgraph/internal/ecosys"
@@ -17,7 +18,8 @@ func runFixture(t *testing.T) *Result {
 	return res
 }
 
-// sumBatches replays a feed and accumulates it like the engine does.
+// sumBatches replays a feed and accumulates it like the engine does: one
+// Total per newly observed source, then each entry's recorded stat.
 func sumBatches(t *testing.T, r *Result, batches []Batch) *Result {
 	t.Helper()
 	acc := NewResult(r.CollectedAt)
@@ -27,9 +29,12 @@ func sumBatches(t *testing.T, r *Result, batches []Batch) *Result {
 			if _, added, _ := acc.Upsert(e); !added {
 				t.Fatalf("entry %s appeared in two batches", e.Coord)
 			}
+			acc.AddTotals(e.Sources)
 			total++
 		}
-		acc.AddSourceStats(b.PerSource)
+		for key, st := range b.Stats {
+			acc.ApplyEntryStat(key, st)
+		}
 	}
 	if total != len(r.Entries) {
 		t.Fatalf("batches carried %d entries, dataset has %d", total, len(r.Entries))
@@ -39,17 +44,12 @@ func sumBatches(t *testing.T, r *Result, batches []Batch) *Result {
 
 func TestFeedTimeOrderedPartition(t *testing.T) {
 	res := runFixture(t)
-	feed := NewFeed(res, 2)
-	if feed.Len() != 2 || feed.Remaining() != 2 {
-		t.Fatalf("feed shape: len=%d remaining=%d", feed.Len(), feed.Remaining())
+	batches := TimelineBatches(res, 2)
+	if len(batches) != 2 {
+		t.Fatalf("feed shape: %d batches", len(batches))
 	}
-	var batches []Batch
 	var prevLast *Entry
-	for {
-		b, ok := feed.Next()
-		if !ok {
-			break
-		}
+	for _, b := range batches {
 		// Time ordering holds across batch boundaries.
 		for _, e := range b.Entries {
 			if prevLast != nil && e.ObservedAt.Before(prevLast.ObservedAt) {
@@ -57,10 +57,6 @@ func TestFeedTimeOrderedPartition(t *testing.T) {
 			}
 			prevLast = e
 		}
-		batches = append(batches, b)
-	}
-	if _, ok := feed.Next(); ok {
-		t.Fatal("exhausted feed yielded a batch")
 	}
 
 	acc := sumBatches(t, res, batches)
@@ -83,33 +79,34 @@ func TestFeedTimeOrderedPartition(t *testing.T) {
 
 func TestFeedClampsK(t *testing.T) {
 	res := runFixture(t)
-	if got := NewFeed(res, 0).Len(); got != 1 {
+	if got := len(TimelineBatches(res, 0)); got != 1 {
 		t.Fatalf("k=0 feed len = %d", got)
 	}
-	if got := NewFeed(res, 100).Len(); got != len(res.Entries) {
+	if got := len(TimelineBatches(res, 100)); got != len(res.Entries) {
 		t.Fatalf("k=100 feed len = %d (entries %d)", got, len(res.Entries))
 	}
 	empty := NewResult(day(30))
-	f := NewFeed(empty, 3)
-	if f.Len() != 1 {
-		t.Fatalf("empty feed len = %d", f.Len())
-	}
-	b, ok := f.Next()
-	if !ok || len(b.Entries) != 0 {
-		t.Fatalf("empty feed batch = %+v ok=%v", b, ok)
+	batches := TimelineBatches(empty, 3)
+	if len(batches) != 1 || len(batches[0].Entries) != 0 {
+		t.Fatalf("empty feed = %+v", batches)
 	}
 }
 
 func TestBatchOfFallbackWithoutRecordedStats(t *testing.T) {
 	res := runFixture(t)
+	recorded := res.BatchOf(res.Entries)
 	// Simulate a JSON round-trip losing per-entry stats.
 	res.statsByKey = nil
 	b := res.BatchOf(res.Entries)
-	// Totals are exact; unavailability falls back to final availability, which
-	// for this fixture (every locally-unavailable entry is globally missing)
-	// matches the recorded accounting.
+	// Unavailability falls back to final availability, which for this
+	// fixture (every locally-unavailable entry is globally missing) matches
+	// the recorded accounting, entry by entry and summed.
+	if !reflect.DeepEqual(b.Stats, recorded.Stats) {
+		t.Fatalf("fallback stats %+v, recorded %+v", b.Stats, recorded.Stats)
+	}
+	acc := sumBatches(t, res, []Batch{b})
 	for _, info := range sources.Catalog() {
-		if got, want := b.PerSource[info.ID], res.PerSource[info.ID]; got != want {
+		if got, want := acc.PerSource[info.ID], res.PerSource[info.ID]; got != want {
 			t.Fatalf("%s fallback stats: %+v want %+v", info.ID, got, want)
 		}
 	}

@@ -101,29 +101,6 @@ func (r *Result) WriteJSON(w io.Writer, mode ExportMode) error {
 	return enc.Encode(p)
 }
 
-// Supplement merges artifacts from another dataset into entries that are
-// missing them — the paper's hoped-for community workflow ("we hope the
-// community can help us supplement the missing packages"). An artifact is
-// accepted only for a coordinate already present. It returns how many
-// entries were upgraded.
-func (r *Result) Supplement(other *Result) int {
-	upgraded := 0
-	for _, o := range other.Entries {
-		if o.Artifact == nil {
-			continue
-		}
-		e, ok := r.byKey.Get(o.Coord.Key())
-		if !ok || e.Artifact != nil {
-			continue
-		}
-		e.Artifact = o.Artifact
-		e.Availability = FromSource
-		e.RecoveredFrom = "supplement"
-		upgraded++
-	}
-	return upgraded
-}
-
 // decodePerSource turns the persisted perSource map, keyed by decimal source
 // ID, back into per-source stats. A key must be the canonical decimal form
 // of a known source: "3x", "03", "+3" and unknown IDs are rejected. The

@@ -239,40 +239,3 @@ func TestAssembleResultBadSourceIDs(t *testing.T) {
 		}
 	}
 }
-
-func TestSupplement(t *testing.T) {
-	set, fleet := fixture(t)
-	res, err := Run(set, fleet, day(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	missingBefore := len(res.MissingEntries())
-	if missingBefore == 0 {
-		t.Fatal("fixture should have a missing package")
-	}
-
-	// A community member had archived pkg-c: build a donor dataset carrying
-	// its artifact.
-	donor := &Result{}
-	c := art("pkg-c")
-	donorEntry := &Entry{Coord: c.Coord, Artifact: c, Availability: FromSource}
-	donor.Entries = append(donor.Entries, donorEntry)
-	// Plus an unrelated artifact that must NOT be absorbed.
-	x := art("pkg-unknown")
-	donor.Entries = append(donor.Entries, &Entry{Coord: x.Coord, Artifact: x, Availability: FromSource})
-
-	upgraded := res.Supplement(donor)
-	if upgraded != 1 {
-		t.Fatalf("upgraded = %d", upgraded)
-	}
-	if len(res.MissingEntries()) != missingBefore-1 {
-		t.Fatal("missing count did not drop")
-	}
-	e, _ := res.Entry(c.Coord)
-	if e.Artifact == nil || e.RecoveredFrom != "supplement" {
-		t.Fatalf("supplemented entry = %+v", e)
-	}
-	if _, ok := res.Entry(x.Coord); ok {
-		t.Fatal("supplement must not add new coordinates")
-	}
-}

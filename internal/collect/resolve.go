@@ -1,18 +1,23 @@
 package collect
 
-// Incremental resolution turns raw source observations — the records an
-// external publisher POSTs to a running loader — into dataset batches, the
-// streaming counterpart of Run's merge/resolve steps (§II-B as a continuous
-// process). A Resolver is long-lived: it remembers each coordinate's
-// recovery outcome so the fleet is queried at most once per coordinate no
-// matter how many batches re-observe it, and it computes per-entry
-// accounting whose deltas (ApplyEntryStat) telescope to exactly the
-// aggregates a one-shot Run over the merged observations produces —
-// regardless of how the observations were partitioned into batches.
+// Resolution is the paper's §II-B merge, and its only implementation: raw
+// source observations are grouped by coordinate, each coordinate takes its
+// artifact from a carrying source before a mirror, and each entry's
+// per-source accounting (local and global missing rates, Tables I and V) is
+// recorded. Run is one Resolve over every source record against an empty
+// dataset; external ingest resolves the records a publisher POSTs to a
+// running loader, batch by batch. A Resolver is long-lived: it remembers
+// each coordinate's recovery outcome so the fleet is queried at most once
+// per coordinate no matter how many batches re-observe it, and the deltas of
+// its per-entry accounting (ApplyEntryStat) telescope to the aggregates of
+// one resolve over all the observations — regardless of how they were
+// partitioned into batches.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -48,7 +53,7 @@ type Observation struct {
 
 // SortObservations orders observations the way the loader replays them:
 // by observation time, ties broken by coordinate key then source — the
-// timeline order collect.NewFeed uses for entries.
+// timeline order TimelineBatches uses for entries.
 func SortObservations(obs []Observation) {
 	sort.Slice(obs, func(i, j int) bool {
 		if !obs[i].ObservedAt.Equal(obs[j].ObservedAt) {
@@ -66,7 +71,15 @@ func SortObservations(obs []Observation) {
 // stream an external publisher would POST — the scheduler's view of the
 // simulated world, in timeline order.
 func ObservationsFromSources(set *sources.Set) []Observation {
-	var out []Observation
+	out := observations(set)
+	SortObservations(out)
+	return out
+}
+
+// observations flattens a source set source by source, in ascending source
+// ID and, within a source, coordinate-key order.
+func observations(set *sources.Set) []Observation {
+	out := make([]Observation, 0, set.TotalObservations())
 	for _, src := range set.All() {
 		id := src.Info().ID
 		for _, rec := range src.Records() {
@@ -76,12 +89,11 @@ func ObservationsFromSources(set *sources.Set) []Observation {
 			})
 		}
 	}
-	SortObservations(out)
 	return out
 }
 
 // recoverOutcome caches one coordinate's mirror-recovery result. Recovery is
-// evaluated once, at the resolver's collection instant, exactly as Run
+// evaluated once, at the resolver's collection instant, as a one-shot Run
 // evaluates availability once per collection — so the cache is not just a
 // network optimisation but what keeps availability partition-independent.
 type recoverOutcome struct {
@@ -113,95 +125,117 @@ func NewResolver(fleet registry.View, at time.Time) *Resolver {
 
 // Resolve merges a batch of raw observations against the existing dataset
 // and returns the resulting Batch: merged entries for every touched
-// coordinate, their absolute per-entry accounting (Stats), and the aggregate
-// accounting delta (PerSource). The existing dataset is read, never written;
-// the caller ingests the batch (core.Engine upserts the entries and applies
-// the stats).
+// coordinate in key order, their absolute per-entry accounting (Stats), and
+// the aggregate accounting delta (PerSource). The existing dataset is read,
+// never written; the caller ingests the batch (core.Engine upserts the
+// entries and applies the stats).
 //
-// Per coordinate, resolution follows Run: artifacts come source-first (an
-// observation from an artifact-carrying source), then from the fleet —
-// queried at most once per coordinate, at the resolver's collection instant.
-// A definitive not-found marks the entry Missing; a transport failure aborts
-// the whole batch with ErrUnresolved and records nothing. Duplicate
-// deliveries are idempotent. A known source re-observing with a different
-// timestamp keeps its first accounting contribution (its record is set),
-// though an earlier timestamp or a late artifact still improves the entry.
+// Per coordinate, artifacts come source-first (an observation from an
+// artifact-carrying source, the lowest source ID winning), then from the
+// fleet — queried at most once per coordinate, at the resolver's collection
+// instant. A definitive not-found marks the entry Missing; a transport
+// failure aborts the whole batch with ErrUnresolved and records nothing.
+// Duplicate deliveries are idempotent. A known source re-observing with a
+// different timestamp keeps its first accounting contribution (its record
+// is set), though an earlier timestamp or a late artifact still improves
+// the entry.
 func (rv *Resolver) Resolve(obs []Observation, existing *Result) (Batch, error) {
+	b, _, err := rv.resolve(obs, existing)
+	return b, err
+}
+
+// resolve is Resolve that also returns the coordinate key of each batch
+// entry, parallel to b.Entries, so Run can index its dataset without
+// recomputing them.
+func (rv *Resolver) resolve(obs []Observation, existing *Result) (Batch, []string, error) {
 	if existing == nil {
-		return Batch{}, fmt.Errorf("collect: resolve against nil dataset")
+		return Batch{}, nil, fmt.Errorf("collect: resolve against nil dataset")
 	}
 	at := rv.at
 	if at.IsZero() {
 		at = existing.CollectedAt
 	}
-	byKey := make(map[string][]Observation)
-	keys := make([]string, 0, len(obs))
-	for _, o := range obs {
-		info, known := sources.InfoFor(o.Source)
-		if !known {
-			return Batch{}, fmt.Errorf("%w: unknown source %d", ErrBadObservation, int(o.Source))
+	obsKeys := make([]string, len(obs))
+	for i := range obs {
+		if err := validate(&obs[i]); err != nil {
+			return Batch{}, nil, err
 		}
-		if !validEcosystem(o.Coord.Ecosystem) || o.Coord.Name == "" || o.Coord.Version == "" {
-			return Batch{}, fmt.Errorf("%w: incomplete coordinate %q", ErrBadObservation, o.Coord.Key())
-		}
-		// Graph node IDs use '|' as a separator (record nodes, co-existing
-		// pair keys), so it may not appear inside a coordinate.
-		if strings.ContainsRune(o.Coord.Name, '|') || strings.ContainsRune(o.Coord.Version, '|') {
-			return Batch{}, fmt.Errorf("%w: '|' in coordinate %q", ErrBadObservation, o.Coord.Key())
-		}
-		if o.Artifact != nil && o.Artifact.Coord != o.Coord {
-			return Batch{}, fmt.Errorf("%w: artifact coordinate %s does not match %s",
-				ErrBadObservation, o.Artifact.Coord.Key(), o.Coord.Key())
-		}
-		if !info.CarriesArtifacts {
-			// Industry feeds publish names only (§II-B); an attached
-			// artifact is dropped exactly as sources.Source.Observe drops it.
-			o.Artifact = nil
-		}
-		key := o.Coord.Key()
-		if _, seen := byKey[key]; !seen {
-			keys = append(keys, key)
-		}
-		byKey[key] = append(byKey[key], o)
+		obsKeys[i] = obs[i].Coord.Key()
 	}
-	sort.Strings(keys)
+	// Group by coordinate: one sort of the observation indices by key, then
+	// source — so the lowest-ID carrying source supplies the artifact
+	// whatever the arrival order or batch partition — then arrival.
+	order := make([]int, len(obs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		if c := strings.Compare(obsKeys[i], obsKeys[j]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(obs[i].Source, obs[j].Source); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	groups := 0
+	for n, i := range order {
+		if n == 0 || obsKeys[i] != obsKeys[order[n-1]] {
+			groups++
+		}
+	}
+	if len(rv.recovered) == 0 && len(rv.releases) == 0 {
+		rv.recovered = make(map[string]recoverOutcome, groups)
+		rv.releases = make(map[string]ecosys.Release, groups)
+	}
 
 	b := Batch{
+		Entries:   make([]*Entry, 0, groups),
 		PerSource: make(map[sources.ID]SourceStats),
-		Stats:     make(map[string]EntryStat, len(keys)),
+		Stats:     make(map[string]EntryStat, groups),
 		At:        at,
 	}
-	for _, key := range keys {
-		group := byKey[key]
-		// Within a coordinate, apply observations in ascending source order
-		// — the order Run sees records in (set.All() iterates sources by
-		// ID), so artifact choice among several carriers matches one-shot.
-		sort.SliceStable(group, func(i, j int) bool { return group[i].Source < group[j].Source })
+	keys := make([]string, 0, groups)
+	var group []Observation
+	var newSources []sources.ID
+	for lo := 0; lo < len(order); {
+		key := obsKeys[order[lo]]
+		group = group[:0]
+		for ; lo < len(order) && obsKeys[order[lo]] == key; lo++ {
+			o := obs[order[lo]]
+			if info, _ := sources.InfoFor(o.Source); !info.CarriesArtifacts {
+				// Industry feeds publish names only (§II-B); an attached
+				// artifact is dropped exactly as sources.Source.Observe
+				// drops it.
+				o.Artifact = nil
+			}
+			group = append(group, o)
+		}
+		coord := group[0].Coord
 
-		cur, exists := existing.Entry(group[0].Coord)
-		var next Entry
+		cur, exists := existing.EntryByKey(key)
+		next := new(Entry)
 		var oldStat EntryStat
 		if exists {
-			next = *cur
+			*next = *cur
 			// The merged entry must never share slice backing with the
 			// live dataset entry: append+sort below would otherwise
 			// reorder cur.Sources in place (spare capacity lets append
 			// write into the shared array), corrupting the engine's
 			// stored entry before Upsert even sees the batch.
-			next.Sources = append([]sources.ID(nil), cur.Sources...)
-			oldStat = rv.statFor(existing, cur)
+			next.Sources = append(make([]sources.ID, 0, len(cur.Sources)+len(group)), cur.Sources...)
+			oldStat = rv.statFor(existing, key, cur)
 		} else {
-			next = Entry{Coord: group[0].Coord}
+			next.Coord = coord
+			next.Sources = make([]sources.ID, 0, len(group))
 		}
 
-		var newSources []sources.ID
+		newSources = newSources[:0]
 		carriedNew := false
 		for _, o := range group {
 			if !containsID(next.Sources, o.Source) {
 				next.Sources = append(next.Sources, o.Source)
-				if !containsID(newSources, o.Source) {
-					newSources = append(newSources, o.Source)
-				}
+				newSources = append(newSources, o.Source)
 			}
 			if !o.ObservedAt.IsZero() && (next.ObservedAt.IsZero() || o.ObservedAt.Before(next.ObservedAt)) {
 				next.ObservedAt = o.ObservedAt
@@ -215,19 +249,20 @@ func (rv *Resolver) Resolve(obs []Observation, existing *Result) (Batch, error) 
 				}
 			}
 		}
-		sort.Slice(next.Sources, func(i, j int) bool { return next.Sources[i] < next.Sources[j] })
+		slices.Sort(next.Sources)
 		if carriedNew && next.Availability == FromMirror {
 			// Source-first: the merged observation set now includes a
-			// carrying source, which is how Run would have classified it.
+			// carrying source, which is how a one-shot resolve of every
+			// observation would have classified it.
 			next.Availability = FromSource
 			next.RecoveredFrom = ""
 		}
 
 		// Mirror outcome — needed for recovery when no source carries the
 		// artifact, and for the accounting of artifact-less sources either
-		// way (Run queries the fleet for every coordinate). Inference from
-		// the existing entry avoids re-querying coordinates the dataset
-		// already settled.
+		// way (every coordinate's mirror outcome is evaluated once).
+		// Inference from the existing entry avoids re-querying coordinates
+		// the dataset already settled.
 		var mirrorOK bool
 		switch {
 		case exists && cur.Availability == FromMirror:
@@ -237,9 +272,9 @@ func (rv *Resolver) Resolve(obs []Observation, existing *Result) (Batch, error) 
 		case exists && len(oldStat.Local) > 0:
 			mirrorOK = false
 		default:
-			out, err := rv.recover(group[0].Coord, at)
+			out, err := rv.recover(coord, key, at)
 			if err != nil {
-				return Batch{}, err
+				return Batch{}, nil, err
 			}
 			mirrorOK = out.ok
 			if next.Artifact == nil {
@@ -255,7 +290,7 @@ func (rv *Resolver) Resolve(obs []Observation, existing *Result) (Batch, error) 
 
 		// Release metadata survives takedown (Fig. 7 timeline).
 		if next.ReleasedAt.IsZero() || next.RemovedAt.IsZero() {
-			if rel, ok := rv.release(group[0].Coord); ok {
+			if rel, ok := rv.release(coord, key); ok {
 				if next.ReleasedAt.IsZero() {
 					next.ReleasedAt = rel.ReleasedAt
 				}
@@ -265,11 +300,13 @@ func (rv *Resolver) Resolve(obs []Observation, existing *Result) (Batch, error) 
 			}
 		}
 
-		// Accounting: previously settled sources keep their contribution
-		// (local status depends only on their own record and the fixed
-		// mirror outcome); new artifact-less sources join Local when the
-		// mirror failed; the global flag is re-derived from the merged
-		// state, exactly as Run derives it.
+		// Accounting (§II-B, Tables I and V): a source counts the package
+		// locally unavailable when its own record carries no artifact and
+		// the mirrors failed; the package is globally missing when, on top,
+		// no source at all carried it. Previously settled sources keep
+		// their contribution (local status depends only on their own record
+		// and the fixed mirror outcome); the global flag is re-derived from
+		// the merged state.
 		newStat := EntryStat{Local: append([]sources.ID(nil), oldStat.Local...)}
 		if !mirrorOK {
 			for _, o := range group {
@@ -278,21 +315,41 @@ func (rv *Resolver) Resolve(obs []Observation, existing *Result) (Batch, error) 
 				}
 			}
 		}
-		sort.Slice(newStat.Local, func(i, j int) bool { return newStat.Local[i] < newStat.Local[j] })
+		slices.Sort(newStat.Local)
 		newStat.Global = len(newStat.Local) > 0 && !mirrorOK && next.Availability != FromSource
 
 		addStatDelta(b.PerSource, oldStat, newStat, newSources)
 		b.Stats[key] = newStat
-		entry := next
-		b.Entries = append(b.Entries, &entry)
+		b.Entries = append(b.Entries, next)
+		keys = append(keys, key)
 	}
-	return b, nil
+	return b, keys, nil
+}
+
+// validate rejects a malformed observation with ErrBadObservation.
+func validate(o *Observation) error {
+	if _, known := sources.InfoFor(o.Source); !known {
+		return fmt.Errorf("%w: unknown source %d", ErrBadObservation, int(o.Source))
+	}
+	if !validEcosystem(o.Coord.Ecosystem) || o.Coord.Name == "" || o.Coord.Version == "" {
+		return fmt.Errorf("%w: incomplete coordinate %q", ErrBadObservation, o.Coord.Key())
+	}
+	// Graph node IDs use '|' as a separator (record nodes, co-existing
+	// pair keys), so it may not appear inside a coordinate.
+	if strings.IndexByte(o.Coord.Name, '|') >= 0 || strings.IndexByte(o.Coord.Version, '|') >= 0 {
+		return fmt.Errorf("%w: '|' in coordinate %q", ErrBadObservation, o.Coord.Key())
+	}
+	if o.Artifact != nil && o.Artifact.Coord != o.Coord {
+		return fmt.Errorf("%w: artifact coordinate %s does not match %s",
+			ErrBadObservation, o.Artifact.Coord.Key(), o.Coord.Key())
+	}
+	return nil
 }
 
 // statFor returns the recorded accounting for an existing entry, or the
 // availability-derived approximation when the dataset has none.
-func (rv *Resolver) statFor(existing *Result, e *Entry) EntryStat {
-	if es, ok := existing.EntryStatFor(e.Coord.Key()); ok {
+func (rv *Resolver) statFor(existing *Result, key string, e *Entry) EntryStat {
+	if es, ok := existing.EntryStatFor(key); ok {
 		return es
 	}
 	if e.Availability == Missing {
@@ -302,9 +359,9 @@ func (rv *Resolver) statFor(existing *Result, e *Entry) EntryStat {
 }
 
 // recover queries the fleet once per coordinate, caching definitive
-// outcomes. Transport failures are not cached — the next batch retries.
-func (rv *Resolver) recover(coord ecosys.Coord, at time.Time) (recoverOutcome, error) {
-	key := coord.Key()
+// outcomes under the coordinate's key. Transport failures are not cached —
+// the next batch retries.
+func (rv *Resolver) recover(coord ecosys.Coord, key string, at time.Time) (recoverOutcome, error) {
 	if out, ok := rv.recovered[key]; ok {
 		return out, nil
 	}
@@ -315,15 +372,14 @@ func (rv *Resolver) recover(coord ecosys.Coord, at time.Time) (recoverOutcome, e
 			rv.recovered[key] = out
 			return out, nil
 		}
-		return recoverOutcome{}, fmt.Errorf("%w: %s: %w", ErrUnresolved, coord.Key(), err)
+		return recoverOutcome{}, fmt.Errorf("%w: %s: %w", ErrUnresolved, key, err)
 	}
 	out := recoverOutcome{art: art, from: from, ok: true}
 	rv.recovered[key] = out
 	return out, nil
 }
 
-func (rv *Resolver) release(coord ecosys.Coord) (ecosys.Release, bool) {
-	key := coord.Key()
+func (rv *Resolver) release(coord ecosys.Coord, key string) (ecosys.Release, bool) {
 	if rel, ok := rv.releases[key]; ok {
 		return rel, true
 	}

@@ -6,6 +6,7 @@ package collect
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -46,37 +47,60 @@ func resolveAll(t *testing.T, rv *Resolver, ds *Result, obs []Observation, k int
 }
 
 // TestResolvePartitionsMatchRun checks the telescoping-accounting contract
-// on the hand-crafted fixture: the raw observations resolved in k batches —
-// including k large enough to split a multi-source coordinate across
-// batches — reproduce Run's entries and PerSource accounting exactly.
+// on the hand-crafted fixture: Run (one resolve of every observation) and
+// the raw observations resolved in k batches — including k large enough to
+// split a multi-source coordinate across batches — all reproduce the
+// fixture's hand-computed entries and PerSource accounting exactly.
 func TestResolvePartitionsMatchRun(t *testing.T) {
 	set, fleet := fixture(t)
 	at := day(30)
-	want, err := Run(set, fleet, at)
+	wantEntries := []struct {
+		name         string
+		availability Availability
+		from         string
+		sources      []sources.ID
+		observedAt   time.Time
+	}{
+		{"pkg-a", FromSource, "", []sources.ID{sources.Backstabber}, day(2)},
+		{"pkg-b", FromMirror, "tuna", []sources.ID{sources.Snyk, sources.Tianwen}, day(8)},
+		{"pkg-c", Missing, "", []sources.ID{sources.Socket}, day(5)},
+	}
+	wantPerSource := map[sources.ID]SourceStats{
+		sources.Backstabber: {Total: 1},
+		sources.Snyk:        {Total: 1},
+		sources.Tianwen:     {Total: 1},
+		sources.Socket:      {Total: 1, LocalUnavailable: 1, GlobalMissing: 1},
+	}
+	check := func(label string, ds *Result) {
+		t.Helper()
+		if len(ds.Entries) != len(wantEntries) {
+			t.Fatalf("%s: %d entries, want %d", label, len(ds.Entries), len(wantEntries))
+		}
+		for i, e := range ds.Entries {
+			w := wantEntries[i]
+			if e.Coord.Name != w.name || e.Availability != w.availability ||
+				e.RecoveredFrom != w.from || !e.ObservedAt.Equal(w.observedAt) ||
+				!reflect.DeepEqual(e.Sources, w.sources) {
+				t.Errorf("%s: entry %s = %+v, want %+v", label, e.Coord.Key(), e, w)
+			}
+			if (e.Artifact == nil) != (w.availability == Missing) {
+				t.Errorf("%s: entry %s artifact presence wrong", label, e.Coord.Key())
+			}
+		}
+		if !reflect.DeepEqual(ds.PerSource, wantPerSource) {
+			t.Errorf("%s: PerSource = %+v, want %+v", label, ds.PerSource, wantPerSource)
+		}
+	}
+	oneShot, err := Run(set, fleet, at)
 	if err != nil {
 		t.Fatal(err)
 	}
+	check("Run", oneShot)
 	obs := ObservationsFromSources(set)
 	for _, k := range []int{1, 2, len(obs)} {
 		ds := NewResult(at)
 		resolveAll(t, NewResolver(fleet, at), ds, obs, k)
-		if len(ds.Entries) != len(want.Entries) {
-			t.Fatalf("k=%d: %d entries, want %d", k, len(ds.Entries), len(want.Entries))
-		}
-		for i, e := range ds.Entries {
-			w := want.Entries[i]
-			if e.Coord != w.Coord || e.Availability != w.Availability ||
-				e.RecoveredFrom != w.RecoveredFrom || !e.ObservedAt.Equal(w.ObservedAt) ||
-				!reflect.DeepEqual(e.Sources, w.Sources) {
-				t.Errorf("k=%d: entry %s = %+v, want %+v", k, e.Coord.Key(), e, w)
-			}
-			if (e.Artifact == nil) != (w.Artifact == nil) {
-				t.Errorf("k=%d: entry %s artifact presence differs", k, e.Coord.Key())
-			}
-		}
-		if !reflect.DeepEqual(ds.PerSource, want.PerSource) {
-			t.Errorf("k=%d: PerSource = %+v, want %+v", k, ds.PerSource, want.PerSource)
-		}
+		check(fmt.Sprintf("k=%d", k), ds)
 	}
 }
 
@@ -260,8 +284,8 @@ func TestRunTransportFailureIsNotTakedown(t *testing.T) {
 	set := sources.NewSet()
 	set.Get(sources.Socket).Observe(c.Coord, day(5), nil)
 
-	if _, err := Run(set, remote, day(30)); err == nil {
-		t.Fatal("Run with a 500ing mirror must fail, not record Missing")
+	if _, err := Run(set, remote, day(30)); !errors.Is(err, ErrUnresolved) {
+		t.Fatalf("Run with a 500ing mirror: err = %v, want ErrUnresolved, not recorded Missing", err)
 	} else if errors.Is(err, registry.ErrNotFound) {
 		t.Fatalf("transport failure mislabeled as not-found: %v", err)
 	}

@@ -61,18 +61,21 @@ import (
 	"malgraph/internal/xrand"
 )
 
-// Batch is one ingest installment: new dataset entries with their source
-// accounting (see collect.Feed) plus newly published security reports.
+// Batch is one ingest installment: dataset entries with their per-entry
+// source accounting (collect.BatchOf or collect.Resolver.Resolve) plus newly
+// published security reports.
 type Batch struct {
-	Entries   []*collect.Entry
+	Entries []*collect.Entry
+	// PerSource is never read: the engine accounts every batch per entry,
+	// from Stats. It stays only because the servebench harness sets it.
 	PerSource map[sources.ID]collect.SourceStats
 	// Stats carries each entry's absolute per-source accounting (see
-	// collect.Batch.Stats). When present, the engine applies exact
-	// accounting deltas per entry — correct under replay, under batches
-	// that extend already-known coordinates (the external ingest path),
-	// and under any feed/external mix. When nil (hand-assembled batches,
-	// one-shot build), the PerSource aggregate is added verbatim whenever
-	// the batch changed the dataset.
+	// collect.Batch.Stats). The engine adds one Total per newly observed
+	// (source, package) pair and applies the delta between each entry's
+	// recorded stat and this one — exact under replay, under batches that
+	// extend already-known coordinates (the external ingest path), and
+	// under any feed/external mix. A batch without Stats (a hand-assembled
+	// corpus) carries no accounting.
 	Stats   map[string]collect.EntryStat
 	Reports []*reports.Report
 	// At is the collection instant; recorded once (first non-zero wins).
@@ -389,21 +392,11 @@ func (e *Engine) Ingest(b Batch) (IngestStats, error) {
 		// batches extend the same coordinate.
 		for _, ch := range changes {
 			e.mg.Dataset.AddTotals(ch.newSources)
-		}
-		for _, ch := range changes {
 			key := ch.entry.Coord.Key()
 			if next, ok := b.Stats[key]; ok {
 				e.mg.Dataset.ApplyEntryStat(key, next)
 			}
 		}
-	} else if st.NewEntries > 0 || st.UpdatedEntries > 0 {
-		// Legacy aggregate path: a batch's PerSource is the accounting its
-		// entries contributed to the collection. Batches are disjoint under
-		// the partition contract, so the stats apply exactly once — when
-		// the batch actually introduces entries. A fully replayed batch
-		// (warm-restart feed drain) merges zero entries and must not
-		// re-add its accounting.
-		e.mg.Dataset.AddSourceStats(b.PerSource)
 	}
 	// Shard phase: the batch's per-ecosystem slices plan their dependency
 	// and similar updates in parallel (each shard owns its indexes and emits

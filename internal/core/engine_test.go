@@ -13,6 +13,7 @@ import (
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
 	"malgraph/internal/reports"
+	"malgraph/internal/sources"
 	"malgraph/internal/xrand"
 )
 
@@ -106,15 +107,15 @@ func TestEngineBatchPartitionsMatchBuild(t *testing.T) {
 func TestEngineIngestIdempotent(t *testing.T) {
 	ds, reps := miniDataset(t)
 	eng := NewEngine(DefaultConfig())
-	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
+	full := ds.BatchOf(ds.Entries)
+	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Stats: full.Stats, Reports: reps, At: ds.CollectedAt}); err != nil {
 		t.Fatal(err)
 	}
 	before := digestOf(t, eng)
 	beforeStats := fmt.Sprintf("%+v", eng.Dataset().PerSource)
 	// Replayed batches carry their accounting too (a warm-restarted server
 	// drains the same feed); nothing may double-count.
-	replay := ds.BatchOf(ds.Entries)
-	st, err := eng.Ingest(Batch{Entries: ds.Entries, PerSource: replay.PerSource, Reports: reps})
+	st, err := eng.Ingest(Batch{Entries: ds.Entries, Stats: full.Stats, Reports: reps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,11 @@ func TestEngineIngestStats(t *testing.T) {
 // and the one-shot build.
 func TestEngineSnapshotRestore(t *testing.T) {
 	ds, reps := miniDataset(t)
-	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, PerSource: ds.BatchOf(ds.Entries).PerSource, Reports: reps, At: ds.CollectedAt})
+	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Stats: ds.BatchOf(ds.Entries).Stats, Reports: reps, At: ds.CollectedAt})
 
 	half := len(ds.Entries) / 2
-	first := Batch{Entries: ds.Entries[:half], PerSource: ds.BatchOf(ds.Entries[:half]).PerSource, Reports: reps[:1], At: ds.CollectedAt}
-	second := Batch{Entries: ds.Entries[half:], PerSource: ds.BatchOf(ds.Entries[half:]).PerSource, Reports: reps[1:]}
+	first := Batch{Entries: ds.Entries[:half], Stats: ds.BatchOf(ds.Entries[:half]).Stats, Reports: reps[:1], At: ds.CollectedAt}
+	second := Batch{Entries: ds.Entries[half:], Stats: ds.BatchOf(ds.Entries[half:]).Stats, Reports: reps[1:]}
 	eng := NewEngine(DefaultConfig())
 	if _, err := eng.Ingest(first); err != nil {
 		t.Fatal(err)
@@ -188,7 +189,19 @@ func TestEngineSnapshotRestore(t *testing.T) {
 		}
 	}
 	assertEngineMatchesBuild(t, restored, want, "restored")
-	wantStats := ds.BatchOf(ds.Entries).PerSource
+	// Every entry of the hand-built corpus carries its artifact, so each
+	// source's accounting is one Total per package it reported.
+	wantStats := make(map[sources.ID]collect.SourceStats)
+	for _, e := range ds.Entries {
+		for _, id := range e.Sources {
+			st := wantStats[id]
+			st.Total++
+			wantStats[id] = st
+		}
+	}
+	if len(restored.Dataset().PerSource) != len(wantStats) {
+		t.Fatalf("replayed accounting %+v, want %+v", restored.Dataset().PerSource, wantStats)
+	}
 	for id, w := range wantStats {
 		if got := restored.Dataset().PerSource[id]; got != w {
 			t.Fatalf("replayed accounting for %s = %+v, want %+v", id, got, w)

@@ -366,5 +366,16 @@ func (f *Fleet) Recover(coord ecosys.Coord, t time.Time) (*ecosys.Artifact, stri
 			return art, m.name, nil
 		}
 	}
-	return nil, "", fmt.Errorf("%w: %s (root and all mirrors)", ErrNotFound, coord)
+	return nil, "", &fleetNotFound{coord: coord}
 }
+
+// fleetNotFound is Fleet.Recover's ErrNotFound, formatted only when printed:
+// a collection meets one for every taken-down package and only tests it
+// with errors.Is.
+type fleetNotFound struct{ coord ecosys.Coord }
+
+func (e *fleetNotFound) Error() string {
+	return fmt.Sprintf("%v: %s (root and all mirrors)", ErrNotFound, e.coord)
+}
+
+func (e *fleetNotFound) Unwrap() error { return ErrNotFound }

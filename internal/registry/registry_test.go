@@ -277,8 +277,12 @@ func TestFleetRecoverPrefersRootThenMirrors(t *testing.T) {
 		t.Fatalf("recover via mirror: from=%q err=%v", from, err)
 	}
 	// Day 20: mirror synced the removal; nothing has it.
-	if _, _, err := fleet.Recover(a.Coord, day(20)); !errors.Is(err, ErrNotFound) {
+	_, _, err = fleet.Recover(a.Coord, day(20))
+	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("recover after full sync: %v", err)
+	}
+	if want := "registry: package not found: " + a.Coord.String() + " (root and all mirrors)"; err.Error() != want {
+		t.Fatalf("not-found message %q, want %q", err.Error(), want)
 	}
 }
 

@@ -51,25 +51,28 @@ type Info struct {
 	CarriesArtifacts bool // open-source dataset with downloadable packages
 }
 
-// Catalog returns the Table I source catalog in table order.
+// catalog is the Table I source catalog in table order (ascending ID).
+var catalog = []Info{
+	{ID: Backstabber, Name: "Backstabber-Knife", Abbrev: "B.K", Kind: KindAcademia, CarriesArtifacts: true},
+	{ID: Maloss, Name: "Maloss", Abbrev: "M.", Kind: KindAcademia, CarriesArtifacts: true},
+	{ID: MalPyPI, Name: "Mal-PyPI", Abbrev: "M.D", Kind: KindAcademia, CarriesArtifacts: true},
+	{ID: GitHubAdvisory, Name: "GitHub Advisory", Abbrev: "G.A", Kind: KindIndustry, CarriesArtifacts: false},
+	{ID: Snyk, Name: "Snyk.io", Abbrev: "S.i", Kind: KindIndustry, CarriesArtifacts: false},
+	{ID: Tianwen, Name: "Tianwen", Abbrev: "T.", Kind: KindIndustry, CarriesArtifacts: false},
+	{ID: DataDog, Name: "DataDog", Abbrev: "D.D", Kind: KindIndustry, CarriesArtifacts: true},
+	{ID: Phylum, Name: "Phylum", Abbrev: "P.", Kind: KindIndustry, CarriesArtifacts: false},
+	{ID: Socket, Name: "Socket", Abbrev: "So.", Kind: KindIndustry, CarriesArtifacts: false},
+	{ID: Blogs, Name: "Blogs", Abbrev: "I.B", Kind: KindIndustry, CarriesArtifacts: false},
+}
+
+// Catalog returns a copy of the Table I source catalog in table order.
 func Catalog() []Info {
-	return []Info{
-		{ID: Backstabber, Name: "Backstabber-Knife", Abbrev: "B.K", Kind: KindAcademia, CarriesArtifacts: true},
-		{ID: Maloss, Name: "Maloss", Abbrev: "M.", Kind: KindAcademia, CarriesArtifacts: true},
-		{ID: MalPyPI, Name: "Mal-PyPI", Abbrev: "M.D", Kind: KindAcademia, CarriesArtifacts: true},
-		{ID: GitHubAdvisory, Name: "GitHub Advisory", Abbrev: "G.A", Kind: KindIndustry, CarriesArtifacts: false},
-		{ID: Snyk, Name: "Snyk.io", Abbrev: "S.i", Kind: KindIndustry, CarriesArtifacts: false},
-		{ID: Tianwen, Name: "Tianwen", Abbrev: "T.", Kind: KindIndustry, CarriesArtifacts: false},
-		{ID: DataDog, Name: "DataDog", Abbrev: "D.D", Kind: KindIndustry, CarriesArtifacts: true},
-		{ID: Phylum, Name: "Phylum", Abbrev: "P.", Kind: KindIndustry, CarriesArtifacts: false},
-		{ID: Socket, Name: "Socket", Abbrev: "So.", Kind: KindIndustry, CarriesArtifacts: false},
-		{ID: Blogs, Name: "Blogs", Abbrev: "I.B", Kind: KindIndustry, CarriesArtifacts: false},
-	}
+	return append([]Info(nil), catalog...)
 }
 
 // InfoFor returns the catalog entry for an ID.
 func InfoFor(id ID) (Info, bool) {
-	for _, info := range Catalog() {
+	for _, info := range catalog {
 		if info.ID == id {
 			return info, true
 		}
@@ -164,8 +167,8 @@ type Set struct {
 
 // NewSet instantiates every catalog source.
 func NewSet() *Set {
-	set := &Set{byID: make(map[ID]*Source, len(Catalog()))}
-	for _, info := range Catalog() {
+	set := &Set{byID: make(map[ID]*Source, len(catalog))}
+	for _, info := range catalog {
 		set.byID[info.ID] = NewSource(info)
 	}
 	return set
@@ -177,7 +180,7 @@ func (s *Set) Get(id ID) *Source { return s.byID[id] }
 // All returns the sources in catalog order.
 func (s *Set) All() []*Source {
 	out := make([]*Source, 0, len(s.byID))
-	for _, info := range Catalog() {
+	for _, info := range catalog {
 		out = append(out, s.byID[info.ID])
 	}
 	return out

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"malgraph/internal/collect"
+	"malgraph/internal/core"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/sources"
 )
@@ -84,7 +85,7 @@ func startupDigest(t *testing.T, p *Pipeline) string {
 			urls[i] = r.URL
 		}
 		put("batch", []any{keys, b.Stats, urls, b.At})
-		putPerSource(put, b.PerSource)
+		putPerSource(put, batchPerSource(b))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -94,6 +95,30 @@ func artifactHash(a *ecosys.Artifact) string {
 		return ""
 	}
 	return a.Hash()
+}
+
+// batchPerSource sums a feed batch's per-entry accounting into per-source
+// aggregates: one Total per reporting source, and the locally unavailable
+// and globally missing counts of each entry's recorded stat.
+func batchPerSource(b core.Batch) map[sources.ID]collect.SourceStats {
+	per := make(map[sources.ID]collect.SourceStats)
+	for _, e := range b.Entries {
+		for _, id := range e.Sources {
+			st := per[id]
+			st.Total++
+			per[id] = st
+		}
+		es := b.Stats[e.Coord.Key()]
+		for _, id := range es.Local {
+			st := per[id]
+			st.LocalUnavailable++
+			if es.Global {
+				st.GlobalMissing++
+			}
+			per[id] = st
+		}
+	}
+	return per
 }
 
 // putPerSource hashes per-source accounting in source-ID order.
