@@ -4,7 +4,8 @@
 //   - duplicated: the same package reported by different sources, matched on
 //     name+version and confirmed by SHA-256 when both artifacts exist (§III-A).
 //   - similar: packages sharing a code base, recovered by the embedding +
-//     K-Means + silhouette pipeline (§III-B).
+//     LSH partition + K-Means + silhouette pipeline (§III-B;
+//     textsim.ClusterPartition).
 //   - dependency: dependent-hidden attacks, extracted from manifests and
 //     Table II regex scans over source (§III-C).
 //   - co-existing: packages named together by the same security report

@@ -19,8 +19,9 @@ package core
 //     corpus scale), and only the partitions containing changed artifacts
 //     re-cluster: their similar edges are dropped surgically
 //     (graph.RemoveEdgesIncident) and re-derived, while every other
-//     partition's clusters and edges are untouched. Clusters are computed
-//     per partition, so appends cost O(dirty partitions), not O(ecosystem).
+//     partition's clusters and edges are untouched. Each partition is
+//     clustered as one K-Means-refined centroid (textsim.ClusterPartition),
+//     so appends cost O(dirty partitions), not O(ecosystem).
 //   - co-existing: reports are merged into a URL-sorted corpus through an
 //     incremental report-join index — a URL-sorted posting list per named
 //     coordinate (present in the graph or not) plus a per-pair edge ownership
@@ -58,7 +59,6 @@ import (
 	"malgraph/internal/reports"
 	"malgraph/internal/sources"
 	"malgraph/internal/textsim"
-	"malgraph/internal/xrand"
 )
 
 // Batch is one ingest installment: dataset entries with their per-entry
@@ -177,8 +177,8 @@ type ecoShard struct {
 	// (canonical key = smallest member node ID), so any batch order
 	// reproduces the same partitions.
 	lsh *textsim.LSHIndex
-	// clustersByPart caches each partition's surviving clusters by its
-	// canonical key; flattening the map in key order yields the ecosystem's
+	// clustersByPart caches each partition's surviving cluster (a partition
+	// holds at most one) by its canonical key; flattening the map in key order yields the ecosystem's
 	// cluster list exactly as a one-shot build derives it.
 	clustersByPart map[string][]textsim.Cluster
 }
@@ -206,9 +206,6 @@ type Engine struct {
 	// indexes, clustering caches); see ecoShard. Created on first use.
 	// guarded by mu.
 	shards map[ecosys.Ecosystem]*ecoShard
-	// clusterScratch pools the clustering kernels' buffers across ingests,
-	// one Scratch per re-clustering worker.
-	clusterScratch sync.Pool
 
 	// Incremental report-join index (§III-D). reportByURL dedupes reports
 	// and resolves posting-list URLs back to documents. posting maps every
@@ -625,7 +622,7 @@ func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.
 	// now-read-only shards map and the read-only scanner/embedder, never
 	// the graph applyNodes writes beside it, so the fan-out is race-free;
 	// per-shard work is itself deterministic (order-preserving inner maps,
-	// sorted partition keys, content-derived RNG streams), so the plans are
+	// sorted partition keys, ID-sorted partition items), so the plans are
 	// byte-identical under any worker count. The co-existing plan owns the
 	// report-join state (reports, posting lists, pair owners, the
 	// per-package report index), which no other leg touches.
@@ -858,19 +855,14 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		jobs = append(jobs, partJob{key: key, items: pitems})
 		plan.dirtyMembers = append(plan.dirtyMembers, members...)
 	}
-	// Re-cluster dirty partitions concurrently. Each partition's items are
-	// sorted by node ID and its RNG stream is derived from its canonical key
-	// — both content-derived, so any batch order (and a one-shot build)
-	// computes identical clusters per partition.
+	// Re-cluster dirty partitions concurrently. A partition's items are
+	// sorted by node ID — content-derived, so any batch order (and a
+	// one-shot build) computes an identical cluster per partition.
 	clustersByJob := parallel.Map(len(jobs), func(i int) []textsim.Cluster {
-		sc, _ := e.clusterScratch.Get().(*textsim.Scratch)
-		if sc == nil {
-			sc = textsim.NewScratch()
+		if c, ok := textsim.ClusterPartition(jobs[i].items, e.cfg.Cluster); ok {
+			return []textsim.Cluster{c}
 		}
-		defer e.clusterScratch.Put(sc)
-		job := jobs[i]
-		rng := xrand.New(e.cfg.Seed).Derive("similar/" + eco.String() + "/" + job.key)
-		return textsim.ClusterItemsScratch(job.items, e.cfg.Cluster, rng, sc)
+		return nil
 	})
 	for i, job := range jobs {
 		clusters := clustersByJob[i]
@@ -878,21 +870,20 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		if len(clusters) == 0 {
 			delete(sh.clustersByPart, job.key)
 			plan.parts.del(job.key)
-		} else {
-			sh.clustersByPart[job.key] = clusters
-			plan.parts.set(job.key)
+			continue
 		}
-		for ci, cluster := range clusters {
-			plan.groups = append(plan.groups, plannedGroup{
-				members: cluster.Members,
-				attrs: graph.Attrs{
-					// Labels are partition-scoped so an untouched partition's
-					// edge attrs stay valid verbatim across appends.
-					"cluster":    job.key + "#" + strconv.Itoa(ci),
-					"silhouette": fmt.Sprintf("%.3f", cluster.Silhouette),
-				},
-			})
-		}
+		sh.clustersByPart[job.key] = clusters
+		plan.parts.set(job.key)
+		plan.groups = append(plan.groups, plannedGroup{
+			members: clusters[0].Members,
+			attrs: graph.Attrs{
+				// Labels are partition-scoped so an untouched partition's
+				// edge attrs stay valid verbatim across appends; a
+				// partition holds at most one cluster, index 0.
+				"cluster":    job.key + "#0",
+				"silhouette": fmt.Sprintf("%.3f", clusters[0].Silhouette),
+			},
+		})
 	}
 	// Re-derive the flat cluster list in canonical partition-key order —
 	// the order a one-shot build yields. The incremental flatten reuses the

@@ -1,15 +1,14 @@
 package textsim
 
-// Ablation benchmarks for the similarity pipeline's design choices:
-// LSH band count (candidate recall vs candidate volume), embedding
-// dimensionality (speed vs separation), and the rescue-merge pass.
+// Ablation benchmarks for the similarity pipeline's design choices, each
+// timing the production path (LSHIndex partitions, ClusterPartition per
+// partition): LSH band count (partition recall vs verification volume) and
+// embedding dimensionality (speed vs separation).
 
 import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"malgraph/internal/xrand"
 )
 
 // ablationCorpus builds nFamilies code families with variants plus
@@ -48,8 +47,8 @@ func ablationCorpus(nFamilies, perFamily, singletons int, cfg EmbedConfig) []Ite
 }
 
 // BenchmarkAblation_LSHBands sweeps the SimHash band count. More, narrower
-// bands raise candidate recall (fewer missed variants) at the cost of more
-// cosine verifications.
+// bands raise candidate recall (fewer variants split off their family's
+// partition) at the cost of more cosine verifications.
 func BenchmarkAblation_LSHBands(b *testing.B) {
 	items := ablationCorpus(30, 8, 200, DefaultEmbedConfig())
 	for _, bands := range []int{2, 4, 8, 16} {
@@ -58,7 +57,7 @@ func BenchmarkAblation_LSHBands(b *testing.B) {
 			cfg.LSHBands = bands
 			var clusters []Cluster
 			for i := 0; i < b.N; i++ {
-				clusters = ClusterItems(items, cfg, xrand.New(1))
+				clusters = clusterAll(items, cfg)
 			}
 			recovered := 0
 			for _, c := range clusters {
@@ -80,7 +79,7 @@ func BenchmarkAblation_EmbeddingDim(b *testing.B) {
 			b.ResetTimer()
 			var clusters []Cluster
 			for i := 0; i < b.N; i++ {
-				clusters = ClusterItems(items, DefaultClusterConfig(), xrand.New(1))
+				clusters = clusterAll(items, DefaultClusterConfig())
 			}
 			pure := 0
 			for _, c := range clusters {
@@ -99,45 +98,5 @@ func BenchmarkAblation_EmbeddingDim(b *testing.B) {
 			b.ReportMetric(float64(len(clusters)), "clusters")
 			b.ReportMetric(float64(pure), "pure_clusters")
 		})
-	}
-}
-
-// BenchmarkAblation_RescueMerge toggles the centroid rescue pass by raising
-// the LSH band width so much that LSH alone misses variants.
-func BenchmarkAblation_RescueMerge(b *testing.B) {
-	items := ablationCorpus(20, 6, 100, DefaultEmbedConfig())
-	cfg := DefaultClusterConfig()
-	cfg.LSHBands = 2 // coarse bands: LSH alone misses drifted variants
-	var clusters []Cluster
-	for i := 0; i < b.N; i++ {
-		clusters = ClusterItems(items, cfg, xrand.New(1))
-	}
-	total := 0
-	for _, c := range clusters {
-		total += len(c.Members)
-	}
-	b.ReportMetric(float64(total), "clustered_items")
-}
-
-// BenchmarkClusterItems_ScratchReuse measures the steady-state allocation
-// profile of repeated clustering through one pooled Scratch — the incremental
-// engine's per-partition re-clustering pattern — against the scratch-free
-// baseline BenchmarkClusterItems_NoScratch.
-func BenchmarkClusterItems_NoScratch(b *testing.B) {
-	items := ablationCorpus(30, 8, 200, DefaultEmbedConfig())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ClusterItems(items, DefaultClusterConfig(), xrand.New(1))
-	}
-}
-
-func BenchmarkClusterItems_ScratchReuse(b *testing.B) {
-	items := ablationCorpus(30, 8, 200, DefaultEmbedConfig())
-	sc := NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ClusterItemsScratch(items, DefaultClusterConfig(), xrand.New(1), sc)
 	}
 }

@@ -3,7 +3,6 @@ package textsim
 import (
 	"hash/fnv"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -117,38 +116,6 @@ func TestHashSourceReusesBuffer(t *testing.T) {
 	}
 	if &got[0] != &buf[0] {
 		t.Fatal("HashSource reallocated a buffer large enough for the stream")
-	}
-}
-
-// TestKMeansDeterministicAcrossWorkers pins the parallel assignment and
-// silhouette loops: fixed chunk boundaries must make results bit-identical
-// under any GOMAXPROCS.
-func TestKMeansDeterministicAcrossWorkers(t *testing.T) {
-	e := NewEmbedder(EmbedConfig{SnippetTokens: 64, SnippetDim: 16, MaxSnippets: 2})
-	var vecs [][]float64
-	for i := 0; i < 700; i++ {
-		vecs = append(vecs, e.EmbedSource(sampleSource(120+i)))
-	}
-	seeds := [][]float64{vecs[0], vecs[13], vecs[200], vecs[450], vecs[699]}
-
-	run := func(procs int) ([]int, []float64) {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		assign := KMeans(vecs, seeds, 8, 0.3)
-		sil := SimplifiedSilhouette(vecs, assign, len(seeds))
-		return assign, sil
-	}
-	seqAssign, seqSil := run(1)
-	parAssign, parSil := run(8)
-	for i := range seqAssign {
-		if seqAssign[i] != parAssign[i] {
-			t.Fatalf("assignment %d differs: %d vs %d", i, seqAssign[i], parAssign[i])
-		}
-	}
-	for c := range seqSil {
-		if seqSil[c] != parSil[c] {
-			t.Fatalf("silhouette %d differs bitwise: %v vs %v", c, seqSil[c], parSil[c])
-		}
 	}
 }
 

@@ -5,10 +5,11 @@ import "sort"
 // LSHIndex maintains the verified similarity-partition structure of a
 // growing item corpus. Two items belong to the same partition when they are
 // connected, transitively, by *verified candidate pairs*: fingerprints
-// colliding in at least one SimHash band (the LSH candidate relation of
-// ClusterItems step 1) whose vectors also clear the cosine threshold (the
-// verification of step 2). Partitions are therefore the connected components
-// of the verified-similarity graph — real code families with bounded size.
+// colliding in at least one SimHash band (the LSH candidate relation) whose
+// vectors also clear the cosine threshold (the verification). Partitions are
+// therefore the connected components of the verified-similarity graph — real
+// code families with bounded size — and ClusterPartition clusters each one
+// as a single group.
 //
 // Verification is what keeps partitions meaningful at scale: with b bands of
 // 64/b bits, raw band collisions percolate once an ecosystem outgrows the
@@ -52,10 +53,9 @@ type LSHIndex struct {
 }
 
 // NewLSHIndex creates an empty index whose candidate relation — band count
-// and cosine verification threshold — matches exactly what ClusterItems
-// computes under cfg, including its zero-value fallbacks (the two share one
-// normalization, ClusterConfig.candidateParams). Cluster the partitions with
-// the same cfg.
+// and cosine verification threshold — follows cfg with the zero-value
+// fallbacks ClusterPartition applies (ClusterConfig.candidateParams).
+// Cluster the partitions with the same cfg.
 func NewLSHIndex(cfg ClusterConfig) *LSHIndex {
 	bands, threshold := cfg.candidateParams()
 	return &LSHIndex{
@@ -109,8 +109,7 @@ func (x *LSHIndex) union(a, b int) {
 // bucket with and merging its partition with each verified match. The vector
 // is retained by reference (items are immutable once ingested). Re-adding a
 // known ID is a no-op. Cost is O(bands · bucket load) union-find lookups and
-// at most that many dot products — the candidate volume ClusterItems would
-// verify for the same item. A degenerate bucket of near-identical items costs
+// at most that many dot products. A degenerate bucket of near-identical items costs
 // lookups rather than dot products: members already in the new item's
 // partition are skipped.
 func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
@@ -125,9 +124,8 @@ func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
 	x.size = append(x.size, 1)
 	x.minSlot = append(x.minSlot, s)
 	x.members = append(x.members, []int{s})
-	// bandKey is the same keyspace ClusterItems buckets with (bands is
-	// clamped to [1, 16] by candidateParams, so the band tag fits the top
-	// nibble).
+	// bands is clamped to [1, 16] by candidateParams, so bandKey's band tag
+	// fits the top nibble.
 	for bi := 0; bi < x.bands; bi++ {
 		key := bandKey(hash, x.bands, bi)
 		for _, m := range x.buckets[key] {

@@ -173,46 +173,27 @@ func TestLSHIndexOrderIndependence(t *testing.T) {
 }
 
 // TestLSHPartitionsCoverClusters pins the structural invariant the engine's
-// partial re-clustering rests on: for a family-structured corpus, whole-run
-// clusters never span verified partitions, and clustering each partition
-// separately recovers the same cluster memberships. (Silhouette values may
-// legitimately differ — a lone-cluster partition scores its separation
-// against no neighbours — which is the documented banding relaxation; the
-// engine's pinned contract is incremental == one-shot through the same
-// partitioned path, tested at the core and API layers.)
+// partial re-clustering rests on: for a family-structured corpus, the
+// general whole-corpus clusters never span verified partitions, and
+// clustering each partition separately recovers the same cluster
+// memberships. (Silhouette values may legitimately differ — a lone-cluster
+// partition scores its separation against no neighbours — which is the
+// documented banding relaxation; the engine's pinned contract is
+// incremental == one-shot through the same partitioned path, tested at the
+// core and API layers.)
 func TestLSHPartitionsCoverClusters(t *testing.T) {
 	items := makeItems(t, 5, 4) // 5 families × 4 variants (textsim_test.go)
 	cfg := DefaultClusterConfig()
-	whole := ClusterItems(items, cfg, xrand.New(1))
+	whole := ClusterItems(items, cfg)
 	if len(whole) == 0 {
 		t.Fatal("fixture produced no clusters")
 	}
-
 	x := NewLSHIndex(cfg)
-	byID := make(map[string]Item)
-	for _, it := range items {
-		x.Add(it.ID, it.Hash, it.Vector)
-		byID[it.ID] = it
-	}
-	rootOf := func(id string) string {
-		root, ok := x.Root(id)
-		if !ok {
-			t.Fatalf("unindexed member %s", id)
-		}
-		return root
-	}
-	var split []Cluster
-	for _, key := range x.Partitions() {
-		var part []Item
-		for _, id := range x.Members(key) {
-			part = append(part, byID[id])
-		}
-		split = append(split, ClusterItems(part, cfg, xrand.New(1))...)
-	}
+	addAll(x, items)
 	for _, c := range whole {
-		root := rootOf(c.Members[0])
+		root, _ := x.Root(c.Members[0])
 		for _, m := range c.Members {
-			if rootOf(m) != root {
+			if r, ok := x.Root(m); !ok || r != root {
 				t.Fatalf("cluster spans partitions: %v", c.Members)
 			}
 		}
@@ -224,30 +205,7 @@ func TestLSHPartitionsCoverClusters(t *testing.T) {
 		}
 		return m
 	}
-	if ws, ss := members(whole), members(split); !reflect.DeepEqual(ws, ss) {
+	if ws, ss := members(whole), members(clusterAll(items, cfg)); !reflect.DeepEqual(ws, ss) {
 		t.Errorf("cluster memberships differ:\n whole %v\n split %v", ws, ss)
-	}
-}
-
-// TestClusterItemsScratchReuse re-clusters different inputs through one
-// shared Scratch and requires bit-identical output to scratch-free calls —
-// no state may leak between calls.
-func TestClusterItemsScratchReuse(t *testing.T) {
-	sc := NewScratch()
-	inputs := [][]Item{
-		makeItems(t, 4, 5),
-		makeItems(t, 2, 3),
-		nil,
-		makeItems(t, 3, 1),
-		makeItems(t, 4, 5),
-	}
-	for round := 0; round < 2; round++ { // second pass reuses warmed buffers
-		for i, items := range inputs {
-			want := ClusterItems(items, DefaultClusterConfig(), xrand.New(9))
-			got := ClusterItemsScratch(items, DefaultClusterConfig(), xrand.New(9), sc)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d input %d: scratch result differs", round, i)
-			}
-		}
 	}
 }

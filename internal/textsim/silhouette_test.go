@@ -71,3 +71,82 @@ func TestSilhouetteAgreement(t *testing.T) {
 		}
 	}
 }
+
+// ExactSilhouette computes the true silhouette coefficient (Rousseeuw 1987)
+// per cluster under cosine distance — the statistic the paper computes with
+// scikit-learn. It is O(n²), so the clustering uses the simplified
+// (centroid) silhouette instead, whose approximation TestSilhouetteAgreement
+// checks against this function.
+//
+// Per scikit convention, points in singleton clusters score 0.
+func ExactSilhouette(vecs [][]float64, assign []int, k int) []float64 {
+	if k == 0 {
+		return nil
+	}
+	members := make([][]int, k)
+	for i, c := range assign {
+		if c >= 0 && c < k {
+			members[c] = append(members[c], i)
+		}
+	}
+	// Pairwise cosine distances, computed lazily per point against each
+	// cluster to avoid materialising the full n×n matrix.
+	meanDistTo := func(i int, cluster []int, excludeSelf bool) (float64, int) {
+		var sum float64
+		n := 0
+		for _, j := range cluster {
+			if excludeSelf && j == i {
+				continue
+			}
+			sum += 1 - Cosine(vecs[i], vecs[j])
+			n++
+		}
+		if n == 0 {
+			return 0, 0
+		}
+		return sum / float64(n), n
+	}
+
+	sums := make([]float64, k)
+	counts := make([]int, k)
+	for c := 0; c < k; c++ {
+		for _, i := range members[c] {
+			if len(members[c]) < 2 {
+				// Singleton cluster: silhouette defined as 0.
+				counts[c]++
+				continue
+			}
+			a, _ := meanDistTo(i, members[c], true)
+			b := -1.0
+			for o := 0; o < k; o++ {
+				if o == c || len(members[o]) == 0 {
+					continue
+				}
+				if d, n := meanDistTo(i, members[o], false); n > 0 && (b < 0 || d < b) {
+					b = d
+				}
+			}
+			if b < 0 {
+				// No other cluster exists; treat as maximally separated.
+				b = 1
+			}
+			den := a
+			if b > den {
+				den = b
+			}
+			s := 0.0
+			if den > 0 {
+				s = (b - a) / den
+			}
+			sums[c] += s
+			counts[c]++
+		}
+	}
+	out := make([]float64, k)
+	for c := range out {
+		if counts[c] > 0 {
+			out[c] = sums[c] / float64(counts[c])
+		}
+	}
+	return out
+}

@@ -3,11 +3,10 @@ package textsim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"malgraph/internal/xrand"
 )
 
 func TestTokenizeBasics(t *testing.T) {
@@ -206,9 +205,20 @@ func makeItems(t *testing.T, families int, perFamily int) []Item {
 	return items
 }
 
+// clusterAll clusters every LSH partition of items, in partition-key order.
+func clusterAll(items []Item, cfg ClusterConfig) []Cluster {
+	var out []Cluster
+	for _, part := range lshPartitions(items, cfg) {
+		if c, ok := ClusterPartition(part, cfg); ok {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func TestClusterRecoversFamilies(t *testing.T) {
 	items := makeItems(t, 4, 5)
-	clusters := ClusterItems(items, DefaultClusterConfig(), xrand.New(1))
+	clusters := clusterAll(items, DefaultClusterConfig())
 	if len(clusters) != 4 {
 		t.Fatalf("want 4 clusters, got %d", len(clusters))
 	}
@@ -233,29 +243,23 @@ func TestClusterRecoversFamilies(t *testing.T) {
 
 func TestClusterDropsSingletons(t *testing.T) {
 	items := makeItems(t, 3, 1) // three unrelated singletons
-	clusters := ClusterItems(items, DefaultClusterConfig(), xrand.New(2))
-	if len(clusters) != 0 {
+	if clusters := clusterAll(items, DefaultClusterConfig()); len(clusters) != 0 {
 		t.Fatalf("singletons must not form subgraphs (MinSize 2): %v", clusters)
 	}
 }
 
 func TestClusterEmptyInput(t *testing.T) {
-	if got := ClusterItems(nil, DefaultClusterConfig(), xrand.New(3)); got != nil {
-		t.Fatal("empty input must give nil clusters")
+	if c, ok := ClusterPartition(nil, DefaultClusterConfig()); ok {
+		t.Fatalf("empty input must give no cluster, got %v", c)
 	}
 }
 
 func TestClusterDeterminism(t *testing.T) {
 	items := makeItems(t, 3, 4)
-	a := ClusterItems(items, DefaultClusterConfig(), xrand.New(7))
-	b := ClusterItems(items, DefaultClusterConfig(), xrand.New(7))
-	if len(a) != len(b) {
-		t.Fatalf("non-deterministic cluster count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if strings.Join(a[i].Members, ",") != strings.Join(b[i].Members, ",") {
-			t.Fatalf("non-deterministic membership at %d", i)
-		}
+	a := clusterAll(items, DefaultClusterConfig())
+	b := clusterAll(items, DefaultClusterConfig())
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("non-deterministic clusters:\n%v\n%v", a, b)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package textsim implements the code-similarity pipeline of §III-B: source
 // tokenisation, fixed-length snippet embedding, package-level vectors,
-// K-Means clustering under cosine similarity, and silhouette-score filtering.
+// LSH partitions refined by K-Means under cosine similarity, and
+// silhouette-score filtering.
 //
 // The paper embeds 512-token snippets with CodeBERT-base and concatenates the
 // snippet vectors. Our substitute embeds each snippet with feature-hashed
