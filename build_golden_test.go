@@ -25,7 +25,7 @@ import (
 // insertion orders do not show. A change to it means the built MALGRAPH
 // (dataset, graph, reports, clustering items and partitions, import cache
 // or co-existing index) changed.
-const buildGolden = "8d809e8f6a856d581b1d053d5ff92677123ac138231f9fe2dd9f41f2f825cfc9"
+const buildGolden = "5af544aa5ff2c426f97a2392a326b6a1eaa66d1a15bc448d753853464c31aab6"
 
 // engineDigest folds p's per-section engine digest into one hex SHA-256,
 // sections in name order.

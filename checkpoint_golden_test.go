@@ -25,7 +25,7 @@ import (
 // change shows which half it moved. The schedule re-bases every section at
 // least twice and writes partition deletes.
 const (
-	checkpointGoldenManifests = "42e9f27102ae1b84c1974a5c553b8b2d2e98cb3ba2d6c478097a9ff3bfba3865"
+	checkpointGoldenManifests = "55b4a04d346773b04e9e8032179ead44b0b99f111ec603ff46b11abbc5faf5c2"
 	checkpointGoldenSegments  = "aee0096598fb5429857a484aad310391d38973254d190a9e3f1b760c604561ea"
 )
 

@@ -40,7 +40,6 @@ const RecordNodePrefix = "rec:"
 type Config struct {
 	Embed   textsim.EmbedConfig
 	Cluster textsim.ClusterConfig
-	Seed    uint64
 	// PairwiseLimit bounds the clique size materialised for similar and
 	// co-existing groups; larger groups get a hub-and-path topology with
 	// identical connected components (the analyses consume components, not
@@ -53,7 +52,6 @@ func DefaultConfig() Config {
 	return Config{
 		Embed:         textsim.DefaultEmbedConfig(),
 		Cluster:       textsim.DefaultClusterConfig(),
-		Seed:          1,
 		PairwiseLimit: 30,
 	}
 }

@@ -267,11 +267,13 @@ func restoreAt(procs int, manifest []byte, st *castore.Store) (*Engine, error) {
 	return RestoreEngineWithStore(bytes.NewReader(manifest), st)
 }
 
-// TestRestoreIgnoresRetiredProbeCap: ClusterConfig.MaxBucketProbe, the
-// per-bucket LSH probe cap, is gone, but a manifest written while it
-// existed carries it in its config. Such a manifest must still restore,
-// to the live engine's state in every section but config.
-func TestRestoreIgnoresRetiredProbeCap(t *testing.T) {
+// assertRestoreIgnoresRetiredField puts a retired field back into a
+// manifest's config, where an older build wrote it, and requires the
+// manifest to restore to the live engine's state in every section but
+// config. put edits the decoded config; mark is the field as it must
+// appear in the edited manifest.
+func assertRestoreIgnoresRetiredField(t *testing.T, mark string, put func(cfg map[string]any)) {
+	t.Helper()
 	ds, reps := miniDataset(t)
 	store := openTestStore(t)
 	live := NewEngine(DefaultConfig())
@@ -283,23 +285,16 @@ func TestRestoreIgnoresRetiredProbeCap(t *testing.T) {
 	if err := live.Snapshot(&manifest); err != nil {
 		t.Fatal(err)
 	}
-	// Put the field back into config.Cluster, where the old build wrote it.
-	var man, cfg map[string]json.RawMessage
-	var cluster map[string]any
+	var man map[string]json.RawMessage
+	var cfg map[string]any
 	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(man["config"], &cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(cfg["Cluster"], &cluster); err != nil {
-		t.Fatal(err)
-	}
-	cluster["MaxBucketProbe"] = 512
+	put(cfg)
 	var err error
-	if cfg["Cluster"], err = json.Marshal(cluster); err != nil {
-		t.Fatal(err)
-	}
 	if man["config"], err = json.Marshal(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +302,12 @@ func TestRestoreIgnoresRetiredProbeCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(old, []byte(`"MaxBucketProbe":512`)) {
-		t.Fatalf("edited manifest lacks the probe cap: %s", old)
+	if !bytes.Contains(old, []byte(mark)) {
+		t.Fatalf("edited manifest lacks %s: %s", mark, old)
 	}
 	restored, err := RestoreEngineWithStore(bytes.NewReader(old), store)
 	if err != nil {
-		t.Fatalf("restore of a manifest carrying MaxBucketProbe: %v", err)
+		t.Fatalf("restore of a manifest carrying %s: %v", mark, err)
 	}
 	var diff []string
 	for _, name := range digestDiff(digestOf(t, restored), digestOf(t, live)) {
@@ -323,6 +318,24 @@ func TestRestoreIgnoresRetiredProbeCap(t *testing.T) {
 	if len(diff) > 0 {
 		t.Fatalf("restored engine differs from the live one in %v", diff)
 	}
+}
+
+// TestRestoreIgnoresRetiredProbeCap: ClusterConfig.MaxBucketProbe, the
+// per-bucket LSH probe cap, is gone, but a manifest written while it
+// existed carries it in its config.Cluster.
+func TestRestoreIgnoresRetiredProbeCap(t *testing.T) {
+	assertRestoreIgnoresRetiredField(t, `"MaxBucketProbe":512`, func(cfg map[string]any) {
+		cfg["Cluster"].(map[string]any)["MaxBucketProbe"] = 512
+	})
+}
+
+// TestRestoreIgnoresRetiredSeed: Config.Seed, which derived the never-read
+// per-partition clustering RNG streams, is gone, but a manifest written
+// while it existed carries it in its config.
+func TestRestoreIgnoresRetiredSeed(t *testing.T) {
+	assertRestoreIgnoresRetiredField(t, `"Seed":1`, func(cfg map[string]any) {
+		cfg["Seed"] = 1
+	})
 }
 
 // asV5Manifest rewrites a manifest this build wrote as the version 5 that
@@ -712,7 +725,7 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 // checkpointed after each of three steps: one SHA-256 over the manifests,
 // in order, and one over the segment files, in name order.
 const (
-	pairOwnerDeleteGoldenManifests = "c5f930007ed0eb6b993669a3e007fa76dbd3bd46a5b221cbc43a1485475f0bc8"
+	pairOwnerDeleteGoldenManifests = "25128a44e21ffec4ec235481833463c8804e322cd119aef1697a422797dd0aba"
 	pairOwnerDeleteGoldenSegments  = "3b365e63e4d3464fab07d162b48a2173ad413b7b13bbadce3c88df3ac469dc43"
 )
 
