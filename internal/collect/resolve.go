@@ -56,12 +56,11 @@ type Observation struct {
 // timeline order TimelineBatches uses for entries.
 func SortObservations(obs []Observation) {
 	sort.Slice(obs, func(i, j int) bool {
-		if !obs[i].ObservedAt.Equal(obs[j].ObservedAt) {
-			return obs[i].ObservedAt.Before(obs[j].ObservedAt)
+		if c := obs[i].ObservedAt.Compare(obs[j].ObservedAt); c != 0 {
+			return c < 0
 		}
-		ki, kj := obs[i].Coord.Key(), obs[j].Coord.Key()
-		if ki != kj {
-			return ki < kj
+		if c := obs[i].Coord.CompareKey(obs[j].Coord); c != 0 {
+			return c < 0
 		}
 		return obs[i].Source < obs[j].Source
 	})

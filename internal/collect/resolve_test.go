@@ -10,12 +10,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"malgraph/internal/ecosys"
 	"malgraph/internal/registry"
 	"malgraph/internal/sources"
+	"malgraph/internal/world"
 )
 
 // resolveAll partitions obs into k contiguous batches and feeds them through
@@ -288,5 +291,39 @@ func TestRunTransportFailureIsNotTakedown(t *testing.T) {
 		t.Fatalf("Run with a 500ing mirror: err = %v, want ErrUnresolved, not recorded Missing", err)
 	} else if errors.Is(err, registry.ErrNotFound) {
 		t.Fatalf("transport failure mislabeled as not-found: %v", err)
+	}
+}
+
+// TestSortObservationsMatchesKeyComparator sorts the seed-1, scale-0.5
+// observation stream with SortObservations and with the comparator that
+// builds both coordinate keys per tied comparison, which it replaces: the
+// two must give exactly the same order.
+func TestSortObservationsMatchesKeyComparator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale-0.5 world in -short mode")
+	}
+	w, err := world.Build(world.Config{Seed: 1, Scale: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := observations(w.Sources)
+	want := slices.Clone(got)
+	SortObservations(got)
+	sort.Slice(want, func(i, j int) bool {
+		if !want[i].ObservedAt.Equal(want[j].ObservedAt) {
+			return want[i].ObservedAt.Before(want[j].ObservedAt)
+		}
+		ki, kj := want[i].Coord.Key(), want[j].Coord.Key()
+		if ki != kj {
+			return ki < kj
+		}
+		return want[i].Source < want[j].Source
+	})
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Source != w.Source || g.Coord != w.Coord || !g.ObservedAt.Equal(w.ObservedAt) || g.Artifact != w.Artifact {
+			t.Fatalf("observation %d of %d: %v %v from %v, comparator gives %v %v from %v",
+				i, len(want), g.Coord, g.ObservedAt, g.Source, w.Coord, w.ObservedAt, w.Source)
+		}
 	}
 }

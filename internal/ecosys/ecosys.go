@@ -120,6 +120,34 @@ func (c Coord) String() string {
 // Key returns a map key that uniquely identifies the coordinate.
 func (c Coord) Key() string { return c.String() }
 
+// CompareKey compares c.Key() with d.Key() like strings.Compare, without
+// building either key: it walks the parts the keys concatenate.
+func (c Coord) CompareKey(d Coord) int {
+	a := [...]string{c.Ecosystem.String(), "/", c.Name, "@", c.Version}
+	b := [...]string{d.Ecosystem.String(), "/", d.Name, "@", d.Version}
+	i, j := 0, 0
+	x, y := a[0], b[0]
+	for {
+		for x == "" && i+1 < len(a) {
+			i++
+			x = a[i]
+		}
+		for y == "" && j+1 < len(b) {
+			j++
+			y = b[j]
+		}
+		if x == "" || y == "" {
+			// One key is exhausted: it is the smaller unless both are.
+			return strings.Compare(x, y)
+		}
+		n := min(len(x), len(y))
+		if r := strings.Compare(x[:n], y[:n]); r != 0 {
+			return r
+		}
+		x, y = x[n:], y[n:]
+	}
+}
+
 // File is one file inside a package artifact.
 type File struct {
 	Path    string `json:"path"`

@@ -64,6 +64,31 @@ func TestCoordString(t *testing.T) {
 	}
 }
 
+// TestCoordCompareKey checks CompareKey against comparing the built keys,
+// over names and versions drawn from the key's own separators so one key's
+// part can be a prefix of the other's or end where the other's separator
+// sits.
+func TestCoordCompareKey(t *testing.T) {
+	const alphabet = "ab-./@0"
+	word := func(raw []byte) string {
+		var b strings.Builder
+		for _, c := range raw {
+			b.WriteByte(alphabet[int(c)%len(alphabet)])
+		}
+		return b.String()
+	}
+	f := func(e1, e2 uint8, n1, v1, n2, v2 []byte) bool {
+		c := Coord{Ecosystem: All()[int(e1)%len(All())], Name: word(n1), Version: word(v1)}
+		d := Coord{Ecosystem: All()[int(e2)%len(All())], Name: word(n2), Version: word(v2)}
+		return c.CompareKey(d) == strings.Compare(c.Key(), d.Key()) &&
+			d.CompareKey(c) == strings.Compare(d.Key(), c.Key()) &&
+			c.CompareKey(c) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func sampleArtifact() *Artifact {
 	return NewArtifact(
 		Coord{Ecosystem: PyPI, Name: "acookie", Version: "1.0.0"},
