@@ -178,8 +178,9 @@ type ecoShard struct {
 	// reproduces the same partitions.
 	lsh *textsim.LSHIndex
 	// clustersByPart caches each partition's surviving cluster (a partition
-	// holds at most one) by its canonical key; flattening the map in key order yields the ecosystem's
-	// cluster list exactly as a one-shot build derives it.
+	// holds at most one) by its canonical key; flattening the map in key
+	// order yields the ecosystem's cluster list exactly as a one-shot build
+	// derives it.
 	clustersByPart map[string][]textsim.Cluster
 }
 

@@ -15,11 +15,9 @@ import (
 // is the one that built the partition, so this yields one group, K-Means
 // runs with k = 1, and ClusterPartition must reproduce the result bit for
 // bit (TestClusterPartitionMatchesOracleOnWorld, FuzzClusterPartition).
-
-// assignChunk is the fixed work-unit size of the oracle's parallel
-// assignment and silhouette loops; per-chunk partial sums merged in chunk
-// order are identical under any GOMAXPROCS.
-const assignChunk = silChunk
+// Its assignment and silhouette loops fan out over silChunk-item chunks,
+// whose partial sums merged in chunk order are identical under any
+// GOMAXPROCS.
 
 // ClusterItems groups items whose code bases are similar:
 //
@@ -231,7 +229,7 @@ func KMeans(vecs [][]float64, seeds [][]float64, iters int, threshold float64) [
 	for iter := 0; iter < max(iters, 1); iter++ {
 		first := iter == 0
 		var changed atomic.Bool
-		parallel.ForEachChunk(len(vecs), assignChunk, func(_, lo, hi int) {
+		parallel.ForEachChunk(len(vecs), silChunk, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				best, bestSim := -1, threshold
 				for c := range cents {
@@ -310,9 +308,9 @@ func SimplifiedSilhouette(vecs [][]float64, assign []int, k int) []float64 {
 			live++
 		}
 	}
-	nchunks := parallel.NumChunks(len(assign), assignChunk)
+	nchunks := parallel.NumChunks(len(assign), silChunk)
 	partial := make([][]float64, nchunks)
-	parallel.ForEachChunk(len(assign), assignChunk, func(ci, lo, hi int) {
+	parallel.ForEachChunk(len(assign), silChunk, func(ci, lo, hi int) {
 		sums := make([]float64, k)
 		for i := lo; i < hi; i++ {
 			c := assign[i]
