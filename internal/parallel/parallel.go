@@ -1,10 +1,9 @@
 // Package parallel provides the small, deterministic fan-out primitives the
 // pipeline's hot paths share. Every helper preserves result order (workers
-// race, outputs do not), and chunked reductions use boundaries that depend
-// only on the input size — never on the worker count — so a computation run
-// under GOMAXPROCS=1 and GOMAXPROCS=N produces bit-identical results. That
-// invariant is what lets core.Engine promise "parallel == sequential graph"
-// for a fixed seed.
+// race, outputs do not) and reports the first error in index order, so a
+// computation whose iterations are independent produces bit-identical
+// results under GOMAXPROCS=1 and GOMAXPROCS=N. That invariant is what lets
+// core.Engine promise "parallel == sequential graph" for a fixed seed.
 package parallel
 
 import (
@@ -27,8 +26,9 @@ func Workers() int {
 // ForEach runs fn(i) for every i in [0, n), fanning out across Workers()
 // goroutines. Iterations must be independent; fn writes to disjoint state
 // (typically out[i]). Order of execution is unspecified, so fn must not
-// fold floating-point results across iterations — use ForEachChunk when a
-// deterministic reduction is needed.
+// fold floating-point results across iterations: a deterministic reduction
+// gives each iteration a fixed slice of the input and merges the partial
+// results in index order.
 //
 // A fan-out occupies every P, so a goroutine the network poller wakes (an
 // HTTP read served beside an ingest or a Results computation) waits in the
@@ -82,35 +82,6 @@ func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	ForEach(n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// ForEachChunk partitions [0, n) into fixed chunks of size chunk (the final
-// chunk may be short) and runs fn(chunkIndex, lo, hi) for each. Chunk
-// boundaries depend only on n and chunk, so per-chunk partial results merged
-// in chunk-index order are identical under any worker count — the building
-// block for deterministic parallel reductions over floating-point data.
-func ForEachChunk(n, chunk int, fn func(ci, lo, hi int)) {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	nchunks := (n + chunk - 1) / chunk
-	ForEach(nchunks, func(ci int) {
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		fn(ci, lo, hi)
-	})
-}
-
-// NumChunks returns the number of chunks ForEachChunk will produce, for
-// callers pre-sizing per-chunk accumulators.
-func NumChunks(n, chunk int) int {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	return (n + chunk - 1) / chunk
 }
 
 // ForEachErr runs fn(i) for every i in [0, n) like ForEach and returns the

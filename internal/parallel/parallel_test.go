@@ -54,63 +54,6 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestForEachChunkBoundariesDeterministic is the load-bearing invariant: the
-// chunk partition depends only on (n, chunk), never on the worker count, so
-// per-chunk partial results merged in chunk order are bit-identical under
-// any GOMAXPROCS.
-func TestForEachChunkBoundariesDeterministic(t *testing.T) {
-	capture := func(procs, n, chunk int) []string {
-		var bounds []string
-		withProcs(t, procs, func() {
-			out := make([]string, NumChunks(n, chunk))
-			ForEachChunk(n, chunk, func(ci, lo, hi int) {
-				out[ci] = fmt.Sprintf("%d:%d-%d", ci, lo, hi)
-			})
-			bounds = out
-		})
-		return bounds
-	}
-	for _, tc := range []struct{ n, chunk int }{
-		{0, 256}, {1, 256}, {255, 256}, {256, 256}, {257, 256}, {1000, 256}, {1000, 1}, {7, 3}, {5, 0},
-	} {
-		seq := capture(1, tc.n, tc.chunk)
-		par := capture(8, tc.n, tc.chunk)
-		if len(seq) != len(par) {
-			t.Fatalf("n=%d chunk=%d: %d chunks sequential, %d parallel", tc.n, tc.chunk, len(seq), len(par))
-		}
-		for i := range seq {
-			if seq[i] != par[i] {
-				t.Fatalf("n=%d chunk=%d: chunk %d bounds %q vs %q", tc.n, tc.chunk, i, seq[i], par[i])
-			}
-		}
-		// Boundaries must tile [0, n) exactly.
-		want := 0
-		for ci, s := range seq {
-			var gotCi, lo, hi int
-			if _, err := fmt.Sscanf(s, "%d:%d-%d", &gotCi, &lo, &hi); err != nil {
-				t.Fatal(err)
-			}
-			if gotCi != ci || lo != want || hi < lo {
-				t.Fatalf("n=%d chunk=%d: bad bounds %s (want lo=%d)", tc.n, tc.chunk, s, want)
-			}
-			want = hi
-		}
-		if want != tc.n {
-			t.Fatalf("n=%d chunk=%d: chunks cover [0,%d), want [0,%d)", tc.n, tc.chunk, want, tc.n)
-		}
-	}
-}
-
-func TestNumChunksMatchesForEachChunk(t *testing.T) {
-	for _, tc := range []struct{ n, chunk int }{{0, 4}, {1, 4}, {4, 4}, {5, 4}, {9, 0}} {
-		var calls atomic.Int32
-		ForEachChunk(tc.n, tc.chunk, func(_, _, _ int) { calls.Add(1) })
-		if got := int(calls.Load()); got != NumChunks(tc.n, tc.chunk) {
-			t.Fatalf("n=%d chunk=%d: %d calls, NumChunks=%d", tc.n, tc.chunk, got, NumChunks(tc.n, tc.chunk))
-		}
-	}
-}
-
 // TestDoFirstErrorInArgumentOrder: Do must report the first error in
 // *argument* order, not completion order, for deterministic error surfaces.
 func TestDoFirstErrorInArgumentOrder(t *testing.T) {

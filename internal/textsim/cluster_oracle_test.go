@@ -1,8 +1,11 @@
 package textsim
 
 import (
+	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
+	"testing"
 
 	"malgraph/internal/parallel"
 )
@@ -15,9 +18,9 @@ import (
 // is the one that built the partition, so this yields one group, K-Means
 // runs with k = 1, and ClusterPartition must reproduce the result bit for
 // bit (TestClusterPartitionMatchesOracleOnWorld, FuzzClusterPartition).
-// Its assignment and silhouette loops fan out over silChunk-item chunks,
-// whose partial sums merged in chunk order are identical under any
-// GOMAXPROCS.
+// Its assignment and silhouette loops fan out over silChunk-item chunks
+// (forEachChunk, at the end of this file), whose partial sums merged in
+// chunk order are identical under any GOMAXPROCS.
 
 // ClusterItems groups items whose code bases are similar:
 //
@@ -229,7 +232,7 @@ func KMeans(vecs [][]float64, seeds [][]float64, iters int, threshold float64) [
 	for iter := 0; iter < max(iters, 1); iter++ {
 		first := iter == 0
 		var changed atomic.Bool
-		parallel.ForEachChunk(len(vecs), silChunk, func(_, lo, hi int) {
+		forEachChunk(len(vecs), silChunk, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				best, bestSim := -1, threshold
 				for c := range cents {
@@ -308,9 +311,9 @@ func SimplifiedSilhouette(vecs [][]float64, assign []int, k int) []float64 {
 			live++
 		}
 	}
-	nchunks := parallel.NumChunks(len(assign), silChunk)
+	nchunks := numChunks(len(assign), silChunk)
 	partial := make([][]float64, nchunks)
-	parallel.ForEachChunk(len(assign), silChunk, func(ci, lo, hi int) {
+	forEachChunk(len(assign), silChunk, func(ci, lo, hi int) {
 		sums := make([]float64, k)
 		for i := lo; i < hi; i++ {
 			c := assign[i]
@@ -351,4 +354,79 @@ func SimplifiedSilhouette(vecs [][]float64, assign []int, k int) []float64 {
 		}
 	}
 	return out
+}
+
+// forEachChunk partitions [0, n) into fixed chunks of size chunk (the final
+// chunk may be short) and runs fn(chunkIndex, lo, hi) for each. Chunk
+// boundaries depend only on n and chunk, so per-chunk partial results merged
+// in chunk-index order are identical under any worker count — the building
+// block for deterministic parallel reductions over floating-point data.
+func forEachChunk(n, chunk int, fn func(ci, lo, hi int)) {
+	chunk = max(chunk, 1)
+	parallel.ForEach(numChunks(n, chunk), func(ci int) {
+		lo := ci * chunk
+		fn(ci, lo, min(lo+chunk, n))
+	})
+}
+
+// numChunks returns the number of chunks forEachChunk will produce, for
+// callers pre-sizing per-chunk accumulators.
+func numChunks(n, chunk int) int {
+	chunk = max(chunk, 1)
+	return (n + chunk - 1) / chunk
+}
+
+// TestForEachChunkBoundariesDeterministic is the oracle's load-bearing
+// invariant: the chunk partition depends only on (n, chunk), never on the
+// worker count, so per-chunk partial results merged in chunk order are
+// bit-identical under any GOMAXPROCS.
+func TestForEachChunkBoundariesDeterministic(t *testing.T) {
+	capture := func(procs, n, chunk int) []string {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		bounds := make([]string, numChunks(n, chunk))
+		forEachChunk(n, chunk, func(ci, lo, hi int) {
+			bounds[ci] = fmt.Sprintf("%d:%d-%d", ci, lo, hi)
+		})
+		return bounds
+	}
+	for _, tc := range []struct{ n, chunk int }{
+		{0, 256}, {1, 256}, {255, 256}, {256, 256}, {257, 256}, {1000, 256}, {1000, 1}, {7, 3}, {5, 0},
+	} {
+		seq := capture(1, tc.n, tc.chunk)
+		par := capture(8, tc.n, tc.chunk)
+		if len(seq) != len(par) {
+			t.Fatalf("n=%d chunk=%d: %d chunks sequential, %d parallel", tc.n, tc.chunk, len(seq), len(par))
+		}
+		for i := range seq {
+			if seq[i] != par[i] {
+				t.Fatalf("n=%d chunk=%d: chunk %d bounds %q vs %q", tc.n, tc.chunk, i, seq[i], par[i])
+			}
+		}
+		// Boundaries must tile [0, n) exactly.
+		want := 0
+		for ci, s := range seq {
+			var gotCi, lo, hi int
+			if _, err := fmt.Sscanf(s, "%d:%d-%d", &gotCi, &lo, &hi); err != nil {
+				t.Fatal(err)
+			}
+			if gotCi != ci || lo != want || hi < lo {
+				t.Fatalf("n=%d chunk=%d: bad bounds %s (want lo=%d)", tc.n, tc.chunk, s, want)
+			}
+			want = hi
+		}
+		if want != tc.n {
+			t.Fatalf("n=%d chunk=%d: chunks cover [0,%d), want [0,%d)", tc.n, tc.chunk, want, tc.n)
+		}
+	}
+}
+
+func TestNumChunksMatchesForEachChunk(t *testing.T) {
+	for _, tc := range []struct{ n, chunk int }{{0, 4}, {1, 4}, {4, 4}, {5, 4}, {9, 0}} {
+		var calls atomic.Int32
+		forEachChunk(tc.n, tc.chunk, func(_, _, _ int) { calls.Add(1) })
+		if got := int(calls.Load()); got != numChunks(tc.n, tc.chunk) {
+			t.Fatalf("n=%d chunk=%d: %d calls, numChunks=%d", tc.n, tc.chunk, got, numChunks(tc.n, tc.chunk))
+		}
+	}
 }
