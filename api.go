@@ -413,8 +413,8 @@ func (p *Pipeline) snapshotEngineLocked(w io.Writer) error {
 
 // AdoptEngine swaps in an engine restored outside the pipeline by
 // core.RestoreEngineWithStore from a manifest and republishes it:
-// embeddings and cluster state come back with the graph and the restore
-// rebuilds the scan caches, so serving resumes without an O(corpus)
+// embeddings come back with the graph and the restore rebuilds the cluster
+// state and the scan caches, so serving resumes without an O(corpus)
 // rebuild. The journal sequence
 // restores from the manifest's AppliedSeq stamp, and the feed cursor from
 // its FeedPos stamp (a stamp past the end of a feed re-partitioned since

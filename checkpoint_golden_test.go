@@ -23,10 +23,10 @@ import (
 // checkpointed after every batch: one SHA-256 over the 200 manifests, in
 // order, and one over every segment file of its store, in name order, so a
 // change shows which half it moved. The schedule re-bases every section at
-// least twice and writes partition deletes.
+// least twice.
 const (
-	checkpointGoldenManifests = "55b4a04d346773b04e9e8032179ead44b0b99f111ec603ff46b11abbc5faf5c2"
-	checkpointGoldenSegments  = "aee0096598fb5429857a484aad310391d38973254d190a9e3f1b760c604561ea"
+	checkpointGoldenManifests = "9a8c3a7bf2469eda74be18b5f2b6a592158f548fc2b624a5923d7f998028a444"
+	checkpointGoldenSegments  = "b65461593e5e1e5b32a31a741ec0824c6a93a8b09a3c53f6172a6e4d2d72fb0c"
 )
 
 func TestCheckpointGoldenBytes(t *testing.T) {

@@ -186,9 +186,10 @@ func firstKey[V any](t *testing.T, m map[string]V) string {
 // restore entry point, against a store holding a real three-checkpoint
 // chain: no input panics, an input the restore accepts is a manifest of a
 // version readableManifest admits, and the engine it gives has a digest.
-// Seeds: v2, v3 and v4 snapshot headers (each refused), the chain's v6
+// Seeds: v2, v3 and v4 snapshot headers (each refused), the chain's v7
 // manifests, a manifest naming a graph chunk the store does not hold, and
-// the last manifest rewritten as v5 (asV5Manifest).
+// the last manifest rewritten as v6 (asV6Manifest) and as v5
+// (asV5Manifest).
 func FuzzRestoreEngineWithStore(f *testing.F) {
 	for v := 2; v <= 4; v++ {
 		f.Add([]byte(monolithicHeaders[v]))
@@ -224,6 +225,7 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(unknown)
+	f.Add(asV6Manifest(f, manifest.Bytes()))
 	f.Add(asV5Manifest(f, manifest.Bytes()))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {

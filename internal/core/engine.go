@@ -169,7 +169,7 @@ type ecoShard struct {
 	items []textsim.Item
 	// flat caches the shard's flattened cluster list between ingests so a
 	// dirty batch re-copies only the suffix from the first changed partition
-	// key onward instead of rebuilding the whole list (see flattenLocked).
+	// key onward instead of rebuilding the whole list (see flatClusters).
 	flat flatClusters
 	// lsh partitions the shard's items by verified band-candidate
 	// connectivity under cfg.Cluster (LSHBands, Threshold) — the unit of
@@ -177,11 +177,12 @@ type ecoShard struct {
 	// (canonical key = smallest member node ID), so any batch order
 	// reproduces the same partitions.
 	lsh *textsim.LSHIndex
-	// clustersByPart caches each partition's surviving cluster (a partition
-	// holds at most one) by its canonical key; flattening the map in key
-	// order yields the ecosystem's cluster list exactly as a one-shot build
-	// derives it.
-	clustersByPart map[string][]textsim.Cluster
+	// clustersByPart caches each partition's cluster by its canonical key;
+	// a partition whose cluster fails ClusterPartition's filters has no
+	// entry. Flattening the map in key order yields the ecosystem's cluster
+	// list exactly as a one-shot build derives it. Checkpoints do not
+	// persist it; a restore re-clusters every partition.
+	clustersByPart map[string]textsim.Cluster
 }
 
 func newEcoShard() *ecoShard {
@@ -190,7 +191,7 @@ func newEcoShard() *ecoShard {
 		corpus:         make(map[string]bool),
 		importers:      make(map[string][]string),
 		importsOf:      make(map[string][]string),
-		clustersByPart: make(map[string][]textsim.Cluster),
+		clustersByPart: make(map[string]textsim.Cluster),
 	}
 }
 
@@ -216,9 +217,12 @@ type Engine struct {
 	// coexOwner records, per co-existing edge (pair key, endpoints sorted),
 	// the URL of the report that owns its attrs: the URL-smallest report
 	// covering the pair, i.e. the first writer of a one-shot build's
-	// URL-ordered join. Checkpoints persist the reports and coexOwner; a
-	// restore re-derives reportByURL and posting from the reports, so a
-	// restored engine's first wanted-package ingest is scoped too.
+	// URL-ordered join, whose URL that edge's "report" attr holds. A batch
+	// claims pairs before its commit writes their edges, so the map is kept
+	// beside the graph. Checkpoints persist neither it nor the join index:
+	// a restore re-derives reportByURL and posting from the reports and
+	// coexOwner from the co-existing edges, so a restored engine's first
+	// wanted-package ingest is scoped too.
 	reportByURL map[string]*reports.Report // guarded by mu
 	posting     map[string][]string        // guarded by mu
 	coexOwner   map[string]string          // guarded by mu
@@ -587,10 +591,8 @@ type shardPlan struct {
 	artifacts    int
 	dirtyItems   int
 
-	// The shard cache keys the plan wrote, which the commit marks for the
-	// next checkpoint: new item IDs and the partition keys set or deleted.
+	// The new item IDs, which the commit marks for the next checkpoint.
 	items []string
-	parts dirtyKeys
 }
 
 // applyShardsLocked inserts the batch's nodes (applyNodes) beside the
@@ -649,11 +651,13 @@ func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.
 			return nil
 		},
 	)
-	// Every plan changed its shard's caches, failed or not, so all of them
+	// Every plan changed its shard's items, failed or not, so all of them
 	// are marked before an error returns.
 	if e.sections != nil {
 		for _, plan := range plans {
-			e.markPlanLocked(plan)
+			for _, id := range plan.items {
+				e.sections[secItems].dirty.set(ecoKey(plan.eco.String(), id))
+			}
 		}
 	}
 	if err != nil {
@@ -698,25 +702,13 @@ func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.
 	return nil
 }
 
-// markPlanLocked records the shard cache keys plan wrote in the items and
-// partitions sections, both keyed per ecosystem.
-func (e *Engine) markPlanLocked(plan *shardPlan) {
-	eco := plan.eco.String()
-	for _, id := range plan.items {
-		e.sections[secItems].dirty.set(ecoKey(eco, id))
-	}
-	for key, set := range plan.parts {
-		e.sections[secPartitions].dirty[ecoKey(eco, key)] = set
-	}
-}
-
 // planShard runs one ecosystem's shard phase: grow the corpus dictionary,
 // scan and link dependencies (§III-C), embed and re-cluster the dirty LSH
 // partitions (§III-B) — mutating only the shard's own indexes and returning
 // the graph operations for the serial commit.
 func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *shardPlan {
 	sh := e.shardLocked(eco)
-	plan := &shardPlan{eco: eco, parts: make(dirtyKeys)}
+	plan := &shardPlan{eco: eco}
 
 	// Dependency 1: grow the corpus dictionary with every new entry
 	// (missing packages are legitimate dependency targets — names survive
@@ -820,15 +812,10 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 	// Resolve the dirty partitions: where the new items landed after every
 	// merge this batch caused. A partition key retired by a merge always
 	// re-surfaces inside one of these (the merge was bridged by a new item),
-	// so dropping its cached clusters loses nothing.
+	// so dropping its cached cluster loses nothing.
 	for _, retiredKey := range sh.lsh.DrainRetired() {
 		delete(sh.clustersByPart, retiredKey)
 		sh.flat.invalidate(retiredKey)
-		plan.parts.del(retiredKey)
-	}
-	type partJob struct {
-		key   string
-		items []textsim.Item
 	}
 	seen := make(map[string]bool)
 	keys := make([]string, 0, len(dirty))
@@ -841,48 +828,31 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	var jobs []partJob
-	for _, key := range keys {
-		members := sh.lsh.Members(key)
-		pitems := make([]textsim.Item, 0, len(members))
-		for _, id := range members {
-			it, ok := sh.itemAt(id)
-			if !ok {
-				plan.err = fmt.Errorf("similar: partition %s references unknown item %s", key, id)
-				return plan
-			}
-			pitems = append(pitems, it)
+	jobs := make([]partJob, len(keys))
+	for i, key := range keys {
+		var err error
+		if jobs[i], err = sh.partitionJob(key); err != nil {
+			plan.err = err
+			return plan
 		}
-		jobs = append(jobs, partJob{key: key, items: pitems})
-		plan.dirtyMembers = append(plan.dirtyMembers, members...)
+		for _, it := range jobs[i].items {
+			plan.dirtyMembers = append(plan.dirtyMembers, it.ID)
+		}
 	}
-	// Re-cluster dirty partitions concurrently. A partition's items are
-	// sorted by node ID — content-derived, so any batch order (and a
-	// one-shot build) computes an identical cluster per partition.
-	clustersByJob := parallel.Map(len(jobs), func(i int) []textsim.Cluster {
-		if c, ok := textsim.ClusterPartition(jobs[i].items, e.cfg.Cluster); ok {
-			return []textsim.Cluster{c}
-		}
-		return nil
-	})
-	for i, job := range jobs {
-		clusters := clustersByJob[i]
-		sh.flat.invalidate(job.key)
-		if len(clusters) == 0 {
-			delete(sh.clustersByPart, job.key)
-			plan.parts.del(job.key)
+	e.clusterPartitions(jobs)
+	for _, job := range jobs {
+		c, ok := sh.clustersByPart[job.key]
+		if !ok {
 			continue
 		}
-		sh.clustersByPart[job.key] = clusters
-		plan.parts.set(job.key)
 		plan.groups = append(plan.groups, plannedGroup{
-			members: clusters[0].Members,
+			members: c.Members,
 			attrs: graph.Attrs{
 				// Labels are partition-scoped so an untouched partition's
 				// edge attrs stay valid verbatim across appends; a
 				// partition holds at most one cluster, index 0.
 				"cluster":    job.key + "#0",
-				"silhouette": fmt.Sprintf("%.3f", clusters[0].Silhouette),
+				"silhouette": fmt.Sprintf("%.3f", c.Silhouette),
 			},
 		})
 	}
@@ -897,6 +867,52 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 	return plan
 }
 
+// partJob is one LSH partition to cluster: its shard, its canonical key and
+// its items in node-ID order.
+type partJob struct {
+	sh    *ecoShard
+	key   string
+	items []textsim.Item
+}
+
+// partitionJob gathers the items of the partition with canonical key key.
+func (sh *ecoShard) partitionJob(key string) (partJob, error) {
+	members := sh.lsh.Members(key)
+	items := make([]textsim.Item, 0, len(members))
+	for _, id := range members {
+		it, ok := sh.itemAt(id)
+		if !ok {
+			return partJob{}, fmt.Errorf("similar: partition %s references unknown item %s", key, id)
+		}
+		items = append(items, it)
+	}
+	return partJob{sh: sh, key: key, items: items}, nil
+}
+
+// clusterPartitions clusters the jobs' partitions concurrently and caches
+// each result in its shard: the cluster under the partition key, or no
+// entry when it fails the filters. A partition's items are sorted by node
+// ID — content-derived, so any batch order, a one-shot build and a restore
+// compute an identical cluster per partition.
+func (e *Engine) clusterPartitions(jobs []partJob) {
+	type result struct {
+		c  textsim.Cluster
+		ok bool
+	}
+	res := parallel.Map(len(jobs), func(i int) result {
+		c, ok := textsim.ClusterPartition(jobs[i].items, e.cfg.Cluster)
+		return result{c, ok}
+	})
+	for i, job := range jobs {
+		job.sh.flat.invalidate(job.key)
+		if res[i].ok {
+			job.sh.clustersByPart[job.key] = res[i].c
+		} else {
+			delete(job.sh.clustersByPart, job.key)
+		}
+	}
+}
+
 // itemAt returns the cached clustering item for a node ID via binary search
 // in the shard's ID-sorted item slice.
 func (sh *ecoShard) itemAt(id string) (textsim.Item, bool) {
@@ -909,15 +925,14 @@ func (sh *ecoShard) itemAt(id string) (textsim.Item, bool) {
 
 // flatClusters incrementally maintains one ecosystem's flattened cluster
 // list in canonical partition-key order. keys mirrors the partition map's
-// sorted keys, offsets[i] is key i's first cluster index, and list is the
-// flat slice published to SimilarClusters. A dirty batch reuses the prefix
-// before the smallest invalidated key (shared backing array, copy-on-append
-// so published views stay immutable) and re-flattens only the suffix —
+// sorted keys and list is the flat slice published to SimilarClusters, key
+// i's cluster at index i. A dirty batch reuses the prefix before the
+// smallest invalidated key (shared backing array, copy-on-append so
+// published views stay immutable) and re-flattens only the suffix —
 // replacing the former full sort-and-copy per dirty ecosystem.
 type flatClusters struct {
-	keys    []string
-	offsets []int
-	list    []textsim.Cluster
+	keys []string
+	list []textsim.Cluster
 	// firstDirty is the smallest partition key invalidated since the last
 	// flatten; meaningful only while dirty. ready distinguishes a built
 	// cache from the zero value (which must do a full build).
@@ -926,7 +941,7 @@ type flatClusters struct {
 	ready      bool
 }
 
-// invalidate records that the partition's cached clusters changed (set,
+// invalidate records that the partition's cached cluster changed (set,
 // replaced or deleted).
 func (f *flatClusters) invalidate(key string) {
 	if !f.dirty || key < f.firstDirty {
@@ -937,7 +952,7 @@ func (f *flatClusters) invalidate(key string) {
 
 // flatten returns the ecosystem's flat cluster list for the current
 // partition map, rebuilding only from the first invalidated key onward.
-func (f *flatClusters) flatten(parts map[string][]textsim.Cluster) []textsim.Cluster {
+func (f *flatClusters) flatten(parts map[string]textsim.Cluster) []textsim.Cluster {
 	if f.ready && !f.dirty {
 		return f.list
 	}
@@ -953,18 +968,11 @@ func (f *flatClusters) flatten(parts map[string][]textsim.Cluster) []textsim.Clu
 		sufKeys = append(sufKeys, k)
 	}
 	sort.Strings(sufKeys)
-	cut := len(f.list)
-	if keep < len(f.keys) {
-		cut = f.offsets[keep]
-	}
-	next := f.list[:cut:cut]
-	keys := append(f.keys[:keep:keep], sufKeys...)
-	offsets := f.offsets[:keep:keep]
+	next := f.list[:keep:keep]
 	for _, k := range sufKeys {
-		offsets = append(offsets, len(next))
-		next = append(next, parts[k]...)
+		next = append(next, parts[k])
 	}
-	f.keys, f.offsets, f.list = keys, offsets, next
+	f.keys, f.list = append(f.keys[:keep:keep], sufKeys...), next
 	f.dirty, f.firstDirty, f.ready = false, "", true
 	return f.list
 }
@@ -1102,11 +1110,7 @@ func (e *Engine) planCoexistingLocked(newReports []*reports.Report, changes []en
 		// and a compaction triggered by applyNodes keeps every live edge.
 		for _, id := range cp.hubMembers {
 			for _, nb := range e.mg.G.Neighbors(id, graph.Coexisting) {
-				pk := coexPairKey(id, nb)
-				delete(e.coexOwner, pk)
-				if e.sections != nil {
-					e.sections[secPairOwners].dirty.del(pk)
-				}
+				delete(e.coexOwner, coexPairKey(id, nb))
 			}
 		}
 	}
@@ -1184,9 +1188,6 @@ func (e *Engine) planJoinLocked(cp *coexPlan, rep *reports.Report, members []str
 			cp.repairs++
 		}
 		e.coexOwner[pk] = rep.URL
-		if e.sections != nil {
-			e.sections[secPairOwners].dirty.set(pk)
-		}
 		cp.pairs = append(cp.pairs, coexPair{a: a, b: b, attrs: attrs, repair: owned})
 		return nil
 	})

@@ -3,10 +3,11 @@ package core
 // Engine.Digest, which hashes each state section in the JSON shape the
 // monolithic v4 snapshot gave it, and restoreFromParts, the tail of the
 // restore (snapshot5.go) that rebuilds an engine's caches and indexes from
-// its decoded sections. The embeddings and the cluster state ride along
-// with the graph, so a restore re-embeds and re-clusters nothing; it
-// re-scans the artifacts' imports and re-derives the posting lists, both
-// cheaper to rebuild than to persist.
+// its decoded sections. The embeddings ride along with the graph, so a
+// restore re-embeds nothing. Everything else it derives, each part cheaper
+// to rebuild than to persist: the LSH index and the partition clusters
+// from the items, the import caches from the artifacts, the posting lists
+// from the reports and the pair owners from the co-existing edges.
 
 import (
 	"crypto/sha256"
@@ -35,23 +36,12 @@ type snapshotItem struct {
 }
 
 // restoreParts is the persisted state the restore decodes, apart from the
-// dataset and the graph. The import caches and the posting lists are not
-// in it: restoreFromParts derives them from the artifacts and the reports.
+// dataset and the graph. restoreFromParts derives every index and cache
+// the engine keeps beside them.
 type restoreParts struct {
 	Config  Config
 	Reports []*reports.Report
-	// Partitions carries each ecosystem's clusters keyed by LSH partition
-	// (canonical key = smallest member node ID); the flat SimilarClusters
-	// lists are re-derived by flattening in key order. The LSH index itself
-	// is not persisted: partition membership is content-derived, so it is
-	// rebuilt exactly from Items.
-	Partitions map[string]map[string][]textsim.Cluster
-	Items      map[string][]textsim.Item
-	// PairOwners maps a co-existing pair key to its owning report URL (the
-	// URL-smallest cover whose attrs the edge carries). Ownership cannot be
-	// reconstructed without replaying the whole URL-ordered join, so it is
-	// persisted.
-	PairOwners map[string]string
+	Items   map[string][]textsim.Item
 	// AppliedSeq is the last durable ingest sequence applied before the
 	// checkpoint: WAL records with Seq ≤ AppliedSeq are already in it and
 	// are skipped on replay. FeedPos is the feed cursor at the same instant
@@ -64,9 +54,10 @@ type restoreParts struct {
 // Digest returns a hex SHA-256 per section of the engine's state: config,
 // stamps (AppliedSeq, FeedPos), dataset, graph, reports, items, partitions,
 // imports, posting and pairOwners. Each section hashes the JSON the v4
-// format carried for it, except graph, which hashes the graph as a set
-// (graph.Graph.Canonical): edge insertion order differs between batch partitions
-// of one corpus and is not state. Digests are equal exactly when the states
+// format carried for it (a partition as a list of its one cluster), except
+// graph, which hashes the graph as a set (graph.Graph.Canonical): edge
+// insertion order differs between batch partitions of one corpus and is not
+// state. Digests are equal exactly when the states
 // are, and a mismatch names its section. It needs no store.
 func (e *Engine) Digest() (map[string]string, error) {
 	e.mu.Lock()
@@ -79,7 +70,11 @@ func (e *Engine) Digest() (map[string]string, error) {
 	// (possibly empty) partition map and item slice under its ecosystem.
 	for eco, sh := range e.shards {
 		if len(sh.items) > 0 || len(sh.clustersByPart) > 0 {
-			partitions[eco.String()] = sh.clustersByPart
+			parts := make(map[string][]textsim.Cluster, len(sh.clustersByPart))
+			for key, c := range sh.clustersByPart {
+				parts[key] = []textsim.Cluster{c}
+			}
+			partitions[eco.String()] = parts
 			out := make([]snapshotItem, 0, len(sh.items))
 			for _, it := range sh.items {
 				out = append(out, snapshotItem{
@@ -111,10 +106,10 @@ func (e *Engine) Digest() (map[string]string, error) {
 		{sectionGraph, encode(e.mg.G.Canonical())},
 		{sectionReports, encode(e.mg.Reports)},
 		{sectionItems, encode(items)},
-		{sectionPartitions, encode(partitions)},
+		{"partitions", encode(partitions)},
 		{"imports", encode(imports)},
 		{"posting", encode(e.posting)},
-		{sectionPairOwners, encode(e.coexOwner)},
+		{"pairOwners", encode(e.coexOwner)},
 	}
 	out := make(map[string]string, len(sections))
 	for _, s := range sections {
@@ -169,44 +164,60 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 		for _, it := range restored {
 			idx.Add(it.ID, it.Hash, it.Vector)
 		}
-		// Rebuild-time retirements predate the snapshot's partition cache,
-		// which is already keyed canonically — drain them so the first
+		// Rebuild-time retirements predate the partition clusters, which
+		// are keyed canonically below — drain them so the first
 		// post-restore ingest doesn't pay an O(corpus) stale-key sweep the
 		// uninterrupted engine never sees.
 		idx.DrainRetired()
 		itemShards[i].items, itemShards[i].lsh = restored, idx
 	})
-	for _, name := range sortedKeys(snap.Partitions) {
-		parts := snap.Partitions[name]
-		eco, ok := ecoByName[name]
-		if !ok {
-			return nil, fmt.Errorf("restore: unknown ecosystem %q in partitions", name)
-		}
-		sh := e.shardLocked(eco)
-		for key := range parts {
-			if sh.lsh == nil || sh.lsh.Members(key) == nil {
-				return nil, fmt.Errorf("restore: %s partition %q is not canonical in the rebuilt LSH index", name, key)
-			}
-		}
-		sh.clustersByPart = parts
-		e.mg.SimilarClusters[eco] = sh.flat.flatten(parts)
-	}
-
-	// Re-scan every artifact's imports, then rebuild the corpus dictionaries
-	// and the import indexes in key order — node-ID order, so future edge
-	// insertions stay deterministic.
+	// Three independent derivations: re-scan every artifact's imports; read
+	// each co-existing pair's owner off its edge, the first writer of the
+	// URL-ordered join, whose URL the edge's "report" attr holds; and
+	// re-cluster every partition of every shard, one job each, so the pass
+	// is not bounded by the largest ecosystem.
 	deps := make([][]string, len(ds.Entries))
-	err := parallel.ForEachErr(len(ds.Entries), func(i int) (err error) {
-		if en := ds.Entries[i]; en.Artifact != nil {
-			if deps[i], err = e.scanner.Dependencies(en.Artifact); err != nil {
-				return fmt.Errorf("restore: dep scan %s: %w", en.Coord, err)
+	err := parallel.Do(
+		func() error {
+			return parallel.ForEachErr(len(ds.Entries), func(i int) (err error) {
+				if en := ds.Entries[i]; en.Artifact != nil {
+					if deps[i], err = e.scanner.Dependencies(en.Artifact); err != nil {
+						return fmt.Errorf("restore: dep scan %s: %w", en.Coord, err)
+					}
+				}
+				return nil
+			})
+		},
+		func() error {
+			for _, ed := range g.Edges(graph.Coexisting) {
+				e.coexOwner[coexPairKey(ed.From, ed.To)] = ed.Attrs["report"]
 			}
-		}
-		return nil
-	})
+			return nil
+		},
+		func() error {
+			var jobs []partJob
+			for _, sh := range itemShards {
+				for _, key := range sh.lsh.Partitions() {
+					job, err := sh.partitionJob(key)
+					if err != nil {
+						return fmt.Errorf("restore: %w", err)
+					}
+					jobs = append(jobs, job)
+				}
+			}
+			e.clusterPartitions(jobs)
+			return nil
+		},
+	)
 	if err != nil {
 		return nil, err
 	}
+	for i, sh := range itemShards {
+		e.mg.SimilarClusters[ecoByName[itemEcos[i]]] = sh.flat.flatten(sh.clustersByPart)
+	}
+
+	// Rebuild the corpus dictionaries and the import indexes in key order —
+	// node-ID order, so future edge insertions stay deterministic.
 	for i, en := range ds.Entries {
 		sh := e.shardLocked(en.Coord.Ecosystem)
 		name := en.Coord.Name
@@ -224,9 +235,9 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 	// Rebuild the per-package report index and the posting lists from the
 	// URL-sorted corpus (the appends preserve global URL order). Posting
 	// lists cover every named coordinate, observed or not — exactly the
-	// state a wanted-package arrival re-joins from. Pair ownership comes
-	// from the snapshot verbatim, so a restored engine's next wanted-package
-	// ingest re-joins exactly the scope the uninterrupted engine would.
+	// state a wanted-package arrival re-joins from; with the pair owners, a
+	// restored engine's next wanted-package ingest re-joins exactly the
+	// scope the uninterrupted engine would.
 	for _, rep := range e.mg.Reports {
 		e.reportByURL[rep.URL] = rep
 		seen := make(map[string]bool, len(rep.Packages))
@@ -243,9 +254,6 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 				e.mg.reportsByPkg.Set(id, append(e.mg.ReportsByPackage(id), rep))
 			}
 		}
-	}
-	if snap.PairOwners != nil {
-		e.coexOwner = snap.PairOwners
 	}
 	return e, nil
 }

@@ -4,29 +4,30 @@ package core
 // store-attached engine splits persistence into a small manifest (written
 // to the caller's stream, which owns the atomic-rename and WAL-truncation
 // contracts) and content-addressed chunks in a castore.Store. Each
-// persisted section — dataset entries, graph, clustering items, partition
-// caches, reports, pair ownership — is a log of chunks: a chunk either
-// re-bases the section (full re-encode) or applies a delta of the key
-// sets/deletes the engine marked since the last checkpoint (track.go). The
-// manifest holds only the ordered chunk references plus the small inline
+// persisted section — dataset entries, graph, clustering items, reports —
+// is a log of chunks: a chunk either re-bases the section (full re-encode)
+// or applies a delta of the keys the engine marked since the last
+// checkpoint (track.go). The manifest holds only the ordered chunk references plus the small inline
 // state (config, dataset header, sequence stamps), so checkpoint cost is
 // O(changes since the last checkpoint), not O(corpus). A checkpoint holds
-// only what cannot be derived: the posting lists and the import caches are
-// pure functions of the reports and the artifacts, and the restore rebuilds
-// them (restoreFromParts).
+// only what cannot be derived: the posting lists, the import caches, the
+// partition clusters and the pair owners are pure functions of the
+// reports, the artifacts, the items and the co-existing edges, and the
+// restore rebuilds them (restoreFromParts).
 //
-// Snapshot is one loop over the sections. The five keyed ones go through
+// Snapshot is one loop over the sections. The three keyed ones go through
 // one path, driven by kvSectionsLocked's table of live keys and value
 // encoders; the dataset's encoder also queues each new artifact blob. The
 // graph's chunk is its operation journal or a re-base.
 //
 // Chunks, item values and artifact blobs are binary (chunkcodec.go), so a
-// restore decodes them by slicing; entry records, reports, partitions and
-// pair owners keep JSON values inside the binary kv frame. The manifest
-// itself stays JSON, version 6; a version 5 manifest still restores, its
-// posting map and imports chain ignored. A restore reads nothing else: a
-// monolithic v3/v4 snapshot and a JSON chunk from an earlier build are
-// refused with an error naming commit 3e24565, the last that reads them.
+// restore decodes them by slicing; entry records and reports keep JSON
+// values inside the binary kv frame. The manifest itself stays JSON,
+// version 7; version 5 and 6 manifests still restore, their partitions and
+// pairOwners chains ignored, and a v5's posting map and imports chain too.
+// A restore reads nothing else: a monolithic v3/v4 snapshot and a JSON
+// chunk from an earlier build are refused with an error naming commit
+// 3e24565, the last that reads them.
 //
 // Durability ordering: the chunk segment is appended — and fsynced — before
 // a single manifest byte is written, so a manifest that gets published by
@@ -50,13 +51,14 @@ import (
 )
 
 // snapshotVersionSegmented is the manifest format version Snapshot writes.
-// Version 5 differs only in what a restore ignores: the posting map it
-// carried inline and its imports section.
-const snapshotVersionSegmented = 6
+// Versions 5 and 6 differ only in what a restore ignores: their partitions
+// and pairOwners sections, and the posting map a v5 carried inline and its
+// imports section.
+const snapshotVersionSegmented = 7
 
 // readableManifest reports whether a manifest of version v restores: the
 // one predicate RestoreEngineWithStore and CollectManifestRefs share.
-func readableManifest(v int) bool { return v == 5 || v == snapshotVersionSegmented }
+func readableManifest(v int) bool { return v >= 5 && v <= snapshotVersionSegmented }
 
 // manifestSnapshot is the manifest wire format: inline small state plus,
 // per section, the ordered chunk references that reconstruct it.
@@ -72,7 +74,8 @@ type manifestSnapshot struct {
 // kvChunk is one delta of a keyed section: Set writes (or overwrites) keys,
 // Del removes them. Chunks apply in manifest order; within one chunk the two
 // are disjoint by construction. Snapshot writes it as a binary kv frame
-// (encodeKVChunk).
+// (encodeKVChunk). No section deletes keys, so Snapshot writes no Del; the
+// frame keeps its delete list, and the restore applies it.
 type kvChunk struct {
 	Set map[string][]byte
 	Del []string
@@ -86,9 +89,8 @@ type graphChunk struct {
 	Ops   []graph.Op
 }
 
-// ecoKey joins an ecosystem name and an inner key for sections whose keys
-// are only unique per ecosystem (items, partitions). NUL cannot appear in
-// node IDs or partition keys.
+// ecoKey joins an ecosystem name and an inner key for the items section,
+// whose keys are only unique per ecosystem. NUL cannot appear in node IDs.
 func ecoKey(eco, inner string) string { return eco + "\x00" + inner }
 
 func splitEcoKey(key string) (eco, inner string, ok bool) {
@@ -147,12 +149,6 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 	for eco, sh := range e.shards {
 		shardOf[eco.String()] = sh
 		t[secItems].size += len(sh.items)
-		t[secPartitions].size += len(sh.clustersByPart)
-	}
-	// shardKey resolves an ecoKey to its shard (nil if none) and inner key.
-	shardKey := func(key string) (*ecoShard, string) {
-		eco, inner, _ := splitEcoKey(key)
-		return shardOf[eco], inner
 	}
 	ds := e.mg.Dataset
 	t[secDataset] = kvSection{
@@ -194,27 +190,10 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 		return keys
 	}
 	t[secItems].value = func(key string) ([]byte, error) {
-		if sh, id := shardKey(key); sh != nil {
+		eco, id, _ := splitEcoKey(key)
+		if sh := shardOf[eco]; sh != nil {
 			if it, ok := sh.itemAt(id); ok {
 				return encodeItem(it), nil
-			}
-		}
-		return nil, errNotLive
-	}
-	t[secPartitions].keys = func() []string {
-		var keys []string
-		for eco, sh := range e.shards {
-			for key := range sh.clustersByPart {
-				keys = append(keys, ecoKey(eco.String(), key))
-			}
-		}
-		sort.Strings(keys)
-		return keys
-	}
-	t[secPartitions].value = func(key string) ([]byte, error) {
-		if sh, inner := shardKey(key); sh != nil {
-			if cs, ok := sh.clustersByPart[inner]; ok {
-				return json.Marshal(cs)
 			}
 		}
 		return nil, errNotLive
@@ -235,23 +214,6 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 			return nil, errNotLive
 		},
 	}
-	t[secPairOwners] = kvSection{
-		size: len(e.coexOwner),
-		keys: func() []string {
-			keys := make([]string, 0, len(e.coexOwner))
-			for pk := range e.coexOwner {
-				keys = append(keys, pk)
-			}
-			sort.Strings(keys)
-			return keys
-		},
-		value: func(pk string) ([]byte, error) {
-			if url, ok := e.coexOwner[pk]; ok {
-				return json.Marshal(url)
-			}
-			return nil, errNotLive
-		},
-	}
 	return t
 }
 
@@ -260,9 +222,8 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 var errNotLive = errors.New("dirty key not in the live state")
 
 // addKVChunk queues section id's chunk: every live key on a re-base, else
-// the keys marked since the last checkpoint — sets with their live values,
-// deletes by key — in key order, so the dataset's artifact blobs queue in
-// key order too.
+// the keys marked since the last checkpoint, each with its live value, in
+// key order, so the dataset's artifact blobs queue in key order too.
 func (cp *checkpoint) addKVChunk(id sectionID, sec *section, kv kvSection) error {
 	rebase := sec.log.rebaseDue(kv.size)
 	var keys []string
@@ -276,19 +237,14 @@ func (cp *checkpoint) addKVChunk(id sectionID, sec *section, kv kvSection) error
 		sort.Strings(keys)
 	}
 	set := make(map[string][]byte, len(keys))
-	var del []string
 	for _, key := range keys {
-		if !rebase && !sec.dirty[key] {
-			del = append(del, key)
-			continue
-		}
 		raw, err := kv.value(key)
 		if err != nil {
 			return fmt.Errorf("snapshot %s %s: %w", sectionNames[id], key, err)
 		}
 		set[key] = raw
 	}
-	if len(set) == 0 && len(del) == 0 {
+	if len(set) == 0 {
 		if rebase {
 			// The section re-based to empty: the manifest must drop the
 			// old refs even though there is no chunk to write.
@@ -296,7 +252,7 @@ func (cp *checkpoint) addKVChunk(id sectionID, sec *section, kv kvSection) error
 		}
 		return nil
 	}
-	cp.addChunk(id, encodeKVChunk(kvChunk{Set: set, Del: del}), len(set)+len(del), rebase)
+	cp.addChunk(id, encodeKVChunk(kvChunk{Set: set}), len(set), rebase)
 	return nil
 }
 
@@ -407,7 +363,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return nil
 }
 
-// RestoreEngineWithStore reconstructs an engine from a v5 or v6 manifest
+// RestoreEngineWithStore reconstructs an engine from a v5, v6 or v7 manifest
 // whose chunk references resolve against st; it is the one restore entry
 // point. The returned engine has st attached and appends its next
 // checkpoint's deltas to the manifest's chunk chains. A monolithic v3/v4 snapshot is
@@ -425,10 +381,10 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	switch {
 	case readableManifest(man.Version):
 	case man.Version == 3 || man.Version == 4:
-		return nil, fmt.Errorf("restore: a monolithic v%d snapshot; this build reads only v5/v%d manifests, and the last commit that reads v3/v4 is %s",
+		return nil, fmt.Errorf("restore: a monolithic v%d snapshot; this build reads only v5 to v%d manifests, and the last commit that reads v3/v4 is %s",
 			man.Version, snapshotVersionSegmented, lastLegacyReader)
 	default:
-		return nil, fmt.Errorf("restore: snapshot version %d, want 5 or %d", man.Version, snapshotVersionSegmented)
+		return nil, fmt.Errorf("restore: snapshot version %d, want 5 to %d", man.Version, snapshotVersionSegmented)
 	}
 
 	// One read session for the whole restore: the chunk fetch here and the
@@ -448,14 +404,12 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	// first error in argument order, so a damaged manifest fails in the
 	// same section under any GOMAXPROCS.
 	var (
-		g          *graph.Graph
-		ds         *collect.Result
-		decoded    []collect.DecodedEntry
-		reps       []*reports.Report
-		items      map[string][]textsim.Item
-		partitions map[string]map[string][]textsim.Cluster
-		pairOwners map[string]string
-		logged     [numSections]int
+		g       *graph.Graph
+		ds      *collect.Result
+		decoded []collect.DecodedEntry
+		reps    []*reports.Report
+		items   map[string][]textsim.Item
+		logged  [numSections]int
 	)
 	// replay folds section id's chunk log and records its logged count.
 	replay := func(id sectionID) (map[string][]byte, error) {
@@ -507,41 +461,6 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 			items, err = restoreItems(itState)
 			return err
 		},
-		func() error {
-			partState, err := replay(secPartitions)
-			if err != nil {
-				return err
-			}
-			partitions = make(map[string]map[string][]textsim.Cluster)
-			for _, k := range sortedKeys(partState) {
-				eco, inner, ok := splitEcoKey(k)
-				if !ok {
-					return fmt.Errorf("restore: malformed partition key %q", k)
-				}
-				var cs []textsim.Cluster
-				if err := json.Unmarshal(partState[k], &cs); err != nil {
-					return fmt.Errorf("restore partition %s: %w", k, err)
-				}
-				if partitions[eco] == nil {
-					partitions[eco] = make(map[string][]textsim.Cluster)
-				}
-				partitions[eco][inner] = cs
-			}
-
-			poState, err := replay(secPairOwners)
-			if err != nil {
-				return err
-			}
-			pairOwners = make(map[string]string, len(poState))
-			for pk, raw := range poState {
-				var url string
-				if err := json.Unmarshal(raw, &url); err != nil {
-					return fmt.Errorf("restore pair owner %s: %w", pk, err)
-				}
-				pairOwners[pk] = url
-			}
-			return nil
-		},
 	)
 	if err != nil {
 		return nil, err
@@ -549,9 +468,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	e, err := restoreFromParts(ds, g, &restoreParts{
 		Config:     man.Config,
 		Reports:    reps,
-		Partitions: partitions,
 		Items:      items,
-		PairOwners: pairOwners,
 		AppliedSeq: man.AppliedSeq,
 		FeedPos:    man.FeedPos,
 	})
@@ -717,8 +634,9 @@ type BlobFetcher interface {
 // point at. Compaction unions this over every retained snapshot so archived
 // manifests stay restorable. A file of a version the restore does not read
 // references no blob, so it yields none rather than an error: an archived
-// v4 generation must not stall compaction. A v5 manifest's imports chain is
-// not live either: no restore reads it. src resolves the dataset chunks
+// v4 generation must not stall compaction. The sections no restore reads —
+// a v5 or v6 manifest's partitions and pairOwners chains, a v5's imports
+// chain — are not live either. src resolves the dataset chunks
 // (their entry records carry the artifact refs): a castore.Session shared
 // across the manifests of one compaction decodes each segment once.
 func CollectManifestRefs(r io.Reader, src BlobFetcher) (map[string]bool, error) {

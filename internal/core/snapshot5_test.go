@@ -1,8 +1,8 @@
 package core
 
 // Contracts under test for segmented checkpoints: a chain of delta
-// checkpoints restores to the live engine's digest in every section; a v5
-// manifest restores with its posting map and imports chain ignored; a
+// checkpoints restores to the live engine's digest in every section; v5 and
+// v6 manifests restore with the sections this build derives ignored; a
 // monolithic v3/v4 snapshot and a JSON chunk of each kind are refused,
 // naming the last commit that reads them, and the store is left as it
 // was; version errors are explicit about what the reader needed;
@@ -137,7 +137,7 @@ var monolithicHeaders = map[int]string{
 		`"partitions":{},"items":{},"imports":{},"posting":{},"pairOwners":{},"appliedSeq":3,"feedPos":2}`,
 }
 
-// TestRestoreVersionErrors: RestoreEngineWithStore reads only v5 and v6
+// TestRestoreVersionErrors: RestoreEngineWithStore reads only v5 to v7
 // manifests; a snapshot of any version it has never read names the ones it
 // wants, and leaves the store as it found it.
 func TestRestoreVersionErrors(t *testing.T) {
@@ -145,9 +145,9 @@ func TestRestoreVersionErrors(t *testing.T) {
 		raw  string
 		want string
 	}{
-		{monolithicHeaders[2], "snapshot version 2, want 5 or 6"},
-		{`{"version":7}`, "snapshot version 7, want 5 or 6"},
-		{`{}`, "snapshot version 0, want 5 or 6"},
+		{monolithicHeaders[2], "snapshot version 2, want 5 to 7"},
+		{`{"version":8}`, "snapshot version 8, want 5 to 7"},
+		{`{}`, "snapshot version 0, want 5 to 7"},
 	} {
 		assertRestoreRefused(t, tc.raw, tc.want)
 	}
@@ -338,19 +338,14 @@ func TestRestoreIgnoresRetiredSeed(t *testing.T) {
 	})
 }
 
-// asV5Manifest rewrites a manifest this build wrote as the version 5 that
-// persisted the posting lists and the import caches: a deliberately wrong
-// posting map and an imports chain whose one chunk the store does not hold.
-// A restore that read either would fail or differ from the live engine.
-func asV5Manifest(t testing.TB, manifest []byte) []byte {
+// editManifest decodes manifest, applies edit to it and re-encodes it.
+func editManifest(t testing.TB, manifest []byte, edit func(man map[string]any)) []byte {
 	t.Helper()
 	var man map[string]any
 	if err := json.Unmarshal(manifest, &man); err != nil {
 		t.Fatal(err)
 	}
-	man["version"] = 5
-	man["posting"] = map[string][]string{"PyPI/not-a-package@0": {"https://wrong.example/report"}}
-	man["sections"].(map[string]any)["imports"] = []string{castore.KeyOf([]byte("imports chunk not in the store"))}
+	edit(man)
 	old, err := json.Marshal(man)
 	if err != nil {
 		t.Fatal(err)
@@ -358,11 +353,57 @@ func asV5Manifest(t testing.TB, manifest []byte) []byte {
 	return old
 }
 
+// asV6Manifest rewrites a manifest this build wrote as the version 6 that
+// persisted the partition clusters and the pair owners: a partitions and a
+// pairOwners chain, each of one chunk the store does not hold. A restore
+// that read either would fail.
+func asV6Manifest(t testing.TB, manifest []byte) []byte {
+	t.Helper()
+	return editManifest(t, manifest, func(man map[string]any) {
+		man["version"] = 6
+		sections := man["sections"].(map[string]any)
+		sections["partitions"] = []string{castore.KeyOf([]byte("partitions chunk not in the store"))}
+		sections["pairOwners"] = []string{castore.KeyOf([]byte("pairOwners chunk not in the store"))}
+	})
+}
+
+// asV5Manifest rewrites a manifest this build wrote as the version 5 that
+// also persisted the posting lists and the import caches: asV6Manifest's
+// chains plus a deliberately wrong posting map and an imports chain whose
+// one chunk the store does not hold. A restore that read any of them would
+// fail or differ from the live engine.
+func asV5Manifest(t testing.TB, manifest []byte) []byte {
+	t.Helper()
+	return editManifest(t, asV6Manifest(t, manifest), func(man map[string]any) {
+		man["version"] = 5
+		man["posting"] = map[string][]string{"PyPI/not-a-package@0": {"https://wrong.example/report"}}
+		man["sections"].(map[string]any)["imports"] = []string{castore.KeyOf([]byte("imports chunk not in the store"))}
+	})
+}
+
 // TestRestoreUpgradesV5Manifest: a v5 manifest restores to the live
-// engine's digest in every section, its posting map and imports chain
-// ignored — the restore rebuilds both — and CollectManifestRefs gives it
-// the same live set as the v6 manifest it was rewritten from.
+// engine's digest in every section, its posting map and its imports,
+// partitions and pairOwners chains ignored — the restore rebuilds all four
+// — and CollectManifestRefs gives it the same live set as the v7 manifest
+// it was rewritten from.
 func TestRestoreUpgradesV5Manifest(t *testing.T) {
+	assertRestoresUpgraded(t, asV5Manifest, "v5")
+}
+
+// TestRestoreUpgradesV6Manifest: a v6 manifest restores to the live
+// engine's digest in every section, its partitions and pairOwners chains
+// ignored — the restore re-clusters the partitions and reads the pair
+// owners off the co-existing edges — and CollectManifestRefs gives it the
+// same live set as the v7 manifest it was rewritten from.
+func TestRestoreUpgradesV6Manifest(t *testing.T) {
+	assertRestoresUpgraded(t, asV6Manifest, "v6")
+}
+
+// assertRestoresUpgraded checkpoints a two-batch ingest, rewrites the
+// manifest with rewrite as an older version, and requires the result to
+// restore to the live engine and to have the original's live refs.
+func assertRestoresUpgraded(t *testing.T, rewrite func(testing.TB, []byte) []byte, version string) {
+	t.Helper()
 	ds, reps := miniDataset(t)
 	store := openTestStore(t)
 	live := NewEngine(DefaultConfig())
@@ -381,12 +422,12 @@ func TestRestoreUpgradesV5Manifest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	old := asV5Manifest(t, manifest.Bytes())
+	old := rewrite(t, manifest.Bytes())
 	restored, err := RestoreEngineWithStore(bytes.NewReader(old), store)
 	if err != nil {
-		t.Fatalf("restore of a v5 manifest: %v", err)
+		t.Fatalf("restore of a %s manifest: %v", version, err)
 	}
-	assertRestoredMatches(t, restored, live, "restored-from-v5")
+	assertRestoredMatches(t, restored, live, "restored-from-"+version)
 
 	want, err := CollectManifestRefs(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
@@ -397,7 +438,7 @@ func TestRestoreUpgradesV5Manifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("CollectManifestRefs: v5 manifest %d refs, v6 original %d; want the same set", len(got), len(want))
+		t.Fatalf("CollectManifestRefs: %s manifest %d refs, v7 original %d; want the same set", version, len(got), len(want))
 	}
 }
 
@@ -435,10 +476,10 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 	}
 
 	// Make sure the chains exercise deletes: append a set and a delete of
-	// the same throwaway partition key to the partition chain. The net
-	// state is unchanged, but only an in-order replay gets there.
-	bogus := ecoKey("PyPI", "restore-test-bogus")
-	setChunk := encodeKVChunk(kvChunk{Set: map[string][]byte{bogus: []byte(`[]`)}})
+	// the same throwaway report URL to the reports chain. The net state is
+	// unchanged, but only an in-order replay gets there.
+	bogus := "https://restore-test.example/bogus"
+	setChunk := encodeKVChunk(kvChunk{Set: map[string][]byte{bogus: []byte(`{}`)}})
 	delChunk := encodeKVChunk(kvChunk{Del: []string{bogus}})
 	badChunk := []byte(`"not a chunk"`)
 	blobs := []castore.Blob{
@@ -449,7 +490,7 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 	if _, err := store.Append(blobs); err != nil {
 		t.Fatal(err)
 	}
-	man.Sections[sectionPartitions] = append(man.Sections[sectionPartitions], blobs[0].Key, blobs[1].Key)
+	man.Sections[sectionReports] = append(man.Sections[sectionReports], blobs[0].Key, blobs[1].Key)
 	encode := func(m manifestSnapshot) []byte {
 		raw, err := json.Marshal(m)
 		if err != nil {
@@ -505,8 +546,8 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 		want     string
 	}{
 		{[]string{sectionItems}, "restore items chunk"},
-		{[]string{sectionPairOwners, sectionReports, sectionGraph}, "restore graph chunk"},
-		{[]string{sectionPairOwners, sectionItems}, "restore items chunk"},
+		{[]string{sectionReports, sectionItems, sectionGraph}, "restore graph chunk"},
+		{[]string{sectionItems, sectionReports}, "restore reports chunk"},
 	} {
 		bad := corrupt(tc.sections...)
 		var errs []string
@@ -725,14 +766,14 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 // checkpointed after each of three steps: one SHA-256 over the manifests,
 // in order, and one over the segment files, in name order.
 const (
-	pairOwnerDeleteGoldenManifests = "25128a44e21ffec4ec235481833463c8804e322cd119aef1697a422797dd0aba"
-	pairOwnerDeleteGoldenSegments  = "3b365e63e4d3464fab07d162b48a2173ad413b7b13bbadce3c88df3ac469dc43"
+	pairOwnerDeleteGoldenManifests = "8f9fc531bdf496df9e7f6ebc5beaad92929e83ddb6a1706d2b331a17294c9676"
+	pairOwnerDeleteGoldenSegments  = "07719f7d7fa32262161d844926f2358731fc4b0942c72fd76601d5b693024296"
 )
 
 // TestCheckpointGoldenBytesPairOwnerDeletes pins the checkpoint bytes of a
-// schedule whose hub-and-path growth drops pair owners, so a pairOwners
-// delta carries deletes, which the root package's feed-wide golden never
-// writes. The fixture is TestCoexistingHubPathGrowth's, with beta-two held
+// schedule whose hub-and-path growth drops pair owners: the last graph
+// delta removes the hub's co-existing edges before re-adding its path, and
+// a restore must derive the re-joined owners from what remains. The fixture is TestCoexistingHubPathGrowth's, with beta-two held
 // out to a third step: it lands inside the path between beta-one and
 // loglib-modules, a pair no other report covers.
 func TestCheckpointGoldenBytesPairOwnerDeletes(t *testing.T) {
@@ -764,7 +805,10 @@ func TestCheckpointGoldenBytesPairOwnerDeletes(t *testing.T) {
 	eng := NewEngine(cfg)
 	eng.AttachStore(st)
 	h := sha256.New()
-	var man manifestSnapshot
+	var (
+		man          manifestSnapshot
+		lastManifest []byte
+	)
 	for _, b := range []Batch{
 		{Entries: rest, Reports: []*reports.Report{big, side}, At: ds.CollectedAt},
 		{Entries: second},
@@ -781,19 +825,31 @@ func TestCheckpointGoldenBytesPairOwnerDeletes(t *testing.T) {
 		if err := json.Unmarshal(buf.Bytes(), &man); err != nil {
 			t.Fatal(err)
 		}
+		lastManifest = buf.Bytes()
 	}
-	refs := man.Sections[sectionPairOwners]
+	refs := man.Sections[sectionGraph]
 	last, err := st.Fetch(refs[len(refs)-1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := decodeKVChunk(last[refs[len(refs)-1]])
+	gc, err := decodeGraphChunk(last[refs[len(refs)-1]])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(refs) != 3 || len(ch.Del) == 0 {
-		t.Fatalf("pairOwners log %d chunk(s), last deletes %d owner(s): want a delta that deletes", len(refs), len(ch.Del))
+	removed := 0
+	for _, op := range gc.Ops {
+		if op.Kind == "deledge" && op.Type == graph.Coexisting {
+			removed++
+		}
 	}
+	if len(refs) != 3 || gc.Reset != nil || removed == 0 {
+		t.Fatalf("graph log %d chunk(s), last removes %d co-existing edge(s): want a delta that removes", len(refs), removed)
+	}
+	restored, err := RestoreEngineWithStore(bytes.NewReader(lastManifest), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameDigest(t, restored, eng, "restored-after-hub-growth")
 	if got := hex.EncodeToString(h.Sum(nil)); got != pairOwnerDeleteGoldenManifests {
 		t.Errorf("manifests digest %s, want %s", got, pairOwnerDeleteGoldenManifests)
 	}

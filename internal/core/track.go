@@ -12,12 +12,10 @@ import (
 )
 
 // dirtyKeys records the keys of one section written since the last
-// checkpoint: true for a set, false for a delete. A later mark of a key
-// supersedes an earlier one, so a checkpoint writes each key's last state.
-type dirtyKeys map[string]bool
+// checkpoint; a checkpoint writes each one's live value.
+type dirtyKeys map[string]struct{}
 
-func (d dirtyKeys) set(key string) { d[key] = true }
-func (d dirtyKeys) del(key string) { d[key] = false }
+func (d dirtyKeys) set(key string) { d[key] = struct{}{} }
 
 // section is one delta-logged section's checkpoint state: its durable chunk
 // log and the keys changed since the last checkpoint. The graph section
@@ -69,25 +67,18 @@ const (
 	secDataset sectionID = iota
 	secGraph
 	secItems
-	secPartitions
 	secReports
-	secPairOwners
 	numSections
 )
 
 // sectionNames are the sections' manifest keys, indexed by sectionID.
-var sectionNames = [numSections]string{
-	sectionDataset, sectionGraph, sectionItems, sectionPartitions,
-	sectionReports, sectionPairOwners,
-}
+var sectionNames = [numSections]string{sectionDataset, sectionGraph, sectionItems, sectionReports}
 
 const (
-	sectionDataset    = "dataset"
-	sectionGraph      = "graph"
-	sectionItems      = "items"
-	sectionPartitions = "partitions"
-	sectionReports    = "reports"
-	sectionPairOwners = "pairOwners"
+	sectionDataset = "dataset"
+	sectionGraph   = "graph"
+	sectionItems   = "items"
+	sectionReports = "reports"
 )
 
 // artifactRef caches the durable blob backing one entry's artifact. The
