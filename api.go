@@ -488,12 +488,12 @@ func opsRow(d analysis.OpsDist) OpsRow {
 	}
 }
 
+// activeRow leaves every statistic of an empty distribution at 0: its
+// mean, median and quantiles are NaN, which JSON cannot carry.
 func activeRow(a analysis.ActiveStats) ActiveRow {
-	row := ActiveRow{
-		Groups: a.CDF.Len(), MeanDays: a.Summary.Mean, MedianDays: a.Summary.Median,
-		Over60Days: a.Over60d,
-	}
+	row := ActiveRow{Groups: a.CDF.Len(), Over60Days: a.Over60d}
 	if a.CDF.Len() > 0 {
+		row.MeanDays, row.MedianDays = a.Summary.Mean, a.Summary.Median
 		row.P80Days = a.CDF.Quantile(0.8)
 		row.Under15DaysFrac = a.CDF.At(15)
 		row.Under10DaysFrac = a.CDF.At(10)

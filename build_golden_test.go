@@ -25,7 +25,7 @@ import (
 // insertion orders do not show. A change to it means the built MALGRAPH
 // (dataset, graph, reports, clustering items and partitions, import cache
 // or co-existing index) changed.
-const buildGolden = "5af544aa5ff2c426f97a2392a326b6a1eaa66d1a15bc448d753853464c31aab6"
+const buildGolden = "495ba506e76e1476a7358c70ddbaa48fac95c3dbbef728e8332a2cb2cd8b1fee"
 
 // engineDigest folds p's per-section engine digest into one hex SHA-256,
 // sections in name order.
@@ -90,6 +90,30 @@ func TestResultsGoldenDigest(t *testing.T) {
 			if got != resultsGolden {
 				t.Errorf("%d batches, GOMAXPROCS=%d: results digest %s, want %s", batches, procs, got, resultsGolden)
 			}
+		}
+	}
+}
+
+// TestResultsJSONEveryEpoch walks the 200-batch feed at seed 1, scale 0.05
+// and requires Epoch.ResultsJSON to succeed at every epoch, the empty one
+// before the first batch included. Early epochs have empty distributions
+// (no subgraph of some family yet, no entry of some ecosystem), whose
+// statistics must serialise rather than fail a /results request.
+func TestResultsJSONEveryEpoch(t *testing.T) {
+	p, err := NewStreamingPipeline(context.Background(), Config{Seed: 1, Scale: 0.05}, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 0; ; epoch++ {
+		if _, err := p.CurrentEpoch().ResultsJSON(); err != nil {
+			t.Fatalf("epoch %d: ResultsJSON: %v", epoch, err)
+		}
+		_, ok, err := p.AppendNext()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
 		}
 	}
 }

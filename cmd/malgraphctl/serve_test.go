@@ -103,10 +103,14 @@ func TestServeIngestQueryResults(t *testing.T) {
 		t.Fatalf("health = %v", health)
 	}
 
-	// Before any ingest the graph is empty.
+	// Before any ingest the graph is empty, and its results (every
+	// distribution empty) still answer.
 	stats := getJSON(t, ts.URL+"/api/v1/stats", http.StatusOK)
 	if stats["nodes"].(float64) != 0 || stats["pendingBatches"].(float64) != 3 {
 		t.Fatalf("pre-ingest stats = %v", stats)
+	}
+	if fresh := getJSON(t, ts.URL+"/api/v1/results", http.StatusOK); fresh["TotalPackages"].(float64) != 0 {
+		t.Fatalf("pre-ingest results = %v", fresh["TotalPackages"])
 	}
 
 	// Ingest one batch, then drain.

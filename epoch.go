@@ -286,10 +286,14 @@ func computeResults(ep *Epoch) (*Results, error) {
 			})
 		}
 		for eco, cdf := range analysis.OccurrenceCDF(dataset) {
-			r.OccurrenceCDF = append(r.OccurrenceCDF, OccurrenceRow{
+			row := OccurrenceRow{
 				Ecosystem: eco.String(),
-				AtOne:     cdf.At(1), AtTwo: cdf.At(2), AtThree: cdf.At(3), Max: cdf.Quantile(1),
-			})
+				AtOne:     cdf.At(1), AtTwo: cdf.At(2), AtThree: cdf.At(3),
+			}
+			if cdf.Len() > 0 { // an ecosystem with no entries has no maximum
+				row.Max = cdf.Quantile(1)
+			}
+			r.OccurrenceCDF = append(r.OccurrenceCDF, row)
 		}
 		sortOccurrence(r.OccurrenceCDF)
 		for _, b := range analysis.Timeline(dataset) {

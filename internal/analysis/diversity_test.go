@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"malgraph/internal/collect"
+	"malgraph/internal/core"
 	"malgraph/internal/graph"
 )
 
@@ -36,30 +38,11 @@ func TestDiversityOnPipeline(t *testing.T) {
 }
 
 func TestDiversityEmptyGraph(t *testing.T) {
-	// An artificial MalGraph with no similar subgraphs must not divide by 0.
-	p := buildPipeline(t)
-	rep := Diversity(p.mg)
-	_ = rep // real check above; here just ensure no panic path exists
-}
-
-func TestDOTExport(t *testing.T) {
-	p := buildPipeline(t)
-	dot := p.mg.G.DOTString(graph.Dependency)
-	if len(dot) == 0 || dot[:5] != "graph" {
-		t.Fatalf("bad DOT output: %.40s", dot)
+	// A MalGraph with no packages and no similar subgraphs must give the
+	// zero report: no division by zero, no NaN.
+	mg := &core.MalGraph{G: graph.New(), Dataset: &collect.Result{}}
+	rep := Diversity(mg)
+	if rep != (DiversityReport{}) {
+		t.Fatalf("empty graph report = %+v, want zero", rep)
 	}
-	for _, want := range []string{"color=red", "dir=forward", "}"} {
-		if !containsString(dot, want) {
-			t.Errorf("DOT missing %q", want)
-		}
-	}
-}
-
-func containsString(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -225,3 +225,22 @@ func TestMissingRatesFixture(t *testing.T) {
 		}
 	}
 }
+
+// MonthlyTimeline buckets one year by month (the Fig. 7 Feb-2023 flood peak).
+func MonthlyTimeline(ds *collect.Result, year int) []TimelineBucket {
+	buckets := make([]TimelineBucket, 12)
+	for i := range buckets {
+		buckets[i] = TimelineBucket{Year: year, Month: time.Month(i + 1)}
+	}
+	for _, e := range ds.Entries {
+		if e.ReleasedAt.Year() != year {
+			continue
+		}
+		b := &buckets[int(e.ReleasedAt.Month())-1]
+		b.All++
+		if e.Availability == collect.Missing {
+			b.Missing++
+		}
+	}
+	return buckets
+}

@@ -83,23 +83,6 @@ type Campaign struct {
 	DepCores []string // names of hidden dependency packages (dep campaigns)
 }
 
-// ActivePeriod returns t_last − t_first over the campaign's releases (§V-B).
-func (c *Campaign) ActivePeriod() time.Duration {
-	if len(c.Packages) == 0 {
-		return 0
-	}
-	first, last := c.Packages[0].ReleasedAt, c.Packages[0].ReleasedAt
-	for _, p := range c.Packages[1:] {
-		if p.ReleasedAt.Before(first) {
-			first = p.ReleasedAt
-		}
-		if p.ReleasedAt.After(last) {
-			last = p.ReleasedAt
-		}
-	}
-	return last.Sub(first)
-}
-
 // OpRates are the per-release probabilities of each changing operation,
 // calibrated against Fig. 9.
 type OpRates struct {
@@ -107,11 +90,6 @@ type OpRates struct {
 	Description float64 // P(CD)
 	Dependency  float64 // P(CDep)
 	Code        float64 // P(CC)
-}
-
-// PaperOpRates returns Fig. 9's measured distribution.
-func PaperOpRates() OpRates {
-	return OpRates{Rename: 0.8865, Description: 0.0797, Dependency: 0.0176, Code: 0.5934}
 }
 
 // Simulator creates campaigns and publishes their packages to a fleet.

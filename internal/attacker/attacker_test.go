@@ -98,7 +98,7 @@ func TestSimilarCampaignOpMix(t *testing.T) {
 	render(t, sim)
 	var cn, cv, cc int
 	for i := 1; i < len(c.Packages); i++ {
-		ops := codegen.DiffOps(c.Packages[i-1].Artifact, c.Packages[i].Artifact)
+		ops := codegen.NewDiffFacts(c.Packages[i-1].Artifact).Ops(codegen.NewDiffFacts(c.Packages[i].Artifact))
 		for _, op := range ops {
 			switch op {
 			case codegen.OpName:
@@ -313,4 +313,29 @@ func TestDeterministicCampaigns(t *testing.T) {
 			t.Fatalf("non-deterministic artifact at %d", i)
 		}
 	}
+}
+
+// ActivePeriod returns t_last − t_first over the campaign's releases (§V-B):
+// the fixture check that a campaign's releases span the window it was
+// given.
+func (c *Campaign) ActivePeriod() time.Duration {
+	if len(c.Packages) == 0 {
+		return 0
+	}
+	first, last := c.Packages[0].ReleasedAt, c.Packages[0].ReleasedAt
+	for _, p := range c.Packages[1:] {
+		if p.ReleasedAt.Before(first) {
+			first = p.ReleasedAt
+		}
+		if p.ReleasedAt.After(last) {
+			last = p.ReleasedAt
+		}
+	}
+	return last.Sub(first)
+}
+
+// PaperOpRates returns Fig. 9's measured distribution, the test campaigns'
+// operation rates.
+func PaperOpRates() OpRates {
+	return OpRates{Rename: 0.8865, Description: 0.0797, Dependency: 0.0176, Code: 0.5934}
 }

@@ -176,14 +176,6 @@ func (st *Store) SegmentCount() int {
 	return len(st.segs)
 }
 
-// Has reports whether the blob with the given hash is stored.
-func (st *Store) Has(hash string) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	_, ok := st.known[hash]
-	return ok
-}
-
 // Missing returns, preserving order, the subset of hashes not yet stored.
 func (st *Store) Missing(hashes []string) []string {
 	st.mu.Lock()

@@ -611,3 +611,11 @@ func TestSessionFetchDecodesOnceAndVerifies(t *testing.T) {
 		t.Fatalf("fresh session Fetch(a) next to a tampered blob = %s, %v", got[a.Key], err)
 	}
 }
+
+// Has reports whether the blob with the given hash is stored.
+func (st *Store) Has(hash string) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	_, ok := st.known[hash]
+	return ok
+}

@@ -116,12 +116,12 @@ func TestDiffOpsNameVsVersionExclusive(t *testing.T) {
 	cb := NewCodeBase("cb", ecosys.NPM, PayloadEnvExfil, rng)
 	a := cb.Instantiate(ecosys.Coord{Ecosystem: ecosys.NPM, Name: "x", Version: "1.0.0"}, Options{Description: "d"})
 	renamed := cb.Instantiate(ecosys.Coord{Ecosystem: ecosys.NPM, Name: "y", Version: "2.0.0"}, Options{Description: "d"})
-	ops := DiffOps(a, renamed)
+	ops := diffOps(a, renamed)
 	if !hasOp(ops, OpName) || hasOp(ops, OpVersion) {
 		t.Fatalf("rename dominates version: got %v", ops)
 	}
 	bumped := cb.Instantiate(ecosys.Coord{Ecosystem: ecosys.NPM, Name: "x", Version: "1.0.1"}, Options{Description: "d"})
-	ops = DiffOps(a, bumped)
+	ops = diffOps(a, bumped)
 	if hasOp(ops, OpName) || !hasOp(ops, OpVersion) {
 		t.Fatalf("version-only bump: got %v", ops)
 	}
@@ -134,18 +134,18 @@ func TestDiffOpsFlags(t *testing.T) {
 	a := cb.Instantiate(coord, Options{Description: "one", Dependencies: []string{"urllib"}})
 
 	b := cb.Instantiate(coord, Options{Description: "two", Dependencies: []string{"urllib"}})
-	if ops := DiffOps(a, b); !hasOp(ops, OpDescription) || hasOp(ops, OpDependency) || hasOp(ops, OpCode) {
+	if ops := diffOps(a, b); !hasOp(ops, OpDescription) || hasOp(ops, OpDependency) || hasOp(ops, OpCode) {
 		t.Fatalf("description-only diff: %v", ops)
 	}
 
 	c := cb.Instantiate(coord, Options{Description: "one", Dependencies: []string{"request"}})
-	if ops := DiffOps(a, c); !hasOp(ops, OpDependency) {
+	if ops := diffOps(a, c); !hasOp(ops, OpDependency) {
 		t.Fatalf("dependency diff not detected: %v", ops)
 	}
 
 	alt := RandomIoC(rng.Derive("alt"))
 	d := cb.Instantiate(coord, Options{Description: "one", Dependencies: []string{"urllib"}, IoCOverride: &alt})
-	if ops := DiffOps(a, d); !hasOp(ops, OpCode) {
+	if ops := diffOps(a, d); !hasOp(ops, OpCode) {
 		t.Fatalf("code diff not detected: %v", ops)
 	}
 }
@@ -155,7 +155,7 @@ func TestDiffOpsIdentical(t *testing.T) {
 	cb := NewCodeBase("cb", ecosys.NPM, PayloadEnvExfil, rng)
 	a := cb.Instantiate(testCoord(ecosys.NPM), Options{Description: "d"})
 	b := cb.Instantiate(testCoord(ecosys.NPM), Options{Description: "d"})
-	if ops := DiffOps(a, b); len(ops) != 0 {
+	if ops := diffOps(a, b); len(ops) != 0 {
 		t.Fatalf("identical packages diff as %v", ops)
 	}
 }
@@ -199,9 +199,15 @@ func lineMultiset(s string) map[string]int {
 	return out
 }
 
+// diffOps classifies the operations from a's release to b's, the way the
+// ingest does: through each artifact's DiffFacts.
+func diffOps(a, b *ecosys.Artifact) []Op {
+	return NewDiffFacts(a).Ops(NewDiffFacts(b))
+}
+
 // referenceDiffOps is the oracle of DiffFacts.Ops: it re-reads both
 // artifacts, compares their MergedSource strings and counts dependencies
-// in a map, the way DiffOps worked before the facts.
+// in a map, the way the diff worked before the facts.
 func referenceDiffOps(a, b *ecosys.Artifact) []Op {
 	var ops []Op
 	if a.Coord.Name != b.Coord.Name {
@@ -273,11 +279,11 @@ func TestDiffOpsRepeatedDependency(t *testing.T) {
 		return a
 	}
 	xy, xx := withDeps("x\ny\n"), withDeps("x\nx\n")
-	if !hasOp(DiffOps(xy, xx), OpDependency) || !hasOp(DiffOps(xx, xy), OpDependency) {
+	if !hasOp(diffOps(xy, xx), OpDependency) || !hasOp(diffOps(xx, xy), OpDependency) {
 		t.Fatalf("[x y] vs [x x]: forward %v, backward %v; both must change dependencies",
-			DiffOps(xy, xx), DiffOps(xx, xy))
+			diffOps(xy, xx), diffOps(xx, xy))
 	}
-	if ops := DiffOps(xy, withDeps("y\nx\n")); hasOp(ops, OpDependency) {
+	if ops := diffOps(xy, withDeps("y\nx\n")); hasOp(ops, OpDependency) {
 		t.Fatalf("reordered requirements diff as %v", ops)
 	}
 }
@@ -297,9 +303,9 @@ func TestDiffFactsSourceStream(t *testing.T) {
 	}
 	for _, tc := range cases {
 		a, b := sourceArtifact(tc.a...), sourceArtifact(tc.b...)
-		got, want := DiffOps(a, b), referenceDiffOps(a, b)
+		got, want := diffOps(a, b), referenceDiffOps(a, b)
 		if !slices.Equal(got, want) {
-			t.Errorf("%q vs %q: DiffOps %v, reference %v", tc.a, tc.b, got, want)
+			t.Errorf("%q vs %q: Ops %v, reference %v", tc.a, tc.b, got, want)
 		}
 	}
 }
@@ -350,7 +356,7 @@ func TestPayloadBehaviorsNonEmpty(t *testing.T) {
 
 func TestOpStrings(t *testing.T) {
 	want := []string{"CN", "CV", "CD", "CDep", "CC"}
-	for i, op := range AllOps() {
+	for i, op := range []Op{OpName, OpVersion, OpDescription, OpDependency, OpCode} {
 		if op.String() != want[i] {
 			t.Fatalf("op %d = %s, want %s", i, op, want[i])
 		}

@@ -37,17 +37,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// AllOps lists the operations in figure order.
-func AllOps() []Op { return []Op{OpName, OpVersion, OpDescription, OpDependency, OpCode} }
-
-// DiffOps classifies which changing operations separate two packages. CN and
-// CV are mutually exclusive alternatives (the paper's Fig. 9 percentages sum
-// to 100 across CN+CV): a release either reuses the name with a new version
-// or takes a new name. CD, CDep and CC are independent flags.
-func DiffOps(a, b *ecosys.Artifact) []Op {
-	return NewDiffFacts(a).Ops(NewDiffFacts(b))
-}
-
 // DiffFacts is everything the operation diff reads of one artifact, taken
 // once so that a subgraph's transitions compare two records instead of
 // re-reading both artifacts' files per transition.
@@ -99,8 +88,11 @@ func NewDiffFacts(a *ecosys.Artifact) *DiffFacts {
 	return f
 }
 
-// Ops classifies the operations from f's release to next's, with the
-// semantics DiffOps documents.
+// Ops classifies which changing operations separate f's release from
+// next's. CN and CV are mutually exclusive alternatives (the paper's Fig. 9
+// percentages sum to 100 across CN+CV): a release either reuses the name
+// with a new version or takes a new name. CD, CDep and CC are independent
+// flags.
 func (f *DiffFacts) Ops(next *DiffFacts) []Op {
 	var ops []Op
 	if f.name != next.name {

@@ -194,25 +194,6 @@ func packageComponents(g *graph.Graph, t graph.EdgeType, minSize int) [][]string
 	return out
 }
 
-// DuplicateGroups returns groups of record nodes joined by duplicated edges
-// (≥2 records, i.e. genuinely multi-source packages).
-func (mg *MalGraph) DuplicateGroups() [][]string {
-	comps := mg.G.ComponentsMin(2, graph.Duplicated)
-	var out [][]string
-	for _, comp := range comps {
-		var recs []string
-		for _, id := range comp {
-			if IsRecordNode(id) {
-				recs = append(recs, id)
-			}
-		}
-		if len(recs) >= 2 {
-			out = append(out, recs)
-		}
-	}
-	return out
-}
-
 // EntryByNodeID resolves a canonical node ID back to its dataset entry (a
 // canonical node ID is its coordinate key).
 func (mg *MalGraph) EntryByNodeID(nodeID string) (*collect.Entry, bool) {

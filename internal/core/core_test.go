@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"malgraph/internal/graph"
 	"malgraph/internal/reports"
 	"malgraph/internal/sources"
+	"malgraph/internal/textsim"
 	"malgraph/internal/xrand"
 )
 
@@ -128,7 +130,9 @@ func TestDuplicatedEdges(t *testing.T) {
 }
 
 func TestSimilarEdgesRecoverCampaigns(t *testing.T) {
-	mg := build(t)
+	ds, reps := miniDataset(t)
+	eng := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt})
+	mg := eng.Graph()
 	subs := mg.PackageSubgraphs(graph.Similar, 2)
 	if len(subs) != 2 {
 		t.Fatalf("similar subgraphs = %d: %v", len(subs), subs)
@@ -143,11 +147,36 @@ func TestSimilarEdgesRecoverCampaigns(t *testing.T) {
 			t.Fatalf("alpha member %s missing from %v", name, subs[0])
 		}
 	}
-	// Intra-cluster similarity matches the paper's ~99.9% claim.
-	for _, clusters := range mg.SimilarClusters {
+	// Intra-cluster similarity matches the paper's ~99.9% claim: the mean
+	// cosine of the members' item vectors to their normalised mean.
+	for eco, clusters := range mg.SimilarClusters {
+		sh := eng.shards[eco]
 		for _, c := range clusters {
-			if c.IntraSim < 0.95 {
-				t.Fatalf("cluster intra similarity %v too low", c.IntraSim)
+			var cent []float64
+			vecs := make([][]float64, 0, len(c.Members))
+			for _, id := range c.Members {
+				it, ok := sh.itemAt(id)
+				if !ok {
+					t.Fatalf("cluster member %s has no item", id)
+				}
+				vecs = append(vecs, it.Vector)
+				for len(cent) < len(it.Vector) {
+					cent = append(cent, 0)
+				}
+				for d, x := range it.Vector {
+					cent[d] += x
+				}
+			}
+			var norm float64
+			for _, x := range cent {
+				norm += x * x
+			}
+			var sim float64
+			for _, v := range vecs {
+				sim += textsim.Dot(v, cent) / math.Sqrt(norm)
+			}
+			if sim /= float64(len(vecs)); sim < 0.95 {
+				t.Fatalf("cluster intra similarity %v too low", sim)
 			}
 		}
 	}
@@ -235,4 +264,23 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// DuplicateGroups returns groups of record nodes joined by duplicated edges
+// (≥2 records, i.e. genuinely multi-source packages).
+func (mg *MalGraph) DuplicateGroups() [][]string {
+	comps := mg.G.ComponentsMin(2, graph.Duplicated)
+	var out [][]string
+	for _, comp := range comps {
+		var recs []string
+		for _, id := range comp {
+			if IsRecordNode(id) {
+				recs = append(recs, id)
+			}
+		}
+		if len(recs) >= 2 {
+			out = append(out, recs)
+		}
+	}
+	return out
 }

@@ -1,7 +1,8 @@
 package core
 
-// Engine.Digest, which hashes each state section in the JSON shape the
-// monolithic v4 snapshot gave it, and restoreFromParts, the tail of the
+// Engine.Digest, which hashes each state section as JSON (the items and
+// imports in the shape the monolithic v4 snapshot gave them, the partitions
+// as one cluster per partition key), and restoreFromParts, the tail of the
 // restore (snapshot5.go) that rebuilds an engine's caches and indexes from
 // its decoded sections. The embeddings ride along with the graph, so a
 // restore re-embeds nothing. Everything else it derives, each part cheaper
@@ -53,16 +54,16 @@ type restoreParts struct {
 
 // Digest returns a hex SHA-256 per section of the engine's state: config,
 // stamps (AppliedSeq, FeedPos), dataset, graph, reports, items, partitions,
-// imports, posting and pairOwners. Each section hashes the JSON the v4
-// format carried for it (a partition as a list of its one cluster), except
-// graph, which hashes the graph as a set (graph.Graph.Canonical): edge
-// insertion order differs between batch partitions of one corpus and is not
-// state. Digests are equal exactly when the states
-// are, and a mismatch names its section. It needs no store.
+// imports, posting and pairOwners. Each section hashes its state as JSON
+// (partitions as each ecosystem's map from partition key to its cluster),
+// except graph, which hashes the graph as a set (graph.Graph.Canonical):
+// edge insertion order differs between batch partitions of one corpus and
+// is not state. Digests are equal exactly when the states are, and a
+// mismatch names its section. It needs no store.
 func (e *Engine) Digest() (map[string]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	partitions := make(map[string]map[string][]textsim.Cluster, len(e.shards))
+	partitions := make(map[string]map[string]textsim.Cluster, len(e.shards))
 	items := make(map[string][]snapshotItem, len(e.shards))
 	imports := make(map[string][]string)
 	// The v4 layout predates the shard split: the import caches merge into
@@ -70,11 +71,7 @@ func (e *Engine) Digest() (map[string]string, error) {
 	// (possibly empty) partition map and item slice under its ecosystem.
 	for eco, sh := range e.shards {
 		if len(sh.items) > 0 || len(sh.clustersByPart) > 0 {
-			parts := make(map[string][]textsim.Cluster, len(sh.clustersByPart))
-			for key, c := range sh.clustersByPart {
-				parts[key] = []textsim.Cluster{c}
-			}
-			partitions[eco.String()] = parts
+			partitions[eco.String()] = sh.clustersByPart
 			out := make([]snapshotItem, 0, len(sh.items))
 			for _, it := range sh.items {
 				out = append(out, snapshotItem{

@@ -236,28 +236,3 @@ func less(a, b Match) bool {
 	}
 	return a.File < b.File
 }
-
-// MaliciousDeps returns the names from the malicious-corpus candidate set
-// that this artifact depends on, combining the manifest channel and the
-// confirmed source-scan channel (§III-C steps 2–4).
-func (s *Scanner) MaliciousDeps(a *ecosys.Artifact, corpus map[string]bool) ([]string, error) {
-	found := make(map[string]bool)
-	manifestDeps, err := s.FromManifest(a)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range manifestDeps {
-		if corpus[d] && d != a.Coord.Name {
-			found[d] = true
-		}
-	}
-	for _, m := range s.FromSource(a, corpus) {
-		found[m.Dep] = true
-	}
-	out := make([]string, 0, len(found))
-	for d := range found {
-		out = append(out, d)
-	}
-	sortStrings(out)
-	return out, nil
-}

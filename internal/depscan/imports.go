@@ -115,7 +115,7 @@ func ExtractImports(a *ecosys.Artifact) []string {
 // Dependencies returns the names the artifact depends on through either
 // §III-C channel, manifest declarations and source imports: deduplicated,
 // sorted and without the artifact's own name. It is the engine's
-// linear-time scan; MaliciousDeps is the paper's per-name probe.
+// linear-time scan in place of the paper's per-name probe of the corpus.
 func (s *Scanner) Dependencies(a *ecosys.Artifact) ([]string, error) {
 	manifest, err := s.FromManifest(a)
 	if err != nil {

@@ -280,12 +280,3 @@ type Release struct {
 
 // Removed reports whether the registry administrator has taken the release down.
 func (r Release) Removed() bool { return !r.RemovedAt.IsZero() }
-
-// PersistedFor returns how long the release stayed in the registry before
-// takedown; for never-removed packages it returns the duration until horizon.
-func (r Release) PersistedFor(horizon time.Time) time.Duration {
-	if r.Removed() {
-		return r.RemovedAt.Sub(r.ReleasedAt)
-	}
-	return horizon.Sub(r.ReleasedAt)
-}

@@ -223,16 +223,9 @@ func TestReleaseLifecycle(t *testing.T) {
 	if rel.Removed() {
 		t.Fatal("zero RemovedAt must mean not removed")
 	}
-	horizon := time.Date(2023, 2, 11, 0, 0, 0, 0, time.UTC)
-	if got := rel.PersistedFor(horizon); got != 10*24*time.Hour {
-		t.Fatalf("PersistedFor(horizon) = %v", got)
-	}
 	rel.RemovedAt = rel.ReleasedAt.Add(48 * time.Hour)
 	if !rel.Removed() {
 		t.Fatal("expected removed")
-	}
-	if got := rel.PersistedFor(horizon); got != 48*time.Hour {
-		t.Fatalf("PersistedFor after removal = %v", got)
 	}
 }
 

@@ -591,20 +591,6 @@ func (g *Graph) NodeIDs() []string {
 	return g.nodes.Keys()
 }
 
-// NodesWhere returns sorted IDs of nodes for which pred holds.
-func (g *Graph) NodesWhere(pred func(Node) bool) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []string
-	for _, id := range g.nodes.Keys() {
-		n, _ := g.nodes.Get(id)
-		if pred(*n) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Components returns the connected components induced by edges of the given
 // types (all types when none given). Each component is sorted; components are
 // ordered by their smallest member. This is the paper's subgraph operation:

@@ -362,17 +362,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestNodesWhere(t *testing.T) {
-	g := New()
-	_ = g.AddNode("a", Attrs{"eco": "PyPI"})
-	_ = g.AddNode("b", Attrs{"eco": "NPM"})
-	_ = g.AddNode("c", Attrs{"eco": "PyPI"})
-	got := g.NodesWhere(func(n Node) bool { return n.Attrs["eco"] == "PyPI" })
-	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("NodesWhere = %v", got)
-	}
-}
-
 func TestEdgeTypeString(t *testing.T) {
 	if Duplicated.String() != "duplicated" || Coexisting.String() != "coexisting" {
 		t.Fatal("edge type names wrong")

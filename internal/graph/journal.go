@@ -33,13 +33,6 @@ func (g *Graph) EnableJournal() {
 	}
 }
 
-// JournalLen returns the number of recorded, undropped operations.
-func (g *Graph) JournalLen() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.journal)
-}
-
 // JournalOps returns a copy of the recorded operations without clearing
 // them. The caller persists the ops and, once they are durable, calls
 // DropJournalPrefix(len(ops)) — the two-step shape means a failed persist

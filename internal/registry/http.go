@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"malgraph/internal/ecosys"
@@ -256,11 +255,3 @@ func (c *Client) Fetch(coord ecosys.Coord, t time.Time) (*ecosys.Artifact, error
 }
 
 var _ Endpoint = (*Client)(nil)
-
-// FormatSyncPeriod renders a mirror sync period compactly for logs.
-func FormatSyncPeriod(d time.Duration) string {
-	if d%(24*time.Hour) == 0 {
-		return strconv.Itoa(int(d/(24*time.Hour))) + "d"
-	}
-	return d.String()
-}

@@ -92,17 +92,6 @@ func (r *Registry) Remove(coord ecosys.Coord, at time.Time) error {
 	return nil
 }
 
-// LiveAt reports whether the coordinate is present in the root at time t.
-func (r *Registry) LiveAt(coord ecosys.Coord, t time.Time) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rel, ok := r.releases[coord.Key()]
-	if !ok {
-		return false
-	}
-	return liveAt(rel, t)
-}
-
 func liveAt(rel *ecosys.Release, t time.Time) bool {
 	if t.Before(rel.ReleasedAt) {
 		return false
@@ -221,20 +210,14 @@ func (m *Mirror) LastSync(t time.Time) (time.Time, bool) {
 	return m.epoch.Add(n * m.period), true
 }
 
-// Has reports whether the mirror holds the coordinate at time t.
+// fetch returns the artifact by coordinate key if the mirror holds it at
+// time t, without an error on a miss.
 //
 //   - Snapshot mode: present iff the package was live in the root at the
 //     mirror's last sync before t. A package removed from the root after
 //     that sync is therefore still available here — the §II-B time gap.
 //   - Accumulate mode: present iff ANY sync in [epoch, t] fell inside the
 //     package's live window in the root.
-func (m *Mirror) Has(coord ecosys.Coord, t time.Time) bool {
-	_, ok := m.fetch(coord.Key(), t)
-	return ok
-}
-
-// fetch returns the artifact by coordinate key if the mirror holds it at
-// time t (see Has), without an error on a miss.
 func (m *Mirror) fetch(key string, t time.Time) (*ecosys.Artifact, bool) {
 	last, ok := m.LastSync(t)
 	if !ok {

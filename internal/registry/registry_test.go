@@ -66,11 +66,8 @@ func TestRemoveLifecycle(t *testing.T) {
 	if err := r.Remove(a.Coord, day(2)); err != nil {
 		t.Fatal(err)
 	}
-	if r.LiveAt(a.Coord, day(3)) {
-		t.Fatal("package live after removal")
-	}
-	if !r.LiveAt(a.Coord, day(1)) {
-		t.Fatal("package not live before removal")
+	if _, err := r.Fetch(a.Coord, day(1)); err != nil {
+		t.Fatalf("pre-removal fetch: %v", err)
 	}
 	if _, err := r.Fetch(a.Coord, day(3)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("post-removal fetch: %v", err)
@@ -138,8 +135,8 @@ func TestMirrorSnapshotLag(t *testing.T) {
 	}
 	// Day 9: root no longer has it, but mirror's last sync (day 7) saw it
 	// live — the §II-B recovery window.
-	if root.LiveAt(a.Coord, day(9)) {
-		t.Fatal("root should have removed it")
+	if _, err := root.Fetch(a.Coord, day(9)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("root should have removed it: %v", err)
 	}
 	if !m.Has(a.Coord, day(9)) {
 		t.Fatal("mirror should lag and still hold the package")
@@ -303,11 +300,9 @@ func TestFleetRootsSorted(t *testing.T) {
 	}
 }
 
-func TestFormatSyncPeriod(t *testing.T) {
-	if got := FormatSyncPeriod(7 * 24 * time.Hour); got != "7d" {
-		t.Fatalf("FormatSyncPeriod = %q", got)
-	}
-	if got := FormatSyncPeriod(90 * time.Minute); got != "1h30m0s" {
-		t.Fatalf("FormatSyncPeriod = %q", got)
-	}
+// Has reports whether the mirror holds the coordinate at time t (see
+// fetch for the snapshot and accumulate semantics).
+func (m *Mirror) Has(coord ecosys.Coord, t time.Time) bool {
+	_, ok := m.fetch(coord.Key(), t)
+	return ok
 }

@@ -49,14 +49,6 @@ func (c Category) String() string {
 	return fmt.Sprintf("Category(%d)", int(c))
 }
 
-// AllCategories lists the Table III categories in order.
-func AllCategories() []Category {
-	return []Category{
-		CategoryTechnicalCommunity, CategoryCommercial, CategoryNews,
-		CategoryIndividual, CategoryOfficial, CategoryOther,
-	}
-}
-
 // IoCSet bundles the three IoC types the paper counts (§V-D: 1,449 URLs,
 // 234 IPs, 4 PowerShell commands).
 type IoCSet struct {

@@ -219,7 +219,7 @@ func TestCategoryString(t *testing.T) {
 	if CategoryCommercial.String() != "Commercial org." {
 		t.Fatal("category name wrong")
 	}
-	if len(AllCategories()) != 6 {
+	if len(categoryNames) != 6 {
 		t.Fatal("Table III has 6 categories")
 	}
 }

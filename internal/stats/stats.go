@@ -1,11 +1,8 @@
 // Package stats provides the small statistical toolkit the analyses need:
-// empirical CDFs, histograms, summary statistics, and ASCII rendering for
-// tables and simple plots (the repository's stand-in for the paper's
-// matplotlib figures).
+// empirical CDFs, summary statistics, and ASCII table rendering.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -59,24 +56,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.sorted[rank]
 }
 
-// Points returns up to n evenly spaced (x, P(X<=x)) pairs suitable for
-// plotting or serialisation.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / max(n-1, 1)
-		x := c.sorted[idx]
-		out = append(out, [2]float64{x, c.At(x)})
-	}
-	return out
-}
-
 // Summary holds the descriptive statistics reported throughout §V.
 type Summary struct {
 	N      int
@@ -116,35 +95,6 @@ func Summarize(samples []float64) Summary {
 	return s
 }
 
-// Histogram counts samples into labelled buckets defined by upper bounds.
-type Histogram struct {
-	Bounds []float64 // ascending upper bounds; final implicit bucket is +Inf
-	Counts []int
-}
-
-// NewHistogram builds a histogram over the given ascending upper bounds.
-func NewHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{Bounds: b, Counts: make([]int, len(b)+1)}
-}
-
-// Add places one sample.
-func (h *Histogram) Add(v float64) {
-	i := sort.SearchFloat64s(h.Bounds, v)
-	h.Counts[i]++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // Table renders rows of cells as an aligned ASCII table with a header row.
 func Table(header []string, rows [][]string) string {
 	widths := make([]int, len(header))
@@ -181,67 +131,4 @@ func Table(header []string, rows [][]string) string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// BarChart renders labelled values as a horizontal ASCII bar chart, the
-// textual analogue of the paper's bar figures (Fig. 9, 12, 14).
-func BarChart(labels []string, values []float64, width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	maxVal := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxVal {
-			maxVal = v
-		}
-		if i < len(labels) && len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		bar := 0
-		if maxVal > 0 {
-			bar = int(math.Round(v / maxVal * float64(width)))
-		}
-		fmt.Fprintf(&b, "%-*s |%s %g\n", maxLabel, label, strings.Repeat("#", bar), v)
-	}
-	return b.String()
-}
-
-// CDFPlot renders a CDF as an ASCII line sketch with the requested number of
-// sample rows — the textual analogue of Figs. 6, 10, 11, 13.
-func CDFPlot(c *CDF, rows, width int) string {
-	if c.Len() == 0 {
-		return "(empty)\n"
-	}
-	if rows <= 0 {
-		rows = 10
-	}
-	if width <= 0 {
-		width = 50
-	}
-	var b strings.Builder
-	for i := 0; i <= rows; i++ {
-		q := float64(i) / float64(rows)
-		x := c.Quantile(q)
-		bar := int(q * float64(width))
-		fmt.Fprintf(&b, "P<=%-10.3f %5.0f%% |%s\n", x, q*100, strings.Repeat("#", bar))
-	}
-	return b.String()
-}
-
-// Percent formats a ratio as "12.34%".
-func Percent(ratio float64) string { return fmt.Sprintf("%.2f%%", ratio*100) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

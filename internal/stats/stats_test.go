@@ -31,9 +31,6 @@ func TestCDFEmpty(t *testing.T) {
 	if !math.IsNaN(c.Quantile(0.5)) {
 		t.Fatal("empty CDF quantile must be NaN")
 	}
-	if got := CDFPlot(c, 5, 10); !strings.Contains(got, "empty") {
-		t.Fatalf("empty plot = %q", got)
-	}
 }
 
 func TestCDFQuantile(t *testing.T) {
@@ -92,25 +89,6 @@ func TestCDFInputNotMutated(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5})
-	pts := c.Points(3)
-	if len(pts) != 3 {
-		t.Fatalf("want 3 points, got %d", len(pts))
-	}
-	if pts[0][0] != 1 || pts[2][0] != 5 {
-		t.Fatalf("points span wrong: %v", pts)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][1] < pts[i-1][1] {
-			t.Fatalf("non-monotone points: %v", pts)
-		}
-	}
-	if got := c.Points(0); got != nil {
-		t.Fatal("Points(0) must be nil")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N != 8 || s.Mean != 5 {
@@ -134,23 +112,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{10, 20})
-	for _, v := range []float64{5, 10, 15, 25, 30} {
-		h.Add(v)
-	}
-	// Buckets: <=10 (5,10), <=20 (15), >20 (25,30).
-	want := []int{2, 1, 2}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	out := Table([]string{"name", "n"}, [][]string{{"alpha", "1"}, {"b", "22"}})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
@@ -162,35 +123,5 @@ func TestTableAlignment(t *testing.T) {
 	}
 	if len(lines[2]) != len(lines[3]) {
 		t.Fatalf("rows not aligned:\n%q\n%q", lines[2], lines[3])
-	}
-}
-
-func TestBarChart(t *testing.T) {
-	out := BarChart([]string{"CN", "CV"}, []float64{88.65, 11.35}, 20)
-	if !strings.Contains(out, "CN") || !strings.Contains(out, "88.65") {
-		t.Fatalf("bar chart missing content: %q", out)
-	}
-	cnBars := strings.Count(strings.Split(out, "\n")[0], "#")
-	cvBars := strings.Count(strings.Split(out, "\n")[1], "#")
-	if cnBars <= cvBars {
-		t.Fatalf("larger value must have longer bar: %d vs %d", cnBars, cvBars)
-	}
-}
-
-func TestCDFPlotShape(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	out := CDFPlot(c, 4, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("want 5 rows, got %d", len(lines))
-	}
-	if !strings.Contains(lines[0], "0%") || !strings.Contains(lines[4], "100%") {
-		t.Fatalf("plot endpoints wrong: %q", out)
-	}
-}
-
-func TestPercent(t *testing.T) {
-	if got := Percent(0.8865); got != "88.65%" {
-		t.Fatalf("Percent = %q", got)
 	}
 }

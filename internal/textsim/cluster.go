@@ -74,9 +74,7 @@ type Item struct {
 // Cluster is one similar-code group.
 type Cluster struct {
 	Members    []string // item IDs, sorted
-	Centroid   []float64
 	Silhouette float64
-	IntraSim   float64 // mean pairwise-to-centroid cosine (paper reports 99.9%)
 }
 
 // ClusterPartition clusters one LSHIndex partition (§III-B step 4) and
@@ -137,12 +135,10 @@ func ClusterPartition(items []Item, cfg ClusterConfig) (Cluster, bool) {
 		}
 		meanInto(cent, items, in)
 	}
-	// cent is now the normalised mean of exactly the assigned members;
-	// the published centroid spans the longest member vector. The
+	// cent is now the normalised mean of exactly the assigned members. The
 	// silhouette adds each silChunk items' sum to the total in chunk order.
 	var ids []string
-	var sil, chunkSil, intra float64
-	mdim := 0
+	var sil, chunkSil float64
 	for i, it := range items {
 		if i%silChunk == 0 {
 			sil += chunkSil
@@ -152,12 +148,9 @@ func ClusterPartition(items []Item, cfg ClusterConfig) (Cluster, bool) {
 			continue
 		}
 		ids = append(ids, it.ID)
-		mdim = max(mdim, len(it.Vector))
-		sim := Dot(it.Vector, cent)
-		intra += sim
 		// Simplified silhouette against no other centroid: a = 1 − cos,
 		// b = 1, s = (b − a) / max(a, b).
-		a := 1 - sim
+		a := 1 - Dot(it.Vector, cent)
 		chunkSil += (1 - a) / max(a, 1)
 	}
 	sil = (sil + chunkSil) / float64(len(ids))
@@ -165,12 +158,7 @@ func ClusterPartition(items []Item, cfg ClusterConfig) (Cluster, bool) {
 		return Cluster{}, false
 	}
 	sort.Strings(ids)
-	return Cluster{
-		Members:    ids,
-		Centroid:   cent[:mdim:mdim],
-		Silhouette: sil,
-		IntraSim:   intra / float64(len(ids)),
-	}, true
+	return Cluster{Members: ids, Silhouette: sil}, true
 }
 
 // meanInto overwrites cent with the L2-normalised sum of the selected

@@ -117,20 +117,12 @@ func ClusterItems(items []Item, cfg ClusterConfig) []Cluster {
 		if len(members) < cfg.MinSize || sil[c] < cfg.MinSilhouette {
 			continue
 		}
-		cent := centroid(items, members)
 		ids := make([]string, 0, len(members))
-		var intra float64
 		for _, m := range members {
 			ids = append(ids, items[m].ID)
-			intra += Dot(items[m].Vector, cent)
 		}
 		sort.Strings(ids)
-		out = append(out, Cluster{
-			Members:    ids,
-			Centroid:   cent,
-			Silhouette: sil[c],
-			IntraSim:   intra / float64(len(members)),
-		})
+		out = append(out, Cluster{Members: ids, Silhouette: sil[c]})
 	}
 	return out
 }

@@ -83,8 +83,8 @@ type EmbedBuffer struct {
 // to buf.
 //
 // Invariant: the returned vector is L2-normalised (or all-zero when no token
-// is informative), so downstream similarity code may use Dot in place of
-// Cosine without renormalising.
+// is informative), so downstream similarity code may use Dot as the cosine
+// without renormalising.
 func (e *Embedder) EmbedHashed(hashed []TokenHash, buf *EmbedBuffer) []float64 {
 	dim := e.cfg.Dim()
 	if cap(buf.vec) < dim {
@@ -181,26 +181,6 @@ func normalize(v []float64) {
 	for i := range v {
 		v[i] *= inv
 	}
-}
-
-// Cosine returns the cosine similarity of two equal-length vectors,
-// dividing through both norms. Hot paths that hold the EmbedHashed
-// L2-normalisation invariant (clustering, silhouette, K-Means) call Dot
-// directly and skip the two norm passes; Cosine remains the safe entry
-// point for vectors of unknown provenance.
-func Cosine(a, b []float64) float64 {
-	dot := Dot(a, b)
-	var na, nb float64
-	for _, x := range a {
-		na += x * x
-	}
-	for _, x := range b {
-		nb += x * x
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
 }
 
 // SimHashHashed computes a 64-bit locality-sensitive fingerprint of a

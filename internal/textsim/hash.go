@@ -100,10 +100,10 @@ func equalFoldASCII[S ~string | ~[]byte](t S, w string) bool {
 
 // Dot returns the inner product of two equal-length vectors. For the
 // L2-normalised vectors Embedder.EmbedHashed produces (and the normalised
-// centroids derived from them) this equals Cosine at a third of the memory
-// traffic, which is why every clustering-stage comparison uses it. The
-// four-lane unrolling fixes the summation order, so results are bit-stable
-// across runs and worker counts.
+// centroids derived from them) this equals their cosine at a third of the
+// memory traffic of dividing through both norms, which is why every
+// clustering-stage comparison uses it. The four-lane unrolling fixes the
+// summation order, so results are bit-stable across runs and worker counts.
 func Dot(a, b []float64) float64 {
 	n := min(len(a), len(b))
 	a, b = a[:n], b[:n]

@@ -120,20 +120,6 @@ func (w *Web) PageCount() int {
 	return len(w.pages)
 }
 
-// SiteURLs returns all URLs belonging to one site, sorted.
-func (w *Web) SiteURLs(site string) []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	var out []string
-	for u, p := range w.pages {
-		if p.Site == site {
-			out = append(out, u)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NoisePage fabricates an irrelevant page (tutorials, release notes, memes)
 // that a crawl must learn to skip.
 func NoisePage(rng *xrand.RNG, site string, n int) *Page {

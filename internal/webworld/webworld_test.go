@@ -68,17 +68,6 @@ func TestSearchDeterministic(t *testing.T) {
 	}
 }
 
-func TestSiteURLs(t *testing.T) {
-	w := New()
-	mustAdd(t, w, &Page{URL: "x2", Site: "siteA", Title: "t one", Body: ""})
-	mustAdd(t, w, &Page{URL: "x1", Site: "siteA", Title: "t two", Body: ""})
-	mustAdd(t, w, &Page{URL: "y1", Site: "siteB", Title: "t three", Body: ""})
-	got := w.SiteURLs("siteA")
-	if len(got) != 2 || got[0] != "x1" {
-		t.Fatalf("SiteURLs = %v", got)
-	}
-}
-
 func TestNoisePage(t *testing.T) {
 	rng := xrand.New(1)
 	seen := map[string]bool{}

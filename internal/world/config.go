@@ -24,9 +24,6 @@ type Config struct {
 	CollectAt time.Time
 }
 
-// PaperScale returns the full-size configuration (≈24,356 packages).
-func PaperScale() Config { return Config{Seed: 20240404, Scale: 1.0, CollectAt: defaultCollectAt()} }
-
 // SmallScale returns a fast configuration for integration tests (≈1.2k
 // packages).
 func SmallScale() Config { return Config{Seed: 20240404, Scale: 0.05, CollectAt: defaultCollectAt()} }

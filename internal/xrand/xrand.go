@@ -57,11 +57,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
