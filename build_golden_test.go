@@ -23,9 +23,9 @@ import (
 // 0.05, after the one-shot drain and after the 200-batch feed alike: the
 // graph section hashes the graph as a set, so the two feeds' different edge
 // insertion orders do not show. A change to it means the built MALGRAPH
-// (dataset, graph, reports, clustering items and partitions, import cache
-// or co-existing index) changed.
-const buildGolden = "495ba506e76e1476a7358c70ddbaa48fac95c3dbbef728e8332a2cb2cd8b1fee"
+// (dataset, graph with its similar clusters, reports, clustering items,
+// reverse import index or co-existing index) changed.
+const buildGolden = "57141736b448e78a28b45dd4e49d3d0b713b3c2365847f498fe92fa60302265e"
 
 // engineDigest folds p's per-section engine digest into one hex SHA-256,
 // sections in name order.
@@ -143,4 +143,52 @@ func resultsDigest(batches int) (string, error) {
 	}
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// npmClustersGolden is the SHA-256 of Pipeline.NPMClusters() — the Table X
+// training families — as member coordinates in order, at seed 1, scale 0.05,
+// after the one-shot drain and after the 200-batch feed alike. Results runs
+// without Detection, so resultsGolden does not cover this input.
+const npmClustersGolden = "87bc885f0333932d6c5705293fdd69ed964a6b4c5a8b668112eaabe19973ee82"
+
+func TestNPMClustersGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline builds")
+	}
+	for _, batches := range []int{1, 200} {
+		for _, procs := range []int{1, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			p, err := NewStreamingPipeline(context.Background(), Config{Seed: 1, Scale: 0.05}, batches)
+			if err == nil {
+				_, _, _, err = p.AppendPending(-1, false)
+			}
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%d batches, GOMAXPROCS=%d: %v", batches, procs, err)
+			}
+			h := sha256.New()
+			for _, cluster := range npmClusterCoords(p) {
+				for _, key := range cluster {
+					fmt.Fprintf(h, "%s\n", key)
+				}
+				fmt.Fprintln(h)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != npmClustersGolden {
+				t.Errorf("%d batches, GOMAXPROCS=%d: NPM clusters digest %s, want %s", batches, procs, got, npmClustersGolden)
+			}
+		}
+	}
+}
+
+// npmClusterCoords returns p.NPMClusters() as member coordinate keys.
+func npmClusterCoords(p *Pipeline) [][]string {
+	var out [][]string
+	for _, cluster := range p.NPMClusters() {
+		keys := make([]string, len(cluster))
+		for i, art := range cluster {
+			keys[i] = art.Coord.Key()
+		}
+		out = append(out, keys)
+	}
+	return out
 }

@@ -10,7 +10,6 @@ package main
 // (graph + embeddings + scan caches) reloads without an O(corpus) rebuild.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -951,90 +950,4 @@ func (s *server) handleSnapshotBundle(w http.ResponseWriter) {
 			return
 		}
 	}
-}
-
-// readSnapshotBundle consumes a snapshot bundle stream, verifying every
-// segment's size and CRC, writes the segment files into dir (created if
-// needed — a directory castore.Open accepts as-is) and returns the
-// manifest bytes to hand to core.RestoreEngineWithStore. On any error it
-// removes every file it wrote, so a refused bundle never leaves unverified
-// bytes behind for a later castore.Open to index.
-func readSnapshotBundle(r io.Reader, dir string) (manifest []byte, err error) {
-	written := make(map[string]bool)
-	defer func() {
-		if err != nil {
-			for name := range written {
-				os.Remove(filepath.Join(dir, name))
-			}
-		}
-	}()
-	br := bufio.NewReader(r)
-	readLine := func(v any) error {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			return err
-		}
-		return json.Unmarshal(line, v)
-	}
-	var hdr bundleHeader
-	if err := readLine(&hdr); err != nil {
-		return nil, fmt.Errorf("bundle header: %w", err)
-	}
-	if hdr.Format != bundleFormat {
-		return nil, fmt.Errorf("bundle format %q, want %q", hdr.Format, bundleFormat)
-	}
-	// The header's sizes are untrusted: read through a bounded reader, so a
-	// size larger than the stream fails at EOF instead of allocating it.
-	if hdr.ManifestSize < 0 {
-		return nil, fmt.Errorf("bundle manifest: negative size %d", hdr.ManifestSize)
-	}
-	if hdr.Segments < 0 {
-		return nil, fmt.Errorf("bundle header: negative segment count %d", hdr.Segments)
-	}
-	manifest, err = io.ReadAll(io.LimitReader(br, int64(hdr.ManifestSize)))
-	if err == nil && len(manifest) != hdr.ManifestSize {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("bundle manifest: %w", err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	for i := 0; i < hdr.Segments; i++ {
-		var fr bundleFrame
-		if err := readLine(&fr); err != nil {
-			return nil, fmt.Errorf("bundle frame %d: %w", i, err)
-		}
-		if _, ok := castore.ParseSegmentName(fr.Name); !ok {
-			return nil, fmt.Errorf("bundle frame %d: suspicious segment name %q", i, fr.Name)
-		}
-		if written[fr.Name] {
-			return nil, fmt.Errorf("bundle frame %d: repeated segment name %q", i, fr.Name)
-		}
-		crc := crc32.NewIEEE()
-		f, err := os.Create(filepath.Join(dir, fr.Name))
-		if err != nil {
-			return nil, err
-		}
-		written[fr.Name] = true
-		n, err := io.Copy(io.MultiWriter(f, crc), io.LimitReader(br, fr.Size))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bundle segment %s: %w", fr.Name, err)
-		}
-		if n != fr.Size {
-			return nil, fmt.Errorf("bundle segment %s: truncated at %d of %d bytes", fr.Name, n, fr.Size)
-		}
-		var tr bundleTrailer
-		if err := readLine(&tr); err != nil {
-			return nil, fmt.Errorf("bundle segment %s trailer: %w", fr.Name, err)
-		}
-		if got := fmt.Sprintf("%08x", crc.Sum32()); got != tr.CRC32 {
-			return nil, fmt.Errorf("bundle segment %s: crc %s, want %s", fr.Name, got, tr.CRC32)
-		}
-	}
-	return manifest, nil
 }

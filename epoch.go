@@ -20,6 +20,9 @@ package malgraph
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -480,13 +483,24 @@ func detectionOf(cfg Config, mg *core.MalGraph, iterations int) ([]DetectionRow,
 }
 
 // npmClustersOf returns a view's NPM similar clusters as artifact groups —
-// the "tracked malware packages" §VI-A trains on.
+// the "tracked malware packages" §VI-A trains on. A cluster is the member
+// set of the similar edges sharing one "cluster" label, its partition key
+// plus "#0". Clusters come in partition-key order, as the clustering
+// derived them; the raw labels can sort otherwise, since '#' sorts above
+// '!' and '"' ("a#0" > "a!b#0" though "a" < "a!b").
 func npmClustersOf(mg *core.MalGraph) [][]*ecosys.Artifact {
+	members := make(map[string][]string)
+	for _, ed := range mg.G.Edges(graph.Similar) {
+		key := strings.TrimSuffix(ed.Attrs["cluster"], "#0")
+		members[key] = append(members[key], ed.From, ed.To)
+	}
 	var clusters [][]*ecosys.Artifact
-	for _, cl := range mg.SimilarClusters[ecosys.NPM] {
+	for _, key := range slices.Sorted(maps.Keys(members)) {
+		ids := members[key]
+		slices.Sort(ids)
 		var arts []*ecosys.Artifact
-		for _, id := range cl.Members {
-			if e, ok := mg.EntryByNodeID(id); ok && e.Artifact != nil {
+		for _, id := range slices.Compact(ids) {
+			if e, ok := mg.EntryByNodeID(id); ok && e.Coord.Ecosystem == ecosys.NPM && e.Artifact != nil {
 				arts = append(arts, e.Artifact)
 			}
 		}

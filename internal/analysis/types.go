@@ -8,8 +8,6 @@
 package analysis
 
 import (
-	"time"
-
 	"malgraph/internal/ecosys"
 	"malgraph/internal/sources"
 	"malgraph/internal/stats"
@@ -55,10 +53,9 @@ func (m OverlapMatrix) At(a, b sources.ID) int {
 	return m.Matrix[ai][bi]
 }
 
-// TimelineBucket is one Fig. 7 bar: all vs missing package counts per period.
+// TimelineBucket is one Fig. 7 bar: all vs missing package counts per year.
 type TimelineBucket struct {
 	Year    int
-	Month   time.Month // 0 for yearly buckets
 	All     int
 	Missing int
 }

@@ -226,11 +226,19 @@ func TestMissingRatesFixture(t *testing.T) {
 	}
 }
 
+// monthBucket is one month of MonthlyTimeline: all vs missing package
+// counts released in it.
+type monthBucket struct {
+	Month   time.Month
+	All     int
+	Missing int
+}
+
 // MonthlyTimeline buckets one year by month (the Fig. 7 Feb-2023 flood peak).
-func MonthlyTimeline(ds *collect.Result, year int) []TimelineBucket {
-	buckets := make([]TimelineBucket, 12)
+func MonthlyTimeline(ds *collect.Result, year int) []monthBucket {
+	buckets := make([]monthBucket, 12)
 	for i := range buckets {
-		buckets[i] = TimelineBucket{Year: year, Month: time.Month(i + 1)}
+		buckets[i] = monthBucket{Month: time.Month(i + 1)}
 	}
 	for _, e := range ds.Entries {
 		if e.ReleasedAt.Year() != year {

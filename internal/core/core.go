@@ -62,10 +62,6 @@ type MalGraph struct {
 	Dataset *collect.Result
 	Reports []*reports.Report
 
-	// SimilarClusters are the surviving similarity clusters per §III-B,
-	// keyed by ecosystem.
-	SimilarClusters map[ecosys.Ecosystem][]textsim.Cluster
-
 	// reportsByPkg indexes reports by canonical node ID (see
 	// ReportsByPackage). Lists are replaced, never written in place, so
 	// views share them.

@@ -149,35 +149,36 @@ func TestSimilarEdgesRecoverCampaigns(t *testing.T) {
 	}
 	// Intra-cluster similarity matches the paper's ~99.9% claim: the mean
 	// cosine of the members' item vectors to their normalised mean.
-	for eco, clusters := range mg.SimilarClusters {
-		sh := eng.shards[eco]
-		for _, c := range clusters {
-			var cent []float64
-			vecs := make([][]float64, 0, len(c.Members))
-			for _, id := range c.Members {
-				it, ok := sh.itemAt(id)
-				if !ok {
-					t.Fatalf("cluster member %s has no item", id)
-				}
-				vecs = append(vecs, it.Vector)
-				for len(cent) < len(it.Vector) {
-					cent = append(cent, 0)
-				}
-				for d, x := range it.Vector {
-					cent[d] += x
-				}
+	for _, members := range subs {
+		var cent []float64
+		vecs := make([][]float64, 0, len(members))
+		for _, id := range members {
+			en, ok := mg.EntryByNodeID(id)
+			if !ok {
+				t.Fatalf("cluster member %s has no entry", id)
 			}
-			var norm float64
-			for _, x := range cent {
-				norm += x * x
+			it, ok := eng.shards[en.Coord.Ecosystem].itemAt(id)
+			if !ok {
+				t.Fatalf("cluster member %s has no item", id)
 			}
-			var sim float64
-			for _, v := range vecs {
-				sim += textsim.Dot(v, cent) / math.Sqrt(norm)
+			vecs = append(vecs, it.Vector)
+			for len(cent) < len(it.Vector) {
+				cent = append(cent, 0)
 			}
-			if sim /= float64(len(vecs)); sim < 0.95 {
-				t.Fatalf("cluster intra similarity %v too low", sim)
+			for d, x := range it.Vector {
+				cent[d] += x
 			}
+		}
+		var norm float64
+		for _, x := range cent {
+			norm += x * x
+		}
+		var sim float64
+		for _, v := range vecs {
+			sim += textsim.Dot(v, cent) / math.Sqrt(norm)
+		}
+		if sim /= float64(len(vecs)); sim < 0.95 {
+			t.Fatalf("cluster intra similarity %v too low", sim)
 		}
 	}
 }

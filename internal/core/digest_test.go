@@ -30,7 +30,7 @@ func TestDigestNamesChangedSection(t *testing.T) {
 		return e
 	}
 	base := digestOf(t, fresh())
-	wantNames := []string{"config", "dataset", "graph", "imports", "items", "pairOwners", "partitions", "posting", "reports", "stamps"}
+	wantNames := []string{"config", "dataset", "graph", "imports", "items", "pairOwners", "posting", "reports", "stamps"}
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -86,6 +86,10 @@ func TestDigestNamesChangedSection(t *testing.T) {
 			sort.Slice(ecos, func(i, j int) bool { return ecos[i] < ecos[j] })
 			sh := e.shards[ecos[0]]
 			sh.items = sh.items[1:]
+		}},
+		{"imports", func(t *testing.T, e *Engine) {
+			sh := e.shards[ecosys.PyPI]
+			delete(sh.importers, firstKey(t, sh.importers))
 		}},
 		{"posting", func(t *testing.T, e *Engine) {
 			delete(e.posting, firstKey(t, e.posting))

@@ -153,45 +153,31 @@ func (s IngestStats) CoexistingChanged() bool {
 // sorted-ecosystem order so the result is deterministic under any
 // GOMAXPROCS.
 type ecoShard struct {
-	// Corpus dictionary (§III-C): name → canonical node IDs, and the name
-	// set. Both grow monotonically.
+	// Corpus dictionary (§III-C): name → canonical node IDs. It grows
+	// monotonically.
 	byName map[string][]string
-	corpus map[string]bool
 	// Reverse import index: imported name → canonical node IDs of the
-	// already-scanned fronts importing it (self-name imports excluded).
+	// already-scanned fronts importing it (self-name imports excluded),
+	// which backward linking reads. Checkpoints do not persist it; a
+	// restore re-scans the artifacts.
 	importers map[string][]string
-	// importsOf caches each scanned artifact's manifest+source import names.
-	// Checkpoints do not persist it; a restore re-scans the artifacts.
-	importsOf map[string][]string
 
 	// items caches the §III-B per-artifact products, sorted by node ID (the
 	// order a one-shot build clusters in).
 	items []textsim.Item
-	// flat caches the shard's flattened cluster list between ingests so a
-	// dirty batch re-copies only the suffix from the first changed partition
-	// key onward instead of rebuilding the whole list (see flatClusters).
-	flat flatClusters
 	// lsh partitions the shard's items by verified band-candidate
 	// connectivity under cfg.Cluster (LSHBands, Threshold) — the unit of
 	// incremental re-clustering. Partition identity is content-derived
 	// (canonical key = smallest member node ID), so any batch order
-	// reproduces the same partitions.
+	// reproduces the same partitions. The partitions' clusters live in the
+	// graph only, as similar edges labelled with the partition key.
 	lsh *textsim.LSHIndex
-	// clustersByPart caches each partition's cluster by its canonical key;
-	// a partition whose cluster fails ClusterPartition's filters has no
-	// entry. Flattening the map in key order yields the ecosystem's cluster
-	// list exactly as a one-shot build derives it. Checkpoints do not
-	// persist it; a restore re-clusters every partition.
-	clustersByPart map[string]textsim.Cluster
 }
 
 func newEcoShard() *ecoShard {
 	return &ecoShard{
-		byName:         make(map[string][]string),
-		corpus:         make(map[string]bool),
-		importers:      make(map[string][]string),
-		importsOf:      make(map[string][]string),
-		clustersByPart: make(map[string]textsim.Cluster),
+		byName:    make(map[string][]string),
+		importers: make(map[string][]string),
 	}
 }
 
@@ -205,8 +191,8 @@ type Engine struct {
 	scanner  *depscan.Scanner
 
 	// shards holds the per-ecosystem state (corpus dictionaries, import
-	// indexes, clustering caches); see ecoShard. Created on first use.
-	// guarded by mu.
+	// indexes, clustering items, LSH indexes); see ecoShard. Created on
+	// first use. guarded by mu.
 	shards map[ecosys.Ecosystem]*ecoShard
 
 	// Incremental report-join index (§III-D). reportByURL dedupes reports
@@ -298,9 +284,8 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{
 		cfg: cfg,
 		mg: &MalGraph{
-			G:               graph.New(),
-			Dataset:         collect.NewResult(time.Time{}),
-			SimilarClusters: make(map[ecosys.Ecosystem][]textsim.Cluster),
+			G:       graph.New(),
+			Dataset: collect.NewResult(time.Time{}),
 		},
 		embedder:    textsim.NewEmbedder(cfg.Embed),
 		scanner:     depscan.NewScanner(),
@@ -342,9 +327,8 @@ func (e *Engine) Reports() []*reports.Report { return e.mg.Reports }
 // lists it touches, plus each written cow.Map's shard table once (one
 // 32-byte header per 4–8 keys) and the graph's page-pointer table. Leaves are shared where the
 // writer provably never mutates them in place: dataset entries (Upsert
-// replaces changed entries), reports (first crawl wins), per-ecosystem
-// cluster slices (re-clustering replaces the flat list wholesale) and
-// per-package report lists (indexReportForPackage copy-inserts). What
+// replaces changed entries), reports (first crawl wins) and per-package
+// report lists (indexReportForPackage copy-inserts). What
 // still grows with the corpus is those table copies and two pointer-slice
 // copies — the dataset's Entries and the report corpus — paid once per
 // publish by the writer.
@@ -353,17 +337,13 @@ func (e *Engine) View() *MalGraph {
 	defer e.mu.Unlock()
 	mg := e.mg
 	v := &MalGraph{
-		G:               mg.G.Clone(),
-		Dataset:         mg.Dataset.View(),
-		Reports:         make([]*reports.Report, len(mg.Reports)),
-		SimilarClusters: make(map[ecosys.Ecosystem][]textsim.Cluster, len(mg.SimilarClusters)),
-		reportsByPkg:    mg.reportsByPkg.Clone(),
-		subgraphs:       &subgraphMemo{},
+		G:            mg.G.Clone(),
+		Dataset:      mg.Dataset.View(),
+		Reports:      make([]*reports.Report, len(mg.Reports)),
+		reportsByPkg: mg.reportsByPkg.Clone(),
+		subgraphs:    &subgraphMemo{},
 	}
 	copy(v.Reports, mg.Reports)
-	for eco, cs := range mg.SimilarClusters {
-		v.SimilarClusters[eco] = cs
-	}
 	return v
 }
 
@@ -581,12 +561,10 @@ type shardPlan struct {
 	depEdges []plannedEdge
 
 	// §III-B similar-family replacement: drop every similar edge incident
-	// to dirtyMembers, then connect groups. clusters is the ecosystem's
-	// re-derived flat cluster list.
+	// to dirtyMembers, then connect groups.
 	reclustered  bool
 	dirtyMembers []string
 	groups       []plannedGroup
-	clusters     []textsim.Cluster
 	partitions   int
 	artifacts    int
 	dirtyItems   int
@@ -688,7 +666,6 @@ func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.
 				return err
 			}
 		}
-		e.mg.SimilarClusters[plan.eco] = plan.clusters
 		st.Reclustered = append(st.Reclustered, plan.eco)
 		st.PartitionsReclustered += plan.partitions
 		st.ArtifactsReclustered += plan.artifacts
@@ -719,7 +696,6 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		}
 		name := ch.entry.Coord.Name
 		sh.byName[name] = append(sh.byName[name], NodeID(ch.entry.Coord))
-		sh.corpus[name] = true
 	}
 	// Dependency 2: scan new artifacts (parallel, order-preserving) and
 	// link forward.
@@ -738,7 +714,6 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 			return plan
 		}
 		front := NodeID(ch.entry.Coord)
-		sh.importsOf[front] = scans[i].deps
 		for _, dep := range scans[i].deps {
 			sh.importers[dep] = append(sh.importers[dep], front)
 			for _, target := range sh.byName[dep] {
@@ -810,13 +785,9 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		return plan
 	}
 	// Resolve the dirty partitions: where the new items landed after every
-	// merge this batch caused. A partition key retired by a merge always
-	// re-surfaces inside one of these (the merge was bridged by a new item),
-	// so dropping its cached cluster loses nothing.
-	for _, retiredKey := range sh.lsh.DrainRetired() {
-		delete(sh.clustersByPart, retiredKey)
-		sh.flat.invalidate(retiredKey)
-	}
+	// merge this batch caused. A partition a merge absorbed has its members
+	// inside one of these (the merge was bridged by a new item), so dropping
+	// the dirty members' similar edges drops its old cluster too.
 	seen := make(map[string]bool)
 	keys := make([]string, 0, len(dirty))
 	for _, id := range dirty {
@@ -828,89 +799,51 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	jobs := make([]partJob, len(keys))
+	parts := make([][]textsim.Item, len(keys))
 	for i, key := range keys {
-		var err error
-		if jobs[i], err = sh.partitionJob(key); err != nil {
-			plan.err = err
-			return plan
+		members := sh.lsh.Members(key)
+		parts[i] = make([]textsim.Item, 0, len(members))
+		for _, id := range members {
+			it, ok := sh.itemAt(id)
+			if !ok {
+				plan.err = fmt.Errorf("similar: partition %s references unknown item %s", key, id)
+				return plan
+			}
+			parts[i] = append(parts[i], it)
 		}
-		for _, it := range jobs[i].items {
-			plan.dirtyMembers = append(plan.dirtyMembers, it.ID)
-		}
+		plan.dirtyMembers = append(plan.dirtyMembers, members...)
 	}
-	e.clusterPartitions(jobs)
-	for _, job := range jobs {
-		c, ok := sh.clustersByPart[job.key]
-		if !ok {
-			continue
-		}
-		plan.groups = append(plan.groups, plannedGroup{
-			members: c.Members,
-			attrs: graph.Attrs{
-				// Labels are partition-scoped so an untouched partition's
-				// edge attrs stay valid verbatim across appends; a
-				// partition holds at most one cluster, index 0.
-				"cluster":    job.key + "#0",
-				"silhouette": fmt.Sprintf("%.3f", c.Silhouette),
-			},
-		})
-	}
-	// Re-derive the flat cluster list in canonical partition-key order —
-	// the order a one-shot build yields. The incremental flatten reuses the
-	// prefix of the previous list before the first changed partition key.
-	plan.reclustered = true
-	plan.clusters = sh.flat.flatten(sh.clustersByPart)
-	plan.partitions = len(jobs)
-	plan.artifacts = len(plan.dirtyMembers)
-	plan.dirtyItems = len(sh.items)
-	return plan
-}
-
-// partJob is one LSH partition to cluster: its shard, its canonical key and
-// its items in node-ID order.
-type partJob struct {
-	sh    *ecoShard
-	key   string
-	items []textsim.Item
-}
-
-// partitionJob gathers the items of the partition with canonical key key.
-func (sh *ecoShard) partitionJob(key string) (partJob, error) {
-	members := sh.lsh.Members(key)
-	items := make([]textsim.Item, 0, len(members))
-	for _, id := range members {
-		it, ok := sh.itemAt(id)
-		if !ok {
-			return partJob{}, fmt.Errorf("similar: partition %s references unknown item %s", key, id)
-		}
-		items = append(items, it)
-	}
-	return partJob{sh: sh, key: key, items: items}, nil
-}
-
-// clusterPartitions clusters the jobs' partitions concurrently and caches
-// each result in its shard: the cluster under the partition key, or no
-// entry when it fails the filters. A partition's items are sorted by node
-// ID — content-derived, so any batch order, a one-shot build and a restore
-// compute an identical cluster per partition.
-func (e *Engine) clusterPartitions(jobs []partJob) {
+	// Cluster the dirty partitions concurrently. A partition's items are
+	// sorted by node ID — content-derived, so any batch order and a one-shot
+	// build compute an identical cluster per partition.
 	type result struct {
 		c  textsim.Cluster
 		ok bool
 	}
-	res := parallel.Map(len(jobs), func(i int) result {
-		c, ok := textsim.ClusterPartition(jobs[i].items, e.cfg.Cluster)
+	res := parallel.Map(len(parts), func(i int) result {
+		c, ok := textsim.ClusterPartition(parts[i], e.cfg.Cluster)
 		return result{c, ok}
 	})
-	for i, job := range jobs {
-		job.sh.flat.invalidate(job.key)
-		if res[i].ok {
-			job.sh.clustersByPart[job.key] = res[i].c
-		} else {
-			delete(job.sh.clustersByPart, job.key)
+	for i, key := range keys {
+		if !res[i].ok {
+			continue
 		}
+		plan.groups = append(plan.groups, plannedGroup{
+			members: res[i].c.Members,
+			attrs: graph.Attrs{
+				// Labels are partition-scoped so an untouched partition's
+				// edge attrs stay valid verbatim across appends; a
+				// partition holds at most one cluster, index 0.
+				"cluster":    key + "#0",
+				"silhouette": fmt.Sprintf("%.3f", res[i].c.Silhouette),
+			},
+		})
 	}
+	plan.reclustered = true
+	plan.partitions = len(keys)
+	plan.artifacts = len(plan.dirtyMembers)
+	plan.dirtyItems = len(sh.items)
+	return plan
 }
 
 // itemAt returns the cached clustering item for a node ID via binary search
@@ -921,60 +854,6 @@ func (sh *ecoShard) itemAt(id string) (textsim.Item, bool) {
 		return sh.items[i], true
 	}
 	return textsim.Item{}, false
-}
-
-// flatClusters incrementally maintains one ecosystem's flattened cluster
-// list in canonical partition-key order. keys mirrors the partition map's
-// sorted keys and list is the flat slice published to SimilarClusters, key
-// i's cluster at index i. A dirty batch reuses the prefix before the
-// smallest invalidated key (shared backing array, copy-on-append so
-// published views stay immutable) and re-flattens only the suffix —
-// replacing the former full sort-and-copy per dirty ecosystem.
-type flatClusters struct {
-	keys []string
-	list []textsim.Cluster
-	// firstDirty is the smallest partition key invalidated since the last
-	// flatten; meaningful only while dirty. ready distinguishes a built
-	// cache from the zero value (which must do a full build).
-	firstDirty string
-	dirty      bool
-	ready      bool
-}
-
-// invalidate records that the partition's cached cluster changed (set,
-// replaced or deleted).
-func (f *flatClusters) invalidate(key string) {
-	if !f.dirty || key < f.firstDirty {
-		f.firstDirty = key
-		f.dirty = true
-	}
-}
-
-// flatten returns the ecosystem's flat cluster list for the current
-// partition map, rebuilding only from the first invalidated key onward.
-func (f *flatClusters) flatten(parts map[string]textsim.Cluster) []textsim.Cluster {
-	if f.ready && !f.dirty {
-		return f.list
-	}
-	keep := 0
-	if f.ready {
-		keep = sort.SearchStrings(f.keys, f.firstDirty)
-	}
-	sufKeys := make([]string, 0, len(parts)-keep)
-	for k := range parts {
-		if f.ready && k < f.firstDirty {
-			continue
-		}
-		sufKeys = append(sufKeys, k)
-	}
-	sort.Strings(sufKeys)
-	next := f.list[:keep:keep]
-	for _, k := range sufKeys {
-		next = append(next, parts[k])
-	}
-	f.keys, f.list = append(f.keys[:keep:keep], sufKeys...), next
-	f.dirty, f.firstDirty, f.ready = false, "", true
-	return f.list
 }
 
 // coexPlan is the §III-D co-existing join of one batch, planned with no

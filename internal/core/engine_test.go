@@ -64,7 +64,7 @@ func assertEngineMatchesBuild(t *testing.T, eng, ref *Engine, label string) {
 	t.Helper()
 	assertSameDigest(t, eng, ref, label)
 	got, want := eng.Graph(), ref.Graph()
-	if !reflect.DeepEqual(got.SimilarClusters, want.SimilarClusters) {
+	if !reflect.DeepEqual(similarFamilies(got.G), similarFamilies(want.G)) {
 		t.Errorf("%s: similar clusters differ", label)
 	}
 	if !reflect.DeepEqual(got.DuplicateGroups(), want.DuplicateGroups()) {
@@ -347,9 +347,24 @@ func TestEngineUpsertJournalsChangedAttrsInOrder(t *testing.T) {
 	}
 }
 
+// similarFamilies groups g's similar edges by their "cluster" label, each
+// label's sorted member set: the similar clusters as the graph holds them.
+func similarFamilies(g *graph.Graph) map[string][]string {
+	out := make(map[string][]string)
+	for _, ed := range g.Edges(graph.Similar) {
+		label := ed.Attrs["cluster"]
+		out[label] = append(out[label], ed.From, ed.To)
+	}
+	for label, ids := range out {
+		slices.Sort(ids)
+		out[label] = slices.Compact(ids)
+	}
+	return out
+}
+
 // TestEngineRestoreReclustersSamePartitions is the LSH persistence contract:
-// a restored engine carries the same partition structure and per-partition
-// cluster cache, so its next ingest re-clusters exactly the partitions the
+// a restored engine carries the same partition structure and similar
+// families, so its next ingest re-clusters exactly the partitions the
 // uninterrupted engine would — no more (no O(ecosystem) fallback), no fewer.
 func TestEngineRestoreReclustersSamePartitions(t *testing.T) {
 	ds, reps := miniDataset(t)
@@ -381,9 +396,9 @@ func TestEngineRestoreReclustersSamePartitions(t *testing.T) {
 				t.Fatalf("%s: members of %s differ", eco, key)
 			}
 		}
-		if !reflect.DeepEqual(rsh.clustersByPart, sh.clustersByPart) {
-			t.Fatalf("%s: restored per-partition cluster cache differs", eco)
-		}
+	}
+	if !reflect.DeepEqual(similarFamilies(restored.Graph().G), similarFamilies(live.Graph().G)) {
+		t.Fatal("restored similar families differ")
 	}
 
 	// The same delta must produce identical recluster scope and final state.
@@ -404,7 +419,7 @@ func TestEngineRestoreReclustersSamePartitions(t *testing.T) {
 		t.Fatalf("similar deltas differ: %d vs %d", liveStats.SimilarDelta, restoredStats.SimilarDelta)
 	}
 	assertSameDigest(t, restored, live, "post-delta")
-	if !reflect.DeepEqual(live.Graph().SimilarClusters, restored.Graph().SimilarClusters) {
+	if !reflect.DeepEqual(similarFamilies(live.Graph().G), similarFamilies(restored.Graph().G)) {
 		t.Fatal("post-delta clusters differ")
 	}
 }

@@ -1,14 +1,14 @@
 package core
 
-// Engine.Digest, which hashes each state section as JSON (the items and
-// imports in the shape the monolithic v4 snapshot gave them, the partitions
-// as one cluster per partition key), and restoreFromParts, the tail of the
-// restore (snapshot5.go) that rebuilds an engine's caches and indexes from
-// its decoded sections. The embeddings ride along with the graph, so a
-// restore re-embeds nothing. Everything else it derives, each part cheaper
-// to rebuild than to persist: the LSH index and the partition clusters
-// from the items, the import caches from the artifacts, the posting lists
-// from the reports and the pair owners from the co-existing edges.
+// Engine.Digest, which hashes each state section as JSON (the items in the
+// shape the monolithic v4 snapshot gave them), and restoreFromParts, the
+// tail of the restore (snapshot5.go) that rebuilds an engine's caches and
+// indexes from its decoded sections. The embeddings ride along with the
+// graph, so a restore re-embeds nothing. Everything else it derives, each
+// part cheaper to rebuild than to persist: the LSH index from the items,
+// the reverse import index from the artifacts, the posting lists from the
+// reports and the pair owners from the co-existing edges. The similar
+// clusters need no rebuild: they are the graph's similar edges.
 
 import (
 	"crypto/sha256"
@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -53,25 +54,29 @@ type restoreParts struct {
 }
 
 // Digest returns a hex SHA-256 per section of the engine's state: config,
-// stamps (AppliedSeq, FeedPos), dataset, graph, reports, items, partitions,
-// imports, posting and pairOwners. Each section hashes its state as JSON
-// (partitions as each ecosystem's map from partition key to its cluster),
-// except graph, which hashes the graph as a set (graph.Graph.Canonical):
-// edge insertion order differs between batch partitions of one corpus and
-// is not state. Digests are equal exactly when the states are, and a
+// stamps (AppliedSeq, FeedPos), dataset, graph, reports, items, imports,
+// posting and pairOwners. Each section hashes its state as JSON (imports
+// as each ecosystem's reverse import index, every list sorted: its order
+// is insertion order, not state), except graph, which hashes the graph as
+// a set (graph.Graph.Canonical): edge insertion order differs between
+// batch partitions of one corpus and is not state. The graph section
+// covers the similar clusters, every edge labelled with its partition key
+// and silhouette. Digests are equal exactly when the states are, and a
 // mismatch names its section. It needs no store.
 func (e *Engine) Digest() (map[string]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	partitions := make(map[string]map[string]textsim.Cluster, len(e.shards))
 	items := make(map[string][]snapshotItem, len(e.shards))
-	imports := make(map[string][]string)
-	// The v4 layout predates the shard split: the import caches merge into
-	// one flat map, and a shard with items or clusters contributes its
-	// (possibly empty) partition map and item slice under its ecosystem.
+	imports := make(map[string]map[string][]string, len(e.shards))
 	for eco, sh := range e.shards {
-		if len(sh.items) > 0 || len(sh.clustersByPart) > 0 {
-			partitions[eco.String()] = sh.clustersByPart
+		if len(sh.importers) > 0 {
+			byName := make(map[string][]string, len(sh.importers))
+			for name, fronts := range sh.importers {
+				byName[name] = slices.Sorted(slices.Values(fronts))
+			}
+			imports[eco.String()] = byName
+		}
+		if len(sh.items) > 0 {
 			out := make([]snapshotItem, 0, len(sh.items))
 			for _, it := range sh.items {
 				out = append(out, snapshotItem{
@@ -81,10 +86,6 @@ func (e *Engine) Digest() (map[string]string, error) {
 				})
 			}
 			items[eco.String()] = out
-		}
-		for front, deps := range sh.importsOf {
-			//malgraph:nondeterm-ok shard import maps are disjoint (node IDs embed the ecosystem), so merge order cannot collide
-			imports[front] = deps
 		}
 	}
 	encode := func(v any) func(io.Writer) error {
@@ -103,7 +104,6 @@ func (e *Engine) Digest() (map[string]string, error) {
 		{sectionGraph, encode(e.mg.G.Canonical())},
 		{sectionReports, encode(e.mg.Reports)},
 		{sectionItems, encode(items)},
-		{"partitions", encode(partitions)},
 		{"imports", encode(imports)},
 		{"posting", encode(e.posting)},
 		{"pairOwners", encode(e.coexOwner)},
@@ -151,7 +151,7 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 	parallel.ForEach(len(itemShards), func(i int) {
 		items := snap.Items[itemEcos[i]]
 		// Headroom keeps the first post-restore inserts from recopying the
-		// whole ID-sorted slice (insertItem shifts in place within capacity).
+		// whole ID-sorted slice (mergeItems splices in place within capacity).
 		restored := append(make([]textsim.Item, 0, len(items)+len(items)/8+16), items...)
 		sort.Slice(restored, func(i, j int) bool { return restored[i].ID < restored[j].ID })
 		// Rebuild the LSH partition index from the cached fingerprints —
@@ -161,18 +161,11 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 		for _, it := range restored {
 			idx.Add(it.ID, it.Hash, it.Vector)
 		}
-		// Rebuild-time retirements predate the partition clusters, which
-		// are keyed canonically below — drain them so the first
-		// post-restore ingest doesn't pay an O(corpus) stale-key sweep the
-		// uninterrupted engine never sees.
-		idx.DrainRetired()
 		itemShards[i].items, itemShards[i].lsh = restored, idx
 	})
-	// Three independent derivations: re-scan every artifact's imports; read
-	// each co-existing pair's owner off its edge, the first writer of the
-	// URL-ordered join, whose URL the edge's "report" attr holds; and
-	// re-cluster every partition of every shard, one job each, so the pass
-	// is not bounded by the largest ecosystem.
+	// Two independent derivations: re-scan every artifact's imports, and
+	// read each co-existing pair's owner off its edge, the first writer of
+	// the URL-ordered join, whose URL the edge's "report" attr holds.
 	deps := make([][]string, len(ds.Entries))
 	err := parallel.Do(
 		func() error {
@@ -191,26 +184,9 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 			}
 			return nil
 		},
-		func() error {
-			var jobs []partJob
-			for _, sh := range itemShards {
-				for _, key := range sh.lsh.Partitions() {
-					job, err := sh.partitionJob(key)
-					if err != nil {
-						return fmt.Errorf("restore: %w", err)
-					}
-					jobs = append(jobs, job)
-				}
-			}
-			e.clusterPartitions(jobs)
-			return nil
-		},
 	)
 	if err != nil {
 		return nil, err
-	}
-	for i, sh := range itemShards {
-		e.mg.SimilarClusters[ecoByName[itemEcos[i]]] = sh.flat.flatten(sh.clustersByPart)
 	}
 
 	// Rebuild the corpus dictionaries and the import indexes in key order —
@@ -220,11 +196,9 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 		name := en.Coord.Name
 		id := NodeID(en.Coord)
 		sh.byName[name] = append(sh.byName[name], id)
-		sh.corpus[name] = true
 		if en.Artifact == nil {
 			continue
 		}
-		sh.importsOf[id] = deps[i]
 		for _, dep := range deps[i] {
 			sh.importers[dep] = append(sh.importers[dep], id)
 		}

@@ -10,10 +10,11 @@ package core
 // checkpoint (track.go). The manifest holds only the ordered chunk references plus the small inline
 // state (config, dataset header, sequence stamps), so checkpoint cost is
 // O(changes since the last checkpoint), not O(corpus). A checkpoint holds
-// only what cannot be derived: the posting lists, the import caches, the
-// partition clusters and the pair owners are pure functions of the
-// reports, the artifacts, the items and the co-existing edges, and the
-// restore rebuilds them (restoreFromParts).
+// only what cannot be derived: the posting lists, the reverse import index,
+// the LSH partitions and the pair owners are pure functions of the reports,
+// the artifacts, the items and the co-existing edges, and the restore
+// rebuilds them (restoreFromParts). The similar clusters are the graph's
+// similar edges, so a restore re-clusters nothing.
 //
 // Snapshot is one loop over the sections. The three keyed ones go through
 // one path, driven by kvSectionsLocked's table of live keys and value

@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -41,24 +40,12 @@ func openTestStore(t testing.TB) *castore.Store {
 }
 
 // assertRestoredMatches compares a freshly-restored engine against the live
-// engine it was checkpointed from. Restore has one cosmetic latitude (shared
-// with the monolithic path): an ecosystem with zero similarity clusters may
-// come back as a missing key or an empty slice where the live engine holds
-// nil, so clusters compare empty-normalized; everything else must be exact.
+// engine it was checkpointed from: every digest section, the similar
+// families and the duplicate groups must be exact.
 func assertRestoredMatches(t *testing.T, restored, live *Engine, label string) {
 	t.Helper()
 	assertSameDigest(t, restored, live, label)
-	norm := func(e *Engine) map[string][]string {
-		out := make(map[string][]string)
-		for eco, cs := range e.Graph().SimilarClusters {
-			for _, c := range cs {
-				out[eco.String()] = append(out[eco.String()], strings.Join(c.Members, ","))
-			}
-			sort.Strings(out[eco.String()])
-		}
-		return out
-	}
-	if a, b := norm(live), norm(restored); !reflect.DeepEqual(a, b) {
+	if a, b := similarFamilies(live.Graph().G), similarFamilies(restored.Graph().G); !reflect.DeepEqual(a, b) {
 		t.Errorf("%s: similar clusters differ:\n live %v\n restored %v", label, a, b)
 	}
 	if !reflect.DeepEqual(live.Graph().DuplicateGroups(), restored.Graph().DuplicateGroups()) {

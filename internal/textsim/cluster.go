@@ -34,16 +34,16 @@ func DefaultClusterConfig() ClusterConfig {
 // candidateParams resolves the (bands, threshold) pair defining the LSH
 // candidate relation under this config, applying exactly the fallbacks
 // ClusterPartition applies (Threshold == 0 swaps in the full defaults; a
-// non-positive band count then falls back the way Bands() does). LSHIndex
-// resolves through here, so partitions and the clustering of each
-// partition always use the same threshold.
+// non-positive band count then falls back to 4 bands). LSHIndex resolves
+// through here, so partitions and the clustering of each partition always
+// use the same threshold.
 func (c ClusterConfig) candidateParams() (bands int, threshold float64) {
 	if c.Threshold == 0 {
 		c = DefaultClusterConfig()
 	}
 	bands = c.LSHBands
 	if bands <= 0 {
-		bands = 4 // the Bands() fallback
+		bands = 4
 	}
 	if bands > 16 {
 		// The bucket keyspace tags the band index in the key's top nibble

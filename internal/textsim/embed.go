@@ -237,18 +237,3 @@ func flushLanes(ones *[64]int, lanes *[8]uint64) {
 	}
 	*lanes = [8]uint64{}
 }
-
-// Bands splits a SimHash into nBands band values for LSH bucketing. Two
-// fingerprints that agree on any band become cluster candidates.
-func Bands(fingerprint uint64, nBands int) []uint64 {
-	if nBands <= 0 {
-		nBands = 4
-	}
-	width := 64 / nBands
-	out := make([]uint64, nBands)
-	for i := 0; i < nBands; i++ {
-		mask := (uint64(1)<<uint(width) - 1)
-		out[i] = (fingerprint >> uint(i*width)) & mask
-	}
-	return out
-}

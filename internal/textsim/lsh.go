@@ -46,10 +46,6 @@ type LSHIndex struct {
 	// against every co-bucketed item and unions with the ones that clear
 	// the threshold.
 	buckets map[uint64][]int
-	// retired collects canonical keys dethroned by merges since the last
-	// DrainRetired — the signal that their cached per-partition state now
-	// lives under a different (smaller) key.
-	retired map[string]bool
 }
 
 // NewLSHIndex creates an empty index whose candidate relation — band count
@@ -63,15 +59,8 @@ func NewLSHIndex(cfg ClusterConfig) *LSHIndex {
 		threshold: threshold,
 		slot:      make(map[string]int),
 		buckets:   make(map[uint64][]int),
-		retired:   make(map[string]bool),
 	}
 }
-
-// Bands returns the band count the index buckets with.
-func (x *LSHIndex) Bands() int { return x.bands }
-
-// Len returns the number of indexed items.
-func (x *LSHIndex) Len() int { return len(x.ids) }
 
 func (x *LSHIndex) find(s int) int {
 	for x.parent[s] != s {
@@ -82,7 +71,7 @@ func (x *LSHIndex) find(s int) int {
 }
 
 // union merges the partitions of a and b, keeping the lexicographically
-// smaller canonical key and retiring the larger one.
+// smaller canonical key.
 func (x *LSHIndex) union(a, b int) {
 	ra, rb := x.find(a), x.find(b)
 	if ra == rb {
@@ -91,16 +80,12 @@ func (x *LSHIndex) union(a, b int) {
 	if x.size[ra] < x.size[rb] {
 		ra, rb = rb, ra
 	}
-	// ra absorbs rb. The surviving canonical key is the smaller of the two;
-	// the other was a partition key until now and is retired.
-	winMin, loseMin := x.minSlot[ra], x.minSlot[rb]
-	if x.ids[loseMin] < x.ids[winMin] {
-		winMin, loseMin = loseMin, winMin
+	// ra absorbs rb. The surviving canonical key is the smaller of the two.
+	if x.ids[x.minSlot[rb]] < x.ids[x.minSlot[ra]] {
+		x.minSlot[ra] = x.minSlot[rb]
 	}
-	x.retired[x.ids[loseMin]] = true
 	x.parent[rb] = ra
 	x.size[ra] += x.size[rb]
-	x.minSlot[ra] = winMin
 	x.members[ra] = append(x.members[ra], x.members[rb]...)
 	x.members[rb] = nil
 }
@@ -179,23 +164,5 @@ func (x *LSHIndex) Partitions() []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// DrainRetired returns the canonical keys dethroned by merges since the last
-// drain, sorted, and clears the set. A caller caching per-partition state by
-// canonical key drops these entries; their members are always covered by a
-// currently-dirty partition, because keys only retire when a newly added item
-// bridges two partitions.
-func (x *LSHIndex) DrainRetired() []string {
-	if len(x.retired) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(x.retired))
-	for k := range x.retired {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	x.retired = make(map[string]bool)
 	return out
 }

@@ -170,19 +170,6 @@ func popcount(x uint64) int {
 	return n
 }
 
-func TestBands(t *testing.T) {
-	b := Bands(0xDEADBEEFCAFEF00D, 4)
-	if len(b) != 4 {
-		t.Fatalf("want 4 bands, got %d", len(b))
-	}
-	if b[0] != 0xF00D || b[3] != 0xDEAD {
-		t.Fatalf("band extraction wrong: %x", b)
-	}
-	if got := Bands(1, 0); len(got) != 4 {
-		t.Fatal("zero bands must default to 4")
-	}
-}
-
 func makeItems(t *testing.T, families int, perFamily int) []Item {
 	t.Helper()
 	e := NewEmbedder(EmbedConfig{})

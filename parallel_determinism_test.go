@@ -5,17 +5,17 @@ package malgraph
 // These tests build the pipeline under GOMAXPROCS=1 and under a forced
 // multi-worker setting and require the graphs to agree exactly: same nodes,
 // same per-type edge counts, same serialized bytes (which pins edge
-// insertion order, attributes and cluster labels), and same SimilarClusters
-// membership. The engine digest extends the check past the graph to every
-// persisted section: items, partitions, posting lists and pair owners.
+// insertion order, attributes and cluster labels), and same NPM similar
+// clusters. The engine digest extends the check past the graph to every
+// derived section: items, imports, posting lists and pair owners.
 
 import (
 	"bytes"
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 
-	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
 )
 
@@ -62,28 +62,9 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	}
 	assertSameState(t, par.Engine, seq.Engine, "GOMAXPROCS 8 vs 1")
 
-	// SimilarClusters membership, per ecosystem, in order.
-	for _, eco := range []ecosys.Ecosystem{ecosys.NPM, ecosys.PyPI, ecosys.RubyGems} {
-		sc, pc := seq.Graph.SimilarClusters[eco], par.Graph.SimilarClusters[eco]
-		if len(sc) != len(pc) {
-			t.Errorf("%s: %d clusters sequential, %d parallel", eco, len(sc), len(pc))
-			continue
-		}
-		for i := range sc {
-			if sc[i].Silhouette != pc[i].Silhouette {
-				t.Errorf("%s cluster %d: silhouette %v vs %v", eco, i, sc[i].Silhouette, pc[i].Silhouette)
-			}
-			if len(sc[i].Members) != len(pc[i].Members) {
-				t.Errorf("%s cluster %d: %d members vs %d", eco, i, len(sc[i].Members), len(pc[i].Members))
-				continue
-			}
-			for j := range sc[i].Members {
-				if sc[i].Members[j] != pc[i].Members[j] {
-					t.Errorf("%s cluster %d member %d: %q vs %q",
-						eco, i, j, sc[i].Members[j], pc[i].Members[j])
-				}
-			}
-		}
+	// The Table X training families, member coordinates in order.
+	if sc, pc := npmClusterCoords(seq), npmClusterCoords(par); !slices.EqualFunc(sc, pc, slices.Equal) {
+		t.Errorf("NPM clusters differ: %d sequential, %d parallel", len(sc), len(pc))
 	}
 }
 
