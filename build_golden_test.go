@@ -23,9 +23,10 @@ import (
 // 0.05, after the one-shot drain and after the 200-batch feed alike: the
 // graph section hashes the graph as a set, so the two feeds' different edge
 // insertion orders do not show. A change to it means the built MALGRAPH
-// (dataset, graph with its similar clusters, reports, clustering items,
-// reverse import index or co-existing index) changed.
-const buildGolden = "57141736b448e78a28b45dd4e49d3d0b713b3c2365847f498fe92fa60302265e"
+// (dataset, graph with its similar clusters and co-existing pair owners,
+// reports, clustering items, reverse import index or per-coordinate report
+// index) changed.
+const buildGolden = "1cf1b78dbb63f3bce42d97dd20c52b3e215e150f6706f4b2a22dec6b7fe728be"
 
 // engineDigest folds p's per-section engine digest into one hex SHA-256,
 // sections in name order.

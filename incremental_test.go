@@ -588,7 +588,7 @@ func BenchmarkIncremental_PublishGrowth(b *testing.B) {
 // a 1× corpus. The entry corpus is held CONSTANT across sizes (the shared
 // 10× growth world minus the packages named by its first report) and only
 // the URL-ordered report prefix grows, so the ratio isolates exactly the
-// report-join term the posting-list index removes.
+// report-join term the per-coordinate report index removes.
 
 // reportGrowthSetup warms an engine with the constant entry corpus plus a
 // tenths/10 report prefix, holding out the packages the first report names;

@@ -333,8 +333,8 @@ func validate(o *Observation) error {
 	if !validEcosystem(o.Coord.Ecosystem) || o.Coord.Name == "" || o.Coord.Version == "" {
 		return fmt.Errorf("%w: incomplete coordinate %q", ErrBadObservation, o.Coord.Key())
 	}
-	// Graph node IDs use '|' as a separator (record nodes, co-existing
-	// pair keys), so it may not appear inside a coordinate.
+	// Graph identifiers use '|' as a separator (record node IDs, graph
+	// edge keys), so it may not appear inside a coordinate.
 	if strings.IndexByte(o.Coord.Name, '|') >= 0 || strings.IndexByte(o.Coord.Version, '|') >= 0 {
 		return fmt.Errorf("%w: '|' in coordinate %q", ErrBadObservation, o.Coord.Key())
 	}

@@ -62,9 +62,10 @@ type MalGraph struct {
 	Dataset *collect.Result
 	Reports []*reports.Report
 
-	// reportsByPkg indexes reports by canonical node ID (see
-	// ReportsByPackage). Lists are replaced, never written in place, so
-	// views share them.
+	// reportsByPkg is the one per-coordinate report index of the §III-D
+	// join (see ReportsByPackage): every coordinate a merged report names,
+	// observed or not, maps to the URL-sorted reports naming it. Lists are
+	// replaced, never written in place, so views share them.
 	reportsByPkg cow.Map[[]*reports.Report]
 	// subgraphs memoizes PackageSubgraphs on an immutable view (set by
 	// Engine.View); nil on a live graph, which computes them directly.
@@ -197,7 +198,10 @@ func (mg *MalGraph) EntryByNodeID(nodeID string) (*collect.Entry, bool) {
 }
 
 // ReportsByPackage returns the reports naming the canonical node ID, in
-// URL order. The slice is shared and must not be modified.
+// URL order. A coordinate some report names but no source has observed yet
+// has a list too; it is what the coordinate re-joins when it arrives, and
+// it is the node's list from then on. The slice is shared and must not be
+// modified.
 func (mg *MalGraph) ReportsByPackage(nodeID string) []*reports.Report {
 	lst, _ := mg.reportsByPkg.Get(nodeID)
 	return lst

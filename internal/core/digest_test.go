@@ -30,7 +30,7 @@ func TestDigestNamesChangedSection(t *testing.T) {
 		return e
 	}
 	base := digestOf(t, fresh())
-	wantNames := []string{"config", "dataset", "graph", "imports", "items", "pairOwners", "posting", "reports", "stamps"}
+	wantNames := []string{"config", "dataset", "graph", "imports", "items", "posting", "reports", "stamps"}
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -70,9 +70,6 @@ func TestDigestNamesChangedSection(t *testing.T) {
 			}
 			t.Fatal("no edge carries attrs")
 		}},
-		{"pairOwners", func(t *testing.T, e *Engine) {
-			delete(e.coexOwner, firstKey(t, e.coexOwner))
-		}},
 		{"items", func(t *testing.T, e *Engine) {
 			var ecos []ecosys.Ecosystem
 			for eco, sh := range e.shards {
@@ -92,7 +89,11 @@ func TestDigestNamesChangedSection(t *testing.T) {
 			delete(sh.importers, firstKey(t, sh.importers))
 		}},
 		{"posting", func(t *testing.T, e *Engine) {
-			delete(e.posting, firstKey(t, e.posting))
+			keys := e.mg.reportsByPkg.Keys()
+			if len(keys) == 0 {
+				t.Fatal("empty report index")
+			}
+			e.mg.reportsByPkg.Delete(keys[0])
 		}},
 		{"stamps", func(t *testing.T, e *Engine) {
 			e.SetFeedPos(e.FeedPos() + 1)

@@ -22,14 +22,14 @@ package core
 //     partition's clusters and edges are untouched. Each partition is
 //     clustered as one K-Means-refined centroid (textsim.ClusterPartition),
 //     so appends cost O(dirty partitions), not O(ecosystem).
-//   - co-existing: reports are merged into a URL-sorted corpus through an
-//     incremental report-join index — a URL-sorted posting list per named
-//     coordinate (present in the graph or not) plus a per-pair edge ownership
-//     map (owning report URL = the URL-smallest report covering the pair).
-//     A wanted package arriving re-joins only the reports that name it; an
-//     out-of-order report re-derives only the report groups its packages
-//     overlap, repairing first-writer ownership per pair via a surgical
-//     graph.RemoveEdge — never the whole edge family.
+//   - co-existing: reports are merged into a URL-sorted corpus and into the
+//     per-coordinate report index (MalGraph.reportsByPkg, every named
+//     coordinate, present in the graph or not); a pair's owner, the
+//     URL-smallest report covering it, is its co-existing edge's "report"
+//     attr. A wanted package arriving re-joins only the reports that name
+//     it; an out-of-order report re-derives only the report groups its
+//     packages overlap, repairing first-writer ownership per pair via a
+//     surgical graph.RemoveEdge — never the whole edge family.
 //
 // Determinism contract: ingesting a corpus in any batch partition yields a
 // graph whose connected components, edge sets and all downstream analyses
@@ -42,6 +42,7 @@ package core
 // by node ID and reports sorted by URL, exactly the order one batch sees.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -181,7 +182,9 @@ func newEcoShard() *ecoShard {
 	}
 }
 
-// Engine maintains MALGRAPH incrementally across Ingest batches.
+// Engine maintains MALGRAPH incrementally across Ingest batches. Its own
+// state is its shards and persistence bookkeeping: the §III-D join keeps
+// its report index and pair owners in the MalGraph (see planCoexistingLocked).
 type Engine struct {
 	mu  sync.Mutex
 	cfg Config
@@ -194,24 +197,6 @@ type Engine struct {
 	// indexes, clustering items, LSH indexes); see ecoShard. Created on
 	// first use. guarded by mu.
 	shards map[ecosys.Ecosystem]*ecoShard
-
-	// Incremental report-join index (§III-D). reportByURL dedupes reports
-	// and resolves posting-list URLs back to documents. posting maps every
-	// coordinate key any ingested report names — whether or not the package
-	// has been observed yet — to the URL-sorted list of reports naming it,
-	// so a wanted package arriving re-joins exactly those reports.
-	// coexOwner records, per co-existing edge (pair key, endpoints sorted),
-	// the URL of the report that owns its attrs: the URL-smallest report
-	// covering the pair, i.e. the first writer of a one-shot build's
-	// URL-ordered join, whose URL that edge's "report" attr holds. A batch
-	// claims pairs before its commit writes their edges, so the map is kept
-	// beside the graph. Checkpoints persist neither it nor the join index:
-	// a restore re-derives reportByURL and posting from the reports and
-	// coexOwner from the co-existing edges, so a restored engine's first
-	// wanted-package ingest is scoped too.
-	reportByURL map[string]*reports.Report // guarded by mu
-	posting     map[string][]string        // guarded by mu
-	coexOwner   map[string]string          // guarded by mu
 
 	// appliedSeq is the durable ingest sequence stamp: the WAL sequence of
 	// the last journaled batch applied to this engine. Checkpoints carry it
@@ -287,12 +272,9 @@ func NewEngine(cfg Config) *Engine {
 			G:       graph.New(),
 			Dataset: collect.NewResult(time.Time{}),
 		},
-		embedder:    textsim.NewEmbedder(cfg.Embed),
-		scanner:     depscan.NewScanner(),
-		shards:      make(map[ecosys.Ecosystem]*ecoShard),
-		reportByURL: make(map[string]*reports.Report),
-		posting:     make(map[string][]string),
-		coexOwner:   make(map[string]string),
+		embedder: textsim.NewEmbedder(cfg.Embed),
+		scanner:  depscan.NewScanner(),
+		shards:   make(map[ecosys.Ecosystem]*ecoShard),
 	}
 }
 
@@ -605,8 +587,9 @@ func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.
 	// per-shard work is itself deterministic (order-preserving inner maps,
 	// sorted partition keys, ID-sorted partition items), so the plans are
 	// byte-identical under any worker count. The co-existing plan owns the
-	// report-join state (reports, posting lists, pair owners, the
-	// per-package report index), which no other leg touches.
+	// report-join state (the report corpus and the per-coordinate report
+	// index), which no other leg touches; it reads only the co-existing
+	// edges of the graph, which applyNodes never writes.
 	var (
 		plans []*shardPlan
 		coex  *coexPlan
@@ -857,13 +840,18 @@ func (sh *ecoShard) itemAt(id string) (textsim.Item, bool) {
 }
 
 // coexPlan is the §III-D co-existing join of one batch, planned with no
-// graph write: the report-join indexes are already updated, and the commit
-// replays the graph operations in the order a serial join issued them —
-// first one RemoveEdgesIncident over hubMembers, then each pair's repair
-// RemoveEdge and AddEdge in order — along with the stage's accounting.
+// graph write: the report index is already updated, and the commit replays
+// the graph operations in the order a serial join issued them — first one
+// RemoveEdgesIncident over hubMembers, then each pair's repair RemoveEdge
+// and AddEdge in order — along with the stage's accounting.
 type coexPlan struct {
 	hubMembers []string
 	pairs      []coexPair
+
+	// claimed holds every pair (endpoints sorted) this batch has claimed.
+	// Reports join in URL order, so a claimed pair belongs to a URL no
+	// larger than the joining one.
+	claimed map[[2]string]bool
 
 	newReports, duplicates, conflicts int
 	rejoined, repairs                 int
@@ -880,13 +868,14 @@ type coexPair struct {
 }
 
 // planCoexistingLocked merges new reports and maintains the §III-D
-// report-join stage through the incremental join index (posting lists +
-// per-pair first-writer ownership), emitting the graph operations for
-// commitCoexistingLocked. Both former corpus-wide triggers are scoped:
+// report-join stage through the per-coordinate report index
+// (MalGraph.reportsByPkg) and the pair owners the co-existing edges hold,
+// emitting the graph operations for commitCoexistingLocked. Both former
+// corpus-wide triggers are scoped:
 //
 //   - A newly ingested package some report was waiting for re-joins exactly
-//     the reports in its posting list — their cliques gain the new member's
-//     pairs, everything else is untouched.
+//     the reports its index list holds — their cliques gain the new
+//     member's pairs, everything else is untouched.
 //   - A late report (URL inside the ingested range) joins like any other;
 //     pairs it covers that a larger-URL report currently owns are repaired
 //     edge-by-edge (graph.RemoveEdge + re-insert with the smaller-URL
@@ -900,28 +889,30 @@ type coexPair struct {
 //     groups.
 //
 // It runs beside applyNodes, so a package counts as present when the
-// merged dataset holds it (presentMembers), never by asking the graph.
+// merged dataset holds it (presentMembers), never by asking the graph. Of
+// the graph it reads only the co-existing edges, which only its own commit
+// writes.
 func (e *Engine) planCoexistingLocked(newReports []*reports.Report, changes []entryChange) *coexPlan {
-	cp := &coexPlan{}
+	cp := &coexPlan{claimed: make(map[[2]string]bool)}
 
 	// Wanted-package trigger: previously joined reports whose member set
-	// grows this batch. Posting lists are read before the batch's own
-	// reports merge into them, so the set holds only reports that genuinely
-	// need a re-join — fresh reports are joined in full below anyway.
-	rejoin := make(map[string]bool)
+	// grows this batch. The index is read before the batch's own reports
+	// enter it, so the set holds only reports that genuinely need a
+	// re-join — fresh reports are joined in full below anyway.
+	rejoin := make(map[string]*reports.Report)
 	for _, ch := range changes {
 		if !ch.isNew {
 			continue
 		}
-		for _, url := range e.posting[NodeID(ch.entry.Coord)] {
-			rejoin[url] = true
+		for _, rep := range e.mg.ReportsByPackage(NodeID(ch.entry.Coord)) {
+			rejoin[rep.URL] = rep
 		}
 	}
 
 	// Merge fresh reports, splitting the in-order tail (URLs past the whole
 	// ingested corpus — the steady-state feed shape) from late arrivals.
 	var tail, late []*reports.Report
-	fresh := make(map[string]bool)
+	fresh := make(map[string]*reports.Report)
 	maxURL := ""
 	if n := len(e.mg.Reports); n > 0 {
 		maxURL = e.mg.Reports[n-1].URL
@@ -930,7 +921,7 @@ func (e *Engine) planCoexistingLocked(newReports []*reports.Report, changes []en
 		if rep == nil {
 			continue
 		}
-		if prev, seen := e.reportByURL[rep.URL]; seen {
+		if prev := cmp.Or(fresh[rep.URL], reportWithURL(e.mg.Reports, rep.URL)); prev != nil {
 			// The corpus keeps the first crawl of a URL; surface the drop —
 			// and whether the re-crawl's content differed — instead of
 			// losing it without a trace.
@@ -940,13 +931,14 @@ func (e *Engine) planCoexistingLocked(newReports []*reports.Report, changes []en
 			}
 			continue
 		}
-		e.reportByURL[rep.URL] = rep
-		fresh[rep.URL] = true
+		fresh[rep.URL] = rep
 		if e.sections != nil {
 			e.sections[secReports].dirty.set(rep.URL)
 		}
+		// Every named coordinate is indexed, observed or not: its list is
+		// what a later wanted-package arrival re-joins.
 		for _, coord := range rep.Packages {
-			e.addPostingLocked(coord.Key(), rep.URL)
+			e.indexReportForPackage(NodeID(coord), rep)
 		}
 		if rep.URL <= maxURL {
 			late = append(late, rep)
@@ -965,8 +957,8 @@ func (e *Engine) planCoexistingLocked(newReports []*reports.Report, changes []en
 	// report naming any of those members re-joined. Member sets resolved
 	// here are memoized for the join pass below.
 	membersOf := make(map[string][]string, len(rejoin))
-	for url := range rejoin {
-		m := e.presentMembers(e.reportByURL[url])
+	for url, rep := range rejoin {
+		m := e.presentMembers(rep)
 		membersOf[url] = m
 		if len(m) > e.cfg.PairwiseLimit {
 			cp.hubMembers = append(cp.hubMembers, m...)
@@ -976,28 +968,18 @@ func (e *Engine) planCoexistingLocked(newReports []*reports.Report, changes []en
 		sort.Strings(cp.hubMembers)
 		cp.hubMembers = uniqueStrings(cp.hubMembers)
 		for _, id := range cp.hubMembers {
-			for _, url := range e.posting[id] {
-				if !fresh[url] {
-					rejoin[url] = true
+			for _, rep := range e.mg.ReportsByPackage(id) {
+				if fresh[rep.URL] == nil {
+					rejoin[rep.URL] = rep
 				}
-			}
-		}
-		// The grown groups' edges go first in the commit; forget their pair
-		// ownership now so the URL-ordered re-join below re-derives it.
-		// Reading the co-existing neighbors here, beside applyNodes, is
-		// deterministic: only this stage's commit writes co-existing edges,
-		// and a compaction triggered by applyNodes keeps every live edge.
-		for _, id := range cp.hubMembers {
-			for _, nb := range e.mg.G.Neighbors(id, graph.Coexisting) {
-				delete(e.coexOwner, coexPairKey(id, nb))
 			}
 		}
 	}
 
 	cp.rejoined = len(rejoin)
 	joinList := make([]*reports.Report, 0, len(rejoin)+len(tail)+len(late))
-	for url := range rejoin {
-		joinList = append(joinList, e.reportByURL[url])
+	for _, rep := range rejoin {
+		joinList = append(joinList, rep)
 	}
 	joinList = append(joinList, tail...)
 	joinList = append(joinList, late...)
@@ -1034,20 +1016,17 @@ func (e *Engine) commitCoexistingLocked(cp *coexPlan, st *IngestStats) error {
 	return nil
 }
 
-// planJoinLocked joins one report into the co-existing family: its present
-// members' ReportsByPackage lists gain the report (idempotently, at the
-// URL-sorted position) and the report claims every pair it emits and is the
-// URL-smallest cover of — repairing attrs a larger-URL report wrote first,
-// exactly the outcome of a one-shot build's URL-ordered join. Re-joining an
-// already joined report adds no pair beyond those its grown member set
-// added. members may carry a pre-resolved presentMembers result (nil
-// resolves it here).
+// planJoinLocked joins one report into the co-existing family: the report
+// claims every pair it emits and is the URL-smallest cover of — repairing
+// attrs a larger-URL report wrote first, exactly the outcome of a one-shot
+// build's URL-ordered join. A pair's owner is the report its co-existing
+// edge names, unless this batch claimed the pair or its commit drops the
+// edge first (an endpoint in cp.hubMembers). Re-joining an already joined report adds no pair beyond those
+// its grown member set added. members may carry a pre-resolved
+// presentMembers result (nil resolves it here).
 func (e *Engine) planJoinLocked(cp *coexPlan, rep *reports.Report, members []string) {
 	if members == nil {
 		members = e.presentMembers(rep)
-	}
-	for _, id := range members {
-		e.indexReportForPackage(id, rep)
 	}
 	if len(members) < 2 {
 		return
@@ -1055,19 +1034,27 @@ func (e *Engine) planJoinLocked(cp *coexPlan, rep *reports.Report, members []str
 	attrs := graph.Attrs{"report": rep.URL}
 	// emit never fails, so neither does pairwise.
 	_ = pairwise(members, e.cfg.PairwiseLimit, func(a, b string) error {
-		pk := coexPairKey(a, b)
-		owner, owned := e.coexOwner[pk]
-		if owned && owner <= rep.URL {
+		key := [2]string{min(a, b), max(a, b)}
+		if cp.claimed[key] {
 			return nil
 		}
-		if owned {
-			// First-writer ownership repair: this report's URL sorts below
-			// the current owner's, so one-shot joining would have written
-			// its attrs. Replace exactly this edge.
-			cp.repairs++
+		repair := false
+		_, aDropped := slices.BinarySearch(cp.hubMembers, a)
+		_, bDropped := slices.BinarySearch(cp.hubMembers, b)
+		if !aDropped && !bDropped {
+			if owner, owned := e.mg.G.EdgeAttrs(a, b, graph.Coexisting); owned {
+				if owner["report"] <= rep.URL {
+					return nil
+				}
+				// First-writer ownership repair: this report's URL sorts
+				// below the current owner's, so one-shot joining would have
+				// written its attrs. Replace exactly this edge.
+				repair = true
+				cp.repairs++
+			}
 		}
-		e.coexOwner[pk] = rep.URL
-		cp.pairs = append(cp.pairs, coexPair{a: a, b: b, attrs: attrs, repair: owned})
+		cp.claimed[key] = true
+		cp.pairs = append(cp.pairs, coexPair{a: a, b: b, attrs: attrs, repair: repair})
 		return nil
 	})
 }
@@ -1107,25 +1094,14 @@ func (e *Engine) indexReportForPackage(id string, rep *reports.Report) {
 	e.mg.reportsByPkg.Set(id, next)
 }
 
-// addPosting inserts url into the coordinate's URL-sorted posting list, if
-// absent. Coordinates never observed yet get lists too — that is the whole
-// point: the list is what a later wanted-package arrival re-joins.
-func (e *Engine) addPostingLocked(key, url string) {
-	lst := e.posting[key]
-	i, found := slices.BinarySearch(lst, url)
-	if found {
-		return
+// reportWithURL returns the report of the URL-sorted corpus reps with the
+// given URL, or nil.
+func reportWithURL(reps []*reports.Report, url string) *reports.Report {
+	i := sort.Search(len(reps), func(i int) bool { return reps[i].URL >= url })
+	if i < len(reps) && reps[i].URL == url {
+		return reps[i]
 	}
-	e.posting[key] = slices.Insert(lst, i, url)
-}
-
-// coexPairKey canonicalises an undirected co-existing pair of canonical node
-// IDs ('|' cannot appear in a coordinate key).
-func coexPairKey(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return a + "|" + b
+	return nil
 }
 
 // reportContentEqual compares the fields the join and analyses consume,

@@ -378,7 +378,8 @@ func TestEngineRestoreReclustersSamePartitions(t *testing.T) {
 	}
 	restored := roundTrip(t, live)
 
-	// The rebuilt LSH index must expose identical partitions per ecosystem.
+	// The rebuilt LSH index must put every cached item under the same
+	// partition root, with the same members, per ecosystem.
 	for eco, sh := range live.shards {
 		if sh.lsh == nil {
 			continue
@@ -387,13 +388,18 @@ func TestEngineRestoreReclustersSamePartitions(t *testing.T) {
 		if rsh == nil || rsh.lsh == nil {
 			t.Fatalf("%s: restored engine lost its LSH index", eco)
 		}
-		wantParts, gotParts := sh.lsh.Partitions(), rsh.lsh.Partitions()
-		if !reflect.DeepEqual(gotParts, wantParts) {
-			t.Fatalf("%s: partitions differ: got %v want %v", eco, gotParts, wantParts)
+		roots := make(map[string]bool)
+		for _, it := range sh.items {
+			want, wok := sh.lsh.Root(it.ID)
+			got, gok := rsh.lsh.Root(it.ID)
+			if got != want || gok != wok {
+				t.Fatalf("%s: root of %s = %q, %v; want %q, %v", eco, it.ID, got, gok, want, wok)
+			}
+			roots[want] = true
 		}
-		for _, key := range wantParts {
-			if !reflect.DeepEqual(rsh.lsh.Members(key), sh.lsh.Members(key)) {
-				t.Fatalf("%s: members of %s differ", eco, key)
+		for root := range roots {
+			if !reflect.DeepEqual(rsh.lsh.Members(root), sh.lsh.Members(root)) {
+				t.Fatalf("%s: members of %s differ", eco, root)
 			}
 		}
 	}
@@ -479,6 +485,15 @@ func holdOut(t *testing.T, ds *collect.Result, name string) (rest []*collect.Ent
 	return rest, held
 }
 
+// coexPairKey canonicalises an undirected co-existing pair of canonical node
+// IDs ('|' cannot appear in a coordinate key).
+func coexPairKey(a, b string) string {
+	if a > b {
+		a, b = b, a
+	}
+	return a + "|" + b
+}
+
 // coexAttrByPair maps each co-existing pair to its "report" attr (the owning
 // report URL under the first-writer contract).
 func coexAttrByPair(mg *MalGraph) map[string]string {
@@ -550,6 +565,64 @@ func TestCoexistingLateReportOwnershipRepair(t *testing.T) {
 		t.Fatalf("post-repair owner = %q, want the URL-smallest report %q", got, ra.URL)
 	}
 	assertEngineMatchesBuild(t, eng, want, "late-report")
+}
+
+// TestCoexistingBatchLocalClaims pins the claims one batch makes before its
+// commit writes any edge. Two late reports both sort below the current
+// owner of a shared pair: the first claims it, the second must find it
+// claimed, so the pair is replaced once and keeps the smaller URL. A late
+// report beyond PairwiseLimit emits (hub, members[1]) twice: the second
+// emission must find the first's claim, and its path pair the claim the
+// smaller late report made.
+func TestCoexistingBatchLocalClaims(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PairwiseLimit = 3
+	ds, _ := miniDataset(t)
+	var pkgs []ecosys.Coord
+	for _, e := range ds.Entries {
+		if e.Coord.Ecosystem == ecosys.PyPI {
+			pkgs = append(pkgs, e.Coord)
+		}
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return NodeID(pkgs[i]) < NodeID(pkgs[j]) })
+	if len(pkgs) <= cfg.PairwiseLimit+1 {
+		t.Fatalf("fixture has %d PyPI packages, need more than %d", len(pkgs), cfg.PairwiseLimit+1)
+	}
+	id := func(i int) string { return NodeID(pkgs[i]) }
+	// rz owns every pair among the first three members; the batch's late
+	// reports all sort below it.
+	rz := &reports.Report{URL: "https://z.example/z", Site: "z.example", Packages: pkgs[:3]}
+	ra := &reports.Report{URL: "https://z.example/a", Site: "z.example", Packages: pkgs[1:3]}
+	rb := &reports.Report{URL: "https://z.example/b", Site: "z.example", Packages: pkgs[1:3]}
+	rh := &reports.Report{URL: "https://z.example/h", Site: "z.example", Packages: pkgs}
+
+	want := reference(t, cfg, Batch{Entries: ds.Entries, Reports: []*reports.Report{rz, ra, rb, rh}, At: ds.CollectedAt})
+	eng := NewEngine(cfg)
+	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: []*reports.Report{rz}, At: ds.CollectedAt}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := eng.Ingest(Batch{Reports: []*reports.Report{rh, rb, ra}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := coexAttrByPair(eng.Graph())
+	for _, c := range []struct {
+		a, b  int
+		owner string
+	}{
+		{1, 2, ra.URL}, // both late reports cover it; the smaller one owns it
+		{0, 1, rh.URL}, // the hub's first spoke, emitted twice
+		{0, 2, rh.URL},
+	} {
+		if got := owners[coexPairKey(id(c.a), id(c.b))]; got != c.owner {
+			t.Errorf("owner of (%d, %d) = %q, want %q", c.a, c.b, got, c.owner)
+		}
+	}
+	// rz's three pairs each change owner once; nothing else pre-existed.
+	if st.CoexistingEdgesReplaced != 3 {
+		t.Errorf("edges replaced = %d, want 3 (each of rz's pairs once): %+v", st.CoexistingEdgesReplaced, st)
+	}
+	assertEngineMatchesBuild(t, eng, want, "batch-local claims")
 }
 
 // TestCoexistingHubPathGrowth exercises the non-monotone case: a report
@@ -690,12 +763,9 @@ func TestEngineRestoreRejoinsSameScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := roundTrip(t, live)
-	if !reflect.DeepEqual(restored.posting, live.posting) {
-		t.Fatal("restored posting lists differ")
-	}
-	if !reflect.DeepEqual(restored.coexOwner, live.coexOwner) {
-		t.Fatal("restored pair ownership differs")
-	}
+	// The posting section hashes the report index, the graph section every
+	// pair owner its co-existing edges hold.
+	assertSameDigest(t, restored, live, "restored")
 
 	delta := Batch{Entries: []*collect.Entry{held}}
 	liveStats, err := live.Ingest(delta)

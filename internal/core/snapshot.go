@@ -6,9 +6,10 @@ package core
 // indexes from its decoded sections. The embeddings ride along with the
 // graph, so a restore re-embeds nothing. Everything else it derives, each
 // part cheaper to rebuild than to persist: the LSH index from the items,
-// the reverse import index from the artifacts, the posting lists from the
-// reports and the pair owners from the co-existing edges. The similar
-// clusters need no rebuild: they are the graph's similar edges.
+// the reverse import index from the artifacts and the per-coordinate report
+// index from the reports. The similar clusters and the co-existing pair
+// owners need no rebuild: they are the graph's similar edges and the
+// "report" attrs of its co-existing edges.
 
 import (
 	"crypto/sha256"
@@ -54,14 +55,16 @@ type restoreParts struct {
 }
 
 // Digest returns a hex SHA-256 per section of the engine's state: config,
-// stamps (AppliedSeq, FeedPos), dataset, graph, reports, items, imports,
-// posting and pairOwners. Each section hashes its state as JSON (imports
-// as each ecosystem's reverse import index, every list sorted: its order
-// is insertion order, not state), except graph, which hashes the graph as
-// a set (graph.Graph.Canonical): edge insertion order differs between
+// stamps (AppliedSeq, FeedPos), dataset, graph, reports, items, imports
+// and posting. Each section hashes its state as JSON (imports as each
+// ecosystem's reverse import index, every list sorted: its order is
+// insertion order, not state; posting as the per-coordinate report index,
+// each coordinate's URLs in order), except graph, which hashes the graph
+// as a set (graph.Graph.Canonical): edge insertion order differs between
 // batch partitions of one corpus and is not state. The graph section
 // covers the similar clusters, every edge labelled with its partition key
-// and silhouette. Digests are equal exactly when the states are, and a
+// and silhouette, and the co-existing pair owners, every co-existing edge's
+// "report" attr. Digests are equal exactly when the states are, and a
 // mismatch names its section. It needs no store.
 func (e *Engine) Digest() (map[string]string, error) {
 	e.mu.Lock()
@@ -88,6 +91,15 @@ func (e *Engine) Digest() (map[string]string, error) {
 			items[eco.String()] = out
 		}
 	}
+	posting := make(map[string][]string, e.mg.reportsByPkg.Len())
+	for _, id := range e.mg.reportsByPkg.Keys() {
+		reps := e.mg.ReportsByPackage(id)
+		urls := make([]string, len(reps))
+		for i, rep := range reps {
+			urls[i] = rep.URL
+		}
+		posting[id] = urls
+	}
 	encode := func(v any) func(io.Writer) error {
 		return func(w io.Writer) error { return json.NewEncoder(w).Encode(v) }
 	}
@@ -105,8 +117,7 @@ func (e *Engine) Digest() (map[string]string, error) {
 		{sectionReports, encode(e.mg.Reports)},
 		{sectionItems, encode(items)},
 		{"imports", encode(imports)},
-		{"posting", encode(e.posting)},
-		{"pairOwners", encode(e.coexOwner)},
+		{"posting", encode(posting)},
 	}
 	out := make(map[string]string, len(sections))
 	for _, s := range sections {
@@ -163,28 +174,16 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 		}
 		itemShards[i].items, itemShards[i].lsh = restored, idx
 	})
-	// Two independent derivations: re-scan every artifact's imports, and
-	// read each co-existing pair's owner off its edge, the first writer of
-	// the URL-ordered join, whose URL the edge's "report" attr holds.
+	// Re-scan every artifact's imports.
 	deps := make([][]string, len(ds.Entries))
-	err := parallel.Do(
-		func() error {
-			return parallel.ForEachErr(len(ds.Entries), func(i int) (err error) {
-				if en := ds.Entries[i]; en.Artifact != nil {
-					if deps[i], err = e.scanner.Dependencies(en.Artifact); err != nil {
-						return fmt.Errorf("restore: dep scan %s: %w", en.Coord, err)
-					}
-				}
-				return nil
-			})
-		},
-		func() error {
-			for _, ed := range g.Edges(graph.Coexisting) {
-				e.coexOwner[coexPairKey(ed.From, ed.To)] = ed.Attrs["report"]
+	err := parallel.ForEachErr(len(ds.Entries), func(i int) (err error) {
+		if en := ds.Entries[i]; en.Artifact != nil {
+			if deps[i], err = e.scanner.Dependencies(en.Artifact); err != nil {
+				return fmt.Errorf("restore: dep scan %s: %w", en.Coord, err)
 			}
-			return nil
-		},
-	)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -203,26 +202,16 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 			sh.importers[dep] = append(sh.importers[dep], id)
 		}
 	}
-	// Rebuild the per-package report index and the posting lists from the
-	// URL-sorted corpus (the appends preserve global URL order). Posting
-	// lists cover every named coordinate, observed or not — exactly the
-	// state a wanted-package arrival re-joins from; with the pair owners, a
-	// restored engine's next wanted-package ingest re-joins exactly the
-	// scope the uninterrupted engine would.
+	// Rebuild the per-coordinate report index, every named coordinate
+	// included, so a restored engine's next wanted-package ingest re-joins
+	// exactly the scope the uninterrupted engine would. The appends keep URL
+	// order, and in place is safe: no view of this engine exists yet.
 	for _, rep := range e.mg.Reports {
-		e.reportByURL[rep.URL] = rep
-		seen := make(map[string]bool, len(rep.Packages))
 		for _, coord := range rep.Packages {
-			e.addPostingLocked(coord.Key(), rep.URL)
-			id := NodeID(coord)
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if e.mg.G.HasNode(id) {
-				// In-place append is safe here: no view of the engine
-				// being restored exists yet.
-				e.mg.reportsByPkg.Set(id, append(e.mg.ReportsByPackage(id), rep))
+			// A report naming a coordinate twice is already its list's last.
+			lst := e.mg.reportsByPkg.Slot(NodeID(coord))
+			if n := len(*lst); n == 0 || (*lst)[n-1] != rep {
+				*lst = append(*lst, rep)
 			}
 		}
 	}

@@ -10,11 +10,12 @@ package core
 // checkpoint (track.go). The manifest holds only the ordered chunk references plus the small inline
 // state (config, dataset header, sequence stamps), so checkpoint cost is
 // O(changes since the last checkpoint), not O(corpus). A checkpoint holds
-// only what cannot be derived: the posting lists, the reverse import index,
-// the LSH partitions and the pair owners are pure functions of the reports,
-// the artifacts, the items and the co-existing edges, and the restore
-// rebuilds them (restoreFromParts). The similar clusters are the graph's
-// similar edges, so a restore re-clusters nothing.
+// only what cannot be derived: the per-coordinate report index, the reverse
+// import index and the LSH partitions are pure functions of the reports,
+// the artifacts and the items, and the restore rebuilds them
+// (restoreFromParts). The similar clusters are the graph's similar edges
+// and the co-existing pair owners its co-existing edges' "report" attrs,
+// so a restore re-clusters and re-joins nothing.
 //
 // Snapshot is one loop over the sections. The three keyed ones go through
 // one path, driven by kvSectionsLocked's table of live keys and value
@@ -209,7 +210,7 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 			return keys
 		},
 		value: func(url string) ([]byte, error) {
-			if rep := e.reportByURL[url]; rep != nil {
+			if rep := reportWithURL(e.mg.Reports, url); rep != nil {
 				return json.Marshal(rep)
 			}
 			return nil, errNotLive

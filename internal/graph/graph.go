@@ -479,21 +479,50 @@ func (g *Graph) RemoveEdge(from, to string, t EdgeType) bool {
 		return false
 	}
 	g.recordLocked(Op{Kind: "deledge", From: from, To: to, Type: t})
-	for _, idx := range g.adj(t, from) {
-		e := g.edge(idx)
-		if e.Type != t {
-			continue
-		}
-		if (e.From == from && e.To == to) || (t != Dependency && e.From == to && e.To == from) {
-			*g.edgeForWriteLocked(idx) = Edge{}
-			break
-		}
+	if i := g.edgeSlotLocked(from, to, t); i >= 0 {
+		*g.edgeForWriteLocked(i) = Edge{}
 	}
 	g.countByType[t]--
 	g.dead++
 	g.filterAdjacencyLocked(t, []string{from, to})
 	g.maybeCompactLocked()
 	return true
+}
+
+// EdgeAttrs returns the attributes of the type-t edge joining the two nodes
+// (in either direction for undirected types; exactly from→to for
+// Dependency) and whether that edge exists. The map is the installed one
+// and must not be modified (see Attrs). It costs O(degree) of the endpoint
+// with fewer type-t edges.
+func (g *Graph) EdgeAttrs(from, to string, t EdgeType) (Attrs, bool) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	i := g.edgeSlotLocked(from, to, t)
+	if i < 0 {
+		return nil, false
+	}
+	return g.edge(i).Attrs, true
+}
+
+// edgeSlotLocked returns the slot of the live type-t edge joining from and
+// to (either orientation for undirected types, exactly from→to for
+// Dependency), or -1. Every edge is indexed on both endpoints, so it scans
+// the shorter of their adjacency lists. Callers hold g.mu.
+func (g *Graph) edgeSlotLocked(from, to string, t EdgeType) int {
+	slots := g.adj(t, from)
+	if other := g.adj(t, to); len(other) < len(slots) {
+		slots = other
+	}
+	for _, idx := range slots {
+		e := g.edge(idx)
+		if e.Type != t {
+			continue
+		}
+		if (e.From == from && e.To == to) || (t != Dependency && e.From == to && e.To == from) {
+			return idx
+		}
+	}
+	return -1
 }
 
 // HasEdge reports whether an edge of type t joins the two nodes (in either

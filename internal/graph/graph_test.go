@@ -347,6 +347,7 @@ func TestConcurrentAccess(t *testing.T) {
 					_ = g.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1), Similar, nil)
 				} else {
 					_ = g.Neighbors(fmt.Sprintf("n%d", i), Similar)
+					_, _ = g.EdgeAttrs(fmt.Sprintf("n%d", i+1), fmt.Sprintf("n%d", i), Similar)
 					_ = g.Components(Similar)
 				}
 			}
@@ -681,5 +682,106 @@ func TestRemoveEdge(t *testing.T) {
 	}
 	if got := rt.EdgeCount(); got != 3 {
 		t.Fatalf("round-trip count = %d, want 3", got)
+	}
+}
+
+func TestEdgeAttrs(t *testing.T) {
+	g := New()
+	mustAddNodes(t, g, "a", "b", "c")
+	for _, e := range []Edge{
+		{From: "b", To: "a", Type: Coexisting, Attrs: Attrs{"report": "r1"}},
+		{From: "a", To: "b", Type: Similar, Attrs: Attrs{"cluster": "x"}},
+		{From: "a", To: "c", Type: Dependency, Attrs: Attrs{"dep": "c"}},
+	} {
+		if err := g.AddEdge(e.From, e.To, e.Type, e.Attrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attrsOf := func(g *Graph, from, to string, et EdgeType) string {
+		t.Helper()
+		attrs, ok := g.EdgeAttrs(from, to, et)
+		if !ok {
+			return "absent"
+		}
+		return fmt.Sprint(attrs)
+	}
+	// Undirected types resolve in either endpoint order.
+	for _, ends := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		if got := attrsOf(g, ends[0], ends[1], Coexisting); got != "map[report:r1]" {
+			t.Errorf("coexisting %s-%s = %s", ends[0], ends[1], got)
+		}
+		if got := attrsOf(g, ends[0], ends[1], Similar); got != "map[cluster:x]" {
+			t.Errorf("similar %s-%s = %s", ends[0], ends[1], got)
+		}
+	}
+	// Dependency is found only from→to, and no type answers for another.
+	if got := attrsOf(g, "a", "c", Dependency); got != "map[dep:c]" {
+		t.Errorf("dependency a→c = %s", got)
+	}
+	for _, q := range []struct {
+		from, to string
+		et       EdgeType
+	}{{"c", "a", Dependency}, {"a", "c", Coexisting}, {"a", "b", Duplicated}, {"b", "c", Coexisting}} {
+		if got := attrsOf(g, q.from, q.to, q.et); got != "absent" {
+			t.Errorf("%s %s-%s = %s, want absent", q.et, q.from, q.to, got)
+		}
+	}
+	// A removed edge is absent, its siblings of other types are not.
+	if !g.RemoveEdge("a", "b", Coexisting) {
+		t.Fatal("RemoveEdge missed a-b")
+	}
+	if got := attrsOf(g, "b", "a", Coexisting); got != "absent" {
+		t.Errorf("removed coexisting b-a = %s", got)
+	}
+	if got := attrsOf(g, "a", "b", Similar); got != "map[cluster:x]" {
+		t.Errorf("similar a-b after the coexisting removal = %s", got)
+	}
+}
+
+// TestEdgeAttrsAcrossCompactionAndClone: an edge keeps its attrs through a
+// compaction that moves its slot, and a clone taken before the compaction
+// answers from its own adjacency; a removal on either side stays there.
+func TestEdgeAttrsAcrossCompactionAndClone(t *testing.T) {
+	g := New()
+	const n = 2100 // > 2×1024 so the tombstones pass the compaction floor
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("n%04d", i)
+		mustAddNodes(t, g, ids[i])
+	}
+	for i := 0; i+1 < n; i++ {
+		if err := g.AddEdge(ids[i], ids[i+1], Similar, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.AddEdge(ids[n-1], ids[0], Coexisting, Attrs{"report": "r0"}); err != nil {
+		t.Fatal(err)
+	}
+	c := g.Clone()
+	if removed := g.RemoveEdgesIncident(Similar, ids); removed != n-1 {
+		t.Fatalf("removed %d similar edges, want %d", removed, n-1)
+	}
+	if g.nEdges != 1 || g.dead != 0 {
+		t.Fatalf("no compaction: %d slots, %d tombstones", g.nEdges, g.dead)
+	}
+	for _, side := range []struct {
+		name string
+		g    *Graph
+	}{{"compacted", g}, {"clone", c}} {
+		if attrs, ok := side.g.EdgeAttrs(ids[0], ids[n-1], Coexisting); !ok || attrs["report"] != "r0" {
+			t.Errorf("%s: coexisting edge = %v, %v", side.name, attrs, ok)
+		}
+	}
+	if _, ok := c.EdgeAttrs(ids[1], ids[0], Similar); !ok {
+		t.Error("clone lost a similar edge the original removed")
+	}
+	if !c.RemoveEdge(ids[0], ids[n-1], Coexisting) {
+		t.Fatal("clone RemoveEdge missed the coexisting edge")
+	}
+	if _, ok := c.EdgeAttrs(ids[0], ids[n-1], Coexisting); ok {
+		t.Error("clone still finds its removed edge")
+	}
+	if attrs, ok := g.EdgeAttrs(ids[n-1], ids[0], Coexisting); !ok || attrs["report"] != "r0" {
+		t.Errorf("a removal in the clone reached the original: %v, %v", attrs, ok)
 	}
 }

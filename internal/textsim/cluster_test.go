@@ -45,7 +45,7 @@ func lshPartitions(items []Item, cfg ClusterConfig) [][]Item {
 		byID[it.ID] = it
 	}
 	var out [][]Item
-	for _, key := range x.Partitions() {
+	for _, key := range partitions(x) {
 		var part []Item
 		for _, id := range x.Members(key) {
 			part = append(part, byID[id])

@@ -154,15 +154,3 @@ func (x *LSHIndex) Members(key string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Partitions returns every canonical partition key, sorted.
-func (x *LSHIndex) Partitions() []string {
-	out := make([]string, 0, len(x.ids))
-	for s := range x.ids {
-		if x.find(s) == s {
-			out = append(out, x.ids[x.minSlot[s]])
-		}
-	}
-	sort.Strings(out)
-	return out
-}

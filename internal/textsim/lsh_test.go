@@ -3,6 +3,7 @@ package textsim
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"malgraph/internal/xrand"
@@ -22,6 +23,18 @@ func lshFixture() []Item {
 	}
 }
 
+// partitions returns every canonical partition key of x, sorted.
+func partitions(x *LSHIndex) []string {
+	out := make([]string, 0, len(x.ids))
+	for s := range x.ids {
+		if x.find(s) == s {
+			out = append(out, x.ids[x.minSlot[s]])
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 func addAll(x *LSHIndex, items []Item) {
 	for _, it := range items {
 		x.Add(it.ID, it.Hash, it.Vector)
@@ -31,7 +44,7 @@ func addAll(x *LSHIndex, items []Item) {
 func TestLSHIndexPartitions(t *testing.T) {
 	x := NewLSHIndex(ClusterConfig{LSHBands: 8, Threshold: 0.7})
 	addAll(x, lshFixture()[:4]) // no bridge yet
-	if got := x.Partitions(); !reflect.DeepEqual(got, []string{"a1", "b1", "c1"}) {
+	if got := partitions(x); !reflect.DeepEqual(got, []string{"a1", "b1", "c1"}) {
 		t.Fatalf("partitions = %v", got)
 	}
 	if got := x.Members("a1"); !reflect.DeepEqual(got, []string{"a1", "a2"}) {
@@ -54,7 +67,7 @@ func TestLSHIndexMergeRetiresKeys(t *testing.T) {
 	addAll(x, fixture[:4])
 	x.Add(fixture[4].ID, fixture[4].Hash, fixture[4].Vector)
 	// bridge connects {a1,a2} with {b1}: one partition keyed a1 survives.
-	if got := x.Partitions(); !reflect.DeepEqual(got, []string{"a1", "c1"}) {
+	if got := partitions(x); !reflect.DeepEqual(got, []string{"a1", "c1"}) {
 		t.Fatalf("partitions after bridge = %v", got)
 	}
 	if got := x.Members("a1"); !reflect.DeepEqual(got, []string{"a1", "a2", "b1", "bridge"}) {
@@ -65,7 +78,7 @@ func TestLSHIndexMergeRetiresKeys(t *testing.T) {
 	}
 	// Re-adding a known ID is a no-op.
 	x.Add("bridge", 0xFFFFFFFFFFFFFFFF, []float64{1, 0})
-	if got := x.Partitions(); !reflect.DeepEqual(got, []string{"a1", "c1"}) {
+	if got := partitions(x); !reflect.DeepEqual(got, []string{"a1", "c1"}) {
 		t.Fatalf("re-add changed partitions: %v", got)
 	}
 }
@@ -77,7 +90,7 @@ func TestLSHIndexVerification(t *testing.T) {
 	x := NewLSHIndex(ClusterConfig{LSHBands: 8, Threshold: 0.7})
 	x.Add("p", 0x1234123412341234, []float64{1, 0})
 	x.Add("q", 0x1234123412341234, []float64{0, 1}) // every band collides, cosine 0
-	if got := x.Partitions(); !reflect.DeepEqual(got, []string{"p", "q"}) {
+	if got := partitions(x); !reflect.DeepEqual(got, []string{"p", "q"}) {
 		t.Fatalf("unverified collision merged partitions: %v", got)
 	}
 	x.Add("r", 0x1234123412341234, []float64{1, 0}) // verifies against p only
@@ -108,7 +121,7 @@ func partitionsOf(items []Item) map[string][]string {
 	x := NewLSHIndex(ClusterConfig{LSHBands: 8, Threshold: 0.7})
 	addAll(x, items)
 	got := make(map[string][]string)
-	for _, key := range x.Partitions() {
+	for _, key := range partitions(x) {
 		got[key] = x.Members(key)
 	}
 	return got

@@ -7,7 +7,7 @@ package malgraph
 // same per-type edge counts, same serialized bytes (which pins edge
 // insertion order, attributes and cluster labels), and same NPM similar
 // clusters. The engine digest extends the check past the graph to every
-// derived section: items, imports, posting lists and pair owners.
+// derived section: items, imports and the per-coordinate report index.
 
 import (
 	"bytes"
