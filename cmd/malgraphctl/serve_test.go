@@ -12,6 +12,7 @@ import (
 
 	"malgraph"
 	"malgraph/internal/castore"
+	"malgraph/internal/collect"
 	"malgraph/internal/wal"
 )
 
@@ -207,6 +208,63 @@ func firstCanonicalNode(t *testing.T) string {
 		t.Fatal("no entries")
 	}
 	return p.Dataset.Entries[0].Coord.Key()
+}
+
+// TestServeResultsConditionalGet drives /api/v1/results revalidation over
+// the handler with the seed-1, scale-0.05 observation stream: the tag a GET
+// returns answers 304 to If-None-Match, still does after a no-op push, and
+// answers 200 with a new tag after a changing push.
+func TestServeResultsConditionalGet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline build")
+	}
+	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Seed: 1, Scale: 0.05}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startTestServer(t, newServer(p, "", nil))
+	obs := collect.ObservationsFromSources(p.World.Sources)
+	half := obs[:len(obs)/2]
+	push := func(batch []collect.Observation) {
+		t.Helper()
+		if err := postJSONBody(ts.Client(), ts.URL+"/api/v1/observations", map[string]any{"observations": batch}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(ifNoneMatch string, wantStatus int) string {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/results", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("GET results (If-None-Match %q): status %d, want %d", ifNoneMatch, resp.StatusCode, wantStatus)
+		}
+		return resp.Header.Get("ETag")
+	}
+
+	push(half)
+	tag := get("", http.StatusOK)
+	if tag == "" {
+		t.Fatal("results carry no ETag")
+	}
+	get(tag, http.StatusNotModified)
+	push(half) // no-op: same tag
+	if got := get(tag, http.StatusNotModified); got != tag {
+		t.Fatalf("no-op push moved the ETag: %s → %s", tag, got)
+	}
+	push(obs[len(obs)/2:])
+	if got := get(tag, http.StatusOK); got == tag {
+		t.Fatalf("changing push kept the ETag %s", tag)
+	}
 }
 
 func TestServeSnapshotWarmRestart(t *testing.T) {

@@ -185,7 +185,7 @@ func badOuterSortCall(m map[string]int, acc []int) {
 
 type store struct{ n int }
 
-func (s *store) Add(v int)      { s.n += v }
+func (s *store) Add(v int)              { s.n += v }
 func (s *store) SetKey(k string, v int) {}
 
 func badMutatorCall(m map[string]int, s *store) {

@@ -156,7 +156,7 @@ func (r *Result) EntryByKey(key string) (*Entry, bool) {
 // The entry slice and per-source aggregates are copied and the lookup index
 // is cloned copy-on-write in O(1) (cow.Map.Clone — so View needs the same
 // exclusive access as a write; the next write to the index copies its
-// shard table once); *Entry values are shared — Upsert never
+// shard table once); *Entry values are shared — UpsertBatch never
 // mutates a stored entry in place (changed entries are replaced with fresh
 // merged copies), so shared pointers stay consistent however far the
 // original advances. The view carries no per-entry accounting

@@ -5,7 +5,7 @@ package collect
 // malicious packages continuously (§II-B), so the streaming architecture
 // replays the simulated world's timeline as time-ordered entry batches, each
 // entry carrying the per-source accounting Run recorded for it. core.Engine
-// ingests these batches; the Upsert/AddTotals/ApplyEntryStat helpers below
+// ingests these batches; the UpsertBatch/AddTotals/ApplyEntryStat helpers below
 // are the merge primitives it uses to maintain its own incremental Result.
 
 import (
@@ -163,21 +163,6 @@ func (r *Result) AddTotals(ids []sources.ID) {
 	}
 }
 
-// Upsert merges one entry into the dataset. A new coordinate stores the entry
-// as-is and reports added=true. A known coordinate is merged field-wise —
-// union of sources, earliest observation, artifact adopted when previously
-// absent, zero timestamps filled — into a fresh copy (the previously stored
-// entry is never mutated, so pointers handed out before the upsert stay
-// consistent snapshots); changed reports whether anything differed. The
-// merged (or stored) entry is returned. Entries stays sorted by key.
-//
-// Each new coordinate shifts the sorted Entries slice — O(n) per insert. For
-// batch ingest use UpsertBatch, which defers the inserts and pays one merge.
-func (r *Result) Upsert(e *Entry) (merged *Entry, added, changed bool) {
-	out := r.UpsertBatch([]*Entry{e})
-	return out[0].Entry, out[0].Added, out[0].Changed
-}
-
 // UpsertResult reports what one UpsertBatch entry did to the dataset: the
 // stored (merged) entry, whether the coordinate was new, whether anything
 // changed, and the pre-merge source/artifact state incremental consumers
@@ -190,13 +175,17 @@ type UpsertResult struct {
 	PrevArtifact bool
 }
 
-// UpsertBatch merges a batch of entries with Upsert's exact field-wise
-// semantics, but amortises the sorted-Entries maintenance: new coordinates
-// are collected aside and merged into the slice once at the end — O(n + b
-// log b) per batch instead of Upsert's O(n) memmove per new coordinate (a
-// ROADMAP-listed corpus-linear append term). Nil entries are skipped (no
+// UpsertBatch merges a batch of entries into the dataset. A new coordinate
+// stores the entry as-is and reports Added. A known coordinate is merged
+// field-wise — union of sources, earliest observation, artifact adopted when
+// previously absent, zero timestamps filled — into a fresh copy (the
+// previously stored entry is never mutated, so pointers handed out before
+// the upsert stay consistent snapshots); Changed reports whether anything
+// differed. Entries stays sorted by key: new coordinates are collected aside
+// and merged into the slice once at the end — O(n + b log b) per batch
+// instead of an O(n) memmove per new coordinate. Nil entries are skipped (no
 // result emitted). Later batch entries see earlier ones (two records of the
-// same new coordinate merge exactly as two sequential Upserts would).
+// same new coordinate merge exactly as two one-entry batches would).
 func (r *Result) UpsertBatch(entries []*Entry) []UpsertResult {
 	out := make([]UpsertResult, 0, len(entries))
 	var pending []*Entry

@@ -221,7 +221,7 @@ func (rv *Resolver) resolve(obs []Observation, existing *Result) (Batch, []strin
 			// live dataset entry: append+sort below would otherwise
 			// reorder cur.Sources in place (spare capacity lets append
 			// write into the shared array), corrupting the engine's
-			// stored entry before Upsert even sees the batch.
+			// stored entry before UpsertBatch even sees the batch.
 			next.Sources = append(make([]sources.ID, 0, len(cur.Sources)+len(group)), cur.Sources...)
 			oldStat = rv.statFor(existing, key, cur)
 		} else {

@@ -26,6 +26,15 @@ func upsertEntry(i int, srcs ...sources.ID) *Entry {
 	}
 }
 
+// Upsert merges one entry with UpsertBatch's semantics, as a one-entry
+// batch: the sequential reference the batch tests and BenchmarkUpsertPerEntry
+// compare against. Each new coordinate shifts the sorted Entries slice —
+// O(n) per insert.
+func (r *Result) Upsert(e *Entry) (merged *Entry, added, changed bool) {
+	out := r.UpsertBatch([]*Entry{e})
+	return out[0].Entry, out[0].Added, out[0].Changed
+}
+
 // TestUpsertBatchMatchesSequential is the equivalence property: UpsertBatch
 // must leave the dataset — sorted Entries, byKey, per-entry outcomes — in
 // exactly the state sequential Upserts produce, for shuffled mixes of new

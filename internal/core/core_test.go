@@ -157,7 +157,7 @@ func TestSimilarEdgesRecoverCampaigns(t *testing.T) {
 			if !ok {
 				t.Fatalf("cluster member %s has no entry", id)
 			}
-			it, ok := eng.shards[en.Coord.Ecosystem].itemAt(id)
+			it, ok := eng.shards[en.Coord.Ecosystem].lsh.Item(id)
 			if !ok {
 				t.Fatalf("cluster member %s has no item", id)
 			}

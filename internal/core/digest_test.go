@@ -15,6 +15,7 @@ import (
 	"malgraph/internal/castore"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/graph"
+	"malgraph/internal/textsim"
 )
 
 // TestDigestNamesChangedSection drops one piece of state per section from a
@@ -73,7 +74,7 @@ func TestDigestNamesChangedSection(t *testing.T) {
 		{"items", func(t *testing.T, e *Engine) {
 			var ecos []ecosys.Ecosystem
 			for eco, sh := range e.shards {
-				if len(sh.items) > 0 {
+				if sh.lsh.Len() > 0 {
 					ecos = append(ecos, eco)
 				}
 			}
@@ -82,7 +83,11 @@ func TestDigestNamesChangedSection(t *testing.T) {
 			}
 			sort.Slice(ecos, func(i, j int) bool { return ecos[i] < ecos[j] })
 			sh := e.shards[ecos[0]]
-			sh.items = sh.items[1:]
+			lsh := textsim.NewLSHIndex(e.cfg.Cluster)
+			for _, it := range sh.lsh.Items()[1:] {
+				lsh.Add(it.ID, it.Hash, it.Vector)
+			}
+			sh.lsh = lsh
 		}},
 		{"imports", func(t *testing.T, e *Engine) {
 			sh := e.shards[ecosys.PyPI]

@@ -163,22 +163,22 @@ type ecoShard struct {
 	// restore re-scans the artifacts.
 	importers map[string][]string
 
-	// items caches the §III-B per-artifact products, sorted by node ID (the
-	// order a one-shot build clusters in).
-	items []textsim.Item
-	// lsh partitions the shard's items by verified band-candidate
-	// connectivity under cfg.Cluster (LSHBands, Threshold) — the unit of
-	// incremental re-clustering. Partition identity is content-derived
-	// (canonical key = smallest member node ID), so any batch order
-	// reproduces the same partitions. The partitions' clusters live in the
-	// graph only, as similar edges labelled with the partition key.
+	// lsh is the one store of the §III-B per-artifact products (one
+	// textsim.Item per artifact node) and partitions them by verified
+	// band-candidate connectivity under cfg.Cluster (LSHBands, Threshold)
+	// — the unit of incremental re-clustering. Partition identity is
+	// content-derived (canonical key = smallest member node ID), so any
+	// batch order reproduces the same partitions. The partitions' clusters
+	// live in the graph only, as similar edges labelled with the partition
+	// key.
 	lsh *textsim.LSHIndex
 }
 
-func newEcoShard() *ecoShard {
+func newEcoShard(cfg textsim.ClusterConfig) *ecoShard {
 	return &ecoShard{
 		byName:    make(map[string][]string),
 		importers: make(map[string][]string),
+		lsh:       textsim.NewLSHIndex(cfg),
 	}
 }
 
@@ -194,8 +194,8 @@ type Engine struct {
 	scanner  *depscan.Scanner
 
 	// shards holds the per-ecosystem state (corpus dictionaries, import
-	// indexes, clustering items, LSH indexes); see ecoShard. Created on
-	// first use. guarded by mu.
+	// indexes, LSH indexes holding the clustering items); see ecoShard.
+	// Created on first use. guarded by mu.
 	shards map[ecosys.Ecosystem]*ecoShard
 
 	// appliedSeq is the durable ingest sequence stamp: the WAL sequence of
@@ -282,7 +282,7 @@ func NewEngine(cfg Config) *Engine {
 func (e *Engine) shardLocked(eco ecosys.Ecosystem) *ecoShard {
 	sh := e.shards[eco]
 	if sh == nil {
-		sh = newEcoShard()
+		sh = newEcoShard(e.cfg.Cluster)
 		e.shards[eco] = sh
 	}
 	return sh
@@ -308,7 +308,7 @@ func (e *Engine) Reports() []*reports.Report { return e.mg.Reports }
 // index via cow.Map.Clone): the next Ingest copies the shards, pages and
 // lists it touches, plus each written cow.Map's shard table once (one
 // 32-byte header per 4–8 keys) and the graph's page-pointer table. Leaves are shared where the
-// writer provably never mutates them in place: dataset entries (Upsert
+// writer provably never mutates them in place: dataset entries (UpsertBatch
 // replaces changed entries), reports (first crawl wins) and per-package
 // report lists (indexReportForPackage copy-inserts). What
 // still grows with the corpus is those table copies and two pointer-slice
@@ -751,15 +751,8 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 			Hash:   textsim.SimHashHashed(sc.hashed),
 		}
 	})
-	// One batched merge: the batch's new items are sorted and spliced into
-	// the ID-sorted cache in a single pass instead of an O(items) shift per
-	// insertion (the former insertItem loop the ROADMAP flagged).
-	sh.items = mergeItems(sh.items, items)
 	dirty := make([]string, 0, len(items))
 	for _, it := range items {
-		if sh.lsh == nil {
-			sh.lsh = textsim.NewLSHIndex(e.cfg.Cluster)
-		}
 		sh.lsh.Add(it.ID, it.Hash, it.Vector)
 		dirty = append(dirty, it.ID)
 	}
@@ -787,11 +780,7 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 		members := sh.lsh.Members(key)
 		parts[i] = make([]textsim.Item, 0, len(members))
 		for _, id := range members {
-			it, ok := sh.itemAt(id)
-			if !ok {
-				plan.err = fmt.Errorf("similar: partition %s references unknown item %s", key, id)
-				return plan
-			}
+			it, _ := sh.lsh.Item(id)
 			parts[i] = append(parts[i], it)
 		}
 		plan.dirtyMembers = append(plan.dirtyMembers, members...)
@@ -825,18 +814,8 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 	plan.reclustered = true
 	plan.partitions = len(keys)
 	plan.artifacts = len(plan.dirtyMembers)
-	plan.dirtyItems = len(sh.items)
+	plan.dirtyItems = sh.lsh.Len()
 	return plan
-}
-
-// itemAt returns the cached clustering item for a node ID via binary search
-// in the shard's ID-sorted item slice.
-func (sh *ecoShard) itemAt(id string) (textsim.Item, bool) {
-	i := sort.Search(len(sh.items), func(i int) bool { return sh.items[i].ID >= id })
-	if i < len(sh.items) && sh.items[i].ID == id {
-		return sh.items[i], true
-	}
-	return textsim.Item{}, false
 }
 
 // coexPlan is the §III-D co-existing join of one batch, planned with no
@@ -1154,48 +1133,6 @@ func artifactChanges(changes []entryChange) []entryChange {
 		}
 	}
 	return out
-}
-
-// mergeItems splices a batch of new items into the ID-sorted cache with one
-// backwards merge — O(cache + batch) total, replacing the former per-item
-// binary-search-and-shift whose worst case was O(cache) per insertion. Items
-// sharing an ID with a cached one replace it in place (defensive; artifacts
-// are immutable once ingested).
-func mergeItems(items []textsim.Item, batch []textsim.Item) []textsim.Item {
-	if len(batch) == 0 {
-		return items
-	}
-	add := make([]textsim.Item, len(batch))
-	copy(add, batch)
-	sort.Slice(add, func(i, j int) bool { return add[i].ID < add[j].ID })
-	fresh := add[:0]
-	for _, it := range add {
-		if n := len(fresh); n > 0 && fresh[n-1].ID == it.ID {
-			fresh[n-1] = it // duplicate within the batch: last wins
-			continue
-		}
-		if i := sort.Search(len(items), func(i int) bool { return items[i].ID >= it.ID }); i < len(items) && items[i].ID == it.ID {
-			items[i] = it // already cached: replace, nothing to splice
-			continue
-		}
-		fresh = append(fresh, it)
-	}
-	if len(fresh) == 0 {
-		return items
-	}
-	old := items
-	items = append(items, fresh...)
-	i, j := len(old)-1, len(fresh)-1
-	for k := len(items) - 1; j >= 0; k-- {
-		if i >= 0 && old[i].ID > fresh[j].ID {
-			items[k] = old[i]
-			i--
-		} else {
-			items[k] = fresh[j]
-			j--
-		}
-	}
-	return items
 }
 
 func containsSource(ids []sources.ID, id sources.ID) bool {

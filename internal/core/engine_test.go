@@ -381,15 +381,12 @@ func TestEngineRestoreReclustersSamePartitions(t *testing.T) {
 	// The rebuilt LSH index must put every cached item under the same
 	// partition root, with the same members, per ecosystem.
 	for eco, sh := range live.shards {
-		if sh.lsh == nil {
-			continue
-		}
 		rsh := restored.shards[eco]
-		if rsh == nil || rsh.lsh == nil {
-			t.Fatalf("%s: restored engine lost its LSH index", eco)
+		if rsh == nil || rsh.lsh.Len() != sh.lsh.Len() {
+			t.Fatalf("%s: restored engine lost LSH items", eco)
 		}
 		roots := make(map[string]bool)
-		for _, it := range sh.items {
+		for _, it := range sh.lsh.Items() {
 			want, wok := sh.lsh.Root(it.ID)
 			got, gok := rsh.lsh.Root(it.ID)
 			if got != want || gok != wok {

@@ -1,15 +1,16 @@
 package core
 
-// Engine.Digest, which hashes each state section as JSON (the items in the
-// shape the monolithic v4 snapshot gave them), and restoreFromParts, the
-// tail of the restore (snapshot5.go) that rebuilds an engine's caches and
-// indexes from its decoded sections. The embeddings ride along with the
-// graph, so a restore re-embeds nothing. Everything else it derives, each
-// part cheaper to rebuild than to persist: the LSH index from the items,
-// the reverse import index from the artifacts and the per-coordinate report
-// index from the reports. The similar clusters and the co-existing pair
-// owners need no rebuild: they are the graph's similar edges and the
-// "report" attrs of its co-existing edges.
+// Engine.Digest, which hashes each state section as JSON (the items, read
+// from each shard's LSH index in ID order, in the shape the monolithic v4
+// snapshot gave them), and restoreFromParts, the tail of the restore
+// (snapshot5.go) that rebuilds an engine's caches and indexes from its
+// decoded sections. The items carry their embeddings, so a restore
+// re-embeds nothing. Everything else it derives, each part cheaper to
+// rebuild than to persist: the LSH partitions as the items are added back
+// into each shard's index, the reverse import index from the artifacts and
+// the per-coordinate report index from the reports. The similar clusters
+// and the co-existing pair owners need no rebuild: they are the graph's
+// similar edges and the "report" attrs of its co-existing edges.
 
 import (
 	"crypto/sha256"
@@ -43,7 +44,7 @@ type snapshotItem struct {
 // the engine keeps beside them.
 type restoreParts struct {
 	Config  Config
-	Reports []*reports.Report
+	Reports []*reports.Report // sorted by URL
 	Items   map[string][]textsim.Item
 	// AppliedSeq is the last durable ingest sequence applied before the
 	// checkpoint: WAL records with Seq ≤ AppliedSeq are already in it and
@@ -79,9 +80,9 @@ func (e *Engine) Digest() (map[string]string, error) {
 			}
 			imports[eco.String()] = byName
 		}
-		if len(sh.items) > 0 {
-			out := make([]snapshotItem, 0, len(sh.items))
-			for _, it := range sh.items {
+		if sh.lsh.Len() > 0 {
+			out := make([]snapshotItem, 0, sh.lsh.Len())
+			for _, it := range sh.lsh.Items() {
 				out = append(out, snapshotItem{
 					ID:     it.ID,
 					Vector: it.Vector,
@@ -140,7 +141,6 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 	e.mg.G = g
 	e.mg.Dataset = ds
 	e.mg.Reports = snap.Reports
-	sort.Slice(e.mg.Reports, func(i, j int) bool { return e.mg.Reports[i].URL < e.mg.Reports[j].URL })
 
 	// Materialize the item-bearing shards before the fan-out, as
 	// applyShardsLocked does, in name order so an unknown ecosystem fails
@@ -158,21 +158,13 @@ func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*
 		}
 		itemShards[i] = e.shardLocked(eco)
 	}
-	// Each shard's LSH rebuild writes only that shard.
+	// Each shard's LSH rebuild writes only that shard. Partition membership
+	// and canonical keys are content-derived, so adding the decoded items
+	// in any order reproduces the snapshotted engine's index exactly.
 	parallel.ForEach(len(itemShards), func(i int) {
-		items := snap.Items[itemEcos[i]]
-		// Headroom keeps the first post-restore inserts from recopying the
-		// whole ID-sorted slice (mergeItems splices in place within capacity).
-		restored := append(make([]textsim.Item, 0, len(items)+len(items)/8+16), items...)
-		sort.Slice(restored, func(i, j int) bool { return restored[i].ID < restored[j].ID })
-		// Rebuild the LSH partition index from the cached fingerprints —
-		// partition membership and canonical keys are content-derived, so
-		// this reproduces the snapshotted engine's index exactly.
-		idx := textsim.NewLSHIndex(e.cfg.Cluster)
-		for _, it := range restored {
-			idx.Add(it.ID, it.Hash, it.Vector)
+		for _, it := range snap.Items[itemEcos[i]] {
+			itemShards[i].lsh.Add(it.ID, it.Hash, it.Vector)
 		}
-		itemShards[i].items, itemShards[i].lsh = restored, idx
 	})
 	// Re-scan every artifact's imports.
 	deps := make([][]string, len(ds.Entries))

@@ -4,12 +4,13 @@ package core
 // store-attached engine splits persistence into a small manifest (written
 // to the caller's stream, which owns the atomic-rename and WAL-truncation
 // contracts) and content-addressed chunks in a castore.Store. Each
-// persisted section — dataset entries, graph, clustering items, reports —
-// is a log of chunks: a chunk either re-bases the section (full re-encode)
-// or applies a delta of the keys the engine marked since the last
-// checkpoint (track.go). The manifest holds only the ordered chunk references plus the small inline
-// state (config, dataset header, sequence stamps), so checkpoint cost is
-// O(changes since the last checkpoint), not O(corpus). A checkpoint holds
+// persisted section — dataset entries, graph, clustering items (read from
+// each shard's LSH index), reports — is a log of chunks: a chunk either
+// re-bases the section (full re-encode) or applies a delta of the keys the
+// engine marked since the last checkpoint (track.go). The manifest holds
+// only the ordered chunk references plus the small inline state (config,
+// dataset header, sequence stamps), so checkpoint cost is O(changes since
+// the last checkpoint), not O(corpus). A checkpoint holds
 // only what cannot be derived: the per-coordinate report index, the reverse
 // import index and the LSH partitions are pure functions of the reports,
 // the artifacts and the items, and the restore rebuilds them
@@ -150,7 +151,7 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 	shardOf := make(map[string]*ecoShard, len(e.shards))
 	for eco, sh := range e.shards {
 		shardOf[eco.String()] = sh
-		t[secItems].size += len(sh.items)
+		t[secItems].size += sh.lsh.Len()
 	}
 	ds := e.mg.Dataset
 	t[secDataset] = kvSection{
@@ -184,7 +185,7 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 	t[secItems].keys = func() []string {
 		var keys []string
 		for eco, sh := range e.shards {
-			for _, it := range sh.items {
+			for _, it := range sh.lsh.Items() {
 				keys = append(keys, ecoKey(eco.String(), it.ID))
 			}
 		}
@@ -194,7 +195,7 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 	t[secItems].value = func(key string) ([]byte, error) {
 		eco, id, _ := splitEcoKey(key)
 		if sh := shardOf[eco]; sh != nil {
-			if it, ok := sh.itemAt(id); ok {
+			if it, ok := sh.lsh.Item(id); ok {
 				return encodeItem(it), nil
 			}
 		}

@@ -82,7 +82,7 @@ const (
 )
 
 // artifactRef caches the durable blob backing one entry's artifact. The
-// pointer identity check is the cheap "unchanged" test: Upsert replaces an
+// pointer identity check is the cheap "unchanged" test: UpsertBatch replaces an
 // entry's artifact wholesale when it changes, so a matching pointer means
 // the cached key still describes the live bytes.
 type artifactRef struct {

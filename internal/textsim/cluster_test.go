@@ -36,19 +36,17 @@ func checkPartition(t testing.TB, part []Item, cfg ClusterConfig) {
 }
 
 // lshPartitions indexes items under cfg and returns every partition's items
-// in member (ID) order, as the engine hands them to ClusterPartition.
+// in member (ID) order, read through x.Item as the engine reads them for
+// ClusterPartition.
 func lshPartitions(items []Item, cfg ClusterConfig) [][]Item {
 	x := NewLSHIndex(cfg)
-	byID := make(map[string]Item, len(items))
-	for _, it := range items {
-		x.Add(it.ID, it.Hash, it.Vector)
-		byID[it.ID] = it
-	}
+	addAll(x, items)
 	var out [][]Item
 	for _, key := range partitions(x) {
 		var part []Item
 		for _, id := range x.Members(key) {
-			part = append(part, byID[id])
+			it, _ := x.Item(id)
+			part = append(part, it)
 		}
 		out = append(out, part)
 	}

@@ -1,6 +1,10 @@
 package textsim
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // LSHIndex maintains the verified similarity-partition structure of a
 // growing item corpus. Two items belong to the same partition when they are
@@ -28,18 +32,20 @@ import "sort"
 // order yields the same partitions with the same keys, which is what lets
 // batch-partitioned ingest reproduce a one-shot build exactly.
 //
+// The index is also the one store of its items: Item, Len and Items read
+// them back, so a caller keeps no copy of its own.
+//
 // An LSHIndex is not safe for concurrent use; the engine serializes access
 // under its ingest lock and hands immutable member snapshots to workers.
 type LSHIndex struct {
 	bands     int
 	threshold float64
 	slot      map[string]int // item ID → slot
-	ids       []string       // slot → item ID
-	vecs      [][]float64    // slot → embedding (held by reference)
+	items     []Item         // slot → item (the vector held by reference)
 	// Union-find over slots (union by size, path compression). minSlot and
-	// members are maintained at roots only.
+	// members are maintained at roots only; a root's size is the length of
+	// its members.
 	parent  []int
-	size    []int
 	minSlot []int
 	members [][]int
 	// buckets lists the member slots per band key; a new item verifies
@@ -77,15 +83,14 @@ func (x *LSHIndex) union(a, b int) {
 	if ra == rb {
 		return
 	}
-	if x.size[ra] < x.size[rb] {
+	if len(x.members[ra]) < len(x.members[rb]) {
 		ra, rb = rb, ra
 	}
 	// ra absorbs rb. The surviving canonical key is the smaller of the two.
-	if x.ids[x.minSlot[rb]] < x.ids[x.minSlot[ra]] {
+	if x.items[x.minSlot[rb]].ID < x.items[x.minSlot[ra]].ID {
 		x.minSlot[ra] = x.minSlot[rb]
 	}
 	x.parent[rb] = ra
-	x.size[ra] += x.size[rb]
 	x.members[ra] = append(x.members[ra], x.members[rb]...)
 	x.members[rb] = nil
 }
@@ -93,7 +98,7 @@ func (x *LSHIndex) union(a, b int) {
 // Add indexes one item, verifying it against every item it shares a band
 // bucket with and merging its partition with each verified match. The vector
 // is retained by reference (items are immutable once ingested). Re-adding a
-// known ID is a no-op. Cost is O(bands · bucket load) union-find lookups and
+// known ID is a no-op: the first item stays. Cost is O(bands · bucket load) union-find lookups and
 // at most that many dot products. A degenerate bucket of near-identical items costs
 // lookups rather than dot products: members already in the new item's
 // partition are skipped.
@@ -101,12 +106,10 @@ func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
 	if _, ok := x.slot[id]; ok {
 		return
 	}
-	s := len(x.ids)
+	s := len(x.items)
 	x.slot[id] = s
-	x.ids = append(x.ids, id)
-	x.vecs = append(x.vecs, vec)
+	x.items = append(x.items, Item{ID: id, Vector: vec, Hash: hash})
 	x.parent = append(x.parent, s)
-	x.size = append(x.size, 1)
 	x.minSlot = append(x.minSlot, s)
 	x.members = append(x.members, []int{s})
 	// bands is clamped to [1, 16] by candidateParams, so bandKey's band tag
@@ -118,7 +121,7 @@ func (x *LSHIndex) Add(id string, hash uint64, vec []float64) {
 				continue
 			}
 			// Vectors hold the EmbedHashed L2 invariant: Dot is cosine.
-			if Dot(vec, x.vecs[m]) >= x.threshold {
+			if Dot(vec, x.items[m].Vector) >= x.threshold {
 				x.union(s, m)
 			}
 		}
@@ -133,7 +136,7 @@ func (x *LSHIndex) Root(id string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return x.ids[x.minSlot[x.find(s)]], true
+	return x.items[x.minSlot[x.find(s)]].ID, true
 }
 
 // Members returns the sorted member IDs of the partition whose canonical key
@@ -144,13 +147,34 @@ func (x *LSHIndex) Members(key string) []string {
 		return nil
 	}
 	r := x.find(s)
-	if x.ids[x.minSlot[r]] != key {
+	if x.items[x.minSlot[r]].ID != key {
 		return nil
 	}
 	out := make([]string, 0, len(x.members[r]))
 	for _, m := range x.members[r] {
-		out = append(out, x.ids[m])
+		out = append(out, x.items[m].ID)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// Item returns the indexed item with the given ID: the first one added
+// under it.
+func (x *LSHIndex) Item(id string) (Item, bool) {
+	s, ok := x.slot[id]
+	if !ok {
+		return Item{}, false
+	}
+	return x.items[s], true
+}
+
+// Len returns the number of indexed items.
+func (x *LSHIndex) Len() int { return len(x.items) }
+
+// Items returns every indexed item sorted by ID, in a new slice (the
+// vectors still shared).
+func (x *LSHIndex) Items() []Item {
+	out := slices.Clone(x.items)
+	slices.SortFunc(out, func(a, b Item) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }

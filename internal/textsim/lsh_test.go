@@ -2,6 +2,7 @@ package textsim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -25,10 +26,10 @@ func lshFixture() []Item {
 
 // partitions returns every canonical partition key of x, sorted.
 func partitions(x *LSHIndex) []string {
-	out := make([]string, 0, len(x.ids))
-	for s := range x.ids {
+	out := make([]string, 0, len(x.items))
+	for s := range x.items {
 		if x.find(s) == s {
-			out = append(out, x.ids[x.minSlot[s]])
+			out = append(out, x.items[x.minSlot[s]].ID)
 		}
 	}
 	sort.Strings(out)
@@ -80,6 +81,46 @@ func TestLSHIndexMergeRetiresKeys(t *testing.T) {
 	x.Add("bridge", 0xFFFFFFFFFFFFFFFF, []float64{1, 0})
 	if got := partitions(x); !reflect.DeepEqual(got, []string{"a1", "c1"}) {
 		t.Fatalf("re-add changed partitions: %v", got)
+	}
+}
+
+// TestLSHIndexItemStore pins the index as the store of its items: Item
+// returns what Add was given, bit-equal; a re-added ID keeps its first item;
+// Items lists every item sorted by ID.
+func TestLSHIndexItemStore(t *testing.T) {
+	fixture := lshFixture()
+	x := NewLSHIndex(ClusterConfig{LSHBands: 8, Threshold: 0.7})
+	addAll(x, fixture)
+	for _, want := range fixture {
+		got, ok := x.Item(want.ID)
+		if !ok || got.ID != want.ID || got.Hash != want.Hash || len(got.Vector) != len(want.Vector) {
+			t.Fatalf("Item(%s) = %+v, %v; want %+v", want.ID, got, ok, want)
+		}
+		for i := range want.Vector {
+			if math.Float64bits(got.Vector[i]) != math.Float64bits(want.Vector[i]) {
+				t.Fatalf("Item(%s).Vector = %v, want %v", want.ID, got.Vector, want.Vector)
+			}
+		}
+	}
+	if _, ok := x.Item("nope"); ok {
+		t.Fatal("unknown id must not resolve")
+	}
+
+	first := fixture[0]
+	x.Add(first.ID, ^first.Hash, []float64{0, 1})
+	if x.Len() != len(fixture) {
+		t.Fatalf("Len after re-add = %d, want %d", x.Len(), len(fixture))
+	}
+	if got, _ := x.Item(first.ID); got.Hash != first.Hash || !reflect.DeepEqual(got.Vector, first.Vector) {
+		t.Fatalf("re-add replaced the first item: %+v", got)
+	}
+
+	items := x.Items()
+	if len(items) != len(fixture) {
+		t.Fatalf("Items = %d items, want %d", len(items), len(fixture))
+	}
+	if !sort.SliceIsSorted(items, func(i, j int) bool { return items[i].ID < items[j].ID }) {
+		t.Fatalf("Items not sorted by ID: %v", items)
 	}
 }
 

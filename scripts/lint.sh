@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# lint.sh — MALGRAPH's tier-1 correctness-tooling gate: go vet plus the
+# lint.sh — MALGRAPH's tier-1 correctness-tooling gate: gofmt, go vet plus the
 # repo-specific malgraphlint passes (maprange, nondeterm, epochsafe,
 # lockguard — see internal/analyzers). The tree must come up clean: every
 # finding is either fixed or waived in the source with a reasoned
@@ -20,6 +20,15 @@ cd "$(dirname "$0")/.."
 pkgs=("$@")
 if [ ${#pkgs[@]} -eq 0 ]; then
   pkgs=(./...)
+fi
+
+echo "== gofmt"
+# Every tracked .go file, testdata included, must be gofmt-clean.
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "gofmt -l lists files that need formatting:"
+  echo "$unformatted"
+  exit 1
 fi
 
 echo "== go vet (default analyzer suite)"
