@@ -2,14 +2,12 @@ package malgraph
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 
 	"malgraph/internal/analysis"
-	"malgraph/internal/attacker"
 	"malgraph/internal/collect"
 	"malgraph/internal/core"
 	"malgraph/internal/crawler"
@@ -69,7 +67,8 @@ func (c Config) withDefaults() Config {
 // Pipeline holds every intermediate product of a run, for callers that want
 // to go deeper than the Results summary. A Pipeline is either *batch* (built
 // by BuildPipeline, fully ingested) or *streaming* (built by
-// NewStreamingPipeline, fed incrementally through Append/AppendNext); in
+// NewStreamingPipeline, fed incrementally through AppendNext, AppendPending,
+// AppendExternal or AppendObservationsJSON); in
 // both modes Analyze serves from a cache that only recomputes the analysis
 // blocks each batch actually invalidated.
 type Pipeline struct {
@@ -118,7 +117,7 @@ func (p *Pipeline) Source() (*collect.Result, []*reports.Report) {
 	return p.source, p.sourceReports
 }
 
-// dirtyBlocks tracks which Analyze blocks must recompute after an Append.
+// dirtyBlocks tracks which Analyze blocks must recompute after an ingest.
 type dirtyBlocks struct {
 	rq1, rq2, rq3, rq4, behaviors, validation, detection bool
 }
@@ -181,7 +180,8 @@ func BuildPipeline(ctx context.Context, cfg Config) (*Pipeline, error) {
 // NewStreamingPipeline builds the simulated world, runs collection and the
 // report crawl, and partitions the corpus into `batches` time-ordered ingest
 // batches — but ingests none of them. The caller drives the engine through
-// AppendNext (replaying the world's timeline) or Append (arbitrary batches);
+// AppendNext (replaying the world's timeline) or AppendExternal (arbitrary
+// observations and reports);
 // Analyze works at any point and reflects what has been ingested so far.
 func NewStreamingPipeline(ctx context.Context, cfg Config, batches int) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
@@ -244,27 +244,6 @@ func BatchFeed(ds *collect.Result, reportCorpus []*reports.Report, k int) []core
 	return out
 }
 
-// Append ingests one raw batch into the engine and invalidates exactly the
-// Results blocks the batch touched. The next Analyze recomputes those blocks
-// and serves the rest from cache. The ingest itself is LSH-scoped: only the
-// similarity partitions containing the batch's new artifacts re-cluster (see
-// core.IngestStats' recluster-scope accounting), so append cost tracks the
-// delta, not the corpus. A raw batch has no journal record kind, so on a
-// pipeline with a journal attached Append refuses and changes nothing —
-// journaled ingest goes through AppendPending or AppendExternal.
-func (p *Pipeline) Append(b core.Batch) (core.IngestStats, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.journal != nil {
-		return core.IngestStats{}, errors.New("malgraph: append: a raw batch cannot be journaled; use AppendPending or AppendExternal")
-	}
-	st, err := p.ingestLocked(b)
-	if err == nil {
-		p.publishLocked()
-	}
-	return st, err
-}
-
 // ingestLocked applies b to the engine, refreshes the pipeline's views and
 // folds the invalidated Results blocks into p.dirty.
 func (p *Pipeline) ingestLocked(b core.Batch) (core.IngestStats, error) {
@@ -311,6 +290,29 @@ func (p *Pipeline) AppendExternal(obs []collect.Observation, reps []*reports.Rep
 		p.publishLocked()
 	}
 	return st, p.lastSeq, err
+}
+
+// AppendObservationsJSON is the loader inlet for a push body as it came
+// off the wire, {"observations":[...]}: it decodes body with
+// collect.DecodeObservations, outside the lock, then resolves and ingests
+// the observations as AppendExternal does, journaling body itself — the
+// bytes received, not a re-encoding — as an "observations" record that
+// replay decodes with the same decoder. Members other than
+// "observations" are ignored. accepted is the number of observations the
+// body carried. A body that does not decode fails with
+// collect.ErrBadObservation and nothing is journaled or ingested.
+func (p *Pipeline) AppendObservationsJSON(body []byte) (accepted int, st core.IngestStats, seq uint64, err error) {
+	obs, err := collect.DecodeObservations(body)
+	if err != nil {
+		return 0, core.IngestStats{}, p.LastSeq(), fmt.Errorf("malgraph: decode observations: %w", err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st, err = p.applyLocked(record{kind: recObservations, ext: externalRecord{Observations: obs}, body: body}, 0)
+	if err == nil {
+		p.publishLocked()
+	}
+	return len(obs), st, p.lastSeq, err
 }
 
 // AppendNext ingests the next pending feed batch; ok=false when the feed is
@@ -369,7 +371,7 @@ func (p *Pipeline) PendingBatches() int {
 }
 
 // PipelineStats is a consistent snapshot of the corpus and graph shape,
-// taken under the pipeline lock (safe against a concurrent Append).
+// taken under the pipeline lock (safe against a concurrent ingest).
 type PipelineStats struct {
 	Entries        int
 	Available      int
@@ -392,17 +394,6 @@ func (p *Pipeline) Stats() PipelineStats {
 // the graph holds (see graph.Attrs) and must not be modified.
 func (p *Pipeline) Node(id string) (graph.Node, map[string][]string, bool) {
 	return p.CurrentEpoch().Node(id)
-}
-
-// SnapshotEngine checkpoints the engine (graph, dataset, caches) as a
-// manifest to w over the attached store, without truncating the journal.
-// The snapshot is stamped with the last journaled ingest sequence the
-// engine reflects, so WAL recovery replays only the suffix the checkpoint
-// does not already contain.
-func (p *Pipeline) SnapshotEngine(w io.Writer) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.snapshotEngineLocked(w)
 }
 
 func (p *Pipeline) snapshotEngineLocked(w io.Writer) error {
@@ -465,10 +456,6 @@ func (p *Pipeline) RunDetection(iterations int) ([]DetectionRow, error) {
 func (p *Pipeline) NPMClusters() [][]*ecosys.Artifact {
 	return npmClustersOf(p.CurrentEpoch().graph)
 }
-
-// GroundTruth exposes the simulated world's campaign ledger (for calibration
-// and example programs).
-func (p *Pipeline) GroundTruth() []*attacker.Campaign { return p.World.Campaigns }
 
 func subgraphRows(in []analysis.SubgraphStats) []SubgraphRow {
 	out := make([]SubgraphRow, 0, len(in))

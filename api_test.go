@@ -5,7 +5,13 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"malgraph/internal/attacker"
 )
+
+// GroundTruth exposes the simulated world's campaign ledger to the
+// calibration tests.
+func (p *Pipeline) GroundTruth() []*attacker.Campaign { return p.World.Campaigns }
 
 // one shared small pipeline per test binary.
 var sharedResults *Results

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 
 	"malgraph"
 	"malgraph/internal/collect"
+	"malgraph/internal/reports"
 )
 
 // TestPushExternalMatchesFeedAndOneShot delivers the same world three ways:
@@ -161,6 +163,48 @@ func TestReportsEndpoint(t *testing.T) {
 	if got := len(s.p.Reports); got != before+1 {
 		t.Fatalf("report corpus %d, want %d", got, before+1)
 	}
+}
+
+// FuzzServeReportsBody drives arbitrary bodies through POST
+// /api/v1/reports, the guard included, against one drained server per
+// fuzz worker: no input may panic the handler (which would poison the
+// pipeline), and a body that decodes as the handler decodes it may be
+// refused but never answered with a 5xx. Besides the seeds in
+// testdata/fuzz/FuzzServeReportsBody, two of the world's own reports are
+// added as they are and under a new URL.
+func FuzzServeReportsBody(f *testing.F) {
+	p, err := malgraph.NewStreamingPipeline(context.Background(), malgraph.Config{Scale: 0.02}, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, _, err := p.AppendPending(-1, false); err != nil {
+		f.Fatal(err)
+	}
+	_, reps := p.Source()
+	moved := *reps[0]
+	moved.URL = "https://blog.example/moved"
+	for _, rs := range [][]*reports.Report{reps[:2], {&moved}} {
+		seed, err := json.Marshal(map[string]any{"reports": rs})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	s := newServer(p, "", nil)
+	h := s.handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/reports", bytes.NewReader(body)))
+		if reason := s.poisonedReason(); reason != "" {
+			t.Fatalf("pipeline poisoned: %s (body %q)", reason, body)
+		}
+		var req struct {
+			Reports []*reports.Report `json:"reports"`
+		}
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && rec.Code >= 500 {
+			t.Fatalf("status %d for a body that decodes: %s (body %q)", rec.Code, rec.Body.Bytes(), body)
+		}
+	})
 }
 
 // TestConcurrentObservationsIngestAndQueries hammers the API from many

@@ -656,23 +656,23 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // accepts raw source records ({"observations": [{source, coord, observedAt,
 // artifact?}, ...]}), resolves them against the engine's dataset (mirror
 // recovery through the configured registry view) and appends the resulting
-// batch. Responses: 200 with the ingest stats; 400 for malformed input; 502
-// when a registry endpoint transport-failed (nothing ingested — retry the
-// batch); 500 for engine errors.
+// batch, journaling the body as received. The body must be exactly that one
+// JSON value: member names match exactly, and bytes after the value are
+// refused. Responses: 200 with the ingest stats; 400 for malformed input;
+// 413 for a body over the cap; 502 when a registry endpoint transport-failed
+// (nothing ingested — retry the batch); 500 for engine errors.
 func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	var req struct {
-		Observations []collect.Observation `json:"observations"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, decodeStatus(err), fmt.Errorf("decode observations: %w", err))
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeError(w, decodeStatus(err), fmt.Errorf("read observations: %w", err))
 		return
 	}
 	s.beforeApply()
-	st, seq, err := s.p.AppendExternal(req.Observations, nil)
+	accepted, st, seq, err := s.p.AppendObservationsJSON(body)
 	if err != nil {
 		switch {
 		case errors.Is(err, collect.ErrBadObservation):
@@ -686,7 +686,7 @@ func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	}
 	s.maybeCheckpoint()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"accepted": len(req.Observations),
+		"accepted": accepted,
 		"stats":    statsOut(st),
 		"entries":  s.p.Stats().Entries,
 		"seq":      seq,

@@ -221,7 +221,9 @@ func TestServeRestartRefusesManifestWithoutItsChunks(t *testing.T) {
 	if _, _, err := p.AppendNext(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(snapshotPath, p.SnapshotEngine); err != nil {
+	if _, err := p.Checkpoint(func(snapshot func(io.Writer) error) error {
+		return writeFileAtomic(snapshotPath, snapshot)
+	}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,16 +7,21 @@ package main
 // responses must hand out the durable sequence the push client resumes by.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"malgraph"
+	"malgraph/internal/collect"
 	"malgraph/internal/faultinject"
 	"malgraph/internal/wal"
 )
@@ -191,5 +196,108 @@ func TestIngestPartialFailureReportsAppliedBatches(t *testing.T) {
 	}
 	if out2["pending"].(float64) != 0 {
 		t.Fatalf("pending after resumed drain = %v, want 0", out2["pending"])
+	}
+}
+
+// newWALTestServer serves a fresh 0.02-scale pipeline journaling to walDir,
+// with auto-checkpoints off. Returns the server and its journal (caller
+// closes).
+func newWALTestServer(t *testing.T, walDir string) (*server, *httptest.Server, *wal.Log) {
+	t.Helper()
+	s, ts := newTestServer(t, 1, "")
+	j, err := wal.Open(walDir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.p.AttachJournal(j)
+	s.wal = j
+	return s, ts, j
+}
+
+// postBody POSTs body to url and returns the status.
+func postBody(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode
+}
+
+// TestServeWALObservationsTrailingBytesRefused: the journaled record of a
+// push is its body, so a body with bytes after its JSON value is refused
+// with 400 before anything is journaled; the same body without them lands.
+func TestServeWALObservationsTrailingBytesRefused(t *testing.T) {
+	s, ts, j := newWALTestServer(t, t.TempDir())
+	defer j.Close()
+	obs := collect.ObservationsFromSources(s.p.World.Sources)[:10]
+	body, err := json.Marshal(map[string]any{"observations": obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{" x", "{}", "\x00"} {
+		if got := postBody(t, ts.URL+"/api/v1/observations", append(slices.Clone(body), tail...)); got != http.StatusBadRequest {
+			t.Fatalf("body + %q: status %d, want 400", tail, got)
+		}
+	}
+	if seq, size := j.LastSeq(), j.Size(); seq != 0 || size != 0 {
+		t.Fatalf("refused bodies journaled: seq %d, %d bytes", seq, size)
+	}
+	if got := postBody(t, ts.URL+"/api/v1/observations", append(body, " \n"...)); got != http.StatusOK {
+		t.Fatalf("body + whitespace: status %d, want 200", got)
+	}
+	if seq := j.LastSeq(); seq != 1 {
+		t.Fatalf("journal seq %d after one accepted push, want 1", seq)
+	}
+}
+
+// TestServeWALObservationsBodyIgnoresReports: an observations push that
+// also carries a top-level "reports" member ingests no report, live or
+// after a restart that replays its journal record — which holds the body
+// byte for byte under the "observations" kind.
+func TestServeWALObservationsBodyIgnoresReports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline build")
+	}
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	s, ts, j := newWALTestServer(t, walDir)
+	_, reps := s.p.Source()
+	obs := collect.ObservationsFromSources(s.p.World.Sources)[:40]
+	body, err := json.Marshal(map[string]any{"reports": reps[:3], "observations": obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := postBody(t, ts.URL+"/api/v1/observations", body); got != http.StatusOK {
+		t.Fatalf("push: status %d", got)
+	}
+	live := s.p.Stats()
+	if live.Reports != 0 || live.Entries == 0 {
+		t.Fatalf("live push: %d reports, %d entries; want 0 reports and the observations' entries", live.Reports, live.Entries)
+	}
+	var kinds []string
+	if err := j.Replay(0, func(r wal.Record) error {
+		kinds = append(kinds, r.Kind)
+		if !bytes.Equal(r.Payload, body) {
+			t.Errorf("journal payload is not the body as received")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(kinds, []string{"observations"}) {
+		t.Fatalf("journal kinds %v, want [observations]", kinds)
+	}
+	ts.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, j2 := recoverPipeline(t, 1, filepath.Join(dir, "state.json"), walDir)
+	defer j2.Close()
+	if got := p2.Stats(); !reflect.DeepEqual(got, live) {
+		t.Fatalf("replayed stats %+v\nwant live %+v", got, live)
 	}
 }

@@ -29,6 +29,16 @@ import (
 	"malgraph/internal/xrand"
 )
 
+// SnapshotEngine checkpoints the engine as a manifest to w over the
+// attached store without truncating the journal — a snapshot taken
+// mid-stream, stamped with the last applied sequence, so a recovery test
+// can restore it and replay only the journal suffix past the stamp.
+func (p *Pipeline) SnapshotEngine(w io.Writer) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.snapshotEngineLocked(w)
+}
+
 // journalBytes reads the raw journal file so the crash matrix can replant
 // byte-exact prefixes of it.
 func journalBytes(t *testing.T, dir string) []byte {
@@ -81,7 +91,9 @@ func decoupledObservations(t *testing.T, obs []collect.Observation) []collect.Ob
 // crash matrix replays: step i produces journal record i+1. The same script
 // runs against the reference pipeline and, suffix-wise, against every
 // recovered pipeline — re-delivery after a crash is the client resuming
-// from its last acknowledged batch.
+// from its last acknowledged batch. Two steps push observations bodies
+// (AppendObservationsJSON, journaled as received): one as json.Marshal
+// writes it, one in the non-canonical spelling observationsBody writes.
 func deliveryScript(p *Pipeline, obs []collect.Observation, reps []*reports.Report) []func() error {
 	feedStep := func() error {
 		_, ok, err := p.AppendNext()
@@ -90,21 +102,63 @@ func deliveryScript(p *Pipeline, obs []collect.Observation, reps []*reports.Repo
 		}
 		return err
 	}
-	half := len(obs) / 2
+	q := len(obs) / 4
 	extStep := func(o []collect.Observation, r []*reports.Report) func() error {
 		return func() error {
 			_, _, err := p.AppendExternal(o, r)
 			return err
 		}
 	}
+	bodyStep := func(body []byte, err error) func() error {
+		return func() error {
+			if err != nil {
+				return err
+			}
+			_, _, _, err := p.AppendObservationsJSON(body)
+			return err
+		}
+	}
+	canonical, err := json.Marshal(map[string]any{"observations": obs[q : 2*q]})
 	return []func() error{
 		feedStep,
-		extStep(obs[:half], reps[:1]),
+		extStep(obs[:q], reps[:1]),
+		bodyStep(canonical, err),
 		feedStep,
-		extStep(obs[half:], reps[1:2]),
+		bodyStep(observationsBody(obs[2*q : 3*q])),
+		extStep(obs[3*q:], reps[1:2]),
 		feedStep,
 		feedStep,
 	}
+}
+
+// observationsBody spells a push body the way no encoder would, but
+// DecodeObservations accepts: members in reverse order, extra whitespace,
+// an escaped member name, an unknown member, and "artifact":null where
+// the observation carries none.
+func observationsBody(obs []collect.Observation) ([]byte, error) {
+	var b bytes.Buffer
+	b.WriteString("{ \"note\" : { \"unknown\" : [ 1 , true ] } ,\n  \"observations\" : [\n")
+	for i, o := range obs {
+		art, err := json.Marshal(o.Artifact) // null for none
+		if err != nil {
+			return nil, err
+		}
+		at, err := json.Marshal(o.ObservedAt)
+		if err != nil {
+			return nil, err
+		}
+		coord, err := json.Marshal(o.Coord)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			b.WriteString(" ,\n")
+		}
+		fmt.Fprintf(&b, "\t{ \"extra\" : \"x\" , \"artifact\" : %s ,\r\n\t  \"observedAt\" : %s , \"coord\" : %s , \"\\u0073ource\" : %d }",
+			art, at, coord, o.Source)
+	}
+	b.WriteString("\n] }\n")
+	return b.Bytes(), nil
 }
 
 // TestCrashRecoveryMatrixMatchesUninterrupted is the tentpole acceptance
@@ -157,7 +211,7 @@ func TestCrashRecoveryMatrixMatchesUninterrupted(t *testing.T) {
 			t.Fatalf("reference seq after step %d = %d", i+1, seq)
 		}
 		// Snapshot after records 2 and 4: kill points 0-1 recover cold,
-		// 2-3 from snapshot@2 + suffix, 4-6 from snapshot@4 + suffix.
+		// 2-3 from snapshot@2 + suffix, 4-8 from snapshot@4 + suffix.
 		if i+1 == 2 || i+1 == 4 {
 			var buf bytes.Buffer
 			if err := pRef.SnapshotEngine(&buf); err != nil {
@@ -482,7 +536,7 @@ func TestSnapshotStampExcludesJournaledButUnappliedRecord(t *testing.T) {
 	}
 	// Batch 2 reaches the journal, then its apply "fails".
 	p1.mu.Lock()
-	seq, err := p1.journalLocked(recFeed, feedRecord{Index: 1})
+	seq, err := p1.journalLocked(record{kind: recFeed, feed: feedRecord{Index: 1}})
 	p1.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -12,14 +12,20 @@ package malgraph
 //	"external"  {"observations":[...],"reports":[...]} — an AppendExternal
 //	            delivery, journaled after validation/resolution succeeds
 //	            (only accepted batches are journaled) and before apply.
+//	"observations"
+//	            an AppendObservationsJSON push body, journaled verbatim as
+//	            received once it decodes and resolves; replay decodes it
+//	            with the same collect.DecodeObservations. Any member other
+//	            than "observations" (a "reports" member included) is
+//	            ignored live and on replay alike.
 //	"feed"      {"index":N} — the Nth batch of the deterministic simulated
 //	            feed. The feed is re-derived from the run configuration on
 //	            restart, so only the position is journaled.
 //
-// One funnel, applyLocked, applies both kinds in one fixed order — resolve,
+// One funnel, applyLocked, applies every kind in one fixed order — resolve,
 // journal, feed-cursor advance, engine apply plus dirty-block merge,
-// sequence commit — for live ingest (AppendPending, AppendExternal) and
-// for ReplayJournal alike, so the ordering contract lives in one place.
+// sequence commit — for live ingest (AppendPending, AppendExternal,
+// AppendObservationsJSON) and for ReplayJournal alike, so the ordering contract lives in one place.
 // The funnel never publishes; each public mutator publishes once on exit.
 //
 // Sequence gating makes replay exactly-once on top of at-least-once
@@ -41,8 +47,9 @@ import (
 )
 
 const (
-	recExternal = "external"
-	recFeed     = "feed"
+	recExternal     = "external"
+	recObservations = "observations"
+	recFeed         = "feed"
 )
 
 // externalRecord is the journaled wire shape of an AppendExternal call:
@@ -60,11 +67,13 @@ type feedRecord struct {
 
 // record is one journalable ingest, the unit applyLocked applies. kind is
 // the WAL record kind and selects the payload: feed for recFeed, ext for
-// recExternal.
+// recExternal, and for recObservations body, the push body journaled as
+// received, with ext.Observations decoded from it.
 type record struct {
 	kind string
 	feed feedRecord
 	ext  externalRecord
+	body []byte
 }
 
 // decodeRecord parses a journaled WAL record back into the record the live
@@ -76,6 +85,9 @@ func decodeRecord(wr wal.Record) (rec record, err error) {
 		err = json.Unmarshal(wr.Payload, &rec.feed)
 	case recExternal:
 		err = json.Unmarshal(wr.Payload, &rec.ext)
+	case recObservations:
+		rec.body = wr.Payload
+		rec.ext.Observations, err = collect.DecodeObservations(wr.Payload)
 	default:
 		return rec, fmt.Errorf("unknown record kind %q", wr.Kind)
 	}
@@ -95,11 +107,10 @@ func decodeRecord(wr wal.Record) (rec record, err error) {
 // applies nothing. It never publishes. Caller holds p.mu.
 func (p *Pipeline) applyLocked(rec record, replaySeq uint64) (core.IngestStats, error) {
 	var b core.Batch
-	var payload any
 	switch rec.kind {
 	case recFeed:
-		b, payload = p.feed[rec.feed.Index], rec.feed
-	case recExternal:
+		b = p.feed[rec.feed.Index]
+	case recExternal, recObservations:
 		if p.resolver == nil {
 			view := p.view
 			if view == nil {
@@ -112,12 +123,11 @@ func (p *Pipeline) applyLocked(rec record, replaySeq uint64) (core.IngestStats, 
 			return core.IngestStats{}, fmt.Errorf("malgraph: resolve observations: %w", err)
 		}
 		b = core.Batch{Entries: rb.Entries, Stats: rb.Stats, Reports: rec.ext.Reports, At: rb.At}
-		payload = rec.ext
 	}
 	seq := replaySeq
 	if seq == 0 {
 		var err error
-		if seq, err = p.journalLocked(rec.kind, payload); err != nil {
+		if seq, err = p.journalLocked(rec); err != nil {
 			return core.IngestStats{}, err
 		}
 	}
@@ -152,25 +162,35 @@ func (p *Pipeline) LastSeq() uint64 {
 	return p.lastSeq
 }
 
-// journalLocked appends one record (fsync'd) and returns its sequence
-// number without touching lastSeq: the caller commits the sequence only
-// after the engine apply succeeds, so a snapshot's AppliedSeq stamp never
-// claims a record the engine does not reflect. (A journaled-but-unapplied
-// record keeps its burned sequence above the stamp and is re-applied on
-// replay instead of being silently skipped.) With no journal attached the
-// next sequence is just counted, so serve without -wal still hands out
-// monotonic (just not durable) sequence numbers.
-func (p *Pipeline) journalLocked(kind string, v any) (uint64, error) {
+// journalLocked appends rec (fsync'd) — a feed or external record as
+// JSON, an observations record as the body it was decoded from — and
+// returns its sequence number without touching lastSeq: the caller commits
+// the sequence only after the engine apply succeeds, so a snapshot's
+// AppliedSeq stamp never claims a record the engine does not reflect. (A
+// journaled-but-unapplied record keeps its burned sequence above the stamp
+// and is re-applied on replay instead of being silently skipped.) With no
+// journal attached the next sequence is just counted, so serve without
+// -wal still hands out monotonic (just not durable) sequence numbers.
+func (p *Pipeline) journalLocked(rec record) (uint64, error) {
 	if p.journal == nil {
 		return p.lastSeq + 1, nil
 	}
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("malgraph: journal %s: %w", kind, err)
+	var payload []byte
+	var err error
+	switch rec.kind {
+	case recFeed:
+		payload, err = json.Marshal(rec.feed)
+	case recExternal:
+		payload, err = json.Marshal(rec.ext)
+	case recObservations:
+		payload = rec.body
 	}
-	seq, err := p.journal.Append(kind, payload)
 	if err != nil {
-		return 0, fmt.Errorf("malgraph: journal %s: %w", kind, err)
+		return 0, fmt.Errorf("malgraph: journal %s: %w", rec.kind, err)
+	}
+	seq, err := p.journal.Append(rec.kind, payload)
+	if err != nil {
+		return 0, fmt.Errorf("malgraph: journal %s: %w", rec.kind, err)
 	}
 	return seq, nil
 }
@@ -212,7 +232,7 @@ func (p *Pipeline) ReplayJournal(l *wal.Log) (int, error) {
 	applied := 0
 	restored := p.lastSeq
 	err := l.Replay(0, func(wr wal.Record) error {
-		if wr.Kind == recExternal && wr.Seq <= restored {
+		if (wr.Kind == recExternal || wr.Kind == recObservations) && wr.Seq <= restored {
 			return nil
 		}
 		rec, err := decodeRecord(wr)

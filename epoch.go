@@ -223,10 +223,11 @@ func (d dirtyBlocks) union(o dirtyBlocks) dirtyBlocks {
 // shapeStats summarizes a graph view (the former Pipeline.Stats body,
 // evaluated once at publish time instead of per query under the lock).
 func shapeStats(mg *core.MalGraph, pending int) PipelineStats {
+	entries, missing := len(mg.Dataset.Entries), mg.Dataset.MissingCount()
 	st := PipelineStats{
-		Entries:        len(mg.Dataset.Entries),
-		Available:      len(mg.Dataset.Available()),
-		MissingRate:    mg.Dataset.TotalMR(),
+		Entries:        entries,
+		Available:      entries - missing,
+		MissingRate:    collect.MissingRate(missing, entries),
 		Reports:        len(mg.Reports),
 		Nodes:          mg.G.NodeCount(),
 		Edges:          mg.G.EdgeCount(),
@@ -248,13 +249,14 @@ func computeResults(ep *Epoch) (*Results, error) {
 	if ep.base == nil {
 		dirty = allDirty()
 	}
+	entries, missing := len(dataset.Entries), dataset.MissingCount()
 	r := &Results{
 		Seed:            ep.cfg.Seed,
 		Scale:           ep.cfg.Scale,
-		TotalPackages:   len(dataset.Entries),
-		Available:       len(dataset.Available()),
-		Missing:         len(dataset.MissingEntries()),
-		TotalMR:         dataset.TotalMR(),
+		TotalPackages:   entries,
+		Available:       entries - missing,
+		Missing:         missing,
+		TotalMR:         collect.MissingRate(missing, entries),
 		CrawledPages:    ep.crawl.Fetched,
 		CrawledReports:  len(reportCorpus),
 		GraphNodes:      ep.graph.G.NodeCount(),

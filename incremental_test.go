@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -27,6 +28,23 @@ import (
 	"malgraph/internal/wal"
 	"malgraph/internal/xrand"
 )
+
+// Append ingests one raw batch, unjournaled, and publishes it: the tests
+// partition a corpus into arbitrary core.Batch values this way. A raw
+// batch has no journal record kind, so on a pipeline with a journal
+// attached Append refuses and changes nothing.
+func (p *Pipeline) Append(b core.Batch) (core.IngestStats, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.journal != nil {
+		return core.IngestStats{}, errors.New("malgraph: append: a raw batch cannot be journaled; use AppendPending or AppendExternal")
+	}
+	st, err := p.ingestLocked(b)
+	if err == nil {
+		p.publishLocked()
+	}
+	return st, err
+}
 
 // oneShot builds the classic batch pipeline and its Results once per scale.
 func oneShot(t *testing.T, scale float64) (*Pipeline, *Results) {

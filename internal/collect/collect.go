@@ -197,10 +197,27 @@ func (r *Result) MissingEntries() []*Entry {
 	return out
 }
 
+// MissingCount counts the artifact-less entries in one pass, without the
+// slice MissingEntries builds.
+func (r *Result) MissingCount() int {
+	n := 0
+	for _, e := range r.Entries {
+		if e.Availability == Missing {
+			n++
+		}
+	}
+	return n
+}
+
 // TotalMR is the dataset-wide missing rate (paper: 39.27%).
 func (r *Result) TotalMR() float64 {
-	if len(r.Entries) == 0 {
+	return MissingRate(r.MissingCount(), len(r.Entries))
+}
+
+// MissingRate is missing / total, 0 for an empty dataset.
+func MissingRate(missing, total int) float64 {
+	if total == 0 {
 		return 0
 	}
-	return float64(len(r.MissingEntries())) / float64(len(r.Entries))
+	return float64(missing) / float64(total)
 }

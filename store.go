@@ -15,9 +15,9 @@ import (
 )
 
 // AttachStore gives the engine the content store every checkpoint writes
-// to and starts delta tracking; Checkpoint and SnapshotEngine fail without
-// one. The first checkpoint after attaching writes the full state into the
-// store (later ones write only what changed).
+// to and starts delta tracking; Checkpoint fails without one. The first
+// checkpoint after attaching writes the full state into the store (later
+// ones write only what changed).
 func (p *Pipeline) AttachStore(st *castore.Store) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
