@@ -403,10 +403,10 @@ func (p *Pipeline) snapshotEngineLocked(w io.Writer) error {
 }
 
 // AdoptEngine swaps in an engine restored outside the pipeline by
-// core.RestoreEngineWithStore from a manifest and republishes it:
-// embeddings come back with the graph and the restore rebuilds the cluster
-// state and the scan caches, so serving resumes without an O(corpus)
-// rebuild. The journal sequence
+// core.RestoreEngineWithStore from a manifest and republishes it. The
+// restore replayed the manifest's dataset and reports as one ingest, so
+// the adopted engine's graph, clustering state and indexes are what the
+// running code derives from those inputs. The journal sequence
 // restores from the manifest's AppliedSeq stamp, and the feed cursor from
 // its FeedPos stamp (a stamp past the end of a feed re-partitioned since
 // restarts it at zero — re-draining already-ingested batches is an

@@ -25,8 +25,8 @@ import (
 // change shows which half it moved. The schedule re-bases every section at
 // least twice.
 const (
-	checkpointGoldenManifests = "9a8c3a7bf2469eda74be18b5f2b6a592158f548fc2b624a5923d7f998028a444"
-	checkpointGoldenSegments  = "b65461593e5e1e5b32a31a741ec0824c6a93a8b09a3c53f6172a6e4d2d72fb0c"
+	checkpointGoldenManifests = "72899eedc46bb0c93bd0e63dd2b51741d1e288bc13bf38fed2c800318b032839"
+	checkpointGoldenSegments  = "458d5af685c13e698bd872abd2b1a793793aa6c4d34be111ee7eb46a1e44336b"
 )
 
 func TestCheckpointGoldenBytes(t *testing.T) {

@@ -201,7 +201,7 @@ func FuzzServeReportsBody(f *testing.F) {
 		var req struct {
 			Reports []*reports.Report `json:"reports"`
 		}
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && rec.Code >= 500 {
+		if json.Unmarshal(body, &req) == nil && rec.Code >= 500 {
 			t.Fatalf("status %d for a body that decodes: %s (body %q)", rec.Code, rec.Body.Bytes(), body)
 		}
 	})

@@ -698,17 +698,24 @@ func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
 // package list or IoC set is absent are parsed from their body, the §III-D
 // path from raw page to structured report; documents naming no packages are
 // skipped (they carry no co-existing evidence), mirroring the crawler's
-// relevance filter.
+// relevance filter. The body must be exactly that one JSON value: bytes
+// after it are refused with 400 before anything is journaled, and a body
+// over the cap with 413.
 func (s *server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeError(w, decodeStatus(err), fmt.Errorf("read reports: %w", err))
+		return
+	}
 	var req struct {
 		Reports []*reports.Report `json:"reports"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, decodeStatus(err), fmt.Errorf("decode reports: %w", err))
+	if err := json.Unmarshal(body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode reports: %w", err))
 		return
 	}
 	s.beforeApply()
@@ -844,7 +851,7 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		// GET must never run the engine's segmented Snapshot itself — that
-		// path mutates (commits chunk logs, drops the graph journal) and
+		// path mutates (commits chunk logs, resets the dirty keys) and
 		// belongs to Checkpoint.
 		s.handleSnapshotBundle(w)
 	case http.MethodPost:

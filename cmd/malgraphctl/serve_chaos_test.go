@@ -182,6 +182,10 @@ func TestServeBodyLimitAnswers413(t *testing.T) {
 	if status, _, _ := postRaw(t, ts.URL+"/api/v1/observations", big, nil); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", status)
 	}
+	bigReports := `{"reports":[` + strings.Repeat(`{"url":"x"},`, 64) + `{"url":"x"}]}`
+	if status, _, _ := postRaw(t, ts.URL+"/api/v1/reports", bigReports, nil); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized reports body: status %d, want 413", status)
+	}
 	// Under the cap still works.
 	if status, _, _ := postRaw(t, ts.URL+"/api/v1/observations", `{"observations":[]}`, nil); status == http.StatusRequestEntityTooLarge {
 		t.Fatal("small body rejected by the cap")

@@ -253,6 +253,36 @@ func TestServeWALObservationsTrailingBytesRefused(t *testing.T) {
 	}
 }
 
+// TestServeWALReportsTrailingBytesRefused: a reports push is one JSON
+// value too, so a body with bytes after it is refused with 400 before
+// anything is journaled; the same body without them lands.
+func TestServeWALReportsTrailingBytesRefused(t *testing.T) {
+	s, ts, j := newWALTestServer(t, t.TempDir())
+	defer j.Close()
+	_, reps := s.p.Source()
+	body, err := json.Marshal(map[string]any{"reports": reps[:3]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{" trailing", "{}", "\x00"} {
+		if got := postBody(t, ts.URL+"/api/v1/reports", append(slices.Clone(body), tail...)); got != http.StatusBadRequest {
+			t.Fatalf("body + %q: status %d, want 400", tail, got)
+		}
+	}
+	if got := postBody(t, ts.URL+"/api/v1/reports", []byte(`{"reports":[]} trailing`)); got != http.StatusBadRequest {
+		t.Fatalf("empty reports + trailing: status %d, want 400", got)
+	}
+	if seq, size := j.LastSeq(), j.Size(); seq != 0 || size != 0 {
+		t.Fatalf("refused bodies journaled: seq %d, %d bytes", seq, size)
+	}
+	if got := postBody(t, ts.URL+"/api/v1/reports", append(body, " \n"...)); got != http.StatusOK {
+		t.Fatalf("body + whitespace: status %d, want 200", got)
+	}
+	if seq := j.LastSeq(); seq != 1 {
+		t.Fatalf("journal seq %d after one accepted push, want 1", seq)
+	}
+}
+
 // TestServeWALObservationsBodyIgnoresReports: an observations push that
 // also carries a top-level "reports" member ingests no report, live or
 // after a restart that replays its journal record — which holds the body

@@ -29,8 +29,8 @@ package analyzers
 // from Node, Edges and Persist, so one map may back many edges and every
 // published view. Outside internal/graph the pass therefore flags map
 // writes, deletes, clears and maps.Copy/maps.DeleteFunc into the Attrs
-// field of a graph.Node, graph.Edge or graph.Op value, or into a local
-// alias of one. A graph.Attrs still being built (a local map literal not
+// field of a graph.Node or graph.Edge value, or into a local alias of
+// one. A graph.Attrs still being built (a local map literal not
 // yet handed over) is not such a value and may be filled in.
 
 import (
@@ -117,7 +117,7 @@ type epochCheck struct {
 
 // graphAttrTypes are the internal/graph types whose Attrs field holds a map
 // the graph owns.
-var graphAttrTypes = map[string]bool{"Node": true, "Edge": true, "Op": true}
+var graphAttrTypes = map[string]bool{"Node": true, "Edge": true}
 
 // isGraphPackage reports whether pkg is internal/graph, the one package
 // that may write into installed attribute maps.
@@ -130,8 +130,8 @@ func isGraphPackage(pkg *types.Package) bool {
 }
 
 // attrsDesc classifies the map operand of a write: non-empty when it is the
-// Attrs field of a graph.Node, graph.Edge or graph.Op value, or a local
-// alias of one, describing it for the finding.
+// Attrs field of a graph.Node or graph.Edge value, or a local alias of
+// one, describing it for the finding.
 func (c *epochCheck) attrsDesc(e ast.Expr) string {
 	if c.graph {
 		return ""

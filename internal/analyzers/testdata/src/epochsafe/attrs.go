@@ -8,8 +8,8 @@ import (
 
 // The graph owns every attribute map installed through AddNode or AddEdge
 // and hands the same map back from Node, Edges and Persist, so a write
-// into the Attrs of a graph.Node, graph.Edge or graph.Op outside
-// internal/graph is a finding.
+// into the Attrs of a graph.Node or graph.Edge outside internal/graph is
+// a finding.
 
 func badNodeAttrWrite(g *graph.Graph) {
 	n, _ := g.Node("a")
@@ -26,9 +26,9 @@ func badPersistedClear(p *graph.Persisted) {
 	clear(p.Nodes[0].Attrs) // want `clears from the Attrs of a graph.Node`
 }
 
-func badOpAlias(ops []graph.Op) {
-	a := ops[0].Attrs
-	a["k"] = "v" // want `writes into the Attrs of a graph.Op`
+func badEdgeAlias(edges []graph.Edge) {
+	a := edges[0].Attrs
+	a["k"] = "v" // want `writes into the Attrs of a graph.Edge`
 }
 
 func badMapsCopy(e *graph.Edge, extra graph.Attrs) {

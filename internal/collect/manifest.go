@@ -1,7 +1,7 @@
 package collect
 
 // Manifest persistence splits the dataset into per-entry records so a
-// segmented checkpoint (a v7 manifest) can delta-log only the entries that
+// segmented checkpoint (a v8 manifest) can delta-log only the entries that
 // changed since the previous checkpoint. The wire shape per entry is the
 // same persistedEntry used by WriteJSON, except the artifact body is
 // replaced by a content-store blob reference — the store holds the bytes,

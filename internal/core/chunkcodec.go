@@ -1,21 +1,17 @@
 package core
 
-// Binary store chunks: the encoding Snapshot writes for its four heavy blob
-// kinds, so a restore decodes them by slicing instead of through
-// encoding/json. Strings are a uvarint length plus the bytes; floats and
-// SimHash fingerprints are 64-bit little-endian; a "nilable" count is
-// written plus one, so zero marks a nil slice and the decoded state equals
-// the encoded one exactly.
+// Binary store chunks: the encoding Snapshot writes for its two blob kinds,
+// so a restore decodes them by slicing instead of through encoding/json.
+// Strings are a uvarint length plus the bytes; a "nilable" count is written
+// plus one, so zero marks a nil slice and the decoded state equals the
+// encoded one exactly.
 //
 //	kv frame      kvMagic | nSet | nSet×(key, value) | nDel | nDel×key
-//	graph chunk   graphMagic | reset flag | [nodes (id, attrs) | edges (from, to, type, attrs)] | ops
-//	item value    itemTag | id | nilable dim | dim×float64 | SimHash
 //	artifact      artifactMagic | ecosystem (varint) | name | version | description | nilable files (path, content)
 //
-// Keys and attribute names are strictly increasing, so equal state encodes
-// to equal bytes (and the same content key), and a decoder accepts exactly
-// the bytes its encoder writes. A blob without the magic (or tag) is
-// refused; one that opens with '{' is a JSON chunk from before the binary
+// Keys are strictly increasing, so equal state encodes to equal bytes (and
+// the same content key), and a decoder accepts exactly the bytes its
+// encoder writes. A blob without the magic is refused; one that opens with '{' is a JSON chunk from before the binary
 // format, and the error says so. The decoders bound every count by the
 // bytes that remain before allocating, check every length, reject trailing
 // bytes and never panic: castore verifies each blob's SHA-256, but a store
@@ -25,12 +21,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"malgraph/internal/ecosys"
-	"malgraph/internal/graph"
-	"malgraph/internal/textsim"
 )
 
 // The magics start with NUL, which cannot begin a JSON document: a build
@@ -38,17 +31,14 @@ import (
 // error naming the chunk instead of restoring from them.
 const (
 	kvMagic       = "\x00kv1"
-	graphMagic    = "\x00gr1"
 	artifactMagic = "\x00ar1"
-	// itemTag opens an item value; a JSON item opens with '{'.
-	itemTag byte = 1
 )
 
 // lastLegacyReader is the last commit that reads the encodings a restore
 // now refuses: monolithic v3/v4 snapshots and JSON chunks.
 const lastLegacyReader = "3e24565"
 
-// errNoMagic refuses a blob of the given kind that lacks its magic or tag.
+// errNoMagic refuses a blob of the given kind that lacks its magic.
 func errNoMagic(kind string, data []byte) error {
 	if len(data) > 0 && data[0] == '{' {
 		return fmt.Errorf("%s: a legacy JSON chunk; this build reads only binary chunks, and the last commit that reads JSON chunks is %s",
@@ -56,16 +46,6 @@ func errNoMagic(kind string, data []byte) error {
 	}
 	return fmt.Errorf("%s: missing magic", kind)
 }
-
-// Graph op kinds on the wire.
-const (
-	opNode byte = iota + 1
-	opAttr
-	opEdge
-	opDelEdge
-)
-
-var opKinds = map[string]byte{"node": opNode, "attr": opAttr, "edge": opEdge, "deledge": opDelEdge}
 
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -78,20 +58,6 @@ func appendNilable(b []byte, n int, isNil bool) []byte {
 		return append(b, 0)
 	}
 	return binary.AppendUvarint(b, uint64(n)+1)
-}
-
-func appendAttrs(b []byte, a graph.Attrs) []byte {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = binary.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = appendString(b, k)
-		b = appendString(b, a[k])
-	}
-	return b
 }
 
 // encodeKVChunk renders a keyed-section delta as a kv frame, keys sorted.
@@ -124,65 +90,6 @@ func encodeKVChunk(ch kvChunk) []byte {
 	return b
 }
 
-// encodeGraphChunk renders one step of the graph log.
-func encodeGraphChunk(gc graphChunk) ([]byte, error) {
-	b := append([]byte(nil), graphMagic...)
-	if gc.Reset == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-		b = binary.AppendUvarint(b, uint64(len(gc.Reset.Nodes)))
-		for _, n := range gc.Reset.Nodes {
-			b = appendString(b, n.ID)
-			b = appendAttrs(b, n.Attrs)
-		}
-		b = binary.AppendUvarint(b, uint64(len(gc.Reset.Edges)))
-		for _, e := range gc.Reset.Edges {
-			b = appendString(b, e.From)
-			b = appendString(b, e.To)
-			b = binary.AppendUvarint(b, uint64(e.Type))
-			b = appendAttrs(b, e.Attrs)
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(gc.Ops)))
-	for _, op := range gc.Ops {
-		kind, ok := opKinds[op.Kind]
-		if !ok {
-			return nil, fmt.Errorf("graph chunk: unknown op %q", op.Kind)
-		}
-		b = append(b, kind)
-		switch kind {
-		case opNode:
-			b = appendString(b, op.ID)
-			b = appendAttrs(b, op.Attrs)
-		case opAttr:
-			b = appendString(b, op.ID)
-			b = appendString(b, op.Key)
-			b = appendString(b, op.Value)
-		case opEdge, opDelEdge:
-			b = appendString(b, op.From)
-			b = appendString(b, op.To)
-			b = binary.AppendUvarint(b, uint64(op.Type))
-			if kind == opEdge {
-				b = appendAttrs(b, op.Attrs)
-			}
-		}
-	}
-	return b, nil
-}
-
-// encodeItem renders one clustering item as an item value.
-func encodeItem(it textsim.Item) []byte {
-	b := make([]byte, 0, 1+binary.MaxVarintLen32+len(it.ID)+binary.MaxVarintLen32+8*len(it.Vector)+8)
-	b = append(b, itemTag)
-	b = appendString(b, it.ID)
-	b = appendNilable(b, len(it.Vector), it.Vector == nil)
-	for _, f := range it.Vector {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-	}
-	return binary.LittleEndian.AppendUint64(b, it.Hash)
-}
-
 // encodeArtifact renders an artifact blob; files keep their order, which
 // the artifact's hash covers.
 func encodeArtifact(a *ecosys.Artifact) []byte {
@@ -210,29 +117,12 @@ type chunkReader struct {
 	buf []byte
 	off int
 	err error
-	// names interns node IDs and attribute names within a graph chunk:
-	// every edge names two nodes and every node repeats the same few
-	// attribute names, so they share one allocation each.
-	names map[string]string
 }
 
 func (r *chunkReader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf(format, args...)
 	}
-}
-
-func (r *chunkReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail("truncated at byte %d", r.off)
-		return 0
-	}
-	c := r.buf[r.off]
-	r.off++
-	return c
 }
 
 func (r *chunkReader) uvarint() uint64 {
@@ -260,19 +150,6 @@ func (r *chunkReader) varint() int64 {
 		return 0
 	}
 	r.off += n
-	return v
-}
-
-func (r *chunkReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf)-r.off < 8 {
-		r.fail("truncated at byte %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
 	return v
 }
 
@@ -316,17 +193,6 @@ func (r *chunkReader) raw() []byte {
 
 func (r *chunkReader) str() string { return string(r.raw()) }
 
-// name reads a string through the intern table.
-func (r *chunkReader) name() string {
-	b := r.raw()
-	if s, ok := r.names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	r.names[s] = s
-	return s
-}
-
 // after returns s, failing unless it sorts strictly after prev (or is
 // the first of its list).
 func (r *chunkReader) after(s, prev string, first bool, what string) string {
@@ -334,29 +200,6 @@ func (r *chunkReader) after(s, prev string, first bool, what string) string {
 		r.fail("%s %q at byte %d is not after %q", what, s, r.off, prev)
 	}
 	return s
-}
-
-func (r *chunkReader) attrs() graph.Attrs {
-	n := r.count(2)
-	if n == 0 {
-		return nil
-	}
-	a := make(graph.Attrs, n)
-	prev := ""
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.after(r.name(), prev, i == 0, "attribute")
-		a[k] = r.str()
-		prev = k
-	}
-	return a
-}
-
-func (r *chunkReader) edgeType() graph.EdgeType {
-	v := r.uvarint()
-	if r.err == nil && (v < uint64(graph.Duplicated) || v > uint64(graph.Coexisting)) {
-		r.fail("edge type %d at byte %d", v, r.off)
-	}
-	return graph.EdgeType(v)
 }
 
 // done reports the first error, or trailing bytes after a complete blob.
@@ -396,72 +239,6 @@ func decodeKVChunk(data []byte) (kvChunk, error) {
 		}
 	}
 	return ch, r.done("kv frame")
-}
-
-// decodeGraphChunk decodes a graph chunk.
-func decodeGraphChunk(data []byte) (graphChunk, error) {
-	if !bytes.HasPrefix(data, []byte(graphMagic)) {
-		return graphChunk{}, errNoMagic("graph chunk", data)
-	}
-	r := &chunkReader{buf: data, off: len(graphMagic), names: make(map[string]string)}
-	var gc graphChunk
-	switch flag := r.u8(); {
-	case r.err != nil:
-	case flag == 1:
-		p := &graph.Persisted{}
-		// A node takes at least 2 bytes (empty ID, no attrs), an edge 4.
-		if n := r.count(2); n > 0 {
-			p.Nodes = make([]graph.Node, n)
-			for i := range p.Nodes {
-				p.Nodes[i] = graph.Node{ID: r.name(), Attrs: r.attrs()}
-			}
-		}
-		p.Edges = make([]graph.Edge, r.count(4))
-		for i := range p.Edges {
-			p.Edges[i] = graph.Edge{From: r.name(), To: r.name(), Type: r.edgeType(), Attrs: r.attrs()}
-		}
-		gc.Reset = p
-	case flag != 0:
-		r.fail("reset flag %d", flag)
-	}
-	// An op takes at least 3 bytes (kind, empty ID, no attrs).
-	if n := r.count(3); n > 0 {
-		gc.Ops = make([]graph.Op, n)
-		for i := range gc.Ops {
-			op := &gc.Ops[i]
-			switch kind := r.u8(); {
-			case r.err != nil:
-			case kind == opNode:
-				op.Kind, op.ID, op.Attrs = "node", r.name(), r.attrs()
-			case kind == opAttr:
-				op.Kind, op.ID, op.Key, op.Value = "attr", r.name(), r.name(), r.str()
-			case kind == opEdge:
-				op.Kind, op.From, op.To, op.Type, op.Attrs = "edge", r.name(), r.name(), r.edgeType(), r.attrs()
-			case kind == opDelEdge:
-				op.Kind, op.From, op.To, op.Type = "deledge", r.name(), r.name(), r.edgeType()
-			default:
-				r.fail("unknown op kind %d at byte %d", kind, r.off-1)
-			}
-		}
-	}
-	return gc, r.done("graph chunk")
-}
-
-// decodeItem decodes a clustering item value.
-func decodeItem(data []byte) (textsim.Item, error) {
-	if len(data) == 0 || data[0] != itemTag {
-		return textsim.Item{}, errNoMagic("item", data)
-	}
-	r := &chunkReader{buf: data, off: 1}
-	it := textsim.Item{ID: r.str()}
-	if dim, isNil := r.nilable(8); !isNil {
-		it.Vector = make([]float64, dim)
-		for i := range it.Vector {
-			it.Vector[i] = math.Float64frombits(r.u64())
-		}
-	}
-	it.Hash = r.u64()
-	return it, r.done("item")
 }
 
 // decodeArtifact decodes an artifact blob.

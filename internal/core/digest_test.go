@@ -154,7 +154,7 @@ func TestDigestGraphIsOrderFree(t *testing.T) {
 		{"dependency flipped", func(t *testing.T, edges []graph.Edge) {
 			i := first(t, edges, func(ed graph.Edge) bool { return ed.Type == graph.Dependency })
 			edges[i].From, edges[i].To = edges[i].To, edges[i].From
-		}, []string{sectionGraph}},
+		}, []string{"graph"}},
 		{"attribute changed", func(t *testing.T, edges []graph.Edge) {
 			i := first(t, edges, func(ed graph.Edge) bool { return len(ed.Attrs) > 0 })
 			attrs := make(graph.Attrs, len(edges[i].Attrs))
@@ -162,14 +162,21 @@ func TestDigestGraphIsOrderFree(t *testing.T) {
 				attrs[k] = v + "'"
 			}
 			edges[i].Attrs = attrs // Persist shares the graph's maps: replace, never write
-		}, []string{sectionGraph}},
+		}, []string{"graph"}},
 	} {
 		e := fresh()
 		p := e.mg.G.Persist()
 		tc.edit(t, p.Edges)
-		g, err := p.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		g := graph.New()
+		for _, n := range p.Nodes {
+			if err := g.AddNode(n.ID, n.Attrs); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		for _, ed := range p.Edges {
+			if err := g.AddEdge(ed.From, ed.To, ed.Type, ed.Attrs); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
 		}
 		e.mg.G = g
 		if diff := digestDiff(digestOf(t, e), base); !reflect.DeepEqual(diff, tc.want) {
@@ -196,10 +203,11 @@ func firstKey[V any](t *testing.T, m map[string]V) string {
 // restore entry point, against a store holding a real three-checkpoint
 // chain: no input panics, an input the restore accepts is a manifest of a
 // version readableManifest admits, and the engine it gives has a digest.
-// Seeds: v2, v3 and v4 snapshot headers (each refused), the chain's v7
-// manifests, a manifest naming a graph chunk the store does not hold, and
-// the last manifest rewritten as v6 (asV6Manifest) and as v5
-// (asV5Manifest).
+// Seeds: v2, v3 and v4 snapshot headers (each refused), the chain's v8
+// manifests, a manifest naming a dataset chunk the store does not hold, the
+// last manifest rewritten as v6 (asV6Manifest) and as v5 (asV5Manifest), a
+// minimal v8 manifest of an empty engine, and the last manifest rewritten
+// as v7 with garbage graph and items chains (asV7Manifest).
 func FuzzRestoreEngineWithStore(f *testing.F) {
 	for v := 2; v <= 4; v++ {
 		f.Add([]byte(monolithicHeaders[v]))
@@ -229,14 +237,16 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
 		f.Fatal(err)
 	}
-	man.Sections[sectionGraph] = append(man.Sections[sectionGraph], castore.KeyOf([]byte("not in the store")))
+	man.Sections[sectionDataset] = append(man.Sections[sectionDataset], castore.KeyOf([]byte("not in the store")))
 	unknown, err := json.Marshal(man)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(unknown)
-	f.Add(asV6Manifest(f, manifest.Bytes()))
-	f.Add(asV5Manifest(f, manifest.Bytes()))
+	f.Add(asV6Manifest(f, manifest.Bytes(), store))
+	f.Add(asV5Manifest(f, manifest.Bytes(), store))
+	f.Add([]byte(`{"version":8,"config":{},"datasetHeader":{"collectedAt":"0001-01-01T00:00:00Z","perSource":{}},"sections":{"dataset":[],"reports":[]}}`))
+	f.Add(asV7Manifest(f, manifest.Bytes(), store))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e, err := RestoreEngineWithStore(bytes.NewReader(raw), store)

@@ -160,7 +160,7 @@ type ecoShard struct {
 	// Reverse import index: imported name → canonical node IDs of the
 	// already-scanned fronts importing it (self-name imports excluded),
 	// which backward linking reads. Checkpoints do not persist it; a
-	// restore re-scans the artifacts.
+	// restore's replay re-scans the artifacts.
 	importers map[string][]string
 
 	// lsh is the one store of the §III-B per-artifact products (one
@@ -427,8 +427,7 @@ func (e *Engine) applyNodes(changes []entryChange, st *IngestStats) error {
 			}
 		} else {
 			// One pass in key order over the attributes whose value changed,
-			// so equal states journal equal op sequences and an unchanged
-			// attribute costs no node copy.
+			// so an unchanged attribute costs no node copy.
 			cur, _ := e.mg.G.Node(id)
 			keys := make([]string, 0, len(attrs))
 			for k, v := range attrs {
@@ -550,9 +549,6 @@ type shardPlan struct {
 	partitions   int
 	artifacts    int
 	dirtyItems   int
-
-	// The new item IDs, which the commit marks for the next checkpoint.
-	items []string
 }
 
 // applyShardsLocked inserts the batch's nodes (applyNodes) beside the
@@ -612,15 +608,6 @@ func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.
 			return nil
 		},
 	)
-	// Every plan changed its shard's items, failed or not, so all of them
-	// are marked before an error returns.
-	if e.sections != nil {
-		for _, plan := range plans {
-			for _, id := range plan.items {
-				e.sections[secItems].dirty.set(ecoKey(plan.eco.String(), id))
-			}
-		}
-	}
 	if err != nil {
 		return err
 	}
@@ -751,13 +738,10 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 			Hash:   textsim.SimHashHashed(sc.hashed),
 		}
 	})
-	dirty := make([]string, 0, len(items))
 	for _, it := range items {
 		sh.lsh.Add(it.ID, it.Hash, it.Vector)
-		dirty = append(dirty, it.ID)
 	}
-	plan.items = dirty
-	if len(dirty) == 0 {
+	if len(items) == 0 {
 		return plan
 	}
 	// Resolve the dirty partitions: where the new items landed after every
@@ -765,9 +749,9 @@ func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *s
 	// inside one of these (the merge was bridged by a new item), so dropping
 	// the dirty members' similar edges drops its old cluster too.
 	seen := make(map[string]bool)
-	keys := make([]string, 0, len(dirty))
-	for _, id := range dirty {
-		key, ok := sh.lsh.Root(id)
+	keys := make([]string, 0, len(items))
+	for _, it := range items {
+		key, ok := sh.lsh.Root(it.ID)
 		if !ok || seen[key] {
 			continue
 		}

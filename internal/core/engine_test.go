@@ -302,51 +302,6 @@ func TestEngineLateArtifactUpsert(t *testing.T) {
 	assertEngineMatchesBuild(t, eng, want, "late artifact")
 }
 
-// TestEngineUpsertJournalsChangedAttrsInOrder refreshes an updated entry's
-// canonical node 20 times over: every run must journal the same ops, and
-// the node's attr ops must name only the attributes whose value changed, in
-// key order, so equal states give equal graph-chunk bytes.
-func TestEngineUpsertJournalsChangedAttrsInOrder(t *testing.T) {
-	var first []graph.Op
-	for run := 0; run < 20; run++ {
-		ds, reps, stripped, full, _ := lateArtifactFixture(t)
-		eng := NewEngine(DefaultConfig())
-		if _, err := eng.Ingest(Batch{Entries: stripped, Reports: reps, At: ds.CollectedAt}); err != nil {
-			t.Fatal(err)
-		}
-		id := NodeID(full.Coord)
-		before, _ := eng.Graph().G.Node(id)
-		eng.Graph().G.EnableJournal()
-		if _, err := eng.Ingest(Batch{Entries: []*collect.Entry{full}}); err != nil {
-			t.Fatal(err)
-		}
-		ops := eng.Graph().G.JournalOps()
-		if run > 0 {
-			if !reflect.DeepEqual(ops, first) {
-				t.Fatalf("run %d journaled %+v, run 0 %+v", run, ops, first)
-			}
-			continue
-		}
-		first = ops
-		after, _ := eng.Graph().G.Node(id)
-		var changed, got []string
-		for k, v := range after.Attrs {
-			if old, ok := before.Attrs[k]; !ok || old != v {
-				changed = append(changed, k)
-			}
-		}
-		sort.Strings(changed)
-		for _, op := range ops {
-			if op.Kind == "attr" && op.ID == id {
-				got = append(got, op.Key)
-			}
-		}
-		if len(changed) == 0 || !slices.Equal(got, changed) {
-			t.Fatalf("attr ops on %s name %v, want the changed keys in order %v", id, got, changed)
-		}
-	}
-}
-
 // similarFamilies groups g's similar edges by their "cluster" label, each
 // label's sorted member set: the similar clusters as the graph holds them.
 func similarFamilies(g *graph.Graph) map[string][]string {

@@ -1,16 +1,12 @@
 package core
 
-// Engine.Digest, which hashes each state section as JSON (the items, read
-// from each shard's LSH index in ID order, in the shape the monolithic v4
-// snapshot gave them), and restoreFromParts, the tail of the restore
-// (snapshot5.go) that rebuilds an engine's caches and indexes from its
-// decoded sections. The items carry their embeddings, so a restore
-// re-embeds nothing. Everything else it derives, each part cheaper to
-// rebuild than to persist: the LSH partitions as the items are added back
-// into each shard's index, the reverse import index from the artifacts and
-// the per-coordinate report index from the reports. The similar clusters
-// and the co-existing pair owners need no rebuild: they are the graph's
-// similar edges and the "report" attrs of its co-existing edges.
+// Engine.Digest, the state oracle, which hashes each state section as JSON
+// (the items, read from each shard's LSH index in ID order, in the shape
+// the monolithic v4 snapshot gave them). A checkpoint persists only the
+// dataset and reports sections; a restore (snapshot5.go) replays them as
+// one Ingest, so every other section of a restored engine is derived by the
+// running code, and the restore suites compare all of them against the live
+// engine through this digest.
 
 import (
 	"crypto/sha256"
@@ -23,11 +19,6 @@ import (
 	"strconv"
 
 	"malgraph/internal/collect"
-	"malgraph/internal/ecosys"
-	"malgraph/internal/graph"
-	"malgraph/internal/parallel"
-	"malgraph/internal/reports"
-	"malgraph/internal/textsim"
 )
 
 // snapshotItem is a clustering item as Digest hashes it. SimHash
@@ -37,22 +28,6 @@ type snapshotItem struct {
 	ID     string    `json:"id"`
 	Vector []float64 `json:"vector"`
 	Hash   string    `json:"hash"`
-}
-
-// restoreParts is the persisted state the restore decodes, apart from the
-// dataset and the graph. restoreFromParts derives every index and cache
-// the engine keeps beside them.
-type restoreParts struct {
-	Config  Config
-	Reports []*reports.Report // sorted by URL
-	Items   map[string][]textsim.Item
-	// AppliedSeq is the last durable ingest sequence applied before the
-	// checkpoint: WAL records with Seq ≤ AppliedSeq are already in it and
-	// are skipped on replay. FeedPos is the feed cursor at the same instant
-	// — journal truncation at a checkpoint discards the feed records that
-	// would otherwise re-derive it.
-	AppliedSeq uint64
-	FeedPos    int
 }
 
 // Digest returns a hex SHA-256 per section of the engine's state: config,
@@ -114,9 +89,9 @@ func (e *Engine) Digest() (map[string]string, error) {
 			FeedPos    int    `json:"feedPos,omitempty"`
 		}{e.appliedSeq, e.feedPos})},
 		{sectionDataset, func(w io.Writer) error { return e.mg.Dataset.WriteJSON(w, collect.ExportFull) }},
-		{sectionGraph, encode(e.mg.G.Canonical())},
+		{"graph", encode(e.mg.G.Canonical())},
 		{sectionReports, encode(e.mg.Reports)},
-		{sectionItems, encode(items)},
+		{"items", encode(items)},
 		{"imports", encode(imports)},
 		{"posting", encode(posting)},
 	}
@@ -129,85 +104,6 @@ func (e *Engine) Digest() (map[string]string, error) {
 		out[s.name] = hex.EncodeToString(h.Sum(nil))
 	}
 	return out, nil
-}
-
-// restoreFromParts rebuilds an engine from its decoded dataset, graph and
-// the other sections in snap. All caches and indexes are rebuilt: the next
-// batch costs the same as without a restart.
-func restoreFromParts(ds *collect.Result, g *graph.Graph, snap *restoreParts) (*Engine, error) {
-	e := NewEngine(snap.Config)
-	e.appliedSeq = snap.AppliedSeq
-	e.feedPos = snap.FeedPos
-	e.mg.G = g
-	e.mg.Dataset = ds
-	e.mg.Reports = snap.Reports
-
-	// Materialize the item-bearing shards before the fan-out, as
-	// applyShardsLocked does, in name order so an unknown ecosystem fails
-	// the same way every time.
-	ecoByName := make(map[string]ecosys.Ecosystem, len(ecosys.All()))
-	for _, eco := range ecosys.All() {
-		ecoByName[eco.String()] = eco
-	}
-	itemEcos := sortedKeys(snap.Items)
-	itemShards := make([]*ecoShard, len(itemEcos))
-	for i, name := range itemEcos {
-		eco, ok := ecoByName[name]
-		if !ok {
-			return nil, fmt.Errorf("restore: unknown ecosystem %q in items", name)
-		}
-		itemShards[i] = e.shardLocked(eco)
-	}
-	// Each shard's LSH rebuild writes only that shard. Partition membership
-	// and canonical keys are content-derived, so adding the decoded items
-	// in any order reproduces the snapshotted engine's index exactly.
-	parallel.ForEach(len(itemShards), func(i int) {
-		for _, it := range snap.Items[itemEcos[i]] {
-			itemShards[i].lsh.Add(it.ID, it.Hash, it.Vector)
-		}
-	})
-	// Re-scan every artifact's imports.
-	deps := make([][]string, len(ds.Entries))
-	err := parallel.ForEachErr(len(ds.Entries), func(i int) (err error) {
-		if en := ds.Entries[i]; en.Artifact != nil {
-			if deps[i], err = e.scanner.Dependencies(en.Artifact); err != nil {
-				return fmt.Errorf("restore: dep scan %s: %w", en.Coord, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Rebuild the corpus dictionaries and the import indexes in key order —
-	// node-ID order, so future edge insertions stay deterministic.
-	for i, en := range ds.Entries {
-		sh := e.shardLocked(en.Coord.Ecosystem)
-		name := en.Coord.Name
-		id := NodeID(en.Coord)
-		sh.byName[name] = append(sh.byName[name], id)
-		if en.Artifact == nil {
-			continue
-		}
-		for _, dep := range deps[i] {
-			sh.importers[dep] = append(sh.importers[dep], id)
-		}
-	}
-	// Rebuild the per-coordinate report index, every named coordinate
-	// included, so a restored engine's next wanted-package ingest re-joins
-	// exactly the scope the uninterrupted engine would. The appends keep URL
-	// order, and in place is safe: no view of this engine exists yet.
-	for _, rep := range e.mg.Reports {
-		for _, coord := range rep.Packages {
-			// A report naming a coordinate twice is already its list's last.
-			lst := e.mg.reportsByPkg.Slot(NodeID(coord))
-			if n := len(*lst); n == 0 || (*lst)[n-1] != rep {
-				*lst = append(*lst, rep)
-			}
-		}
-	}
-	return e, nil
 }
 
 // sortedKeys returns m's keys in order.

@@ -3,34 +3,36 @@ package core
 // Segmented delta checkpoints, the only format an engine writes. A
 // store-attached engine splits persistence into a small manifest (written
 // to the caller's stream, which owns the atomic-rename and WAL-truncation
-// contracts) and content-addressed chunks in a castore.Store. Each
-// persisted section — dataset entries, graph, clustering items (read from
-// each shard's LSH index), reports — is a log of chunks: a chunk either
-// re-bases the section (full re-encode) or applies a delta of the keys the
-// engine marked since the last checkpoint (track.go). The manifest holds
-// only the ordered chunk references plus the small inline state (config,
-// dataset header, sequence stamps), so checkpoint cost is O(changes since
-// the last checkpoint), not O(corpus). A checkpoint holds
-// only what cannot be derived: the per-coordinate report index, the reverse
-// import index and the LSH partitions are pure functions of the reports,
-// the artifacts and the items, and the restore rebuilds them
-// (restoreFromParts). The similar clusters are the graph's similar edges
-// and the co-existing pair owners its co-existing edges' "report" attrs,
-// so a restore re-clusters and re-joins nothing.
+// contracts) and content-addressed chunks in a castore.Store. A checkpoint
+// holds the engine's inputs and nothing derived from them: two sections,
+// the dataset entries (each artifact a blob of its own) and the reports.
+// Each is a log of chunks: a chunk either re-bases the section (full
+// re-encode) or applies a delta of the keys the engine marked since the
+// last checkpoint (track.go). The manifest holds only the ordered chunk
+// references plus the small inline state (config, dataset header, sequence
+// stamps), so checkpoint cost is O(changes since the last checkpoint), not
+// O(corpus).
 //
-// Snapshot is one loop over the sections. The three keyed ones go through
-// one path, driven by kvSectionsLocked's table of live keys and value
-// encoders; the dataset's encoder also queues each new artifact blob. The
-// graph's chunk is its operation journal or a re-base.
+// MALGRAPH is a pure function of those inputs, and any batch partition of
+// them ingests to the one-shot state. So a restore decodes the entries,
+// their artifacts and the reports, and replays them as one Ingest into a
+// fresh engine: the graph, the clustering items and LSH partitions, the
+// import and report indexes are all rebuilt by the running code, never
+// stitched together from state an older build derived.
 //
-// Chunks, item values and artifact blobs are binary (chunkcodec.go), so a
-// restore decodes them by slicing; entry records and reports keep JSON
-// values inside the binary kv frame. The manifest itself stays JSON,
-// version 7; version 5 and 6 manifests still restore, their partitions and
-// pairOwners chains ignored, and a v5's posting map and imports chain too.
-// A restore reads nothing else: a monolithic v3/v4 snapshot and a JSON
-// chunk from an earlier build are refused with an error naming commit
-// 3e24565, the last that reads them.
+// Snapshot is one loop over the sections, driven by kvSectionsLocked's
+// table of live keys and value encoders; the dataset's encoder also queues
+// each new artifact blob.
+//
+// Chunks and artifact blobs are binary (chunkcodec.go), so a restore
+// decodes them by slicing; entry records and reports keep JSON values
+// inside the binary kv frame. The manifest itself stays JSON, version 8.
+// Versions 5 to 7 still restore, the chains this build derives ignored:
+// their graph and items chains, a v5 or v6 manifest's partitions and
+// pairOwners chains, and a v5's posting map and imports chain. A restore
+// reads nothing else: a monolithic v3/v4 snapshot and a JSON chunk from an
+// earlier build are refused with an error naming commit 3e24565, the last
+// that reads them.
 //
 // Durability ordering: the chunk segment is appended — and fsynced — before
 // a single manifest byte is written, so a manifest that gets published by
@@ -43,21 +45,19 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"malgraph/internal/castore"
 	"malgraph/internal/collect"
-	"malgraph/internal/graph"
 	"malgraph/internal/parallel"
 	"malgraph/internal/reports"
-	"malgraph/internal/textsim"
 )
 
 // snapshotVersionSegmented is the manifest format version Snapshot writes.
-// Versions 5 and 6 differ only in what a restore ignores: their partitions
-// and pairOwners sections, and the posting map a v5 carried inline and its
-// imports section.
-const snapshotVersionSegmented = 7
+// Versions 5 to 7 differ only in what a restore ignores: their graph and
+// items sections, a v5 or v6 manifest's partitions and pairOwners
+// sections, and the posting map a v5 carried inline and its imports
+// section.
+const snapshotVersionSegmented = 8
 
 // readableManifest reports whether a manifest of version v restores: the
 // one predicate RestoreEngineWithStore and CollectManifestRefs share.
@@ -82,26 +82,6 @@ type manifestSnapshot struct {
 type kvChunk struct {
 	Set map[string][]byte
 	Del []string
-}
-
-// graphChunk is one step of the graph log: either a full re-base (Reset
-// is the whole graph) or the journaled operations since the previous
-// chunk. Snapshot writes it binary (encodeGraphChunk).
-type graphChunk struct {
-	Reset *graph.Persisted
-	Ops   []graph.Op
-}
-
-// ecoKey joins an ecosystem name and an inner key for the items section,
-// whose keys are only unique per ecosystem. NUL cannot appear in node IDs.
-func ecoKey(eco, inner string) string { return eco + "\x00" + inner }
-
-func splitEcoKey(key string) (eco, inner string, ok bool) {
-	i := strings.IndexByte(key, 0)
-	if i < 0 {
-		return "", "", false
-	}
-	return key[:i], key[i+1:], true
 }
 
 // pendingChunk is one chunk built but not yet durable; the in-memory
@@ -142,17 +122,11 @@ type kvSection struct {
 }
 
 // kvSectionsLocked returns the table of keyed sections, indexed by
-// sectionID; the graph's entry is zero, its chunk comes from the graph's
-// journal. The dataset's value encoder is the one with a side effect: it
+// sectionID. The dataset's value encoder is the one with a side effect: it
 // queues an entry's artifact as a standalone blob into cp, ahead of the
 // chunk that references it, unless the blob is already durable.
 func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 	var t [numSections]kvSection
-	shardOf := make(map[string]*ecoShard, len(e.shards))
-	for eco, sh := range e.shards {
-		shardOf[eco.String()] = sh
-		t[secItems].size += sh.lsh.Len()
-	}
 	ds := e.mg.Dataset
 	t[secDataset] = kvSection{
 		size: len(ds.Entries),
@@ -181,25 +155,6 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 			}
 			return ds.EncodeEntry(en, blobRef)
 		},
-	}
-	t[secItems].keys = func() []string {
-		var keys []string
-		for eco, sh := range e.shards {
-			for _, it := range sh.lsh.Items() {
-				keys = append(keys, ecoKey(eco.String(), it.ID))
-			}
-		}
-		sort.Strings(keys)
-		return keys
-	}
-	t[secItems].value = func(key string) ([]byte, error) {
-		eco, id, _ := splitEcoKey(key)
-		if sh := shardOf[eco]; sh != nil {
-			if it, ok := sh.lsh.Item(id); ok {
-				return encodeItem(it), nil
-			}
-		}
-		return nil, errNotLive
 	}
 	t[secReports] = kvSection{
 		size: len(e.mg.Reports),
@@ -259,25 +214,6 @@ func (cp *checkpoint) addKVChunk(id sectionID, sec *section, kv kvSection) error
 	return nil
 }
 
-// addGraphChunk queues the graph's chunk: the journaled operations ops, or
-// a full re-base when the log grew past the live node+edge count.
-func (cp *checkpoint) addGraphChunk(sec *section, g *graph.Graph, ops []graph.Op) error {
-	live := g.NodeCount() + g.EdgeCount()
-	rebase := sec.log.rebaseDue(live)
-	gc, keys := graphChunk{Ops: ops}, len(ops)
-	if rebase {
-		gc, keys = graphChunk{Reset: g.Persist()}, live
-	} else if len(ops) == 0 {
-		return nil
-	}
-	data, err := encodeGraphChunk(gc)
-	if err != nil {
-		return fmt.Errorf("snapshot graph chunk: %w", err)
-	}
-	cp.addChunk(secGraph, data, keys, rebase)
-	return nil
-}
-
 // Snapshot writes a checkpoint, the only format an engine writes: delta
 // chunks and new artifact blobs into the attached store, the manifest to w,
 // at O(changes since the last checkpoint). Without a store (AttachStore) it
@@ -290,15 +226,8 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	}
 	cp := &checkpoint{newArtRefs: make(map[string]artifactRef)}
 	kv := e.kvSectionsLocked(cp)
-	ops := e.mg.G.JournalOps()
 	for id := range e.sections {
-		var err error
-		if sectionID(id) == secGraph {
-			err = cp.addGraphChunk(&e.sections[id], e.mg.G, ops)
-		} else {
-			err = cp.addKVChunk(sectionID(id), &e.sections[id], kv[id])
-		}
-		if err != nil {
+		if err := cp.addKVChunk(sectionID(id), &e.sections[id], kv[id]); err != nil {
 			return err
 		}
 	}
@@ -356,7 +285,6 @@ func (e *Engine) Snapshot(w io.Writer) error {
 			lg.logged += pc.keys
 		}
 	}
-	e.mg.G.DropJournalPrefix(len(ops))
 	for id := range e.sections {
 		e.sections[id].dirty = make(dirtyKeys)
 	}
@@ -366,11 +294,14 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return nil
 }
 
-// RestoreEngineWithStore reconstructs an engine from a v5, v6 or v7 manifest
+// RestoreEngineWithStore reconstructs an engine from a v5 to v8 manifest
 // whose chunk references resolve against st; it is the one restore entry
-// point. The returned engine has st attached and appends its next
-// checkpoint's deltas to the manifest's chunk chains. A monolithic v3/v4 snapshot is
-// refused, naming the last commit that reads it.
+// point. It decodes the dataset entries, their artifacts and the reports,
+// and replays them as one Ingest into a fresh engine; the dataset header
+// and the sequence stamps come from the manifest. The returned engine has
+// st attached and appends its next checkpoint's deltas to the manifest's
+// chunk chains. A monolithic v3/v4 snapshot is refused, naming the last
+// commit that reads it.
 func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
@@ -407,11 +338,9 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	// first error in argument order, so a damaged manifest fails in the
 	// same section under any GOMAXPROCS.
 	var (
-		g       *graph.Graph
 		ds      *collect.Result
 		decoded []collect.DecodedEntry
 		reps    []*reports.Report
-		items   map[string][]textsim.Item
 		logged  [numSections]int
 	)
 	// replay folds section id's chunk log and records its logged count.
@@ -421,10 +350,6 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		return state, err
 	}
 	err = parallel.Do(
-		func() (err error) {
-			g, logged[secGraph], err = restoreGraphChain(man.Sections[sectionGraph], chunkData)
-			return err
-		},
 		func() error {
 			entState, err := replay(secDataset)
 			if err != nil {
@@ -456,32 +381,33 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 			sort.Slice(reps, func(i, j int) bool { return reps[i].URL < reps[j].URL })
 			return nil
 		},
-		func() error {
-			itState, err := replay(secItems)
-			if err != nil {
-				return err
-			}
-			items, err = restoreItems(itState)
-			return err
-		},
 	)
 	if err != nil {
 		return nil, err
 	}
-	e, err := restoreFromParts(ds, g, &restoreParts{
-		Config:     man.Config,
-		Reports:    reps,
-		Items:      items,
-		AppliedSeq: man.AppliedSeq,
-		FeedPos:    man.FeedPos,
-	})
-	if err != nil {
-		return nil, err
+
+	// Replay the inputs as one batch into a fresh engine: the ingest derives
+	// the graph, the clustering state and every index with the running
+	// code. No store is attached yet, so the replay marks nothing dirty.
+	// The per-entry stats ride along; the manifest's per-source totals
+	// replace what the replay sums from them.
+	stats := make(map[string]collect.EntryStat, len(decoded))
+	for _, de := range decoded {
+		if de.Stat != nil {
+			stats[de.Entry.Coord.Key()] = *de.Stat
+		}
+	}
+	e := NewEngine(man.Config)
+	if _, err := e.Ingest(Batch{Entries: ds.Entries, Stats: stats, Reports: reps, At: ds.CollectedAt}); err != nil {
+		return nil, fmt.Errorf("restore ingest: %w", err)
 	}
 
 	// Attach the store with the manifest's logs instead of a blank re-base:
 	// the restored engine keeps appending deltas to the same chunk chains.
 	e.mu.Lock()
+	e.mg.Dataset.PerSource = ds.PerSource
+	e.appliedSeq = man.AppliedSeq
+	e.feedPos = man.FeedPos
 	e.attachStoreLocked(st)
 	for id, name := range sectionNames {
 		e.sections[id].log = sectionLog{
@@ -523,33 +449,6 @@ func replayKV(section string, refs []string, chunkData map[string][]byte) (map[s
 		logged += len(ch.Set) + len(ch.Del)
 	}
 	return state, logged, nil
-}
-
-// restoreGraphChain replays the graph's chunk log (a re-base resets, ops
-// apply on top) and returns the graph with its logged count.
-func restoreGraphChain(refs []string, chunkData map[string][]byte) (*graph.Graph, int, error) {
-	g := graph.New()
-	logged := 0
-	for _, ref := range refs {
-		gc, err := decodeGraphChunk(chunkData[ref])
-		if err != nil {
-			return nil, 0, fmt.Errorf("restore graph chunk %s: %w", ref, err)
-		}
-		if gc.Reset != nil {
-			g, err = gc.Reset.Build()
-			if err != nil {
-				return nil, 0, fmt.Errorf("restore graph reset %s: %w", ref, err)
-			}
-			logged = g.NodeCount() + g.EdgeCount()
-		}
-		if len(gc.Ops) > 0 {
-			if err := g.Apply(gc.Ops); err != nil {
-				return nil, 0, fmt.Errorf("restore graph ops %s: %w", ref, err)
-			}
-			logged += len(gc.Ops)
-		}
-	}
-	return g, logged, nil
 }
 
 // restoreEntries decodes the dataset's entry records in key order and
@@ -599,33 +498,6 @@ func restoreEntries(entState map[string][]byte, sess *castore.Session) ([]collec
 	return decoded, nil
 }
 
-// restoreItems decodes the clustering items in key order, in parallel, and
-// groups them per ecosystem.
-func restoreItems(itState map[string][]byte) (map[string][]textsim.Item, error) {
-	keys := sortedKeys(itState)
-	its := make([]textsim.Item, len(keys))
-	err := parallel.ForEachErr(len(keys), func(i int) error {
-		if _, _, ok := splitEcoKey(keys[i]); !ok {
-			return fmt.Errorf("restore: malformed item key %q", keys[i])
-		}
-		it, err := decodeItem(itState[keys[i]])
-		if err != nil {
-			return fmt.Errorf("restore item %s: %w", keys[i], err)
-		}
-		its[i] = it
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	items := make(map[string][]textsim.Item)
-	for i, k := range keys {
-		eco, _, _ := splitEcoKey(k)
-		items[eco] = append(items[eco], its[i])
-	}
-	return items, nil
-}
-
 // BlobFetcher resolves content keys to verified blob bytes: a
 // *castore.Store, or a *castore.Session shared across several calls.
 type BlobFetcher interface {
@@ -638,8 +510,9 @@ type BlobFetcher interface {
 // manifests stay restorable. A file of a version the restore does not read
 // references no blob, so it yields none rather than an error: an archived
 // v4 generation must not stall compaction. The sections no restore reads —
-// a v5 or v6 manifest's partitions and pairOwners chains, a v5's imports
-// chain — are not live either. src resolves the dataset chunks
+// a v5 to v7 manifest's graph and items chains, a v5 or v6 manifest's
+// partitions and pairOwners chains, a v5's imports chain — are not live
+// either. src resolves the dataset chunks
 // (their entry records carry the artifact refs): a castore.Session shared
 // across the manifests of one compaction decodes each segment once.
 func CollectManifestRefs(r io.Reader, src BlobFetcher) (map[string]bool, error) {

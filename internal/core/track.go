@@ -1,10 +1,12 @@
 package core
 
 // Segmented-checkpoint section state. A store-attached engine keeps, per
-// delta-logged section, the chunk log the manifest publishes and the keys
-// changed since the last checkpoint, so Snapshot writes O(delta) chunks
-// instead of re-serialising the corpus. Storeless engines, which cannot
-// checkpoint, hold no section state and record nothing.
+// delta-logged section — the dataset entries and the reports, the two
+// inputs everything else derives from — the chunk log the manifest
+// publishes and the keys changed since the last checkpoint, so Snapshot
+// writes O(delta) chunks instead of re-serialising the corpus. Storeless
+// engines, which cannot checkpoint, hold no section state and record
+// nothing.
 
 import (
 	"malgraph/internal/castore"
@@ -18,9 +20,7 @@ type dirtyKeys map[string]struct{}
 func (d dirtyKeys) set(key string) { d[key] = struct{}{} }
 
 // section is one delta-logged section's checkpoint state: its durable chunk
-// log and the keys changed since the last checkpoint. The graph section
-// records its changes in the graph's operation journal instead, so its
-// dirty set stays empty.
+// log and the keys changed since the last checkpoint.
 type section struct {
 	log   sectionLog
 	dirty dirtyKeys
@@ -65,19 +65,15 @@ type sectionID int
 
 const (
 	secDataset sectionID = iota
-	secGraph
-	secItems
 	secReports
 	numSections
 )
 
 // sectionNames are the sections' manifest keys, indexed by sectionID.
-var sectionNames = [numSections]string{sectionDataset, sectionGraph, sectionItems, sectionReports}
+var sectionNames = [numSections]string{sectionDataset, sectionReports}
 
 const (
 	sectionDataset = "dataset"
-	sectionGraph   = "graph"
-	sectionItems   = "items"
 	sectionReports = "reports"
 )
 
@@ -91,8 +87,7 @@ type artifactRef struct {
 }
 
 // AttachStore gives the engine the content store its Snapshot calls write
-// to, and starts recording changed keys (and the graph's operation journal).
-// Every section starts in re-base mode, so the first checkpoint after
+// to, and starts recording changed keys. Every section starts in re-base mode, so the first checkpoint after
 // attaching writes the full state. (RestoreEngineWithStore attaches its
 // store with the manifest's chunk logs instead.)
 func (e *Engine) AttachStore(st *castore.Store) {
@@ -108,7 +103,6 @@ func (e *Engine) attachStoreLocked(st *castore.Store) {
 		e.sections[id] = section{log: sectionLog{rebase: true}, dirty: make(dirtyKeys)}
 	}
 	e.artifactRefs = make(map[string]artifactRef)
-	e.mg.G.EnableJournal()
 }
 
 // Store returns the attached content store, or nil.

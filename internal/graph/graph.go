@@ -59,7 +59,7 @@ func EdgeTypes() []EdgeType {
 // clique shares one) and no attribute is copied on the way in or out.
 // Neither side may modify a map once it is installed; SetAttr swaps in a new
 // one instead. Outside this package the epochsafe pass of malgraphlint
-// flags writes into the Attrs of a Node, Edge or Op value.
+// flags writes into the Attrs of a Node or Edge value.
 type Attrs map[string]string
 
 // Node is a graph node. The paper's nodes carry seven attributes (ID, name,
@@ -121,9 +121,6 @@ type Graph struct {
 	// adjacency rebuild a compaction costs. Tombstones are reclaimed once
 	// they exceed half the slots. guarded by mu.
 	dead int
-	// journal records mutations for delta checkpoints once EnableJournal is
-	// called; nil means recording is off. guarded by mu.
-	journal []Op
 }
 
 // numTypes sizes the per-type arrays, which are indexed by EdgeType.
@@ -218,7 +215,6 @@ func (g *Graph) AddNode(id string, attrs Attrs) error {
 	if !g.nodes.Insert(id, n) {
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, id)
 	}
-	g.recordLocked(Op{Kind: "node", ID: id, Attrs: n.Attrs})
 	return nil
 }
 
@@ -259,7 +255,6 @@ func (g *Graph) SetAttr(id, key, value string) error {
 	}
 	next[key] = value
 	g.nodes.Set(id, &Node{ID: id, Attrs: next})
-	g.recordLocked(Op{Kind: "attr", ID: id, Key: key, Value: value})
 	return nil
 }
 
@@ -343,7 +338,6 @@ func (g *Graph) AddEdge(from, to string, t EdgeType, attrs Attrs) error {
 	g.linkLocked(t, from, idx)
 	g.linkLocked(t, to, idx)
 	g.countByType[t]++
-	g.recordLocked(Op{Kind: "edge", From: from, To: to, Type: t, Attrs: e.Attrs})
 	return nil
 }
 
@@ -369,7 +363,6 @@ func (g *Graph) RemoveEdgesIncident(t EdgeType, nodes []string) int {
 				continue // tombstoned already via an earlier node of this call
 			}
 			g.edgeSeen.Delete(edgeKey(t, e.From, e.To))
-			g.recordLocked(Op{Kind: "deledge", From: e.From, To: e.To, Type: t})
 			touched[e.From] = true
 			touched[e.To] = true
 			*g.edgeForWriteLocked(idx) = Edge{}
@@ -478,7 +471,6 @@ func (g *Graph) RemoveEdge(from, to string, t EdgeType) bool {
 	if !g.edgeSeen.Delete(edgeKey(t, from, to)) {
 		return false
 	}
-	g.recordLocked(Op{Kind: "deledge", From: from, To: to, Type: t})
 	if i := g.edgeSlotLocked(from, to, t); i >= 0 {
 		*g.edgeForWriteLocked(i) = Edge{}
 	}
@@ -761,11 +753,9 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Persisted is the graph's serialised form: WriteJSON encodes it, Build
-// turns it back into a graph, and a caller that embeds a graph in a larger
-// JSON document can marshal and unmarshal it in place instead of nesting
-// WriteJSON output. Nodes are sorted by ID; edges keep insertion order, tombstones
-// dropped.
+// Persisted is the graph's serialised form: WriteJSON encodes it, and
+// Canonical gives it in an order-free form for state digests. Nodes are
+// sorted by ID; edges keep insertion order, tombstones dropped.
 type Persisted struct {
 	Nodes []Node `json:"nodes"`
 	Edges []Edge `json:"edges"`
@@ -788,24 +778,6 @@ func (g *Graph) Persist() *Persisted {
 		p.Nodes = append(p.Nodes, *n)
 	}
 	return p
-}
-
-// Build reconstructs the graph p describes. It takes ownership of p's
-// attribute maps: the graph installs them without a copy, so the caller
-// must not modify them afterwards.
-func (p *Persisted) Build() (*Graph, error) {
-	g := New()
-	for _, n := range p.Nodes {
-		if err := g.AddNode(n.ID, n.Attrs); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range p.Edges {
-		if err := g.AddEdge(e.From, e.To, e.Type, e.Attrs); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }
 
 // Canonical captures the graph as a set, independent of insertion order:

@@ -13,13 +13,24 @@ import (
 )
 
 // readJSON decodes WriteJSON output as a JSON consumer would: into
-// Persisted, then Build.
+// Persisted, whose nodes and then edges it adds to a new graph.
 func readJSON(r io.Reader) (*Graph, error) {
 	var p Persisted
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
 		return nil, err
 	}
-	return p.Build()
+	g := New()
+	for _, n := range p.Nodes {
+		if err := g.AddNode(n.ID, n.Attrs); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range p.Edges {
+		if err := g.AddEdge(e.From, e.To, e.Type, e.Attrs); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }
 
 func mustAddNodes(t *testing.T, g *Graph, ids ...string) {

@@ -193,16 +193,17 @@ func decodeRecord(b []byte, prevSeq uint64) (Record, int64, bool) {
 	}, headerSize + int64(bodyLen), true
 }
 
+// encodeRecord builds one record's frame in a single allocation: the body
+// is written after the header, then the header takes its length and CRC.
 func encodeRecord(seq uint64, kind string, payload []byte) []byte {
-	body := make([]byte, 10+len(kind)+len(payload))
+	buf := make([]byte, headerSize+10+len(kind)+len(payload))
+	body := buf[headerSize:]
 	binary.LittleEndian.PutUint64(body[0:8], seq)
 	binary.LittleEndian.PutUint16(body[8:10], uint16(len(kind)))
 	copy(body[10:], kind)
 	copy(body[10+len(kind):], payload)
-	buf := make([]byte, headerSize+len(body))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
-	copy(buf[headerSize:], body)
 	return buf
 }
 

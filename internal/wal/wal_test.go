@@ -89,6 +89,25 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordFrameBytes pins one record's frame: body length, CRC-32
+// (IEEE) of the body, then seq, kind length, kind and payload, all little
+// endian. A journal written by any build must keep these bytes.
+func TestRecordFrameBytes(t *testing.T) {
+	const want = "150000009f561da9" + "0700000000000000" + "0400" + "6b696e64" + "7061796c6f6164"
+	if got := fmt.Sprintf("%x", encodeRecord(7, "kind", []byte("payload"))); got != want {
+		t.Fatalf("frame %s, want %s", got, want)
+	}
+	l, err := Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := make([]byte, 4096)
+	if allocs := testing.AllocsPerRun(50, func() { mustAppend(t, l, "observations", payload) }); allocs > 1 {
+		t.Errorf("Append: %.1f allocations per record, want the frame's one", allocs)
+	}
+}
+
 // TestTornTailEveryByteBoundary cuts the journal after every byte of the
 // final record and verifies Open truncates back to the last intact record
 // instead of failing — the crash-mid-append recovery path.

@@ -41,7 +41,8 @@ func (p *Pipeline) LiveRefs() map[string]bool {
 }
 
 // RestoreEngineWithStore restores a snapshot stream through st
-// (core.RestoreEngineWithStore) and adopts the engine with AdoptEngine.
+// (core.RestoreEngineWithStore: decode the dataset and the reports, then
+// replay them as one ingest) and adopts the engine with AdoptEngine.
 // servebench's layer replay, a separate module, times this call; code in
 // this module restores with core and adopts directly.
 func (p *Pipeline) RestoreEngineWithStore(r io.Reader, st *castore.Store) error {
