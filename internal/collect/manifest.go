@@ -11,8 +11,10 @@ package collect
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
+
+	"malgraph/internal/ecosys"
+	"malgraph/internal/sources"
 )
 
 // ResultHeader is the dataset-level state outside the entries: collection
@@ -64,14 +66,15 @@ type DecodedEntry struct {
 	Entry   *Entry
 	Stat    *EntryStat
 	BlobRef string
-	Hash    string // expected artifact hash; verify after attaching the blob
+	Hash    string // expected artifact hash; AttachArtifact verifies it
 }
 
 // DecodeEntry parses one record written by EncodeEntry. The artifact is not
-// attached — the caller resolves BlobRef against the content store and sets
-// Entry.Artifact before AssembleResult verifies it. A record EncodeEntry
-// cannot write is refused: one with an inline artifact, and one with an
-// artifact hash but no blob (its artifact would be lost without an error).
+// attached — the caller resolves BlobRef against the content store and
+// attaches the artifact through AttachArtifact, which verifies it against
+// the record's hash. A record EncodeEntry cannot write is refused: one
+// with an inline artifact, and one with an artifact hash but no blob (its
+// artifact would be lost without an error).
 func DecodeEntry(data []byte) (DecodedEntry, error) {
 	var pe persistedEntry
 	if err := json.Unmarshal(data, &pe); err != nil {
@@ -99,31 +102,24 @@ func DecodeEntry(data []byte) (DecodedEntry, error) {
 	}, nil
 }
 
-// AssembleResult rebuilds a dataset from a manifest header and decoded
-// entries (artifacts already attached by the caller). Entries are verified
-// against their recorded hashes, then sorted and indexed by coordinate key.
-func AssembleResult(h ResultHeader, entries []DecodedEntry) (*Result, error) {
+// AttachArtifact sets art as the entry's artifact once it hashes to the
+// record's hash; a record without a hash attaches art unchecked. It
+// computes art's hash either way, so the caller's worker pays the SHA-256.
+func (de *DecodedEntry) AttachArtifact(art *ecosys.Artifact) error {
+	if h := art.Hash(); de.Hash != "" && h != de.Hash {
+		return fmt.Errorf("manifest decode: artifact hash mismatch for %s", de.Entry.Coord)
+	}
+	de.Entry.Artifact = art
+	return nil
+}
+
+// DecodePerSource returns the header's per-source stats keyed by source
+// ID, refusing a key that is not the canonical decimal ID of a known
+// source.
+func (h ResultHeader) DecodePerSource() (map[sources.ID]SourceStats, error) {
 	perSource, err := decodePerSource(h.PerSource)
 	if err != nil {
 		return nil, fmt.Errorf("manifest decode: %w", err)
 	}
-	res := &Result{CollectedAt: h.CollectedAt, PerSource: perSource}
-	for _, de := range entries {
-		e := de.Entry
-		if e.Artifact != nil && de.Hash != "" && e.Artifact.Hash() != de.Hash {
-			return nil, fmt.Errorf("manifest decode: artifact hash mismatch for %s", e.Coord)
-		}
-		if de.Stat != nil {
-			if res.statsByKey == nil {
-				res.statsByKey = make(map[string]EntryStat, len(entries))
-			}
-			res.statsByKey[e.Coord.Key()] = *de.Stat
-		}
-		res.Entries = append(res.Entries, e)
-		res.byKey.Set(e.Coord.Key(), e)
-	}
-	sort.Slice(res.Entries, func(i, j int) bool {
-		return res.Entries[i].Coord.Key() < res.Entries[j].Coord.Key()
-	})
-	return res, nil
+	return perSource, nil
 }

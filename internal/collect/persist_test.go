@@ -8,13 +8,13 @@ import (
 	"testing"
 
 	"malgraph/internal/ecosys"
+	"malgraph/internal/sources"
 )
 
 // viaManifest encodes res as a segmented checkpoint does — the header, and
 // one record per entry with a stand-in blob ref for its artifact — and
-// decodes it back, attaching attach(artifact) for each ref as the restore
-// attaches the fetched blob.
-func viaManifest(t *testing.T, res *Result, attach func(*ecosys.Artifact) *ecosys.Artifact) (ResultHeader, []DecodedEntry) {
+// decodes it back, the artifacts not yet attached.
+func viaManifest(t *testing.T, res *Result) (ResultHeader, []DecodedEntry) {
 	t.Helper()
 	raw, err := json.Marshal(res.EncodeHeader())
 	if err != nil {
@@ -41,25 +41,48 @@ func viaManifest(t *testing.T, res *Result, attach func(*ecosys.Artifact) *ecosy
 		if de.BlobRef != ref || de.Entry.Artifact != nil {
 			t.Fatalf("entry %s: decoded blob ref %q (artifact inline: %v), want %q", e.Coord, de.BlobRef, de.Entry.Artifact != nil, ref)
 		}
-		if ref != "" {
-			de.Entry.Artifact = attach(e.Artifact)
-		}
 		out = append(out, de)
 	}
 	return h, out
 }
 
-// TestDatasetRoundTripFull: a dataset encoded entry by entry and assembled
-// back keeps every entry, artifact, per-source total and per-entry stat.
+// TestDatasetRoundTripFull: a dataset encoded entry by entry and rebuilt
+// as a restore rebuilds it — each artifact attached and verified, the
+// entries upserted as one batch with their stats, the header's per-source
+// totals last — keeps every entry, artifact, per-source total and
+// per-entry stat.
 func TestDatasetRoundTripFull(t *testing.T) {
 	set, fleet := fixture(t)
 	res, err := Run(set, fleet, day(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := AssembleResult(viaManifest(t, res, func(a *ecosys.Artifact) *ecosys.Artifact { return a }))
+	h, decoded := viaManifest(t, res)
+	perSource, err := h.DecodePerSource()
 	if err != nil {
 		t.Fatal(err)
+	}
+	back := &Result{CollectedAt: h.CollectedAt, PerSource: make(map[sources.ID]SourceStats)}
+	entries := make([]*Entry, len(decoded))
+	for i := range decoded {
+		de := &decoded[i]
+		if de.BlobRef != "" {
+			orig, _ := res.Entry(de.Entry.Coord)
+			if err := de.AttachArtifact(orig.Artifact); err != nil {
+				t.Fatal(err)
+			}
+		}
+		entries[i] = de.Entry
+	}
+	back.UpsertBatch(entries)
+	for _, de := range decoded {
+		if de.Stat != nil {
+			back.ApplyEntryStat(de.Entry.Coord.Key(), *de.Stat)
+		}
+	}
+	back.PerSource = perSource
+	if !back.CollectedAt.Equal(res.CollectedAt) {
+		t.Fatalf("collected at %v, want %v", back.CollectedAt, res.CollectedAt)
 	}
 	if len(back.Entries) != len(res.Entries) {
 		t.Fatalf("entries %d != %d", len(back.Entries), len(res.Entries))
@@ -186,28 +209,41 @@ func TestDatasetPublicOmitsArtifacts(t *testing.T) {
 	}
 }
 
-// TestAssembleResultRejectsTamperedArtifact: an artifact whose content no
-// longer hashes to its entry's recorded hash is refused.
-func TestAssembleResultRejectsTamperedArtifact(t *testing.T) {
+// TestAttachArtifactRejectsTampered: an artifact whose content no longer
+// hashes to its entry's recorded hash is refused, naming the coordinate,
+// and stays unattached; the untampered artifact attaches.
+func TestAttachArtifactRejectsTampered(t *testing.T) {
 	set, fleet := fixture(t)
 	res, err := Run(set, fleet, day(30))
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, decoded := viaManifest(t, res)
 	tampered := 0
-	h, entries := viaManifest(t, res, func(a *ecosys.Artifact) *ecosys.Artifact {
-		files := append([]ecosys.File(nil), a.Files...)
-		for i := range files {
-			files[i].Content = strings.Replace(files[i].Content, "import os", "import evil", 1)
+	for i := range decoded {
+		de := &decoded[i]
+		if de.BlobRef == "" {
+			continue
+		}
+		orig, _ := res.Entry(de.Entry.Coord)
+		files := append([]ecosys.File(nil), orig.Artifact.Files...)
+		for j := range files {
+			files[j].Content += "\nimport evil\n"
+		}
+		err := de.AttachArtifact(ecosys.NewArtifact(orig.Coord, orig.Artifact.Description, files))
+		if err == nil || !strings.Contains(err.Error(), "manifest decode: artifact hash mismatch for "+de.Entry.Coord.String()) {
+			t.Fatalf("tampered artifact of %s: AttachArtifact error %v, want a hash mismatch naming it", de.Entry.Coord, err)
+		}
+		if de.Entry.Artifact != nil {
+			t.Fatalf("tampered artifact of %s attached", de.Entry.Coord)
+		}
+		if err := de.AttachArtifact(orig.Artifact); err != nil || de.Entry.Artifact != orig.Artifact {
+			t.Fatalf("untampered artifact of %s: AttachArtifact error %v", de.Entry.Coord, err)
 		}
 		tampered++
-		return ecosys.NewArtifact(a.Coord, a.Description, files)
-	})
+	}
 	if tampered == 0 {
 		t.Fatal("fixture carries no artifact")
-	}
-	if _, err := AssembleResult(h, entries); err == nil || !strings.Contains(err.Error(), "artifact hash mismatch") {
-		t.Fatalf("tampered artifact: AssembleResult error %v, want a hash mismatch", err)
 	}
 }
 
@@ -218,7 +254,9 @@ var badPerSource = []string{
 	`{"0":{}}`, `{"99":{}}`, `{"":{}}`, `{"3":{},"03":{}}`,
 }
 
-func TestAssembleResultBadSourceIDs(t *testing.T) {
+// TestDecodePerSourceBadSourceIDs: a manifest header's canonical
+// per-source keys decode; every other spelling is refused.
+func TestDecodePerSourceBadSourceIDs(t *testing.T) {
 	header := func(perSource string) ResultHeader {
 		h := ResultHeader{}
 		if err := json.Unmarshal([]byte(perSource), &h.PerSource); err != nil {
@@ -226,16 +264,16 @@ func TestAssembleResultBadSourceIDs(t *testing.T) {
 		}
 		return h
 	}
-	res, err := AssembleResult(header(`{"3":{"Total":2}}`), nil)
+	perSource, err := header(`{"3":{"Total":2}}`).DecodePerSource()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PerSource[3].Total != 2 || len(res.PerSource) != 1 {
-		t.Fatalf("canonical perSource assembled as %v", res.PerSource)
+	if perSource[3].Total != 2 || len(perSource) != 1 {
+		t.Fatalf("canonical perSource decoded as %v", perSource)
 	}
 	for _, ps := range badPerSource {
-		if _, err := AssembleResult(header(ps), nil); err == nil {
-			t.Errorf("perSource %s: AssembleResult accepted it", ps)
+		if _, err := header(ps).DecodePerSource(); err == nil || !strings.Contains(err.Error(), "manifest decode: ") {
+			t.Errorf("perSource %s: DecodePerSource error %v, want a manifest decode error", ps, err)
 		}
 	}
 }

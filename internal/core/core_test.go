@@ -187,7 +187,7 @@ func TestDependencyEdges(t *testing.T) {
 	mg := build(t)
 	front := "PyPI/loglib-modules@1.0.0"
 	core := "PyPI/pygrata@1.0.0"
-	if !mg.G.HasEdge(front, core, graph.Dependency) {
+	if _, ok := mg.G.EdgeAttrs(front, core, graph.Dependency); !ok {
 		t.Fatal("front→core dependency edge missing")
 	}
 	if got := mg.G.InDegree(core, graph.Dependency); got != 1 {

@@ -200,14 +200,18 @@ func firstKey[V any](t *testing.T, m map[string]V) string {
 }
 
 // FuzzRestoreEngineWithStore feeds arbitrary snapshot bytes to the one
-// restore entry point, against a store holding a real three-checkpoint
-// chain: no input panics, an input the restore accepts is a manifest of a
-// version readableManifest admits, and the engine it gives has a digest.
-// Seeds: v2, v3 and v4 snapshot headers (each refused), the chain's v8
-// manifests, a manifest naming a dataset chunk the store does not hold, the
-// last manifest rewritten as v6 (asV6Manifest) and as v5 (asV5Manifest), a
-// minimal v8 manifest of an empty engine, and the last manifest rewritten
-// as v7 with garbage graph and items chains (asV7Manifest).
+// restore entry point and to CollectManifestRefs, against a store holding a
+// real three-checkpoint chain: no input panics either, an input the
+// restore accepts is a manifest of a version readableManifest admits, the
+// engine it gives has a digest, and CollectManifestRefs accepts it too,
+// listing exactly the restored engine's LiveRefs. Seeds: v2, v3 and v4
+// snapshot headers (each refused), the chain's v8 manifests, a manifest
+// naming a dataset chunk the store does not hold, the last manifest
+// rewritten as v6 (asV6Manifest) and as v5 (asV5Manifest), a minimal v8
+// manifest of an empty engine, the last manifest rewritten as v7 with
+// garbage graph and items chains (asV7Manifest), the last manifest with a
+// superseded artifact blob (withSupersededBlob) and with tampered
+// artifacts (withTamperedArtifacts).
 func FuzzRestoreEngineWithStore(f *testing.F) {
 	for v := 2; v <= 4; v++ {
 		f.Add([]byte(monolithicHeaders[v]))
@@ -247,8 +251,13 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 	f.Add(asV5Manifest(f, manifest.Bytes(), store))
 	f.Add([]byte(`{"version":8,"config":{},"datasetHeader":{"collectedAt":"0001-01-01T00:00:00Z","perSource":{}},"sections":{"dataset":[],"reports":[]}}`))
 	f.Add(asV7Manifest(f, manifest.Bytes(), store))
+	superseded, _ := withSupersededBlob(f, manifest.Bytes(), store)
+	f.Add(superseded)
+	tampered, _ := withTamperedArtifacts(f, manifest.Bytes(), store)
+	f.Add(tampered)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		refs, refsErr := CollectManifestRefs(bytes.NewReader(raw), store)
 		e, err := RestoreEngineWithStore(bytes.NewReader(raw), store)
 		if err != nil {
 			return
@@ -261,6 +270,12 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 		}
 		if _, err := e.Digest(); err != nil {
 			t.Fatalf("restored engine has no digest: %v", err)
+		}
+		if refsErr != nil {
+			t.Fatalf("restore accepted a manifest CollectManifestRefs refused: %v", refsErr)
+		}
+		if live := e.LiveRefs(); !reflect.DeepEqual(refs, live) {
+			t.Fatalf("CollectManifestRefs lists %d refs, the restored engine's LiveRefs %d; want the same set", len(refs), len(live))
 		}
 	})
 }

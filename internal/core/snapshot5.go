@@ -18,7 +18,12 @@ package core
 // their artifacts and the reports, and replays them as one Ingest into a
 // fresh engine: the graph, the clustering items and LSH partitions, the
 // import and report indexes are all rebuilt by the running code, never
-// stitched together from state an older build derived.
+// stitched together from state an older build derived. The decoded entries
+// go to that Ingest as they are, each artifact checked against its
+// record's hash as it is attached; the only dataset a restore builds is
+// the replay's own. CollectManifestRefs reads a manifest through the same
+// decode, chain fold and entry decoder, so compaction keeps exactly the
+// blobs a restore fetches.
 //
 // Snapshot is one loop over the sections, driven by kvSectionsLocked's
 // table of live keys and value encoders; the dataset's encoder also queues
@@ -294,6 +299,21 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return nil
 }
 
+// readManifest decodes a manifest, the one decode RestoreEngineWithStore
+// and CollectManifestRefs share; each applies its own version policy. A
+// v3/v4 file decodes as a manifest too: the keys they share agree in type.
+func readManifest(r io.Reader) (manifestSnapshot, error) {
+	var man manifestSnapshot
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return man, fmt.Errorf("read: %w", err)
+	}
+	if err := json.Unmarshal(buf, &man); err != nil {
+		return man, fmt.Errorf("decode: %w", err)
+	}
+	return man, nil
+}
+
 // RestoreEngineWithStore reconstructs an engine from a v5 to v8 manifest
 // whose chunk references resolve against st; it is the one restore entry
 // point. It decodes the dataset entries, their artifacts and the reports,
@@ -303,14 +323,9 @@ func (e *Engine) Snapshot(w io.Writer) error {
 // chunk chains. A monolithic v3/v4 snapshot is refused, naming the last
 // commit that reads it.
 func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
-	buf, err := io.ReadAll(r)
+	man, err := readManifest(r)
 	if err != nil {
-		return nil, fmt.Errorf("restore read: %w", err)
-	}
-	// A v3/v4 file decodes as a manifest too: the keys they share agree in type.
-	var man manifestSnapshot
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("restore decode: %w", err)
+		return nil, fmt.Errorf("restore %w", err)
 	}
 	switch {
 	case readableManifest(man.Version):
@@ -319,6 +334,10 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 			man.Version, snapshotVersionSegmented, lastLegacyReader)
 	default:
 		return nil, fmt.Errorf("restore: snapshot version %d, want 5 to %d", man.Version, snapshotVersionSegmented)
+	}
+	perSource, err := man.Header.DecodePerSource()
+	if err != nil {
+		return nil, fmt.Errorf("restore dataset: %w", err)
 	}
 
 	// One read session for the whole restore: the chunk fetch here and the
@@ -338,38 +357,24 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	// first error in argument order, so a damaged manifest fails in the
 	// same section under any GOMAXPROCS.
 	var (
-		ds      *collect.Result
 		decoded []collect.DecodedEntry
 		reps    []*reports.Report
 		logged  [numSections]int
 	)
-	// replay folds section id's chunk log and records its logged count.
-	replay := func(id sectionID) (map[string][]byte, error) {
-		state, n, err := replayKV(sectionNames[id], man.Sections[sectionNames[id]], chunkData)
-		logged[id] = n
-		return state, err
-	}
 	err = parallel.Do(
-		func() error {
-			entState, err := replay(secDataset)
+		func() (err error) {
+			decoded, logged[secDataset], err = decodeDataset(man.Sections[sectionDataset], chunkData)
 			if err != nil {
-				return err
+				return fmt.Errorf("restore %w", err)
 			}
-			decoded, err = restoreEntries(entState, sess)
-			if err != nil {
-				return err
-			}
-			ds, err = collect.AssembleResult(man.Header, decoded)
-			if err != nil {
-				return fmt.Errorf("restore dataset: %w", err)
-			}
-			return nil
+			return attachArtifacts(decoded, sess)
 		},
 		func() error {
-			repState, err := replay(secReports)
+			repState, n, err := replayKV(sectionReports, man.Sections[sectionReports], chunkData)
 			if err != nil {
-				return err
+				return fmt.Errorf("restore %w", err)
 			}
+			logged[secReports] = n
 			reps = make([]*reports.Report, 0, len(repState))
 			for _, raw := range repState {
 				var rep reports.Report
@@ -387,25 +392,32 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	}
 
 	// Replay the inputs as one batch into a fresh engine: the ingest derives
-	// the graph, the clustering state and every index with the running
-	// code. No store is attached yet, so the replay marks nothing dirty.
-	// The per-entry stats ride along; the manifest's per-source totals
-	// replace what the replay sums from them.
+	// the dataset, the graph, the clustering state and every index with the
+	// running code. No store is attached yet, so the replay marks nothing
+	// dirty. The per-entry stats ride along; the manifest's per-source
+	// totals replace what the replay sums from them.
+	entries := make([]*collect.Entry, len(decoded))
 	stats := make(map[string]collect.EntryStat, len(decoded))
-	for _, de := range decoded {
+	artRefs := make(map[string]artifactRef, len(decoded))
+	for i, de := range decoded {
+		entries[i] = de.Entry
+		key := de.Entry.Coord.Key()
 		if de.Stat != nil {
-			stats[de.Entry.Coord.Key()] = *de.Stat
+			stats[key] = *de.Stat
+		}
+		if de.BlobRef != "" {
+			artRefs[key] = artifactRef{art: de.Entry.Artifact, key: de.BlobRef}
 		}
 	}
 	e := NewEngine(man.Config)
-	if _, err := e.Ingest(Batch{Entries: ds.Entries, Stats: stats, Reports: reps, At: ds.CollectedAt}); err != nil {
+	if _, err := e.Ingest(Batch{Entries: entries, Stats: stats, Reports: reps, At: man.Header.CollectedAt}); err != nil {
 		return nil, fmt.Errorf("restore ingest: %w", err)
 	}
 
 	// Attach the store with the manifest's logs instead of a blank re-base:
 	// the restored engine keeps appending deltas to the same chunk chains.
 	e.mu.Lock()
-	e.mg.Dataset.PerSource = ds.PerSource
+	e.mg.Dataset.PerSource = perSource
 	e.appliedSeq = man.AppliedSeq
 	e.feedPos = man.FeedPos
 	e.attachStoreLocked(st)
@@ -415,11 +427,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 			logged: logged[id],
 		}
 	}
-	for _, de := range decoded {
-		if de.BlobRef != "" {
-			e.artifactRefs[de.Entry.Coord.Key()] = artifactRef{art: de.Entry.Artifact, key: de.BlobRef}
-		}
-	}
+	e.artifactRefs = artRefs
 	e.mu.Unlock()
 	return e, nil
 }
@@ -432,7 +440,7 @@ func replayKV(section string, refs []string, chunkData map[string][]byte) (map[s
 	for _, ref := range refs {
 		ch, err := decodeKVChunk(chunkData[ref])
 		if err != nil {
-			return nil, 0, fmt.Errorf("restore %s chunk %s: %w", section, ref, err)
+			return nil, 0, fmt.Errorf("%s chunk %s: %w", section, ref, err)
 		}
 		if len(state) == 0 && ch.Set != nil {
 			// While the state is empty (the chain's first chunk, usually a
@@ -451,22 +459,35 @@ func replayKV(section string, refs []string, chunkData map[string][]byte) (map[s
 	return state, logged, nil
 }
 
-// restoreEntries decodes the dataset's entry records in key order and
-// attaches their artifact blobs, fetched through sess. Records and
-// artifacts decode in parallel; the first error in key order wins.
-func restoreEntries(entState map[string][]byte, sess *castore.Session) ([]collect.DecodedEntry, error) {
-	keys := sortedKeys(entState)
+// decodeDataset folds a dataset chunk chain, resolved in chunkData, and
+// decodes its live entry records in key order, in parallel; the first
+// error in key order wins. It returns the fold's logged count too. The
+// restore and CollectManifestRefs both read the dataset through it, so
+// compaction keeps exactly the artifact blobs a restore fetches.
+func decodeDataset(refs []string, chunkData map[string][]byte) ([]collect.DecodedEntry, int, error) {
+	state, logged, err := replayKV(sectionDataset, refs, chunkData)
+	if err != nil {
+		return nil, 0, err
+	}
+	keys := sortedKeys(state)
 	decoded := make([]collect.DecodedEntry, len(keys))
-	err := parallel.ForEachErr(len(keys), func(i int) (err error) {
-		decoded[i], err = collect.DecodeEntry(entState[keys[i]])
+	err = parallel.ForEachErr(len(keys), func(i int) (err error) {
+		decoded[i], err = collect.DecodeEntry(state[keys[i]])
 		if err != nil {
-			return fmt.Errorf("restore entry %s: %w", keys[i], err)
+			return fmt.Errorf("entry %s: %w", keys[i], err)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	return decoded, logged, nil
+}
+
+// attachArtifacts fetches the decoded records' artifact blobs through sess
+// and attaches each to its entry, decoded and checked against the record's
+// hash on parallel workers; the first error in key order wins.
+func attachArtifacts(decoded []collect.DecodedEntry, sess *castore.Session) error {
 	var wantArts []string
 	for _, de := range decoded {
 		if de.BlobRef != "" {
@@ -475,9 +496,9 @@ func restoreEntries(entState map[string][]byte, sess *castore.Session) ([]collec
 	}
 	artData, err := sess.Fetch(wantArts)
 	if err != nil {
-		return nil, fmt.Errorf("restore: fetch artifacts: %w", err)
+		return fmt.Errorf("restore: fetch artifacts: %w", err)
 	}
-	err = parallel.ForEachErr(len(decoded), func(i int) error {
+	return parallel.ForEachErr(len(decoded), func(i int) error {
 		ref := decoded[i].BlobRef
 		if ref == "" {
 			return nil
@@ -486,16 +507,11 @@ func restoreEntries(entState map[string][]byte, sess *castore.Session) ([]collec
 		if err != nil {
 			return fmt.Errorf("restore artifact %s: %w", ref, err)
 		}
-		// AssembleResult checks every artifact's hash on one goroutine;
-		// computing it here caches it, so the SHA-256 runs on the workers.
-		art.Hash()
-		decoded[i].Entry.Artifact = art
+		if err := decoded[i].AttachArtifact(art); err != nil {
+			return fmt.Errorf("restore dataset: %w", err)
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return decoded, nil
 }
 
 // BlobFetcher resolves content keys to verified blob bytes: a
@@ -504,25 +520,22 @@ type BlobFetcher interface {
 	Fetch(hashes []string) (map[string][]byte, error)
 }
 
-// CollectManifestRefs returns every blob a serialized snapshot references:
-// the manifest's section chunks plus the artifact blobs its dataset chunks
-// point at. Compaction unions this over every retained snapshot so archived
-// manifests stay restorable. A file of a version the restore does not read
-// references no blob, so it yields none rather than an error: an archived
-// v4 generation must not stall compaction. The sections no restore reads —
-// a v5 to v7 manifest's graph and items chains, a v5 or v6 manifest's
-// partitions and pairOwners chains, a v5's imports chain — are not live
-// either. src resolves the dataset chunks
-// (their entry records carry the artifact refs): a castore.Session shared
-// across the manifests of one compaction decodes each segment once.
+// CollectManifestRefs returns every blob a restore of a serialized
+// snapshot fetches: the manifest's section chunks plus the artifact blobs
+// of its live entry records, the dataset chain folded and decoded as the
+// restore folds and decodes it. A blob only a superseded record names is
+// not live. Compaction unions this over every retained snapshot so
+// archived manifests stay restorable. A file of a version the restore does
+// not read references no blob, so it yields none rather than an error: an
+// archived v4 generation must not stall compaction. The sections no
+// restore reads — a v5 to v7 manifest's graph and items chains, a v5 or v6
+// manifest's partitions and pairOwners chains, a v5's imports chain — are
+// not live either. src resolves the dataset chunks: a castore.Session
+// shared across the manifests of one compaction decodes each segment once.
 func CollectManifestRefs(r io.Reader, src BlobFetcher) (map[string]bool, error) {
-	buf, err := io.ReadAll(r)
+	man, err := readManifest(r)
 	if err != nil {
-		return nil, fmt.Errorf("manifest refs: %w", err)
-	}
-	var man manifestSnapshot
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("manifest refs decode: %w", err)
+		return nil, fmt.Errorf("manifest refs %w", err)
 	}
 	live := make(map[string]bool)
 	if !readableManifest(man.Version) {
@@ -537,19 +550,13 @@ func CollectManifestRefs(r io.Reader, src BlobFetcher) (map[string]bool, error) 
 	if err != nil {
 		return nil, fmt.Errorf("manifest refs: fetch dataset chunks: %w", err)
 	}
-	for _, ref := range man.Sections[sectionDataset] {
-		ch, err := decodeKVChunk(dsData[ref])
-		if err != nil {
-			return nil, fmt.Errorf("manifest refs: dataset chunk %s: %w", ref, err)
-		}
-		for k, raw := range ch.Set {
-			de, err := collect.DecodeEntry(raw)
-			if err != nil {
-				return nil, fmt.Errorf("manifest refs: entry %s: %w", k, err)
-			}
-			if de.BlobRef != "" {
-				live[de.BlobRef] = true
-			}
+	decoded, _, err := decodeDataset(man.Sections[sectionDataset], dsData)
+	if err != nil {
+		return nil, fmt.Errorf("manifest refs: %w", err)
+	}
+	for _, de := range decoded {
+		if de.BlobRef != "" {
+			live[de.BlobRef] = true
 		}
 	}
 	return live, nil

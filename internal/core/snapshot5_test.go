@@ -6,9 +6,11 @@ package core
 // compaction drops those sections' chunks; a
 // monolithic v3/v4 snapshot and a JSON chunk of each kind are refused,
 // naming the last commit that reads them, and the store is left as it
-// was; version errors are explicit about what the reader needed;
-// compaction driven by CollectManifestRefs never strands a restorable
-// manifest; and arbitrary manifest bytes never panic the restore.
+// was; version errors are explicit about what the reader needed; a
+// tampered artifact and a bad per-source key are refused; compaction
+// driven by CollectManifestRefs never strands a restorable manifest and
+// drops a blob only a superseded record names; and arbitrary manifest
+// bytes never panic the restore.
 
 import (
 	"bytes"
@@ -208,18 +210,15 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 		t.Fatalf("want several segments before compaction, got %d", segsBefore)
 	}
 
-	// LiveRefs (the engine's view) must agree with CollectManifestRefs (the
+	// LiveRefs (the engine's view) must equal CollectManifestRefs (the
 	// manifest's view) — compaction unions both, but each alone must keep
 	// the latest checkpoint restorable.
 	fromManifest, err := CollectManifestRefs(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromEngine := eng.LiveRefs()
-	for ref := range fromManifest {
-		if !fromEngine[ref] {
-			t.Fatalf("manifest ref %s missing from engine LiveRefs", ref)
-		}
+	if fromEngine := eng.LiveRefs(); !reflect.DeepEqual(fromManifest, fromEngine) {
+		t.Fatalf("CollectManifestRefs lists %d refs, engine LiveRefs %d; want the same set", len(fromManifest), len(fromEngine))
 	}
 
 	compacted, err := store.Compact(fromManifest)
@@ -245,6 +244,202 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 	}
 	if err := eng.Snapshot(io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkpointMini ingests miniDataset as one batch into an engine attached
+// to a fresh store and checkpoints it, returning the engine, its manifest
+// and the store.
+func checkpointMini(t testing.TB) (*Engine, []byte, *castore.Store) {
+	t.Helper()
+	ds, reps := miniDataset(t)
+	store := openTestStore(t)
+	eng := NewEngine(DefaultConfig())
+	eng.AttachStore(store)
+	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
+		t.Fatal(err)
+	}
+	var manifest bytes.Buffer
+	if err := eng.Snapshot(&manifest); err != nil {
+		t.Fatal(err)
+	}
+	return eng, manifest.Bytes(), store
+}
+
+// artifactRecords folds manifest's dataset chain from st and returns its
+// live records that name an artifact blob, in key order, each beside its
+// decoded form.
+func artifactRecords(t testing.TB, manifest []byte, st *castore.Store) (keys []string, recs [][]byte, decoded []collect.DecodedEntry) {
+	t.Helper()
+	var man manifestSnapshot
+	if err := json.Unmarshal(manifest, &man); err != nil {
+		t.Fatal(err)
+	}
+	data, err := st.Fetch(man.Sections[sectionDataset])
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, _, err := replayKV(sectionDataset, man.Sections[sectionDataset], data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range sortedKeys(state) {
+		de, err := collect.DecodeEntry(state[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if de.BlobRef != "" {
+			keys, recs, decoded = append(keys, k), append(recs, state[k]), append(decoded, de)
+		}
+	}
+	if len(keys) < 2 {
+		t.Fatalf("manifest has %d dataset records naming an artifact, want at least 2", len(keys))
+	}
+	return keys, recs, decoded
+}
+
+// tamperedArtifactBlob stores in st a copy of the artifact blob ref names
+// with a line added to each file, so it no longer hashes to the original,
+// and returns the copy's key and its artifact's hash.
+func tamperedArtifactBlob(t testing.TB, st *castore.Store, ref string) (key, hash string) {
+	t.Helper()
+	data, err := st.Fetch([]string{ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := decodeArtifact(data[ref])
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := append([]ecosys.File(nil), art.Files...)
+	for i := range files {
+		files[i].Content += "\nimport evil\n"
+	}
+	tampered := ecosys.NewArtifact(art.Coord, art.Description, files)
+	raw := encodeArtifact(tampered)
+	key = castore.KeyOf(raw)
+	if _, err := st.Append([]castore.Blob{{Key: key, Data: raw}}); err != nil {
+		t.Fatal(err)
+	}
+	return key, tampered.Hash()
+}
+
+// appendDatasetChunks appends one dataset delta chunk per set, each stored
+// in st, to the end of manifest's dataset chain.
+func appendDatasetChunks(t testing.TB, manifest []byte, st *castore.Store, sets ...map[string][]byte) []byte {
+	t.Helper()
+	var man manifestSnapshot
+	if err := json.Unmarshal(manifest, &man); err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range sets {
+		raw := encodeKVChunk(kvChunk{Set: set})
+		if _, err := st.Append([]castore.Blob{{Key: castore.KeyOf(raw), Data: raw}}); err != nil {
+			t.Fatal(err)
+		}
+		man.Sections[sectionDataset] = append(man.Sections[sectionDataset], castore.KeyOf(raw))
+	}
+	out, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// withSupersededBlob appends two dataset delta chunks to manifest: the
+// first sets its first artifact-bearing key to a record naming a different
+// artifact blob, stored in st; the second sets the key's live record
+// again. The result restores to the same state as manifest. It returns
+// the superseded blob's key too.
+func withSupersededBlob(t testing.TB, manifest []byte, st *castore.Store) ([]byte, string) {
+	t.Helper()
+	keys, recs, decoded := artifactRecords(t, manifest, st)
+	blob, hash := tamperedArtifactBlob(t, st, decoded[0].BlobRef)
+	rec := bytes.Replace(recs[0], []byte(decoded[0].BlobRef), []byte(blob), 1)
+	rec = bytes.Replace(rec, []byte(decoded[0].Hash), []byte(hash), 1)
+	return appendDatasetChunks(t, manifest, st, map[string][]byte{keys[0]: rec}, map[string][]byte{keys[0]: recs[0]}), blob
+}
+
+// withTamperedArtifacts appends a dataset delta chunk to manifest that
+// re-points the records of its first and last artifact-bearing keys at
+// tampered copies of their blobs, stored in st; the records keep their
+// hashes. It returns the first tampered record's coordinate too.
+func withTamperedArtifacts(t testing.TB, manifest []byte, st *castore.Store) ([]byte, ecosys.Coord) {
+	t.Helper()
+	keys, recs, decoded := artifactRecords(t, manifest, st)
+	set := make(map[string][]byte)
+	for _, i := range []int{0, len(keys) - 1} {
+		blob, _ := tamperedArtifactBlob(t, st, decoded[i].BlobRef)
+		set[keys[i]] = bytes.Replace(recs[i], []byte(decoded[i].BlobRef), []byte(blob), 1)
+	}
+	return appendDatasetChunks(t, manifest, st, set), decoded[0].Entry.Coord
+}
+
+// TestRestoreRefusesTamperedArtifact: a manifest whose artifact blobs no
+// longer hash to their records' hashes is refused, naming the first
+// tampered coordinate in key order, with the same error at any GOMAXPROCS,
+// although the artifacts decode and verify in parallel.
+func TestRestoreRefusesTamperedArtifact(t *testing.T) {
+	_, manifest, store := checkpointMini(t)
+	bad, first := withTamperedArtifacts(t, manifest, store)
+	want := "restore dataset: manifest decode: artifact hash mismatch for " + first.String()
+	var errs []string
+	for _, procs := range []int{1, 8} {
+		_, err := restoreAt(procs, bad, store)
+		if err == nil {
+			t.Fatalf("GOMAXPROCS=%d: restored tampered artifacts", procs)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Errorf("error differs by GOMAXPROCS:\n 1: %s\n 8: %s", errs[0], errs[1])
+	}
+	if !strings.Contains(errs[0], want) {
+		t.Errorf("error %q does not mention %q", errs[0], want)
+	}
+}
+
+// TestRestoreRefusesBadPerSourceKey: a manifest header whose per-source
+// map has a key that is not the canonical decimal ID of a known source is
+// refused.
+func TestRestoreRefusesBadPerSourceKey(t *testing.T) {
+	_, manifest, store := checkpointMini(t)
+	bad := editManifest(t, manifest, func(man map[string]any) {
+		man["datasetHeader"].(map[string]any)["perSource"] = map[string]any{"03": map[string]any{}}
+	})
+	_, err := RestoreEngineWithStore(bytes.NewReader(bad), store)
+	if want := `restore dataset: manifest decode: bad source id "03"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore error %v, want one naming %q", err, want)
+	}
+}
+
+// TestCompactionDropsSupersededArtifactBlob: an artifact blob that only a
+// superseded dataset record names is not among CollectManifestRefs' refs,
+// since no restore fetches it; compaction driven by those refs drops it,
+// and the manifest still restores to the live engine's state.
+func TestCompactionDropsSupersededArtifactBlob(t *testing.T) {
+	eng, manifest, store := checkpointMini(t)
+	raw, superseded := withSupersededBlob(t, manifest, store)
+	refs, err := CollectManifestRefs(bytes.NewReader(raw), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refs[superseded] {
+		t.Fatalf("CollectManifestRefs lists the superseded artifact blob %s", superseded)
+	}
+	if _, err := store.Compact(refs); err != nil {
+		t.Fatal(err)
+	}
+	if missing := store.Missing([]string{superseded}); len(missing) != 1 {
+		t.Fatalf("compaction kept the superseded artifact blob %s", superseded)
+	}
+	restored, err := RestoreEngineWithStore(bytes.NewReader(raw), store)
+	if err != nil {
+		t.Fatalf("restore after compaction: %v", err)
+	}
+	assertRestoredMatches(t, restored, eng, "restored-after-superseded-blob")
+	if live := restored.LiveRefs(); !reflect.DeepEqual(live, refs) {
+		t.Fatalf("restored engine's LiveRefs has %d refs, CollectManifestRefs %d; want the same set", len(live), len(refs))
 	}
 }
 

@@ -230,14 +230,6 @@ func (g *Graph) Node(id string) (Node, bool) {
 	return *n, true
 }
 
-// HasNode reports whether id is a node.
-func (g *Graph) HasNode(id string) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	_, ok := g.nodes.Get(id)
-	return ok
-}
-
 // SetAttr sets one attribute on an existing node. The node and its
 // attribute map are replaced, not mutated in place (copy-on-write): a Clone
 // taken before the call, and any caller holding the old map, keep observing
@@ -517,15 +509,6 @@ func (g *Graph) edgeSlotLocked(from, to string, t EdgeType) int {
 	return -1
 }
 
-// HasEdge reports whether an edge of type t joins the two nodes (in either
-// direction for undirected types; exactly from→to for Dependency).
-func (g *Graph) HasEdge(from, to string, t EdgeType) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	_, ok := g.edgeSeen.Get(edgeKey(t, from, to))
-	return ok
-}
-
 // Neighbors returns the IDs adjacent to id via edges of type t, sorted.
 func (g *Graph) Neighbors(id string, t EdgeType) []string {
 	g.mu.RLock()
@@ -537,21 +520,6 @@ func (g *Graph) Neighbors(id string, t EdgeType) []string {
 			out = append(out, e.To)
 		} else {
 			out = append(out, e.From)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OutNeighbors returns IDs reachable from id following directed edges of type
-// t (From==id). For undirected edge types this is a subset of Neighbors.
-func (g *Graph) OutNeighbors(id string, t EdgeType) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []string
-	for _, idx := range g.adj(t, id) {
-		if e := g.edge(idx); e.From == id {
-			out = append(out, e.To)
 		}
 	}
 	sort.Strings(out)

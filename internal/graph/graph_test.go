@@ -7,10 +7,46 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// The queries below serve only the tests: production code reads an edge
+// through EdgeAttrs and adjacency through Neighbors.
+
+// HasNode reports whether id is a node.
+func (g *Graph) HasNode(id string) bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	_, ok := g.nodes.Get(id)
+	return ok
+}
+
+// HasEdge reports whether an edge of type t joins the two nodes (in either
+// direction for undirected types; exactly from→to for Dependency).
+func (g *Graph) HasEdge(from, to string, t EdgeType) bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	_, ok := g.edgeSeen.Get(edgeKey(t, from, to))
+	return ok
+}
+
+// OutNeighbors returns IDs reachable from id following directed edges of type
+// t (From==id). For undirected edge types this is a subset of Neighbors.
+func (g *Graph) OutNeighbors(id string, t EdgeType) []string {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	var out []string
+	for _, idx := range g.adj(t, id) {
+		if e := g.edge(idx); e.From == id {
+			out = append(out, e.To)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 // readJSON decodes WriteJSON output as a JSON consumer would: into
 // Persisted, whose nodes and then edges it adds to a new graph.
