@@ -65,24 +65,22 @@ func (c Config) withDefaults() Config {
 }
 
 // Pipeline holds every intermediate product of a run, for callers that want
-// to go deeper than the Results summary. A Pipeline is either *batch* (built
-// by BuildPipeline, fully ingested) or *streaming* (built by
-// NewStreamingPipeline, fed incrementally through AppendNext, AppendPending,
-// AppendExternal or AppendObservationsJSON); in
+// to go deeper than the Results summary: the ingested dataset, report
+// corpus and MALGRAPH are Engine's (Engine.Dataset, Reports and Graph). A
+// Pipeline is either *batch* (built by BuildPipeline, fully ingested) or
+// *streaming* (built by NewStreamingPipeline, fed incrementally through
+// AppendNext, AppendPending, AppendExternal or AppendObservationsJSON); in
 // both modes Analyze serves from a cache that only recomputes the analysis
 // blocks each batch actually invalidated.
 type Pipeline struct {
-	Config  Config
-	World   *world.World
-	Dataset *collect.Result
-	Reports []*reports.Report
-	Graph   *core.MalGraph
-	Crawl   crawler.Result
-	Engine  *core.Engine
+	Config Config
+	World  *world.World
+	Crawl  crawler.Result
+	Engine *core.Engine
 
 	mu   sync.Mutex
 	feed []core.Batch // pending ingest batches (streaming mode); guarded by mu
-	fed  int          // guarded by mu
+	fed  int          // feed batches ingested (the feed cursor); guarded by mu
 	// epoch is the published read path: every mutator exits by storing a
 	// fresh immutable Epoch here (see epoch.go), and every reader loads it
 	// without touching mu. dirty accumulates the analysis blocks invalidated
@@ -105,7 +103,8 @@ type Pipeline struct {
 	// journal, when attached, receives every accepted ingest (external
 	// observations/reports and feed batches) as an fsync'd WAL record
 	// before the engine applies it; lastSeq is the sequence of the last
-	// batch this pipeline's engine reflects. See durable.go. guarded by mu.
+	// batch this pipeline's engine reflects; a checkpoint stamps it and fed
+	// into its manifest (core.Stamps). See durable.go. guarded by mu.
 	journal *wal.Log
 	lastSeq uint64 // guarded by mu
 }
@@ -217,9 +216,6 @@ func NewStreamingPipeline(ctx context.Context, cfg Config, batches int) (*Pipeli
 	p := &Pipeline{
 		Config:        cfg,
 		World:         w,
-		Dataset:       eng.Dataset(),
-		Reports:       eng.Reports(),
-		Graph:         eng.Graph(),
 		Crawl:         crawlRes,
 		Engine:        eng,
 		feed:          BatchFeed(ds, reportCorpus, batches),
@@ -244,16 +240,13 @@ func BatchFeed(ds *collect.Result, reportCorpus []*reports.Report, k int) []core
 	return out
 }
 
-// ingestLocked applies b to the engine, refreshes the pipeline's views and
-// folds the invalidated Results blocks into p.dirty.
+// ingestLocked applies b to the engine and folds the invalidated Results
+// blocks into p.dirty.
 func (p *Pipeline) ingestLocked(b core.Batch) (core.IngestStats, error) {
 	st, err := p.Engine.Ingest(b)
 	if err != nil {
 		return st, fmt.Errorf("malgraph: append: %w", err)
 	}
-	p.Dataset = p.Engine.Dataset()
-	p.Reports = p.Engine.Reports()
-	p.Graph = p.Engine.Graph()
 	p.dirty.merge(st)
 	return st, nil
 }
@@ -354,7 +347,7 @@ func (p *Pipeline) AppendPending(n int, exact bool) (stats []core.IngestStats, s
 		n = pending
 	}
 	for i := 0; i < n; i++ {
-		st, err := p.applyLocked(record{kind: recFeed, feed: feedRecord{Index: p.fed}}, 0)
+		st, err := p.applyLocked(record{kind: recFeed, feed: feedRecord{Index: p.fed, Batches: len(p.feed)}}, 0)
 		if err != nil {
 			return stats, p.lastSeq, true, err
 		}
@@ -397,34 +390,27 @@ func (p *Pipeline) Node(id string) (graph.Node, map[string][]string, bool) {
 }
 
 func (p *Pipeline) snapshotEngineLocked(w io.Writer) error {
-	p.Engine.SetAppliedSeq(p.lastSeq)
-	p.Engine.SetFeedPos(p.fed)
-	return p.Engine.Snapshot(w)
+	return p.Engine.Snapshot(w, core.Stamps{AppliedSeq: p.lastSeq, FeedPos: p.fed, FeedBatches: len(p.feed)})
 }
 
-// AdoptEngine swaps in an engine restored outside the pipeline by
-// core.RestoreEngineWithStore from a manifest and republishes it. The
-// restore replayed the manifest's dataset and reports as one ingest, so
-// the adopted engine's graph, clustering state and indexes are what the
-// running code derives from those inputs. The journal sequence
-// restores from the manifest's AppliedSeq stamp, and the feed cursor from
-// its FeedPos stamp (a stamp past the end of a feed re-partitioned since
-// restarts it at zero — re-draining already-ingested batches is an
-// idempotent no-op); journal replay advances both further from any records
-// past the checkpoint. An attached journal's sequence is raised to the
-// stamp, and the adopted state publishes as a fully dirty epoch.
-func (p *Pipeline) AdoptEngine(eng *core.Engine) {
+// AdoptEngine swaps in an engine and the stamps core.RestoreEngineWithStore
+// restored from a manifest, and republishes it. The restore replayed the
+// manifest's dataset and reports as one ingest, so the adopted engine's
+// graph, clustering state and indexes are what the running code derives
+// from those inputs. The journal sequence restores from AppliedSeq and the
+// feed cursor from FeedPos, restarted at zero when it was recorded for a
+// feed of another size (FeedBatches, if stamped) or lies past this feed's
+// end: re-draining already-ingested batches is an idempotent no-op.
+// Journal replay advances both further from any records past the
+// checkpoint. An attached journal's sequence is raised to the stamp, and
+// the adopted state publishes as a fully dirty epoch.
+func (p *Pipeline) AdoptEngine(eng *core.Engine, stamps core.Stamps) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.Engine = eng
-	p.Dataset = eng.Dataset()
-	p.Reports = eng.Reports()
-	p.Graph = eng.Graph()
-	p.lastSeq = eng.AppliedSeq()
-	if p.fed = eng.FeedPos(); p.fed > len(p.feed) {
-		// The feed was re-partitioned since the snapshot (different
-		// -batches); the saved cursor has no meaning in the new partition,
-		// so fall back to the idempotent full re-drain.
+	p.lastSeq = stamps.AppliedSeq
+	p.fed = stamps.FeedPos
+	if p.fed > len(p.feed) || stamps.FeedBatches != 0 && stamps.FeedBatches != len(p.feed) {
 		p.fed = 0
 	}
 	if p.journal != nil {

@@ -156,7 +156,7 @@ func TestBuildPipelineExposesInternals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.World == nil || p.Dataset == nil || p.Graph == nil {
+	if p.World == nil || p.Engine.Dataset() == nil || p.Engine.Graph() == nil {
 		t.Fatal("pipeline stages missing")
 	}
 	if len(p.GroundTruth()) == 0 {

@@ -76,7 +76,7 @@ func BenchmarkServe_ReadsDuringIngest(b *testing.B) {
 	if err := p.SnapshotEngine(&snap); err != nil {
 		b.Fatal(err)
 	}
-	ids := p.Graph.G.NodeIDs()
+	ids := p.Engine.Graph().G.NodeIDs()
 	if len(ids) == 0 {
 		b.Fatal("empty warm graph")
 	}
@@ -100,12 +100,12 @@ func BenchmarkServe_ReadsDuringIngest(b *testing.B) {
 					// Feed drained: restore the warm checkpoint (manifest
 					// and chunk decode, then the engine swap and publish
 					// under p.mu) and re-drain.
-					eng, err := core.RestoreEngineWithStore(bytes.NewReader(snap.Bytes()), store)
+					eng, stamps, err := core.RestoreEngineWithStore(bytes.NewReader(snap.Bytes()), store)
 					if err != nil {
 						b.Error(err)
 						return
 					}
-					p.AdoptEngine(eng)
+					p.AdoptEngine(eng, stamps)
 				}
 			}
 		}()

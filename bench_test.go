@@ -76,8 +76,8 @@ func BenchmarkPipeline_EndToEnd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(p.Dataset.Entries)), "packages")
-		b.ReportMetric(float64(p.Graph.G.EdgeCount()), "edges")
+		b.ReportMetric(float64(len(p.Engine.Dataset().Entries)), "packages")
+		b.ReportMetric(float64(p.Engine.Graph().G.EdgeCount()), "edges")
 	}
 }
 
@@ -102,7 +102,7 @@ func BenchmarkTable1_SourceSizes(b *testing.B) {
 	var rows []analysis.SourceSizeRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.SourceSizes(p.Dataset)
+		rows = analysis.SourceSizes(p.Engine.Dataset())
 	}
 	b.ReportMetric(float64(len(rows)), "sources")
 	avail := 0
@@ -118,7 +118,7 @@ func BenchmarkTable4_OverlapMatrix(b *testing.B) {
 	var m analysis.OverlapMatrix
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m = analysis.Overlap(p.Dataset)
+		m = analysis.Overlap(p.Engine.Dataset())
 	}
 	b.ReportMetric(float64(m.At(sources.Backstabber, sources.MalPyPI)), "bk_mdp_overlap")
 }
@@ -129,7 +129,7 @@ func BenchmarkTable5_MissingRates(b *testing.B) {
 	var total float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, total = analysis.MissingRates(p.Dataset)
+		_, total = analysis.MissingRates(p.Engine.Dataset())
 	}
 	b.ReportMetric(total*100, "total_mr_pct")
 }
@@ -140,7 +140,7 @@ func BenchmarkFigure6_OccurrenceCDF(b *testing.B) {
 	var frac float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cdfs := analysis.OccurrenceCDF(p.Dataset)
+		cdfs := analysis.OccurrenceCDF(p.Engine.Dataset())
 		frac = cdfs[ecosys.NPM].At(1)
 	}
 	b.ReportMetric(frac*100, "npm_single_occ_pct")
@@ -152,7 +152,7 @@ func BenchmarkFigure7_Timeline(b *testing.B) {
 	var buckets []analysis.TimelineBucket
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buckets = analysis.Timeline(p.Dataset)
+		buckets = analysis.Timeline(p.Engine.Dataset())
 	}
 	peak := 0
 	for _, bk := range buckets {
@@ -170,7 +170,7 @@ func BenchmarkFigure8_MissingCauses(b *testing.B) {
 	var causes analysis.MissingCauses
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		causes = analysis.ClassifyMissing(p.Dataset, p.World.Fleet)
+		causes = analysis.ClassifyMissing(p.Engine.Dataset(), p.World.Fleet)
 	}
 	b.ReportMetric(float64(causes.EarlyRelease), "early_release")
 	b.ReportMetric(float64(causes.ShortPersistence), "short_persistence")
@@ -182,7 +182,7 @@ func BenchmarkTable6_SimilarSubgraphs(b *testing.B) {
 	var rows []analysis.SubgraphStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.SubgraphStatsFor(p.Graph, graph.Similar)
+		rows = analysis.SubgraphStatsFor(p.Engine.Graph(), graph.Similar)
 	}
 	for _, r := range rows {
 		switch r.Eco {
@@ -200,7 +200,7 @@ func BenchmarkTable6_ClusteringStage(b *testing.B) {
 	p := pipelineForBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mg := ingestOneShot(b, p.Dataset, p.Reports)
+		mg := ingestOneShot(b, p.Engine.Dataset(), p.Engine.Reports())
 		b.ReportMetric(float64(mg.G.EdgeCount(graph.Similar)), "similar_edges")
 	}
 }
@@ -211,7 +211,7 @@ func BenchmarkFigure9_SimilarOps(b *testing.B) {
 	var dist analysis.OpsDist
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dist = analysis.Operations(p.Graph, graph.Similar)
+		dist = analysis.Operations(p.Engine.Graph(), graph.Similar)
 	}
 	b.ReportMetric(dist.CN*100, "cn_pct")
 	b.ReportMetric(dist.CC*100, "cc_pct")
@@ -224,7 +224,7 @@ func BenchmarkFigure10_SimilarActive(b *testing.B) {
 	var st analysis.ActiveStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st = analysis.ActivePeriods(p.Graph, graph.Similar)
+		st = analysis.ActivePeriods(p.Engine.Graph(), graph.Similar)
 	}
 	b.ReportMetric(st.Summary.Mean, "mean_days")
 	b.ReportMetric(st.CDF.At(15)*100, "under15d_pct")
@@ -236,7 +236,7 @@ func BenchmarkTable7_DependencySubgraphs(b *testing.B) {
 	var rows []analysis.SubgraphStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.SubgraphStatsFor(p.Graph, graph.Dependency)
+		rows = analysis.SubgraphStatsFor(p.Engine.Graph(), graph.Dependency)
 	}
 	for _, r := range rows {
 		if r.Eco == ecosys.PyPI {
@@ -251,14 +251,14 @@ func BenchmarkTable8_DependencyTargets(b *testing.B) {
 	var targets []analysis.DepTarget
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		targets = analysis.TopDependencyTargets(p.Graph, 2)
+		targets = analysis.TopDependencyTargets(p.Engine.Graph(), 2)
 	}
 	for _, t := range targets {
 		if t.Eco == ecosys.PyPI && t.Name == "urllib" {
 			b.ReportMetric(float64(t.Count), "urllib_reuse")
 		}
 	}
-	cores, fronts := analysis.DependencyReuse(p.Graph, 3)
+	cores, fronts := analysis.DependencyReuse(p.Engine.Graph(), 3)
 	b.ReportMetric(float64(cores), "cores")
 	b.ReportMetric(float64(fronts), "fronts")
 }
@@ -269,7 +269,7 @@ func BenchmarkFigure11_DepActive(b *testing.B) {
 	var st analysis.ActiveStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st = analysis.ActivePeriods(p.Graph, graph.Dependency)
+		st = analysis.ActivePeriods(p.Engine.Graph(), graph.Dependency)
 	}
 	b.ReportMetric(st.Summary.Mean, "mean_days")
 	b.ReportMetric(st.CDF.At(10)*100, "under10d_pct")
@@ -281,7 +281,7 @@ func BenchmarkTable9_CoexistSubgraphs(b *testing.B) {
 	var rows []analysis.SubgraphStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.SubgraphStatsFor(p.Graph, graph.Coexisting)
+		rows = analysis.SubgraphStatsFor(p.Engine.Graph(), graph.Coexisting)
 	}
 	for _, r := range rows {
 		if r.Eco == ecosys.PyPI {
@@ -296,7 +296,7 @@ func BenchmarkFigure12_CoexistOps(b *testing.B) {
 	var dist analysis.OpsDist
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dist = analysis.Operations(p.Graph, graph.Coexisting)
+		dist = analysis.Operations(p.Engine.Graph(), graph.Coexisting)
 	}
 	b.ReportMetric(dist.CN*100, "cn_pct")
 }
@@ -307,7 +307,7 @@ func BenchmarkFigure13_CoexistActive(b *testing.B) {
 	var st analysis.ActiveStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st = analysis.ActivePeriods(p.Graph, graph.Coexisting)
+		st = analysis.ActivePeriods(p.Engine.Graph(), graph.Coexisting)
 	}
 	b.ReportMetric(st.Summary.Mean, "mean_days")
 }
@@ -318,7 +318,7 @@ func BenchmarkFigure14_TopDomains(b *testing.B) {
 	var summary analysis.IoCSummary
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		summary = analysis.IoCs(p.Reports, 10)
+		summary = analysis.IoCs(p.Engine.Reports(), 10)
 	}
 	b.ReportMetric(float64(summary.UniqueURLs), "urls")
 	b.ReportMetric(float64(summary.UniqueIPs), "ips")
@@ -356,7 +356,7 @@ func BenchmarkTable11_Behaviors(b *testing.B) {
 	var rows []behavior.GroupRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = behavior.TableXI(p.Graph, minSize)
+		rows = behavior.TableXI(p.Engine.Graph(), minSize)
 	}
 	b.ReportMetric(float64(len(rows)), "groups")
 }
@@ -364,7 +364,7 @@ func BenchmarkTable11_Behaviors(b *testing.B) {
 // --- V1: §IV-A — controlled validation sampling. ---
 func BenchmarkValidation_Sampling(b *testing.B) {
 	p := pipelineForBench(b)
-	available := p.Dataset.Available()
+	available := p.Engine.Dataset().Available()
 	artifacts := make([]*ecosys.Artifact, 0, len(available))
 	for _, e := range available {
 		artifacts = append(artifacts, e.Artifact)
@@ -412,8 +412,8 @@ func BenchmarkSubstrate_Crawl(b *testing.B) {
 // BenchmarkSubstrate_ReportParse measures report-body parsing throughput.
 func BenchmarkSubstrate_ReportParse(b *testing.B) {
 	p := pipelineForBench(b)
-	bodies := make([]string, 0, len(p.Reports))
-	for _, r := range p.Reports {
+	bodies := make([]string, 0, len(p.Engine.Reports()))
+	for _, r := range p.Engine.Reports() {
 		bodies = append(bodies, r.Body)
 	}
 	b.ResetTimer()

@@ -26,7 +26,7 @@ import (
 // (dataset, graph with its similar clusters and co-existing pair owners,
 // reports, clustering items, reverse import index or per-coordinate report
 // index) changed.
-const buildGolden = "1cf1b78dbb63f3bce42d97dd20c52b3e215e150f6706f4b2a22dec6b7fe728be"
+const buildGolden = "207f5fd56b987cb8495e1cd8813188fe5e559b7be694bdb6e1a748ff6176c283"
 
 // engineDigest folds p's per-section engine digest into one hex SHA-256,
 // sections in name order.

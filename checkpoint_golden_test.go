@@ -25,7 +25,7 @@ import (
 // change shows which half it moved. The schedule re-bases every section at
 // least twice.
 const (
-	checkpointGoldenManifests = "72899eedc46bb0c93bd0e63dd2b51741d1e288bc13bf38fed2c800318b032839"
+	checkpointGoldenManifests = "31abce714d06a8c2e528573ed76e64be4c5ad9709c4e80f56bda6aba81e585a6"
 	checkpointGoldenSegments  = "458d5af685c13e698bd872abd2b1a793793aa6c4d34be111ee7eb46a1e44336b"
 )
 

@@ -145,11 +145,12 @@ func cmdDataset(cfg malgraph.Config, out string, full bool) error {
 	if full {
 		mode = collect.ExportFull
 	}
-	if err := p.Dataset.WriteJSON(w, mode); err != nil {
+	ds := p.Engine.Dataset()
+	if err := ds.WriteJSON(w, mode); err != nil {
 		return fmt.Errorf("export dataset: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "exported %d entries (%d available), mode=%v\n",
-		len(p.Dataset.Entries), len(p.Dataset.Available()), map[bool]string{true: "full", false: "public"}[full])
+		len(ds.Entries), len(ds.Available()), map[bool]string{true: "full", false: "public"}[full])
 	return nil
 }
 
@@ -178,10 +179,11 @@ func cmdGraph(cfg malgraph.Config, out string) error {
 		defer f.Close()
 		w = f
 	}
-	if err := p.Graph.G.WriteJSON(w); err != nil {
+	g := p.Engine.Graph().G
+	if err := g.WriteJSON(w); err != nil {
 		return fmt.Errorf("export graph: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "exported %d nodes, %d edges\n", p.Graph.G.NodeCount(), p.Graph.G.EdgeCount())
+	fmt.Fprintf(os.Stderr, "exported %d nodes, %d edges\n", g.NodeCount(), g.EdgeCount())
 	return nil
 }
 
@@ -192,10 +194,11 @@ func cmdCrawl(cfg malgraph.Config) error {
 	}
 	fmt.Printf("seeds: %d   fetched: %d   relevant: %d   skipped: %d   errors: %d\n",
 		len(p.World.SeedURLs), p.Crawl.Fetched, len(p.Crawl.Relevant), p.Crawl.Skipped, p.Crawl.Errors)
-	fmt.Printf("parsed reports: %d\n", len(p.Reports))
-	for i, r := range p.Reports {
+	reps := p.Engine.Reports()
+	fmt.Printf("parsed reports: %d\n", len(reps))
+	for i, r := range reps {
 		if i >= 10 {
-			fmt.Printf("… and %d more\n", len(p.Reports)-10)
+			fmt.Printf("… and %d more\n", len(reps)-10)
 			break
 		}
 		fmt.Printf("  %-60s pkgs=%d urls=%d ips=%d\n", r.URL, len(r.Packages), len(r.IoCs.URLs), len(r.IoCs.IPs))
@@ -314,7 +317,7 @@ func cmdServe(cfg malgraph.Config, sf serveFlags) error {
 		}
 		if warm {
 			fmt.Printf("warm restart: %d packages, %d edges from %s (seq %d)\n",
-				len(p.Dataset.Entries), p.Graph.G.EdgeCount(), sf.snapshotPath, p.LastSeq())
+				len(p.Engine.Dataset().Entries), p.Engine.Graph().G.EdgeCount(), sf.snapshotPath, p.LastSeq())
 		} else {
 			fmt.Printf("cold start: no snapshot at %s yet\n", sf.snapshotPath)
 		}
@@ -385,8 +388,11 @@ func defaultStoreDir(snapshotPath string) string { return snapshotPath + ".store
 // snapshot that exists but does not restore — a manifest whose chunks are
 // not in store among them — is an error, never a cold start.
 func startWarmRestart(path string, store *castore.Store) (finish func(p *malgraph.Pipeline) (warm bool, err error)) {
-	var eng *core.Engine
-	var err error
+	var (
+		eng    *core.Engine
+		stamps core.Stamps
+		err    error
+	)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -398,7 +404,7 @@ func startWarmRestart(path string, store *castore.Store) (finish func(p *malgrap
 			return
 		}
 		defer f.Close()
-		if eng, err = core.RestoreEngineWithStore(f, store); err != nil {
+		if eng, stamps, err = core.RestoreEngineWithStore(f, store); err != nil {
 			err = fmt.Errorf("malgraph: restore against store %s: %w", store.Dir(), err)
 		}
 	}()
@@ -408,7 +414,7 @@ func startWarmRestart(path string, store *castore.Store) (finish func(p *malgrap
 		case err != nil:
 			return false, err
 		case eng != nil:
-			p.AdoptEngine(eng)
+			p.AdoptEngine(eng, stamps)
 			return true, nil
 		}
 		p.AttachStore(store)

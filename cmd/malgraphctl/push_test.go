@@ -129,7 +129,7 @@ func TestObservationsEndpointValidation(t *testing.T) {
 func TestReportsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, 1, "")
 	postJSON(t, ts.URL+"/api/v1/ingest?all=1", http.StatusOK)
-	before := len(s.p.Reports)
+	before := len(s.p.Engine.Reports())
 
 	nodeID := firstCanonicalNode(t)
 	// nodeID is "PyPI/name@version"; rebuild the body mention.
@@ -160,7 +160,7 @@ func TestReportsEndpoint(t *testing.T) {
 	if out.Accepted != 1 || out.Skipped != 1 {
 		t.Fatalf("accepted=%d skipped=%d, want 1/1", out.Accepted, out.Skipped)
 	}
-	if got := len(s.p.Reports); got != before+1 {
+	if got := len(s.p.Engine.Reports()); got != before+1 {
 		t.Fatalf("report corpus %d, want %d", got, before+1)
 	}
 }
@@ -289,12 +289,12 @@ func TestConcurrentObservationsIngestAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.p.Stats()
-	if st.Entries != len(oneShot.Dataset.Entries) {
-		t.Fatalf("entries = %d, want %d", st.Entries, len(oneShot.Dataset.Entries))
+	if st.Entries != len(oneShot.Engine.Dataset().Entries) {
+		t.Fatalf("entries = %d, want %d", st.Entries, len(oneShot.Engine.Dataset().Entries))
 	}
-	if st.Nodes != oneShot.Graph.G.NodeCount() || st.Edges != oneShot.Graph.G.EdgeCount() {
+	if st.Nodes != oneShot.Engine.Graph().G.NodeCount() || st.Edges != oneShot.Engine.Graph().G.EdgeCount() {
 		t.Fatalf("graph %d/%d nodes/edges, want %d/%d",
-			st.Nodes, st.Edges, oneShot.Graph.G.NodeCount(), oneShot.Graph.G.EdgeCount())
+			st.Nodes, st.Edges, oneShot.Engine.Graph().G.NodeCount(), oneShot.Engine.Graph().G.EdgeCount())
 	}
 	if pending := s.p.PendingBatches(); pending != 0 {
 		t.Fatalf("feed not drained: %d pending", pending)

@@ -59,6 +59,12 @@ type server struct {
 	// alive through compaction until retention prunes them).
 	store          *castore.Store
 	snapshotRetain int
+	// manifestCurrent is set by a successful checkpoint and cleared by a
+	// failed one: only while it is set does the snapshot file name exactly
+	// LiveRefs, so compactStore skips reading it. A persist that fails after
+	// the engine committed its logs leaves an older manifest there that
+	// alone names its chain. guarded by checkpointMu.
+	manifestCurrent bool
 	// compactWG tracks the background compaction worker so shutdown can
 	// wait it out instead of exiting mid-sweep.
 	compactWG sync.WaitGroup
@@ -88,10 +94,6 @@ type server struct {
 	// late writes on kept-alive connections are refused while in-flight
 	// requests finish.
 	draining atomic.Bool
-	// preApply, when set, runs in every mutating handler just before the
-	// pipeline apply, with the admission slot held — tests park a request
-	// there or panic it mid-flight.
-	preApply atomic.Pointer[func()]
 }
 
 // newServer wraps p. store is the chunk store p checkpoints into; it must
@@ -181,13 +183,6 @@ func (s *server) guard(mutating bool, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// beforeApply runs the preApply hook, if one is set.
-func (s *server) beforeApply() {
-	if fn := s.preApply.Load(); fn != nil {
-		(*fn)()
-	}
-}
-
 // writeShed answers a shed mutating request: 429 with the admission
 // controller's computed Retry-After for deliberate sheds, 503 when the
 // client's own context expired while queueing.
@@ -255,7 +250,8 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 // losing either step safe: the snapshot lands (stamped with the last
 // applied sequence) before any journal bytes disappear, and a crash
 // between the two just leaves records that replay as sequence-gated
-// no-ops. Returns the sequence the snapshot covers.
+// no-ops. Returns the sequence the snapshot covers. Caller holds
+// checkpointMu.
 func (s *server) checkpoint() (uint64, error) {
 	seq, err := s.p.Checkpoint(func(snapshot func(io.Writer) error) error {
 		if err := s.archiveSnapshot(); err != nil {
@@ -263,6 +259,7 @@ func (s *server) checkpoint() (uint64, error) {
 		}
 		return writeFileAtomic(s.snapshotPath, snapshot)
 	})
+	s.manifestCurrent = err == nil
 	if err != nil {
 		return seq, err
 	}
@@ -385,11 +382,15 @@ func (s *server) maybeCompact() {
 
 // compactStore merges the store's segments, keeping every blob referenced
 // by the engine's live manifest state or by any retained snapshot file —
-// archived manifests must stay restorable until retention prunes them.
-// Caller holds checkpointMu.
+// archived manifests must stay restorable until retention prunes them. The
+// live snapshot file is read only when the last checkpoint did not write
+// it (manifestCurrent). Caller holds checkpointMu.
 func (s *server) compactStore() error {
 	live := s.p.LiveRefs()
-	paths := []string{s.snapshotPath}
+	var paths []string
+	if !s.manifestCurrent {
+		paths = append(paths, s.snapshotPath)
+	}
 	gens, err := s.archiveGens()
 	if err != nil {
 		return err
@@ -616,7 +617,6 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		n, exact = v, true
 	}
-	s.beforeApply()
 	// AppendPending claims the batches atomically, so an explicit ?n=K
 	// either ingests exactly K or conflicts — even against concurrent
 	// ingesters. seq is the last applied batch's own durable sequence,
@@ -671,7 +671,6 @@ func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), fmt.Errorf("read observations: %w", err))
 		return
 	}
-	s.beforeApply()
 	accepted, st, seq, err := s.p.AppendObservationsJSON(body)
 	if err != nil {
 		switch {
@@ -718,7 +717,6 @@ func (s *server) handleReports(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode reports: %w", err))
 		return
 	}
-	s.beforeApply()
 	accepted := make([]*reports.Report, 0, len(req.Reports))
 	skipped := 0
 	for _, rep := range req.Reports {

@@ -45,39 +45,56 @@ func postRaw(t *testing.T, url, body string, r io.Reader) (int, map[string]any, 
 	return resp.StatusCode, out, resp.Header.Get("Retry-After")
 }
 
-// hookOnce installs fn as s's pre-apply hook for the test and clears it at
-// cleanup.
-func hookOnce(t *testing.T, s *server, fn func()) {
-	t.Helper()
-	s.preApply.Store(&fn)
-	t.Cleanup(func() { s.preApply.Store(nil) })
+// hookedRoute is the route hookedHandler adds.
+const hookedRoute = "/test/hooked-ingest"
+
+// hookedHandler serves s's routes plus hookedRoute, where a test parks a
+// request or panics it mid-flight: a POST there runs fn and then the ingest
+// handler, behind the same guard(true, …) as every mutating route, so fn
+// runs with the admission slot held.
+func hookedHandler(s *server, fn func()) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", s.handler())
+	mux.HandleFunc(hookedRoute, s.guard(true, func(w http.ResponseWriter, r *http.Request) {
+		fn()
+		s.handleIngest(w, r)
+	}))
+	return mux
+}
+
+// parking returns a hook that parks every request until release is called,
+// and a channel closed when the first request parks. release is
+// idempotent.
+func parking() (hook func(), entered <-chan struct{}, release func()) {
+	in := make(chan struct{})
+	out := make(chan struct{})
+	var once, releaseOnce sync.Once
+	release = func() { releaseOnce.Do(func() { close(out) }) }
+	return func() {
+		once.Do(func() { close(in) })
+		<-out
+	}, in, release
 }
 
 func TestAdmissionShedsWritesServesReads(t *testing.T) {
-	s, ts := newTestServer(t, 3, "")
+	s := newServer(newTestPipeline(t, 3), "", nil)
 	// One slot, no queueing: the second concurrent write sheds immediately.
 	s.adm = admission.New(admission.Config{MaxInflight: 1, MaxWait: 0})
+	hook, entered, releaseAll := parking()
+	ts := httptest.NewServer(hookedHandler(s, hook))
+	t.Cleanup(ts.Close)
+	// Unpark the holder even if an assertion below fails first — a parked
+	// handler would deadlock the cleanup Close registered before this.
+	t.Cleanup(releaseAll)
 
 	// One clean ingest first, so reads-under-saturation have a published
 	// epoch with content to serve.
 	postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
 
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once, releaseOnce sync.Once
-	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
-	// Unpark the holder even if an assertion below fails first — a parked
-	// handler would deadlock the httptest server's cleanup Close.
-	t.Cleanup(releaseAll)
-	hookOnce(t, s, func() {
-		once.Do(func() { close(entered) })
-		<-release
-	})
-
 	// The slot-holder: blocks inside the mutator with the admission slot held.
 	holderDone := make(chan map[string]any, 1)
 	go func() {
-		_, out, _ := postRaw(t, ts.URL+"/api/v1/ingest", "", nil)
+		_, out, _ := postRaw(t, ts.URL+hookedRoute, "", nil)
 		holderDone <- out
 	}()
 	<-entered
@@ -118,7 +135,9 @@ func TestAdmissionShedsWritesServesReads(t *testing.T) {
 }
 
 func TestServePanicPoisonsReadiness(t *testing.T) {
-	s, ts := newTestServer(t, 3, "")
+	s := newServer(newTestPipeline(t, 3), "", nil)
+	ts := httptest.NewServer(hookedHandler(s, func() { panic("chaos: injected mutator panic") }))
+	t.Cleanup(ts.Close)
 
 	ready := getJSON(t, ts.URL+"/readyz", http.StatusOK)
 	if ready["status"] != "ready" {
@@ -127,8 +146,7 @@ func TestServePanicPoisonsReadiness(t *testing.T) {
 	// Publish an epoch with content: post-poison reads must keep serving it.
 	postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
 
-	hookOnce(t, s, func() { panic("chaos: injected mutator panic") })
-	status, body, _ := postRaw(t, ts.URL+"/api/v1/observations", `{"observations":[]}`, nil)
+	status, body, _ := postRaw(t, ts.URL+hookedRoute, "", nil)
 	if status != http.StatusInternalServerError {
 		t.Fatalf("panicking mutator: status %d, want 500 (body %v)", status, body)
 	}
@@ -139,7 +157,6 @@ func TestServePanicPoisonsReadiness(t *testing.T) {
 	if ready["status"] != "poisoned" || !strings.Contains(ready["reason"].(string), "injected mutator panic") {
 		t.Fatalf("post-poison readyz: %v", ready)
 	}
-	s.preApply.Store(nil)
 	if status, _, _ := postRaw(t, ts.URL+"/api/v1/ingest", "", nil); status != http.StatusServiceUnavailable {
 		t.Fatalf("write on poisoned pipeline: status %d, want 503", status)
 	}
@@ -245,9 +262,13 @@ func TestServeSIGTERMMidIngestLosesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An ingest on the hooked route parks mid-flight, holding the mutator
+	// when SIGTERM lands.
+	hook, entered, releaseAll := parking()
+	t.Cleanup(releaseAll) // never leave the drain waiting on a parked handler
 	lc := &lifecycle{
 		srv:          s1,
-		main:         &http.Server{Handler: s1.handler()},
+		main:         &http.Server{Handler: hookedHandler(s1, hook)},
 		drainTimeout: 10 * time.Second,
 		out:          io.Discard,
 	}
@@ -257,23 +278,13 @@ func TestServeSIGTERMMidIngestLosesNothing(t *testing.T) {
 	go func() { runErr <- lc.Run(ctx, ln) }()
 	base := "http://" + ln.Addr().String()
 
-	// An ingest parks mid-flight, holding the mutator when SIGTERM lands.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once, releaseOnce sync.Once
-	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
-	t.Cleanup(releaseAll) // never leave the drain waiting on a parked handler
-	hookOnce(t, s1, func() {
-		once.Do(func() { close(entered) })
-		<-release
-	})
 	type ack struct {
 		status int
 		body   map[string]any
 	}
 	acked := make(chan ack, 1)
 	go func() {
-		status, out, _ := postRaw(t, base+"/api/v1/ingest", "", nil)
+		status, out, _ := postRaw(t, base+hookedRoute, "", nil)
 		acked <- ack{status, out}
 	}()
 	<-entered

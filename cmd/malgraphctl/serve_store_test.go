@@ -275,7 +275,7 @@ func TestServeSnapshotRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := core.RestoreEngineWithStore(f, s.store); err != nil {
+	if _, _, err := core.RestoreEngineWithStore(f, s.store); err != nil {
 		t.Fatalf("archived manifest does not restore: %v", err)
 	}
 }
@@ -409,12 +409,12 @@ func TestServeSnapshotBundleRoundTrip(t *testing.T) {
 	if cloneStore.Len() != s.store.Len() {
 		t.Fatalf("cloned store has %d blobs, server store %d", cloneStore.Len(), s.store.Len())
 	}
-	eng, err := core.RestoreEngineWithStore(bytes.NewReader(manifest), cloneStore)
+	eng, stamps, err := core.RestoreEngineWithStore(bytes.NewReader(manifest), cloneStore)
 	if err != nil {
 		t.Fatalf("restore from bundle: %v", err)
 	}
 	p := newTestPipeline(t, 4)
-	p.AdoptEngine(eng)
+	p.AdoptEngine(eng, stamps)
 	if got := p.Stats(); !reflect.DeepEqual(got, wantStats) {
 		t.Fatalf("bundle-restored stats %+v\nwant %+v", got, wantStats)
 	}
@@ -525,7 +525,7 @@ func TestServeCompactionCrashKeepsManifestsRestorable(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = core.RestoreEngineWithStore(f, reopened)
+		_, _, err = core.RestoreEngineWithStore(f, reopened)
 		return err
 	}
 
@@ -557,6 +557,78 @@ func TestServeCompactionCrashKeepsManifestsRestorable(t *testing.T) {
 		if err := restorable(path); err != nil {
 			t.Fatalf("after compaction, %s does not restore: %v", path, err)
 		}
+	}
+}
+
+// TestServeCompactionReadsLiveManifestOnlyAfterFailedCheckpoint: after a
+// successful checkpoint the live snapshot file is the manifest of the
+// engine's current chunk logs, so compaction takes its refs from LiveRefs
+// and does not read the file: a blob only a manifest planted over that
+// file names is dropped. After a failed checkpoint the file may name a
+// chain the engine's logs no longer do, so compaction reads it: a blob only
+// the planted manifest names survives.
+func TestServeCompactionReadsLiveManifestOnlyAfterFailedCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline build")
+	}
+	dir := t.TempDir()
+	snapshotPath := filepath.Join(dir, "state.json")
+	fi := faultinject.NewFS(nil)
+	store := openStore(t, defaultStoreDir(snapshotPath), fi)
+	s, ts := newStoreTestServer(t, 4, snapshotPath, store)
+	s.snapshotRetain = 1 // no archive names what the live file names
+
+	// plant appends a blob nothing references and rewrites the live
+	// manifest to name it in its reports chain, which compaction lists
+	// without decoding.
+	plant := func(tag string) string {
+		t.Helper()
+		data := []byte("unreferenced blob " + tag)
+		key := castore.KeyOf(data)
+		if _, err := store.Append([]castore.Blob{{Key: key, Data: data}}); err != nil {
+			t.Fatal(err)
+		}
+		man := map[string]any{}
+		raw, err := os.ReadFile(snapshotPath)
+		if err == nil {
+			err = json.Unmarshal(raw, &man)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sections := man["sections"].(map[string]any)
+		sections["reports"] = append(sections["reports"].([]any), key)
+		if raw, err = json.Marshal(man); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snapshotPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	compactHolds := func(key string) bool {
+		t.Helper()
+		s.checkpointMu.Lock()
+		err := s.compactStore()
+		s.checkpointMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = store.Fetch([]string{key})
+		return err == nil
+	}
+
+	postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
+	postJSON(t, ts.URL+"/api/v1/snapshot", http.StatusOK)
+	if key := plant("after a successful checkpoint"); compactHolds(key) {
+		t.Fatalf("compaction after a successful checkpoint kept %s, which only the snapshot file names", key)
+	}
+
+	postJSON(t, ts.URL+"/api/v1/ingest", http.StatusOK)
+	fi.FailSync(1) // the checkpoint's segment fsync
+	postJSON(t, ts.URL+"/api/v1/snapshot", http.StatusInternalServerError)
+	if key := plant("after a failed checkpoint"); !compactHolds(key) {
+		t.Fatalf("compaction after a failed checkpoint dropped %s, which the snapshot file names", key)
 	}
 }
 

@@ -204,10 +204,10 @@ func firstCanonicalNode(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Dataset.Entries) == 0 {
+	if len(p.Engine.Dataset().Entries) == 0 {
 		t.Fatal("no entries")
 	}
-	return p.Dataset.Entries[0].Coord.Key()
+	return p.Engine.Dataset().Entries[0].Coord.Key()
 }
 
 // TestServeResultsConditionalGet drives /api/v1/results revalidation over
@@ -280,14 +280,14 @@ func TestServeSnapshotWarmRestart(t *testing.T) {
 	if _, err := os.Stat(snapPath); err != nil {
 		t.Fatalf("snapshot file: %v", err)
 	}
-	wantNodes := s.p.Graph.G.NodeCount()
-	wantEdges := s.p.Graph.G.EdgeCount()
+	wantNodes := s.p.Engine.Graph().G.NodeCount()
+	wantEdges := s.p.Engine.Graph().G.EdgeCount()
 
 	// Warm restart: fresh pipeline, restore, drain the remaining feed.
 	p2 := warmRestart(t, 2, snapPath)
-	if p2.Graph.G.NodeCount() != wantNodes || p2.Graph.G.EdgeCount() != wantEdges {
+	if p2.Engine.Graph().G.NodeCount() != wantNodes || p2.Engine.Graph().G.EdgeCount() != wantEdges {
 		t.Fatalf("restored graph %d/%d nodes/edges, want %d/%d",
-			p2.Graph.G.NodeCount(), p2.Graph.G.EdgeCount(), wantNodes, wantEdges)
+			p2.Engine.Graph().G.NodeCount(), p2.Engine.Graph().G.EdgeCount(), wantNodes, wantEdges)
 	}
 	// Replay the whole feed: batch 1 is an idempotent no-op, batch 2 new.
 	for {
@@ -301,11 +301,11 @@ func TestServeSnapshotWarmRestart(t *testing.T) {
 	}
 	// Final state must match the original server fully drained.
 	postJSON(t, ts.URL+"/api/v1/ingest?all=1", http.StatusOK)
-	if p2.Graph.G.NodeCount() != s.p.Graph.G.NodeCount() ||
-		p2.Graph.G.EdgeCount() != s.p.Graph.G.EdgeCount() {
+	if p2.Engine.Graph().G.NodeCount() != s.p.Engine.Graph().G.NodeCount() ||
+		p2.Engine.Graph().G.EdgeCount() != s.p.Engine.Graph().G.EdgeCount() {
 		t.Fatalf("warm-restarted graph diverged: %d/%d vs %d/%d nodes/edges",
-			p2.Graph.G.NodeCount(), p2.Graph.G.EdgeCount(),
-			s.p.Graph.G.NodeCount(), s.p.Graph.G.EdgeCount())
+			p2.Engine.Graph().G.NodeCount(), p2.Engine.Graph().G.EdgeCount(),
+			s.p.Engine.Graph().G.NodeCount(), s.p.Engine.Graph().G.EdgeCount())
 	}
 	res1, err := p2.Analyze()
 	if err != nil {

@@ -4,10 +4,11 @@ package malgraph
 // be bit-identical to the engine that never died. The crash matrix kills the
 // pipeline at every journal record boundary (plus torn half-record tails),
 // recovers a fresh pipeline from the surviving bytes, re-delivers the rest
-// of the script, and requires the state (every Engine.Digest section but
-// stamps) and Results of the uninterrupted reference run. A second suite replays a shuffled
-// external delivery from the journal alone and requires one-shot equality —
-// the PR 2/3 equivalence contract extended across process death.
+// of the script, and requires the state (every Engine.Digest section) and
+// Results of the uninterrupted reference run. A second suite replays a
+// shuffled external delivery from the journal alone and requires one-shot
+// equality — the batch-partition equivalence contract extended across
+// process death.
 
 import (
 	"bytes"
@@ -54,11 +55,11 @@ func journalBytes(t *testing.T, dir string) []byte {
 // and adopts the engine into p, the way a warm restart does.
 func adoptSnapshot(t *testing.T, p *Pipeline, r io.Reader, st *castore.Store) {
 	t.Helper()
-	eng, err := core.RestoreEngineWithStore(r, st)
+	eng, stamps, err := core.RestoreEngineWithStore(r, st)
 	if err != nil {
 		t.Fatalf("restore snapshot: %v", err)
 	}
-	p.AdoptEngine(eng)
+	p.AdoptEngine(eng, stamps)
 }
 
 // openStore opens (or reopens) the content store in dir.
@@ -638,4 +639,117 @@ func TestCheckpointWithoutStoreKeepsJournal(t *testing.T) {
 	if got := j.Size(); got != size {
 		t.Fatalf("journal size %d after the failed checkpoint, want %d", got, size)
 	}
+}
+
+// feedPipeline builds the seed-1, scale-0.05 world cut into a feed of k
+// batches.
+func feedPipeline(t *testing.T, k int) *Pipeline {
+	t.Helper()
+	p, err := NewStreamingPipeline(context.Background(), Config{Seed: 1, Scale: 0.05}, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestFeedRepartitionCheckpointRestart: a checkpoint's feed cursor indexes
+// the partition it was taken in. Taken after 10 of 20 batches and restored
+// into a 10-batch feed, it must restart at zero, so a drain still ingests
+// the whole corpus; restored into a 20-batch feed it keeps its place. A
+// manifest whose stamps carry no feed size keeps its cursor wherever it
+// fits, as before the size was recorded.
+func TestFeedRepartitionCheckpointRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline builds")
+	}
+	p20 := feedPipeline(t, 20)
+	store := openStore(t, t.TempDir())
+	p20.AttachStore(store)
+	if _, _, ok, err := p20.AppendPending(10, true); err != nil || !ok {
+		t.Fatalf("first 10 of 20 batches: ok=%v err=%v", ok, err)
+	}
+	var snap bytes.Buffer
+	if err := p20.SnapshotEngine(&snap); err != nil {
+		t.Fatal(err)
+	}
+	manifest := snap.Bytes()
+	if _, _, _, err := p20.AppendPending(-1, false); err != nil {
+		t.Fatal(err)
+	}
+	want := len(p20.Engine.Dataset().Entries)
+
+	p10 := feedPipeline(t, 10)
+	unsized := bytes.Replace(manifest, []byte(`,"feedBatches":20`), nil, 1)
+	adoptSnapshot(t, p10, bytes.NewReader(unsized), store)
+	if got := p10.PendingBatches(); got != 0 {
+		t.Fatalf("cursor without a feed size: %d batches pending in the 10-batch feed, want 0 (kept at 10)", got)
+	}
+	adoptSnapshot(t, p10, bytes.NewReader(manifest), store)
+	if got := p10.PendingBatches(); got != 10 {
+		t.Fatalf("cursor of the 20-batch feed: %d batches pending in the 10-batch feed, want all 10", got)
+	}
+	if _, _, _, err := p10.AppendPending(-1, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(p10.Engine.Dataset().Entries); got != want {
+		t.Fatalf("drained 10-batch feed holds %d entries, want %d", got, want)
+	}
+	assertSameState(t, p10.Engine, p20.Engine, "checkpoint re-partitioned 20 → 10")
+
+	adoptSnapshot(t, p20, bytes.NewReader(manifest), store)
+	if got := p20.PendingBatches(); got != 10 {
+		t.Fatalf("restored into the 20-batch feed it was taken in: %d batches pending, want 10", got)
+	}
+}
+
+// TestFeedRepartitionJournalReplay: a journaled feed record indexes the
+// partition it was ingested from. The journal of 10 batches of a 20-batch
+// feed replays into a 20-batch feed to the live state, and fails the
+// replay, applying nothing, in a feed of 10 or 40 batches.
+func TestFeedRepartitionJournalReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline builds")
+	}
+	dir := t.TempDir()
+	live := feedPipeline(t, 20)
+	j, err := wal.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.AttachJournal(j)
+	if _, _, ok, err := live.AppendPending(10, true); err != nil || !ok {
+		t.Fatalf("first 10 of 20 batches: ok=%v err=%v", ok, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replay := func(p *Pipeline) (int, error) {
+		t.Helper()
+		j, err := wal.Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		return p.ReplayJournal(j)
+	}
+	for _, k := range []int{10, 40} {
+		p := feedPipeline(t, k)
+		applied, err := replay(p)
+		if err == nil || !strings.Contains(err.Error(), "was the serve configuration changed?") {
+			t.Fatalf("%d-batch feed: replay error = %v, want the configuration-changed error", k, err)
+		}
+		if n := len(p.Engine.Dataset().Entries); applied != 0 || n != 0 || p.LastSeq() != 0 {
+			t.Fatalf("%d-batch feed: the refused replay applied %d records (%d entries, seq %d)", k, applied, n, p.LastSeq())
+		}
+	}
+
+	p := feedPipeline(t, 20)
+	if applied, err := replay(p); err != nil || applied != 10 {
+		t.Fatalf("20-batch feed: replay applied %d records, err %v; want 10", applied, err)
+	}
+	if got := p.PendingBatches(); got != 10 {
+		t.Fatalf("20-batch feed: %d batches pending after replay, want 10", got)
+	}
+	assertSameState(t, p.Engine, live.Engine, "journal replayed into its own partition")
 }

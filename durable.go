@@ -18,9 +18,10 @@ package malgraph
 //	            with the same collect.DecodeObservations. Any member other
 //	            than "observations" (a "reports" member included) is
 //	            ignored live and on replay alike.
-//	"feed"      {"index":N} — the Nth batch of the deterministic simulated
-//	            feed. The feed is re-derived from the run configuration on
-//	            restart, so only the position is journaled.
+//	"feed"      {"index":N,"batches":K} — the Nth batch of the
+//	            deterministic simulated feed, cut into K batches. The feed
+//	            is re-derived from the run configuration on restart, so only
+//	            the position and the partition it indexes are journaled.
 //
 // One funnel, applyLocked, applies every kind in one fixed order — resolve,
 // journal, feed-cursor advance, engine apply plus dirty-block merge,
@@ -29,9 +30,9 @@ package malgraph
 // The funnel never publishes; each public mutator publishes once on exit.
 //
 // Sequence gating makes replay exactly-once on top of at-least-once
-// delivery: a snapshot carries the last applied sequence (engine
-// AppliedSeq, stamped since snapshot v4), and records at or below it are
-// skipped. This also makes journal truncation after a checkpoint safe
+// delivery: a snapshot carries the last applied sequence (the pipeline's
+// lastSeq, stamped as core.Stamps.AppliedSeq), and records at or below it
+// are skipped. This also makes journal truncation after a checkpoint safe
 // without any atomicity between the two files — a stale record that
 // survives a lost truncate replays as a no-op.
 
@@ -60,9 +61,12 @@ type externalRecord struct {
 	Reports      []*reports.Report     `json:"reports,omitempty"`
 }
 
-// feedRecord journals one simulated-feed ingest by position.
+// feedRecord journals one simulated-feed ingest by position, with the
+// number of batches in the feed it indexes (0 in a record written before
+// the size was journaled).
 type feedRecord struct {
-	Index int `json:"index"`
+	Index   int `json:"index"`
+	Batches int `json:"batches,omitempty"`
 }
 
 // record is one journalable ingest, the unit applyLocked applies. kind is
@@ -223,9 +227,11 @@ func (p *Pipeline) Checkpoint(persist func(snapshot func(io.Writer) error) error
 // skipping everything the restored snapshot already contains (sequence ≤
 // the snapshot's AppliedSeq stamp). Feed records always advance the feed
 // position — a snapshotted feed batch is in the engine but the in-memory
-// cursor restarts at zero — and records above the stamp are re-applied
-// through the same funnel as live ingest, without re-journaling. Returns
-// the number of records re-applied.
+// cursor may have restarted at zero — and records above the stamp are
+// re-applied through the same funnel as live ingest, without
+// re-journaling. A feed record that indexes a feed of another size, or
+// lies outside this one, fails the replay: the serve configuration
+// changed. Returns the number of records re-applied.
 func (p *Pipeline) ReplayJournal(l *wal.Log) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -239,9 +245,10 @@ func (p *Pipeline) ReplayJournal(l *wal.Log) (int, error) {
 		if err != nil {
 			return fmt.Errorf("malgraph: replay seq %d: %w", wr.Seq, err)
 		}
-		if rec.kind == recFeed && (rec.feed.Index < 0 || rec.feed.Index >= len(p.feed)) {
-			return fmt.Errorf("malgraph: replay seq %d: feed index %d outside feed of %d batches (was the serve configuration changed?)",
-				wr.Seq, rec.feed.Index, len(p.feed))
+		if rec.kind == recFeed && (rec.feed.Index < 0 || rec.feed.Index >= len(p.feed) ||
+			rec.feed.Batches != 0 && rec.feed.Batches != len(p.feed)) {
+			return fmt.Errorf("malgraph: replay seq %d: feed record %+v does not index this feed of %d batches (was the serve configuration changed?)",
+				wr.Seq, rec.feed, len(p.feed))
 		}
 		if wr.Seq <= restored {
 			p.fed = max(p.fed, rec.feed.Index+1)

@@ -89,7 +89,7 @@ func TestEpochReadsDuringShuffledIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ids := tmp.Graph.G.NodeIDs()
+		ids := tmp.Engine.Graph().G.NodeIDs()
 		sort.Strings(ids)
 		return ids
 	}()

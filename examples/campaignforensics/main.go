@@ -29,7 +29,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mg := p.Graph
+	mg := p.Engine.Graph()
 
 	// 1. Rank hidden dependency cores by how many fronts reuse them
 	//    (Table VIII).

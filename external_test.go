@@ -80,7 +80,7 @@ func TestExternalDuplicateDeliveryIdempotent(t *testing.T) {
 	}
 	before := p.Stats()
 	perSource := make(map[string]collect.SourceStats)
-	for id, st := range p.Dataset.PerSource {
+	for id, st := range p.Engine.Dataset().PerSource {
 		perSource[id.String()] = st
 	}
 	st, _, err := p.AppendExternal(obs, nil)
@@ -94,7 +94,7 @@ func TestExternalDuplicateDeliveryIdempotent(t *testing.T) {
 	if before.Entries != after.Entries || before.Edges != after.Edges || before.Nodes != after.Nodes {
 		t.Fatalf("duplicate delivery changed the graph: %+v vs %+v", before, after)
 	}
-	for id, st := range p.Dataset.PerSource {
+	for id, st := range p.Engine.Dataset().PerSource {
 		if perSource[id.String()] != st {
 			t.Fatalf("duplicate delivery changed %s accounting: %+v vs %+v", id, perSource[id.String()], st)
 		}

@@ -79,27 +79,20 @@ func assertResultsEqual(t *testing.T, got, want *Results, label string) {
 	}
 }
 
-// stateDigest returns e's Engine.Digest without its stamps section. The
-// stamps (the last applied journal sequence and the feed cursor) record how
-// the state arrived, not what it is: a re-delivered record or a different
-// feed moves them, while every other section must not move.
-func stateDigest(t *testing.T, e *core.Engine) map[string]string {
-	t.Helper()
-	d, err := e.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	delete(d, "stamps")
-	return d
-}
-
 // assertSameState requires got and want to hold the same MALGRAPH state —
 // dataset, graph as a set of nodes and attributed edges, reports,
 // clustering items and partitions, import cache and co-existing index —
 // naming each digest section that differs.
 func assertSameState(t *testing.T, got, want *core.Engine, label string) {
 	t.Helper()
-	gd, wd := stateDigest(t, got), stateDigest(t, want)
+	gd, err := got.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := want.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range slices.Sorted(maps.Keys(wd)) {
 		if gd[name] != wd[name] {
 			t.Errorf("%s: digest section %s differs", label, name)
@@ -271,7 +264,7 @@ func BenchmarkIncremental_Append(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng, err := core.RestoreEngineWithStore(bytes.NewReader(manifest), store)
+		eng, _, err := core.RestoreEngineWithStore(bytes.NewReader(manifest), store)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,7 +319,7 @@ func BenchmarkIncremental_JournaledAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng, err := core.RestoreEngineWithStore(bytes.NewReader(manifest), store)
+		eng, _, err := core.RestoreEngineWithStore(bytes.NewReader(manifest), store)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -404,7 +397,7 @@ func checkpointed(b *testing.B, eng *core.Engine, dir string) ([]byte, *castore.
 	store := openStore(b, dir)
 	eng.AttachStore(store)
 	var manifest bytes.Buffer
-	if err := eng.Snapshot(&manifest); err != nil {
+	if err := eng.Snapshot(&manifest, core.Stamps{}); err != nil {
 		b.Fatal(err)
 	}
 	return manifest.Bytes(), store
@@ -422,7 +415,7 @@ func newGrowthState(b *testing.B, eng *core.Engine, name string, delta core.Batc
 // restore rebuilds the warmed engine from the state's store.
 func (st *growthState) restore(b *testing.B) *core.Engine {
 	b.Helper()
-	eng, err := core.RestoreEngineWithStore(bytes.NewReader(st.manifest), st.store)
+	eng, _, err := core.RestoreEngineWithStore(bytes.NewReader(st.manifest), st.store)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -547,7 +540,7 @@ func BenchmarkResults_DirtyEpochGrowth(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				p.AdoptEngine(st.restore(b))
+				p.AdoptEngine(st.restore(b), core.Stamps{})
 				if _, err := p.Analyze(); err != nil {
 					b.Fatal(err)
 				}
@@ -760,7 +753,7 @@ func BenchmarkIncremental_CheckpointGrowth(b *testing.B) {
 					b.Fatal(err)
 				}
 				copyDir(b, st.storeDir, dir)
-				eng, err := core.RestoreEngineWithStore(bytes.NewReader(st.manifest), openStore(b, dir))
+				eng, _, err := core.RestoreEngineWithStore(bytes.NewReader(st.manifest), openStore(b, dir))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -770,7 +763,7 @@ func BenchmarkIncremental_CheckpointGrowth(b *testing.B) {
 				manifest = 0
 				runtime.GC()
 				b.StartTimer()
-				if err := eng.Snapshot(&manifest); err != nil {
+				if err := eng.Snapshot(&manifest, core.Stamps{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,7 +31,7 @@ func TestDigestNamesChangedSection(t *testing.T) {
 		return e
 	}
 	base := digestOf(t, fresh())
-	wantNames := []string{"config", "dataset", "graph", "imports", "items", "posting", "reports", "stamps"}
+	wantNames := []string{"config", "dataset", "graph", "imports", "items", "posting", "reports"}
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -99,9 +99,6 @@ func TestDigestNamesChangedSection(t *testing.T) {
 				t.Fatal("empty report index")
 			}
 			e.mg.reportsByPkg.Delete(keys[0])
-		}},
-		{"stamps", func(t *testing.T, e *Engine) {
-			e.SetFeedPos(e.FeedPos() + 1)
 		}},
 	} {
 		e := fresh()
@@ -201,10 +198,12 @@ func firstKey[V any](t *testing.T, m map[string]V) string {
 
 // FuzzRestoreEngineWithStore feeds arbitrary snapshot bytes to the one
 // restore entry point and to CollectManifestRefs, against a store holding a
-// real three-checkpoint chain: no input panics either, an input the
-// restore accepts is a manifest of a version readableManifest admits, the
-// engine it gives has a digest, and CollectManifestRefs accepts it too,
-// listing exactly the restored engine's LiveRefs. Seeds: v2, v3 and v4
+// real three-checkpoint chain, each manifest stamped: no input panics
+// either, an input the restore accepts is a manifest of a version
+// readableManifest admits, the engine it gives has a digest, the stamps it
+// returns are the manifest's appliedSeq, feedPos and feedBatches, and
+// CollectManifestRefs accepts it too, listing exactly the restored
+// engine's LiveRefs. Seeds: v2, v3 and v4
 // snapshot headers (each refused), the chain's v8 manifests, a manifest
 // naming a dataset chunk the store does not hold, the last manifest
 // rewritten as v6 (asV6Manifest) and as v5 (asV5Manifest), a minimal v8
@@ -232,7 +231,7 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 			f.Fatal(err)
 		}
 		manifest.Reset()
-		if err := eng.Snapshot(&manifest); err != nil {
+		if err := eng.Snapshot(&manifest, Stamps{AppliedSeq: uint64(i + 1), FeedPos: i + 1, FeedBatches: 3}); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(bytes.Clone(manifest.Bytes()))
@@ -258,15 +257,21 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		refs, refsErr := CollectManifestRefs(bytes.NewReader(raw), store)
-		e, err := RestoreEngineWithStore(bytes.NewReader(raw), store)
+		e, stamps, err := RestoreEngineWithStore(bytes.NewReader(raw), store)
 		if err != nil {
 			return
 		}
 		var head struct {
-			Version int `json:"version"`
+			Version     int    `json:"version"`
+			AppliedSeq  uint64 `json:"appliedSeq"`
+			FeedPos     int    `json:"feedPos"`
+			FeedBatches int    `json:"feedBatches"`
 		}
 		if err := json.Unmarshal(raw, &head); err != nil || !readableManifest(head.Version) {
 			t.Fatalf("restore accepted an unreadable snapshot (version %d, %v): %.80q", head.Version, err, raw)
+		}
+		if want := (Stamps{head.AppliedSeq, head.FeedPos, head.FeedBatches}); stamps != want {
+			t.Fatalf("restore returned stamps %+v, the manifest holds %+v", stamps, want)
 		}
 		if _, err := e.Digest(); err != nil {
 			t.Fatalf("restored engine has no digest: %v", err)

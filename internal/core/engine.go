@@ -185,6 +185,9 @@ func newEcoShard(cfg textsim.ClusterConfig) *ecoShard {
 // Engine maintains MALGRAPH incrementally across Ingest batches. Its own
 // state is its shards and persistence bookkeeping: the §III-D join keeps
 // its report index and pair owners in the MalGraph (see planCoexistingLocked).
+// How the state arrived is not the engine's: the journal sequence and feed
+// cursor a checkpoint carries are the caller's, passed to Snapshot and
+// returned by RestoreEngineWithStore (Stamps).
 type Engine struct {
 	mu  sync.Mutex
 	cfg Config
@@ -197,20 +200,6 @@ type Engine struct {
 	// indexes, LSH indexes holding the clustering items); see ecoShard.
 	// Created on first use. guarded by mu.
 	shards map[ecosys.Ecosystem]*ecoShard
-
-	// appliedSeq is the durable ingest sequence stamp: the WAL sequence of
-	// the last journaled batch applied to this engine. Checkpoints carry it
-	// so recovery replays only the journal suffix the checkpoint does not
-	// already contain. The engine itself never bumps it — the pipeline
-	// that owns the journal does, via SetAppliedSeq before Snapshot.
-	// guarded by mu.
-	appliedSeq uint64
-	// feedPos is the companion stamp for the simulated feed: how many feed
-	// batches the pipeline had ingested when the snapshot was taken. Without
-	// it, a checkpoint that truncates the journal would lose the feed cursor
-	// (feed records only live in the journal) and a restarted server would
-	// re-report every batch as pending. guarded by mu.
-	feedPos int
 
 	// Segmented persistence (snapshot5.go). Snapshot writes a small manifest
 	// plus delta chunks into the attached content store — O(changes since
@@ -225,39 +214,6 @@ type Engine struct {
 	// entry's artifact — populated only after the blob's segment is fsynced,
 	// so a cached ref always resolves. guarded by mu.
 	artifactRefs map[string]artifactRef
-}
-
-// SetAppliedSeq records the durable ingest sequence the engine's state now
-// reflects; Snapshot persists it.
-func (e *Engine) SetAppliedSeq(seq uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.appliedSeq = seq
-}
-
-// AppliedSeq returns the durable ingest sequence restored from the last
-// snapshot (0 for a cold engine): journal records at or below it are
-// already part of this engine's state.
-func (e *Engine) AppliedSeq() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.appliedSeq
-}
-
-// SetFeedPos records the feed cursor (batches ingested) alongside the
-// sequence stamp; Snapshot persists it.
-func (e *Engine) SetFeedPos(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.feedPos = n
-}
-
-// FeedPos returns the feed cursor restored from the last snapshot (0 for a
-// cold engine).
-func (e *Engine) FeedPos() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.feedPos
 }
 
 // NewEngine creates an empty engine. Zero-valued config falls back to the

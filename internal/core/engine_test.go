@@ -744,10 +744,10 @@ func roundTrip(t *testing.T, e *Engine) *Engine {
 	store := openTestStore(t)
 	e.AttachStore(store)
 	var manifest bytes.Buffer
-	if err := e.Snapshot(&manifest); err != nil {
+	if err := e.Snapshot(&manifest, Stamps{}); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	restored, _, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}

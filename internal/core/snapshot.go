@@ -31,13 +31,14 @@ type snapshotItem struct {
 }
 
 // Digest returns a hex SHA-256 per section of the engine's state: config,
-// stamps (AppliedSeq, FeedPos), dataset, graph, reports, items, imports
-// and posting. Each section hashes its state as JSON (imports as each
-// ecosystem's reverse import index, every list sorted: its order is
-// insertion order, not state; posting as the per-coordinate report index,
-// each coordinate's URLs in order), except graph, which hashes the graph
-// as a set (graph.Graph.Canonical): edge insertion order differs between
-// batch partitions of one corpus and is not state. The graph section
+// dataset, graph, reports, items, imports and posting — what the state is,
+// not how it arrived (the caller's Stamps). Each section hashes its state
+// as JSON (imports as each ecosystem's reverse import index, every list
+// sorted: its order is insertion order, not state; posting as the
+// per-coordinate report index, each coordinate's URLs in order), except
+// graph, which hashes the graph as a set (graph.Graph.Canonical): edge
+// insertion order differs between batch partitions of one corpus and is
+// not state. The graph section
 // covers the similar clusters, every edge labelled with its partition key
 // and silhouette, and the co-existing pair owners, every co-existing edge's
 // "report" attr. Digests are equal exactly when the states are, and a
@@ -84,10 +85,6 @@ func (e *Engine) Digest() (map[string]string, error) {
 		write func(io.Writer) error
 	}{
 		{"config", encode(e.cfg)},
-		{"stamps", encode(struct {
-			AppliedSeq uint64 `json:"appliedSeq,omitempty"`
-			FeedPos    int    `json:"feedPos,omitempty"`
-		}{e.appliedSeq, e.feedPos})},
 		{sectionDataset, func(w io.Writer) error { return e.mg.Dataset.WriteJSON(w, collect.ExportFull) }},
 		{"graph", encode(e.mg.G.Canonical())},
 		{sectionReports, encode(e.mg.Reports)},

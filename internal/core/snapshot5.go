@@ -9,8 +9,9 @@ package core
 // Each is a log of chunks: a chunk either re-bases the section (full
 // re-encode) or applies a delta of the keys the engine marked since the
 // last checkpoint (track.go). The manifest holds only the ordered chunk
-// references plus the small inline state (config, dataset header, sequence
-// stamps), so checkpoint cost is O(changes since the last checkpoint), not
+// references plus the small inline state (config, dataset header, and the
+// caller's journal and feed stamps, which the engine itself does not keep),
+// so checkpoint cost is O(changes since the last checkpoint), not
 // O(corpus).
 //
 // MALGRAPH is a pure function of those inputs, and any batch partition of
@@ -68,15 +69,24 @@ const snapshotVersionSegmented = 8
 // one predicate RestoreEngineWithStore and CollectManifestRefs share.
 func readableManifest(v int) bool { return v >= 5 && v <= snapshotVersionSegmented }
 
+// Stamps are the caller's journal and feed positions a manifest carries;
+// the engine keeps no copy. AppliedSeq is the journal sequence of the last
+// batch the state reflects, FeedPos the feed batches ingested, FeedBatches
+// the size of the feed FeedPos indexes (0 if unrecorded).
+type Stamps struct {
+	AppliedSeq  uint64 `json:"appliedSeq,omitempty"`
+	FeedPos     int    `json:"feedPos,omitempty"`
+	FeedBatches int    `json:"feedBatches,omitempty"`
+}
+
 // manifestSnapshot is the manifest wire format: inline small state plus,
 // per section, the ordered chunk references that reconstruct it.
 type manifestSnapshot struct {
-	Version    int                  `json:"version"`
-	Config     Config               `json:"config"`
-	Header     collect.ResultHeader `json:"datasetHeader"`
-	AppliedSeq uint64               `json:"appliedSeq,omitempty"`
-	FeedPos    int                  `json:"feedPos,omitempty"`
-	Sections   map[string][]string  `json:"sections"`
+	Version int                  `json:"version"`
+	Config  Config               `json:"config"`
+	Header  collect.ResultHeader `json:"datasetHeader"`
+	Stamps
+	Sections map[string][]string `json:"sections"`
 }
 
 // kvChunk is one delta of a keyed section: Set writes (or overwrites) keys,
@@ -220,10 +230,10 @@ func (cp *checkpoint) addKVChunk(id sectionID, sec *section, kv kvSection) error
 }
 
 // Snapshot writes a checkpoint, the only format an engine writes: delta
-// chunks and new artifact blobs into the attached store, the manifest to w,
-// at O(changes since the last checkpoint). Without a store (AttachStore) it
-// errors.
-func (e *Engine) Snapshot(w io.Writer) error {
+// chunks and new artifact blobs into the attached store, the manifest to w
+// with the caller's stamps, at O(changes since the last checkpoint).
+// Without a store (AttachStore) it errors.
+func (e *Engine) Snapshot(w io.Writer, stamps Stamps) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.store == nil {
@@ -245,12 +255,11 @@ func (e *Engine) Snapshot(w io.Writer) error {
 
 	// Build the prospective section refs without touching the logs yet.
 	man := manifestSnapshot{
-		Version:    snapshotVersionSegmented,
-		Config:     e.cfg,
-		Header:     e.mg.Dataset.EncodeHeader(),
-		AppliedSeq: e.appliedSeq,
-		FeedPos:    e.feedPos,
-		Sections:   make(map[string][]string, numSections),
+		Version:  snapshotVersionSegmented,
+		Config:   e.cfg,
+		Header:   e.mg.Dataset.EncodeHeader(),
+		Stamps:   stamps,
+		Sections: make(map[string][]string, numSections),
 	}
 	for id, name := range sectionNames {
 		man.Sections[name] = e.sections[id].log.refs
@@ -318,26 +327,26 @@ func readManifest(r io.Reader) (manifestSnapshot, error) {
 // whose chunk references resolve against st; it is the one restore entry
 // point. It decodes the dataset entries, their artifacts and the reports,
 // and replays them as one Ingest into a fresh engine; the dataset header
-// and the sequence stamps come from the manifest. The returned engine has
-// st attached and appends its next checkpoint's deltas to the manifest's
-// chunk chains. A monolithic v3/v4 snapshot is refused, naming the last
-// commit that reads it.
-func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
+// comes from the manifest. It returns the manifest's stamps beside the
+// engine. The returned engine has st attached and appends its next
+// checkpoint's deltas to the manifest's chunk chains. A monolithic v3/v4
+// snapshot is refused, naming the last commit that reads it.
+func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, Stamps, error) {
 	man, err := readManifest(r)
 	if err != nil {
-		return nil, fmt.Errorf("restore %w", err)
+		return nil, Stamps{}, fmt.Errorf("restore %w", err)
 	}
 	switch {
 	case readableManifest(man.Version):
 	case man.Version == 3 || man.Version == 4:
-		return nil, fmt.Errorf("restore: a monolithic v%d snapshot; this build reads only v5 to v%d manifests, and the last commit that reads v3/v4 is %s",
+		return nil, Stamps{}, fmt.Errorf("restore: a monolithic v%d snapshot; this build reads only v5 to v%d manifests, and the last commit that reads v3/v4 is %s",
 			man.Version, snapshotVersionSegmented, lastLegacyReader)
 	default:
-		return nil, fmt.Errorf("restore: snapshot version %d, want 5 to %d", man.Version, snapshotVersionSegmented)
+		return nil, Stamps{}, fmt.Errorf("restore: snapshot version %d, want 5 to %d", man.Version, snapshotVersionSegmented)
 	}
 	perSource, err := man.Header.DecodePerSource()
 	if err != nil {
-		return nil, fmt.Errorf("restore dataset: %w", err)
+		return nil, Stamps{}, fmt.Errorf("restore dataset: %w", err)
 	}
 
 	// One read session for the whole restore: the chunk fetch here and the
@@ -349,7 +358,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	}
 	chunkData, err := sess.Fetch(allRefs)
 	if err != nil {
-		return nil, fmt.Errorf("restore: fetch chunks: %w", err)
+		return nil, Stamps{}, fmt.Errorf("restore: fetch chunks: %w", err)
 	}
 
 	// The sections are independent, so they decode concurrently, each into
@@ -388,7 +397,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 		},
 	)
 	if err != nil {
-		return nil, err
+		return nil, Stamps{}, err
 	}
 
 	// Replay the inputs as one batch into a fresh engine: the ingest derives
@@ -411,15 +420,13 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	}
 	e := NewEngine(man.Config)
 	if _, err := e.Ingest(Batch{Entries: entries, Stats: stats, Reports: reps, At: man.Header.CollectedAt}); err != nil {
-		return nil, fmt.Errorf("restore ingest: %w", err)
+		return nil, Stamps{}, fmt.Errorf("restore ingest: %w", err)
 	}
 
 	// Attach the store with the manifest's logs instead of a blank re-base:
 	// the restored engine keeps appending deltas to the same chunk chains.
 	e.mu.Lock()
 	e.mg.Dataset.PerSource = perSource
-	e.appliedSeq = man.AppliedSeq
-	e.feedPos = man.FeedPos
 	e.attachStoreLocked(st)
 	for id, name := range sectionNames {
 		e.sections[id].log = sectionLog{
@@ -429,7 +436,7 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, error) {
 	}
 	e.artifactRefs = artRefs
 	e.mu.Unlock()
-	return e, nil
+	return e, man.Stamps, nil
 }
 
 // replayKV folds one keyed section's chunk log into its final key state

@@ -83,7 +83,7 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		manifest.Reset()
-		if err := eng.Snapshot(&manifest); err != nil {
+		if err := eng.Snapshot(&manifest, Stamps{}); err != nil {
 			t.Fatal(err)
 		}
 		lo = hi
@@ -92,7 +92,7 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 	// The live batch-ingested engine matches the one-shot build (the core
 	// determinism contract); the restored engine must match the live one.
 	assertEngineMatchesBuild(t, eng, want, "live-chain")
-	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	restored, _, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestSegmentedCheckpointChainMatchesBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	manifest.Reset()
-	if err := restored.Snapshot(&manifest); err != nil {
+	if err := restored.Snapshot(&manifest, Stamps{}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	again, _, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestMonolithicSnapshotRefused(t *testing.T) {
 func assertRestoreRefused(t *testing.T, raw string, wants ...string) {
 	t.Helper()
 	store := openTestStore(t)
-	_, err := RestoreEngineWithStore(strings.NewReader(raw), store)
+	_, _, err := RestoreEngineWithStore(strings.NewReader(raw), store)
 	if err == nil {
 		t.Fatalf("%.40s: restore accepted it", raw)
 	}
@@ -201,7 +201,7 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 			t.Fatal(err)
 		}
 		manifest.Reset()
-		if err := eng.Snapshot(&manifest); err != nil {
+		if err := eng.Snapshot(&manifest, Stamps{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 		t.Fatalf("SegmentCount after compaction = %d, want 1", store.SegmentCount())
 	}
 	assertEngineMatchesBuild(t, eng, want, "live-pre-compaction")
-	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	restored, _, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatalf("restore after compaction: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestCompactionKeepsManifestRestorable(t *testing.T) {
 	if _, err := eng.Ingest(Batch{Entries: ds.Entries[:third]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Snapshot(io.Discard); err != nil {
+	if err := eng.Snapshot(io.Discard, Stamps{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -260,10 +260,44 @@ func checkpointMini(t testing.TB) (*Engine, []byte, *castore.Store) {
 		t.Fatal(err)
 	}
 	var manifest bytes.Buffer
-	if err := eng.Snapshot(&manifest); err != nil {
+	if err := eng.Snapshot(&manifest, Stamps{}); err != nil {
 		t.Fatal(err)
 	}
 	return eng, manifest.Bytes(), store
+}
+
+// TestSnapshotStampsRoundTrip: the stamps handed to Snapshot come back
+// from the restore of its manifest, and a manifest written without stamps
+// restores zero stamps and carries none of their keys. The stamps are not
+// state: both restores digest alike.
+func TestSnapshotStampsRoundTrip(t *testing.T) {
+	eng, bare, store := checkpointMini(t)
+	for _, key := range []string{"appliedSeq", "feedPos", "feedBatches"} {
+		if bytes.Contains(bare, []byte(`"`+key+`"`)) {
+			t.Errorf("manifest without stamps carries %q: %s", key, bare)
+		}
+	}
+	restoredBare, got, err := RestoreEngineWithStore(bytes.NewReader(bare), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != (Stamps{}) {
+		t.Fatalf("manifest without stamps restored stamps %+v, want zero", got)
+	}
+
+	want := Stamps{AppliedSeq: 7, FeedPos: 3, FeedBatches: 5}
+	var stamped bytes.Buffer
+	if err := eng.Snapshot(&stamped, want); err != nil {
+		t.Fatal(err)
+	}
+	restored, got, err := RestoreEngineWithStore(bytes.NewReader(stamped.Bytes()), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("restored stamps %+v, want %+v", got, want)
+	}
+	assertSameDigest(t, restored, restoredBare, "stamped")
 }
 
 // artifactRecords folds manifest's dataset chain from st and returns its
@@ -407,7 +441,7 @@ func TestRestoreRefusesBadPerSourceKey(t *testing.T) {
 	bad := editManifest(t, manifest, func(man map[string]any) {
 		man["datasetHeader"].(map[string]any)["perSource"] = map[string]any{"03": map[string]any{}}
 	})
-	_, err := RestoreEngineWithStore(bytes.NewReader(bad), store)
+	_, _, err := RestoreEngineWithStore(bytes.NewReader(bad), store)
 	if want := `restore dataset: manifest decode: bad source id "03"`; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("restore error %v, want one naming %q", err, want)
 	}
@@ -433,7 +467,7 @@ func TestCompactionDropsSupersededArtifactBlob(t *testing.T) {
 	if missing := store.Missing([]string{superseded}); len(missing) != 1 {
 		t.Fatalf("compaction kept the superseded artifact blob %s", superseded)
 	}
-	restored, err := RestoreEngineWithStore(bytes.NewReader(raw), store)
+	restored, _, err := RestoreEngineWithStore(bytes.NewReader(raw), store)
 	if err != nil {
 		t.Fatalf("restore after compaction: %v", err)
 	}
@@ -446,7 +480,8 @@ func TestCompactionDropsSupersededArtifactBlob(t *testing.T) {
 // restoreAt restores a manifest with GOMAXPROCS set to procs.
 func restoreAt(procs int, manifest []byte, st *castore.Store) (*Engine, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return RestoreEngineWithStore(bytes.NewReader(manifest), st)
+	e, _, err := RestoreEngineWithStore(bytes.NewReader(manifest), st)
+	return e, err
 }
 
 // assertRestoreIgnoresRetiredField puts a retired field back into a
@@ -464,7 +499,7 @@ func assertRestoreIgnoresRetiredField(t *testing.T, mark string, put func(cfg ma
 		t.Fatal(err)
 	}
 	var manifest bytes.Buffer
-	if err := live.Snapshot(&manifest); err != nil {
+	if err := live.Snapshot(&manifest, Stamps{}); err != nil {
 		t.Fatal(err)
 	}
 	var man map[string]json.RawMessage
@@ -487,7 +522,7 @@ func assertRestoreIgnoresRetiredField(t *testing.T, mark string, put func(cfg ma
 	if !bytes.Contains(old, []byte(mark)) {
 		t.Fatalf("edited manifest lacks %s: %s", mark, old)
 	}
-	restored, err := RestoreEngineWithStore(bytes.NewReader(old), store)
+	restored, _, err := RestoreEngineWithStore(bytes.NewReader(old), store)
 	if err != nil {
 		t.Fatalf("restore of a manifest carrying %s: %v", mark, err)
 	}
@@ -629,12 +664,12 @@ func assertRestoresUpgraded(t *testing.T, rewrite func(testing.TB, []byte, *cast
 			t.Fatal(err)
 		}
 		manifest.Reset()
-		if err := live.Snapshot(&manifest); err != nil {
+		if err := live.Snapshot(&manifest, Stamps{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	old := rewrite(t, manifest.Bytes(), store)
-	restored, err := RestoreEngineWithStore(bytes.NewReader(old), store)
+	restored, _, err := RestoreEngineWithStore(bytes.NewReader(old), store)
 	if err != nil {
 		t.Fatalf("restore of a %s manifest: %v", version, err)
 	}
@@ -669,7 +704,7 @@ func assertRestoresUpgraded(t *testing.T, rewrite func(testing.TB, []byte, *cast
 			t.Errorf("%s manifest: compaction kept %d chunk(s) of its %s chain", version, kept, name)
 		}
 	}
-	again, err := RestoreEngineWithStore(bytes.NewReader(old), store)
+	again, _, err := RestoreEngineWithStore(bytes.NewReader(old), store)
 	if err != nil {
 		t.Fatalf("restore of a %s manifest after compaction: %v", version, err)
 	}
@@ -700,7 +735,7 @@ func TestSegmentedRestoreParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("ingest %s: %v", en.Coord.Key(), err)
 		}
 		manifest.Reset()
-		if err := eng.Snapshot(&manifest); err != nil {
+		if err := eng.Snapshot(&manifest, Stamps{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -820,7 +855,7 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		manifest.Reset()
-		if err := eng.Snapshot(&manifest); err != nil {
+		if err := eng.Snapshot(&manifest, Stamps{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -828,7 +863,7 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 	if err := json.Unmarshal(manifest.Bytes(), &man); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
+	restored, _, err := RestoreEngineWithStore(bytes.NewReader(manifest.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -887,7 +922,7 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = RestoreEngineWithStore(bytes.NewReader(raw), store)
+		_, _, err = RestoreEngineWithStore(bytes.NewReader(raw), store)
 		if err == nil {
 			t.Fatalf("%s: restored a chain holding a JSON chunk", tc.section)
 		}
@@ -956,7 +991,7 @@ func TestCheckpointGoldenBytesPairOwnerDeletes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := eng.Snapshot(&buf); err != nil {
+		if err := eng.Snapshot(&buf, Stamps{}); err != nil {
 			t.Fatal(err)
 		}
 		h.Write(buf.Bytes())
@@ -965,7 +1000,7 @@ func TestCheckpointGoldenBytesPairOwnerDeletes(t *testing.T) {
 	if last.CoexistingEdgesReplaced == 0 {
 		t.Fatal("the last batch replaced no co-existing edge: want the hub's edges removed")
 	}
-	restored, err := RestoreEngineWithStore(bytes.NewReader(lastManifest), st)
+	restored, _, err := RestoreEngineWithStore(bytes.NewReader(lastManifest), st)
 	if err != nil {
 		t.Fatal(err)
 	}

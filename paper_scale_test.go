@@ -16,7 +16,7 @@ import (
 
 // TestPaperScaleEquivalence drains the seed-1, scale-1.0 world as one batch
 // and requires the 200-batch feed and shuffled partitions into k ∈ {3, 10}
-// batches to build the same state: every Engine.Digest section but stamps.
+// batches to build the same state: every Engine.Digest section.
 // Each partition is ingested into a bare engine and dropped once digested,
 // so only one scale-1.0 engine beside the reference is alive at a time.
 func TestPaperScaleEquivalence(t *testing.T) {

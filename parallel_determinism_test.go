@@ -39,11 +39,11 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	seq := buildAt(t, 1, 0.05)
 	par := buildAt(t, 8, 0.05) // forced >1 even on single-core machines
 
-	if got, want := par.Graph.G.NodeCount(), seq.Graph.G.NodeCount(); got != want {
+	if got, want := par.Engine.Graph().G.NodeCount(), seq.Engine.Graph().G.NodeCount(); got != want {
 		t.Errorf("node count: parallel %d, sequential %d", got, want)
 	}
 	for _, et := range graph.EdgeTypes() {
-		if got, want := par.Graph.G.EdgeCount(et), seq.Graph.G.EdgeCount(et); got != want {
+		if got, want := par.Engine.Graph().G.EdgeCount(et), seq.Engine.Graph().G.EdgeCount(et); got != want {
 			t.Errorf("%s edge count: parallel %d, sequential %d", et, got, want)
 		}
 	}
@@ -51,10 +51,10 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	// Byte-level equality pins everything the counts can miss: node
 	// attributes, edge endpoints and order, cluster/silhouette labels.
 	var seqJSON, parJSON bytes.Buffer
-	if err := seq.Graph.G.WriteJSON(&seqJSON); err != nil {
+	if err := seq.Engine.Graph().G.WriteJSON(&seqJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Graph.G.WriteJSON(&parJSON); err != nil {
+	if err := par.Engine.Graph().G.WriteJSON(&parJSON); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seqJSON.Bytes(), parJSON.Bytes()) {
@@ -96,10 +96,10 @@ func TestParallelIncrementalBuildMatchesSequential(t *testing.T) {
 	seq := buildStreaming(1)
 	par := buildStreaming(8)
 	var seqJSON, parJSON bytes.Buffer
-	if err := seq.Graph.G.WriteJSON(&seqJSON); err != nil {
+	if err := seq.Engine.Graph().G.WriteJSON(&seqJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Graph.G.WriteJSON(&parJSON); err != nil {
+	if err := par.Engine.Graph().G.WriteJSON(&parJSON); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seqJSON.Bytes(), parJSON.Bytes()) {

@@ -42,14 +42,15 @@ func (p *Pipeline) LiveRefs() map[string]bool {
 
 // RestoreEngineWithStore restores a snapshot stream through st
 // (core.RestoreEngineWithStore: decode the dataset and the reports, then
-// replay them as one ingest) and adopts the engine with AdoptEngine.
+// replay them as one ingest) and adopts the engine and its stamps with
+// AdoptEngine.
 // servebench's layer replay, a separate module, times this call; code in
 // this module restores with core and adopts directly.
 func (p *Pipeline) RestoreEngineWithStore(r io.Reader, st *castore.Store) error {
-	eng, err := core.RestoreEngineWithStore(r, st)
+	eng, stamps, err := core.RestoreEngineWithStore(r, st)
 	if err != nil {
 		return fmt.Errorf("malgraph: restore: %w", err)
 	}
-	p.AdoptEngine(eng)
+	p.AdoptEngine(eng, stamps)
 	return nil
 }
