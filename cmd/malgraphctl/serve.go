@@ -6,8 +6,11 @@ package main
 // streaming engine — ingest the next batch, query the graph, read the
 // (incrementally recomputed) Results — alongside the simulated PyPI registry
 // and mirror endpoints the earlier serve mode exposed. A snapshot manifest
-// over a content-addressed chunk store gives warm restarts: engine state
-// (graph + embeddings + scan caches) reloads without an O(corpus) rebuild.
+// over a content-addressed chunk store gives warm restarts: the restore
+// replays the checkpointed dataset and reports as one Engine.Ingest, which
+// rebuilds the graph and every index. This file holds the routes, the guard
+// and the read handlers; the ingest handlers, checkpoints and bundle
+// streaming live in serve_ingest.go, serve_checkpoint.go and serve_bundle.go.
 
 import (
 	"context"
@@ -298,9 +301,6 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 // endpoint issues: a wildcard or any listed tag equal to the current one
 // (weak comparison — a W/ prefix on the client's copy is ignored).
 func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
 	if strings.TrimSpace(header) == "*" {
 		return true
 	}

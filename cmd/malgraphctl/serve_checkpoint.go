@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"malgraph/internal/core"
+	"malgraph/internal/wal"
 )
 
 // writeFileAtomic durably replaces path with the bytes write produces:
@@ -27,30 +28,21 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	d, err := os.Open(dir)
 	if err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
-	defer d.Close()
-	return d.Sync()
+	return wal.OSFS().SyncDir(dir)
 }
 
 // checkpoint writes the snapshot durably and truncates the journal, both
@@ -144,10 +136,7 @@ func (s *server) pruneArchives() error {
 	if err != nil {
 		return err
 	}
-	keep := s.snapshotRetain - 1
-	if keep < 0 {
-		keep = 0
-	}
+	keep := max(s.snapshotRetain-1, 0)
 	if len(gens) <= keep {
 		return nil
 	}
@@ -156,12 +145,7 @@ func (s *server) pruneArchives() error {
 			return err
 		}
 	}
-	d, err := os.Open(filepath.Dir(s.snapshotPath))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return wal.OSFS().SyncDir(filepath.Dir(s.snapshotPath))
 }
 
 // compactSegmentThreshold is the store segment count past which a

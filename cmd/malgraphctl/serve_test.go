@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"malgraph"
@@ -212,7 +213,8 @@ func firstCanonicalNode(t *testing.T) string {
 
 // TestServeResultsConditionalGet drives /api/v1/results revalidation over
 // the handler with the seed-1, scale-0.05 observation stream: the tag a GET
-// returns answers 304 to If-None-Match, still does after a no-op push, and
+// returns answers 304 to If-None-Match (also as the wildcard, inside a tag
+// list, or in either weak form), still does after a no-op push, and
 // answers 200 with a new tag after a changing push.
 func TestServeResultsConditionalGet(t *testing.T) {
 	if testing.Short() {
@@ -257,6 +259,17 @@ func TestServeResultsConditionalGet(t *testing.T) {
 		t.Fatal("results carry no ETag")
 	}
 	get(tag, http.StatusNotModified)
+	// If-None-Match forms beyond the exact tag: the wildcard, a tag list
+	// (with or without spaces), and weak comparison either way round — the
+	// issued tag is W/-prefixed, so a client copy without the prefix still
+	// matches. A list naming only other tags does not.
+	bare := strings.TrimPrefix(tag, "W/")
+	for _, h := range []string{"*", " * ", `"other", ` + tag, `"other",` + bare, bare, "W/" + bare} {
+		get(h, http.StatusNotModified)
+	}
+	for _, h := range []string{`"other"`, `W/"other", W/"epoch-x"`, "W/" + bare + "x"} {
+		get(h, http.StatusOK)
+	}
 	push(half) // no-op: same tag
 	if got := get(tag, http.StatusNotModified); got != tag {
 		t.Fatalf("no-op push moved the ETag: %s → %s", tag, got)

@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"malgraph/internal/collect"
@@ -102,13 +103,8 @@ func Timeline(ds *collect.Result) []TimelineBucket {
 			b.Missing++
 		}
 	}
-	years := make([]int, 0, len(byYear))
-	for y := range byYear {
-		years = append(years, y)
-	}
-	sort.Ints(years)
-	out := make([]TimelineBucket, 0, len(years))
-	for _, y := range years {
+	out := make([]TimelineBucket, 0, len(byYear))
+	for _, y := range slices.Sorted(maps.Keys(byYear)) {
 		out = append(out, *byYear[y])
 	}
 	return out

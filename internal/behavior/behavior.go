@@ -7,6 +7,8 @@
 package behavior
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -89,12 +91,7 @@ func Characterize(a *ecosys.Artifact) []codegen.Behavior {
 		add(codegen.BehaviorLicenseSpoofing)
 	}
 
-	out := make([]codegen.Behavior, 0, len(set))
-	for b := range set {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(set))
 }
 
 func containsLicenseSpoof(a *ecosys.Artifact) bool {

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -356,7 +357,7 @@ func (s *Session) undecoded(hashes []string) ([]int, error) {
 		if !ok {
 			return nil, fmt.Errorf("castore: unknown blob %s", h)
 		}
-		if !s.decoded[id] && !containsInt(ids, id) {
+		if !s.decoded[id] && !slices.Contains(ids, id) {
 			ids = append(ids, id)
 		}
 	}
@@ -537,14 +538,14 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 		// them into a newer segment.
 		retain := newSegs
 		for _, sid := range st.segs {
-			if !containsInt(oldIDs, sid) {
+			if !slices.Contains(oldIDs, sid) {
 				retain = append(retain, sid)
 			}
 		}
 		sort.Ints(retain)
 		st.segs = retain
 		for h, sid := range st.known {
-			if !containsInt(oldIDs, sid) {
+			if !slices.Contains(oldIDs, sid) {
 				continue
 			}
 			if kept[h] && len(newSegs) > 0 {
@@ -577,13 +578,4 @@ func (st *Store) Compact(live map[string]bool) (compacted bool, err error) {
 		return false, fmt.Errorf("castore: sync dir: %w", err)
 	}
 	return true, nil
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -9,6 +9,7 @@ package collect
 // are the merge primitives it uses to maintain its own incremental Result.
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -131,7 +132,7 @@ func (r *Result) ApplyEntryStat(key string, next EntryStat) {
 // must agree bit-for-bit for the partition-equivalence contract to hold.
 func ApplyStatDelta(agg map[sources.ID]SourceStats, old, next EntryStat) {
 	for _, s := range next.Local {
-		in := containsID(old.Local, s)
+		in := slices.Contains(old.Local, s)
 		st := agg[s]
 		if !in {
 			st.LocalUnavailable++
@@ -142,7 +143,7 @@ func ApplyStatDelta(agg map[sources.ID]SourceStats, old, next EntryStat) {
 		agg[s] = st
 	}
 	for _, s := range old.Local {
-		in := containsID(next.Local, s)
+		in := slices.Contains(next.Local, s)
 		st := agg[s]
 		if !in {
 			st.LocalUnavailable--
@@ -318,7 +319,7 @@ func (s *entriesByKey) Swap(i, j int) {
 func unionSources(a, b []sources.ID) ([]sources.ID, bool) {
 	missing := 0
 	for _, id := range b {
-		if !containsID(a, id) {
+		if !slices.Contains(a, id) {
 			missing++
 		}
 	}
@@ -328,19 +329,10 @@ func unionSources(a, b []sources.ID) ([]sources.ID, bool) {
 	out := make([]sources.ID, 0, len(a)+missing)
 	out = append(out, a...)
 	for _, id := range b {
-		if !containsID(a, id) {
+		if !slices.Contains(a, id) {
 			out = append(out, id)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, true
-}
-
-func containsID(ids []sources.ID, id sources.ID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }

@@ -10,7 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 
@@ -68,12 +69,7 @@ func (r *Result) WriteJSON(w io.Writer, mode ExportMode) error {
 	default:
 		p.Mode = "public"
 	}
-	ids := make([]sources.ID, 0, len(r.PerSource))
-	for id := range r.PerSource {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(r.PerSource)) {
 		p.PerSource[fmt.Sprint(int(id))] = r.PerSource[id]
 	}
 	for _, e := range r.Entries {
@@ -108,13 +104,8 @@ func (r *Result) WriteJSON(w io.Writer, mode ExportMode) error {
 // land on the same source. Keys are walked sorted, so the same bad input
 // always fails on the same key.
 func decodePerSource(raw map[string]SourceStats) (map[sources.ID]SourceStats, error) {
-	keys := make([]string, 0, len(raw))
-	for k := range raw {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	out := make(map[sources.ID]SourceStats, len(raw))
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(raw)) {
 		n, err := strconv.Atoi(k)
 		if err != nil || strconv.Itoa(n) != k {
 			return nil, fmt.Errorf("bad source id %q", k)

@@ -232,7 +232,7 @@ func (rv *Resolver) resolve(obs []Observation, existing *Result) (Batch, []strin
 		newSources = newSources[:0]
 		carriedNew := false
 		for _, o := range group {
-			if !containsID(next.Sources, o.Source) {
+			if !slices.Contains(next.Sources, o.Source) {
 				next.Sources = append(next.Sources, o.Source)
 				newSources = append(newSources, o.Source)
 			}
@@ -309,7 +309,7 @@ func (rv *Resolver) resolve(obs []Observation, existing *Result) (Batch, []strin
 		newStat := EntryStat{Local: append([]sources.ID(nil), oldStat.Local...)}
 		if !mirrorOK {
 			for _, o := range group {
-				if o.Artifact == nil && containsID(newSources, o.Source) && !containsID(newStat.Local, o.Source) {
+				if o.Artifact == nil && slices.Contains(newSources, o.Source) && !slices.Contains(newStat.Local, o.Source) {
 					newStat.Local = append(newStat.Local, o.Source)
 				}
 			}

@@ -37,7 +37,7 @@ func resolveAll(t *testing.T, rv *Resolver, ds *Result, obs []Observation, k int
 			merged, _, _ := ds.Upsert(e)
 			var added []sources.ID
 			for _, s := range merged.Sources {
-				if !existed || !containsID(prev.Sources, s) {
+				if !existed || !slices.Contains(prev.Sources, s) {
 					added = append(added, s)
 				}
 			}

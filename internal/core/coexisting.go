@@ -1,8 +1,14 @@
 package core
 
 // The co-existing relation (§III-D): packages named together in one
-// security report are linked, and each linked pair is owned by the
-// URL-smallest report that names both.
+// security report are linked. Reports are merged into a URL-sorted corpus
+// and into the per-coordinate report index (MalGraph.reportsByPkg, every
+// named coordinate, present in the graph or not); a pair's owner, the
+// URL-smallest report covering it, is its co-existing edge's "report" attr.
+// A wanted package arriving re-joins only the reports that name it; an
+// out-of-order report re-derives only the report groups its packages
+// overlap, repairing first-writer ownership per pair via a surgical
+// graph.RemoveEdge — never the whole edge family.
 
 import (
 	"cmp"
@@ -140,7 +146,7 @@ func (e *Engine) planCoexistingLocked(newReports []*reports.Report, changes []en
 	}
 	if len(cp.hubMembers) > 0 {
 		sort.Strings(cp.hubMembers)
-		cp.hubMembers = uniqueStrings(cp.hubMembers)
+		cp.hubMembers = slices.Compact(cp.hubMembers)
 		for _, id := range cp.hubMembers {
 			for _, rep := range e.mg.ReportsByPackage(id) {
 				if fresh[rep.URL] == nil {
@@ -247,7 +253,7 @@ func (e *Engine) presentMembers(rep *reports.Report) []string {
 		}
 	}
 	sort.Strings(members)
-	return uniqueStrings(members)
+	return slices.Compact(members)
 }
 
 // indexReportForPackage inserts rep into the package's ReportsByPackage list
@@ -261,11 +267,7 @@ func (e *Engine) indexReportForPackage(id string, rep *reports.Report) {
 	if i < len(lst) && lst[i].URL == rep.URL {
 		return
 	}
-	next := make([]*reports.Report, 0, len(lst)+1)
-	next = append(next, lst[:i]...)
-	next = append(next, rep)
-	next = append(next, lst[i:]...)
-	e.mg.reportsByPkg.Set(id, next)
+	e.mg.reportsByPkg.Set(id, slices.Concat(lst[:i], []*reports.Report{rep}, lst[i:]))
 }
 
 // reportWithURL returns the report of the URL-sorted corpus reps with the
@@ -281,15 +283,9 @@ func reportWithURL(reps []*reports.Report, url string) *reports.Report {
 // reportContentEqual compares the fields the join and analyses consume,
 // detecting re-crawled documents whose content changed.
 func reportContentEqual(a, b *reports.Report) bool {
-	if a.Title != b.Title || a.Body != b.Body || len(a.Packages) != len(b.Packages) {
-		return false
-	}
-	for i := range a.Packages {
-		if a.Packages[i] != b.Packages[i] {
-			return false
-		}
-	}
-	return slices.Equal(a.IoCs.IPs, b.IoCs.IPs) &&
+	return a.Title == b.Title && a.Body == b.Body &&
+		slices.Equal(a.Packages, b.Packages) &&
+		slices.Equal(a.IoCs.IPs, b.IoCs.IPs) &&
 		slices.Equal(a.IoCs.URLs, b.IoCs.URLs) &&
 		slices.Equal(a.IoCs.PowerShell, b.IoCs.PowerShell)
 }

@@ -131,18 +131,6 @@ func pairwise(members []string, limit int, emit func(a, b string) error) error {
 	return nil
 }
 
-func uniqueStrings(in []string) []string {
-	out := in[:0]
-	var prev string
-	for i, s := range in {
-		if i == 0 || s != prev {
-			out = append(out, s)
-		}
-		prev = s
-	}
-	return out
-}
-
 // PackageSubgraphs returns the connected components over one edge type,
 // restricted to canonical package nodes, with at least minSize (≥1)
 // members, largest first (ties by smallest member). On a view the

@@ -2,7 +2,8 @@ package core
 
 // The duplicated relation (§III-A): every source that reports a package
 // gets a record node of its own, and the records of one entry form a
-// clique, appended as sources accumulate.
+// clique, appended as sources accumulate. A late artifact stamps its hash
+// on the entry's records and re-derives the clique.
 
 import (
 	"sort"
@@ -57,6 +58,10 @@ func (e *Engine) applyNodes(changes []entryChange, st *IngestStats) error {
 				return err
 			}
 		}
+		recIDs := make([]string, len(en.Sources))
+		for i, s := range en.Sources {
+			recIDs[i] = RecordNodeID(s, en.Coord)
+		}
 		if ch.newArtifact && !ch.isNew {
 			// Late-arriving artifact: stamp the hash on pre-existing records
 			// and drop the entry's duplicated edges so the clique below
@@ -64,23 +69,17 @@ func (e *Engine) applyNodes(changes []entryChange, st *IngestStats) error {
 			// one-shot build of the merged corpus would have produced.
 			// Duplicated edges join only the records of one entry, so the
 			// edges incident to its records are exactly its clique.
-			recIDs := make([]string, len(en.Sources))
-			for i, s := range en.Sources {
-				recIDs[i] = RecordNodeID(s, en.Coord)
-				if err := e.mg.G.SetAttr(recIDs[i], "hash", en.Artifact.Hash()); err != nil {
+			for _, id := range recIDs {
+				if err := e.mg.G.SetAttr(id, "hash", en.Artifact.Hash()); err != nil {
 					return err
 				}
 			}
 			e.mg.G.RemoveEdgesIncident(graph.Duplicated, recIDs)
 		}
-		if len(en.Sources) >= 2 {
+		if len(recIDs) >= 2 {
 			dupAttrs := graph.Attrs{"match": "name+version"}
 			if en.Artifact != nil {
 				dupAttrs["match"] = "name+version+hash"
-			}
-			recIDs := make([]string, len(en.Sources))
-			for i, s := range en.Sources {
-				recIDs[i] = RecordNodeID(s, en.Coord)
 			}
 			for i := 0; i < len(recIDs); i++ {
 				for j := i + 1; j < len(recIDs); j++ {

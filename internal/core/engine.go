@@ -3,33 +3,11 @@ package core
 // Engine builds MALGRAPH as a long-lived instance that ingests (entries,
 // reports) batches as registries and report feeds publish them (§II-B is a
 // continuous collection process; a one-shot build is the degenerate
-// single-batch case). All four edge families are
-// maintained incrementally through persistent indexes:
-//
-//   - duplicated: per-entry record cliques, appended as sources accumulate.
-//   - dependency: a corpus dictionary (name → canonical nodes) plus a
-//     reverse import index (imported name → scanned fronts), so a new
-//     package links both directions — to the corpus members it imports and
-//     from the previously ingested fronts that import *it* — without
-//     rescanning anything.
-//   - similar: per-artifact tokenize→hash→embed→SimHash products are cached
-//     per node; a banded LSH index (textsim.LSHIndex) partitions every
-//     ecosystem by verified band-candidate connectivity (shared SimHash band
-//     AND cosine ≥ threshold, transitively — family-sized components at any
-//     corpus scale), and only the partitions containing changed artifacts
-//     re-cluster: their similar edges are dropped surgically
-//     (graph.RemoveEdgesIncident) and re-derived, while every other
-//     partition's clusters and edges are untouched. Each partition is
-//     clustered as one K-Means-refined centroid (textsim.ClusterPartition),
-//     so appends cost O(dirty partitions), not O(ecosystem).
-//   - co-existing: reports are merged into a URL-sorted corpus and into the
-//     per-coordinate report index (MalGraph.reportsByPkg, every named
-//     coordinate, present in the graph or not); a pair's owner, the
-//     URL-smallest report covering it, is its co-existing edge's "report"
-//     attr. A wanted package arriving re-joins only the reports that name
-//     it; an out-of-order report re-derives only the report groups its
-//     packages overlap, repairing first-writer ownership per pair via a
-//     surgical graph.RemoveEdge — never the whole edge family.
+// single-batch case). All four edge families are maintained incrementally
+// through persistent indexes, one file per family: duplicated.go (§III-A),
+// similar.go (§III-B), dependency.go (§III-C) and coexisting.go (§III-D).
+// This file holds the Ingest skeleton: merge the batch into the dataset,
+// plan every family, then commit the plans serially.
 //
 // Determinism contract: ingesting a corpus in any batch partition yields a
 // graph whose connected components, edge sets and all downstream analyses
@@ -43,7 +21,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -145,8 +124,8 @@ func (s IngestStats) CoexistingChanged() bool {
 // per-entry) never cross ecosystems: dependency names resolve within one
 // registry, and similar clusters are computed per ecosystem. That
 // independence is what lets Ingest plan every shard of a batch in parallel
-// (see planShard) — each shard mutates only its own indexes and emits a
-// pure plan of graph operations, which a serial commit phase applies in
+// (see planShardLocked) — each shard mutates only its own indexes and emits
+// a pure plan of graph operations, which a serial commit phase applies in
 // sorted-ecosystem order so the result is deterministic under any
 // GOMAXPROCS.
 type ecoShard struct {
@@ -230,7 +209,7 @@ func NewEngine(cfg Config) *Engine {
 	}
 }
 
-// shard returns the ecosystem's shard, creating it on first use.
+// shardLocked returns the ecosystem's shard, creating it on first use.
 func (e *Engine) shardLocked(eco ecosys.Ecosystem) *ecoShard {
 	sh := e.shards[eco]
 	if sh == nil {
@@ -314,19 +293,8 @@ func (e *Engine) Ingest(b Batch) (IngestStats, error) {
 			}
 		}
 	}
-	// Shard phase: the batch's per-ecosystem slices plan their dependency
-	// and similar updates in parallel (each shard owns its indexes and emits
-	// graph operations without touching the graph), the §III-D co-existing
-	// join plans its edge operations the same way, and the node and
-	// duplicated-clique insertion — the only graph writer until then — runs
-	// beside them. The commit phase starts once all are done and applies
-	// every plan serially, the shards in sorted-ecosystem order and the
-	// co-existing operations last, so the node and edge insertion sequence
-	// — and the serialized graph — is identical under any GOMAXPROCS.
-	if err := e.applyShardsLocked(changes, b.Reports, &st); err != nil {
-		return st, err
-	}
-	return st, nil
+	err := e.applyShardsLocked(changes, b.Reports, &st)
+	return st, err
 }
 
 func (e *Engine) mergeEntries(entries []*collect.Entry, st *IngestStats) []entryChange {
@@ -345,7 +313,7 @@ func (e *Engine) mergeEntries(entries []*collect.Entry, st *IngestStats) []entry
 			newArtifact: merged.Artifact != nil && !ur.PrevArtifact,
 		}
 		for _, s := range merged.Sources {
-			if ur.Added || !containsSource(ur.PrevSources, s) {
+			if ur.Added || !slices.Contains(ur.PrevSources, s) {
 				ch.newSources = append(ch.newSources, s)
 			}
 		}
@@ -404,20 +372,19 @@ type shardPlan struct {
 // applyShardsLocked inserts the batch's nodes (applyNodes) beside the
 // parallel shard phase, which plans the per-ecosystem slices without
 // reading the graph, and beside the co-existing plan (planCoexistingLocked),
-// then commits the resulting plans serially once all have finished. A
-// failed node insertion leaves the shard and report-join indexes planned
-// and the graph half-written; either is a broken graph invariant.
+// then commits the resulting plans serially once all have finished: the
+// shards in sorted-ecosystem order and the co-existing operations last, so
+// the node and edge insertion sequence — and the serialized graph — is
+// identical under any GOMAXPROCS. A failed node insertion leaves the shard
+// and report-join indexes planned and the graph half-written; either is a
+// broken graph invariant.
 func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.Report, st *IngestStats) error {
 	byEco := make(map[ecosys.Ecosystem][]entryChange)
 	for _, ch := range changes {
 		eco := ch.entry.Coord.Ecosystem
 		byEco[eco] = append(byEco[eco], ch)
 	}
-	ecos := make([]ecosys.Ecosystem, 0, len(byEco))
-	for eco := range byEco {
-		ecos = append(ecos, eco)
-	}
-	sort.Slice(ecos, func(i, j int) bool { return ecos[i] < ecos[j] })
+	ecos := slices.Sorted(maps.Keys(byEco))
 
 	// Materialize every shard before the fan-out: shardLocked writes the
 	// shared shards map on first use, which must not happen from inside
@@ -474,22 +441,9 @@ func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.
 				return err
 			}
 		}
-		if !plan.reclustered {
-			continue
+		if err := e.commitSimilarLocked(plan, st); err != nil {
+			return err
 		}
-		// Clusters never span partitions, so every stale similar edge is
-		// incident to a dirty partition member; drop exactly those, leaving
-		// all other partitions' edges (and adjacency indexes) untouched.
-		e.mg.G.RemoveEdgesIncident(graph.Similar, plan.dirtyMembers)
-		for _, grp := range plan.groups {
-			if err := e.mg.connectGroup(grp.members, graph.Similar, grp.attrs, e.cfg.PairwiseLimit); err != nil {
-				return err
-			}
-		}
-		st.Reclustered = append(st.Reclustered, plan.eco)
-		st.PartitionsReclustered += plan.partitions
-		st.ArtifactsReclustered += plan.artifacts
-		st.DirtyEcoItems += plan.dirtyItems
 	}
 	st.DependencyDelta = e.mg.G.EdgeCount(graph.Dependency) - depBefore
 	st.SimilarDelta = e.mg.G.EdgeCount(graph.Similar) - simBefore
@@ -499,156 +453,18 @@ func (e *Engine) applyShardsLocked(changes []entryChange, newReports []*reports.
 	return nil
 }
 
-// planShard runs one ecosystem's shard phase: grow the corpus dictionary,
-// scan and link dependencies (§III-C), embed and re-cluster the dirty LSH
-// partitions (§III-B) — mutating only the shard's own indexes and returning
-// the graph operations for the serial commit.
+// planShardLocked runs one ecosystem's shard phase: the §III-C dependency
+// leg (planDependencyLocked), then the §III-B similar leg
+// (planSimilarLocked), each mutating only the shard's own indexes and
+// returning the graph operations for the serial commit.
 func (e *Engine) planShardLocked(eco ecosys.Ecosystem, changes []entryChange) *shardPlan {
 	sh := e.shardLocked(eco)
 	plan := &shardPlan{eco: eco}
-
-	// Dependency 1: grow the corpus dictionary with every new entry
-	// (missing packages are legitimate dependency targets — names survive
-	// takedown).
-	for _, ch := range changes {
-		if !ch.isNew {
-			continue
-		}
-		name := ch.entry.Coord.Name
-		sh.byName[name] = append(sh.byName[name], NodeID(ch.entry.Coord))
-	}
-	// Dependency 2: scan new artifacts (parallel, order-preserving) and
-	// link forward.
 	newArts := artifactChanges(changes)
-	type scanResult struct {
-		deps []string
-		err  error
-	}
-	scans := parallel.Map(len(newArts), func(i int) scanResult {
-		deps, err := e.scanner.Dependencies(newArts[i].entry.Artifact)
-		return scanResult{deps: deps, err: err}
-	})
-	for i, ch := range newArts {
-		if scans[i].err != nil {
-			plan.err = fmt.Errorf("dep scan %s: %w", ch.entry.Coord, scans[i].err)
-			return plan
-		}
-		front := NodeID(ch.entry.Coord)
-		for _, dep := range scans[i].deps {
-			sh.importers[dep] = append(sh.importers[dep], front)
-			for _, target := range sh.byName[dep] {
-				if target == front {
-					continue
-				}
-				plan.depEdges = append(plan.depEdges, plannedEdge{front, target, graph.Attrs{"dep": dep}})
-			}
-		}
-	}
-	// Dependency 3: link backward — earlier fronts waiting for a new name.
-	for _, ch := range changes {
-		if !ch.isNew {
-			continue
-		}
-		name := ch.entry.Coord.Name
-		target := NodeID(ch.entry.Coord)
-		for _, front := range sh.importers[name] {
-			if front == target {
-				continue
-			}
-			plan.depEdges = append(plan.depEdges, plannedEdge{front, target, graph.Attrs{"dep": name}})
-		}
-	}
-
-	// Similar: embed the new artifacts with the identical per-artifact
-	// pipeline to a one-shot build — one HashSource pass per artifact over
-	// its merged source, its stream shared between embedding and
-	// fingerprint, the merged bytes and every other buffer recycled per
-	// worker.
-	type scratch struct {
-		merged []byte
-		hashed []textsim.TokenHash
-		embed  textsim.EmbedBuffer
-	}
-	var pool sync.Pool
-	items := parallel.Map(len(newArts), func(i int) textsim.Item {
-		en := newArts[i].entry
-		sc, _ := pool.Get().(*scratch)
-		if sc == nil {
-			sc = &scratch{}
-		}
-		defer pool.Put(sc)
-		sc.merged = en.Artifact.AppendMergedSource(sc.merged[:0])
-		sc.hashed = textsim.HashSource(sc.hashed, sc.merged)
-		return textsim.Item{
-			ID: NodeID(en.Coord),
-			// The zero-tail-trimmed vector keeps the clustering kernels
-			// scanning only occupied dimensions (most artifacts fill one
-			// snippet slot).
-			Vector: e.embedder.EmbedHashed(sc.hashed, &sc.embed),
-			Hash:   textsim.SimHashHashed(sc.hashed),
-		}
-	})
-	for _, it := range items {
-		sh.lsh.Add(it.ID, it.Hash, it.Vector)
-	}
-	if len(items) == 0 {
+	if plan.depEdges, plan.err = e.planDependencyLocked(sh, changes, newArts); plan.err != nil {
 		return plan
 	}
-	// Resolve the dirty partitions: where the new items landed after every
-	// merge this batch caused. A partition a merge absorbed has its members
-	// inside one of these (the merge was bridged by a new item), so dropping
-	// the dirty members' similar edges drops its old cluster too.
-	seen := make(map[string]bool)
-	keys := make([]string, 0, len(items))
-	for _, it := range items {
-		key, ok := sh.lsh.Root(it.ID)
-		if !ok || seen[key] {
-			continue
-		}
-		seen[key] = true
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	parts := make([][]textsim.Item, len(keys))
-	for i, key := range keys {
-		members := sh.lsh.Members(key)
-		parts[i] = make([]textsim.Item, 0, len(members))
-		for _, id := range members {
-			it, _ := sh.lsh.Item(id)
-			parts[i] = append(parts[i], it)
-		}
-		plan.dirtyMembers = append(plan.dirtyMembers, members...)
-	}
-	// Cluster the dirty partitions concurrently. A partition's items are
-	// sorted by node ID — content-derived, so any batch order and a one-shot
-	// build compute an identical cluster per partition.
-	type result struct {
-		c  textsim.Cluster
-		ok bool
-	}
-	res := parallel.Map(len(parts), func(i int) result {
-		c, ok := textsim.ClusterPartition(parts[i], e.cfg.Cluster)
-		return result{c, ok}
-	})
-	for i, key := range keys {
-		if !res[i].ok {
-			continue
-		}
-		plan.groups = append(plan.groups, plannedGroup{
-			members: res[i].c.Members,
-			attrs: graph.Attrs{
-				// Labels are partition-scoped so an untouched partition's
-				// edge attrs stay valid verbatim across appends; a
-				// partition holds at most one cluster, index 0.
-				"cluster":    key + "#0",
-				"silhouette": fmt.Sprintf("%.3f", res[i].c.Silhouette),
-			},
-		})
-	}
-	plan.reclustered = true
-	plan.partitions = len(keys)
-	plan.artifacts = len(plan.dirtyMembers)
-	plan.dirtyItems = sh.lsh.Len()
+	e.planSimilarLocked(sh, plan, newArts)
 	return plan
 }
 
@@ -660,13 +476,4 @@ func artifactChanges(changes []entryChange) []entryChange {
 		}
 	}
 	return out
-}
-
-func containsSource(ids []sources.ID, id sources.ID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 
 	"malgraph/internal/collect"
@@ -101,14 +100,4 @@ func (e *Engine) Digest() (map[string]string, error) {
 		out[s.name] = hex.EncodeToString(h.Sum(nil))
 	}
 	return out, nil
-}
-
-// sortedKeys returns m's keys in order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

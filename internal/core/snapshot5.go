@@ -50,6 +50,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"malgraph/internal/castore"
@@ -203,11 +205,7 @@ func (cp *checkpoint) addKVChunk(id sectionID, sec *section, kv kvSection) error
 	if rebase {
 		keys = kv.keys()
 	} else {
-		keys = make([]string, 0, len(sec.dirty))
-		for key := range sec.dirty {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
+		keys = slices.Sorted(maps.Keys(sec.dirty))
 	}
 	set := make(map[string][]byte, len(keys))
 	for _, key := range keys {
@@ -476,7 +474,7 @@ func decodeDataset(refs []string, chunkData map[string][]byte) ([]collect.Decode
 	if err != nil {
 		return nil, 0, err
 	}
-	keys := sortedKeys(state)
+	keys := slices.Sorted(maps.Keys(state))
 	decoded := make([]collect.DecodedEntry, len(keys))
 	err = parallel.ForEachErr(len(keys), func(i int) (err error) {
 		decoded[i], err = collect.DecodeEntry(state[keys[i]])

@@ -19,10 +19,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -317,7 +319,7 @@ func artifactRecords(t testing.TB, manifest []byte, st *castore.Store) (keys []s
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range sortedKeys(state) {
+	for _, k := range slices.Sorted(maps.Keys(state)) {
 		de, err := collect.DecodeEntry(state[k])
 		if err != nil {
 			t.Fatal(err)
@@ -882,7 +884,7 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 	jsonArt := []byte(`{"Coord":{"Ecosystem":1,"Name":"x","Version":"1"},"Files":null}`)
 	var entryKey string
 	var entry []byte
-	for _, k := range sortedKeys(ch.Set) {
+	for _, k := range slices.Sorted(maps.Keys(ch.Set)) {
 		de, err := collect.DecodeEntry(ch.Set[k])
 		if err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/url"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -67,16 +68,8 @@ func (s IoCSet) Merge(o IoCSet) IoCSet {
 }
 
 func dedupe(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := in[:0]
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(in)
+	return slices.Compact(in)
 }
 
 // Report is one security analysis report.

@@ -9,7 +9,8 @@ package sources
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -148,11 +149,7 @@ func (s *Source) Size() int {
 func (s *Source) Records() []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.records))
-	for key := range s.records {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(s.records))
 	out := make([]Record, len(keys))
 	for i, key := range keys {
 		out[i] = s.records[key]

@@ -2,7 +2,8 @@ package world
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"malgraph/internal/attacker"
@@ -27,11 +28,7 @@ func (w *World) assignSources(rng *xrand.RNG) error {
 		quotaSum += q
 	}
 	if total := len(w.Records); quotaSum > 0 && total != quotaSum {
-		ids := make([]sources.ID, 0, len(quota))
-		for id := range quota {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		ids := slices.Sorted(maps.Keys(quota))
 		assigned := 0
 		for _, id := range ids {
 			scaled := quota[id] * total / quotaSum
@@ -98,11 +95,7 @@ func (w *World) assignSources(rng *xrand.RNG) error {
 		}
 		// Affinity sources exhausted: fall back proportionally to remaining
 		// quota anywhere.
-		ids := make([]sources.ID, 0, len(quota))
-		for id := range quota {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		ids := slices.Sorted(maps.Keys(quota))
 		fallback := make([]float64, len(ids))
 		hasAny = false
 		for i, id := range ids {
