@@ -33,9 +33,6 @@ type Config struct {
 	// DetectionIterations overrides the paper's 50 iterations (0 = 50 when
 	// Detection is set).
 	DetectionIterations int
-	// MinBehaviorGroup is the Table XI group-size threshold; 0 scales the
-	// paper's 100 by Scale.
-	MinBehaviorGroup int
 	// MaxPages bounds the §III-D report crawl (0 = 200,000 — effectively
 	// unbounded at paper scale). Serve-mode re-crawls set this lower to keep
 	// ingest latency bounded.
@@ -52,16 +49,16 @@ func (c Config) withDefaults() Config {
 	if c.Detection && c.DetectionIterations <= 0 {
 		c.DetectionIterations = 50
 	}
-	if c.MinBehaviorGroup <= 0 {
-		c.MinBehaviorGroup = int(100*c.Scale + 0.5)
-		if c.MinBehaviorGroup < 3 {
-			c.MinBehaviorGroup = 3
-		}
-	}
 	if c.MaxPages <= 0 {
 		c.MaxPages = 200000
 	}
 	return c
+}
+
+// minBehaviorGroup is the Table XI group-size threshold at a corpus scale:
+// the paper's 100 scaled, never below 3.
+func minBehaviorGroup(scale float64) int {
+	return max(int(100*scale+0.5), 3)
 }
 
 // Pipeline holds every intermediate product of a run, for callers that want
@@ -235,7 +232,7 @@ func BatchFeed(ds *collect.Result, reportCorpus []*reports.Report, k int) []core
 	out := make([]core.Batch, len(batches))
 	for i, cb := range batches {
 		lo, hi := i*len(reportCorpus)/len(batches), (i+1)*len(reportCorpus)/len(batches)
-		out[i] = core.Batch{Entries: cb.Entries, Stats: cb.Stats, Reports: reportCorpus[lo:hi], At: cb.At}
+		out[i] = core.Batch{Entries: cb.Entries, Reports: reportCorpus[lo:hi], At: cb.At}
 	}
 	return out
 }

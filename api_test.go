@@ -169,7 +169,7 @@ func TestBuildPipelineExposesInternals(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Seed == 0 || c.Scale != 0.05 || c.MinBehaviorGroup < 3 {
+	if c.Seed == 0 || c.Scale != 0.05 || minBehaviorGroup(c.Scale) < 3 {
 		t.Fatalf("defaults: %+v", c)
 	}
 	c2 := Config{Detection: true}.withDefaults()

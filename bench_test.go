@@ -61,7 +61,7 @@ func pipelineForBench(b *testing.B) *Pipeline {
 func ingestOneShot(tb testing.TB, ds *collect.Result, reportCorpus []*reports.Report) *core.MalGraph {
 	tb.Helper()
 	eng := core.NewEngine(core.DefaultConfig())
-	_, err := eng.Ingest(core.Batch{Entries: ds.Entries, Stats: ds.BatchOf(ds.Entries).Stats, Reports: reportCorpus, At: ds.CollectedAt})
+	_, err := eng.Ingest(core.Batch{Entries: ds.Entries, Reports: reportCorpus, At: ds.CollectedAt})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func BenchmarkTable1_SourceSizes(b *testing.B) {
 	var rows []analysis.SourceSizeRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.SourceSizes(p.Engine.Dataset())
+		rows = analysis.SourceSizes(p.Engine.Dataset().SourceStats())
 	}
 	b.ReportMetric(float64(len(rows)), "sources")
 	avail := 0
@@ -129,7 +129,9 @@ func BenchmarkTable5_MissingRates(b *testing.B) {
 	var total float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, total = analysis.MissingRates(p.Engine.Dataset())
+		ds := p.Engine.Dataset()
+		analysis.MissingRates(ds.SourceStats())
+		total = ds.TotalMR()
 	}
 	b.ReportMetric(total*100, "total_mr_pct")
 }
@@ -352,7 +354,7 @@ func BenchmarkTable10_Detection(b *testing.B) {
 // --- T11: Table XI — behaviours of the largest similar groups. ---
 func BenchmarkTable11_Behaviors(b *testing.B) {
 	p := pipelineForBench(b)
-	minSize := p.Config.withDefaults().MinBehaviorGroup
+	minSize := minBehaviorGroup(p.Config.withDefaults().Scale)
 	var rows []behavior.GroupRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -25,7 +25,7 @@ import (
 // change shows which half it moved. The schedule re-bases every section at
 // least twice.
 const (
-	checkpointGoldenManifests = "31abce714d06a8c2e528573ed76e64be4c5ad9709c4e80f56bda6aba81e585a6"
+	checkpointGoldenManifests = "4042e68a144f2171fb779f34f08365b7a9444e18753118a97faad348ee0f8a32"
 	checkpointGoldenSegments  = "458d5af685c13e698bd872abd2b1a793793aa6c4d34be111ee7eb46a1e44336b"
 )
 

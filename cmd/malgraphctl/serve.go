@@ -229,10 +229,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// handleHealth is the orchestrator's liveness probe. Like /readyz it reads
+// the published epoch, never the ingest lock: a drain or a stalled
+// registry recovery holding the lock must not fail a live process's probe.
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
-		"pending": s.p.PendingBatches(),
+		"pending": s.p.CurrentEpoch().Stats().PendingBatches,
 	})
 }
 
@@ -241,8 +244,8 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // Readiness fails while poisoned (a mutator panic may have left the engine
 // half-mutated — restart and recover from snapshot + journal), while
 // draining for shutdown, and when the journal's tail state became unknown
-// (sticky wal error). The 200 body carries the durable sequence, pending
-// batches and admission stats for operators.
+// (sticky wal error). The 200 body carries the published epoch's journal
+// sequence and pending batches, and admission stats, for operators.
 func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if reason := s.poisonedReason(); reason != "" {
 		writeJSON(w, http.StatusServiceUnavailable,
@@ -260,10 +263,11 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 			return
 		}
 	}
+	ep := s.p.CurrentEpoch()
 	out := map[string]any{
 		"status":  "ready",
-		"pending": s.p.PendingBatches(),
-		"seq":     s.p.LastSeq(),
+		"pending": ep.Stats().PendingBatches,
+		"seq":     ep.Seq(),
 	}
 	if s.adm != nil {
 		out["admission"] = s.adm.Snapshot()

@@ -8,6 +8,7 @@ package main
 // restarts into exactly the state an uninterrupted run would have reached.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -26,7 +27,10 @@ import (
 
 	"malgraph"
 	"malgraph/internal/admission"
+	"malgraph/internal/collect"
+	"malgraph/internal/ecosys"
 	"malgraph/internal/faultinject"
+	"malgraph/internal/registry"
 )
 
 // postRaw POSTs body and returns (status, decoded JSON, Retry-After header).
@@ -344,5 +348,69 @@ func TestServeSIGTERMMidIngestLosesNothing(t *testing.T) {
 	}
 	if got := p2.Stats(); !reflect.DeepEqual(got, pRef.Stats()) {
 		t.Fatalf("recovered stats %+v\nwant uninterrupted %+v", got, pRef.Stats())
+	}
+}
+
+// parkedView is a registry view whose Recover runs park before answering
+// from the wrapped view: a registry recovery that hangs until released.
+type parkedView struct {
+	registry.View
+	park func()
+}
+
+func (v parkedView) Recover(coord ecosys.Coord, at time.Time) (*ecosys.Artifact, string, error) {
+	v.park()
+	return v.View.Recover(coord, at)
+}
+
+// TestProbesAnswerWhileIngestHoldsLock: /healthz and /readyz read the
+// published epoch, so an observations push parked inside the pipeline lock
+// on a hung registry recovery stalls neither probe — an orchestrator would
+// otherwise restart a live process.
+func TestProbesAnswerWhileIngestHoldsLock(t *testing.T) {
+	p := newTestPipeline(t, 3)
+	park, entered, release := parking()
+	defer release()
+	p.SetExternalView(parkedView{View: p.World.Fleet, park: park})
+	_, ts := startTestServer(t, newServer(p, "", nil))
+
+	body, err := json.Marshal(map[string]any{"observations": collect.ObservationsFromSources(p.World.Sources)[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushed := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/api/v1/observations", "application/json", bytes.NewReader(body))
+		if err != nil {
+			pushed <- 0
+			return
+		}
+		resp.Body.Close()
+		pushed <- resp.StatusCode
+	}()
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the push never reached the registry")
+	}
+
+	hc := &http.Client{Timeout: time.Second}
+	for _, path := range []string{"/healthz", "/readyz"} {
+		start := time.Now()
+		resp, err := hc.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s while a push holds the ingest lock: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, want 200", path, resp.StatusCode)
+		}
+		if d := time.Since(start); d >= time.Second {
+			t.Fatalf("GET %s took %v, want under 1s", path, d)
+		}
+	}
+	release()
+	if code := <-pushed; code != http.StatusOK {
+		t.Fatalf("released push: status %d, want 200", code)
 	}
 }

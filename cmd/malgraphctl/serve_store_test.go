@@ -89,8 +89,8 @@ func TestServeStoreRecoveryAcrossRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("auto-checkpoint did not publish the manifest: %v", err)
 	}
-	if !bytes.Contains(manifest1, []byte(`"version":8`)) {
-		t.Fatalf("store-backed checkpoint wrote a non-v8 snapshot: %.80s", manifest1)
+	if !bytes.Contains(manifest1, []byte(`"version":9`)) {
+		t.Fatalf("store-backed checkpoint wrote a non-v9 snapshot: %.80s", manifest1)
 	}
 	if store2.Len() == 0 {
 		t.Fatal("checkpoint appended no blobs to the store")

@@ -332,8 +332,8 @@ func TestServeSnapshotWarmRestart(t *testing.T) {
 		res1.SimilarEdges != res2.SimilarEdges || res1.TotalMR != res2.TotalMR {
 		t.Fatalf("warm-restarted results diverged: %+v vs %+v", res1, res2)
 	}
-	// Table I/V derive from PerSource accounting — the replayed feed batch
-	// must not double-count it.
+	// Table I/V sum the entries' accounting — the replayed feed batch must
+	// not double-count it.
 	if !reflect.DeepEqual(res1.SourceSizes, res2.SourceSizes) {
 		t.Fatalf("warm-restarted source sizes diverged:\n %v\n %v", res1.SourceSizes, res2.SourceSizes)
 	}

@@ -126,7 +126,7 @@ func (p *Pipeline) applyLocked(rec record, replaySeq uint64) (core.IngestStats, 
 		if err != nil {
 			return core.IngestStats{}, fmt.Errorf("malgraph: resolve observations: %w", err)
 		}
-		b = core.Batch{Entries: rb.Entries, Stats: rb.Stats, Reports: rec.ext.Reports, At: rb.At}
+		b = core.Batch{Entries: rb.Entries, Reports: rec.ext.Reports, At: rb.At}
 	}
 	seq := replaySeq
 	if seq == 0 {

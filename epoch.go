@@ -272,7 +272,8 @@ func computeResults(ep *Epoch) (*Results, error) {
 	// every analysis is itself deterministic, making the merged Results
 	// identical to a sequential pass.
 	rq1 := func() error {
-		for _, row := range analysis.SourceSizes(dataset) {
+		perSource := dataset.SourceStats()
+		for _, row := range analysis.SourceSizes(perSource) {
 			r.SourceSizes = append(r.SourceSizes, SourceSizeRow{
 				Source: row.Source.String(), Unavailable: row.Unavailable, Available: row.Available,
 			})
@@ -282,9 +283,7 @@ func computeResults(ep *Epoch) (*Results, error) {
 			r.OverlapNames = append(r.OverlapNames, id.String())
 		}
 		r.Overlap = overlap.Matrix
-		rows, total := analysis.MissingRates(dataset)
-		r.TotalMR = total
-		for _, row := range rows {
+		for _, row := range analysis.MissingRates(perSource) {
 			r.MissingRates = append(r.MissingRates, MissingRateRow{
 				Source: row.Source.String(), Missing: row.Missing, Total: row.Total,
 				LocalMR: row.LocalMR, GlobalMR: row.GlobalMR,
@@ -360,7 +359,7 @@ func computeResults(ep *Epoch) (*Results, error) {
 
 	// §VI-B — Table XI.
 	behaviors := func() error {
-		for _, row := range behavior.TableXI(ep.graph, ep.cfg.MinBehaviorGroup) {
+		for _, row := range behavior.TableXI(ep.graph, minBehaviorGroup(ep.cfg.Scale)) {
 			r.Behaviors = append(r.Behaviors, BehaviorRow{
 				Ecosystem: row.Eco.String(), Size: row.Size,
 				Behaviors: row.Behaviors, Source: row.Source,

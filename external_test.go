@@ -10,6 +10,7 @@ package malgraph
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"malgraph/internal/collect"
@@ -79,10 +80,7 @@ func TestExternalDuplicateDeliveryIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := p.Stats()
-	perSource := make(map[string]collect.SourceStats)
-	for id, st := range p.Engine.Dataset().PerSource {
-		perSource[id.String()] = st
-	}
+	perSource := p.Engine.Dataset().SourceStats()
 	st, _, err := p.AppendExternal(obs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +92,7 @@ func TestExternalDuplicateDeliveryIdempotent(t *testing.T) {
 	if before.Entries != after.Entries || before.Edges != after.Edges || before.Nodes != after.Nodes {
 		t.Fatalf("duplicate delivery changed the graph: %+v vs %+v", before, after)
 	}
-	for id, st := range p.Engine.Dataset().PerSource {
-		if perSource[id.String()] != st {
-			t.Fatalf("duplicate delivery changed %s accounting: %+v vs %+v", id, perSource[id.String()], st)
-		}
+	if got := p.Engine.Dataset().SourceStats(); !reflect.DeepEqual(got, perSource) {
+		t.Fatalf("duplicate delivery changed the accounting: %+v vs %+v", perSource, got)
 	}
 }

@@ -167,7 +167,7 @@ func shuffledBatches(p *Pipeline, k int, seed uint64) []core.Batch {
 	var out []core.Batch
 	for bi, cb := range collect.PartitionBatches(ds, entries, k) {
 		lo, hi := bi*len(reportCorpus)/k, (bi+1)*len(reportCorpus)/k
-		out = append(out, core.Batch{Entries: cb.Entries, PerSource: cb.PerSource, Stats: cb.Stats, Reports: reportCorpus[lo:hi], At: cb.At})
+		out = append(out, core.Batch{Entries: cb.Entries, Reports: reportCorpus[lo:hi], At: cb.At})
 	}
 	return out
 }
@@ -468,27 +468,21 @@ func growthSetup(b *testing.B, prefix int) *growthState {
 		b.Fatal(err)
 	}
 	last := growthFeed[len(growthFeed)-1]
-	st := newGrowthState(b, eng, fmt.Sprintf("append-%d", prefix), core.Batch{Entries: last.Entries, Stats: last.Stats, At: last.At})
+	st := newGrowthState(b, eng, fmt.Sprintf("append-%d", prefix), core.Batch{Entries: last.Entries, At: last.At})
 	growthCache[prefix] = st
 	return st
 }
 
-// mergeBatches concatenates feed batches into one warm-up ingest. Per-entry
-// stats are absolute, so the latest batch's stat per coordinate wins.
+// mergeBatches concatenates feed batches into one warm-up ingest.
 func mergeBatches(batches []core.Batch) core.Batch {
 	var out core.Batch
-	stats := make(map[string]collect.EntryStat)
 	for _, b := range batches {
 		out.Entries = append(out.Entries, b.Entries...)
 		out.Reports = append(out.Reports, b.Reports...)
-		for k, v := range b.Stats {
-			stats[k] = v
-		}
 		if out.At.IsZero() {
 			out.At = b.At
 		}
 	}
-	out.Stats = stats
 	return out
 }
 
@@ -631,16 +625,14 @@ func reportGrowthSetup(b *testing.B, tenths int) *growthState {
 	if len(deltaEntries) == 0 {
 		b.Fatal("first report names no collected packages")
 	}
-	warm := growthDS.BatchOf(warmEntries)
 	eng := core.NewEngine(core.DefaultConfig())
 	if _, err := eng.Ingest(core.Batch{
-		Entries: warm.Entries, Stats: warm.Stats,
-		Reports: growthReps[:prefix], At: warm.At,
+		Entries: warmEntries,
+		Reports: growthReps[:prefix], At: growthDS.CollectedAt,
 	}); err != nil {
 		b.Fatal(err)
 	}
-	delta := growthDS.BatchOf(deltaEntries)
-	st := newGrowthState(b, eng, fmt.Sprintf("report-%d", tenths), core.Batch{Entries: delta.Entries, Stats: delta.Stats, At: delta.At})
+	st := newGrowthState(b, eng, fmt.Sprintf("report-%d", tenths), core.Batch{Entries: deltaEntries, At: growthDS.CollectedAt})
 	reportGrowthCache[tenths] = st
 	return st
 }

@@ -46,7 +46,7 @@ func buildPipeline(t *testing.T) *pipeline {
 		t.Fatal("crawler found no reports")
 	}
 	eng := core.NewEngine(core.DefaultConfig())
-	_, err = eng.Ingest(core.Batch{Entries: ds.Entries, Stats: ds.BatchOf(ds.Entries).Stats, Reports: reportCorpus, At: ds.CollectedAt})
+	_, err = eng.Ingest(core.Batch{Entries: ds.Entries, Reports: reportCorpus, At: ds.CollectedAt})
 	if err != nil {
 		t.Fatalf("core: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestCrawlerRecoversReportCorpus(t *testing.T) {
 
 func TestTable1SourceSizes(t *testing.T) {
 	p := buildPipeline(t)
-	rows := SourceSizes(p.dataset)
+	rows := SourceSizes(p.dataset.SourceStats())
 	if len(rows) != 10 {
 		t.Fatalf("Table I rows = %d", len(rows))
 	}
@@ -101,8 +101,9 @@ func TestTable4OverlapShape(t *testing.T) {
 		}
 	}
 	// Diagonal equals per-source totals.
+	perSource := p.dataset.SourceStats()
 	for _, info := range sources.Catalog() {
-		if got, want := m.At(info.ID, info.ID), p.dataset.PerSource[info.ID].Total; got != want {
+		if got, want := m.At(info.ID, info.ID), perSource[info.ID].Total; got != want {
 			t.Errorf("%s diagonal %d != total %d", info.Name, got, want)
 		}
 	}
@@ -128,7 +129,7 @@ func TestFigure6OccurrenceCDF(t *testing.T) {
 
 func TestTable5MissingRates(t *testing.T) {
 	p := buildPipeline(t)
-	rows, total := MissingRates(p.dataset)
+	rows, total := MissingRates(p.dataset.SourceStats()), p.dataset.TotalMR()
 	if total < 0.2 || total > 0.6 {
 		t.Fatalf("total MR %v far from paper's 0.3927", total)
 	}

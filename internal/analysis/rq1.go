@@ -12,11 +12,12 @@ import (
 	"malgraph/internal/stats"
 )
 
-// SourceSizes reproduces Table I: per-source available/unavailable counts.
-func SourceSizes(ds *collect.Result) []SourceSizeRow {
+// SourceSizes reproduces Table I: per-source available/unavailable counts,
+// read from the dataset's per-source accounting (collect.Result.SourceStats).
+func SourceSizes(perSource map[sources.ID]collect.SourceStats) []SourceSizeRow {
 	rows := make([]SourceSizeRow, 0, len(sources.Catalog()))
 	for _, info := range sources.Catalog() {
-		st := ds.PerSource[info.ID]
+		st := perSource[info.ID]
 		rows = append(rows, SourceSizeRow{
 			Source:      info.ID,
 			Unavailable: st.LocalUnavailable,
@@ -67,11 +68,13 @@ func OccurrenceCDF(ds *collect.Result) map[ecosys.Ecosystem]*stats.CDF {
 	return out
 }
 
-// MissingRates reproduces Table V.
-func MissingRates(ds *collect.Result) ([]MissingRateRow, float64) {
+// MissingRates reproduces Table V's per-source rows from the dataset's
+// per-source accounting (collect.Result.SourceStats); the dataset-wide rate
+// is collect.Result.TotalMR.
+func MissingRates(perSource map[sources.ID]collect.SourceStats) []MissingRateRow {
 	rows := make([]MissingRateRow, 0, len(sources.Catalog()))
 	for _, info := range sources.Catalog() {
-		st := ds.PerSource[info.ID]
+		st := perSource[info.ID]
 		rows = append(rows, MissingRateRow{
 			Source:   info.ID,
 			Missing:  st.LocalUnavailable,
@@ -80,7 +83,7 @@ func MissingRates(ds *collect.Result) ([]MissingRateRow, float64) {
 			GlobalMR: st.GlobalMR(),
 		})
 	}
-	return rows, ds.TotalMR()
+	return rows
 }
 
 // Timeline reproduces Fig. 7: yearly release counts of all vs missing

@@ -36,14 +36,23 @@ func fixtureResult() *collect.Result {
 			entry("c", ecosys.NPM, collect.FromMirror, []sources.ID{sources.Tianwen, sources.Phylum, sources.Backstabber}, u0.AddDate(0, 6, 0)),
 			entry("d", ecosys.RubyGems, collect.Missing, []sources.ID{sources.Socket}, u0.AddDate(2, 1, 0)),
 		},
-		PerSource: map[sources.ID]collect.SourceStats{
-			sources.Backstabber: {Total: 2},
-			sources.MalPyPI:     {Total: 1},
-			sources.Snyk:        {Total: 1, LocalUnavailable: 1, GlobalMissing: 1},
-			sources.Tianwen:     {Total: 1},
-			sources.Phylum:      {Total: 1},
-			sources.Socket:      {Total: 1, LocalUnavailable: 1, GlobalMissing: 1},
-		},
+	}
+}
+
+// TestFixtureSourceStats: the fixture's entries carry no recorded
+// accounting, so SourceStats sums each source's Total and counts every
+// Missing entry against the sources that reported it.
+func TestFixtureSourceStats(t *testing.T) {
+	want := map[sources.ID]collect.SourceStats{
+		sources.Backstabber: {Total: 2},
+		sources.MalPyPI:     {Total: 1},
+		sources.Snyk:        {Total: 1, LocalUnavailable: 1, GlobalMissing: 1},
+		sources.Tianwen:     {Total: 1},
+		sources.Phylum:      {Total: 1},
+		sources.Socket:      {Total: 1, LocalUnavailable: 1, GlobalMissing: 1},
+	}
+	if got := fixtureResult().SourceStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SourceStats = %+v, want %+v", got, want)
 	}
 }
 
@@ -67,7 +76,7 @@ func TestOverlapFixture(t *testing.T) {
 }
 
 func TestSourceSizesFixture(t *testing.T) {
-	rows := SourceSizes(fixtureResult())
+	rows := SourceSizes(fixtureResult().SourceStats())
 	byID := map[sources.ID]SourceSizeRow{}
 	for _, r := range rows {
 		byID[r.Source] = r
@@ -212,7 +221,8 @@ func TestIoCsMatchesPerReportMerge(t *testing.T) {
 }
 
 func TestMissingRatesFixture(t *testing.T) {
-	rows, total := MissingRates(fixtureResult())
+	ds := fixtureResult()
+	rows, total := MissingRates(ds.SourceStats()), ds.TotalMR()
 	if total != 0.5 {
 		t.Fatalf("total MR = %v", total)
 	}

@@ -8,6 +8,7 @@ package collect
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"malgraph/internal/ecosys"
@@ -53,10 +54,28 @@ type Entry struct {
 	ObservedAt    time.Time    // earliest observation across sources
 	ReleasedAt    time.Time    // from registry metadata (may be zero)
 	RemovedAt     time.Time    // from registry metadata (may be zero)
+	// Stat is the entry's per-source accounting as the resolver recorded
+	// it (and a checkpoint persisted it); nil when none was recorded (a
+	// hand-built dataset). It is never mutated in place: a merge that
+	// changes it stores a fresh entry.
+	Stat *EntryStat
 }
 
 // OccurrenceCount returns how many sources reported the package (Fig. 6).
 func (e *Entry) OccurrenceCount() int { return len(e.Sources) }
+
+// Accounting returns the entry's recorded per-source accounting or, when
+// none was recorded, the approximation from its final availability: a
+// Missing entry counts against every source that reported it.
+func (e *Entry) Accounting() EntryStat {
+	switch {
+	case e.Stat != nil:
+		return *e.Stat
+	case e.Availability == Missing:
+		return EntryStat{Local: e.Sources, Global: true}
+	}
+	return EntryStat{}
+}
 
 // SourceStats is the per-source availability accounting of Tables I and V.
 type SourceStats struct {
@@ -81,22 +100,13 @@ func (s SourceStats) GlobalMR() float64 {
 	return float64(s.GlobalMissing) / float64(s.Total)
 }
 
-// Result is the merged dataset plus accounting.
+// Result is the merged dataset. Its per-source accounting is not kept
+// beside the entries: SourceStats sums it from them.
 type Result struct {
 	Entries     []*Entry // sorted by coordinate key
-	PerSource   map[sources.ID]SourceStats
 	CollectedAt time.Time
 
 	byKey cow.Map[*Entry]
-	// statsByKey records each entry's contribution to PerSource, so the
-	// dataset can be replayed as batches (see feed.go) whose per-entry
-	// accounting sums back to the whole, and so an incremental resolve
-	// (see resolve.go) can apply exact accounting deltas when a later
-	// batch extends an entry. Populated by Run, maintained by
-	// ApplyEntryStat, and persisted with the dataset; nil for datasets
-	// assembled by hand (BatchOf then falls back to the
-	// availability-derived approximation).
-	statsByKey map[string]EntryStat
 }
 
 // EntryStat is one entry's per-source accounting contribution: which of its
@@ -107,22 +117,48 @@ type EntryStat struct {
 	Global bool         `json:"global,omitempty"`
 }
 
+// equal reports whether two stats hold the same accounting.
+func (s EntryStat) equal(o EntryStat) bool {
+	return s.Global == o.Global && slices.Equal(s.Local, o.Local)
+}
+
 // NewResult returns an empty dataset shell for incremental assembly (the
 // streaming-ingest path: core.Engine merges batch entries into one of these).
 func NewResult(at time.Time) *Result {
-	return &Result{
-		PerSource:   make(map[sources.ID]SourceStats),
-		CollectedAt: at,
+	return &Result{CollectedAt: at}
+}
+
+// SourceStats sums the per-source accounting of Tables I and V over the
+// entries in one pass: one Total per reporting source, and each entry's
+// Accounting for the locally unavailable and globally missing counts.
+func (r *Result) SourceStats() map[sources.ID]SourceStats {
+	out := make(map[sources.ID]SourceStats)
+	for _, e := range r.Entries {
+		for _, id := range e.Sources {
+			st := out[id]
+			st.Total++
+			out[id] = st
+		}
+		es := e.Accounting()
+		for _, id := range es.Local {
+			st := out[id]
+			st.LocalUnavailable++
+			if es.Global {
+				st.GlobalMissing++
+			}
+			out[id] = st
+		}
 	}
+	return out
 }
 
 // Run executes the collection pipeline at the given instant against any
 // registry View — the in-process simulation fleet or a RemoteFleet speaking
 // HTTP to live registry servers. It is one Resolver pass over every source
-// record against an empty dataset: the batch's entries (key-sorted), their
-// per-entry accounting and its PerSource delta are the dataset. A registry
-// failure other than not-found aborts the run with ErrUnresolved rather
-// than being recorded as a takedown.
+// record against an empty dataset: the batch's entries (key-sorted), each
+// carrying its accounting, are the dataset. A registry failure other than
+// not-found aborts the run with ErrUnresolved rather than being recorded as
+// a takedown.
 func Run(set *sources.Set, fleet registry.View, at time.Time) (*Result, error) {
 	if set == nil || fleet == nil {
 		return nil, fmt.Errorf("collect: nil sources or fleet")
@@ -136,8 +172,6 @@ func Run(set *sources.Set, fleet registry.View, at time.Time) (*Result, error) {
 	for i, e := range b.Entries {
 		res.byKey.Set(keys[i], e)
 	}
-	res.PerSource = b.PerSource
-	res.statsByKey = b.Stats
 	return res, nil
 }
 
@@ -153,25 +187,20 @@ func (r *Result) EntryByKey(key string) (*Entry, bool) {
 }
 
 // View returns a read-only snapshot of the dataset for concurrent readers.
-// The entry slice and per-source aggregates are copied and the lookup index
-// is cloned copy-on-write in O(1) (cow.Map.Clone — so View needs the same
-// exclusive access as a write; the next write to the index copies its
-// shard table once); *Entry values are shared — UpsertBatch never
+// The entry slice is copied and the lookup index is cloned copy-on-write in
+// O(1) (cow.Map.Clone — so View needs the same exclusive access as a write;
+// the next write to the index copies its shard table once); *Entry values
+// are shared — UpsertBatch never
 // mutates a stored entry in place (changed entries are replaced with fresh
 // merged copies), so shared pointers stay consistent however far the
-// original advances. The view carries no per-entry accounting
-// (statsByKey): it serves analyses and queries, not feeds or upserts.
+// original advances.
 func (r *Result) View() *Result {
 	v := &Result{
 		Entries:     make([]*Entry, len(r.Entries)),
-		PerSource:   make(map[sources.ID]SourceStats, len(r.PerSource)),
 		CollectedAt: r.CollectedAt,
 		byKey:       r.byKey.Clone(),
 	}
 	copy(v.Entries, r.Entries)
-	for id, st := range r.PerSource {
-		v.PerSource[id] = st
-	}
 	return v
 }
 

@@ -128,15 +128,16 @@ func TestPerSourceStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk := res.PerSource[sources.Backstabber]
+	perSource := res.SourceStats()
+	bk := perSource[sources.Backstabber]
 	if bk.Total != 1 || bk.LocalUnavailable != 0 {
 		t.Fatalf("backstabber stats: %+v", bk)
 	}
-	snyk := res.PerSource[sources.Snyk]
+	snyk := perSource[sources.Snyk]
 	if snyk.Total != 1 || snyk.LocalUnavailable != 0 { // mirror recovered it
 		t.Fatalf("snyk stats: %+v", snyk)
 	}
-	socket := res.PerSource[sources.Socket]
+	socket := perSource[sources.Socket]
 	if socket.Total != 1 || socket.LocalUnavailable != 1 || socket.GlobalMissing != 1 {
 		t.Fatalf("socket stats: %+v", socket)
 	}
@@ -167,7 +168,7 @@ func TestGlobalSupplementation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blogs := res.PerSource[sources.Blogs]
+	blogs := res.SourceStats()[sources.Blogs]
 	if blogs.LocalUnavailable != 1 {
 		t.Fatalf("blogs local: %+v", blogs)
 	}
@@ -218,12 +219,12 @@ func TestRunOnSmallWorld(t *testing.T) {
 	// Shape assertions against the paper:
 	// academia + DataDog have ~0 local missing rate.
 	for _, id := range []sources.ID{sources.Backstabber, sources.Maloss, sources.MalPyPI, sources.DataDog} {
-		if mr := res.PerSource[id].LocalMR(); mr > 0.01 {
+		if mr := res.SourceStats()[id].LocalMR(); mr > 0.01 {
 			t.Errorf("%s local MR = %v, want ~0", id, mr)
 		}
 	}
 	// Socket is the worst industry source (paper: 100%).
-	if mr := res.PerSource[sources.Socket].LocalMR(); mr < 0.6 {
+	if mr := res.SourceStats()[sources.Socket].LocalMR(); mr < 0.6 {
 		t.Errorf("Socket local MR = %v, want high", mr)
 	}
 	// The overall missing rate lands in the paper's neighbourhood (39.27%).

@@ -5,8 +5,8 @@ package collect
 // malicious packages continuously (§II-B), so the streaming architecture
 // replays the simulated world's timeline as time-ordered entry batches, each
 // entry carrying the per-source accounting Run recorded for it. core.Engine
-// ingests these batches; the UpsertBatch/AddTotals/ApplyEntryStat helpers below
-// are the merge primitives it uses to maintain its own incremental Result.
+// ingests these batches; UpsertBatch below is the merge primitive it uses to
+// maintain its own incremental Result.
 
 import (
 	"slices"
@@ -17,21 +17,14 @@ import (
 )
 
 // Batch is one ingest installment of dataset entries, whether replayed from
-// a collected dataset (BatchOf, TimelineBatches) or resolved from raw
-// observations (Resolver.Resolve).
+// a collected dataset (TimelineBatches, PartitionBatches) or resolved from
+// raw observations (Resolver.Resolve). Each entry carries its own
+// accounting (Entry.Stat).
 type Batch struct {
 	Entries []*Entry
-	// PerSource is Resolve's aggregate accounting delta against the dataset
-	// it resolved against — against an empty dataset, the whole
-	// collection's PerSource, which is how Run uses it. BatchOf leaves it
-	// nil: consumers account per entry, from Stats.
+	// PerSource is never set or read; only the servebench harness names it.
 	PerSource map[sources.ID]SourceStats
-	// Stats carries each entry's absolute per-source accounting, keyed by
-	// coordinate. Consumers that merge batches incrementally (core.Engine)
-	// add one Total per newly observed source and apply the delta against
-	// their recorded stat, which keeps accounting exact when the same
-	// coordinate is extended by several batches (the external ingest path)
-	// or a batch is replayed after a warm restart.
+	// Stats is never set or read; only the servebench harness names it.
 	Stats map[string]EntryStat
 	// At is the collection instant of the originating dataset (constant
 	// across batches — availability was evaluated once, at collection time).
@@ -71,97 +64,9 @@ func PartitionBatches(r *Result, ordered []*Entry, k int) []Batch {
 	out := make([]Batch, 0, k)
 	for i := 0; i < k; i++ {
 		lo, hi := i*len(ordered)/k, (i+1)*len(ordered)/k
-		out = append(out, r.BatchOf(ordered[lo:hi]))
+		out = append(out, Batch{Entries: ordered[lo:hi], At: r.CollectedAt})
 	}
 	return out
-}
-
-// BatchOf assembles the batch for a subset of this dataset's entries, each
-// with exactly the per-source accounting Run recorded for it. For datasets
-// without recorded per-entry stats (hand-built or JSON-loaded), the
-// accounting is approximated from each entry's final availability: a
-// Missing entry counts against every source that reported it.
-func (r *Result) BatchOf(entries []*Entry) Batch {
-	b := Batch{
-		Entries: entries,
-		Stats:   make(map[string]EntryStat, len(entries)),
-		At:      r.CollectedAt,
-	}
-	for _, e := range entries {
-		key := e.Coord.Key()
-		es, recorded := r.EntryStatFor(key)
-		if !recorded && e.Availability == Missing {
-			es = EntryStat{Local: e.Sources, Global: true}
-		}
-		b.Stats[key] = es
-	}
-	return b
-}
-
-// EntryStatFor returns the recorded per-source accounting for a coordinate
-// key. recorded=false when the dataset carries no per-entry stats for it
-// (hand-built datasets); callers then fall back to the
-// availability-derived approximation BatchOf uses.
-func (r *Result) EntryStatFor(key string) (EntryStat, bool) {
-	if r.statsByKey == nil {
-		return EntryStat{}, false
-	}
-	es, ok := r.statsByKey[key]
-	return es, ok
-}
-
-// ApplyEntryStat replaces the recorded accounting for key with next and
-// applies the difference to PerSource (locally-unavailable and
-// globally-missing counts only — Total is attributed by the caller, which
-// knows which sources are newly observed). Applying an identical stat is a
-// no-op, so batch replays are idempotent, and a later batch that upgrades an
-// entry (new carrying source, recovered artifact) corrects the aggregates
-// exactly.
-func (r *Result) ApplyEntryStat(key string, next EntryStat) {
-	if r.statsByKey == nil {
-		r.statsByKey = make(map[string]EntryStat)
-	}
-	ApplyStatDelta(r.PerSource, r.statsByKey[key], next)
-	r.statsByKey[key] = next
-}
-
-// ApplyStatDelta applies the per-source aggregate difference between an
-// entry's old and next accounting to agg. It is the single implementation of
-// the telescoping-delta algorithm: ApplyEntryStat uses it against a dataset's
-// PerSource, the observation resolver against a batch's delta map — the two
-// must agree bit-for-bit for the partition-equivalence contract to hold.
-func ApplyStatDelta(agg map[sources.ID]SourceStats, old, next EntryStat) {
-	for _, s := range next.Local {
-		in := slices.Contains(old.Local, s)
-		st := agg[s]
-		if !in {
-			st.LocalUnavailable++
-		}
-		if next.Global && !(old.Global && in) {
-			st.GlobalMissing++
-		}
-		agg[s] = st
-	}
-	for _, s := range old.Local {
-		in := slices.Contains(next.Local, s)
-		st := agg[s]
-		if !in {
-			st.LocalUnavailable--
-		}
-		if old.Global && !(next.Global && in) {
-			st.GlobalMissing--
-		}
-		agg[s] = st
-	}
-}
-
-// AddTotals attributes newly observed (source, package) pairs to PerSource.
-func (r *Result) AddTotals(ids []sources.ID) {
-	for _, id := range ids {
-		st := r.PerSource[id]
-		st.Total++
-		r.PerSource[id] = st
-	}
 }
 
 // UpsertResult reports what one UpsertBatch entry did to the dataset: the
@@ -179,8 +84,9 @@ type UpsertResult struct {
 // UpsertBatch merges a batch of entries into the dataset. A new coordinate
 // stores the entry as-is and reports Added. A known coordinate is merged
 // field-wise — union of sources, earliest observation, artifact adopted when
-// previously absent, zero timestamps filled — into a fresh copy (the
-// previously stored entry is never mutated, so pointers handed out before
+// previously absent, zero timestamps filled, a recorded accounting adopted
+// when it differs from the stored one — into a fresh copy (the previously
+// stored entry is never mutated, so pointers handed out before
 // the upsert stay consistent snapshots); Changed reports whether anything
 // differed. Entries stays sorted by key: new coordinates are collected aside
 // and merged into the slice once at the end — O(n + b log b) per batch
@@ -264,6 +170,10 @@ func mergeEntry(cur, e *Entry) (*Entry, bool) {
 	}
 	if next.RemovedAt.IsZero() && !e.RemovedAt.IsZero() {
 		next.RemovedAt = e.RemovedAt
+		changed = true
+	}
+	if e.Stat != nil && !e.Stat.equal(cur.Accounting()) {
+		next.Stat = e.Stat
 		changed = true
 	}
 	if !changed {

@@ -18,8 +18,8 @@ func runFixture(t *testing.T) *Result {
 	return res
 }
 
-// sumBatches replays a feed and accumulates it like the engine does: one
-// Total per newly observed source, then each entry's recorded stat.
+// sumBatches replays a feed into a fresh dataset like the engine does,
+// each entry with the accounting it carries.
 func sumBatches(t *testing.T, r *Result, batches []Batch) *Result {
 	t.Helper()
 	acc := NewResult(r.CollectedAt)
@@ -29,11 +29,7 @@ func sumBatches(t *testing.T, r *Result, batches []Batch) *Result {
 			if _, added, _ := acc.Upsert(e); !added {
 				t.Fatalf("entry %s appeared in two batches", e.Coord)
 			}
-			acc.AddTotals(e.Sources)
 			total++
-		}
-		for key, st := range b.Stats {
-			acc.ApplyEntryStat(key, st)
 		}
 	}
 	if total != len(r.Entries) {
@@ -61,10 +57,8 @@ func TestFeedTimeOrderedPartition(t *testing.T) {
 
 	acc := sumBatches(t, res, batches)
 	// Merged accounting equals the one-shot accounting, source by source.
-	for _, info := range sources.Catalog() {
-		if got, want := acc.PerSource[info.ID], res.PerSource[info.ID]; got != want {
-			t.Fatalf("%s stats: batched %+v, one-shot %+v", info.ID, got, want)
-		}
+	if got, want := acc.SourceStats(), res.SourceStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats: batched %+v, one-shot %+v", got, want)
 	}
 	// Entries land sorted by key, like a one-shot Run.
 	for i, e := range acc.Entries {
@@ -94,21 +88,24 @@ func TestFeedClampsK(t *testing.T) {
 
 func TestBatchOfFallbackWithoutRecordedStats(t *testing.T) {
 	res := runFixture(t)
-	recorded := res.BatchOf(res.Entries)
 	// Simulate a JSON round-trip losing per-entry stats.
-	res.statsByKey = nil
-	b := res.BatchOf(res.Entries)
+	stripped := make([]*Entry, len(res.Entries))
+	for i, e := range res.Entries {
+		cp := *e
+		cp.Stat = nil
+		stripped[i] = &cp
+	}
 	// Unavailability falls back to final availability, which for this
 	// fixture (every locally-unavailable entry is globally missing) matches
 	// the recorded accounting, entry by entry and summed.
-	if !reflect.DeepEqual(b.Stats, recorded.Stats) {
-		t.Fatalf("fallback stats %+v, recorded %+v", b.Stats, recorded.Stats)
-	}
-	acc := sumBatches(t, res, []Batch{b})
-	for _, info := range sources.Catalog() {
-		if got, want := acc.PerSource[info.ID], res.PerSource[info.ID]; got != want {
-			t.Fatalf("%s fallback stats: %+v want %+v", info.ID, got, want)
+	for i, e := range stripped {
+		if got, want := e.Accounting(), *res.Entries[i].Stat; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s fallback stat %+v, recorded %+v", e.Coord, got, want)
 		}
+	}
+	acc := sumBatches(t, res, []Batch{{Entries: stripped, At: res.CollectedAt}})
+	if got, want := acc.SourceStats(), res.SourceStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fallback stats: %+v want %+v", got, want)
 	}
 }
 
@@ -148,5 +145,36 @@ func TestUpsertMergesAndCopies(t *testing.T) {
 	}
 	if got, ok := acc.Entry(coord); !ok || got != merged {
 		t.Fatalf("Entry lookup after merge: %+v ok=%v", got, ok)
+	}
+}
+
+// TestUpsertAdoptsDifferingStat: an incoming recorded stat that differs
+// from the stored entry's accounting is adopted and counts as a change (so
+// a checkpoint's dirty marks follow it), on a fresh copy; an equal stat or
+// none changes nothing.
+func TestUpsertAdoptsDifferingStat(t *testing.T) {
+	acc := NewResult(day(30))
+	coord := ecosys.Coord{Ecosystem: ecosys.PyPI, Name: "pkg-x", Version: "1.0.0"}
+	entry := func(st *EntryStat) *Entry {
+		return &Entry{Coord: coord, Availability: Missing, Sources: []sources.ID{sources.Snyk, sources.Socket}, ObservedAt: day(5), Stat: st}
+	}
+	first := entry(nil)
+	acc.Upsert(first)
+	if _, _, changed := acc.Upsert(entry(&EntryStat{Local: []sources.ID{sources.Snyk, sources.Socket}, Global: true})); changed {
+		t.Fatal("a stat equal to the unrecorded entry's fallback accounting changed it")
+	}
+	next := &EntryStat{Local: []sources.ID{sources.Socket}}
+	merged, _, changed := acc.Upsert(entry(next))
+	if !changed || merged.Stat != next || first.Stat != nil {
+		t.Fatalf("differing stat: changed=%v stored %+v, first entry's %+v", changed, merged.Stat, first.Stat)
+	}
+	want := map[sources.ID]SourceStats{sources.Snyk: {Total: 1}, sources.Socket: {Total: 1, LocalUnavailable: 1}}
+	if got := acc.SourceStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SourceStats = %+v, want %+v", got, want)
+	}
+	for _, st := range []*EntryStat{nil, {Local: []sources.ID{sources.Socket}}} {
+		if _, _, changed := acc.Upsert(entry(st)); changed {
+			t.Fatalf("re-upsert with stat %+v changed the entry", st)
+		}
 	}
 }

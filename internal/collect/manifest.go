@@ -1,7 +1,7 @@
 package collect
 
 // Manifest persistence splits the dataset into per-entry records so a
-// segmented checkpoint (a v8 manifest) can delta-log only the entries that
+// segmented checkpoint (a v9 manifest) can delta-log only the entries that
 // changed since the previous checkpoint. The wire shape per entry is the
 // same persistedEntry used by WriteJSON, except the artifact body is
 // replaced by a content-store blob reference — the store holds the bytes,
@@ -14,49 +14,27 @@ import (
 	"time"
 
 	"malgraph/internal/ecosys"
-	"malgraph/internal/sources"
 )
 
-// ResultHeader is the dataset-level state outside the entries: collection
-// time and per-source accounting. It is embedded inline in a manifest
-// (it is small and changes every batch).
+// ResultHeader is the dataset-level state outside the entries: the
+// collection time. It is embedded inline in a manifest. (A v5 to v8
+// manifest's header also carried the per-source accounting, which the
+// entries' own stats sum to; a reader ignores it.)
 type ResultHeader struct {
-	CollectedAt time.Time              `json:"collectedAt"`
-	PerSource   map[string]SourceStats `json:"perSource"`
+	CollectedAt time.Time `json:"collectedAt"`
 }
 
 // EncodeHeader captures the dataset-level state for a manifest.
 func (r *Result) EncodeHeader() ResultHeader {
-	h := ResultHeader{
-		CollectedAt: r.CollectedAt,
-		PerSource:   make(map[string]SourceStats, len(r.PerSource)),
-	}
-	for id, st := range r.PerSource {
-		h.PerSource[fmt.Sprint(int(id))] = st
-	}
-	return h
+	return ResultHeader{CollectedAt: r.CollectedAt}
 }
 
 // EncodeEntry serialises one entry in the persisted wire shape with its
 // artifact elided: blobRef (may be empty for artifact-less entries) points
 // at the content-store blob holding the artifact bytes.
-func (r *Result) EncodeEntry(e *Entry, blobRef string) ([]byte, error) {
-	pe := persistedEntry{
-		Coord:         e.Coord,
-		Availability:  e.Availability,
-		RecoveredFrom: e.RecoveredFrom,
-		Sources:       e.Sources,
-		ObservedAt:    e.ObservedAt,
-		ReleasedAt:    e.ReleasedAt,
-		RemovedAt:     e.RemovedAt,
-		Blob:          blobRef,
-	}
-	if e.Artifact != nil {
-		pe.Hash = e.Artifact.Hash()
-	}
-	if es, ok := r.EntryStatFor(e.Coord.Key()); ok {
-		pe.Stats = &es
-	}
+func EncodeEntry(e *Entry, blobRef string) ([]byte, error) {
+	pe := persisted(e)
+	pe.Blob = blobRef
 	return json.Marshal(pe)
 }
 
@@ -64,7 +42,6 @@ func (r *Result) EncodeEntry(e *Entry, blobRef string) ([]byte, error) {
 // live on Entry itself.
 type DecodedEntry struct {
 	Entry   *Entry
-	Stat    *EntryStat
 	BlobRef string
 	Hash    string // expected artifact hash; AttachArtifact verifies it
 }
@@ -95,8 +72,8 @@ func DecodeEntry(data []byte) (DecodedEntry, error) {
 			ObservedAt:    pe.ObservedAt,
 			ReleasedAt:    pe.ReleasedAt,
 			RemovedAt:     pe.RemovedAt,
+			Stat:          pe.Stats,
 		},
-		Stat:    pe.Stats,
 		BlobRef: pe.Blob,
 		Hash:    pe.Hash,
 	}, nil
@@ -111,15 +88,4 @@ func (de *DecodedEntry) AttachArtifact(art *ecosys.Artifact) error {
 	}
 	de.Entry.Artifact = art
 	return nil
-}
-
-// DecodePerSource returns the header's per-source stats keyed by source
-// ID, refusing a key that is not the canonical decimal ID of a known
-// source.
-func (h ResultHeader) DecodePerSource() (map[sources.ID]SourceStats, error) {
-	perSource, err := decodePerSource(h.PerSource)
-	if err != nil {
-		return nil, fmt.Errorf("manifest decode: %w", err)
-	}
-	return perSource, nil
 }

@@ -10,9 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
-	"slices"
-	"strconv"
 	"time"
 
 	"malgraph/internal/ecosys"
@@ -42,26 +39,47 @@ type persistedEntry struct {
 	// Blob references the artifact's bytes in a content-addressed store;
 	// used by the manifest encoding (see manifest.go), never by WriteJSON.
 	Blob string `json:"blob,omitempty"`
-	// Stats preserves the entry's exact per-source accounting so a restored
-	// dataset (engine warm restart) keeps applying correct accounting
-	// deltas when later batches extend the entry. Absent for a hand-built
+	// Stats is the entry's recorded accounting (Entry.Stat), so a
+	// restored dataset sums the same per-source aggregates and a later
+	// batch that extends the entry starts from it. Absent for a hand-built
 	// dataset's entries; readers fall back to the availability
-	// approximation.
+	// approximation (Entry.Accounting).
 	Stats *EntryStat `json:"stats,omitempty"`
 }
 
 type persistedResult struct {
 	Mode        string                 `json:"mode"`
 	CollectedAt time.Time              `json:"collectedAt"`
-	PerSource   map[string]SourceStats `json:"perSource"`
+	SourceStats map[string]SourceStats `json:"perSource"`
 	Entries     []persistedEntry       `json:"entries"`
 }
 
-// WriteJSON serialises the dataset deterministically.
+// persisted returns the entry's wire shape without its artifact body: the
+// fields WriteJSON and EncodeEntry share.
+func persisted(e *Entry) persistedEntry {
+	pe := persistedEntry{
+		Coord:         e.Coord,
+		Availability:  e.Availability,
+		RecoveredFrom: e.RecoveredFrom,
+		Sources:       e.Sources,
+		ObservedAt:    e.ObservedAt,
+		ReleasedAt:    e.ReleasedAt,
+		RemovedAt:     e.RemovedAt,
+		Stats:         e.Stat,
+	}
+	if e.Artifact != nil {
+		pe.Hash = e.Artifact.Hash()
+	}
+	return pe
+}
+
+// WriteJSON serialises the dataset deterministically, with the per-source
+// accounting SourceStats sums from the entries.
 func (r *Result) WriteJSON(w io.Writer, mode ExportMode) error {
+	perSource := r.SourceStats()
 	p := persistedResult{
 		CollectedAt: r.CollectedAt,
-		PerSource:   make(map[string]SourceStats, len(r.PerSource)),
+		SourceStats: make(map[string]SourceStats, len(perSource)),
 	}
 	switch mode {
 	case ExportFull:
@@ -69,51 +87,16 @@ func (r *Result) WriteJSON(w io.Writer, mode ExportMode) error {
 	default:
 		p.Mode = "public"
 	}
-	for _, id := range slices.Sorted(maps.Keys(r.PerSource)) {
-		p.PerSource[fmt.Sprint(int(id))] = r.PerSource[id]
+	for id, st := range perSource {
+		p.SourceStats[fmt.Sprint(int(id))] = st
 	}
 	for _, e := range r.Entries {
-		pe := persistedEntry{
-			Coord:         e.Coord,
-			Availability:  e.Availability,
-			RecoveredFrom: e.RecoveredFrom,
-			Sources:       e.Sources,
-			ObservedAt:    e.ObservedAt,
-			ReleasedAt:    e.ReleasedAt,
-			RemovedAt:     e.RemovedAt,
-		}
-		if e.Artifact != nil {
-			pe.Hash = e.Artifact.Hash()
-			if mode == ExportFull {
-				pe.Artifact = e.Artifact
-			}
-		}
-		if es, ok := r.EntryStatFor(e.Coord.Key()); ok {
-			pe.Stats = &es
+		pe := persisted(e)
+		if mode == ExportFull {
+			pe.Artifact = e.Artifact
 		}
 		p.Entries = append(p.Entries, pe)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(p)
-}
-
-// decodePerSource turns the persisted perSource map, keyed by decimal source
-// ID, back into per-source stats. A key must be the canonical decimal form
-// of a known source: "3x", "03", "+3" and unknown IDs are rejected. The
-// canonical form also makes keys and sources one-to-one, so no two keys can
-// land on the same source. Keys are walked sorted, so the same bad input
-// always fails on the same key.
-func decodePerSource(raw map[string]SourceStats) (map[sources.ID]SourceStats, error) {
-	out := make(map[sources.ID]SourceStats, len(raw))
-	for _, k := range slices.Sorted(maps.Keys(raw)) {
-		n, err := strconv.Atoi(k)
-		if err != nil || strconv.Itoa(n) != k {
-			return nil, fmt.Errorf("bad source id %q", k)
-		}
-		if _, known := sources.InfoFor(sources.ID(n)); !known {
-			return nil, fmt.Errorf("unknown source id %q", k)
-		}
-		out[sources.ID(n)] = raw[k]
-	}
-	return out, nil
 }

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"malgraph/internal/ecosys"
-	"malgraph/internal/sources"
 )
 
 // viaManifest encodes res as a segmented checkpoint does — the header, and
@@ -30,7 +30,7 @@ func viaManifest(t *testing.T, res *Result) (ResultHeader, []DecodedEntry) {
 		if e.Artifact != nil {
 			ref = "blob-" + e.Coord.Key()
 		}
-		rec, err := res.EncodeEntry(e, ref)
+		rec, err := EncodeEntry(e, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,9 +48,8 @@ func viaManifest(t *testing.T, res *Result) (ResultHeader, []DecodedEntry) {
 
 // TestDatasetRoundTripFull: a dataset encoded entry by entry and rebuilt
 // as a restore rebuilds it — each artifact attached and verified, the
-// entries upserted as one batch with their stats, the header's per-source
-// totals last — keeps every entry, artifact, per-source total and
-// per-entry stat.
+// entries, each with its stat, upserted as one batch — keeps every entry,
+// artifact, per-entry stat and so every per-source total.
 func TestDatasetRoundTripFull(t *testing.T) {
 	set, fleet := fixture(t)
 	res, err := Run(set, fleet, day(30))
@@ -58,11 +57,7 @@ func TestDatasetRoundTripFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, decoded := viaManifest(t, res)
-	perSource, err := h.DecodePerSource()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := &Result{CollectedAt: h.CollectedAt, PerSource: make(map[sources.ID]SourceStats)}
+	back := NewResult(h.CollectedAt)
 	entries := make([]*Entry, len(decoded))
 	for i := range decoded {
 		de := &decoded[i]
@@ -75,12 +70,6 @@ func TestDatasetRoundTripFull(t *testing.T) {
 		entries[i] = de.Entry
 	}
 	back.UpsertBatch(entries)
-	for _, de := range decoded {
-		if de.Stat != nil {
-			back.ApplyEntryStat(de.Entry.Coord.Key(), *de.Stat)
-		}
-	}
-	back.PerSource = perSource
 	if !back.CollectedAt.Equal(res.CollectedAt) {
 		t.Fatalf("collected at %v, want %v", back.CollectedAt, res.CollectedAt)
 	}
@@ -102,16 +91,15 @@ func TestDatasetRoundTripFull(t *testing.T) {
 		if e.Artifact != nil && e.Artifact.Hash() != b.Artifact.Hash() {
 			t.Fatalf("entry %d artifact corrupted", i)
 		}
-		want, _ := res.EntryStatFor(e.Coord.Key())
-		if got, _ := back.EntryStatFor(e.Coord.Key()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("entry %d stat %+v, want %+v", i, got, want)
+		if e.Stat == nil || !reflect.DeepEqual(b.Stat, e.Stat) {
+			t.Fatalf("entry %d stat %+v, want %+v", i, b.Stat, e.Stat)
 		}
 		if got, ok := back.Entry(e.Coord); !ok || got != b {
 			t.Fatalf("entry %d is not indexed by its coordinate", i)
 		}
 	}
-	if !reflect.DeepEqual(back.PerSource, res.PerSource) {
-		t.Fatalf("per-source stats %v, want %v", back.PerSource, res.PerSource)
+	if got, want := back.SourceStats(), res.SourceStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-source stats %v, want %v", got, want)
 	}
 	if _, err := DecodeEntry([]byte("{nope")); err == nil {
 		t.Fatal("DecodeEntry accepted a malformed record")
@@ -136,7 +124,7 @@ func TestDecodeEntryRefusesForeignRecords(t *testing.T) {
 	if withArt == nil {
 		t.Fatal("fixture has no entry with an artifact")
 	}
-	rec, err := res.EncodeEntry(withArt, "blob-ref")
+	rec, err := EncodeEntry(withArt, "blob-ref")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +187,13 @@ func TestDatasetPublicOmitsArtifacts(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &p); err != nil {
 		t.Fatal(err)
 	}
-	perSource, err := decodePerSource(p.PerSource)
-	if err != nil {
-		t.Fatal(err)
+	want := make(map[string]SourceStats)
+	for id, st := range res.SourceStats() {
+		want[strconv.Itoa(int(id))] = st
 	}
-	if len(p.Entries) != len(res.Entries) || !reflect.DeepEqual(perSource, res.PerSource) {
+	if len(p.Entries) != len(res.Entries) || !reflect.DeepEqual(p.SourceStats, want) {
 		t.Fatalf("public export carries %d entries and per-source %v, want %d and %v",
-			len(p.Entries), perSource, len(res.Entries), res.PerSource)
+			len(p.Entries), p.SourceStats, len(res.Entries), want)
 	}
 }
 
@@ -244,36 +232,5 @@ func TestAttachArtifactRejectsTampered(t *testing.T) {
 	}
 	if tampered == 0 {
 		t.Fatal("fixture carries no artifact")
-	}
-}
-
-// badPerSource lists perSource objects whose keys are not the canonical
-// decimal ID of a known source — including two spellings of source 3 at once.
-var badPerSource = []string{
-	`{"3x":{}}`, `{"3 4":{}}`, `{"-2":{}}`, `{"+3":{}}`, `{"03":{}}`,
-	`{"0":{}}`, `{"99":{}}`, `{"":{}}`, `{"3":{},"03":{}}`,
-}
-
-// TestDecodePerSourceBadSourceIDs: a manifest header's canonical
-// per-source keys decode; every other spelling is refused.
-func TestDecodePerSourceBadSourceIDs(t *testing.T) {
-	header := func(perSource string) ResultHeader {
-		h := ResultHeader{}
-		if err := json.Unmarshal([]byte(perSource), &h.PerSource); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	perSource, err := header(`{"3":{"Total":2}}`).DecodePerSource()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perSource[3].Total != 2 || len(perSource) != 1 {
-		t.Fatalf("canonical perSource decoded as %v", perSource)
-	}
-	for _, ps := range badPerSource {
-		if _, err := header(ps).DecodePerSource(); err == nil || !strings.Contains(err.Error(), "manifest decode: ") {
-			t.Errorf("perSource %s: DecodePerSource error %v, want a manifest decode error", ps, err)
-		}
 	}
 }

@@ -154,7 +154,7 @@ func TestPerSourceTotalsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0
-	for id, st := range res.PerSource {
+	for id, st := range res.SourceStats() {
 		if st.LocalUnavailable > st.Total || st.GlobalMissing > st.LocalUnavailable {
 			t.Fatalf("source %v stats inconsistent: %+v", id, st)
 		}

@@ -8,10 +8,10 @@ package collect
 // dataset; external ingest resolves the records a publisher POSTs to a
 // running loader, batch by batch. A Resolver is long-lived: it remembers
 // each coordinate's recovery outcome so the fleet is queried at most once
-// per coordinate no matter how many batches re-observe it, and the deltas of
-// its per-entry accounting (ApplyEntryStat) telescope to the aggregates of
-// one resolve over all the observations — regardless of how they were
-// partitioned into batches.
+// per coordinate no matter how many batches re-observe it. Each entry's
+// accounting is re-derived from its merged state, so the entries of any
+// batch partition carry the accounting of one resolve over all the
+// observations, and Result.SourceStats sums the same aggregates.
 
 import (
 	"cmp"
@@ -124,10 +124,9 @@ func NewResolver(fleet registry.View, at time.Time) *Resolver {
 
 // Resolve merges a batch of raw observations against the existing dataset
 // and returns the resulting Batch: merged entries for every touched
-// coordinate in key order, their absolute per-entry accounting (Stats), and
-// the aggregate accounting delta (PerSource). The existing dataset is read,
-// never written; the caller ingests the batch (core.Engine upserts the
-// entries and applies the stats).
+// coordinate in key order, each carrying its absolute accounting
+// (Entry.Stat). The existing dataset is read, never written; the caller
+// ingests the batch (core.Engine upserts the entries).
 //
 // Per coordinate, artifacts come source-first (an observation from an
 // artifact-carrying source, the lowest source ID winning), then from the
@@ -189,10 +188,8 @@ func (rv *Resolver) resolve(obs []Observation, existing *Result) (Batch, []strin
 	}
 
 	b := Batch{
-		Entries:   make([]*Entry, 0, groups),
-		PerSource: make(map[sources.ID]SourceStats),
-		Stats:     make(map[string]EntryStat, groups),
-		At:        at,
+		Entries: make([]*Entry, 0, groups),
+		At:      at,
 	}
 	keys := make([]string, 0, groups)
 	var group []Observation
@@ -223,7 +220,7 @@ func (rv *Resolver) resolve(obs []Observation, existing *Result) (Batch, []strin
 			// write into the shared array), corrupting the engine's
 			// stored entry before UpsertBatch even sees the batch.
 			next.Sources = append(make([]sources.ID, 0, len(cur.Sources)+len(group)), cur.Sources...)
-			oldStat = rv.statFor(existing, key, cur)
+			oldStat = cur.Accounting()
 		} else {
 			next.Coord = coord
 			next.Sources = make([]sources.ID, 0, len(group))
@@ -317,8 +314,7 @@ func (rv *Resolver) resolve(obs []Observation, existing *Result) (Batch, []strin
 		slices.Sort(newStat.Local)
 		newStat.Global = len(newStat.Local) > 0 && !mirrorOK && next.Availability != FromSource
 
-		addStatDelta(b.PerSource, oldStat, newStat, newSources)
-		b.Stats[key] = newStat
+		next.Stat = &newStat
 		b.Entries = append(b.Entries, next)
 		keys = append(keys, key)
 	}
@@ -343,18 +339,6 @@ func validate(o *Observation) error {
 			ErrBadObservation, o.Artifact.Coord.Key(), o.Coord.Key())
 	}
 	return nil
-}
-
-// statFor returns the recorded accounting for an existing entry, or the
-// availability-derived approximation when the dataset has none.
-func (rv *Resolver) statFor(existing *Result, key string, e *Entry) EntryStat {
-	if es, ok := existing.EntryStatFor(key); ok {
-		return es
-	}
-	if e.Availability == Missing {
-		return EntryStat{Local: e.Sources, Global: true}
-	}
-	return EntryStat{}
 }
 
 // recover queries the fleet once per coordinate, caching definitive
@@ -388,18 +372,6 @@ func (rv *Resolver) release(coord ecosys.Coord, key string) (ecosys.Release, boo
 	}
 	rv.releases[key] = rel
 	return rel, true
-}
-
-// addStatDelta accumulates the per-source aggregate difference between an
-// entry's old and new accounting (the shared ApplyStatDelta algorithm), plus
-// one Total per newly observed source.
-func addStatDelta(agg map[sources.ID]SourceStats, old, next EntryStat, newSources []sources.ID) {
-	for _, s := range newSources {
-		st := agg[s]
-		st.Total++
-		agg[s] = st
-	}
-	ApplyStatDelta(agg, old, next)
 }
 
 func validEcosystem(e ecosys.Ecosystem) bool {

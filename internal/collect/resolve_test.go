@@ -22,8 +22,8 @@ import (
 )
 
 // resolveAll partitions obs into k contiguous batches and feeds them through
-// one resolver, merging each batch into ds the way core.Engine would (Upsert
-// + AddTotals + ApplyEntryStat).
+// one resolver, merging each batch into ds the way core.Engine would
+// (UpsertBatch; each entry carries its accounting).
 func resolveAll(t *testing.T, rv *Resolver, ds *Result, obs []Observation, k int) {
 	t.Helper()
 	for i := 0; i < k; i++ {
@@ -32,28 +32,16 @@ func resolveAll(t *testing.T, rv *Resolver, ds *Result, obs []Observation, k int
 		if err != nil {
 			t.Fatalf("resolve batch %d: %v", i, err)
 		}
-		for _, e := range b.Entries {
-			prev, existed := ds.Entry(e.Coord)
-			merged, _, _ := ds.Upsert(e)
-			var added []sources.ID
-			for _, s := range merged.Sources {
-				if !existed || !slices.Contains(prev.Sources, s) {
-					added = append(added, s)
-				}
-			}
-			ds.AddTotals(added)
-		}
-		for key, st := range b.Stats {
-			ds.ApplyEntryStat(key, st)
-		}
+		ds.UpsertBatch(b.Entries)
 	}
 }
 
-// TestResolvePartitionsMatchRun checks the telescoping-accounting contract
-// on the hand-crafted fixture: Run (one resolve of every observation) and
-// the raw observations resolved in k batches — including k large enough to
-// split a multi-source coordinate across batches — all reproduce the
-// fixture's hand-computed entries and PerSource accounting exactly.
+// TestResolvePartitionsMatchRun checks the partition-independent
+// accounting contract on the hand-crafted fixture: Run (one resolve of
+// every observation) and the raw observations resolved in k batches —
+// including k large enough to split a multi-source coordinate across
+// batches — all reproduce the fixture's hand-computed entries and
+// per-source accounting (SourceStats) exactly.
 func TestResolvePartitionsMatchRun(t *testing.T) {
 	set, fleet := fixture(t)
 	at := day(30)
@@ -90,8 +78,8 @@ func TestResolvePartitionsMatchRun(t *testing.T) {
 				t.Errorf("%s: entry %s artifact presence wrong", label, e.Coord.Key())
 			}
 		}
-		if !reflect.DeepEqual(ds.PerSource, wantPerSource) {
-			t.Errorf("%s: PerSource = %+v, want %+v", label, ds.PerSource, wantPerSource)
+		if got := ds.SourceStats(); !reflect.DeepEqual(got, wantPerSource) {
+			t.Errorf("%s: SourceStats = %+v, want %+v", label, got, wantPerSource)
 		}
 	}
 	oneShot, err := Run(set, fleet, at)
@@ -134,8 +122,8 @@ func TestResolveLateArtifactUpgradesEntry(t *testing.T) {
 	// One-shot over the same two observations must agree on the accounting.
 	oneShot := NewResult(at)
 	resolveAll(t, NewResolver(fleet, at), oneShot, obs, 1)
-	if !reflect.DeepEqual(ds.PerSource, oneShot.PerSource) {
-		t.Fatalf("partitioned accounting %+v != one-shot %+v", ds.PerSource, oneShot.PerSource)
+	if got, want := ds.SourceStats(), oneShot.SourceStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("partitioned accounting %+v != one-shot %+v", got, want)
 	}
 }
 
@@ -231,8 +219,8 @@ func TestResolveTransportFailureAbortsWithoutMissing(t *testing.T) {
 	if _, err := rv.Resolve(obs, ds); !errors.Is(err, ErrUnresolved) {
 		t.Fatalf("err = %v, want ErrUnresolved", err)
 	}
-	if len(ds.Entries) != 0 || len(ds.PerSource) != 0 {
-		t.Fatalf("failed resolve left state behind: %d entries, %v", len(ds.Entries), ds.PerSource)
+	if len(ds.Entries) != 0 {
+		t.Fatalf("failed resolve left state behind: %d entries", len(ds.Entries))
 	}
 
 	flaky.healthy = true
@@ -241,9 +229,9 @@ func TestResolveTransportFailureAbortsWithoutMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.Entries) != len(want.Entries) || !reflect.DeepEqual(ds.PerSource, want.PerSource) {
+	if got, wantStats := ds.SourceStats(), want.SourceStats(); len(ds.Entries) != len(want.Entries) || !reflect.DeepEqual(got, wantStats) {
 		t.Fatalf("post-retry state diverged: %d entries %+v, want %d %+v",
-			len(ds.Entries), ds.PerSource, len(want.Entries), want.PerSource)
+			len(ds.Entries), got, len(want.Entries), wantStats)
 	}
 	if n := len(ds.MissingEntries()); n != len(want.MissingEntries()) {
 		t.Fatalf("missing count %d, want %d", n, len(want.MissingEntries()))

@@ -72,7 +72,7 @@ func miniDataset(t testing.TB) (*collect.Result, []*reports.Report) {
 	lonerCoord := ecosys.Coord{Ecosystem: ecosys.RubyGems, Name: "lonely", Version: "0.1.0"}
 	addEntry(cbLoner.Instantiate(lonerCoord, codegen.Options{Description: "l"}), sources.Snyk)
 
-	res := &collect.Result{PerSource: map[sources.ID]collect.SourceStats{}, CollectedAt: t0}
+	res := collect.NewResult(t0)
 	for _, e := range entries {
 		res.Entries = append(res.Entries, e)
 	}

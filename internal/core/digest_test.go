@@ -199,18 +199,18 @@ func firstKey[V any](t *testing.T, m map[string]V) string {
 // FuzzRestoreEngineWithStore feeds arbitrary snapshot bytes to the one
 // restore entry point and to CollectManifestRefs, against a store holding a
 // real three-checkpoint chain, each manifest stamped: no input panics
-// either, an input the restore accepts is a manifest of a version
-// readableManifest admits, the engine it gives has a digest, the stamps it
-// returns are the manifest's appliedSeq, feedPos and feedBatches, and
-// CollectManifestRefs accepts it too, listing exactly the restored
-// engine's LiveRefs. Seeds: v2, v3 and v4
-// snapshot headers (each refused), the chain's v8 manifests, a manifest
+// either, an input the restore accepts is a v5 to v9 manifest, the engine
+// it gives has a digest, the stamps it returns are the manifest's
+// appliedSeq, feedPos and feedBatches, and CollectManifestRefs accepts it
+// too, listing exactly the restored engine's LiveRefs. Seeds: v2, v3 and
+// v4 snapshot headers (each refused), the chain's v9 manifests, a manifest
 // naming a dataset chunk the store does not hold, the last manifest
-// rewritten as v6 (asV6Manifest) and as v5 (asV5Manifest), a minimal v8
+// rewritten as v6 (asV6Manifest) and as v5 (asV5Manifest), a minimal v9
 // manifest of an empty engine, the last manifest rewritten as v7 with
-// garbage graph and items chains (asV7Manifest), the last manifest with a
-// superseded artifact blob (withSupersededBlob) and with tampered
-// artifacts (withTamperedArtifacts).
+// garbage graph and items chains (asV7Manifest) and as v8 with a header
+// perSource member holding a non-canonical key (asV8Manifest), the last
+// manifest with a superseded artifact blob (withSupersededBlob) and with
+// tampered artifacts (withTamperedArtifacts).
 func FuzzRestoreEngineWithStore(f *testing.F) {
 	for v := 2; v <= 4; v++ {
 		f.Add([]byte(monolithicHeaders[v]))
@@ -248,8 +248,9 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 	f.Add(unknown)
 	f.Add(asV6Manifest(f, manifest.Bytes(), store))
 	f.Add(asV5Manifest(f, manifest.Bytes(), store))
-	f.Add([]byte(`{"version":8,"config":{},"datasetHeader":{"collectedAt":"0001-01-01T00:00:00Z","perSource":{}},"sections":{"dataset":[],"reports":[]}}`))
+	f.Add([]byte(`{"version":9,"config":{},"datasetHeader":{"collectedAt":"0001-01-01T00:00:00Z"},"sections":{"dataset":[],"reports":[]}}`))
 	f.Add(asV7Manifest(f, manifest.Bytes(), store))
+	f.Add(asV8Manifest(f, manifest.Bytes(), store))
 	superseded, _ := withSupersededBlob(f, manifest.Bytes(), store)
 	f.Add(superseded)
 	tampered, _ := withTamperedArtifacts(f, manifest.Bytes(), store)
@@ -267,7 +268,7 @@ func FuzzRestoreEngineWithStore(f *testing.F) {
 			FeedPos     int    `json:"feedPos"`
 			FeedBatches int    `json:"feedBatches"`
 		}
-		if err := json.Unmarshal(raw, &head); err != nil || !readableManifest(head.Version) {
+		if err := json.Unmarshal(raw, &head); err != nil || head.Version < 5 || head.Version > 9 {
 			t.Fatalf("restore accepted an unreadable snapshot (version %d, %v): %.80q", head.Version, err, raw)
 		}
 		if want := (Stamps{head.AppliedSeq, head.FeedPos, head.FeedBatches}); stamps != want {

@@ -37,21 +37,14 @@ import (
 	"malgraph/internal/textsim"
 )
 
-// Batch is one ingest installment: dataset entries with their per-entry
-// source accounting (collect.BatchOf or collect.Resolver.Resolve) plus newly
-// published security reports.
+// Batch is one ingest installment: dataset entries, each carrying its
+// per-source accounting (collect.TimelineBatches or
+// collect.Resolver.Resolve), plus newly published security reports.
 type Batch struct {
 	Entries []*collect.Entry
-	// PerSource is never read: the engine accounts every batch per entry,
-	// from Stats. It stays only because the servebench harness sets it.
+	// PerSource is never set or read; only the servebench harness names it.
 	PerSource map[sources.ID]collect.SourceStats
-	// Stats carries each entry's absolute per-source accounting (see
-	// collect.Batch.Stats). The engine adds one Total per newly observed
-	// (source, package) pair and applies the delta between each entry's
-	// recorded stat and this one — exact under replay, under batches that
-	// extend already-known coordinates (the external ingest path), and
-	// under any feed/external mix. A batch without Stats (a hand-assembled
-	// corpus) carries no accounting.
+	// Stats is never set or read; only the servebench harness names it.
 	Stats   map[string]collect.EntryStat
 	Reports []*reports.Report
 	// At is the collection instant; recorded once (first non-zero wins).
@@ -279,20 +272,6 @@ func (e *Engine) Ingest(b Batch) (IngestStats, error) {
 		e.mg.Dataset.CollectedAt = b.At
 	}
 	changes := e.mergeEntries(b.Entries, &st)
-	if b.Stats != nil {
-		// Exact per-entry accounting: one Total per newly observed
-		// (source, package) pair, and the delta between each entry's
-		// recorded stat and the batch's absolute stat. Idempotent under
-		// replay (identical stat ⇒ zero delta) and exact when several
-		// batches extend the same coordinate.
-		for _, ch := range changes {
-			e.mg.Dataset.AddTotals(ch.newSources)
-			key := ch.entry.Coord.Key()
-			if next, ok := b.Stats[key]; ok {
-				e.mg.Dataset.ApplyEntryStat(key, next)
-			}
-		}
-	}
 	err := e.applyShardsLocked(changes, b.Reports, &st)
 	return st, err
 }

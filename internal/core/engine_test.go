@@ -107,19 +107,18 @@ func TestEngineBatchPartitionsMatchBuild(t *testing.T) {
 func TestEngineIngestIdempotent(t *testing.T) {
 	ds, reps := miniDataset(t)
 	eng := NewEngine(DefaultConfig())
-	full := ds.BatchOf(ds.Entries)
-	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Stats: full.Stats, Reports: reps, At: ds.CollectedAt}); err != nil {
+	if _, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt}); err != nil {
 		t.Fatal(err)
 	}
 	before := digestOf(t, eng)
-	beforeStats := fmt.Sprintf("%+v", eng.Dataset().PerSource)
+	beforeStats := fmt.Sprintf("%+v", eng.Dataset().SourceStats())
 	// Replayed batches carry their accounting too (a warm-restarted server
 	// drains the same feed); nothing may double-count.
-	st, err := eng.Ingest(Batch{Entries: ds.Entries, Stats: full.Stats, Reports: reps})
+	st, err := eng.Ingest(Batch{Entries: ds.Entries, Reports: reps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := fmt.Sprintf("%+v", eng.Dataset().PerSource); after != beforeStats {
+	if after := fmt.Sprintf("%+v", eng.Dataset().SourceStats()); after != beforeStats {
 		t.Fatalf("re-ingest double-counted source stats:\n before %s\n after  %s", beforeStats, after)
 	}
 	if st.NewEntries != 0 || st.UpdatedEntries != 0 || st.NewArtifacts != 0 || st.NewReports != 0 {
@@ -169,11 +168,11 @@ func TestEngineIngestStats(t *testing.T) {
 // and the one-shot build.
 func TestEngineSnapshotRestore(t *testing.T) {
 	ds, reps := miniDataset(t)
-	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Stats: ds.BatchOf(ds.Entries).Stats, Reports: reps, At: ds.CollectedAt})
+	want := reference(t, DefaultConfig(), Batch{Entries: ds.Entries, Reports: reps, At: ds.CollectedAt})
 
 	half := len(ds.Entries) / 2
-	first := Batch{Entries: ds.Entries[:half], Stats: ds.BatchOf(ds.Entries[:half]).Stats, Reports: reps[:1], At: ds.CollectedAt}
-	second := Batch{Entries: ds.Entries[half:], Stats: ds.BatchOf(ds.Entries[half:]).Stats, Reports: reps[1:]}
+	first := Batch{Entries: ds.Entries[:half], Reports: reps[:1], At: ds.CollectedAt}
+	second := Batch{Entries: ds.Entries[half:], Reports: reps[1:]}
 	eng := NewEngine(DefaultConfig())
 	if _, err := eng.Ingest(first); err != nil {
 		t.Fatal(err)
@@ -199,13 +198,8 @@ func TestEngineSnapshotRestore(t *testing.T) {
 			wantStats[id] = st
 		}
 	}
-	if len(restored.Dataset().PerSource) != len(wantStats) {
-		t.Fatalf("replayed accounting %+v, want %+v", restored.Dataset().PerSource, wantStats)
-	}
-	for id, w := range wantStats {
-		if got := restored.Dataset().PerSource[id]; got != w {
-			t.Fatalf("replayed accounting for %s = %+v, want %+v", id, got, w)
-		}
+	if got := restored.Dataset().SourceStats(); !reflect.DeepEqual(got, wantStats) {
+		t.Fatalf("replayed accounting %+v, want %+v", got, wantStats)
 	}
 
 	if restored.Dataset().TotalMR() != ds.TotalMR() {

@@ -32,13 +32,15 @@ package core
 //
 // Chunks and artifact blobs are binary (chunkcodec.go), so a restore
 // decodes them by slicing; entry records and reports keep JSON values
-// inside the binary kv frame. The manifest itself stays JSON, version 8.
-// Versions 5 to 7 still restore, the chains this build derives ignored:
-// their graph and items chains, a v5 or v6 manifest's partitions and
-// pairOwners chains, and a v5's posting map and imports chain. A restore
-// reads nothing else: a monolithic v3/v4 snapshot and a JSON chunk from an
-// earlier build are refused with an error naming commit 3e24565, the last
-// that reads them.
+// inside the binary kv frame. The manifest itself stays JSON, version 9;
+// its dataset header holds the collection time only, since each entry
+// record carries its own accounting. Versions 5 to 8 still restore, what
+// this build derives ignored: their header's per-source accounting, a v5
+// to v7 manifest's graph and items chains, a v5 or v6 manifest's
+// partitions and pairOwners chains, and a v5's posting map and imports
+// chain. A restore reads nothing else: a monolithic v3/v4 snapshot and a
+// JSON chunk from an earlier build are refused with an error naming commit
+// 3e24565, the last that reads them.
 //
 // Durability ordering: the chunk segment is appended — and fsynced — before
 // a single manifest byte is written, so a manifest that gets published by
@@ -61,11 +63,13 @@ import (
 )
 
 // snapshotVersionSegmented is the manifest format version Snapshot writes.
-// Versions 5 to 7 differ only in what a restore ignores: their graph and
+// Versions 5 to 8 differ only in what a restore ignores: the per-source
+// accounting their dataset header carried, a v5 to v7 manifest's graph and
 // items sections, a v5 or v6 manifest's partitions and pairOwners
 // sections, and the posting map a v5 carried inline and its imports
-// section.
-const snapshotVersionSegmented = 8
+// section. The version moved to 9 with the header's accounting, so an
+// older build refuses a v9 manifest instead of restoring empty tables.
+const snapshotVersionSegmented = 9
 
 // readableManifest reports whether a manifest of version v restores: the
 // one predicate RestoreEngineWithStore and CollectManifestRefs share.
@@ -170,7 +174,7 @@ func (e *Engine) kvSectionsLocked(cp *checkpoint) [numSections]kvSection {
 					cp.newArtRefs[key] = artifactRef{art: en.Artifact, key: blobRef}
 				}
 			}
-			return ds.EncodeEntry(en, blobRef)
+			return collect.EncodeEntry(en, blobRef)
 		},
 	}
 	t[secReports] = kvSection{
@@ -321,14 +325,15 @@ func readManifest(r io.Reader) (manifestSnapshot, error) {
 	return man, nil
 }
 
-// RestoreEngineWithStore reconstructs an engine from a v5 to v8 manifest
+// RestoreEngineWithStore reconstructs an engine from a v5 to v9 manifest
 // whose chunk references resolve against st; it is the one restore entry
-// point. It decodes the dataset entries, their artifacts and the reports,
-// and replays them as one Ingest into a fresh engine; the dataset header
-// comes from the manifest. It returns the manifest's stamps beside the
-// engine. The returned engine has st attached and appends its next
-// checkpoint's deltas to the manifest's chunk chains. A monolithic v3/v4
-// snapshot is refused, naming the last commit that reads it.
+// point. It decodes the dataset entries, each with its accounting, their
+// artifacts and the reports, and replays them as one Ingest into a fresh
+// engine stamped with the header's collection time. It returns the
+// manifest's stamps beside the engine. The returned engine has st attached
+// and appends its next checkpoint's deltas to the manifest's chunk chains.
+// A monolithic v3/v4 snapshot is refused, naming the last commit that reads
+// it.
 func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, Stamps, error) {
 	man, err := readManifest(r)
 	if err != nil {
@@ -342,11 +347,6 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, Stamps, er
 	default:
 		return nil, Stamps{}, fmt.Errorf("restore: snapshot version %d, want 5 to %d", man.Version, snapshotVersionSegmented)
 	}
-	perSource, err := man.Header.DecodePerSource()
-	if err != nil {
-		return nil, Stamps{}, fmt.Errorf("restore dataset: %w", err)
-	}
-
 	// One read session for the whole restore: the chunk fetch here and the
 	// artifact fetch in the dataset section decode each segment once.
 	sess := st.Session()
@@ -401,30 +401,23 @@ func RestoreEngineWithStore(r io.Reader, st *castore.Store) (*Engine, Stamps, er
 	// Replay the inputs as one batch into a fresh engine: the ingest derives
 	// the dataset, the graph, the clustering state and every index with the
 	// running code. No store is attached yet, so the replay marks nothing
-	// dirty. The per-entry stats ride along; the manifest's per-source
-	// totals replace what the replay sums from them.
+	// dirty.
 	entries := make([]*collect.Entry, len(decoded))
-	stats := make(map[string]collect.EntryStat, len(decoded))
 	artRefs := make(map[string]artifactRef, len(decoded))
 	for i, de := range decoded {
 		entries[i] = de.Entry
-		key := de.Entry.Coord.Key()
-		if de.Stat != nil {
-			stats[key] = *de.Stat
-		}
 		if de.BlobRef != "" {
-			artRefs[key] = artifactRef{art: de.Entry.Artifact, key: de.BlobRef}
+			artRefs[de.Entry.Coord.Key()] = artifactRef{art: de.Entry.Artifact, key: de.BlobRef}
 		}
 	}
 	e := NewEngine(man.Config)
-	if _, err := e.Ingest(Batch{Entries: entries, Stats: stats, Reports: reps, At: man.Header.CollectedAt}); err != nil {
+	if _, err := e.Ingest(Batch{Entries: entries, Reports: reps, At: man.Header.CollectedAt}); err != nil {
 		return nil, Stamps{}, fmt.Errorf("restore ingest: %w", err)
 	}
 
 	// Attach the store with the manifest's logs instead of a blank re-base:
 	// the restored engine keeps appending deltas to the same chunk chains.
 	e.mu.Lock()
-	e.mg.Dataset.PerSource = perSource
 	e.attachStoreLocked(st)
 	for id, name := range sectionNames {
 		e.sections[id].log = sectionLog{

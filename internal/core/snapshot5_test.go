@@ -2,12 +2,13 @@ package core
 
 // Contracts under test for segmented checkpoints: a chain of delta
 // checkpoints restores to the live engine's digest in every section; v5 to
-// v7 manifests restore with the sections this build derives ignored, and
+// v8 manifests restore with what this build derives ignored (a v8 header's
+// per-source accounting, and older manifests' derived sections), and
 // compaction drops those sections' chunks; a
 // monolithic v3/v4 snapshot and a JSON chunk of each kind are refused,
 // naming the last commit that reads them, and the store is left as it
 // was; version errors are explicit about what the reader needed; a
-// tampered artifact and a bad per-source key are refused; compaction
+// tampered artifact is refused; compaction
 // driven by CollectManifestRefs never strands a restorable manifest and
 // drops a blob only a superseded record names; and arbitrary manifest
 // bytes never panic the restore.
@@ -128,7 +129,7 @@ var monolithicHeaders = map[int]string{
 		`"partitions":{},"items":{},"imports":{},"posting":{},"pairOwners":{},"appliedSeq":3,"feedPos":2}`,
 }
 
-// TestRestoreVersionErrors: RestoreEngineWithStore reads only v5 to v8
+// TestRestoreVersionErrors: RestoreEngineWithStore reads only v5 to v9
 // manifests; a snapshot of any version it has never read names the ones it
 // wants, and leaves the store as it found it.
 func TestRestoreVersionErrors(t *testing.T) {
@@ -136,9 +137,9 @@ func TestRestoreVersionErrors(t *testing.T) {
 		raw  string
 		want string
 	}{
-		{monolithicHeaders[2], "snapshot version 2, want 5 to 8"},
-		{`{"version":9}`, "snapshot version 9, want 5 to 8"},
-		{`{}`, "snapshot version 0, want 5 to 8"},
+		{monolithicHeaders[2], "snapshot version 2, want 5 to 9"},
+		{`{"version":10}`, "snapshot version 10, want 5 to 9"},
+		{`{}`, "snapshot version 0, want 5 to 9"},
 	} {
 		assertRestoreRefused(t, tc.raw, tc.want)
 	}
@@ -435,20 +436,6 @@ func TestRestoreRefusesTamperedArtifact(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesBadPerSourceKey: a manifest header whose per-source
-// map has a key that is not the canonical decimal ID of a known source is
-// refused.
-func TestRestoreRefusesBadPerSourceKey(t *testing.T) {
-	_, manifest, store := checkpointMini(t)
-	bad := editManifest(t, manifest, func(man map[string]any) {
-		man["datasetHeader"].(map[string]any)["perSource"] = map[string]any{"03": map[string]any{}}
-	})
-	_, _, err := RestoreEngineWithStore(bytes.NewReader(bad), store)
-	if want := `restore dataset: manifest decode: bad source id "03"`; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("restore error %v, want one naming %q", err, want)
-	}
-}
-
 // TestCompactionDropsSupersededArtifactBlob: an artifact blob that only a
 // superseded dataset record names is not among CollectManifestRefs' refs,
 // since no restore fetches it; compaction driven by those refs drops it,
@@ -572,17 +559,33 @@ func editManifest(t testing.TB, manifest []byte, edit func(man map[string]any)) 
 	return old
 }
 
+// asV8Manifest rewrites a manifest this build wrote as the version 8 whose
+// dataset header also carried the per-source accounting: a perSource
+// member with a wrong total for a canonical key and a non-canonical key,
+// "03", that an older build refused. A restore that read it would fail or
+// differ from the live engine.
+func asV8Manifest(t testing.TB, manifest []byte, _ *castore.Store) []byte {
+	t.Helper()
+	return editManifest(t, manifest, func(man map[string]any) {
+		man["version"] = 8
+		man["datasetHeader"].(map[string]any)["perSource"] = map[string]any{
+			"1":  map[string]any{"Total": 999, "LocalUnavailable": 7, "GlobalMissing": 7},
+			"03": map[string]any{"Total": 1},
+		}
+	})
+}
+
 // asV7Manifest rewrites a manifest this build wrote as the version 7 that
-// also persisted the graph and the clustering items: a graph chain whose one
-// chunk is garbage bytes in st, and an items chain whose one chunk st does
-// not hold. A restore that read either would fail.
+// also persisted the graph and the clustering items: asV8Manifest's header,
+// a graph chain whose one chunk is garbage bytes in st, and an items chain
+// whose one chunk st does not hold. A restore that read either would fail.
 func asV7Manifest(t testing.TB, manifest []byte, st *castore.Store) []byte {
 	t.Helper()
 	garbage := []byte("graph chunk of garbage bytes")
 	if _, err := st.Append([]castore.Blob{{Key: castore.KeyOf(garbage), Data: garbage}}); err != nil {
 		t.Fatal(err)
 	}
-	return editManifest(t, manifest, func(man map[string]any) {
+	return editManifest(t, asV8Manifest(t, manifest, st), func(man map[string]any) {
 		man["version"] = 7
 		sections := man["sections"].(map[string]any)
 		sections["graph"] = []string{castore.KeyOf(garbage)}
@@ -622,7 +625,7 @@ func asV5Manifest(t testing.TB, manifest []byte, st *castore.Store) []byte {
 // engine's digest in every section, its posting map and its imports,
 // partitions, pairOwners, graph and items chains ignored — the replay
 // rebuilds all six — and CollectManifestRefs gives it the same live set as
-// the v8 manifest it was rewritten from.
+// the v9 manifest it was rewritten from.
 func TestRestoreUpgradesV5Manifest(t *testing.T) {
 	assertRestoresUpgraded(t, asV5Manifest, "v5")
 }
@@ -631,7 +634,7 @@ func TestRestoreUpgradesV5Manifest(t *testing.T) {
 // engine's digest in every section, its partitions, pairOwners, graph and
 // items chains ignored — the replay re-clusters the partitions and re-joins
 // the pair owners — and CollectManifestRefs gives it the same live set as
-// the v8 manifest it was rewritten from.
+// the v9 manifest it was rewritten from.
 func TestRestoreUpgradesV6Manifest(t *testing.T) {
 	assertRestoresUpgraded(t, asV6Manifest, "v6")
 }
@@ -640,10 +643,20 @@ func TestRestoreUpgradesV6Manifest(t *testing.T) {
 // garbage blob and whose items chain names no blob at all restores to the
 // live engine's digest in every section — the replay derives the graph and
 // the items, it never reads them — and CollectManifestRefs gives it the
-// same live set as the v8 manifest it was rewritten from, so compaction
+// same live set as the v9 manifest it was rewritten from, so compaction
 // drops the garbage blob and the v7 manifest still restores.
 func TestRestoreUpgradesV7Manifest(t *testing.T) {
 	assertRestoresUpgraded(t, asV7Manifest, "v7")
+}
+
+// TestRestoreUpgradesV8Manifest: a v8 manifest whose dataset header
+// carries a per-source accounting, with a wrong total and a non-canonical
+// key, restores to the live engine's digest in every section — the
+// accounting is summed from the entry records, the header's is never read
+// — and CollectManifestRefs gives it the same live set as the v9 manifest
+// it was rewritten from.
+func TestRestoreUpgradesV8Manifest(t *testing.T) {
+	assertRestoresUpgraded(t, asV8Manifest, "v8")
 }
 
 // assertRestoresUpgraded checkpoints a two-batch ingest, rewrites the
@@ -686,7 +699,7 @@ func assertRestoresUpgraded(t *testing.T, rewrite func(testing.TB, []byte, *cast
 		t.Fatal(err)
 	}
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("CollectManifestRefs: %s manifest %d refs, v8 original %d; want the same set", version, len(got), len(want))
+		t.Fatalf("CollectManifestRefs: %s manifest %d refs, v9 original %d; want the same set", version, len(got), len(want))
 	}
 
 	// Compaction driven by those refs drops every chunk of the ignored
@@ -940,7 +953,7 @@ func TestSegmentedRestoreRefusesJSONChunks(t *testing.T) {
 // checkpointed after each of three steps: one SHA-256 over the manifests,
 // in order, and one over the segment files, in name order.
 const (
-	pairOwnerDeleteGoldenManifests = "df5a477f3d58a01fe037d2870100d19a48f633343237cb82f91b774bf39fb529"
+	pairOwnerDeleteGoldenManifests = "ee98e28ef6722ae833f64d4e1a3da52eba0aa71442f5e77f507b20896f908508"
 	pairOwnerDeleteGoldenSegments  = "d884cc60955726998efc31367fcecfa7c3555da98bcad10ff86a43aa3dff49a6"
 )
 

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"malgraph/internal/collect"
-	"malgraph/internal/core"
 	"malgraph/internal/ecosys"
 	"malgraph/internal/sources"
 )
@@ -67,7 +66,7 @@ func startupDigest(t *testing.T, p *Pipeline) string {
 	for _, e := range ds.Entries {
 		put("entry", []any{e.Coord, artifactHash(e.Artifact), e.Availability, e.RecoveredFrom, e.Sources, e.ObservedAt, e.ReleasedAt, e.RemovedAt})
 	}
-	putPerSource(put, ds.PerSource)
+	putPerSource(put, ds.SourceStats())
 	for _, r := range corpus {
 		put("report", r)
 	}
@@ -77,15 +76,17 @@ func startupDigest(t *testing.T, p *Pipeline) string {
 	put("batches", len(feed))
 	for _, b := range feed {
 		keys := make([]string, len(b.Entries))
+		stats := make(map[string]collect.EntryStat, len(b.Entries))
 		for i, e := range b.Entries {
 			keys[i] = e.Coord.Key()
+			stats[keys[i]] = e.Accounting()
 		}
 		urls := make([]string, len(b.Reports))
 		for i, r := range b.Reports {
 			urls[i] = r.URL
 		}
-		put("batch", []any{keys, b.Stats, urls, b.At})
-		putPerSource(put, batchPerSource(b))
+		put("batch", []any{keys, stats, urls, b.At})
+		putPerSource(put, (&collect.Result{Entries: b.Entries}).SourceStats())
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -95,30 +96,6 @@ func artifactHash(a *ecosys.Artifact) string {
 		return ""
 	}
 	return a.Hash()
-}
-
-// batchPerSource sums a feed batch's per-entry accounting into per-source
-// aggregates: one Total per reporting source, and the locally unavailable
-// and globally missing counts of each entry's recorded stat.
-func batchPerSource(b core.Batch) map[sources.ID]collect.SourceStats {
-	per := make(map[sources.ID]collect.SourceStats)
-	for _, e := range b.Entries {
-		for _, id := range e.Sources {
-			st := per[id]
-			st.Total++
-			per[id] = st
-		}
-		es := b.Stats[e.Coord.Key()]
-		for _, id := range es.Local {
-			st := per[id]
-			st.LocalUnavailable++
-			if es.Global {
-				st.GlobalMissing++
-			}
-			per[id] = st
-		}
-	}
-	return per
 }
 
 // putPerSource hashes per-source accounting in source-ID order.
